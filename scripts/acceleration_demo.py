@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digits-versus-terms comparison of direct summation, Levin u and Wynn epsilon
+"""Digits-versus-terms comparison of direct summation and the Levin u-transform
 on two k^-2 tails: zeta(2) and the Phi-series anchor sum over (k+1/2)^-2.
 
 Direct summation of a k^-2 tail gains roughly one digit per tenfold more
@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import mpmath  # noqa: E402
 from mpmath import mp, mpf  # noqa: E402
 
-from hyperid.accel import levin_core, wynn_core  # noqa: E402
+from hyperid.accel import levin_core  # noqa: E402
 
 
 def digits_of(err):
@@ -25,7 +25,7 @@ def digits_of(err):
 
 def run(label, terms, target):
     print(f"\n{label}")
-    print(f"{'terms':>6} {'direct':>8} {'levin':>8} {'wynn':>8}   (correct digits)")
+    print(f"{'terms':>6} {'direct':>8} {'levin':>8}   (correct digits)")
     for n in (10, 20, 40, 80, 160):
         chunk = terms[:n]
         direct = sum(chunk)
@@ -36,17 +36,7 @@ def run(label, terms, target):
             d_levin = digits_of(abs(lv - target))
         except Exception:
             d_levin = float("nan")
-        partials = []
-        s = mpf(0)
-        for t in chunk:
-            s += t
-            partials.append(s)
-        try:
-            wv, _ = wynn_core(partials)
-            d_wynn = digits_of(abs(wv - target))
-        except Exception:
-            d_wynn = float("nan")
-        print(f"{n:>6} {d_direct:>8.1f} {d_levin:>8.1f} {d_wynn:>8.1f}")
+        print(f"{n:>6} {d_direct:>8.1f} {d_levin:>8.1f}")
 
 
 def main():

@@ -12,7 +12,6 @@ from .errors import (
     IndeterminateError,
     LowerPoleError,
     NotConvergent,
-    NumericalBreakdown,
     PoleError,
     SamplingExhausted,
     UnknownIdentityError,
@@ -39,7 +38,6 @@ from .series import (
     sum_bilateral,
     sum_unilateral,
     tail_bound_algebraic,
-    wynn_epsilon,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,9 @@
-"""Nonlinear sequence transformations: Levin u-transform and Wynn epsilon.
+"""Levin u-transform, the nonlinear sequence transformation of this package.
 
-The Levin u-transform is the workhorse for the k^-2 algebraic tails this
-package meets (direct summation of those gains about one digit per decade
-of terms). Wynn's epsilon algorithm is kept as an independent cross-check.
+It is the workhorse for the k^-2 algebraic tails this package meets (direct
+summation of those gains about one digit per decade of terms).
 
-Both tables amplify rounding error as they deepen, so callers run them at a
+The table amplifies rounding error as it deepens, so callers run it at a
 boosted precision and this module tracks the best estimate seen, stopping
 once the diagonal starts to churn instead of converge.
 """
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from .errors import AccelerationFailed, NumericalBreakdown
+from .errors import AccelerationFailed
 
 
 def levin_core(terms, *, tol_target, accept_tol, cap, beta=1, err_floor=None):
@@ -93,52 +92,3 @@ def levin_core(terms, *, tol_target, accept_tol, cap, beta=1, err_floor=None):
         f"Levin u-transform stagnated after {used} terms "
         f"(best error {best_err if best_err is not None else 'n/a'})"
     )
-
-
-def wynn_core(partials):
-    """Wynn epsilon algorithm over a list of partial sums.
-
-    Returns (value, err_gauge) where value is the deepest even-column entry.
-    The gauge combines the step between the last two even columns with the
-    scatter inside the final column scaled by the table depth; on stalled
-    (logarithmically convergent) input the within-column scatter is what
-    reveals the remaining distance to the limit. Column construction stops
-    at near-equal adjacent entries (cancellation); if that happens before
-    any even column exists, NumericalBreakdown is raised.
-    """
-    if len(partials) < 5:
-        raise ValueError("wynn epsilon needs at least 5 partial sums")
-    tiny = mpf(10) ** (-(mp.dps - 4))
-    if all(p == partials[0] for p in partials):
-        return partials[0], mpf(0)
-    prev = [mpf(0)] * (len(partials) + 1)
-    curr = list(partials)
-    col = 0
-    even_vals = [partials[-1]]
-    even_scatter = mpf(0)
-    while len(curr) >= 2:
-        nxt = []
-        stop = False
-        for i in range(len(curr) - 1):
-            d = curr[i + 1] - curr[i]
-            scale = max(abs(curr[i + 1]), abs(curr[i]), mpf(1))
-            if d == 0 or abs(d) < tiny * scale:
-                stop = True
-                break
-            nxt.append(prev[i + 1] + 1 / d)
-        if not nxt:
-            break
-        col += 1
-        prev, curr = curr, nxt
-        if col % 2 == 0:
-            even_vals.append(curr[-1])
-            even_scatter = abs(curr[-1] - curr[-2]) if len(curr) >= 2 else mpf(0)
-        if stop:
-            break
-    if col < 2:
-        if partials[-1] == partials[-2]:
-            return partials[-1], mpf(0)
-        raise NumericalBreakdown("epsilon table broke down before any even column")
-    err = abs(even_vals[-1] - even_vals[-2]) if len(even_vals) >= 2 else mpf("inf")
-    depth = max(1, col // 2)
-    return even_vals[-1], err + depth * even_scatter

@@ -63,7 +63,11 @@ def _print_result(res, digits):
 
 
 def _cmd_eval(args) -> int:
-    ctx = PrecisionContext(digits=args.digits, max_terms=args.max_terms)
+    try:
+        ctx = PrecisionContext(digits=args.digits, max_terms=args.max_terms)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     try:
         with mp.workdps(ctx.dps):
             uppers = parse_list(args.upper)
@@ -101,13 +105,16 @@ def _cmd_verify(args) -> int:
         samples=args.samples,
         seed=args.seed,
         digits=args.digits,
-        fmt="json" if args.json else "text",
         max_terms=args.max_terms,
     )
     try:
         config.resolve_ids()
+        config.context()
     except UnknownIdentityError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     report = run_suite(config)
     out = report.to_json() if args.json else report.to_text()

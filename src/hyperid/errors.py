@@ -37,10 +37,6 @@ class AccelerationFailed(HyperidError):
     """Sequence transformation stagnated above the requested tolerance."""
 
 
-class NumericalBreakdown(HyperidError):
-    """Epsilon-table entries too close; no usable extrapolation."""
-
-
 class DomainError(HyperidError):
     """Arguments outside the operation's domain (|q| >= 1, bad annulus, ...)."""
 

@@ -1,4 +1,11 @@
-"""Exact big-rational evaluation of terminating sums.
+"""Term streams and Pochhammer products in the arithmetic of their inputs,
+and exact big-rational evaluation of terminating sums.
+
+The recurrences here start from the one of their input's type (``z ** 0``)
+and use only ring operations and division, so the same code runs in
+Fraction arithmetic for the exact path and at working precision for mpf/mpc
+inputs; the float engines in `series`, `qseries` and `gammafn` call it
+directly.
 
 Terminating identities at rational q and dyadic parameters are checked in
 Fraction arithmetic, where equality is literal; a tolerance window cannot
@@ -12,84 +19,103 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, LowerPoleError
 
 
-def rising(x: Fraction, n: int) -> Fraction:
-    """Shifted factorial (x)_n in exact rational arithmetic, any integer n."""
-    x = Fraction(x)
-    if n == 0:
-        return Fraction(1)
-    if n > 0:
-        prod = Fraction(1)
+def term_stream(uppers, lowers, z, max_k=None):
+    """Yield t_0, t_1, ... via t_{k+1} = t_k z prod(a+k) / ((1+k) prod(b+k))."""
+    t = z**0
+    k = 0
+    while True:
+        yield t
+        if max_k is not None and k >= max_k:
+            return
+        num = z
+        for a in uppers:
+            num = num * (a + k)
+        den = k + 1
+        for b in lowers:
+            den = den * (b + k)
+        if den == 0:
+            raise LowerPoleError(f"denominator parameter reaches a pole at k = {k}")
+        t = t * num / den
+        k += 1
+
+
+def q_term_stream(uppers, lowers, z, q, extra, max_k=None):
+    """Yield phi-series terms via the running ratio, including the balancing
+    factor {(-1) q^k}^extra per step."""
+    t = z**0
+    qk = q**0  # q^k
+    k = 0
+    while True:
+        yield t
+        if max_k is not None and k >= max_k:
+            return
+        num = z
+        for a in uppers:
+            num = num * (1 - a * qk)
+        den = 1 - q * qk
+        for b in lowers:
+            den = den * (1 - b * qk)
+        if den == 0:
+            raise LowerPoleError(f"q-series denominator vanishes at k = {k}")
+        if extra:
+            num = num * (-qk) ** extra
+        t = t * num / den
+        qk = qk * q
+        k += 1
+
+
+def rising(x, n: int):
+    """Shifted factorial (x)_n for any integer n.
+
+    (x)_0 = 1; for n > 0 the rising product x (x+1) ... (x+n-1); for n < 0
+    the reciprocal falling product 1 / ((x-1)(x-2)...(x+n)).
+    """
+    prod = x**0
+    if n >= 0:
         for i in range(n):
-            prod *= x + i
+            prod = prod * (x + i)
         return prod
-    prod = Fraction(1)
     for j in range(1, -n + 1):
         factor = x - j
         if factor == 0:
-            raise DivisionByZero(f"exact (x)_{n} hits a zero factor")
-        prod *= factor
+            raise DivisionByZero(f"(x)_n with n={n} hits zero factor at x-{j}")
+        prod = prod * factor
     return 1 / prod
+
+
+def qpoch(x, q, n: int):
+    """(x;q)_n for any integer n: prod_{i<n} (1 - x q^i) for n >= 0, and the
+    divisor form (x;q)_{-m} = 1 / ((x q^-m; q)_m) for n < 0."""
+    prod = x**0
+    xq = x if n >= 0 else x * q ** n
+    for _ in range(abs(n)):
+        factor = 1 - xq
+        if n < 0 and factor == 0:
+            raise DivisionByZero(f"(x;q)_{n} hits a zero factor")
+        prod = prod * factor
+        xq = xq * q
+    return prod if n >= 0 else 1 / prod
 
 
 def pfq_terminating(uppers, lowers, z: Fraction, n: int) -> Fraction:
     """Exact finite sum of a hypergeometric series terminating at index n."""
     uppers = [Fraction(u) for u in uppers]
     lowers = [Fraction(b) for b in lowers]
-    z = Fraction(z)
-    total = Fraction(0)
-    t = Fraction(1)
-    for k in range(n + 1):
-        total += t
-        if k == n:
-            break
-        num = z
-        for a in uppers:
-            num *= a + k
-        den = Fraction(k + 1)
-        for b in lowers:
-            den *= b + k
-        if den == 0:
-            raise DivisionByZero(f"exact terminating sum hits a lower pole at k={k}")
-        t = t * num / den
-    return total
-
-
-def qpoch(x: Fraction, q: Fraction, n: int) -> Fraction:
-    """(x;q)_n in exact rational arithmetic, any integer n."""
-    x, q = Fraction(x), Fraction(q)
-    if n == 0:
-        return Fraction(1)
-    if n > 0:
-        prod = Fraction(1)
-        xq = x
-        for _ in range(n):
-            prod *= 1 - xq
-            xq *= q
-        return prod
-    m = -n
-    y = x / q**m
-    prod = Fraction(1)
-    yq = y
-    for _ in range(m):
-        factor = 1 - yq
-        if factor == 0:
-            raise DivisionByZero(f"exact (x;q)_{n} hits a zero factor")
-        prod *= factor
-        yq *= q
-    return 1 / prod
+    return sum(term_stream(uppers, lowers, Fraction(z), max_k=n))
 
 
 def qbracket_n(numers, denoms, q: Fraction, n: int) -> Fraction:
     """prod (x;q)_n / prod (y;q)_n in exact rational arithmetic."""
+    q = Fraction(q)
     num = Fraction(1)
     for x in numers:
-        num *= qpoch(x, q, n)
+        num *= qpoch(Fraction(x), q, n)
     den = Fraction(1)
     for y in denoms:
-        den *= qpoch(y, q, n)
+        den *= qpoch(Fraction(y), q, n)
     if den == 0:
         raise DivisionByZero("exact q-bracket denominator vanishes")
     return num / den
@@ -98,7 +124,7 @@ def qbracket_n(numers, denoms, q: Fraction, n: int) -> Fraction:
 def saalschuetz_sides(a, b, c, n: int):
     """Both sides of the balanced terminating 3F2 summation, exactly."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    lhs = pfq_terminating([a, b, Fraction(-n)], [c, 1 + a + b - c - n], Fraction(1), n)
+    lhs = pfq_terminating([a, b, -n], [c, 1 + a + b - c - n], 1, n)
     rhs_den = rising(c, n) * rising(c - a - b, n)
     if rhs_den == 0:
         raise DivisionByZero("exact product side vanishes in the denominator")
@@ -109,9 +135,7 @@ def saalschuetz_sides(a, b, c, n: int):
 def phi_symmetric_terminating_sides(a, c, d, n: int):
     """Both sides of the terminating reduction of the symmetric Phi identity."""
     a, c, d = Fraction(a), Fraction(c), Fraction(d)
-    lhs = pfq_terminating(
-        [a, a + c + d - 1 - n, Fraction(-n)], [a + c - n, a + d - n], Fraction(1), n
-    )
+    lhs = pfq_terminating([a, a + c + d - 1 - n, -n], [a + c - n, a + d - n], 1, n)
     rhs_den = rising(1 - a - c, n) * rising(1 - a - d, n)
     if rhs_den == 0:
         raise DivisionByZero("exact product side vanishes in the denominator")
@@ -123,47 +147,26 @@ def jackson_8phi7_sides(a, b, c, d, q, n: int):
     """Both sides of the terminating very-well-poised 8phi7 summation, exactly.
 
     The +-sqrt(a) pairs are folded: uppers contribute (q^2 a; q^2)_k, lowers
-    (a; q^2)_k, reproducing the (1 - a q^2k)/(1 - a) kernel without leaving
-    the rationals.
+    (a; q^2)_k, which telescope to the (1 - a q^2k)/(1 - a) kernel without
+    leaving the rationals; the other six uppers and five lowers run through
+    the shared q term stream.
     """
     a, b, c, d, q = (Fraction(v) for v in (a, b, c, d, q))
+    if a == 1 and n >= 1:
+        raise DivisionByZero("exact 8phi7 very-well-poised factor needs a != 1")
     big_a = q ** (1 + n) * a**2 / (b * c * d)
     low_b = b * c * d / (a * q**n)
     low_c = q ** (1 + n) * a
-    total = Fraction(0)
-    zk = Fraction(1)
-    up = {
-        "a": (a, q), "pair": (q * q * a, q * q), "b": (b, q), "c": (c, q),
-        "d": (d, q), "A": (big_a, q), "N": (Fraction(1) / q**n, q),
-    }
-    low = {
-        "q": (q, q), "pair": (a, q * q), "qab": (q * a / b, q), "qac": (q * a / c, q),
-        "qad": (q * a / d, q), "B": (low_b, q), "C": (low_c, q),
-    }
-    upval = {k: Fraction(1) for k in up}
-    lowval = {k: Fraction(1) for k in low}
-    upcur = {k: v[0] for k, v in up.items()}
-    lowcur = {k: v[0] for k, v in low.items()}
-    for k in range(n + 1):
-        num = Fraction(1)
-        for key in upval:
-            num *= upval[key]
-        den = Fraction(1)
-        for key in lowval:
-            den *= lowval[key]
-        if den == 0:
-            raise DivisionByZero(f"exact 8phi7 hits a lower pole at k={k}")
-        total += num / den * zk
-        zk *= q
-        for key, (_, step) in up.items():
-            upval[key] *= 1 - upcur[key]
-            upcur[key] *= step
-        for key, (_, step) in low.items():
-            lowval[key] *= 1 - lowcur[key]
-            lowcur[key] *= step
+    terms = q_term_stream(
+        [a, b, c, d, big_a, q**-n], [q * a / b, q * a / c, q * a / d, low_b, low_c],
+        q, q, 0, max_k=n,
+    )
+    lhs = next(terms)
+    for k, t in enumerate(terms, 1):
+        lhs += t * (1 - a * q ** (2 * k)) / (1 - a)
     rhs = qbracket_n(
         [q * a, q * a / (b * c), q * a / (b * d), q * a / (c * d)],
         [q * a / b, q * a / c, q * a / d, q * a / (b * c * d)],
         q, n,
     )
-    return total, rhs
+    return lhs, rhs

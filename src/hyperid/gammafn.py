@@ -15,7 +15,8 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpc, mpf
 
-from .errors import DivisionByZero, IndeterminateError, PoleError
+from .errors import IndeterminateError, PoleError
+from .exact import rising
 from .precision import PrecisionContext, nonpositive_int, to_mp
 
 
@@ -61,21 +62,7 @@ def pochhammer(x, n: int, ctx: PrecisionContext):
     exactly representable.
     """
     with ctx.working():
-        xx = to_mp(x)
-        if n == 0:
-            return mpf(1)
-        if n > 0:
-            prod = mpf(1)
-            for i in range(n):
-                prod = prod * (xx + i)
-            return prod
-        prod = mpf(1)
-        for j in range(1, -n + 1):
-            factor = xx - j
-            if factor == 0:
-                raise DivisionByZero(f"(x)_n with n={n} hits zero factor at x-{j}")
-            prod = prod * factor
-        return 1 / prod
+        return rising(to_mp(x), n)
 
 
 def _real_log_abs_gamma(x):

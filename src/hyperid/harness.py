@@ -30,7 +30,6 @@ class SuiteConfig:
     samples: int = 20
     seed: int = 0
     digits: int = 30
-    fmt: str = "text"  # "text" | "json"
     max_terms: Optional[int] = None
 
     def resolve_ids(self):

@@ -19,16 +19,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .errors import (
     BudgetExceeded,
     DivisionByZero,
     DomainError,
     IndeterminateError,
-    LowerPoleError,
     PoleError,
 )
+from .exact import q_term_stream, qpoch
 from .precision import INF, PrecisionContext, to_mp
 from .series import ConvergenceClass, SeriesResult
 
@@ -104,27 +104,7 @@ def q_pochhammer(x, qc: QContext, n):
                 if used > 100 * ctx.dps + 10000:
                     raise BudgetExceeded("infinite q-product failed to truncate")
             return prod * mpmath.exp(-xq / (1 - q))
-        n = int(n)
-        if n == 0:
-            return mpf(1)
-        if n > 0:
-            prod = mpf(1)
-            xq = xx
-            for _ in range(n):
-                prod = prod * (1 - xq)
-                xq = xq * q
-            return prod
-        m = -n
-        y = xx * q ** (-m)
-        prod = mpf(1)
-        yq = y
-        for _ in range(m):
-            factor = 1 - yq
-            if factor == 0:
-                raise DivisionByZero(f"(x;q)_{n} hits a zero factor")
-            prod = prod * factor
-            yq = yq * q
-        return 1 / prod
+        return qpoch(xx, q, int(n))
 
 
 def q_bracket(numers, denoms, qc: QContext, n):
@@ -157,31 +137,6 @@ def q_bracket(numers, denoms, qc: QContext, n):
         return num / den
 
 
-def _q_term_stream(uppers, lowers, z, q, extra, max_k=None):
-    """Yield phi-series terms via the running ratio, including the balancing
-    factor {(-1) q^k}^extra per step."""
-    t = mpf(1)
-    qk = mpf(1)  # q^k
-    k = 0
-    while True:
-        yield t
-        if max_k is not None and k >= max_k:
-            return
-        num = z
-        for a in uppers:
-            num = num * (1 - a * qk)
-        den = 1 - q * qk
-        for b in lowers:
-            den = den * (1 - b * qk)
-        if den == 0:
-            raise LowerPoleError(f"q-series denominator vanishes at k = {k}")
-        if extra:
-            num = num * (-qk) ** extra
-        t = t * num / den
-        qk = qk * q
-        k += 1
-
-
 def _sum_q_direct(uppers, lowers, z, qc, extra, terminate_at, cls):
     ctx = qc.ctx
     q = to_mp(qc.q)
@@ -189,7 +144,7 @@ def _sum_q_direct(uppers, lowers, z, qc, extra, terminate_at, cls):
         total = mpf(0)
         peak = mpf(0)
         used = 0
-        for t in _q_term_stream(uppers, lowers, z, q, extra, max_k=terminate_at):
+        for t in q_term_stream(uppers, lowers, z, q, extra, max_k=terminate_at):
             total = total + t
             peak = max(peak, abs(t))
             used += 1
@@ -203,7 +158,7 @@ def _sum_q_direct(uppers, lowers, z, qc, extra, terminate_at, cls):
     last = mpf(0)
     prev = None
     ratio_mag = abs(z)
-    for t in _q_term_stream(uppers, lowers, z, q, extra):
+    for t in q_term_stream(uppers, lowers, z, q, extra):
         if used >= ctx.max_terms:
             raise BudgetExceeded(f"q-series needs more than {ctx.max_terms} terms")
         total = total + t

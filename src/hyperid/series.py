@@ -2,8 +2,9 @@
 
 A unilateral series here is sum_{k>=0} of prod (a_i)_k / (k! prod (b_j)_k)
 z^k; a bilateral series extends the sum over all integers k (with no k!).
-Terms are always generated by the running term ratio, one multiply/divide
-per parameter per term, never by recomputing Pochhammer products.
+Terms are always generated by the running term ratio (`exact.term_stream`),
+one multiply/divide per parameter per term, never by recomputing Pochhammer
+products.
 
 Routes, chosen by convergence class:
   terminating  exact finite sum (an upper parameter is a nonpositive integer)
@@ -25,7 +26,7 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
-from .accel import levin_core, wynn_core
+from .accel import levin_core
 from .errors import (
     BudgetExceeded,
     DivergentError,
@@ -34,6 +35,7 @@ from .errors import (
     NotConvergent,
     PoleError,
 )
+from .exact import term_stream
 from .precision import PrecisionContext, nonpositive_int, to_mp
 
 
@@ -90,7 +92,7 @@ class SeriesResult:
     value: object
     err_estimate: object
     terms_used: int
-    method: str  # terminating | direct | direct+tail | levin | wynn
+    method: str  # terminating | direct | direct+tail | levin
     convergence: Optional[ConvergenceClass] = None
 
 
@@ -118,59 +120,39 @@ def classify(spec: SeriesSpec) -> ConvergenceClass:
     negative tail). At |z| = 1 the decay exponent is
     Re(sum lowers + 1 - sum uppers) for unilateral series and
     Re(sum lowers - sum uppers) for bilateral ones; exponents <= 1 diverge.
+    Runs at the ambient precision; the engines call it at working precision.
     """
-    with mp.workdps(30):
-        ns = [nonpositive_int(u) for u in spec.uppers]
-        term_n = min((n for n in ns if n is not None), default=None)
-        z = to_mp(spec.argument)
-        az = abs(z)
-        if spec.kind == "unilateral":
-            if term_n is not None:
-                return ConvergenceClass.terminating(term_n)
-            if az < 1:
-                return ConvergenceClass.geometric(az)
-            if az == 1:
-                if len(spec.uppers) > len(spec.lowers) + 1:
-                    return ConvergenceClass.divergent()
-                s = sum(to_mp(b) for b in spec.lowers) + 1 - sum(to_mp(a) for a in spec.uppers)
-                s = s.real if hasattr(s, "real") else s
-                if s > 1:
-                    return ConvergenceClass.algebraic(s)
-            return ConvergenceClass.divergent()
-        # bilateral
-        low_cut = None
-        for b in spec.lowers:
-            m = nonpositive_int(-to_mp(b))  # positive integer lower
-            if m is not None and m > 0:
-                low_cut = m if low_cut is None else min(low_cut, m)
-        if term_n is not None and low_cut is not None:
+    ns = [nonpositive_int(u) for u in spec.uppers]
+    term_n = min((n for n in ns if n is not None), default=None)
+    z = to_mp(spec.argument)
+    az = abs(z)
+    if spec.kind == "unilateral":
+        if term_n is not None:
             return ConvergenceClass.terminating(term_n)
+        if az < 1:
+            return ConvergenceClass.geometric(az)
         if az == 1:
-            s = sum(to_mp(b) for b in spec.lowers) - sum(to_mp(a) for a in spec.uppers)
+            if len(spec.uppers) > len(spec.lowers) + 1:
+                return ConvergenceClass.divergent()
+            s = sum(to_mp(b) for b in spec.lowers) + 1 - sum(to_mp(a) for a in spec.uppers)
             s = s.real if hasattr(s, "real") else s
             if s > 1:
                 return ConvergenceClass.algebraic(s)
         return ConvergenceClass.divergent()
-
-
-def _term_stream(uppers, lowers, z, max_k=None):
-    """Yield t_0, t_1, ... via t_{k+1} = t_k z prod(a+k) / ((1+k) prod(b+k))."""
-    t = mpf(1)
-    k = 0
-    while True:
-        yield t
-        if max_k is not None and k >= max_k:
-            return
-        num = z
-        for a in uppers:
-            num = num * (a + k)
-        den = mpf(k + 1)
-        for b in lowers:
-            den = den * (b + k)
-        if den == 0:
-            raise LowerPoleError(f"denominator parameter reaches a pole at k = {k}")
-        t = t * num / den
-        k += 1
+    # bilateral
+    low_cut = None
+    for b in spec.lowers:
+        m = nonpositive_int(-to_mp(b))  # positive integer lower
+        if m is not None and m > 0:
+            low_cut = m if low_cut is None else min(low_cut, m)
+    if term_n is not None and low_cut is not None:
+        return ConvergenceClass.terminating(term_n)
+    if az == 1:
+        s = sum(to_mp(b) for b in spec.lowers) - sum(to_mp(a) for a in spec.uppers)
+        s = s.real if hasattr(s, "real") else s
+        if s > 1:
+            return ConvergenceClass.algebraic(s)
+    return ConvergenceClass.divergent()
 
 
 def _lower_pole_check(uppers, lowers, term_n):
@@ -186,7 +168,7 @@ def _lower_pole_check(uppers, lowers, term_n):
 
 
 def _sum_terminating(uppers, lowers, z, n, ctx, cls):
-    gen = _term_stream(uppers, lowers, z, max_k=n)
+    gen = term_stream(uppers, lowers, z, max_k=n)
     total = mpf(0)
     peak = mpf(0)
     for t in gen:
@@ -204,7 +186,7 @@ def _sum_geometric(uppers, lowers, z, ctx, cls):
     small_run = 0
     used = 0
     last = mpf(0)
-    for t in _term_stream(uppers, lowers, z):
+    for t in term_stream(uppers, lowers, z):
         if used >= ctx.max_terms:
             raise BudgetExceeded(f"geometric summation needs more than {ctx.max_terms} terms")
         total = total + t
@@ -230,7 +212,7 @@ def _sum_levin(uppers, lowers, z, ctx, cls):
         lows = [to_mp(b) for b in lowers]
         zz = to_mp(z)
         value, err, used = levin_core(
-            _term_stream(ups, lows, zz),
+            term_stream(ups, lows, zz),
             tol_target=mpf(10) ** (-(ctx.dps - 3)),
             accept_tol=mpf(10) ** (-(ctx.digits + 1)),
             cap=cap,
@@ -248,7 +230,7 @@ def _sum_algebraic(uppers, lowers, z, ctx, cls):
     last = mpf(1)
     stop_eps = ctx.eps()
     small_run = 0
-    gen = _term_stream(uppers, lowers, z)
+    gen = term_stream(uppers, lowers, z)
     for t in gen:
         total = total + t
         peak = max(peak, abs(t))
@@ -293,10 +275,10 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
     """Sum a unilateral series, dispatching on its convergence class."""
     if spec.kind != "unilateral":
         raise ValueError("sum_unilateral expects a unilateral spec")
-    cls = classify(spec)
-    if cls.tag == "divergent":
-        raise DivergentError("series diverges at the given argument")
     with ctx.working():
+        cls = classify(spec)
+        if cls.tag == "divergent":
+            raise DivergentError("series diverges at the given argument")
         ups = [to_mp(u) for u in spec.uppers]
         lows = [to_mp(b) for b in spec.lowers]
         z = to_mp(spec.argument)
@@ -355,16 +337,14 @@ def sum_bilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
     """Sum a bilateral series by splitting at k = 0."""
     if spec.kind != "bilateral":
         raise ValueError("sum_bilateral expects a bilateral spec")
-    cls = classify(spec)
-    if cls.tag == "divergent":
-        s = None
-        with mp.workdps(30):
+    with ctx.working():
+        cls = classify(spec)
+        if cls.tag == "divergent":
             if abs(to_mp(spec.argument)) == 1:
                 s = sum(to_mp(b) for b in spec.lowers) - sum(to_mp(a) for a in spec.uppers)
                 s = s.real if hasattr(s, "real") else s
-        if s is not None:
-            raise NotConvergent(f"bilateral decay exponent Re = {s} is not > 1")
-        raise DivergentError("bilateral series diverges at the given argument")
+                raise NotConvergent(f"bilateral decay exponent Re = {s} is not > 1")
+            raise DivergentError("bilateral series diverges at the given argument")
     plus, pref, minus = split_bilateral(spec, ctx)
     res_plus = sum_unilateral(plus, ctx)
     if minus is None:
@@ -406,12 +386,3 @@ def levin_u(terms, ctx: PrecisionContext, convergence=None) -> SeriesResult:
             err_floor=mpf(10) ** (-ctx.dps),
         )
     return SeriesResult(value, err, used, "levin", convergence)
-
-
-def wynn_epsilon(partials):
-    """Even-column limit estimate of Wynn's epsilon algorithm.
-
-    Used as a consistency check against levin_u; needs >= 5 partial sums.
-    """
-    value, _err = wynn_core(list(partials))
-    return value

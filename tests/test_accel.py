@@ -2,9 +2,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from hyperid.accel import wynn_core
-from hyperid.errors import AccelerationFailed, NumericalBreakdown
-from hyperid.series import levin_u, wynn_epsilon
+from hyperid.errors import AccelerationFailed
+from hyperid.series import levin_u
 
 
 def _zeta2_terms(n, dps):
@@ -58,41 +57,3 @@ def test_levin_acceleration_failed(ctx30):
         bad = [mpf(1) if k % 3 else mpf(-1) for k in range(200)]
     with pytest.raises(AccelerationFailed):
         levin_u(bad, ctx30)
-
-
-def test_wynn_alternating_harmonic(ctx30):
-    with ctx30.working():
-        parts = []
-        s = mpf(0)
-        for k in range(25):
-            s += mpf(-1) ** k / (k + 1)
-            parts.append(s)
-        v = wynn_epsilon(parts)
-        assert abs(v - mpmath.log(2)) < mpf(10) ** -10
-
-
-def test_wynn_constant_sequence(ctx30):
-    with ctx30.working():
-        assert wynn_epsilon([mpf(3)] * 8) == 3
-
-
-def test_wynn_agrees_with_levin(ctx30):
-    with ctx30.working():
-        terms = [mpf(1) / (k + 1) ** 2 for k in range(40)]
-        parts = []
-        s = mpf(0)
-        for t in terms:
-            s += t
-            parts.append(s)
-        wv, werr = wynn_core(parts)
-    lv = levin_u(terms, ctx30)
-    with mp.workdps(50):
-        assert abs(wv - lv.value) <= 100 * (werr + lv.err_estimate)
-
-
-def test_wynn_breakdown_and_validation(ctx30):
-    with ctx30.working():
-        with pytest.raises(NumericalBreakdown):
-            wynn_epsilon([mpf(k) for k in range(8)])
-    with pytest.raises(ValueError):
-        wynn_epsilon([mpf(1), mpf(2)])

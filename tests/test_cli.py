@@ -72,6 +72,27 @@ def test_eval_rejects_malformed_literal(capsys):
     assert "bad numeric literal" in err
 
 
+def test_eval_divergent_beyond_thirty_digits(capsys):
+    # |z| - 1 = 1e-38 is invisible at 30 digits but not at the working precision
+    code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "0.5,0.5", "--lower", "20",
+                             "--z", "1.00000000000000000000000000000000000001",
+                             "--digits", "50")
+    assert code == 1
+    assert "DivergentError" in err
+
+
+def test_bad_precision_settings_are_usage_errors(capsys):
+    for argv in (
+        ("verify", "--digits", "5"),
+        ("verify", "--max-terms", "10"),
+        ("eval", "pfq", "--upper", "1,1", "--lower", "3", "--digits", "5"),
+        ("eval", "pfq", "--upper", "1,1", "--lower", "3", "--max-terms", "10"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("usage error:"), argv
+
+
 def test_verify_unknown_identity(capsys):
     code, out, err = run_cli(capsys, "verify", "--identity", "nope")
     assert code == 2

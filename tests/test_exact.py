@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from mpmath import mp, mpf
 
 from hyperid import exact
 from hyperid.errors import DivisionByZero
+from hyperid.precision import to_mp
 
 
 def test_rising_values():
@@ -45,3 +48,24 @@ def test_jackson_sides_equal_for_range_of_n():
             Fraction(9, 4), Fraction(5, 4), Fraction(4, 3), Fraction(7, 4), Fraction(2, 5), n
         )
         assert l == r
+
+
+def test_jackson_sides_at_a_equal_one():
+    b, c, d, q = Fraction(5, 4), Fraction(4, 3), Fraction(7, 4), Fraction(2, 5)
+    assert exact.jackson_8phi7_sides(Fraction(1), b, c, d, q, 0) == (1, 1)
+    with pytest.raises(DivisionByZero):
+        exact.jackson_8phi7_sides(Fraction(1), b, c, d, q, 1)
+
+
+def test_streams_keep_the_arithmetic_of_their_inputs():
+    ups, lows = [Fraction(1, 2), Fraction(3, 4)], [Fraction(5, 4)]
+    z, q = Fraction(1, 3), Fraction(1, 2)
+    exact_terms = list(islice(exact.term_stream(ups, lows, z), 8))
+    exact_terms += islice(exact.q_term_stream(ups, lows, z, q, 1), 8)
+    assert all(type(t) is Fraction for t in exact_terms)
+    with mp.workdps(40):
+        ups, lows, z, q = [to_mp(u) for u in ups], [to_mp(b) for b in lows], to_mp(z), to_mp(q)
+        mp_terms = list(islice(exact.term_stream(ups, lows, z), 8))
+        mp_terms += islice(exact.q_term_stream(ups, lows, z, q, 1), 8)
+        for e, f in zip(exact_terms, mp_terms):
+            assert abs(f - to_mp(e)) <= abs(f) * mpf(10) ** -38

@@ -62,6 +62,16 @@ def test_classify_geometric_and_divergent():
     assert classify(SeriesSpec((1, 1), (mpf("1.5"),), 1)).tag == "divergent"
 
 
+def test_classify_at_working_precision():
+    # |z| exceeds 1 by 1e-38: the series diverges, which a 30-digit
+    # classification would miss
+    ctx = PrecisionContext(digits=50)
+    with ctx.working():
+        z = mpf("1.00000000000000000000000000000000000001")
+    with pytest.raises(DivergentError):
+        sum_unilateral(SeriesSpec((mpf("0.5"), mpf("0.5")), (20,), z), ctx)
+
+
 def test_sum_telescoping(ctx30):
     # 2F1(1,1;3;1) = sum 2/((k+1)(k+2)) telescopes to exactly 2
     res = sum_unilateral(SeriesSpec((1, 1), (3,), 1), ctx30)
