@@ -28,8 +28,6 @@ from .precision import INF, PrecisionContext, exact_int, nonpositive_int, to_mp
 from .qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from .series import ConvergenceClass, SeriesResult, SeriesSpec, sum_bilateral, sum_unilateral
 
-ParameterSet = dict
-
 GRAIN = 64  # dyadic sampling grid 1/64
 
 
@@ -124,8 +122,8 @@ def _hh(uppers, lowers, ctx, z=1) -> SeriesResult:
     return sum_bilateral(SeriesSpec(tuple(uppers), tuple(lowers), z, "bilateral"), ctx)
 
 
-def _closed(value, ctx, terms=0) -> SeriesResult:
-    return SeriesResult(value, abs(value) * ctx.eps() * 20, terms, "direct", None)
+def _closed(value, ctx) -> SeriesResult:
+    return SeriesResult(value, abs(value) * ctx.eps() * 20, 0, "direct", None)
 
 
 def _exact_pair(lhs: Fraction, rhs: Fraction, ctx, terms):
@@ -140,16 +138,16 @@ def _exact_pair(lhs: Fraction, rhs: Fraction, ctx, terms):
     )
 
 
-def _scaled(result: SeriesResult, factor, ctx, extra_err=0) -> SeriesResult:
+def _scaled(result: SeriesResult, factor, ctx) -> SeriesResult:
     with ctx.working():
         value = factor * result.value
-        err = abs(factor) * result.err_estimate + abs(value) * ctx.eps() * 10 + extra_err
+        err = abs(factor) * result.err_estimate + abs(value) * ctx.eps() * 10
     return SeriesResult(value, err, result.terms_used, result.method, result.convergence)
 
 
-def _added(a: SeriesResult, b: SeriesResult, ctx, shift=0) -> SeriesResult:
+def _added(a: SeriesResult, b: SeriesResult, ctx) -> SeriesResult:
     with ctx.working():
-        value = a.value + b.value + shift
+        value = a.value + b.value
         err = a.err_estimate + b.err_estimate + abs(value) * ctx.eps() * 10
     method = "levin" if "levin" in (a.method, b.method) else a.method
     return SeriesResult(value, err, a.terms_used + b.terms_used, method, a.convergence)
@@ -181,7 +179,7 @@ def phi_via_3f2(c, d, a, b, ctx) -> SeriesResult:
         return _scaled(series, 1 / denom, ctx)
 
 
-def _vwp_phi(base, extras, arg, qc, sqrt_base=None, n=None) -> SeriesResult:
+def _vwp_phi(base, extras, arg, qc, sqrt_base=None) -> SeriesResult:
     """Very-well-poised phi series: uppers (base, +-q sqrt(base), extras),
     lowers (+-sqrt(base), q base/x for x in extras)."""
     with qc.ctx.working():
@@ -189,7 +187,7 @@ def _vwp_phi(base, extras, arg, qc, sqrt_base=None, n=None) -> SeriesResult:
         r = sqrt_base if sqrt_base is not None else principal_sqrt(base)
         uppers = (base, q * r, -q * r, *extras)
         lowers = (r, -r, *(q * base / x for x in extras))
-    return sum_q_series(QSeriesSpec(uppers, lowers, arg, "phi", n), qc)
+    return sum_q_series(QSeriesSpec(uppers, lowers, arg, "phi"), qc)
 
 
 def _vwp_psi(base, extras, arg, qc) -> SeriesResult:

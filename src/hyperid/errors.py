@@ -6,7 +6,7 @@ class HyperidError(Exception):
 
 
 class PoleError(HyperidError):
-    """A gamma argument landed on (or within margin of) a nonpositive integer."""
+    """A gamma argument landed on a nonpositive integer."""
 
 
 class IndeterminateError(HyperidError):

@@ -20,27 +20,14 @@ from .exact import rising
 from .precision import PrecisionContext, nonpositive_int, to_mp
 
 
-def _at_pole(z, margin: float) -> bool:
-    """True when z is an exact nonpositive integer, or within margin of one."""
-    if nonpositive_int(z) is not None:
-        return True
-    if margin > 0:
-        zz = to_mp(z)
-        re = zz.real if isinstance(zz, mpc) else zz
-        m = int(mpmath.nint(re))
-        if m <= 0 and abs(zz - m) < margin:
-            return True
-    return False
-
-
 def gamma(z, ctx: PrecisionContext):
     """Gamma function at working precision.
 
-    Raises PoleError at (or within ctx.pole_margin of) nonpositive integers.
+    Raises PoleError at nonpositive integers.
     """
     with ctx.working():
         zz = to_mp(z)
-        if _at_pole(zz, ctx.pole_margin):
+        if nonpositive_int(zz) is not None:
             raise PoleError(f"gamma pole at z = {zz}")
         return mpmath.gamma(zz)
 
@@ -49,7 +36,7 @@ def log_gamma(z, ctx: PrecisionContext):
     """Principal-branch log-gamma; exp(log_gamma(z)) == gamma(z) to precision."""
     with ctx.working():
         zz = to_mp(z)
-        if _at_pole(zz, ctx.pole_margin):
+        if nonpositive_int(zz) is not None:
             raise PoleError(f"log-gamma pole at z = {zz}")
         return mpmath.loggamma(zz)
 
@@ -89,8 +76,8 @@ def gamma_ratio(numer, denom, ctx: PrecisionContext):
     with ctx.working():
         ns = [to_mp(v) for v in numer]
         ds = [to_mp(v) for v in denom]
-        n_poles = [v for v in ns if _at_pole(v, ctx.pole_margin)]
-        d_poles = [v for v in ds if _at_pole(v, ctx.pole_margin)]
+        n_poles = [v for v in ns if nonpositive_int(v) is not None]
+        d_poles = [v for v in ds if nonpositive_int(v) is not None]
         if n_poles and d_poles:
             raise IndeterminateError(
                 "coinciding gamma poles in numerator and denominator"

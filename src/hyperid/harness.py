@@ -152,7 +152,7 @@ def rng_for(seed: int, identity: str, index: int) -> random.Random:
 
 
 def sample_parameters(case: IdentityCase, seed: int, index: int):
-    """Rejection-sample a constraint-satisfying ParameterSet, deterministically."""
+    """Rejection-sample a constraint-satisfying parameter dict, deterministically."""
     rng = rng_for(seed, case.id, index)
     for _ in range(REJECTION_CAP):
         params = case.sampler(rng, index)

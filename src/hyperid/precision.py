@@ -1,8 +1,8 @@
 """Precision context and scalar conversion helpers.
 
 All arithmetic in this package is mpmath-backed. Evaluations run at
-``digits + guard_digits`` decimal places and results are meaningful to
-roughly ``digits`` places. Small integers and dyadic rationals convert
+``digits + 10`` decimal places and results are meaningful to roughly
+``digits`` places. Small integers and dyadic rationals convert
 exactly at any precision, which keeps pole detection and terminating-index
 detection decidable: a value counts as an integer only when its imaginary
 part is exactly zero and its real part equals an integer exactly.
@@ -23,30 +23,22 @@ INF = mpmath.inf
 class PrecisionContext:
     """Working precision plus evaluation budgets shared by every evaluator.
 
-    digits       reported decimal precision
-    guard_digits extra internal digits absorbed by rounding and stopping rules
-    max_terms    hard budget on the number of series terms per evaluation
-    pole_margin  minimum accepted distance from gamma poles (0 = exact poles only)
+    digits     reported decimal precision; evaluations run 10 digits above it
+    max_terms  hard budget on the number of series terms per evaluation
     """
 
     digits: int = 30
-    guard_digits: int = 10
     max_terms: int = 1_000_000
-    pole_margin: float = 0.0
 
     def __post_init__(self):
         if self.digits < 10:
             raise ValueError("digits must be >= 10")
-        if self.guard_digits < 5:
-            raise ValueError("guard_digits must be >= 5")
         if self.max_terms < 1000:
             raise ValueError("max_terms must be >= 1000")
-        if self.pole_margin < 0:
-            raise ValueError("pole_margin must be nonnegative")
 
     @property
     def dps(self) -> int:
-        return self.digits + self.guard_digits
+        return self.digits + 10
 
     def working(self):
         """Context manager installing the working precision."""

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .exact import q_term_stream, qpoch
 from .precision import INF, PrecisionContext, to_mp
-from .series import ConvergenceClass, SeriesResult
+from .series import ConvergenceClass, SeriesResult, join_halves, partial_sum, sum_terminating
 
 
 @dataclass(frozen=True)
@@ -137,44 +137,15 @@ def q_bracket(numers, denoms, qc: QContext, n):
         return num / den
 
 
-def _sum_q_direct(uppers, lowers, z, qc, extra, terminate_at, cls):
+def _sum_q_direct(uppers, lowers, z, qc, extra, cls):
     ctx = qc.ctx
-    q = to_mp(qc.q)
-    if terminate_at is not None:
-        total = mpf(0)
-        peak = mpf(0)
-        used = 0
-        for t in q_term_stream(uppers, lowers, z, q, extra, max_k=terminate_at):
-            total = total + t
-            peak = max(peak, abs(t))
-            used += 1
-        err = peak * ctx.eps() * (used + 1)
-        return SeriesResult(total, err, used, "terminating", cls)
-    stop_eps = ctx.eps()
-    total = mpf(0)
-    peak = mpf(0)
-    used = 0
-    small_run = 0
-    last = mpf(0)
-    prev = None
-    ratio_mag = abs(z)
-    for t in q_term_stream(uppers, lowers, z, q, extra):
-        if used >= ctx.max_terms:
-            raise BudgetExceeded(f"q-series needs more than {ctx.max_terms} terms")
-        total = total + t
-        peak = max(peak, abs(t))
-        used += 1
-        if prev is not None and prev != 0 and t != 0:
-            ratio_mag = abs(t) / abs(prev)
-        prev = t
-        last = t
-        scale = abs(total) if total != 0 else mpf(1)
-        if abs(t) < stop_eps * scale:
-            small_run += 1
-            if small_run >= 3:
-                break
-        else:
-            small_run = 0
+    total, peak, used, last, prev, settled = partial_sum(
+        q_term_stream(uppers, lowers, z, to_mp(qc.q), extra), ctx, ctx.max_terms
+    )
+    if not settled:
+        raise BudgetExceeded(f"q-series needs more than {ctx.max_terms} terms")
+    # a zero term makes every later term zero, and then the tail is zero
+    ratio_mag = abs(last) / abs(prev) if last != 0 else abs(z)
     rho = min(max(abs(z), ratio_mag), mpf("0.99")) if extra == 0 else min(ratio_mag, mpf("0.99"))
     tail = abs(last) * rho / (1 - rho)
     err = tail + peak * ctx.eps() * used
@@ -253,12 +224,11 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
                     )
                 if extra == 0 and not abs(z) < 1:
                     raise DomainError("phi series requires |z| < 1 or termination")
-            cls = (
-                ConvergenceClass.terminating(n)
-                if n is not None
-                else ConvergenceClass.geometric(min(abs(z), mpf("0.999999")))
-            )
-            return _sum_q_direct(ups, lows, z, qc, extra, n, cls)
+            if n is not None:
+                terms = q_term_stream(ups, lows, z, q, extra, max_k=n)
+                return sum_terminating(terms, ctx, ConvergenceClass.terminating(n))
+            cls = ConvergenceClass.geometric(min(abs(z), mpf("0.999999")))
+            return _sum_q_direct(ups, lows, z, qc, extra, cls)
         # psi
         plus, pref, minus = split_psi(spec, qc)
         w = to_mp(minus.argument) if minus is not None else None
@@ -270,16 +240,7 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
             )
         res_plus = sum_q_series(plus, qc)
         if minus is None:
-            cls = res_plus.convergence
-            return SeriesResult(
-                res_plus.value, res_plus.err_estimate, res_plus.terms_used, res_plus.method, cls
-            )
+            return res_plus
         res_minus = sum_q_series(minus, qc)
-        value = res_plus.value + pref * res_minus.value
-        err = res_plus.err_estimate + abs(pref) * res_minus.err_estimate
-        rho = max(abs(z), abs(w))
-        cls = ConvergenceClass.geometric(min(rho, mpf("0.999999")))
-        method = "terminating" if res_plus.method == res_minus.method == "terminating" else "direct"
-        return SeriesResult(
-            value, err, res_plus.terms_used + res_minus.terms_used, method, cls
-        )
+        cls = ConvergenceClass.geometric(min(max(abs(z), abs(w)), mpf("0.999999")))
+        return join_halves(res_plus, pref, res_minus, cls)

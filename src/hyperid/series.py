@@ -15,13 +15,17 @@ Routes, chosen by convergence class:
 Bilateral sums are split at k = 0; the negative tail becomes a unilateral
 series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
 
+The routes here and in `qseries` share their summation steps: `partial_sum`
+(the loop that stops after three small terms), `sum_terminating` and the
+bilateral recombination `join_halves`.
+
 Error estimates are heuristic, not certified; callers compare at tolerances
 well above them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -63,7 +67,7 @@ class SeriesSpec:
 class ConvergenceClass:
     tag: str  # terminating | geometric | algebraic | divergent
     n: Optional[int] = None
-    ratio: Optional[float] = None
+    ratio: object = None  # geometric ratio bound, kept as given (mpf)
     exponent: object = None  # real decay exponent s (mpf)
 
     @classmethod
@@ -74,7 +78,7 @@ class ConvergenceClass:
     def geometric(cls, rho):
         if not abs(rho) < 1:
             raise ValueError("geometric class requires |ratio| < 1")
-        return cls("geometric", ratio=float(rho))
+        return cls("geometric", ratio=rho)
 
     @classmethod
     def algebraic(cls, s):
@@ -167,85 +171,92 @@ def _lower_pole_check(uppers, lowers, term_n):
             )
 
 
-def _sum_terminating(uppers, lowers, z, n, ctx, cls):
-    gen = term_stream(uppers, lowers, z, max_k=n)
-    total = mpf(0)
-    peak = mpf(0)
-    for t in gen:
-        total = total + t
-        peak = max(peak, abs(t))
-    err = peak * ctx.eps() * (n + 2)
-    return SeriesResult(total, err, n + 1, "terminating", cls)
+def partial_sum(terms, ctx: PrecisionContext, limit: int):
+    """Add terms until three in a row fall below eps*|total|, or until
+    `limit` terms are used; the iterator is left after the last term used.
 
-
-def _sum_geometric(uppers, lowers, z, ctx, cls):
+    Returns (total, peak |term|, terms used, last term, the term before it
+    or None, and whether the small-term rule stopped the sum).
+    """
     stop_eps = ctx.eps()
-    rho = mpf(cls.ratio)
-    total = mpf(0)
-    peak = mpf(0)
-    small_run = 0
-    used = 0
-    last = mpf(0)
-    for t in term_stream(uppers, lowers, z):
-        if used >= ctx.max_terms:
-            raise BudgetExceeded(f"geometric summation needs more than {ctx.max_terms} terms")
+    total = peak = mpf(0)
+    last = prev = None
+    used = small_run = 0
+    for t in terms:
         total = total + t
         peak = max(peak, abs(t))
         used += 1
-        last = t
+        prev, last = last, t
         scale = abs(total) if total != 0 else mpf(1)
         if abs(t) < stop_eps * scale:
             small_run += 1
             if small_run >= 3:
-                break
+                return total, peak, used, last, prev, True
         else:
             small_run = 0
+        if used >= limit:
+            break
+    return total, peak, used, last, prev, False
+
+
+def sum_terminating(terms, ctx: PrecisionContext, cls) -> SeriesResult:
+    """Sum a finite term stream; the error is the rounding of its additions."""
+    total = peak = mpf(0)
+    used = 0
+    for t in terms:
+        total = total + t
+        peak = max(peak, abs(t))
+        used += 1
+    return SeriesResult(total, peak * ctx.eps() * (used + 1), used, "terminating", cls)
+
+
+def join_halves(plus: SeriesResult, pref, minus, cls) -> SeriesResult:
+    """plus + pref * minus for a bilateral sum split at k = 0 (minus is None
+    when the negative tail vanishes), under the less exact of the halves'
+    methods: levin, then direct+tail, then direct, then terminating."""
+    if minus is None:
+        return replace(plus, convergence=cls)
+    value = plus.value + pref * minus.value
+    err = plus.err_estimate + abs(pref) * minus.err_estimate
+    methods = {plus.method, minus.method}
+    method = next((m for m in ("levin", "direct+tail", "direct") if m in methods), "terminating")
+    return SeriesResult(value, err, plus.terms_used + minus.terms_used, method, cls)
+
+
+def _sum_geometric(uppers, lowers, z, ctx, cls):
+    rho = cls.ratio
+    total, peak, used, last, _, settled = partial_sum(
+        term_stream(uppers, lowers, z), ctx, ctx.max_terms
+    )
+    if not settled:
+        raise BudgetExceeded(f"geometric summation needs more than {ctx.max_terms} terms")
     tail = abs(last) * rho / (1 - rho) if rho > 0 else abs(last)
     err = tail + peak * ctx.eps() * used
     return SeriesResult(total, err, used, "direct", cls)
 
 
-def _sum_levin(uppers, lowers, z, ctx, cls):
+def _levin(terms, ctx, accept_digits, convergence):
+    """Levin u-transform at doubled working precision, accepting a stagnated
+    estimate within 10^-accept_digits relative."""
     cap = min(4 * ctx.digits + 40, ctx.max_terms, 400)
     with mp.workdps(2 * ctx.dps + 10):
-        ups = [to_mp(u) for u in uppers]
-        lows = [to_mp(b) for b in lowers]
-        zz = to_mp(z)
         value, err, used = levin_core(
-            term_stream(ups, lows, zz),
+            iter(terms),
             tol_target=mpf(10) ** (-(ctx.dps - 3)),
-            accept_tol=mpf(10) ** (-(ctx.digits + 1)),
+            accept_tol=mpf(10) ** (-accept_digits),
             cap=cap,
             err_floor=mpf(10) ** (-ctx.dps),
         )
-    return SeriesResult(value, err, used, "levin", cls)
+    return SeriesResult(value, err, used, "levin", convergence)
 
 
 def _sum_algebraic(uppers, lowers, z, ctx, cls):
     s = to_mp(cls.exponent)
-    probe = 48
-    total = mpf(0)
-    peak = mpf(0)
-    used = 0
-    last = mpf(1)
-    stop_eps = ctx.eps()
-    small_run = 0
     gen = term_stream(uppers, lowers, z)
-    for t in gen:
-        total = total + t
-        peak = max(peak, abs(t))
-        used += 1
-        last = t
-        scale = abs(total) if total != 0 else mpf(1)
-        if abs(t) < stop_eps * scale:
-            small_run += 1
-            if small_run >= 3:
-                err = abs(last) * used / (s - 1) + peak * ctx.eps() * used
-                return SeriesResult(total, err, used, "direct+tail", cls)
-        else:
-            small_run = 0
-        if used >= probe:
-            break
+    total, peak, used, last, _, settled = partial_sum(gen, ctx, 48)
+    if settled:
+        err = abs(last) * used / (s - 1) + peak * ctx.eps() * used
+        return SeriesResult(total, err, used, "direct+tail", cls)
     scale = max(mpf(1), abs(total), peak)
     target = mpf(10) ** (-(ctx.digits + 4)) * scale
     c_coeff = abs(last) * mpf(used) ** s
@@ -253,9 +264,10 @@ def _sum_algebraic(uppers, lowers, z, ctx, cls):
         return SeriesResult(total, peak * ctx.eps() * used, used, "direct+tail", cls)
     k_needed = (c_coeff / target) ** (1 / (s - 1))
     # the direct route is only worth it while it stays cheap; slowly decaying
-    # series (small exponents) go to the accelerator
+    # series (small exponents) go to the accelerator, which regenerates the
+    # terms at its boosted precision
     if k_needed > min(ctx.max_terms, _DIRECT_CAP):
-        return _sum_levin(uppers, lowers, z, ctx, cls)
+        return _levin(term_stream(uppers, lowers, z), ctx, ctx.digits + 1, cls)
     k_stop = max(used + 1, int(k_needed) + 1)
     for t in gen:
         total = total + t
@@ -284,7 +296,7 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
         z = to_mp(spec.argument)
         _lower_pole_check(ups, lows, cls.n if cls.tag == "terminating" else None)
         if cls.tag == "terminating":
-            return _sum_terminating(ups, lows, z, cls.n, ctx, cls)
+            return sum_terminating(term_stream(ups, lows, z, max_k=cls.n), ctx, cls)
         if cls.tag == "geometric":
             return _sum_geometric(ups, lows, z, ctx, cls)
         return _sum_algebraic(ups, lows, z, ctx, cls)
@@ -347,22 +359,9 @@ def sum_bilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
             raise DivergentError("bilateral series diverges at the given argument")
     plus, pref, minus = split_bilateral(spec, ctx)
     res_plus = sum_unilateral(plus, ctx)
-    if minus is None:
-        return SeriesResult(
-            res_plus.value, res_plus.err_estimate, res_plus.terms_used, res_plus.method, cls
-        )
-    res_minus = sum_unilateral(minus, ctx)
+    res_minus = sum_unilateral(minus, ctx) if minus is not None else None
     with ctx.working():
-        value = res_plus.value + pref * res_minus.value
-        err = res_plus.err_estimate + abs(pref) * res_minus.err_estimate
-    methods = {res_plus.method, res_minus.method}
-    if "levin" in methods:
-        method = "levin"
-    elif methods == {"terminating"}:
-        method = "terminating"
-    else:
-        method = "direct+tail" if "direct+tail" in methods else "direct"
-    return SeriesResult(value, err, res_plus.terms_used + res_minus.terms_used, method, cls)
+        return join_halves(res_plus, pref, res_minus, cls)
 
 
 def levin_u(terms, ctx: PrecisionContext, convergence=None) -> SeriesResult:
@@ -376,13 +375,4 @@ def levin_u(terms, ctx: PrecisionContext, convergence=None) -> SeriesResult:
     diagonal difference. Raises AccelerationFailed when the estimate
     stagnates above tolerance.
     """
-    cap = min(4 * ctx.digits + 40, ctx.max_terms, 400)
-    with mp.workdps(2 * ctx.dps + 10):
-        value, err, used = levin_core(
-            iter(terms),
-            tol_target=mpf(10) ** (-(ctx.dps - 3)),
-            accept_tol=mpf(10) ** (-max(ctx.digits - 8, 6)),
-            cap=cap,
-            err_floor=mpf(10) ** (-ctx.dps),
-        )
-    return SeriesResult(value, err, used, "levin", convergence)
+    return _levin(terms, ctx, max(ctx.digits - 8, 6), convergence)

@@ -1,6 +1,8 @@
 import json
 import re
 
+import mpmath
+
 from hyperid.cli import main, parse_scalar
 
 
@@ -34,6 +36,18 @@ def test_eval_pfq_z_zero(capsys):
                            "--z", "0")
     assert code == 0
     assert out.startswith("value: 1.0")
+
+
+def test_eval_pfq_geometric_next_to_one(capsys):
+    # |z| < 1 within 2^-53 of 1: the geometric tail bound must not see 1 - 1.0
+    z = "0.99999999999999999999"
+    code, out, _ = run_cli(capsys, "eval", "pfq", "--upper", "0.5,0.5", "--lower", "20",
+                           "--z", z, "--digits", "30")
+    assert code == 0
+    with mpmath.workdps(40):
+        expected = mpmath.nstr(mpmath.hyp2f1(0.5, 0.5, 20, mpmath.mpf(z)), 30)
+    assert out.startswith(f"value: {expected}\n")
+    assert "method: direct" in out
 
 
 def test_eval_hseries(capsys):

@@ -16,13 +16,8 @@ def test_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext(digits=5)
     with pytest.raises(ValueError):
-        PrecisionContext(guard_digits=2)
-    with pytest.raises(ValueError):
         PrecisionContext(max_terms=10)
-    with pytest.raises(ValueError):
-        PrecisionContext(pole_margin=-1)
-    ctx = PrecisionContext(digits=25, guard_digits=7)
-    assert ctx.dps == 32
+    assert PrecisionContext(digits=25).dps == 35
 
 
 def test_working_precision_scoping():

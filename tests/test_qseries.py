@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from hyperid.errors import DivisionByZero, DomainError, IndeterminateError
+from hyperid.errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from hyperid.precision import INF, PrecisionContext, to_mp
 from hyperid.qseries import (
     QContext,
@@ -114,6 +114,12 @@ def test_sum_phi_z_zero(qc_half):
 def test_sum_phi_domain_error(qc_half):
     with pytest.raises(DomainError):
         sum_q_series(QSeriesSpec((mpf("0.5"), mpf("0.25")), (mpf("0.75"),), mpf("1.5"), "phi"), qc_half)
+
+
+def test_sum_phi_budget_exceeded():
+    qc = QContext(0.5, PrecisionContext(max_terms=1000))
+    with pytest.raises(BudgetExceeded):
+        sum_q_series(QSeriesSpec((0.5,), (), 0.999, "phi"), qc)
 
 
 def test_sum_psi_domain_errors(qc_half, ctx30):

@@ -20,6 +20,7 @@ from hyperid.precision import PrecisionContext
 from hyperid.series import (
     SeriesSpec,
     classify,
+    partial_sum,
     split_bilateral,
     sum_bilateral,
     sum_unilateral,
@@ -120,6 +121,24 @@ def test_budget_exceeded():
     ctx = PrecisionContext(digits=30, max_terms=1000)
     with pytest.raises(BudgetExceeded):
         sum_unilateral(SeriesSpec((1,), (), mpf("0.999")), ctx)
+
+
+def test_partial_sum_contract(ctx30):
+    with ctx30.working():
+        tiny = mpf(10) ** -50
+        # a big term resets the run; the sum stops on the third small term
+        terms = iter([mpf(1), tiny, tiny, mpf(-5), tiny, 2 * tiny, 3 * tiny, mpf(9)])
+        total, peak, used, last, prev, settled = partial_sum(terms, ctx30, 100)
+        assert settled and used == 7
+        assert (last, prev) == (3 * tiny, 2 * tiny)
+        assert peak == 5 and total == mpf(-4) + 8 * tiny
+        assert next(terms) == 9
+        # the limit stops an unsettled sum and leaves the stream after it
+        terms = iter([mpf(k) for k in range(1, 100)])
+        total, peak, used, last, prev, settled = partial_sum(terms, ctx30, 10)
+        assert not settled and used == 10
+        assert (total, peak, last, prev) == (55, 10, 10, 9)
+        assert next(terms) == 11
 
 
 def test_divergent_error(ctx30):
