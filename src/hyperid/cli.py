@@ -68,6 +68,9 @@ def _cmd_eval(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    if args.terminating is not None and args.terminating < 0:
+        print("usage error: --terminating must be >= 0", file=sys.stderr)
+        return 2
     try:
         with mp.workdps(ctx.dps):
             uppers = parse_list(args.upper)
@@ -99,6 +102,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        print("usage error: --samples must be >= 1", file=sys.stderr)
+        return 2
     ids = tuple(part.strip() for part in args.identity.split(",") if part.strip())
     config = SuiteConfig(
         identities=ids or ("all",),

@@ -21,16 +21,17 @@ from typing import Optional
 import mpmath
 from mpmath import mpf
 
-from .errors import (
-    BudgetExceeded,
-    DivisionByZero,
-    DomainError,
-    IndeterminateError,
-    PoleError,
-)
+from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .exact import q_term_stream, qpoch
 from .precision import INF, PrecisionContext, to_mp
-from .series import ConvergenceClass, SeriesResult, join_halves, partial_sum, sum_terminating
+from .series import (
+    ConvergenceClass,
+    SeriesResult,
+    join_halves,
+    partial_sum,
+    reflected_factors,
+    sum_terminating,
+)
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,9 @@ def _sum_q_direct(uppers, lowers, z, qc, extra, cls):
         raise BudgetExceeded(f"q-series needs more than {ctx.max_terms} terms")
     # a zero term makes every later term zero, and then the tail is zero
     ratio_mag = abs(last) / abs(prev) if last != 0 else abs(z)
-    rho = min(max(abs(z), ratio_mag), mpf("0.99")) if extra == 0 else min(ratio_mag, mpf("0.99"))
+    rho = max(abs(z), ratio_mag) if extra == 0 else ratio_mag
+    if rho >= 1:
+        raise BudgetExceeded(f"q-series tail ratio {mpmath.nstr(rho, 5)} is not below 1")
     tail = abs(last) * rho / (1 - rho)
     err = tail + peak * ctx.eps() * used
     return SeriesResult(total, err, used, "direct", cls)
@@ -182,20 +185,10 @@ def split_psi(spec: QSeriesSpec, qc: QContext):
         for a in ups:
             w = w / a
         w = w / z
-        pnum = mpf(1)
-        for b in lows:
-            pnum = pnum * (1 - q / b)
-        pden = mpf(1)
-        for a in ups:
-            pden = pden * (1 - q / a)
-        if pnum == 0 and pden == 0:
-            raise IndeterminateError(
-                "upper and lower parameters both equal q; cancel the pair first"
-            )
-        if pnum == 0:
+        reflected = reflected_factors(ups, lows, lambda x: 1 - q / x, "q")
+        if reflected is None:
             return plus, mpf(0), None
-        if pden == 0:
-            raise PoleError("an upper parameter equal to q makes the negative tail singular")
+        pnum, pden = reflected
         pref = w * pnum / pden
         minus = QSeriesSpec(
             (q, *(q * q / b for b in lows)),

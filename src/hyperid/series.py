@@ -16,7 +16,8 @@ Bilateral sums are split at k = 0; the negative tail becomes a unilateral
 series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
-(the loop that stops after three small terms), `sum_terminating` and the
+(the loop that stops after three small terms), `sum_terminating`, the
+reflected prefactor of a split's negative tail `reflected_factors` and the
 bilateral recombination `join_halves`.
 
 Error estimates are heuristic, not certified; callers compare at tolerances
@@ -302,6 +303,31 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
         return _sum_algebraic(ups, lows, z, ctx, cls)
 
 
+def reflected_factors(uppers, lowers, reflect, point: str):
+    """(prod reflect(b) over lowers, prod reflect(a) over uppers): the
+    prefactor parts of a bilateral sum's negative tail once split at k = 0.
+
+    Returns None when the numerator vanishes (a lower parameter at `point`
+    kills the whole tail); raises IndeterminateError when both vanish and
+    PoleError when only the denominator does.
+    """
+    pnum = mpf(1)
+    for b in lowers:
+        pnum = pnum * reflect(b)
+    pden = mpf(1)
+    for a in uppers:
+        pden = pden * reflect(a)
+    if pnum == 0 and pden == 0:
+        raise IndeterminateError(
+            f"an upper and a lower parameter both equal {point}; cancel the pair first"
+        )
+    if pnum == 0:
+        return None
+    if pden == 0:
+        raise PoleError(f"an upper parameter equal to {point} makes the negative tail singular")
+    return pnum, pden
+
+
 def split_bilateral(spec: SeriesSpec, ctx: PrecisionContext):
     """Split a bilateral series at k = 0.
 
@@ -321,20 +347,10 @@ def split_bilateral(spec: SeriesSpec, ctx: PrecisionContext):
         if z == 0:
             raise DivergentError("bilateral series undefined at z = 0")
         plus = SeriesSpec((mpf(1), *ups), tuple(lows), z, "unilateral")
-        pnum = mpf(1)
-        for b in lows:
-            pnum = pnum * (1 - b)
-        pden = mpf(1)
-        for a in ups:
-            pden = pden * (1 - a)
-        if pnum == 0 and pden == 0:
-            raise IndeterminateError(
-                "an upper and a lower parameter both equal 1; cancel the pair first"
-            )
-        if pnum == 0:
+        reflected = reflected_factors(ups, lows, lambda x: 1 - x, "1")
+        if reflected is None:
             return plus, mpf(0), None
-        if pden == 0:
-            raise PoleError("an upper parameter equal to 1 makes the negative tail singular")
+        pnum, pden = reflected
         pref = pnum / pden / z
         minus = SeriesSpec(
             (mpf(1), *(2 - b for b in lows)),

@@ -396,6 +396,25 @@ def test_theta_prefactor_zero_excluded():
     assert not CATALOG["theta"].check(p)
 
 
+def test_exact_sides_called_through_the_module(monkeypatch, ctx30):
+    # tracers rebind these attributes of `exact`; the terminating entries
+    # must reach the exact layer through them on every call
+    calls = {}
+    for name in ("saalschuetz_sides", "phi_symmetric_terminating_sides", "jackson_8phi7_sides"):
+        def counting(*args, _name=name, _original=getattr(exact, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(exact, name, counting)
+    for ident in ("saalschuetz", "theorem-1-b-neg-n", "jackson-8phi7"):
+        p = sample_parameters(CATALOG[ident], 0, 0)
+        assert all(isinstance(v, Fraction) for k, v in p.items() if k != "n")
+        l, r = _sides(ident, p, ctx30)
+        assert l.method == r.method == "terminating" and l.value == r.value
+    assert calls == {"saalschuetz_sides": 2, "phi_symmetric_terminating_sides": 2,
+                     "jackson_8phi7_sides": 2}
+
+
 def test_negative_control_perturbed_rhs(ctx30):
     case = CATALOG["gauss-2f1"]
 

@@ -101,6 +101,9 @@ def test_bad_precision_settings_are_usage_errors(capsys):
         ("verify", "--max-terms", "10"),
         ("eval", "pfq", "--upper", "1,1", "--lower", "3", "--digits", "5"),
         ("eval", "pfq", "--upper", "1,1", "--lower", "3", "--max-terms", "10"),
+        ("verify", "--identity", "gauss-2f1", "--samples", "-3"),
+        ("eval", "phi", "--upper", "0.5", "--lower", "", "--z", "0.25", "--q", "0.5",
+         "--terminating", "-2"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from hyperid.errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
+from hyperid.errors import (
+    BudgetExceeded,
+    DivisionByZero,
+    DomainError,
+    IndeterminateError,
+    PoleError,
+)
 from hyperid.precision import INF, PrecisionContext, to_mp
 from hyperid.qseries import (
     QContext,
@@ -120,6 +126,28 @@ def test_sum_phi_budget_exceeded():
     qc = QContext(0.5, PrecisionContext(max_terms=1000))
     with pytest.raises(BudgetExceeded):
         sum_q_series(QSeriesSpec((0.5,), (), 0.999, "phi"), qc)
+
+
+def test_phi_tail_bound_near_one(ctx30):
+    # 1phi0(a;;q,z) = (az;q)_inf / (z;q)_inf; at |z| = 0.999 the tail bound
+    # must follow the terms' own ratio, not a fixed cap below it
+    z = mpf("0.999")
+    res = sum_q_series(QSeriesSpec((mpf("0.5"),), (), z, "phi"), QContext(Fraction(1, 2), ctx30))
+    with mp.workdps(120):
+        exact = mpmath.qp(z / 2, mpf("0.5")) / mpmath.qp(z, mpf("0.5"))
+        assert abs(res.value - exact) <= res.err_estimate
+
+
+def test_split_psi_reflected_prefactor(qc_half):
+    q, z = mpf("0.5"), mpf("0.25")
+    # a lower parameter equal to q kills the negative tail
+    plus, pref, minus = split_psi(QSeriesSpec((mpf(2), mpf(3)), (q, mpf("0.75")), z, "psi"), qc_half)
+    assert pref == 0 and minus is None
+    assert plus.uppers == (q, mpf(2), mpf(3))
+    with pytest.raises(IndeterminateError):
+        split_psi(QSeriesSpec((q, mpf(3)), (q, mpf("0.75")), z, "psi"), qc_half)
+    with pytest.raises(PoleError):
+        split_psi(QSeriesSpec((q, mpf(3)), (mpf("1.5"), mpf("0.75")), z, "psi"), qc_half)
 
 
 def test_sum_psi_domain_errors(qc_half, ctx30):
