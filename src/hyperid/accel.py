@@ -6,17 +6,47 @@ summation of those gains about one digit per decade of terms).
 The table amplifies rounding error as it deepens, so callers run it at a
 boosted precision and this module tracks the best estimate seen, stopping
 once the diagonal starts to churn instead of converge.
+
+The table's coefficients depend only on the row, the column and the
+precision, so each row of them is computed once per working precision and
+kept for later calls. The table itself runs on raw libmp values, rounded
+to nearest at the working precision exactly as the mpf and mpc operators
+round, so its values are those of the same loop written with mp numbers.
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpf
+from mpmath.libmp import fzero, mpc_mul_mpf, mpc_sub, mpf_mul, mpf_sub, round_nearest
 
 from .errors import AccelerationFailed
 
+# coefficient rows at the precision of the last call, as deep as any call went
+_ROWS_PREC, _ROWS = 0, []
 
-def levin_core(terms, *, tol_target, accept_tol, cap, beta=1, err_floor=None):
-    """Incremental Levin u-transform over a term stream.
+
+def _rows_at(prec):
+    """The coefficient rows kept for precision prec (a fresh list when the
+    precision differs from the last call's)."""
+    global _ROWS_PREC, _ROWS
+    if prec != _ROWS_PREC:
+        _ROWS_PREC, _ROWS = prec, []
+    return _ROWS
+
+
+def _coefficient_row(m):
+    """Row m of the table coefficients at mp.prec as raw mpfs: entry j is
+    the c of the update of column j with k = m - j."""
+    row = []
+    for j in range(m):
+        k = m - j
+        c = mpf(1) if k == 1 else (1 + j) * mpf(j + k) ** (k - 2) / mpf(1 + j + k) ** (k - 1)
+        row.append(c._mpf_)
+    return row
+
+
+def levin_core(terms, *, tol_target, accept_tol, cap, err_floor=None):
+    """Incremental Levin u-transform (beta = 1) over a term stream.
 
     terms       iterable of mp numbers (series terms, not partial sums)
     tol_target  relative tolerance for early stop
@@ -31,7 +61,12 @@ def levin_core(terms, *, tol_target, accept_tol, cap, beta=1, err_floor=None):
     """
     if err_floor is None:
         err_floor = mpf(10) ** (-(mp.dps - 4))
+    prec, rnd = mp.prec, round_nearest
+    rows = _rows_at(prec)
+    # num/den hold raw mpfs, or (re, im) pairs from the first complex entry on
     num, den = [], []
+    mul, sub, make = mpf_mul, mpf_sub, mp.make_mpf
+    complex_table = False
     partial = mpf(0)
     val_prev = None
     best = best_err = None
@@ -51,19 +86,29 @@ def levin_core(terms, *, tol_target, accept_tol, cap, beta=1, err_floor=None):
             continue
         zero_run = 0
         m = len(num)
-        omega = (beta + m) * t
-        num.append(partial / omega)
-        den.append(1 / omega)
-        for k in range(1, m + 1):
-            j = m - k
-            if k == 1:
-                c = mpf(1)
-            else:
-                c = (beta + j) * mpf(beta + j + k - 1) ** (k - 2) / mpf(beta + j + k) ** (k - 1)
-            num[j] = num[j + 1] - c * num[j]
-            den[j] = den[j + 1] - c * den[j]
-        if len(num) >= 2 and den[0] != 0:
-            val = num[0] / den[0]
+        omega = (m + 1) * t
+        x, y = mp.convert(partial / omega), mp.convert(1 / omega)
+        if not complex_table and (hasattr(x, "_mpc_") or hasattr(y, "_mpc_")):
+            complex_table = True
+            num = [(v, fzero) for v in num]
+            den = [(v, fzero) for v in den]
+            mul, sub, make = mpc_mul_mpf, mpc_sub, mp.make_mpc
+        if complex_table:
+            num.append(x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero))
+            den.append(y._mpc_ if hasattr(y, "_mpc_") else (y._mpf_, fzero))
+        else:
+            num.append(x._mpf_)
+            den.append(y._mpf_)
+        if m == len(rows):
+            rows.append(_coefficient_row(m))
+        row = rows[m]
+        for j in range(m - 1, -1, -1):
+            c = row[j]
+            num[j] = sub(num[j + 1], mul(num[j], c, prec, rnd), prec, rnd)
+            den[j] = sub(den[j + 1], mul(den[j], c, prec, rnd), prec, rnd)
+        den0 = make(den[0])
+        if len(num) >= 2 and den0 != 0:
+            val = make(num[0]) / den0
             if val_prev is not None:
                 err = abs(val - val_prev)
                 scale = abs(val)

@@ -62,6 +62,12 @@ def _print_result(res, digits):
     print(f"method: {res.method}")
 
 
+def _terminates_at(uppers, q, n, ctx) -> bool:
+    """Whether some upper parameter equals q^-n at working precision."""
+    with ctx.working():
+        return any(abs(a * q**n - 1) <= (n + 2) * ctx.eps() for a in uppers)
+
+
 def _cmd_eval(args) -> int:
     try:
         ctx = PrecisionContext(digits=args.digits, max_terms=args.max_terms)
@@ -85,15 +91,25 @@ def _cmd_eval(args) -> int:
         print(f"usage error: bad numeric literal ({exc})", file=sys.stderr)
         return 2
     try:
-        if args.series == "pfq":
-            res = sum_unilateral(SeriesSpec(tuple(uppers), tuple(lowers), z, "unilateral"), ctx)
-        elif args.series == "hseries":
-            res = sum_bilateral(SeriesSpec(tuple(uppers), tuple(lowers), z, "bilateral"), ctx)
+        if args.series in ("pfq", "hseries"):
+            kind = "unilateral" if args.series == "pfq" else "bilateral"
+            spec = SeriesSpec(tuple(uppers), tuple(lowers), z, kind)
         else:
-            qc = QContext(q, ctx)
+            n = args.terminating
+            if n is not None and not _terminates_at(uppers, q, n, ctx):
+                raise ValueError(f"--terminating {n} needs an upper parameter equal to q^-{n}")
             spec = QSeriesSpec(tuple(uppers), tuple(lowers), z, args.series,
-                               terminating_index=args.terminating)
-            res = sum_q_series(spec, qc)
+                               terminating_index=n)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        if spec.kind == "unilateral":
+            res = sum_unilateral(spec, ctx)
+        elif spec.kind == "bilateral":
+            res = sum_bilateral(spec, ctx)
+        else:
+            res = sum_q_series(spec, QContext(q, ctx))
     except HyperidError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

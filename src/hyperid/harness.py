@@ -201,20 +201,25 @@ def verify_one(case: IdentityCase, params, ctx: PrecisionContext, index: int = 0
             wall_time=time.perf_counter() - start,
         )
     except HyperidError as exc:
-        return IdentityReport(
-            identity=case.id,
-            index=index,
-            params=shown,
-            lhs="",
-            rhs="",
-            abs_err=float("inf"),
-            rel_err=float("inf"),
-            passed=False,
-            terms_used={"lhs": 0, "rhs": 0},
-            method={"lhs": "", "rhs": ""},
-            wall_time=time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed(case.id, index, shown, time.perf_counter() - start, exc)
+
+
+def _failed(identity: str, index: int, shown: dict, wall_time: float, exc) -> IdentityReport:
+    """A failed report carrying the error's type and message as diagnostics."""
+    return IdentityReport(
+        identity=identity,
+        index=index,
+        params=shown,
+        lhs="",
+        rhs="",
+        abs_err=float("inf"),
+        rel_err=float("inf"),
+        passed=False,
+        terms_used={"lhs": 0, "rhs": 0},
+        method={"lhs": "", "rhs": ""},
+        wall_time=wall_time,
+        error=f"{type(exc).__name__}: {exc}",
+    )
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
@@ -222,6 +227,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     Samples are independent work items; order of execution cannot affect the
     sampled parameters, and results are sorted by (id, index) on emission.
+    A sample whose parameters cannot be drawn (SamplingExhausted) becomes a
+    failed report with no parameters.
     """
     ids = config.resolve_ids()
     ctx = config.context()
@@ -233,7 +240,12 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     for ident in ids:
         case = CATALOG[ident]
         for index in range(config.samples):
-            params = sample_parameters(case, config.seed, index)
+            try:
+                params = sample_parameters(case, config.seed, index)
+            except SamplingExhausted as exc:
+                # a sample without parameters fails alone; the suite goes on
+                report.results.append(_failed(case.id, index, {}, 0.0, exc))
+                continue
             report.results.append(verify_one(case, params, ctx, index=index))
     report.results.sort(key=lambda r: (r.identity, r.index))
     return report

@@ -179,3 +179,29 @@ def test_digits_env_override(monkeypatch, capsys):
     assert default_digits() == 35
     monkeypatch.delenv("HYPERID_DIGITS")
     assert default_digits() == 30
+
+
+def test_eval_terminating_index_must_match_an_upper(capsys):
+    # 1phi0(0.5;;q=0.5, z=0.5) sums to 2.0; no upper is q^-3, so N = 3 is refused
+    code, out, err = run_cli(capsys, "eval", "phi", "--upper", "0.5", "--z", "0.5",
+                             "--q", "0.5", "--terminating", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:")
+    # the upper 8 = q^-3 does terminate the series after four terms
+    code, out, _ = run_cli(capsys, "eval", "phi", "--upper", "8", "--z", "0.5",
+                           "--q", "0.5", "--terminating", "3")
+    assert code == 0
+    assert "method: terminating" in out and "terms_used: 4" in out
+    code, out, _ = run_cli(capsys, "eval", "psi", "--upper", "0.001", "--lower", "0.5",
+                           "--z", "0.5", "--q", "0.1", "--terminating", "3")
+    assert code == 2
+
+
+def test_eval_bad_parameter_counts_are_usage_errors(capsys):
+    for argv in (
+        ("eval", "pfq", "--upper", "", "--z", "0.5"),
+        ("eval", "hseries", "--upper", "1", "--lower", "", "--z", "0.5"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("usage error:"), argv

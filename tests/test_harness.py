@@ -147,3 +147,19 @@ def test_monotone_precision():
         high = verify_one(case, params, PrecisionContext(digits=40))
         assert low.passed and high.passed, ident
         assert high.rel_err <= 10 * low.rel_err + 1e-300, ident
+
+
+def test_sampling_exhausted_fails_one_sample(monkeypatch):
+    import hyperid.harness as harness
+
+    monkeypatch.setattr(harness, "REJECTION_CAP", 5)
+    never = replace(CATALOG["gauss-2f1"], id="zz-never", check=lambda p: False)
+    monkeypatch.setitem(CATALOG, "zz-never", never)
+    rep = run_suite(SuiteConfig(identities=("zz-never", "saalschuetz"), samples=2, seed=4))
+    assert rep.total == 4 and rep.failed == 2
+    bad = [r for r in rep.results if r.identity == "zz-never"]
+    assert [r.index for r in bad] == [0, 1]
+    for r in bad:
+        assert not r.passed and r.params == {}
+        assert r.error.startswith("SamplingExhausted: ")
+    assert all(r.passed for r in rep.results if r.identity == "saalschuetz")
