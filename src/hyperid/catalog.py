@@ -34,7 +34,7 @@ from .errors import DomainError
 from .gammafn import gamma_ratio, pochhammer
 from .precision import INF, PrecisionContext, exact_int, nonpositive_int, to_mp
 from .qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
-from .series import ConvergenceClass, SeriesResult, SeriesSpec, sum_bilateral, sum_unilateral
+from .series import SeriesResult, SeriesSpec, combined_method, sum_bilateral, sum_unilateral
 
 GRAIN = 64  # dyadic sampling grid 1/64
 
@@ -161,9 +161,8 @@ def _exact_or_float(name, which, float_side=None):
         pair = getattr(exact, f"{name}_sides")(**p)
         with ctx.working():
             value = to_mp(pair[which])
-        n = p["n"]
-        terms = n + 1 if which == 0 else 0
-        return SeriesResult(value, mpf(0), terms, "terminating", ConvergenceClass.terminating(n))
+        terms = p["n"] + 1 if which == 0 else 0
+        return SeriesResult(value, mpf(0), terms, "terminating")
 
     return run
 
@@ -177,7 +176,7 @@ def _hh(uppers, lowers, ctx) -> SeriesResult:
 
 
 def _closed(value, ctx) -> SeriesResult:
-    return SeriesResult(value, abs(value) * ctx.eps() * 20, 0, "direct", None)
+    return SeriesResult(value, abs(value) * ctx.eps() * 20, 0, "direct")
 
 
 def _gamma_side(numers, denoms, ctx) -> SeriesResult:
@@ -191,14 +190,14 @@ def _bracket_side(numers, denoms, q, ctx) -> SeriesResult:
 def _scaled(result: SeriesResult, factor, ctx) -> SeriesResult:
     value = factor * result.value
     err = abs(factor) * result.err_estimate + abs(value) * ctx.eps() * 10
-    return SeriesResult(value, err, result.terms_used, result.method, result.convergence)
+    return SeriesResult(value, err, result.terms_used, result.method)
 
 
 def _added(a: SeriesResult, b: SeriesResult, ctx) -> SeriesResult:
     value = a.value + b.value
     err = a.err_estimate + b.err_estimate + abs(value) * ctx.eps() * 10
-    method = "levin" if "levin" in (a.method, b.method) else a.method
-    return SeriesResult(value, err, a.terms_used + b.terms_used, method, a.convergence)
+    method = combined_method(a.method, b.method)
+    return SeriesResult(value, err, a.terms_used + b.terms_used, method)
 
 
 def phi_sum(a, b, c, d, ctx) -> SeriesResult:

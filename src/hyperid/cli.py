@@ -26,13 +26,14 @@ _COMPLEX_RE = re.compile(r"^\s*([+-]?[^+-]+?)\s*([+-])\s*([^+-]+?)\s*[ij]\s*$")
 
 
 def default_digits() -> int:
+    """HYPERID_DIGITS when set, else 30; ValueError when it is no integer."""
     env = os.environ.get("HYPERID_DIGITS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 30
+    if not env:
+        return 30
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"HYPERID_DIGITS must be an integer, not {env!r}") from None
 
 
 def parse_scalar(text: str):
@@ -69,12 +70,14 @@ def _terminates_at(uppers, q, n, ctx) -> bool:
 
 
 def _cmd_eval(args) -> int:
+    q_series = args.series in ("phi", "psi")
+    n = args.terminating if q_series else None
     try:
         ctx = PrecisionContext(digits=args.digits, max_terms=args.max_terms)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if args.terminating is not None and args.terminating < 0:
+    if n is not None and n < 0:
         print("usage error: --terminating must be >= 0", file=sys.stderr)
         return 2
     try:
@@ -82,20 +85,15 @@ def _cmd_eval(args) -> int:
             uppers = parse_list(args.upper)
             lowers = parse_list(args.lower)
             z = parse_scalar(args.z)
-            if args.series in ("phi", "psi"):
-                if args.q is None:
-                    print("usage error: --q is required for phi/psi series", file=sys.stderr)
-                    return 2
-                q = parse_scalar(args.q)
+            q = parse_scalar(args.q) if q_series else None
     except ValueError as exc:
         print(f"usage error: bad numeric literal ({exc})", file=sys.stderr)
         return 2
     try:
-        if args.series in ("pfq", "hseries"):
+        if not q_series:
             kind = "unilateral" if args.series == "pfq" else "bilateral"
             spec = SeriesSpec(tuple(uppers), tuple(lowers), z, kind)
         else:
-            n = args.terminating
             if n is not None and not _terminates_at(uppers, q, n, ctx):
                 raise ValueError(f"--terminating {n} needs an upper parameter equal to q^-{n}")
             spec = QSeriesSpec(tuple(uppers), tuple(lowers), z, args.series,
@@ -191,9 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--upper", default="", help="comma-separated upper parameters")
         p.add_argument("--lower", default="", help="comma-separated lower parameters")
         p.add_argument("--z", default="1", help="series argument (RE or RE+IMi)")
-        p.add_argument("--q", default=None, help="nome for phi/psi series, |q|<1")
-        p.add_argument("--terminating", type=int, default=None,
-                       help="known terminating index n (phi/psi only)")
+        if name in ("phi", "psi"):
+            p.add_argument("--q", required=True, help="nome, |q|<1")
+            p.add_argument("--terminating", type=int, default=None,
+                           help="known terminating index n")
         p.add_argument("--digits", type=int, default=default_digits())
         p.add_argument("--max-terms", type=int, default=1_000_000)
         p.set_defaults(func=_cmd_eval)
@@ -216,8 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command line argv and return its exit code."""
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # a bad HYPERID_DIGITS
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
+        return exc.code
     return args.func(args)
 
 

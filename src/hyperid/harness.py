@@ -18,7 +18,7 @@ from hashlib import blake2b
 from typing import Optional
 
 from .catalog import CATALOG, IdentityCase, tolerance_rule
-from .errors import HyperidError, SamplingExhausted, UnknownIdentityError
+from .errors import SamplingExhausted, UnknownIdentityError
 from .precision import PrecisionContext, format_value
 
 REJECTION_CAP = 10_000
@@ -180,7 +180,8 @@ def _format_param(v) -> str:
 
 def verify_one(case: IdentityCase, params, ctx: PrecisionContext, index: int = 0) -> IdentityReport:
     """Evaluate both sides, apply the tolerance rule, never raise on
-    evaluator errors (they become failed reports with diagnostics)."""
+    evaluator errors: any exception becomes a failed report with
+    diagnostics, so one bad sample cannot abort a suite."""
     start = time.perf_counter()
     shown = {k: _format_param(v) for k, v in params.items()}
     try:
@@ -200,7 +201,7 @@ def verify_one(case: IdentityCase, params, ctx: PrecisionContext, index: int = 0
             method={"lhs": left.method, "rhs": right.method},
             wall_time=time.perf_counter() - start,
         )
-    except HyperidError as exc:
+    except Exception as exc:
         return _failed(case.id, index, shown, time.perf_counter() - start, exc)
 
 

@@ -24,14 +24,7 @@ from mpmath import mpf
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .exact import q_term_stream, qpoch
 from .precision import INF, PrecisionContext, to_mp
-from .series import (
-    ConvergenceClass,
-    SeriesResult,
-    join_halves,
-    partial_sum,
-    reflected_factors,
-    sum_terminating,
-)
+from .series import SeriesResult, join_halves, reflected_factors, sum_direct, sum_terminating
 
 
 @dataclass(frozen=True)
@@ -87,8 +80,6 @@ def q_pochhammer(x, qc: QContext, n):
         q = to_mp(qc.q)
         xx = to_mp(x)
         if n is INF or n == mpmath.inf:
-            if not abs(q) < 1:
-                raise DomainError("infinite q-product requires |q| < 1")
             if xx == 0:
                 return mpf(1)
             eps = ctx.eps()
@@ -136,23 +127,6 @@ def q_bracket(numers, denoms, qc: QContext, n):
         if num_zero:
             return mpf(0)
         return num / den
-
-
-def _sum_q_direct(uppers, lowers, z, qc, extra, cls):
-    ctx = qc.ctx
-    total, peak, used, last, prev, settled = partial_sum(
-        q_term_stream(uppers, lowers, z, to_mp(qc.q), extra), ctx, ctx.max_terms
-    )
-    if not settled:
-        raise BudgetExceeded(f"q-series needs more than {ctx.max_terms} terms")
-    # a zero term makes every later term zero, and then the tail is zero
-    ratio_mag = abs(last) / abs(prev) if last != 0 else abs(z)
-    rho = max(abs(z), ratio_mag) if extra == 0 else ratio_mag
-    if rho >= 1:
-        raise BudgetExceeded(f"q-series tail ratio {mpmath.nstr(rho, 5)} is not below 1")
-    tail = abs(last) * rho / (1 - rho)
-    err = tail + peak * ctx.eps() * used
-    return SeriesResult(total, err, used, "direct", cls)
 
 
 def split_psi(spec: QSeriesSpec, qc: QContext):
@@ -218,10 +192,10 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
                 if extra == 0 and not abs(z) < 1:
                     raise DomainError("phi series requires |z| < 1 or termination")
             if n is not None:
-                terms = q_term_stream(ups, lows, z, q, extra, max_k=n)
-                return sum_terminating(terms, ctx, ConvergenceClass.terminating(n))
-            cls = ConvergenceClass.geometric(min(abs(z), mpf("0.999999")))
-            return _sum_q_direct(ups, lows, z, qc, extra, cls)
+                return sum_terminating(q_term_stream(ups, lows, z, q, extra, max_k=n), ctx)
+            # a balanced series' term ratio tends to z, any other's to 0
+            floor = abs(z) if extra == 0 else mpf(0)
+            return sum_direct(q_term_stream(ups, lows, z, q, extra), ctx, floor)
         # psi
         plus, pref, minus = split_psi(spec, qc)
         w = to_mp(minus.argument) if minus is not None else None
@@ -232,8 +206,5 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
                 "psi series outside its convergence annulus: |prod(b)/(prod(a) z)| >= 1"
             )
         res_plus = sum_q_series(plus, qc)
-        if minus is None:
-            return res_plus
-        res_minus = sum_q_series(minus, qc)
-        cls = ConvergenceClass.geometric(min(max(abs(z), abs(w)), mpf("0.999999")))
-        return join_halves(res_plus, pref, res_minus, cls)
+        res_minus = sum_q_series(minus, qc) if minus is not None else None
+        return join_halves(res_plus, pref, res_minus)

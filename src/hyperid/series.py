@@ -8,7 +8,9 @@ products.
 
 Routes, chosen by convergence class:
   terminating  exact finite sum (an upper parameter is a nonpositive integer)
-  geometric    |z| < 1, direct summation with a geometric tail bound
+  geometric    direct summation with a geometric tail bound: every z when
+               there are no more uppers than lowers, |z| < 1 with one upper
+               more than lowers
   algebraic    |z| = 1 with decay exponent s > 1: direct summation plus an
                integral tail bound when the needed term count fits the
                budget, otherwise the Levin u-transform
@@ -17,8 +19,10 @@ series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the loop that stops after three small terms), `sum_terminating`, the
-reflected prefactor of a split's negative tail `reflected_factors` and the
-bilateral recombination `join_halves`.
+direct route with its geometric tail bound `sum_direct`, the reflected
+prefactor of a split's negative tail `reflected_factors` and the bilateral
+recombination `join_halves`, whose method ranking `combined_method` also
+labels the catalog's sums of sides.
 
 Error estimates are heuristic, not certified; callers compare at tolerances
 well above them.
@@ -26,9 +30,10 @@ well above them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
+import mpmath
 from mpmath import mp, mpf
 
 from .accel import levin_core
@@ -67,29 +72,9 @@ class SeriesSpec:
 @dataclass(frozen=True)
 class ConvergenceClass:
     tag: str  # terminating | geometric | algebraic | divergent
-    n: Optional[int] = None
-    ratio: object = None  # geometric ratio bound, kept as given (mpf)
-    exponent: object = None  # real decay exponent s (mpf)
-
-    @classmethod
-    def terminating(cls, n):
-        return cls("terminating", n=n)
-
-    @classmethod
-    def geometric(cls, rho):
-        if not abs(rho) < 1:
-            raise ValueError("geometric class requires |ratio| < 1")
-        return cls("geometric", ratio=rho)
-
-    @classmethod
-    def algebraic(cls, s):
-        if not s > 1:
-            raise ValueError("algebraic class requires decay exponent > 1")
-        return cls("algebraic", exponent=s)
-
-    @classmethod
-    def divergent(cls):
-        return cls("divergent")
+    n: Optional[int] = None  # terminating index
+    ratio: object = None  # floor of the geometric route's tail ratio (mpf)
+    exponent: object = None  # real decay exponent s at |z| = 1 (mpf)
 
 
 @dataclass
@@ -98,7 +83,6 @@ class SeriesResult:
     err_estimate: object
     terms_used: int
     method: str  # terminating | direct | direct+tail | levin
-    convergence: Optional[ConvergenceClass] = None
 
 
 _DIRECT_CAP = 20_000  # direct algebraic summation beyond this is slower than Levin
@@ -117,33 +101,43 @@ def tail_bound_algebraic(K: int, s, last_term_mag):
     return to_mp(last_term_mag) * K / (s - 1)
 
 
+def _unit_argument(spec: SeriesSpec, offset) -> ConvergenceClass:
+    """The class at |z| = 1, carrying the decay exponent
+    s = Re(sum lowers + offset - sum uppers): algebraic when s > 1, else
+    divergent."""
+    s = sum(to_mp(b) for b in spec.lowers) + offset - sum(to_mp(a) for a in spec.uppers)
+    s = s.real if hasattr(s, "real") else s
+    return ConvergenceClass("algebraic" if s > 1 else "divergent", exponent=s)
+
+
 def classify(spec: SeriesSpec) -> ConvergenceClass:
     """Convergence class of a series spec.
 
     Terminating when an upper parameter is a nonpositive integer (bilateral
     series additionally need a positive-integer lower parameter to cut the
-    negative tail). At |z| = 1 the decay exponent is
-    Re(sum lowers + 1 - sum uppers) for unilateral series and
-    Re(sum lowers - sum uppers) for bilateral ones; exponents <= 1 diverge.
-    Runs at the ambient precision; the engines call it at working precision.
+    negative tail). A unilateral series with p uppers and q lowers is
+    otherwise balanced by its parameter counts: p <= q converges for every
+    z (geometric, tail-ratio floor 0), p > q + 1 only at z = 0, and
+    p = q + 1 for |z| < 1 (geometric, floor |z|). At |z| = 1 the decay
+    exponent is Re(sum lowers + 1 - sum uppers) for balanced unilateral
+    series and Re(sum lowers - sum uppers) for bilateral ones; exponents
+    <= 1 diverge. Runs at the ambient precision; the engines call it at
+    working precision.
     """
     ns = [nonpositive_int(u) for u in spec.uppers]
     term_n = min((n for n in ns if n is not None), default=None)
-    z = to_mp(spec.argument)
-    az = abs(z)
+    az = abs(to_mp(spec.argument))
     if spec.kind == "unilateral":
         if term_n is not None:
-            return ConvergenceClass.terminating(term_n)
-        if az < 1:
-            return ConvergenceClass.geometric(az)
-        if az == 1:
-            if len(spec.uppers) > len(spec.lowers) + 1:
-                return ConvergenceClass.divergent()
-            s = sum(to_mp(b) for b in spec.lowers) + 1 - sum(to_mp(a) for a in spec.uppers)
-            s = s.real if hasattr(s, "real") else s
-            if s > 1:
-                return ConvergenceClass.algebraic(s)
-        return ConvergenceClass.divergent()
+            return ConvergenceClass("terminating", n=term_n)
+        excess = len(spec.uppers) - len(spec.lowers) - 1
+        if excess < 0 or az == 0:
+            return ConvergenceClass("geometric", ratio=mpf(0))
+        if excess == 0 and az < 1:
+            return ConvergenceClass("geometric", ratio=az)
+        if excess == 0 and az == 1:
+            return _unit_argument(spec, 1)
+        return ConvergenceClass("divergent")
     # bilateral
     low_cut = None
     for b in spec.lowers:
@@ -151,13 +145,10 @@ def classify(spec: SeriesSpec) -> ConvergenceClass:
         if m is not None and m > 0:
             low_cut = m if low_cut is None else min(low_cut, m)
     if term_n is not None and low_cut is not None:
-        return ConvergenceClass.terminating(term_n)
+        return ConvergenceClass("terminating", n=term_n)
     if az == 1:
-        s = sum(to_mp(b) for b in spec.lowers) - sum(to_mp(a) for a in spec.uppers)
-        s = s.real if hasattr(s, "real") else s
-        if s > 1:
-            return ConvergenceClass.algebraic(s)
-    return ConvergenceClass.divergent()
+        return _unit_argument(spec, 0)
+    return ConvergenceClass("divergent")
 
 
 def _lower_pole_check(uppers, lowers, term_n):
@@ -200,7 +191,7 @@ def partial_sum(terms, ctx: PrecisionContext, limit: int):
     return total, peak, used, last, prev, False
 
 
-def sum_terminating(terms, ctx: PrecisionContext, cls) -> SeriesResult:
+def sum_terminating(terms, ctx: PrecisionContext) -> SeriesResult:
     """Sum a finite term stream; the error is the rounding of its additions."""
     total = peak = mpf(0)
     used = 0
@@ -208,35 +199,47 @@ def sum_terminating(terms, ctx: PrecisionContext, cls) -> SeriesResult:
         total = total + t
         peak = max(peak, abs(t))
         used += 1
-    return SeriesResult(total, peak * ctx.eps() * (used + 1), used, "terminating", cls)
+    return SeriesResult(total, peak * ctx.eps() * (used + 1), used, "terminating")
 
 
-def join_halves(plus: SeriesResult, pref, minus, cls) -> SeriesResult:
+def sum_direct(terms, ctx: PrecisionContext, floor) -> SeriesResult:
+    """Sum a convergent term stream directly, up to ctx.max_terms terms.
+
+    The tail after the last term is bounded geometrically with the ratio
+    rho = max(floor, |last/prev|), or floor after a zero term (every later
+    term is zero then); rho >= 1 raises BudgetExceeded. Callers pass floor
+    = |z| for a balanced series, whose term ratio tends to z, and 0 for one
+    whose ratio tends to 0.
+    """
+    total, peak, used, last, prev, settled = partial_sum(terms, ctx, ctx.max_terms)
+    if not settled:
+        raise BudgetExceeded(f"direct summation needs more than {ctx.max_terms} terms")
+    rho = max(floor, abs(last) / abs(prev)) if last != 0 else floor
+    if rho >= 1:
+        raise BudgetExceeded(f"direct summation tail ratio {mpmath.nstr(rho, 5)} is not below 1")
+    err = abs(last) * rho / (1 - rho) + peak * ctx.eps() * used
+    return SeriesResult(total, err, used, "direct")
+
+
+def combined_method(*methods) -> str:
+    """The method label of a result combined from results with these
+    methods: the least exact of them, levin, then direct+tail, then direct,
+    then terminating."""
+    return next((m for m in ("levin", "direct+tail", "direct") if m in methods), "terminating")
+
+
+def join_halves(plus: SeriesResult, pref, minus) -> SeriesResult:
     """plus + pref * minus for a bilateral sum split at k = 0 (minus is None
-    when the negative tail vanishes), under the less exact of the halves'
-    methods: levin, then direct+tail, then direct, then terminating."""
+    when the negative tail vanishes), under the halves' `combined_method`."""
     if minus is None:
-        return replace(plus, convergence=cls)
+        return plus
     value = plus.value + pref * minus.value
     err = plus.err_estimate + abs(pref) * minus.err_estimate
-    methods = {plus.method, minus.method}
-    method = next((m for m in ("levin", "direct+tail", "direct") if m in methods), "terminating")
-    return SeriesResult(value, err, plus.terms_used + minus.terms_used, method, cls)
+    method = combined_method(plus.method, minus.method)
+    return SeriesResult(value, err, plus.terms_used + minus.terms_used, method)
 
 
-def _sum_geometric(uppers, lowers, z, ctx, cls):
-    rho = cls.ratio
-    total, peak, used, last, _, settled = partial_sum(
-        term_stream(uppers, lowers, z), ctx, ctx.max_terms
-    )
-    if not settled:
-        raise BudgetExceeded(f"geometric summation needs more than {ctx.max_terms} terms")
-    tail = abs(last) * rho / (1 - rho) if rho > 0 else abs(last)
-    err = tail + peak * ctx.eps() * used
-    return SeriesResult(total, err, used, "direct", cls)
-
-
-def _levin(terms, ctx, accept_digits, convergence):
+def _levin(terms, ctx, accept_digits):
     """Levin u-transform at doubled working precision, accepting a stagnated
     estimate within 10^-accept_digits relative."""
     cap = min(4 * ctx.digits + 40, ctx.max_terms, 400)
@@ -248,40 +251,36 @@ def _levin(terms, ctx, accept_digits, convergence):
             cap=cap,
             err_floor=mpf(10) ** (-ctx.dps),
         )
-    return SeriesResult(value, err, used, "levin", convergence)
+    return SeriesResult(value, err, used, "levin")
 
 
-def _sum_algebraic(uppers, lowers, z, ctx, cls):
-    s = to_mp(cls.exponent)
+def _sum_algebraic(uppers, lowers, z, ctx, s):
     gen = term_stream(uppers, lowers, z)
     total, peak, used, last, _, settled = partial_sum(gen, ctx, 48)
-    if settled:
-        err = abs(last) * used / (s - 1) + peak * ctx.eps() * used
-        return SeriesResult(total, err, used, "direct+tail", cls)
-    scale = max(mpf(1), abs(total), peak)
-    target = mpf(10) ** (-(ctx.digits + 4)) * scale
-    c_coeff = abs(last) * mpf(used) ** s
-    if c_coeff == 0:
-        return SeriesResult(total, peak * ctx.eps() * used, used, "direct+tail", cls)
-    k_needed = (c_coeff / target) ** (1 / (s - 1))
-    # the direct route is only worth it while it stays cheap; slowly decaying
-    # series (small exponents) go to the accelerator, which regenerates the
-    # terms at its boosted precision
-    if k_needed > min(ctx.max_terms, _DIRECT_CAP):
-        return _levin(term_stream(uppers, lowers, z), ctx, ctx.digits + 1, cls)
-    k_stop = max(used + 1, int(k_needed) + 1)
-    for t in gen:
-        total = total + t
-        peak = max(peak, abs(t))
-        used += 1
-        last = t
-        if used >= k_stop:
-            break
-        if used >= ctx.max_terms:
-            raise BudgetExceeded(f"algebraic summation needs more than {ctx.max_terms} terms")
-    tail = tail_bound_algebraic(used, s, abs(last))
-    err = tail + peak * ctx.eps() * used
-    return SeriesResult(total, err, used, "direct+tail", cls)
+    # unsettled after the probe: sum on to the term count that the tail
+    # bound needs (a zero term leaves no tail at all)
+    if not settled and last != 0:
+        scale = max(mpf(1), abs(total), peak)
+        target = mpf(10) ** (-(ctx.digits + 4)) * scale
+        c_coeff = abs(last) * mpf(used) ** s
+        k_needed = (c_coeff / target) ** (1 / (s - 1))
+        # the direct route is only worth it while it stays cheap; slowly
+        # decaying series (small exponents) go to the accelerator, which
+        # regenerates the terms at its boosted precision
+        if k_needed > min(ctx.max_terms, _DIRECT_CAP):
+            return _levin(term_stream(uppers, lowers, z), ctx, ctx.digits + 1)
+        k_stop = max(used + 1, int(k_needed) + 1)
+        for t in gen:
+            total = total + t
+            peak = max(peak, abs(t))
+            used += 1
+            last = t
+            if used >= k_stop:
+                break
+            if used >= ctx.max_terms:
+                raise BudgetExceeded(f"algebraic summation needs more than {ctx.max_terms} terms")
+    err = tail_bound_algebraic(used, s, abs(last)) + peak * ctx.eps() * used
+    return SeriesResult(total, err, used, "direct+tail")
 
 
 def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
@@ -297,10 +296,10 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
         z = to_mp(spec.argument)
         _lower_pole_check(ups, lows, cls.n if cls.tag == "terminating" else None)
         if cls.tag == "terminating":
-            return sum_terminating(term_stream(ups, lows, z, max_k=cls.n), ctx, cls)
+            return sum_terminating(term_stream(ups, lows, z, max_k=cls.n), ctx)
         if cls.tag == "geometric":
-            return _sum_geometric(ups, lows, z, ctx, cls)
-        return _sum_algebraic(ups, lows, z, ctx, cls)
+            return sum_direct(term_stream(ups, lows, z), ctx, cls.ratio)
+        return _sum_algebraic(ups, lows, z, ctx, cls.exponent)
 
 
 def reflected_factors(uppers, lowers, reflect, point: str):
@@ -368,19 +367,17 @@ def sum_bilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
     with ctx.working():
         cls = classify(spec)
         if cls.tag == "divergent":
-            if abs(to_mp(spec.argument)) == 1:
-                s = sum(to_mp(b) for b in spec.lowers) - sum(to_mp(a) for a in spec.uppers)
-                s = s.real if hasattr(s, "real") else s
-                raise NotConvergent(f"bilateral decay exponent Re = {s} is not > 1")
+            if cls.exponent is not None:
+                raise NotConvergent(f"bilateral decay exponent Re = {cls.exponent} is not > 1")
             raise DivergentError("bilateral series diverges at the given argument")
     plus, pref, minus = split_bilateral(spec, ctx)
     res_plus = sum_unilateral(plus, ctx)
     res_minus = sum_unilateral(minus, ctx) if minus is not None else None
     with ctx.working():
-        return join_halves(res_plus, pref, res_minus, cls)
+        return join_halves(res_plus, pref, res_minus)
 
 
-def levin_u(terms, ctx: PrecisionContext, convergence=None) -> SeriesResult:
+def levin_u(terms, ctx: PrecisionContext) -> SeriesResult:
     """Levin u-transform of a term stream (terms, not partial sums).
 
     The table runs at doubled working precision to absorb its own
@@ -391,4 +388,4 @@ def levin_u(terms, ctx: PrecisionContext, convergence=None) -> SeriesResult:
     diagonal difference. Raises AccelerationFailed when the estimate
     stagnates above tolerance.
     """
-    return _levin(terms, ctx, max(ctx.digits - 8, 6), convergence)
+    return _levin(terms, ctx, max(ctx.digits - 8, 6))

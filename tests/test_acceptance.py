@@ -289,7 +289,7 @@ def test_criterion_8_negative_controls(capsys):
         res = case.rhs(p, c)
         with c.working():
             return SeriesResult(res.value * (1 + mpf(10) ** -5), res.err_estimate,
-                                res.terms_used, res.method, res.convergence)
+                                res.terms_used, res.method)
 
     broken = replace(case, id="gauss-2f1-broken", rhs=corrupted)
     params = sample_parameters(case, 0, 0)

@@ -423,7 +423,7 @@ def test_negative_control_perturbed_rhs(ctx30):
         with ctx.working():
             return SeriesResult(
                 res.value * (1 + mpf(10) ** -5), res.err_estimate,
-                res.terms_used, res.method, res.convergence,
+                res.terms_used, res.method,
             )
 
     broken = replace(case, id="gauss-2f1-broken", rhs=corrupted_rhs)
@@ -436,10 +436,10 @@ def test_negative_control_perturbed_rhs(ctx30):
 
 def test_tolerance_rule_uses_error_estimates(ctx30):
     with ctx30.working():
-        a = SeriesResult(mpf(1), mpf(10) ** -25, 10, "levin", None)
-        b = SeriesResult(mpf(1) + mpf(10) ** -24, mpf(10) ** -25, 0, "direct", None)
+        a = SeriesResult(mpf(1), mpf(10) ** -25, 10, "levin")
+        b = SeriesResult(mpf(1) + mpf(10) ** -24, mpf(10) ** -25, 0, "direct")
         _, rel, ok = tolerance_rule(a, b, ctx30)
         assert ok  # within 100x the combined estimates
-        c = SeriesResult(mpf(1) + mpf(10) ** -18, mpf(10) ** -25, 0, "direct", None)
+        c = SeriesResult(mpf(1) + mpf(10) ** -18, mpf(10) ** -25, 0, "direct")
         _, rel, ok = tolerance_rule(a, c, ctx30)
         assert not ok

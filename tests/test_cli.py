@@ -205,3 +205,35 @@ def test_eval_bad_parameter_counts_are_usage_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("usage error:"), argv
+
+
+def test_eval_balance_decides_convergence(capsys):
+    # 1F1 is entire: 1F1(1;2;2) = (e^2 - 1)/2 sums directly at |z| > 1
+    code, out, _ = run_cli(capsys, "eval", "pfq", "--upper", "1", "--lower", "2",
+                           "--z", "2", "--digits", "30")
+    assert code == 0
+    assert out.startswith("value: 3.19452804946532511361521373029\n")
+    assert "method: direct" in out
+    # 3F1 diverges at every z != 0, before any term is summed
+    code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "1,1,1", "--lower", "2",
+                             "--z", "0.5", "--max-terms", "1000")
+    assert code == 1
+    assert "DivergentError" in err
+
+
+def test_eval_q_options_only_on_q_series(capsys):
+    code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "0.5", "--z", "0.5",
+                             "--terminating", "3")
+    assert code == 2 and out == ""
+    assert "--terminating" in err
+    code, out, err = run_cli(capsys, "eval", "hseries", "--upper", "0.5", "--lower", "1.5",
+                             "--z", "1", "--q", "0.5")
+    assert code == 2 and out == ""
+
+
+def test_bad_digits_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HYPERID_DIGITS", "abc")
+    code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "1,1", "--lower", "3",
+                             "--z", "0.5")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "HYPERID_DIGITS" in err

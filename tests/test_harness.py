@@ -63,7 +63,7 @@ def test_verify_one_passes_and_fails(ctx30):
         res = case.rhs(p, ctx)
         with ctx.working():
             return SeriesResult(res.value + mpf(10) ** -5, res.err_estimate,
-                                res.terms_used, res.method, res.convergence)
+                                res.terms_used, res.method)
 
     broken = replace(case, id="broken", rhs=corrupted)
     rep2 = verify_one(broken, {"a": Fraction(1), "b": Fraction(1), "c": Fraction(3)}, ctx30)
@@ -80,6 +80,14 @@ def test_verify_one_captures_errors(ctx30):
     rep = verify_one(broken, {"a": Fraction(1), "b": Fraction(1), "c": Fraction(3)}, ctx30)
     assert not rep.passed
     assert "synthetic failure" in rep.error
+
+
+def test_verify_one_records_any_exception(ctx30):
+    # a missing parameter makes the side raise TypeError, not a HyperidError
+    rep = verify_one(CATALOG["gauss-2f1"], {"a": Fraction(1), "b": Fraction(1)}, ctx30)
+    assert not rep.passed
+    assert rep.error.startswith("TypeError: ")
+    assert rep.params == {"a": "1.0", "b": "1.0"}
 
 
 def test_run_suite_empty_and_unknown():

@@ -16,7 +16,8 @@ from hyperid.errors import (
     PoleError,
 )
 from hyperid.gammafn import gamma_ratio
-from hyperid.precision import PrecisionContext
+from hyperid.precision import PrecisionContext, to_mp
+from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
 from hyperid.series import (
     SeriesSpec,
     classify,
@@ -61,6 +62,21 @@ def test_classify_geometric_and_divergent():
     assert classify(SeriesSpec((1, 2), (3,), mpf("1.5"))).tag == "divergent"
     # |z| = 1 with decay exponent <= 1 diverges
     assert classify(SeriesSpec((1, 1), (mpf("1.5"),), 1)).tag == "divergent"
+
+
+def test_classify_by_parameter_balance():
+    # fewer uppers than lowers plus one: convergent for every z, ratio floor 0
+    for spec in (SeriesSpec((1,), (2,), 2), SeriesSpec((1,), (2, 3), 1),
+                 SeriesSpec((mpf("0.5"),), (mpf("1.5"),), mpf("-40"))):
+        cls = classify(spec)
+        assert cls.tag == "geometric" and cls.ratio == 0, spec
+    # one upper more than lowers: the floor is |z|
+    cls = classify(SeriesSpec((1, 2), (3,), mpf("-0.5")))
+    assert cls.tag == "geometric" and cls.ratio == mpf("0.5")
+    # more uppers than that: divergent except at z = 0
+    assert classify(SeriesSpec((1, 1, 1), (2,), mpf("0.5"))).tag == "divergent"
+    assert classify(SeriesSpec((1, 1, 1), (2,), 1)).tag == "divergent"
+    assert classify(SeriesSpec((1, 1, 1), (2,), 0)).tag == "geometric"
 
 
 def test_classify_at_working_precision():
@@ -277,3 +293,34 @@ def test_tail_bound_validation():
         tail_bound_algebraic(0, 2, 1)
     with pytest.raises(ValueError):
         tail_bound_algebraic(5, 1, 1)
+
+
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("uppers, lowers, z, q", [
+    ((5, 5), (1,), _HALF, None),
+    ((Fraction(5, 2), Fraction(7, 2)), (_HALF,), Fraction(9, 10), None),  # ratio falls to |z|
+    ((1,), (2,), 2, None),
+    ((1,), (2,), -10, None),
+    ((_HALF,), (Fraction(3, 2), Fraction(5, 2)), -30, None),
+    ((_HALF,), (Fraction(1, 4),), 3, _HALF),
+    ((_HALF, Fraction(3, 10)), (Fraction(1, 4), Fraction(7, 10)), -5, _HALF),
+], ids=["2F1(5,5;1;1/2)", "2F1(5/2,7/2;1/2;9/10)", "1F1(1;2;2)", "1F1(1;2;-10)",
+        "1F2(1/2;3/2,5/2;-30)", "1phi1(1/2;1/4;1/2,3)", "2phi2(1/2,3/10;1/4,7/10;1/2,-5)"])
+def test_direct_route_error_bound(ctx30, uppers, lowers, z, q):
+    # true error <= err_estimate, against mpmath at twice the working
+    # precision on the same rounded parameters
+    with ctx30.working():
+        ups, lows, zz = [to_mp(a) for a in uppers], [to_mp(b) for b in lowers], to_mp(z)
+    if q is None:
+        res = sum_unilateral(SeriesSpec(ups, lows, zz), ctx30)
+    else:
+        res = sum_q_series(QSeriesSpec(ups, lows, zz, "phi"), QContext(q, ctx30))
+    assert res.method == "direct"
+    with mp.workdps(2 * ctx30.dps):
+        if q is None:
+            exact = mpmath.hyper(ups, lows, zz)
+        else:
+            exact = mpmath.qhyper(ups, lows, to_mp(q), zz)
+        assert abs(res.value - exact) <= res.err_estimate
