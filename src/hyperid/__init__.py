@@ -5,6 +5,7 @@ from .catalog import CATALOG, IdentityCase, phi_sum, phi_via_3f2, tolerance_rule
 from .errors import (
     AccelerationFailed,
     BudgetExceeded,
+    CancellationError,
     DivergentError,
     DivisionByZero,
     DomainError,

@@ -33,6 +33,11 @@ class BudgetExceeded(HyperidError):
     """max_terms was exhausted before the stopping rule fired."""
 
 
+class CancellationError(HyperidError):
+    """Cancellation among a series' terms ate the requested digits, even at
+    raised precision."""
+
+
 class AccelerationFailed(HyperidError):
     """Sequence transformation stagnated above the requested tolerance."""
 

@@ -19,7 +19,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpc_abs,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_sub,
+    mpf_abs,
+    mpf_cmp,
+    mpf_mul,
+    mpf_sub,
+    round_nearest,
+)
 
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .exact import q_term_stream, qpoch
@@ -74,6 +87,13 @@ def q_pochhammer(x, qc: QContext, n):
     product, truncated once |x q^i| drops below working epsilon, with a
     first-order tail correction exp(-x q^N / (1-q)). n < 0: the divisor form
     (x;q)_{-m} = 1 / ((x q^-m; q)_m).
+
+    The infinite product's loop runs on raw libmp values, rounded to nearest
+    at the working precision exactly as the mpf and mpc operators round, so
+    its value is that of the same loop written with mp numbers. A complex x
+    or q puts the whole loop on mpc values (x q^i times a real q by
+    mpc_mul_mpf, times a complex q by mpc_mul), which gives the bits of the
+    mixed mpf/mpc operators too.
     """
     ctx = qc.ctx
     with ctx.working():
@@ -82,21 +102,38 @@ def q_pochhammer(x, qc: QContext, n):
         if n is INF or n == mpmath.inf:
             if xx == 0:
                 return mpf(1)
-            eps = ctx.eps()
-            prod = mpf(1)
-            xq = xx
-            used = 0
-            while abs(xq) >= eps:
-                factor = 1 - xq
-                if factor == 0:
-                    return mpf(0)
-                prod = prod * factor
-                xq = xq * q
-                used += 1
-                if used > 100 * ctx.dps + 10000:
-                    raise BudgetExceeded("infinite q-product failed to truncate")
-            return prod * mpmath.exp(-xq / (1 - q))
+            return _infinite_product(xx, q, ctx)
         return qpoch(xx, q, int(n))
+
+
+def _infinite_product(x, q, ctx: PrecisionContext):
+    """(x;q)_inf for nonzero x at working precision (see q_pochhammer)."""
+    prec, rnd = mp.prec, round_nearest
+    if hasattr(x, "_mpc_") or hasattr(q, "_mpc_"):
+        one, zero, make = (fone, fzero), (fzero, fzero), mp.make_mpc
+        sub, mul, size = mpc_sub, mpc_mul, mpc_abs
+        xq = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+        step, qv = (mpc_mul, q._mpc_) if hasattr(q, "_mpc_") else (mpc_mul_mpf, q._mpf_)
+    else:
+        one, zero, make = fone, fzero, mp.make_mpf
+        sub, mul, size = mpf_sub, mpf_mul, mpf_abs
+        xq, step, qv = x._mpf_, mpf_mul, q._mpf_
+    eps = ctx.eps()._mpf_
+    budget = 100 * ctx.dps + 10000
+    prod = one
+    used = 0
+    while mpf_cmp(size(xq, prec, rnd), eps) >= 0:
+        factor = sub(one, xq, prec, rnd)
+        if factor == zero:
+            return mpf(0)
+        prod = mul(prod, factor, prec, rnd)
+        xq = step(xq, qv, prec, rnd)
+        used += 1
+        if used > budget:
+            raise BudgetExceeded("infinite q-product failed to truncate")
+    # before the first step x q^0 is x itself, a real x keeps its type there
+    tail = make(xq) if used else x
+    return make(prod) * mpmath.exp(-tail / (1 - q))
 
 
 def q_bracket(numers, denoms, qc: QContext, n):
@@ -195,7 +232,7 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
                 return sum_terminating(q_term_stream(ups, lows, z, q, extra, max_k=n), ctx)
             # a balanced series' term ratio tends to z, any other's to 0
             floor = abs(z) if extra == 0 else mpf(0)
-            return sum_direct(q_term_stream(ups, lows, z, q, extra), ctx, floor)
+            return sum_direct(q_term_stream(ups, lows, z, q, extra), ctx, floor)[0]
         # psi
         plus, pref, minus = split_psi(spec, qc)
         w = to_mp(minus.argument) if minus is not None else None

@@ -10,7 +10,8 @@ Routes, chosen by convergence class:
   terminating  exact finite sum (an upper parameter is a nonpositive integer)
   geometric    direct summation with a geometric tail bound: every z when
                there are no more uppers than lowers, |z| < 1 with one upper
-               more than lowers
+               more than lowers; summed once more at raised precision when
+               its terms cancel by more than the guard digits
   algebraic    |z| = 1 with decay exponent s > 1: direct summation plus an
                integral tail bound when the needed term count fits the
                budget, otherwise the Levin u-transform
@@ -30,7 +31,7 @@ well above them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import mpmath
@@ -39,6 +40,7 @@ from mpmath import mp, mpf
 from .accel import levin_core
 from .errors import (
     BudgetExceeded,
+    CancellationError,
     DivergentError,
     IndeterminateError,
     LowerPoleError,
@@ -202,7 +204,7 @@ def sum_terminating(terms, ctx: PrecisionContext) -> SeriesResult:
     return SeriesResult(total, peak * ctx.eps() * (used + 1), used, "terminating")
 
 
-def sum_direct(terms, ctx: PrecisionContext, floor) -> SeriesResult:
+def sum_direct(terms, ctx: PrecisionContext, floor):
     """Sum a convergent term stream directly, up to ctx.max_terms terms.
 
     The tail after the last term is bounded geometrically with the ratio
@@ -210,6 +212,9 @@ def sum_direct(terms, ctx: PrecisionContext, floor) -> SeriesResult:
     term is zero then); rho >= 1 raises BudgetExceeded. Callers pass floor
     = |z| for a balanced series, whose term ratio tends to z, and 0 for one
     whose ratio tends to 0.
+
+    Returns the SeriesResult and the largest |term|, against which the
+    total shows how many digits cancellation cost.
     """
     total, peak, used, last, prev, settled = partial_sum(terms, ctx, ctx.max_terms)
     if not settled:
@@ -218,7 +223,7 @@ def sum_direct(terms, ctx: PrecisionContext, floor) -> SeriesResult:
     if rho >= 1:
         raise BudgetExceeded(f"direct summation tail ratio {mpmath.nstr(rho, 5)} is not below 1")
     err = abs(last) * rho / (1 - rho) + peak * ctx.eps() * used
-    return SeriesResult(total, err, used, "direct")
+    return SeriesResult(total, err, used, "direct"), peak
 
 
 def combined_method(*methods) -> str:
@@ -298,8 +303,50 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
         if cls.tag == "terminating":
             return sum_terminating(term_stream(ups, lows, z, max_k=cls.n), ctx)
         if cls.tag == "geometric":
-            return sum_direct(term_stream(ups, lows, z), ctx, cls.ratio)
+            return _sum_geometric(spec, ctx, cls.ratio)
         return _sum_algebraic(ups, lows, z, ctx, cls.exponent)
+
+
+def _direct_pass(spec: SeriesSpec, ctx: PrecisionContext, floor):
+    """The direct sum of a geometric-class spec at ctx's working precision,
+    and the digits that cancellation among its terms cost, log10 of the
+    peak |term| over |total|; None when the total lies within its own
+    rounding error, so that not one working digit survived."""
+    with ctx.working():
+        ups = [to_mp(u) for u in spec.uppers]
+        lows = [to_mp(b) for b in spec.lowers]
+        res, peak = sum_direct(term_stream(ups, lows, to_mp(spec.argument)), ctx, floor)
+        size = abs(res.value)
+        if size <= peak * ctx.eps() * res.terms_used:
+            return res, None
+        return res, int(mpmath.ceil(mpmath.log10(peak / size)))
+
+
+def _sum_geometric(spec: SeriesSpec, ctx: PrecisionContext, floor) -> SeriesResult:
+    """The direct route, summed once more at higher precision when
+    cancellation costs more than the guard digits of the working precision.
+
+    The second sum adds as many digits as the first one lost; when not one
+    working digit survived, the loss is known only to exceed the working
+    precision, and the second sum runs at three times it. When that sum
+    too loses more than its added digits, CancellationError is raised.
+    The result is rounded back to the working precision.
+    """
+    guard = ctx.dps - ctx.digits
+    res, lost = _direct_pass(spec, ctx, floor)
+    if lost is not None and lost <= guard:
+        return res
+    extra = 2 * ctx.dps if lost is None else lost
+    res, lost = _direct_pass(spec, replace(ctx, digits=ctx.digits + extra), floor)
+    if lost is None or lost > guard + extra:
+        raise CancellationError(
+            f"direct summation loses {'all' if lost is None else lost} of its "
+            f"{ctx.dps + extra} working digits to cancellation"
+        )
+    with ctx.working():
+        value = +res.value
+        return SeriesResult(value, res.err_estimate + abs(value) * ctx.eps(),
+                            res.terms_used, res.method)
 
 
 def reflected_factors(uppers, lowers, reflect, point: str):

@@ -50,6 +50,29 @@ def test_eval_pfq_geometric_next_to_one(capsys):
     assert "method: direct" in out
 
 
+def test_eval_pfq_cancellation(capsys):
+    # 1F1(1;2;-200) = (1 - e^-200)/200: terms up to 1e83 cancel down to
+    # 0.005, so the direct route must sum again at raised precision
+    code, out, _ = run_cli(capsys, "eval", "pfq", "--upper", "1", "--lower", "2",
+                           "--z", "-200", "--digits", "30")
+    assert code == 0
+    with mpmath.workdps(60):
+        expected = mpmath.nstr(mpmath.hyp1f1(1, 2, -200), 30)
+    assert expected.startswith("0.005")
+    assert out.startswith(f"value: {expected}\n")
+    err = float(re.search(r"err_estimate: (\S+)", out).group(1))
+    assert err < 1e-30
+
+
+def test_eval_pfq_cancellation_beyond_reach(capsys):
+    # 1F1(1;2;-300): the terms reach 1e128, more than the raised precision
+    # can absorb; a typed error, not a useless value
+    code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "1", "--lower", "2",
+                             "--z", "-300", "--digits", "30")
+    assert code == 1 and out == ""
+    assert err.startswith("CancellationError: ")
+
+
 def test_eval_hseries(capsys):
     # 2H2(1/2,1/2;3/2,3/2;1) = pi^2/4 = 2.4674...
     code, out, _ = run_cli(capsys, "eval", "hseries", "--upper", "0.5,0.5",

@@ -51,6 +51,64 @@ def test_qpoch_infinite_value(qc_half, ctx30):
         assert abs(v - mpf("0.2887880950866")) < mpf(10) ** -13
 
 
+def _rel_err_vs_qp(x, qc):
+    """|q_pochhammer(x, qc, INF) / (x;q)_inf - 1| in units of the working
+    eps, against mpmath.qp at twice the working precision."""
+    ctx = qc.ctx
+    v = q_pochhammer(x, qc, INF)
+    with mp.workdps(2 * ctx.dps):
+        exact = mpmath.qp(to_mp(x), to_mp(qc.q))
+        return abs(v - exact) / abs(exact) / ctx.eps()
+
+
+@pytest.mark.parametrize("x, q", [
+    (Fraction(-45, 8), Fraction(1, 2)),
+    (1 - Fraction(1, 2**30), Fraction(3, 4)),
+    (Fraction(1, 3), Fraction(51, 64)),
+    (Fraction(231, 32), Fraction(7, 64)),
+    (Fraction(187, 16), Fraction(2, 3)),
+    (mpc("0.75", "-1.5"), Fraction(1, 2)),
+    (mpc("-3.25", "0.125"), Fraction(5, 8)),
+    (Fraction(-3, 4), mpc("0.3", "0.2")),
+    (Fraction(5, 2), mpc("-0.1", "0.6")),
+], ids=["x<0", "x just below 1", "q large", "x well above 1", "x above 1, q=0.67",
+        "complex x", "complex x, q=0.625", "complex q", "x above 1, complex q"])
+@pytest.mark.parametrize("digits", [30, 60])
+def test_qpoch_infinite_against_mpmath(x, q, digits):
+    qc = QContext(q, PrecisionContext(digits=digits))
+    assert _rel_err_vs_qp(x, qc) < 20
+
+
+def test_qpoch_infinite_exact_cases(qc_half, ctx30):
+    # 1 - 2 (1/2) vanishes exactly: the product is an exact zero
+    assert q_pochhammer(2, qc_half, INF) == 0
+    assert q_pochhammer(mpc(2, 0), qc_half, INF) == 0
+    v = q_pochhammer(0, qc_half, INF)
+    assert v == 1 and isinstance(v, mpf)
+    # q = 1 - 2^-20 needs about 2^20 * 92 factors, past the loop's budget
+    with pytest.raises(BudgetExceeded):
+        q_pochhammer(Fraction(1, 2), QContext(1 - Fraction(1, 2**20), ctx30), INF)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    xnum=st.integers(min_value=-512, max_value=512),
+    qnum=st.integers(min_value=7, max_value=51),
+    digits=st.sampled_from([30, 60]),
+)
+def test_qpoch_infinite_error_property(xnum, qnum, digits):
+    # the closed-form sides claim 20 eps relative for a q-bracket's value;
+    # one dyadic product in x in [-8, 8], q in [7/64, 51/64] must stay below
+    qc = QContext(Fraction(qnum, 64), PrecisionContext(digits=digits))
+    x = Fraction(xnum, 64)
+    if q_pochhammer(x, qc, INF) == 0:
+        # x = q^-i for some i: a factor vanishes exactly
+        with mp.workdps(2 * qc.ctx.dps):
+            assert mpmath.qp(to_mp(x), to_mp(qc.q)) == 0
+        return
+    assert _rel_err_vs_qp(x, qc) < 20
+
+
 def test_qpoch_negative_index_forms(qc_half, ctx30):
     # divisor form against the (-q/x)^m q^(m(m-1)/2) / (q/x;q)_m variant
     with ctx30.working():
