@@ -1,9 +1,9 @@
 """Seeded constraint-respecting sampling, verification runs, reporting.
 
 Sampling is deterministic per (seed, identity, index): the per-sample RNG is
-derived from a hash of the triple, so execution order and parallel
-scheduling cannot change which parameters a sample gets. Reports carry
-values as decimal strings so they stay precision-portable and diffable.
+derived from a hash of the triple, so execution order cannot change which
+parameters a sample gets. Reports carry values as decimal strings so they
+stay precision-portable and diffable.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ negative tail is re-expressed through
 whose sign and q-binomial factors cancel identically against the series'
 own, leaving a plain geometric-type sum in w = prod(lowers)/(prod(uppers) z).
 Both tails must converge: |z| < 1 (or termination) and |w| < 1.
+
+A nonterminating phi series takes the classical engine's direct route,
+`series.sum_direct`, with its geometric tail bound and its passes at raised
+precision against cancellation (an exactly zero sum raises CancellationError).
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from mpmath.libmp import (
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .exact import q_term_stream, qpoch
 from .precision import INF, PrecisionContext, to_mp
-from .series import SeriesResult, join_halves, reflected_factors, sum_direct, sum_terminating
+from .series import SeriesResult, join_halves, mp_parameters, reflected_factors
+from .series import sum_direct, sum_terminating
 
 
 @dataclass(frozen=True)
@@ -182,9 +187,7 @@ def split_psi(spec: QSeriesSpec, qc: QContext):
     ctx = qc.ctx
     with ctx.working():
         q = to_mp(qc.q)
-        ups = [to_mp(a) for a in spec.uppers]
-        lows = [to_mp(b) for b in spec.lowers]
-        z = to_mp(spec.argument)
+        ups, lows, z = mp_parameters(spec)
         if z == 0:
             raise DomainError("bilateral q-series undefined at z = 0")
         if any(a == 0 for a in ups) or any(b == 0 for b in lows):
@@ -217,9 +220,7 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
         q = to_mp(qc.q)
         z = to_mp(spec.argument)
         if spec.kind == "phi":
-            ups = [to_mp(a) for a in spec.uppers]
-            lows = [to_mp(b) for b in spec.lowers]
-            extra = len(lows) - (len(ups) - 1)
+            extra = len(spec.lowers) - (len(spec.uppers) - 1)
             n = spec.terminating_index
             if n is None:
                 if extra < 0:
@@ -229,10 +230,11 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
                 if extra == 0 and not abs(z) < 1:
                     raise DomainError("phi series requires |z| < 1 or termination")
             if n is not None:
-                return sum_terminating(q_term_stream(ups, lows, z, q, extra, max_k=n), ctx)
+                return sum_terminating(q_term_stream(*mp_parameters(spec), q, extra, max_k=n), ctx)
             # a balanced series' term ratio tends to z, any other's to 0
             floor = abs(z) if extra == 0 else mpf(0)
-            return sum_direct(q_term_stream(ups, lows, z, q, extra), ctx, floor)[0]
+            return sum_direct(lambda: q_term_stream(*mp_parameters(spec), to_mp(qc.q), extra),
+                              ctx, floor)
         # psi
         plus, pref, minus = split_psi(spec, qc)
         w = to_mp(minus.argument) if minus is not None else None

@@ -10,8 +10,9 @@ Routes, chosen by convergence class:
   terminating  exact finite sum (an upper parameter is a nonpositive integer)
   geometric    direct summation with a geometric tail bound: every z when
                there are no more uppers than lowers, |z| < 1 with one upper
-               more than lowers; summed once more at raised precision when
-               its terms cancel by more than the guard digits
+               more than lowers; summed again at raised precision while its
+               terms cancel by more than the digits kept beyond the
+               reported ones, up to ten times the working precision
   algebraic    |z| = 1 with decay exponent s > 1: direct summation plus an
                integral tail bound when the needed term count fits the
                budget, otherwise the Levin u-transform
@@ -20,10 +21,11 @@ series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the loop that stops after three small terms), `sum_terminating`, the
-direct route with its geometric tail bound `sum_direct`, the reflected
-prefactor of a split's negative tail `reflected_factors` and the bilateral
-recombination `join_halves`, whose method ranking `combined_method` also
-labels the catalog's sums of sides.
+direct route `sum_direct` with its geometric tail bound and its precision
+passes against cancellation, the conversion of a spec's parameters
+`mp_parameters`, the reflected prefactor of a split's negative tail
+`reflected_factors` and the bilateral recombination `join_halves`, whose
+method ranking `combined_method` also labels the catalog's sums of sides.
 
 Error estimates are heuristic, not certified; callers compare at tolerances
 well above them.
@@ -88,6 +90,7 @@ class SeriesResult:
 
 
 _DIRECT_CAP = 20_000  # direct algebraic summation beyond this is slower than Levin
+_CANCELLATION_CEILING = 10  # no direct pass runs above this many times the working precision
 
 
 def tail_bound_algebraic(K: int, s, last_term_mag):
@@ -153,6 +156,12 @@ def classify(spec: SeriesSpec) -> ConvergenceClass:
     return ConvergenceClass("divergent")
 
 
+def mp_parameters(spec):
+    """The uppers, lowers and argument of a classical or q-series spec as
+    mp numbers at the ambient precision: (list, list, scalar)."""
+    return [to_mp(a) for a in spec.uppers], [to_mp(b) for b in spec.lowers], to_mp(spec.argument)
+
+
 def _lower_pole_check(uppers, lowers, term_n):
     """Reject lower parameters that hit zero before the terminating index."""
     for b in lowers:
@@ -204,26 +213,55 @@ def sum_terminating(terms, ctx: PrecisionContext) -> SeriesResult:
     return SeriesResult(total, peak * ctx.eps() * (used + 1), used, "terminating")
 
 
-def sum_direct(terms, ctx: PrecisionContext, floor):
-    """Sum a convergent term stream directly, up to ctx.max_terms terms.
+def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
+    """Sum a convergent series directly, up to ctx.max_terms terms a pass.
 
-    The tail after the last term is bounded geometrically with the ratio
-    rho = max(floor, |last/prev|), or floor after a zero term (every later
-    term is zero then); rho >= 1 raises BudgetExceeded. Callers pass floor
-    = |z| for a balanced series, whose term ratio tends to z, and 0 for one
-    whose ratio tends to 0.
+    `stream` builds the term stream at the ambient precision; each pass
+    calls it once. The tail after the last term is bounded geometrically
+    with the ratio rho = max(floor, |last/prev|), or floor after a zero term
+    (every later term is zero then); rho >= 1 raises BudgetExceeded.
+    Callers pass floor = |z| for a balanced series, whose term ratio tends
+    to z, and 0 for one whose ratio tends to 0.
 
-    Returns the SeriesResult and the largest |term|, against which the
-    total shows how many digits cancellation cost.
+    Cancellation costs a pass log10(peak |term| / |total|) digits. While
+    that is more than the digits the pass kept beyond ctx.digits, another
+    pass runs with those digits added, or at three times the precision when
+    the total lies within its own rounding error (not one digit survived,
+    so the loss is known only to exceed the pass's digits). A pass beyond
+    _CANCELLATION_CEILING times the working precision raises
+    CancellationError instead. A value summed at raised precision is rounded
+    back to the working precision, and that rounding joins err_estimate.
     """
-    total, peak, used, last, prev, settled = partial_sum(terms, ctx, ctx.max_terms)
-    if not settled:
-        raise BudgetExceeded(f"direct summation needs more than {ctx.max_terms} terms")
-    rho = max(floor, abs(last) / abs(prev)) if last != 0 else floor
-    if rho >= 1:
-        raise BudgetExceeded(f"direct summation tail ratio {mpmath.nstr(rho, 5)} is not below 1")
-    err = abs(last) * rho / (1 - rho) + peak * ctx.eps() * used
-    return SeriesResult(total, err, used, "direct"), peak
+    dps = ctx.dps
+    while True:
+        pass_ctx = replace(ctx, digits=ctx.digits + dps - ctx.dps)
+        with pass_ctx.working():
+            total, peak, used, last, prev, settled = partial_sum(stream(), pass_ctx, ctx.max_terms)
+            if not settled:
+                raise BudgetExceeded(f"direct summation needs more than {ctx.max_terms} terms")
+            rho = max(floor, abs(last) / abs(prev)) if last != 0 else floor
+            if rho >= 1:
+                raise BudgetExceeded(
+                    f"direct summation tail ratio {mpmath.nstr(rho, 5)} is not below 1")
+            rounding = peak * pass_ctx.eps() * used
+            err = abs(last) * rho / (1 - rho) + rounding
+            lost = None
+            if abs(total) > rounding:
+                lost = int(mpmath.ceil(mpmath.log10(peak / abs(total))))
+                if lost <= dps - ctx.digits:
+                    break
+        raised = 3 * dps if lost is None else dps + lost
+        if raised > _CANCELLATION_CEILING * ctx.dps:
+            raise CancellationError(
+                f"direct summation loses {'all' if lost is None else lost} of its {dps} "
+                f"working digits to cancellation; {raised} digits would pass the ceiling "
+                f"of {_CANCELLATION_CEILING * ctx.dps}")
+        dps = raised
+    if dps == ctx.dps:
+        return SeriesResult(total, err, used, "direct")
+    with ctx.working():
+        value = +total
+        return SeriesResult(value, err + abs(value) * ctx.eps(), used, "direct")
 
 
 def combined_method(*methods) -> str:
@@ -296,57 +334,13 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
         cls = classify(spec)
         if cls.tag == "divergent":
             raise DivergentError("series diverges at the given argument")
-        ups = [to_mp(u) for u in spec.uppers]
-        lows = [to_mp(b) for b in spec.lowers]
-        z = to_mp(spec.argument)
+        ups, lows, z = mp_parameters(spec)
         _lower_pole_check(ups, lows, cls.n if cls.tag == "terminating" else None)
         if cls.tag == "terminating":
             return sum_terminating(term_stream(ups, lows, z, max_k=cls.n), ctx)
         if cls.tag == "geometric":
-            return _sum_geometric(spec, ctx, cls.ratio)
+            return sum_direct(lambda: term_stream(*mp_parameters(spec)), ctx, cls.ratio)
         return _sum_algebraic(ups, lows, z, ctx, cls.exponent)
-
-
-def _direct_pass(spec: SeriesSpec, ctx: PrecisionContext, floor):
-    """The direct sum of a geometric-class spec at ctx's working precision,
-    and the digits that cancellation among its terms cost, log10 of the
-    peak |term| over |total|; None when the total lies within its own
-    rounding error, so that not one working digit survived."""
-    with ctx.working():
-        ups = [to_mp(u) for u in spec.uppers]
-        lows = [to_mp(b) for b in spec.lowers]
-        res, peak = sum_direct(term_stream(ups, lows, to_mp(spec.argument)), ctx, floor)
-        size = abs(res.value)
-        if size <= peak * ctx.eps() * res.terms_used:
-            return res, None
-        return res, int(mpmath.ceil(mpmath.log10(peak / size)))
-
-
-def _sum_geometric(spec: SeriesSpec, ctx: PrecisionContext, floor) -> SeriesResult:
-    """The direct route, summed once more at higher precision when
-    cancellation costs more than the guard digits of the working precision.
-
-    The second sum adds as many digits as the first one lost; when not one
-    working digit survived, the loss is known only to exceed the working
-    precision, and the second sum runs at three times it. When that sum
-    too loses more than its added digits, CancellationError is raised.
-    The result is rounded back to the working precision.
-    """
-    guard = ctx.dps - ctx.digits
-    res, lost = _direct_pass(spec, ctx, floor)
-    if lost is not None and lost <= guard:
-        return res
-    extra = 2 * ctx.dps if lost is None else lost
-    res, lost = _direct_pass(spec, replace(ctx, digits=ctx.digits + extra), floor)
-    if lost is None or lost > guard + extra:
-        raise CancellationError(
-            f"direct summation loses {'all' if lost is None else lost} of its "
-            f"{ctx.dps + extra} working digits to cancellation"
-        )
-    with ctx.working():
-        value = +res.value
-        return SeriesResult(value, res.err_estimate + abs(value) * ctx.eps(),
-                            res.terms_used, res.method)
 
 
 def reflected_factors(uppers, lowers, reflect, point: str):
@@ -387,9 +381,7 @@ def split_bilateral(spec: SeriesSpec, ctx: PrecisionContext):
     if spec.kind != "bilateral":
         raise ValueError("split_bilateral expects a bilateral spec")
     with ctx.working():
-        ups = [to_mp(u) for u in spec.uppers]
-        lows = [to_mp(b) for b in spec.lowers]
-        z = to_mp(spec.argument)
+        ups, lows, z = mp_parameters(spec)
         if z == 0:
             raise DivergentError("bilateral series undefined at z = 0")
         plus = SeriesSpec((mpf(1), *ups), tuple(lows), z, "unilateral")

@@ -1,5 +1,7 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import mpmath
 
@@ -64,11 +66,43 @@ def test_eval_pfq_cancellation(capsys):
     assert err < 1e-30
 
 
+def test_eval_pfq_cancellation_needs_several_passes(capsys):
+    # 1F1(1;2;-300) = (1 - e^-300)/300: terms up to 1e128 lose every digit
+    # at 40 and at 120 digits; the third pass, at 360 digits, keeps them
+    code, out, _ = run_cli(capsys, "eval", "pfq", "--upper", "1", "--lower", "2",
+                           "--z", "-300", "--digits", "30")
+    assert code == 0
+    assert out.startswith("value: 0.00333333333333333333333333333333\n")
+
+
 def test_eval_pfq_cancellation_beyond_reach(capsys):
-    # 1F1(1;2;-300): the terms reach 1e128, more than the raised precision
-    # can absorb; a typed error, not a useless value
+    # 1F1(1;2;-3000): the terms reach 1e1300, more than the direct route may
+    # raise its precision to absorb; a typed error, not a useless value
     code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "1", "--lower", "2",
-                             "--z", "-300", "--digits", "30")
+                             "--z", "-3000", "--digits", "30")
+    assert code == 1 and out == ""
+    assert err.startswith("CancellationError: ")
+
+
+def test_eval_phi_cancellation(capsys):
+    # 0phi0(;;q, z) = (z;q)_inf, whose factor 1 - z q^20 nearly vanishes at
+    # z = 2^20 + 1e-13: the terms peak near 1e63 above a value near 1e43
+    z = "1048576.0000000000001"
+    code, out, _ = run_cli(capsys, "eval", "phi", "--upper", "", "--lower", "",
+                           "--z", z, "--q", "0.5", "--digits", "30")
+    assert code == 0
+    with mpmath.workdps(40):
+        zz = mpmath.mpf(z)
+    with mpmath.workdps(200):
+        expected = mpmath.nstr(mpmath.qp(zz, mpmath.mpf("0.5")), 30)
+    assert out.startswith(f"value: {expected}\n")
+
+
+def test_eval_phi_cancellation_to_zero(capsys):
+    # 0phi0(;;1/2, 1024) = (1024;1/2)_inf is exactly 0 (its factor
+    # 1 - 1024 q^10 vanishes): no pass keeps a digit, so a typed error
+    code, out, err = run_cli(capsys, "eval", "phi", "--upper", "", "--lower", "",
+                             "--z", "1024", "--q", "0.5")
     assert code == 1 and out == ""
     assert err.startswith("CancellationError: ")
 
@@ -260,3 +294,17 @@ def test_bad_digits_env_is_a_usage_error(monkeypatch, capsys):
                              "--z", "0.5")
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and "HYPERID_DIGITS" in err
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [line for line in readme.read_text().splitlines()
+            if line.startswith(("hyperid eval ", "hyperid list"))]
+
+
+def test_readme_examples_run(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 6
+    for line in commands:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

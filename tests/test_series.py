@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from mpmath import mp, mpf
 
 from hyperid.errors import (
     BudgetExceeded,
+    CancellationError,
     DivergentError,
     IndeterminateError,
     LowerPoleError,
@@ -24,6 +26,7 @@ from hyperid.series import (
     partial_sum,
     split_bilateral,
     sum_bilateral,
+    sum_direct,
     sum_unilateral,
     tail_bound_algebraic,
 )
@@ -155,6 +158,52 @@ def test_partial_sum_contract(ctx30):
         assert not settled and used == 10
         assert (total, peak, last, prev) == (55, 10, 10, 9)
         assert next(terms) == 11
+
+
+def _cancelling_stream(loss):
+    """A counting stream factory: 3e`loss` + (1/3 - 3e`loss`) sums to 1/3
+    at more than `loss` digits and to 0 below, and the falling powers of
+    s = 10^(-2 dps) after it settle the sum either way. Returns the factory
+    and the list of ambient dps it was called at."""
+    calls = []
+
+    def stream():
+        calls.append(mp.dps)
+        big = 3 * mpf(10) ** loss
+        s = mpf(10) ** (-2 * mp.dps)
+        return iter([big, mpf(1) / 3 - big, s, s**2, s**3, s**4])
+
+    return stream, calls
+
+
+def test_sum_direct_pass_contract(ctx30):
+    # ctx30 works at 40 digits, 10 beyond the 30 reported
+    stream, calls = _cancelling_stream(5)  # loses 6 digits: within the guard
+    res = sum_direct(stream, ctx30, mpf(0))
+    with ctx30.working():
+        total = mpf(0)
+        for t in itertools.islice(stream(), res.terms_used):
+            total += t
+    assert calls == [40, 40]
+    assert res.value == total and res.terms_used == 5 and res.method == "direct"
+    assert res.err_estimate < mpf(10) ** -33
+    # loses 26 digits: the second pass adds them
+    stream, calls = _cancelling_stream(25)
+    res = sum_direct(stream, ctx30, mpf(0))
+    assert calls == [40, 66]
+    with mp.workdps(200):
+        assert abs(res.value - mpf(1) / 3) <= res.err_estimate < mpf(10) ** -38
+    # not one digit survives at 40: the second pass runs at three times that
+    stream, calls = _cancelling_stream(50)
+    res = sum_direct(stream, ctx30, mpf(0))
+    assert calls == [40, 120]
+    with mp.workdps(200):
+        assert abs(res.value - mpf(1) / 3) <= res.err_estimate
+    # 1080 digits would pass the ceiling of ten times the working precision
+    stream, calls = _cancelling_stream(500)
+    with pytest.raises(CancellationError, match="360 working digits"):
+        sum_direct(stream, ctx30, mpf(0))
+    assert calls == [40, 120, 360]
 
 
 def test_divergent_error(ctx30):
@@ -306,8 +355,12 @@ _HALF = Fraction(1, 2)
     ((_HALF,), (Fraction(3, 2), Fraction(5, 2)), -30, None),
     ((_HALF,), (Fraction(1, 4),), 3, _HALF),
     ((_HALF, Fraction(3, 10)), (Fraction(1, 4), Fraction(7, 10)), -5, _HALF),
+    # cancelling inputs, summed again at raised precision and rounded back
+    ((1,), (2,), -200, None),
+    ((), (), "1048576.0000000000001", _HALF),
 ], ids=["2F1(5,5;1;1/2)", "2F1(5/2,7/2;1/2;9/10)", "1F1(1;2;2)", "1F1(1;2;-10)",
-        "1F2(1/2;3/2,5/2;-30)", "1phi1(1/2;1/4;1/2,3)", "2phi2(1/2,3/10;1/4,7/10;1/2,-5)"])
+        "1F2(1/2;3/2,5/2;-30)", "1phi1(1/2;1/4;1/2,3)", "2phi2(1/2,3/10;1/4,7/10;1/2,-5)",
+        "1F1(1;2;-200)", "0phi0(;;1/2,2^20+1e-13)"])
 def test_direct_route_error_bound(ctx30, uppers, lowers, z, q):
     # true error <= err_estimate, against mpmath at twice the working
     # precision on the same rounded parameters
