@@ -2,7 +2,8 @@
 
 Reports must not change when the code under them is reorganised: every
 catalog id at sample indices 0 and 9 (index 9 is the complex sample) at 30
-digits, plus the three terminating ids at 60 digits, all with seed 0. Wall
+digits, plus the three terminating ids and two ids whose every series side
+takes the Levin route at 60 digits, all with seed 0. Wall
 time and the start stamp are stripped; every other byte must match.
 
 Regenerate the golden file (only when a report change is intended) with
@@ -20,7 +21,8 @@ from hyperid.precision import PrecisionContext
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 TERMINATING = ("saalschuetz", "theorem-1-b-neg-n", "jackson-8phi7")
-RUNS = ((30, tuple(CATALOG)), (60, TERMINATING))
+LEVIN = ("theorem-1", "phi-as-3f2")
+RUNS = ((30, tuple(CATALOG)), (60, TERMINATING + LEVIN))
 INDICES = (0, 9)
 SEED = 0
 
