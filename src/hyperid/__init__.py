@@ -34,7 +34,6 @@ from .series import (
     SeriesResult,
     SeriesSpec,
     classify,
-    levin_u,
     split_bilateral,
     sum_bilateral,
     sum_unilateral,

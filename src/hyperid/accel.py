@@ -3,9 +3,11 @@
 It is the workhorse for the k^-2 algebraic tails this package meets (direct
 summation of those gains about one digit per decade of terms).
 
-The table amplifies rounding error as it deepens, so callers run it at a
-boosted precision and this module tracks the best estimate seen, stopping
-once the diagonal starts to churn instead of converge.
+The table amplifies rounding error as it deepens, so it runs at a boosted
+precision and tracks the best estimate seen, stopping once the diagonal
+starts to churn instead of converge. Its whole policy (precision, term cap,
+stop and acceptance tolerances, error floor) follows from the caller's
+PrecisionContext.
 
 The table's coefficients depend only on the row, the column and the
 precision, so each row of them is computed once per working precision and
@@ -45,95 +47,90 @@ def _coefficient_row(m):
     return row
 
 
-def levin_core(terms, *, tol_target, accept_tol, cap, err_floor=None):
-    """Incremental Levin u-transform (beta = 1) over a term stream.
+def levin_core(terms, ctx):
+    """Incremental Levin u-transform (beta = 1) over a term stream (terms,
+    not partial sums) at 2 ctx.dps + 10 digits.
 
-    terms       iterable of mp numbers (series terms, not partial sums)
-    tol_target  relative tolerance for early stop
-    accept_tol  relative tolerance below which the best estimate is accepted
-                once cap is reached (above it -> AccelerationFailed)
-    cap         maximum number of terms consumed
-    err_floor   relative floor added to the reported error estimate
+    A lazy stream computes its terms at that precision. The table returns
+    once two diagonal differences in a row fall within 10^-(dps - 3)
+    relative. When it reaches min(4 digits + 40, 400) terms instead, or its
+    estimates degrade far past the best one seen, that best estimate is
+    accepted within 10^-(digits + 1) relative; otherwise AccelerationFailed
+    is raised.
 
-    Returns (value, err_estimate, terms_used). The error estimate is the
-    difference between the last two diagonal entries, floored at err_floor
-    relative; honesty of the estimate is a test-suite property, not a proof.
+    Returns (value, err_estimate, terms_used) at the raised precision. The
+    error estimate is the difference between the last two diagonal entries,
+    floored at ctx.eps() relative; it is heuristic, not a bound.
     """
-    if err_floor is None:
-        err_floor = mpf(10) ** (-(mp.dps - 4))
-    prec, rnd = mp.prec, round_nearest
-    rows = _rows_at(prec)
-    # num/den hold raw mpfs, or (re, im) pairs from the first complex entry on
-    num, den = [], []
-    mul, sub, make = mpf_mul, mpf_sub, mp.make_mpf
-    complex_table = False
-    partial = mpf(0)
-    val_prev = None
-    best = best_err = None
-    hits = 0
-    used = 0
-    zero_run = 0
-    for t in terms:
-        if used >= cap:
-            break
-        used += 1
-        partial = partial + t
-        if t == 0:
-            # a numerator factor crossed zero; the transform skips the entry
-            zero_run += 1
-            if zero_run >= 3:
-                return partial, abs(partial) * err_floor, used
-            continue
-        zero_run = 0
-        m = len(num)
-        omega = (m + 1) * t
-        x, y = mp.convert(partial / omega), mp.convert(1 / omega)
-        if not complex_table and (hasattr(x, "_mpc_") or hasattr(y, "_mpc_")):
-            complex_table = True
-            num = [(v, fzero) for v in num]
-            den = [(v, fzero) for v in den]
-            mul, sub, make = mpc_mul_mpf, mpc_sub, mp.make_mpc
-        if complex_table:
-            num.append(x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero))
-            den.append(y._mpc_ if hasattr(y, "_mpc_") else (y._mpf_, fzero))
-        else:
-            num.append(x._mpf_)
-            den.append(y._mpf_)
-        if m == len(rows):
-            rows.append(_coefficient_row(m))
-        row = rows[m]
-        for j in range(m - 1, -1, -1):
-            c = row[j]
-            num[j] = sub(num[j + 1], mul(num[j], c, prec, rnd), prec, rnd)
-            den[j] = sub(den[j + 1], mul(den[j], c, prec, rnd), prec, rnd)
-        den0 = make(den[0])
-        if len(num) >= 2 and den0 != 0:
-            val = make(num[0]) / den0
-            if val_prev is not None:
-                err = abs(val - val_prev)
-                scale = abs(val)
-                if scale == 0:
-                    scale = mpf(1)
-                if best_err is None or err < best_err:
-                    best, best_err = val, err
-                if err <= tol_target * scale:
-                    hits += 1
-                    if hits >= 2:
-                        return val, max(err, scale * err_floor), used
-                else:
-                    hits = 0
-                # deep in the table roundoff takes over; stop once estimates
-                # have degraded far past the best one seen
-                if len(num) > 30 and err > best_err * mpf(10) ** 8:
-                    break
-            val_prev = val
-    if best is not None:
-        scale = abs(best)
-        if scale == 0:
-            scale = mpf(1)
-        if best_err <= accept_tol * scale:
-            return best, max(best_err, scale * err_floor), used
-    raise AccelerationFailed(
-        f"Levin u-transform stagnated after {used} terms "
-        f"(best error {best_err if best_err is not None else 'n/a'})"
-    )
+    cap = min(4 * ctx.digits + 40, 400)
+    with mp.workdps(2 * ctx.dps + 10):
+        tol_target = mpf(10) ** (-(ctx.dps - 3))
+        err_floor = ctx.eps()
+        prec, rnd = mp.prec, round_nearest
+        rows = _rows_at(prec)
+        # num/den hold raw mpfs, or (re, im) pairs from the first complex entry on
+        num, den = [], []
+        mul, sub, make = mpf_mul, mpf_sub, mp.make_mpf
+        complex_table = False
+        partial = mpf(0)
+        val_prev = None
+        best = best_err = None
+        hits = 0
+        used = 0
+        for t in terms:
+            if used >= cap:
+                break
+            used += 1
+            partial = partial + t
+            m = len(num)
+            omega = (m + 1) * t
+            x, y = mp.convert(partial / omega), mp.convert(1 / omega)
+            if not complex_table and (hasattr(x, "_mpc_") or hasattr(y, "_mpc_")):
+                complex_table = True
+                num = [(v, fzero) for v in num]
+                den = [(v, fzero) for v in den]
+                mul, sub, make = mpc_mul_mpf, mpc_sub, mp.make_mpc
+            if complex_table:
+                num.append(x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero))
+                den.append(y._mpc_ if hasattr(y, "_mpc_") else (y._mpf_, fzero))
+            else:
+                num.append(x._mpf_)
+                den.append(y._mpf_)
+            if m == len(rows):
+                rows.append(_coefficient_row(m))
+            row = rows[m]
+            for j in range(m - 1, -1, -1):
+                c = row[j]
+                num[j] = sub(num[j + 1], mul(num[j], c, prec, rnd), prec, rnd)
+                den[j] = sub(den[j + 1], mul(den[j], c, prec, rnd), prec, rnd)
+            den0 = make(den[0])
+            if len(num) >= 2 and den0 != 0:
+                val = make(num[0]) / den0
+                if val_prev is not None:
+                    err = abs(val - val_prev)
+                    scale = abs(val)
+                    if scale == 0:
+                        scale = mpf(1)
+                    if best_err is None or err < best_err:
+                        best, best_err = val, err
+                    if err <= tol_target * scale:
+                        hits += 1
+                        if hits >= 2:
+                            return val, max(err, scale * err_floor), used
+                    else:
+                        hits = 0
+                    # deep in the table roundoff takes over; stop once estimates
+                    # have degraded far past the best one seen
+                    if len(num) > 30 and err > best_err * mpf(10) ** 8:
+                        break
+                val_prev = val
+        if best is not None:
+            scale = abs(best)
+            if scale == 0:
+                scale = mpf(1)
+            if best_err <= mpf(10) ** (-(ctx.digits + 1)) * scale:
+                return best, max(best_err, scale * err_floor), used
+        raise AccelerationFailed(
+            f"Levin u-transform stagnated after {used} terms "
+            f"(best error {best_err if best_err is not None else 'n/a'})"
+        )

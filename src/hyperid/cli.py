@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 import mpmath
@@ -21,8 +20,6 @@ from .harness import SuiteConfig, run_suite
 from .precision import PrecisionContext, format_value
 from .qseries import QContext, QSeriesSpec, sum_q_series
 from .series import SeriesSpec, sum_bilateral, sum_unilateral
-
-_COMPLEX_RE = re.compile(r"^\s*([+-]?[^+-]+?)\s*([+-])\s*([^+-]+?)\s*[ij]\s*$")
 
 
 def default_digits() -> int:
@@ -37,16 +34,20 @@ def default_digits() -> int:
 
 
 def parse_scalar(text: str):
-    """Parse 'RE' or 'RE+IMi' complex literals at the ambient precision."""
+    """Parse 'RE', 'IMi' or 'RE+IMi' literals (i or j; IM may be left out
+    for 1, and RE and IM may carry exponents) at the ambient precision."""
     text = text.strip()
-    m = _COMPLEX_RE.match(text)
-    if m:
-        re_part, sign, im_part = m.groups()
-        im = mpmath.mpf(im_part)
-        return mpmath.mpc(mpmath.mpf(re_part), -im if sign == "-" else im)
-    if text.endswith(("i", "j")):
-        return mpmath.mpc(0, mpmath.mpf(text[:-1] or "1"))
-    return mpmath.mpf(text)
+    if not text.endswith(("i", "j")):
+        return mpmath.mpf(text)
+    body = text[:-1].rstrip()
+    # the imaginary part opens at the last sign that opens neither the
+    # literal nor an exponent
+    cut = max((k for k in range(1, len(body))
+               if body[k] in "+-" and body[k - 1] not in "eE"), default=0)
+    re_part, im_part = body[:cut].rstrip(), body[cut:]
+    if im_part[:1] in ("+", "-"):
+        im_part = im_part[0] + (im_part[1:].lstrip() or "1")
+    return mpmath.mpc(mpmath.mpf(re_part) if re_part else 0, mpmath.mpf(im_part or "1"))
 
 
 def parse_list(text: str):

@@ -76,6 +76,8 @@ class QSeriesSpec:
     def __post_init__(self):
         if self.kind not in ("phi", "psi"):
             raise ValueError(f"unknown q-series kind {self.kind!r}")
+        if self.kind == "psi" and len(self.uppers) != len(self.lowers):
+            raise ValueError("psi series requires equal parameter counts")
         object.__setattr__(self, "uppers", tuple(self.uppers))
         object.__setattr__(self, "lowers", tuple(self.lowers))
 
@@ -182,8 +184,6 @@ def split_psi(spec: QSeriesSpec, qc: QContext):
     """
     if spec.kind != "psi":
         raise ValueError("split_psi expects a psi-kind spec")
-    if len(spec.uppers) != len(spec.lowers):
-        raise DomainError("bilateral q-series support requires equally many uppers and lowers")
     ctx = qc.ctx
     with ctx.working():
         q = to_mp(qc.q)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .accel import levin_core
 from .errors import (
@@ -282,21 +282,6 @@ def join_halves(plus: SeriesResult, pref, minus) -> SeriesResult:
     return SeriesResult(value, err, plus.terms_used + minus.terms_used, method)
 
 
-def _levin(terms, ctx, accept_digits):
-    """Levin u-transform at doubled working precision, accepting a stagnated
-    estimate within 10^-accept_digits relative."""
-    cap = min(4 * ctx.digits + 40, ctx.max_terms, 400)
-    with mp.workdps(2 * ctx.dps + 10):
-        value, err, used = levin_core(
-            iter(terms),
-            tol_target=mpf(10) ** (-(ctx.dps - 3)),
-            accept_tol=mpf(10) ** (-accept_digits),
-            cap=cap,
-            err_floor=mpf(10) ** (-ctx.dps),
-        )
-    return SeriesResult(value, err, used, "levin")
-
-
 def _sum_algebraic(uppers, lowers, z, ctx, s):
     gen = term_stream(uppers, lowers, z)
     total, peak, used, last, _, settled = partial_sum(gen, ctx, 48)
@@ -311,7 +296,8 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
         # decaying series (small exponents) go to the accelerator, which
         # regenerates the terms at its boosted precision
         if k_needed > min(ctx.max_terms, _DIRECT_CAP):
-            return _levin(term_stream(uppers, lowers, z), ctx, ctx.digits + 1)
+            value, err, used = levin_core(term_stream(uppers, lowers, z), ctx)
+            return SeriesResult(value, err, used, "levin")
         k_stop = max(used + 1, int(k_needed) + 1)
         for t in gen:
             total = total + t
@@ -414,17 +400,3 @@ def sum_bilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
     res_minus = sum_unilateral(minus, ctx) if minus is not None else None
     with ctx.working():
         return join_halves(res_plus, pref, res_minus)
-
-
-def levin_u(terms, ctx: PrecisionContext) -> SeriesResult:
-    """Levin u-transform of a term stream (terms, not partial sums).
-
-    The table runs at doubled working precision to absorb its own
-    cancellation. Terms supplied from outside carry the caller's rounding
-    noise, which the table amplifies, so the acceptance threshold here is
-    looser than the engine-internal one (the engine regenerates terms at the
-    boosted precision itself). The reported err_estimate is the last
-    diagonal difference. Raises AccelerationFailed when the estimate
-    stagnates above tolerance.
-    """
-    return _levin(terms, ctx, max(ctx.digits - 8, 6))

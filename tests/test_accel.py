@@ -1,79 +1,87 @@
+import itertools
+
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
 from hyperid.accel import levin_core
 from hyperid.errors import AccelerationFailed
-from hyperid.series import SeriesSpec, levin_u, sum_unilateral
+from hyperid.precision import PrecisionContext
+from hyperid.series import SeriesSpec, sum_unilateral
+
+HALF = mpf(1) / 2
 
 
-def _zeta2_terms(n, dps):
-    with mp.workdps(dps):
-        return [mpf(1) / (k + 1) ** 2 for k in range(n)]
+def _zeta2_stream():
+    return (1 / mpf(k + 1) ** 2 for k in itertools.count())
+
+
+def _periodic_stream():
+    return (mpf(1) if k % 3 else mpf(-1) for k in itertools.count())
 
 
 def test_levin_zeta2(ctx30):
-    res = levin_u(_zeta2_terms(60, ctx30.dps), ctx30)
+    # zeta(2) = 3F2(1, 1, 1; 2, 2; 1), a k^-2 tail the engine hands to Levin
+    res = sum_unilateral(SeriesSpec((1, 1, 1), (2, 2), 1), ctx30)
+    assert res.method == "levin"
     assert res.terms_used <= 60
-    with mp.workdps(50):
+    with mp.workdps(80):
         err = abs(res.value - mpmath.pi**2 / 6)
-        assert err < mpf(10) ** -20
+        assert err < mpf(10) ** -(ctx30.digits + 1)
         # honesty: the true error stays within 100x of the estimate
         assert err < 100 * res.err_estimate
 
 
 def test_levin_geometric(ctx30):
-    with ctx30.working():
-        terms = [mpf(2) ** -k for k in range(120)]
-    res = levin_u(terms, ctx30)
-    with ctx30.working():
-        assert abs(res.value - 2) < mpf(10) ** -25
+    value, err, used = levin_core((mpf(2) ** -k for k in itertools.count()), ctx30)
+    assert used <= 10
+    with mp.workdps(80):
+        assert abs(value - 2) < mpf(10) ** -(ctx30.digits + 1)
+        assert abs(value - 2) <= err
 
 
 def test_levin_half_shifted_zeta(ctx30):
-    # sum over k>=0 of (k+1/2)^-2 = pi^2/2
-    with mp.workdps(ctx30.dps):
-        terms = [1 / (mpf(k) + mpf(1) / 2) ** 2 for k in range(120)]
-    res = levin_u(terms, ctx30)
-    with mp.workdps(50):
-        err = abs(res.value - mpmath.pi**2 / 2)
-        assert err < mpf(10) ** -20
-        assert err < 100 * res.err_estimate
+    # sum over k>=0 of (k+1/2)^-2 = 4 3F2(1/2, 1/2, 1; 3/2, 3/2; 1) = pi^2/2
+    res = sum_unilateral(SeriesSpec((HALF, HALF, 1), (3 * HALF, 3 * HALF), 1), ctx30)
+    assert res.method == "levin"
+    with mp.workdps(80):
+        err = abs(4 * res.value - mpmath.pi**2 / 2)
+        assert err < mpf(10) ** -(ctx30.digits + 1)
+        assert err < 100 * 4 * res.err_estimate
 
 
 def test_levin_honesty_on_known_sums(ctx30):
-    cases = []
-    with mp.workdps(ctx30.dps):
-        cases.append(([mpf(1) / (k + 1) ** 2 for k in range(80)], mpmath.pi**2 / 6))
-        cases.append(([1 / (mpf(k) + mpf(1) / 2) ** 2 for k in range(80)], mpmath.pi**2 / 2))
-        cases.append(([mpf(3) ** -k for k in range(80)], mpf(3) / 2))
-    for terms, target in cases:
-        res = levin_u(terms, ctx30)
-        with mp.workdps(50):
-            assert abs(res.value - target) < 100 * res.err_estimate + mpf(10) ** -45
+    specs = [
+        (SeriesSpec((1, 1, 1), (2, 2), 1), 1, 6),
+        (SeriesSpec((HALF, HALF, 1), (3 * HALF, 3 * HALF), 1), 4, 2),
+    ]
+    for spec, scale, pi2_over in specs:
+        res = sum_unilateral(spec, ctx30)
+        with mp.workdps(80):
+            err = abs(scale * res.value - mpmath.pi**2 / pi2_over)
+            assert err < 100 * scale * res.err_estimate
+    value, err, _ = levin_core((mpf(3) ** -k for k in itertools.count()), ctx30)
+    with mp.workdps(80):
+        assert abs(value - mpf(3) / 2) < 100 * err
 
 
 def test_levin_acceleration_failed(ctx30):
-    with ctx30.working():
-        bad = [mpf(1) if k % 3 else mpf(-1) for k in range(200)]
     with pytest.raises(AccelerationFailed):
-        levin_u(bad, ctx30)
+        levin_core(_periodic_stream(), ctx30)
 
 
-def _levin_zeta2_at(dps, n=200):
-    with mp.workdps(dps):
-        terms = [mpf(1) / (k + 1) ** 2 for k in range(n)]
-        return levin_core(iter(terms), tol_target=mpf(10) ** (-(dps // 2)),
-                          accept_tol=mpf(10) ** (-(dps // 3)), cap=n)
-
-
-def test_levin_coefficient_rows_follow_the_precision():
-    first = _levin_zeta2_at(90)
-    value, err, _ = _levin_zeta2_at(130)
-    third = _levin_zeta2_at(90)
+def test_levin_coefficient_rows_follow_the_precision(ctx30):
+    # raised precisions 90 and 150 digits; the failing periodic stream first
+    # leaves 160 coefficient rows at 90 digits
+    ctx60 = PrecisionContext(digits=60)
+    with pytest.raises(AccelerationFailed):
+        levin_core(_periodic_stream(), ctx30)
+    first = levin_core(_zeta2_stream(), ctx30)
+    value, err, _ = levin_core(_zeta2_stream(), ctx60)
+    third = levin_core(_zeta2_stream(), ctx30)
     assert repr(third) == repr(first)
-    with mp.workdps(150):
-        # rows left over from 90 digits reach only ~1e-62 here
+    with mp.workdps(170):
+        # rows left over from 90 digits reach only ~4e-62 here
         assert abs(value - mpmath.pi**2 / 6) < mpf(10) ** -66
         assert abs(value - mpmath.pi**2 / 6) < 100 * err
 

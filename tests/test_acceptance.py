@@ -17,7 +17,7 @@ from hyperid.gammafn import gamma
 from hyperid.harness import SuiteConfig, run_suite, sample_parameters, verify_one
 from hyperid.precision import PrecisionContext, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_pochhammer, sum_q_series
-from hyperid.series import SeriesSpec, levin_u, split_bilateral, sum_unilateral
+from hyperid.series import SeriesSpec, split_bilateral, sum_unilateral
 
 from oracles import brute_bilateral_h, brute_bilateral_psi
 
@@ -235,13 +235,12 @@ def test_criterion_7_numerics_substrate():
             lhs = q_pochhammer(x, qc, n + m)
             rhs = q_pochhammer(x, qc, n) * q_pochhammer(to_mp(x) * to_mp(qv) ** n, qc, m)
             assert abs(lhs - rhs) <= abs(lhs) * mpf(10) ** -33
-    # Levin u recovers zeta(2) to 20 digits within 60 terms
-    with ctx.working():
-        terms = [mpf(1) / (k + 1) ** 2 for k in range(60)]
-    res = levin_u(terms, ctx)
+    # Levin u recovers zeta(2) = 3F2(1, 1, 1; 2, 2; 1) to 31 digits within 60 terms
+    res = sum_unilateral(SeriesSpec((1, 1, 1), (2, 2), 1), ctx)
+    assert res.method == "levin"
     assert res.terms_used <= 60
     with mp.workdps(50):
-        assert abs(res.value - mpmath.pi**2 / 6) < mpf(10) ** -20
+        assert abs(res.value - mpmath.pi**2 / 6) < mpf(10) ** -31
     # brute-force bilateral sums against split evaluations
     for index in range(10):
         p = sample_parameters(CATALOG["dougall-2h2"], 1, index)

@@ -4,6 +4,7 @@ import shlex
 from pathlib import Path
 
 import mpmath
+import pytest
 
 from hyperid.cli import main, parse_scalar
 
@@ -23,6 +24,29 @@ def test_parse_scalar():
         assert v.real == 1.5 and v.imag == 0.25
         v = parse_scalar("1.5-0.25i")
         assert v.imag == -0.25
+        # exponents in either part, at working precision
+        assert parse_scalar("1e-5+2i") == mpmath.mpc(mpmath.mpf("1e-5"), 2)
+        assert parse_scalar("1.5e-1+0.5i") == mpmath.mpc(mpmath.mpf("0.15"), 0.5)
+        assert parse_scalar("-2.5E+3 - 1e-7j") == mpmath.mpc(-2500, mpmath.mpf("-1e-7"))
+        assert parse_scalar("1e-5+2i").real != mpmath.mpf(1e-5)
+        # a unit imaginary part may be left out
+        assert parse_scalar("1+i") == mpmath.mpc(1, 1)
+        assert parse_scalar("1 - i") == mpmath.mpc(1, -1)
+        assert parse_scalar("-i") == mpmath.mpc(0, -1)
+        assert parse_scalar("i") == mpmath.mpc(0, 1)
+        assert parse_scalar("2j") == mpmath.mpc(0, 2)
+        for bad in ("abc", "1 2+i", "1+2i3", "+", ""):
+            with pytest.raises(ValueError):
+                parse_scalar(bad)
+
+
+def test_eval_pfq_complex_literal_with_exponent(capsys):
+    code, out, _ = run_cli(capsys, "eval", "pfq", "--upper", "1", "--lower", "",
+                           "--z", "1e-5+2e-1i")
+    assert code == 0
+    # 1/(1 - z), whose real part would differ from the 21st digit on had
+    # 1e-5 been read as a double
+    assert out.startswith("value: 0.961547337356338839462649393309 + ")
 
 
 def test_eval_pfq_telescoping(capsys):
@@ -128,6 +152,13 @@ def test_eval_psi_out_of_domain(capsys):
                              "--lower", "0.6,0.6", "--z", "1.5", "--q", "0.5")
     assert code == 1
     assert "DomainError" in err
+
+
+def test_eval_psi_unequal_counts_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "psi", "--upper", "2,2", "--lower", "0.6",
+                             "--z", "0.5", "--q", "0.5")
+    assert code == 2
+    assert "usage error: psi series requires equal parameter counts" in err
 
 
 def test_eval_requires_q_for_psi(capsys):

@@ -340,6 +340,8 @@ def test_principal_sqrt(ctx30):
             assert abs(principal_sqrt(a) ** 2 - a) <= abs(a) * mpf(10) ** -38
 
 
-def test_psi_requires_balanced_counts(qc_half):
-    with pytest.raises(DomainError):
-        split_psi(QSeriesSpec((mpf(2),), (mpf("0.5"), mpf("0.5")), mpf("0.5"), "psi"), qc_half)
+def test_psi_requires_balanced_counts():
+    with pytest.raises(ValueError, match="equal parameter counts"):
+        QSeriesSpec((mpf(2),), (mpf("0.5"), mpf("0.5")), mpf("0.5"), "psi")
+    # a phi series takes any counts
+    QSeriesSpec((mpf(2),), (mpf("0.5"), mpf("0.5")), mpf("0.5"), "phi")
