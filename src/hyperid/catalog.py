@@ -12,10 +12,13 @@ by name plus `ctx`, and `_mp` turns it into the `(params, ctx)` callable an
 entry holds: it converts every parameter but the integer `n` with `to_mp`
 under `ctx.working()` and runs the side at working precision; q sides build
 their `QContext` from the converted q. Terminating entries at Fraction
-parameters are evaluated in exact Fraction arithmetic (zero error) through
-`_exact_or_float`, which looks `exact.<name>_sides` up on the `exact` module
-at each call, so a rebinding of that attribute is seen. Everything else runs
-at working precision with a pass rule of
+parameters are evaluated exactly (zero error) through `_exact_or_float`,
+which looks `exact.<name>_sides` up on the `exact` module at each call, so a
+rebinding of that attribute is seen. One sample's pair is evaluated once:
+the entry's lhs and rhs share a one-entry memo, keyed by that function and
+the parameters, that hands the pair the lhs computed to the rhs; complex
+samples, which take the float sides, leave it alone. Everything else runs at
+working precision with a pass rule of
 
     rel_err < max(10^(8-digits), 100 (err_lhs + err_rhs) / |rhs|).
 """
@@ -149,22 +152,33 @@ def _mp(side):
     return run
 
 
-def _exact_or_float(name, which, float_side=None):
-    """Side `which` (0 lhs, 1 rhs) of a terminating entry: that side of
+def _exact_or_float(name, float_lhs=None, float_rhs=None):
+    """The (lhs, rhs) of a terminating entry: each side of
     `exact.<name>_sides` with zero error when every parameter but n is a
-    Fraction (always, without a float side), else `float_side` via `_mp`."""
-    float_side = float_side and _mp(float_side)
+    Fraction (always, without float sides), else the float side via `_mp`.
+    The two share a one-entry memo keyed by the looked-up function and the
+    parameters, so the rhs reuses the pair the lhs computed; the float path
+    neither reads nor fills it."""
+    memo = [None, None]  # key and (lhs, rhs) of the last exact evaluation
 
-    def run(p, ctx):
-        if float_side and not all(isinstance(v, Fraction) for k, v in p.items() if k != "n"):
-            return float_side(p, ctx)
-        pair = getattr(exact, f"{name}_sides")(**p)
-        with ctx.working():
-            value = to_mp(pair[which])
-        terms = p["n"] + 1 if which == 0 else 0
-        return SeriesResult(value, mpf(0), terms, "terminating")
+    def side(which, float_side):
+        float_side = float_side and _mp(float_side)
 
-    return run
+        def run(p, ctx):
+            if float_side and not all(isinstance(v, Fraction) for k, v in p.items() if k != "n"):
+                return float_side(p, ctx)
+            sides = getattr(exact, f"{name}_sides")
+            key = (sides, dict(p))
+            if memo[0] != key:
+                memo[:] = key, sides(**p)
+            with ctx.working():
+                value = to_mp(memo[1][which])
+            terms = p["n"] + 1 if which == 0 else 0
+            return SeriesResult(value, mpf(0), terms, "terminating")
+
+        return run
+
+    return side(0, float_lhs), side(1, float_rhs)
 
 
 def _pfq(uppers, lowers, ctx) -> SeriesResult:
@@ -762,8 +776,7 @@ CATALOG = {c.id: c for c in (
         {"a": "complex", "b": "complex", "c": "complex", "n": "int 0..30"},
         ("c > 0", "c-a-b, c-a, c-b not in {0,-1,...,-(n-1)}"),
         _saalschuetz_sampler, _saalschuetz_check,
-        _exact_or_float("saalschuetz", 0, _saalschuetz_lhs),
-        _exact_or_float("saalschuetz", 1, _saalschuetz_rhs),
+        *_exact_or_float("saalschuetz", _saalschuetz_lhs, _saalschuetz_rhs),
     ),
     IdentityCase(
         "saalschuetz-nt",
@@ -815,8 +828,7 @@ CATALOG = {c.id: c for c in (
         {"a": "complex", "c": "complex", "d": "complex", "n": "int 0..20"},
         ("a+c, a+d not integers",),
         _b_neg_n_sampler, _b_neg_n_check,
-        _exact_or_float("phi_symmetric_terminating", 0, _b_neg_n_lhs),
-        _exact_or_float("phi_symmetric_terminating", 1, _b_neg_n_rhs),
+        *_exact_or_float("phi_symmetric_terminating", _b_neg_n_lhs, _b_neg_n_rhs),
     ),
     IdentityCase(
         "phi-as-3f2",
@@ -853,7 +865,7 @@ CATALOG = {c.id: c for c in (
         {**dict.fromkeys("abcd", "positive"), "q": "in (0.1,0.8)", "n": "int 0..15"},
         ("no lower parameter truncates before index n",),
         _jackson_sampler, _jackson_check,
-        _exact_or_float("jackson_8phi7", 0), _exact_or_float("jackson_8phi7", 1),
+        *_exact_or_float("jackson_8phi7"),
     ),
     IdentityCase(
         "jackson-nt",

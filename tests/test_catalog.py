@@ -398,7 +398,7 @@ def test_theta_prefactor_zero_excluded():
 
 def test_exact_sides_called_through_the_module(monkeypatch, ctx30):
     # tracers rebind these attributes of `exact`; the terminating entries
-    # must reach the exact layer through them on every call
+    # must reach the exact layer through them, once per sample
     calls = {}
     for name in ("saalschuetz_sides", "phi_symmetric_terminating_sides", "jackson_8phi7_sides"):
         def counting(*args, _name=name, _original=getattr(exact, name), **kwargs):
@@ -411,8 +411,35 @@ def test_exact_sides_called_through_the_module(monkeypatch, ctx30):
         assert all(isinstance(v, Fraction) for k, v in p.items() if k != "n")
         l, r = _sides(ident, p, ctx30)
         assert l.method == r.method == "terminating" and l.value == r.value
-    assert calls == {"saalschuetz_sides": 2, "phi_symmetric_terminating_sides": 2,
-                     "jackson_8phi7_sides": 2}
+    assert calls == {"saalschuetz_sides": 1, "phi_symmetric_terminating_sides": 1,
+                     "jackson_8phi7_sides": 1}
+
+
+def test_exact_memo_follows_the_sample_and_skips_the_float_path(monkeypatch, ctx30):
+    case = CATALOG["saalschuetz"]
+    pa, pb, pc = (sample_parameters(case, 0, i) for i in (0, 1, 9))
+    ra, rb = exact.saalschuetz_sides(**pa)[1], exact.saalschuetz_sides(**pb)[1]
+    assert ra != rb
+    case.lhs(pa, ctx30)
+    with ctx30.working():
+        assert case.rhs(pb, ctx30).value == to_mp(rb)
+    # a complex sample takes the float sides: no exact call, and the pair of
+    # the Fraction sample before it is still the one the memo holds
+    calls = []
+    original = exact.saalschuetz_sides
+
+    def counting(**p):
+        calls.append(p)
+        return original(**p)
+
+    monkeypatch.setattr(exact, "saalschuetz_sides", counting)
+    case.lhs(pa, ctx30)
+    assert not all(isinstance(v, Fraction) for k, v in pc.items() if k != "n")
+    l, r = _sides("saalschuetz", pc, ctx30)
+    assert isinstance(l.value, mpmath.mpc) and isinstance(r.value, mpmath.mpc)
+    with ctx30.working():
+        assert case.rhs(pa, ctx30).value == to_mp(ra)
+    assert calls == [pa]
 
 
 def test_negative_control_perturbed_rhs(ctx30):

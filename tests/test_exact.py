@@ -1,7 +1,10 @@
 from fractions import Fraction
 from itertools import islice
+from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from hyperid import exact
@@ -40,6 +43,10 @@ def test_qbracket_n():
     q = Fraction(1, 3)
     v = exact.qbracket_n([Fraction(1, 2)], [Fraction(1, 2)], q, 5)
     assert v == 1
+    with pytest.raises(ValueError):
+        exact.qbracket_n([Fraction(1, 2)], [Fraction(1, 2)], q, -1)
+    with pytest.raises(ValueError):
+        exact.bracket_n([Fraction(1, 2)], [Fraction(1, 2)], -1)
 
 
 def test_jackson_sides_equal_for_range_of_n():
@@ -69,3 +76,85 @@ def test_streams_keep_the_arithmetic_of_their_inputs():
         mp_terms += islice(exact.q_term_stream(ups, lows, z, q, 1), 8)
         for e, f in zip(exact_terms, mp_terms):
             assert abs(f - to_mp(e)) <= abs(f) * mpf(10) ** -38
+
+
+# The integer kernels of pfq_terminating, bracket_n, qbracket_n and
+# jackson_8phi7_sides against sums and products of the Fraction streams and
+# Pochhammer symbols: equal values, or the same exception and message.
+
+_RAT = st.one_of(st.integers(-8, 8), st.fractions(-8, 8, max_denominator=8)).map(Fraction)
+_NONZERO = _RAT.filter(bool)
+_Q = st.fractions(-2, 2, max_denominator=8).filter(bool)
+_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:  # the exception itself is compared
+        return type(e), str(e)
+
+
+def _bracket_reference(numers, denoms, poch, message):
+    den = prod(poch(y) for y in denoms)
+    if den == 0:
+        raise DivisionByZero(message)
+    return prod(poch(x) for x in numers) / den
+
+
+def _jackson_reference(a, b, c, d, q, n):
+    if a == 1 and n >= 1:
+        raise DivisionByZero("exact 8phi7 very-well-poised factor needs a != 1")
+    big_a = q ** (1 + n) * a**2 / (b * c * d)
+    low_b = b * c * d / (a * q**n)
+    low_c = q ** (1 + n) * a
+    terms = exact.q_term_stream(
+        [a, b, c, d, big_a, q**-n], [q * a / b, q * a / c, q * a / d, low_b, low_c],
+        q, q, 0, max_k=n,
+    )
+    lhs = next(terms) + sum(t * (1 - a * q ** (2 * k)) / (1 - a) for k, t in enumerate(terms, 1))
+    rhs = _bracket_reference(
+        [q * a, q * a / (b * c), q * a / (b * d), q * a / (c * d)],
+        [q * a / b, q * a / c, q * a / d, q * a / (b * c * d)],
+        lambda x: exact.qpoch(x, q, n), "exact q-bracket denominator vanishes",
+    )
+    return lhs, rhs
+
+
+@_SETTINGS
+@given(st.lists(_RAT, max_size=3), st.lists(_RAT, max_size=3), _RAT, st.integers(0, 30))
+@example([Fraction(1, 2), Fraction(-3)], [Fraction(-4)], Fraction(1), 8)  # pole at k = 4
+@example([Fraction(1)], [Fraction(0)], Fraction(1), 3)  # pole at k = 0
+@example([Fraction(-5, 2), Fraction(-7)], [Fraction(-9, 4)], Fraction(-3, 8), 30)
+def test_pfq_terminating_matches_the_term_stream(ups, lows, z, n):
+    reference = _outcome(lambda: sum(exact.term_stream(ups, lows, z, max_k=n)))
+    assert _outcome(exact.pfq_terminating, ups, lows, z, n) == reference
+
+
+@_SETTINGS
+@given(st.lists(_RAT, max_size=4), st.lists(_RAT, max_size=4), st.integers(0, 30))
+@example([Fraction(5, 2)], [Fraction(-3, 1), Fraction(1, 2)], 6)  # (-3)_6 = 0
+def test_bracket_n_matches_rising(numers, denoms, n):
+    reference = _outcome(_bracket_reference, numers, denoms, lambda x: exact.rising(x, n),
+                         "exact product side vanishes in the denominator")
+    assert _outcome(exact.bracket_n, numers, denoms, n) == reference
+
+
+@_SETTINGS
+@given(st.data(), _Q, st.integers(0, 30))
+def test_qbracket_n_matches_qpoch(data, q, n):
+    # y = q^-i makes (y;q)_n vanish for n > i
+    params = st.lists(st.one_of(_RAT, st.integers(0, 30).map(lambda i: q**-i)), max_size=4)
+    numers, denoms = data.draw(params), data.draw(params)
+    reference = _outcome(_bracket_reference, numers, denoms, lambda x: exact.qpoch(x, q, n),
+                         "exact q-bracket denominator vanishes")
+    assert _outcome(exact.qbracket_n, numers, denoms, q, n) == reference
+
+
+@_SETTINGS
+@given(st.data(), _Q, _NONZERO, _NONZERO, _NONZERO, st.integers(0, 30))
+def test_jackson_8phi7_sides_match_the_q_term_stream(data, q, b, c, d, n):
+    # a = q^-2j puts a zero on the very-well-poised weight of term j (a = 1 at j = 0)
+    a = data.draw(st.one_of(_NONZERO, st.integers(0, 4).map(lambda j: q ** (-2 * j))))
+    reference = _outcome(_jackson_reference, a, b, c, d, q, n)
+    assert _outcome(exact.jackson_8phi7_sides, a, b, c, d, q, n) == reference
