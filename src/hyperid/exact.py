@@ -218,6 +218,8 @@ def jackson_8phi7_sides(a, b, c, d, q, n: int):
     that vanishes (a = q^-2k) stays a weight, never a ratio's denominator.
     """
     a, b, c, d, q = (Fraction(v) for v in (a, b, c, d, q))
+    if a == 0 or b * c * d == 0:
+        raise DivisionByZero("exact 8phi7 needs nonzero a, b, c and d")
     if a == 1 and n >= 1:
         raise DivisionByZero("exact 8phi7 very-well-poised factor needs a != 1")
     big_a = q ** (1 + n) * a**2 / (b * c * d)

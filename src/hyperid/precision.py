@@ -105,8 +105,9 @@ def format_value(value, digits: int) -> str:
     """Deterministic decimal string at `digits` significant places."""
     v = realify(to_mp(value))
     if isinstance(v, mpc):
-        re = mpmath.nstr(v.real, digits)
-        im = mpmath.nstr(abs(v.imag), digits)
-        sign = "-" if v.imag < 0 else "+"
-        return f"{re} {sign} {im}j"
+        # abs() and unary minus would round the imaginary part to the
+        # ambient precision; the sign comes off its string instead
+        im = mpmath.nstr(v.imag, digits)
+        sign, im = ("-", im[1:]) if im.startswith("-") else ("+", im)
+        return f"{mpmath.nstr(v.real, digits)} {sign} {im}j"
     return mpmath.nstr(v, digits)

@@ -12,9 +12,12 @@ whose sign and q-binomial factors cancel identically against the series'
 own, leaving a plain geometric-type sum in w = prod(lowers)/(prod(uppers) z).
 Both tails must converge: |z| < 1 (or termination) and |w| < 1.
 
-A nonterminating phi series takes the classical engine's direct route,
-`series.sum_direct`, with its geometric tail bound and its passes at raised
-precision against cancellation (an exactly zero sum raises CancellationError).
+Every phi series takes the classical engine's direct route,
+`series.sum_direct`, with its passes at raised precision against
+cancellation. A terminating one adds all its terms and has no tail; an
+exactly zero total comes back with an absolute error. A nonterminating one
+gets a geometric tail bound, and an exactly zero sum raises
+CancellationError.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ from mpmath.libmp import (
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .exact import q_term_stream, qpoch
 from .precision import INF, PrecisionContext, to_mp
-from .series import SeriesResult, join_halves, mp_parameters, reflected_factors
-from .series import sum_direct, sum_terminating
+from .series import SeriesResult, join_halves, mp_parameters, reflected_factors, sum_direct
 
 
 @dataclass(frozen=True)
@@ -217,11 +219,11 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
     """Sum a phi- or psi-type basic hypergeometric series."""
     ctx = qc.ctx
     with ctx.working():
-        q = to_mp(qc.q)
         z = to_mp(spec.argument)
         if spec.kind == "phi":
             extra = len(spec.lowers) - (len(spec.uppers) - 1)
             n = spec.terminating_index
+            floor = None  # a finite stream has no tail
             if n is None:
                 if extra < 0:
                     raise DomainError(
@@ -229,12 +231,10 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
                     )
                 if extra == 0 and not abs(z) < 1:
                     raise DomainError("phi series requires |z| < 1 or termination")
-            if n is not None:
-                return sum_terminating(q_term_stream(*mp_parameters(spec), q, extra, max_k=n), ctx)
-            # a balanced series' term ratio tends to z, any other's to 0
-            floor = abs(z) if extra == 0 else mpf(0)
-            return sum_direct(lambda: q_term_stream(*mp_parameters(spec), to_mp(qc.q), extra),
-                              ctx, floor)
+                # a balanced series' term ratio tends to z, any other's to 0
+                floor = abs(z) if extra == 0 else mpf(0)
+            return sum_direct(
+                lambda: q_term_stream(*mp_parameters(spec), to_mp(qc.q), extra, max_k=n), ctx, floor)
         # psi
         plus, pref, minus = split_psi(spec, qc)
         w = to_mp(minus.argument) if minus is not None else None

@@ -7,7 +7,8 @@ one multiply/divide per parameter per term, never by recomputing Pochhammer
 products.
 
 Routes, chosen by convergence class:
-  terminating  exact finite sum (an upper parameter is a nonpositive integer)
+  terminating  direct summation of every term of the finite stream (an
+               upper parameter is a nonpositive integer), with no tail
   geometric    direct summation with a geometric tail bound: every z when
                there are no more uppers than lowers, |z| < 1 with one upper
                more than lowers; summed again at raised precision while its
@@ -20,9 +21,11 @@ Bilateral sums are split at k = 0; the negative tail becomes a unilateral
 series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
-(the loop that stops after three small terms), `sum_terminating`, the
-direct route `sum_direct` with its geometric tail bound and its precision
-passes against cancellation, the conversion of a spec's parameters
+(the one loop that adds terms: to a stream's end, to a limit or to three
+small terms in a row, resumable where an earlier call stopped), the direct
+route `sum_direct` (the one pass driver, for finite and infinite streams)
+with its geometric tail bound and its precision passes against
+cancellation, the conversion of a spec's parameters
 `mp_parameters`, the reflected prefactor of a split's negative tail
 `reflected_factors` and the bilateral recombination `join_halves`, whose
 method ranking `combined_method` also labels the catalog's sums of sides.
@@ -174,61 +177,56 @@ def _lower_pole_check(uppers, lowers, term_n):
             )
 
 
-def partial_sum(terms, ctx: PrecisionContext, limit: int):
-    """Add terms until three in a row fall below eps*|total|, or until
-    `limit` terms are used; the iterator is left after the last term used.
+def partial_sum(terms, stop_eps, limit: int, start=None):
+    """Add terms until three in a row fall below stop_eps*|total|, until
+    `limit` terms are used, or until the stream ends; the iterator is left
+    after the last term used. stop_eps = 0 turns the small-term rule off,
+    so that a finite stream adds every term. `start` resumes the
+    (total, peak, used, last, prev) of an earlier call on the same iterator.
 
     Returns (total, peak |term|, terms used, last term, the term before it
-    or None, and whether the small-term rule stopped the sum).
+    or None, and whether the sum stopped before the limit; the limit wins a
+    tie with the stream's end).
     """
-    stop_eps = ctx.eps()
-    total = peak = mpf(0)
-    last = prev = None
-    used = small_run = 0
+    total, peak, used, last, prev = start or (mpf(0), mpf(0), 0, None, None)
+    small_run = 0
     for t in terms:
         total = total + t
-        peak = max(peak, abs(t))
+        mag = abs(t)
+        peak = max(peak, mag)
         used += 1
         prev, last = last, t
-        scale = abs(total) if total != 0 else mpf(1)
-        if abs(t) < stop_eps * scale:
+        if stop_eps and mag < stop_eps * (abs(total) or 1):
             small_run += 1
             if small_run >= 3:
                 return total, peak, used, last, prev, True
         else:
             small_run = 0
         if used >= limit:
-            break
-    return total, peak, used, last, prev, False
-
-
-def sum_terminating(terms, ctx: PrecisionContext) -> SeriesResult:
-    """Sum a finite term stream; the error is the rounding of its additions."""
-    total = peak = mpf(0)
-    used = 0
-    for t in terms:
-        total = total + t
-        peak = max(peak, abs(t))
-        used += 1
-    return SeriesResult(total, peak * ctx.eps() * (used + 1), used, "terminating")
+            return total, peak, used, last, prev, False
+    return total, peak, used, last, prev, True
 
 
 def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
-    """Sum a convergent series directly, up to ctx.max_terms terms a pass.
+    """Sum a series directly, up to ctx.max_terms terms a pass.
 
     `stream` builds the term stream at the ambient precision; each pass
-    calls it once. The tail after the last term is bounded geometrically
-    with the ratio rho = max(floor, |last/prev|), or floor after a zero term
-    (every later term is zero then); rho >= 1 raises BudgetExceeded.
-    Callers pass floor = |z| for a balanced series, whose term ratio tends
-    to z, and 0 for one whose ratio tends to 0.
+    calls it once. floor = None marks a finite stream: it adds every term,
+    has no tail and keeps the method "terminating". Otherwise the tail
+    after the last term is bounded geometrically with the ratio
+    rho = max(floor, |last/prev|), or floor after a zero term (every later
+    term is zero then); rho >= 1 raises BudgetExceeded. Callers pass
+    floor = |z| for a balanced series, whose term ratio tends to z, and 0
+    for one whose ratio tends to 0.
 
     Cancellation costs a pass log10(peak |term| / |total|) digits. While
     that is more than the digits the pass kept beyond ctx.digits, another
     pass runs with those digits added, or at three times the precision when
     the total lies within its own rounding error (not one digit survived,
-    so the loss is known only to exceed the pass's digits). A pass beyond
-    _CANCELLATION_CEILING times the working precision raises
+    so the loss is known only to exceed the pass's digits). A finite sum
+    still within its rounding at raised precision may be exactly 0, so it
+    returns that total with the rounding as its absolute error. Any other
+    pass beyond _CANCELLATION_CEILING times the working precision raises
     CancellationError instead. A value summed at raised precision is rounded
     back to the working precision, and that rounding joins err_estimate.
     """
@@ -236,20 +234,24 @@ def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
     while True:
         pass_ctx = replace(ctx, digits=ctx.digits + dps - ctx.dps)
         with pass_ctx.working():
-            total, peak, used, last, prev, settled = partial_sum(stream(), pass_ctx, ctx.max_terms)
+            total, peak, used, last, prev, settled = partial_sum(
+                stream(), 0 if floor is None else pass_ctx.eps(), ctx.max_terms)
             if not settled:
                 raise BudgetExceeded(f"direct summation needs more than {ctx.max_terms} terms")
-            rho = max(floor, abs(last) / abs(prev)) if last != 0 else floor
-            if rho >= 1:
-                raise BudgetExceeded(
-                    f"direct summation tail ratio {mpmath.nstr(rho, 5)} is not below 1")
-            rounding = peak * pass_ctx.eps() * used
-            err = abs(last) * rho / (1 - rho) + rounding
+            err = rounding = peak * pass_ctx.eps() * used
+            if floor is not None:
+                rho = max(floor, abs(last) / abs(prev)) if last != 0 else floor
+                if rho >= 1:
+                    raise BudgetExceeded(
+                        f"direct summation tail ratio {mpmath.nstr(rho, 5)} is not below 1")
+                err += abs(last) * rho / (1 - rho)
             lost = None
             if abs(total) > rounding:
                 lost = int(mpmath.ceil(mpmath.log10(peak / abs(total))))
                 if lost <= dps - ctx.digits:
                     break
+            elif floor is None and dps > ctx.dps:
+                break
         raised = 3 * dps if lost is None else dps + lost
         if raised > _CANCELLATION_CEILING * ctx.dps:
             raise CancellationError(
@@ -257,11 +259,12 @@ def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
                 f"working digits to cancellation; {raised} digits would pass the ceiling "
                 f"of {_CANCELLATION_CEILING * ctx.dps}")
         dps = raised
+    method = "direct" if floor is not None else "terminating"
     if dps == ctx.dps:
-        return SeriesResult(total, err, used, "direct")
+        return SeriesResult(total, err, used, method)
     with ctx.working():
         value = +total
-        return SeriesResult(value, err + abs(value) * ctx.eps(), used, "direct")
+        return SeriesResult(value, err + abs(value) * ctx.eps(), used, method)
 
 
 def combined_method(*methods) -> str:
@@ -284,7 +287,8 @@ def join_halves(plus: SeriesResult, pref, minus) -> SeriesResult:
 
 def _sum_algebraic(uppers, lowers, z, ctx, s):
     gen = term_stream(uppers, lowers, z)
-    total, peak, used, last, _, settled = partial_sum(gen, ctx, 48)
+    probe = partial_sum(gen, ctx.eps(), 48)
+    total, peak, used, last, _, settled = probe
     # unsettled after the probe: sum on to the term count that the tail
     # bound needs (a zero term leaves no tail at all)
     if not settled and last != 0:
@@ -295,19 +299,11 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
         # the direct route is only worth it while it stays cheap; slowly
         # decaying series (small exponents) go to the accelerator, which
         # regenerates the terms at its boosted precision
-        if k_needed > min(ctx.max_terms, _DIRECT_CAP):
+        if k_needed >= min(ctx.max_terms, _DIRECT_CAP):
             value, err, used = levin_core(term_stream(uppers, lowers, z), ctx)
             return SeriesResult(value, err, used, "levin")
         k_stop = max(used + 1, int(k_needed) + 1)
-        for t in gen:
-            total = total + t
-            peak = max(peak, abs(t))
-            used += 1
-            last = t
-            if used >= k_stop:
-                break
-            if used >= ctx.max_terms:
-                raise BudgetExceeded(f"algebraic summation needs more than {ctx.max_terms} terms")
+        total, peak, used, last, _, _ = partial_sum(gen, 0, k_stop, probe[:5])
     err = tail_bound_algebraic(used, s, abs(last)) + peak * ctx.eps() * used
     return SeriesResult(total, err, used, "direct+tail")
 
@@ -321,11 +317,9 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
         if cls.tag == "divergent":
             raise DivergentError("series diverges at the given argument")
         ups, lows, z = mp_parameters(spec)
-        _lower_pole_check(ups, lows, cls.n if cls.tag == "terminating" else None)
-        if cls.tag == "terminating":
-            return sum_terminating(term_stream(ups, lows, z, max_k=cls.n), ctx)
-        if cls.tag == "geometric":
-            return sum_direct(lambda: term_stream(*mp_parameters(spec)), ctx, cls.ratio)
+        _lower_pole_check(ups, lows, cls.n)
+        if cls.tag != "algebraic":  # terminating (n, no floor) or geometric
+            return sum_direct(lambda: term_stream(*mp_parameters(spec), max_k=cls.n), ctx, cls.ratio)
         return _sum_algebraic(ups, lows, z, ctx, cls.exponent)
 
 

@@ -2,13 +2,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
+import pytest
 from mpmath import mp, mpf
 
 from hyperid import exact
 from hyperid.catalog import CATALOG, phi_sum, phi_via_3f2, tolerance_rule
 from hyperid.gammafn import gamma_ratio
 from hyperid.harness import sample_parameters, verify_one
-from hyperid.precision import INF, to_mp
+from hyperid.precision import INF, PrecisionContext, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from hyperid.series import SeriesResult, SeriesSpec, sum_unilateral
 
@@ -52,6 +53,35 @@ def test_saalschuetz_complex_route(ctx30):
     p = {"a": complex(0.5, 0.25), "b": complex(1.25, -0.5), "c": Fraction(7, 4), "n": 9}
     l, r = _sides("saalschuetz", p, ctx30)
     _assert_close(l, r, ctx30, -30)
+
+
+_FLOAT_3F2 = {
+    "saalschuetz": lambda a, b, c, n: ([a, b, -n], [c, 1 + a + b - c - n]),
+    "theorem-1-b-neg-n": lambda a, c, d, n: ([a, a + c + d - 1 - n, -n], [a + c - n, a + d - n]),
+}
+
+
+@pytest.mark.parametrize("ident, seed, index, digits", [
+    ("saalschuetz", 3, 9, 30),  # terms cancel by 12 digits
+    # c or d = 1 zeroes the rhs factor (1-c)_n (1-d)_n: the lhs sums to 0
+    ("theorem-1-b-neg-n", 1, 1159, 30),
+    ("theorem-1-b-neg-n", 1, 1159, 60),
+    ("theorem-1-b-neg-n", 1, 369, 60),
+])
+def test_cancelling_complex_terminating_samples(ident, seed, index, digits):
+    # the float lhs against mpmath at twice the working precision: right to
+    # every reported digit, or within its absolute error when the value is 0
+    case = CATALOG[ident]
+    p = sample_parameters(case, seed, index)
+    ctx = PrecisionContext(digits=digits)
+    assert verify_one(case, p, ctx, index=index).passed
+    lhs = case.lhs(p, ctx)
+    assert lhs.method == "terminating"
+    with mp.workdps(2 * ctx.dps):
+        ups, lows = _FLOAT_3F2[ident](**{k: v if k == "n" else to_mp(v) for k, v in p.items()})
+        oracle = mpmath.hyper(ups, lows, 1)
+        bound = lhs.err_estimate if oracle == 0 else mpf(10) ** -digits * abs(oracle)
+        assert abs(lhs.value - oracle) <= bound
 
 
 def test_saalschuetz_nt_point(ctx30):

@@ -41,12 +41,14 @@ def test_parse_scalar():
 
 
 def test_eval_pfq_complex_literal_with_exponent(capsys):
-    code, out, _ = run_cli(capsys, "eval", "pfq", "--upper", "1", "--lower", "",
-                           "--z", "1e-5+2e-1i")
-    assert code == 0
     # 1/(1 - z), whose real part would differ from the 21st digit on had
-    # 1e-5 been read as a double
-    assert out.startswith("value: 0.961547337356338839462649393309 + ")
+    # 1e-5 been read as a double, and whose imaginary part would end in
+    # ...173630496385044353 had it been printed rounded to 53 bits
+    for z, sign in (("1e-5+2e-1i", "+"), ("1e-5-2e-1i", "-")):
+        code, out, _ = run_cli(capsys, "eval", "pfq", "--upper", "1", "--lower", "", "--z", z)
+        assert code == 0
+        assert out.startswith("value: 0.961547337356338839462649393309 "
+                              f"{sign} 0.192311390585173619628726165924j\n")
 
 
 def test_eval_pfq_telescoping(capsys):

@@ -64,6 +64,14 @@ def test_jackson_sides_at_a_equal_one():
         exact.jackson_8phi7_sides(Fraction(1), b, c, d, q, 1)
 
 
+def test_jackson_sides_reject_zero_parameters():
+    # a = 0 or b c d = 0 zeroes a denominator of the parameter set-up
+    b, c, d, q, n = Fraction(9, 4), Fraction(43, 2), Fraction(60), Fraction(-4, 5), 12
+    for args in ((0, b, c, d), (b, 0, c, d), (b, c, 0, d), (b, c, d, 0)):
+        with pytest.raises(DivisionByZero, match="nonzero a, b, c and d"):
+            exact.jackson_8phi7_sides(*args, q, n)
+
+
 def test_streams_keep_the_arithmetic_of_their_inputs():
     ups, lows = [Fraction(1, 2), Fraction(3, 4)], [Fraction(5, 4)]
     z, q = Fraction(1, 3), Fraction(1, 2)

@@ -108,6 +108,15 @@ def test_sum_terminating_value(ctx30):
         assert abs(res.value - mpf(6) / 5) < mpf(10) ** -35
     assert res.method == "terminating"
     assert res.err_estimate <= abs(res.value) * mpf(10) ** -30
+    # 6F1(-2+2^-130, 1, 1, 1, 1, -30; 1; 10^-3): terms 3 to 5 carry the factor
+    # 2^-130, then (k!)^2 lifts them back; the small-term rule would stop
+    # after 6 terms, 2.7e-4 off
+    ups = (Fraction(-2) + Fraction(1, 2**130), 1, 1, 1, 1, -30)
+    res = sum_unilateral(SeriesSpec(ups, (1,), Fraction(1, 1000)), ctx30)
+    assert res.method == "terminating" and res.terms_used == 31
+    with mp.workdps(2 * ctx30.dps):
+        exact = mpmath.hyper([to_mp(a) for a in ups], [1], mpf(1) / 1000)
+        assert abs(res.value - exact) <= abs(exact) * mpf(10) ** -30
 
 
 def test_sum_z_zero(ctx30):
@@ -147,17 +156,25 @@ def test_partial_sum_contract(ctx30):
         tiny = mpf(10) ** -50
         # a big term resets the run; the sum stops on the third small term
         terms = iter([mpf(1), tiny, tiny, mpf(-5), tiny, 2 * tiny, 3 * tiny, mpf(9)])
-        total, peak, used, last, prev, settled = partial_sum(terms, ctx30, 100)
+        total, peak, used, last, prev, settled = partial_sum(terms, ctx30.eps(), 100)
         assert settled and used == 7
         assert (last, prev) == (3 * tiny, 2 * tiny)
         assert peak == 5 and total == mpf(-4) + 8 * tiny
         assert next(terms) == 9
         # the limit stops an unsettled sum and leaves the stream after it
         terms = iter([mpf(k) for k in range(1, 100)])
-        total, peak, used, last, prev, settled = partial_sum(terms, ctx30, 10)
+        total, peak, used, last, prev, settled = partial_sum(terms, ctx30.eps(), 10)
         assert not settled and used == 10
         assert (total, peak, last, prev) == (55, 10, 10, 9)
         assert next(terms) == 11
+        # resumed state: the iterator sums on from the earlier total (11 was
+        # taken above), and the limit counts the earlier terms too
+        state = partial_sum(terms, ctx30.eps(), 13, (total, peak, used, last, prev))
+        assert state == (55 + 12 + 13 + 14, 14, 13, 14, 13, False)
+        assert next(terms) == 15
+        # the stream's end settles the sum; stop_eps = 0 adds every small term
+        terms = iter([mpf(1), tiny, tiny, tiny, mpf(2)])
+        assert partial_sum(terms, 0, 100) == (3 + 3 * tiny, 2, 5, 2, tiny, True)
 
 
 def _cancelling_stream(loss):
