@@ -15,8 +15,7 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpc, mpf
 
-from .errors import IndeterminateError, PoleError
-from .exact import rising
+from .errors import DivisionByZero, DomainError, IndeterminateError, PoleError
 from .precision import PrecisionContext, nonpositive_int, to_mp
 
 
@@ -42,14 +41,27 @@ def log_gamma(z, ctx: PrecisionContext):
 
 
 def pochhammer(x, n: int, ctx: PrecisionContext):
-    """Shifted factorial (x)_n for any integer n.
+    """Shifted factorial (x)_n for an int n; any other n raises DomainError.
 
     (x)_0 = 1; for n > 0 the rising product x (x+1) ... (x+n-1); for n < 0
-    the reciprocal falling product 1 / ((x-1)(x-2)...(x+n)). Exact when x is
-    exactly representable.
+    the reciprocal falling product 1 / ((x-1)(x-2)...(x+n)), which raises
+    DivisionByZero at a zero factor. Exact when x is exactly representable.
     """
+    if not isinstance(n, int):
+        raise DomainError(f"(x)_n needs an integer n, not {n!r}")
     with ctx.working():
-        return rising(to_mp(x), n)
+        x = to_mp(x)
+        prod = mpc(1) if isinstance(x, mpc) else mpf(1)
+        if n >= 0:
+            for i in range(n):
+                prod = prod * (x + i)
+            return prod
+        for j in range(1, -n + 1):
+            factor = x - j
+            if factor == 0:
+                raise DivisionByZero(f"(x)_n with n={n} hits zero factor at x-{j}")
+            prod = prod * factor
+        return 1 / prod
 
 
 def _real_log_abs_gamma(x):

@@ -12,7 +12,10 @@ whose sign and q-binomial factors cancel identically against the series'
 own, leaving a plain geometric-type sum in w = prod(lowers)/(prod(uppers) z).
 Both tails must converge: |z| < 1 (or termination) and |w| < 1.
 
-Every phi series takes the classical engine's direct route,
+Terms come from the running term ratio (`q_ratio_terms`), on raw libmp
+values with the classical engine's operator tables, so they carry the bits
+of the same recurrence written with mp numbers. Every phi series takes the
+classical engine's direct route,
 `series.sum_direct`, with its passes at raised precision against
 cancellation. A terminating one adds all its terms and has no tail; an
 exactly zero total comes back with an absolute error. A nonterminating one
@@ -28,23 +31,15 @@ from typing import Optional
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fone,
-    fzero,
-    mpc_abs,
-    mpc_mul,
-    mpc_mul_mpf,
-    mpc_sub,
-    mpf_abs,
-    mpf_cmp,
-    mpf_mul,
-    mpf_sub,
-    round_nearest,
+    fone, fzero, mpc_abs, mpc_mul, mpc_mul_mpf, mpc_neg, mpc_pow_int, mpc_sub, mpf_abs, mpf_cmp,
+    mpf_mul, mpf_neg, mpf_pow_int, mpf_sub, round_nearest,
 )
 
-from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
-from .exact import q_term_stream, qpoch
+from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError, LowerPoleError
 from .precision import INF, PrecisionContext, to_mp
-from .series import SeriesResult, join_halves, mp_parameters, reflected_factors, sum_direct
+from .series import (
+    DIV, MUL, SeriesResult, join_halves, mp_parameters, raw, reflected_factors, sum_direct,
+)
 
 
 @dataclass(frozen=True)
@@ -90,12 +85,13 @@ def principal_sqrt(a):
 
 
 def q_pochhammer(x, qc: QContext, n):
-    """(x;q)_n for integer n or INF.
+    """(x;q)_n for an int n or INF; any other n raises DomainError.
 
     n >= 0: finite product prod_{i<n} (1 - x q^i). n = INF: the infinite
     product, truncated once |x q^i| drops below working epsilon, with a
     first-order tail correction exp(-x q^N / (1-q)). n < 0: the divisor form
-    (x;q)_{-m} = 1 / ((x q^-m; q)_m).
+    (x;q)_{-m} = 1 / ((x q^-m; q)_m), which raises DivisionByZero at a zero
+    factor.
 
     The infinite product's loop runs on raw libmp values, rounded to nearest
     at the working precision exactly as the mpf and mpc operators round, so
@@ -112,7 +108,17 @@ def q_pochhammer(x, qc: QContext, n):
             if xx == 0:
                 return mpf(1)
             return _infinite_product(xx, q, ctx)
-        return qpoch(xx, q, int(n))
+        if not isinstance(n, int):
+            raise DomainError(f"(x;q)_n needs an integer n or INF, not {n!r}")
+        prod = mpmath.mpc(1) if isinstance(xx, mpmath.mpc) else mpf(1)
+        xq = xx if n >= 0 else xx * q**n
+        for _ in range(abs(n)):
+            factor = 1 - xq
+            if n < 0 and factor == 0:
+                raise DivisionByZero(f"(x;q)_{n} hits a zero factor")
+            prod = prod * factor
+            xq = xq * q
+        return prod if n >= 0 else 1 / prod
 
 
 def _infinite_product(x, q, ctx: PrecisionContext):
@@ -215,6 +221,65 @@ def split_psi(spec: QSeriesSpec, qc: QContext):
         return plus, pref, minus
 
 
+def q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
+    """Yield the phi-series terms t_0, t_1, ... as raw libmp values, from
+    t_0 = 1 (complex when z is) via t_{k+1} = t_k z prod(1 - a q^k)
+    (-q^k)^extra / ((1 - q^{k+1}) prod(1 - b q^k)), up to t_{max_k}.
+
+    Like `series.ratio_terms`, it reads its mp arguments and the ambient
+    precision when the first term is asked for, and its terms are those of
+    the recurrence written with mp operators: 1 - x is mpf_sub(1, x), or
+    mpc_sub((1, 0), x) for a complex x, and (-q^k)^extra is mpf_pow_int (or
+    mpc_pow_int) of the negated power.
+    """
+    prec, rnd = mp.prec, round_nearest
+    zc, zv = raw(z)
+    qc, qv = raw(q)
+
+    def factors(params, acc_c):
+        # (x, the routine of x q^k, 1 - x q^k, and of acc * (1 - x q^k))
+        plan = []
+        for x in params:
+            xc, xv = raw(x)
+            fc = xc or qc
+            sub, one = (mpc_sub, (fone, fzero)) if fc else (mpf_sub, fone)
+            plan.append((xv, MUL[xc][qc], sub, one, MUL[acc_c][fc]))
+            acc_c = acc_c or fc
+        return plan, acc_c
+
+    ups, num_c = factors(uppers, zc)
+    lows, den_c = factors(lowers, qc)
+    qmul = MUL[qc][qc]
+    sub1, one1 = (mpc_sub, (fone, fzero)) if qc else (mpf_sub, fone)
+    # the balancing factor (-q^k)^extra joins the numerator last
+    neg, power = (mpc_neg, mpc_pow_int) if qc else (mpf_neg, mpf_pow_int)
+    xmul = MUL[num_c][qc]
+    if extra:
+        num_c = num_c or qc
+    zero = (fzero, fzero) if den_c else fzero
+    t, tc = (mpc_pow_int if zc else mpf_pow_int)(zv, 0, prec, rnd), zc
+    qk = (mpc_pow_int if qc else mpf_pow_int)(qv, 0, prec, rnd)
+    k = 0
+    while True:
+        yield t
+        if max_k is not None and k >= max_k:
+            return
+        num = zv
+        for xv, xq, sub, one, mul in ups:
+            num = mul(num, sub(one, xq(xv, qk, prec, rnd), prec, rnd), prec, rnd)
+        den = sub1(one1, qmul(qv, qk, prec, rnd), prec, rnd)
+        for xv, xq, sub, one, mul in lows:
+            den = mul(den, sub(one, xq(xv, qk, prec, rnd), prec, rnd), prec, rnd)
+        if den == zero:
+            raise LowerPoleError(f"q-series denominator vanishes at k = {k}")
+        if extra:
+            num = xmul(num, power(neg(qk, prec, rnd), extra, prec, rnd), prec, rnd)
+        t = DIV[tc or num_c][den_c](MUL[tc][num_c](t, num, prec, rnd), den, prec, rnd)
+        tc = tc or num_c or den_c
+        qk = qmul(qk, qv, prec, rnd)
+        k += 1
+
+
 def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
     """Sum a phi- or psi-type basic hypergeometric series."""
     ctx = qc.ctx
@@ -234,7 +299,7 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
                 # a balanced series' term ratio tends to z, any other's to 0
                 floor = abs(z) if extra == 0 else mpf(0)
             return sum_direct(
-                lambda: q_term_stream(*mp_parameters(spec), to_mp(qc.q), extra, max_k=n), ctx, floor)
+                lambda: q_ratio_terms(*mp_parameters(spec), to_mp(qc.q), extra, max_k=n), ctx, floor)
         # psi
         plus, pref, minus = split_psi(spec, qc)
         w = to_mp(minus.argument) if minus is not None else None

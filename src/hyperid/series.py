@@ -2,9 +2,8 @@
 
 A unilateral series here is sum_{k>=0} of prod (a_i)_k / (k! prod (b_j)_k)
 z^k; a bilateral series extends the sum over all integers k (with no k!).
-Terms are always generated by the running term ratio (`exact.term_stream`),
-one multiply/divide per parameter per term, never by recomputing Pochhammer
-products.
+Terms are always generated by the running term ratio (`ratio_terms`), one
+multiply per parameter per term, never by recomputing Pochhammer products.
 
 Routes, chosen by convergence class:
   terminating  direct summation of every term of the finite stream (an
@@ -19,6 +18,14 @@ Routes, chosen by convergence class:
                budget, otherwise the Levin u-transform
 Bilateral sums are split at k = 0; the negative tail becomes a unilateral
 series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
+
+The term streams of both engines (`ratio_terms` here, `qseries.q_ratio_terms`)
+and the loop that adds their terms run on raw libmp values: each step calls
+the libmp routine that the mp operator of the same recurrence would call
+(the tables `ADD`, `MUL` and `DIV` pick it by the operands' types), in the
+same order and rounded to nearest at the ambient precision, so every term
+and every total carries the bits of the loop written with mp numbers,
+without building an mp number per operation.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms: to a stream's end, to a limit or to three
@@ -40,7 +47,12 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import (
+    fzero, from_int, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_div_mpf, mpc_mpf_div, mpc_mul,
+    mpc_mul_int, mpc_mul_mpf, mpc_pow_int, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul,
+    mpf_mul_int, mpf_pow_int, round_nearest,
+)
 
 from .accel import levin_core
 from .errors import (
@@ -52,7 +64,6 @@ from .errors import (
     NotConvergent,
     PoleError,
 )
-from .exact import term_stream
 from .precision import PrecisionContext, nonpositive_int, to_mp
 
 
@@ -177,34 +188,126 @@ def _lower_pole_check(uppers, lowers, term_n):
             )
 
 
+def raw(x):
+    """(whether x is complex, its raw libmp value) for an mpf or mpc x."""
+    return (True, x._mpc_) if hasattr(x, "_mpc_") else (False, x._mpf_)
+
+
+def from_raw(v):
+    """The mp number of a raw libmp value: an mpc for a (re, im) pair."""
+    return mp.make_mpc(v) if len(v) == 2 else mp.make_mpf(v)
+
+
+def _swapped(f):
+    return lambda x, y, prec, rnd: f(y, x, prec, rnd)
+
+
+# The libmp routine that the mp operator x + y, x * y or x / y calls, by
+# [x is complex][y is complex]; each is called as f(x, y, prec, rnd).
+ADD = ((mpf_add, _swapped(mpc_add_mpf)), (mpc_add_mpf, mpc_add))
+MUL = ((mpf_mul, _swapped(mpc_mul_mpf)), (mpc_mul_mpf, mpc_mul))
+DIV = ((mpf_div, mpc_mpf_div), (mpc_div_mpf, mpc_div))
+
+
+def ratio_terms(uppers, lowers, z, max_k=None):
+    """Yield t_0, t_1, ... of sum_k prod (a)_k / (k! prod (b)_k) z^k as raw
+    libmp values, from t_0 = 1 (complex when z is) via
+    t_{k+1} = t_k z prod(a+k) / ((1+k) prod(b+k)), up to t_{max_k}.
+
+    The mp parameters are read when the first term is asked for, and the
+    stream runs at the ambient precision of that moment. Its terms are those
+    of the recurrence written with mp operators (see the module docstring).
+    """
+    prec, rnd = mp.prec, round_nearest
+    zc, zv = raw(z)
+    ups, num_c = [], zc
+    for a in uppers:
+        ac, av = raw(a)
+        ups.append((av, mpc_add_mpf if ac else mpf_add, MUL[num_c][ac]))
+        num_c = num_c or ac
+    lows, den_c = [], False
+    for b in lowers:
+        bc, bv = raw(b)
+        # the first lower factor multiplies the int k + 1
+        mul = MUL[den_c][bc] if lows else _swapped(mpc_mul_int if bc else mpf_mul_int)
+        lows.append((bv, mpc_add_mpf if bc else mpf_add, mul))
+        den_c = den_c or bc
+    zero = (fzero, fzero) if den_c else fzero
+    t, tc = (mpc_pow_int if zc else mpf_pow_int)(zv, 0, prec, rnd), zc
+    k = 0
+    while True:
+        yield t
+        if max_k is not None and k >= max_k:
+            return
+        kv = from_int(k)
+        num = zv
+        for av, add, mul in ups:
+            num = mul(num, add(av, kv, prec, rnd), prec, rnd)
+        if lows:
+            den = k + 1
+            for bv, add, mul in lows:
+                den = mul(den, add(bv, kv, prec, rnd), prec, rnd)
+            if den == zero:
+                raise LowerPoleError(f"denominator parameter reaches a pole at k = {k}")
+        else:
+            den = from_int(k + 1)
+        t = DIV[tc or num_c][den_c](MUL[tc][num_c](t, num, prec, rnd), den, prec, rnd)
+        tc = tc or num_c or den_c
+        k += 1
+
+
 def partial_sum(terms, stop_eps, limit: int, start=None):
     """Add terms until three in a row fall below stop_eps*|total|, until
     `limit` terms are used, or until the stream ends; the iterator is left
-    after the last term used. stop_eps = 0 turns the small-term rule off,
-    so that a finite stream adds every term. `start` resumes the
-    (total, peak, used, last, prev) of an earlier call on the same iterator.
+    after the last term used. stop_eps is an mpf, or 0 to turn the
+    small-term rule off, so that a finite stream adds every term. `start`
+    resumes the (total, peak, used, last, prev) of an earlier call on the
+    same iterator.
+
+    The terms are mp numbers or the raw libmp values that the term streams
+    yield. The sum runs on raw values, with the libmp routines of
+    total + t, abs(t), max(peak, |t|) and stop_eps * (|total| or 1) at the
+    ambient precision, so its bits are those of the same loop on mp numbers.
 
     Returns (total, peak |term|, terms used, last term, the term before it
     or None, and whether the sum stopped before the limit; the limit wins a
-    tie with the stream's end).
+    tie with the stream's end), as mp numbers.
     """
-    total, peak, used, last, prev = start or (mpf(0), mpf(0), 0, None, None)
+    prec, rnd = mp.prec, round_nearest
+    if start:
+        total, peak, used, last, prev = start
+        (tc, total), peak = raw(total), peak._mpf_
+        last, prev = (None if v is None else raw(v)[1] for v in (last, prev))
+    else:
+        tc, total, peak, used, last, prev = False, fzero, fzero, 0, None, None
+    eps = stop_eps._mpf_ if stop_eps else None
     small_run = 0
+    settled = True
     for t in terms:
-        total = total + t
-        mag = abs(t)
-        peak = max(peak, mag)
+        if type(t) is not tuple:
+            t = raw(t)[1]
+        c = len(t) == 2
+        total = ADD[tc][c](total, t, prec, rnd)
+        tc = tc or c
+        mag = (mpc_abs if c else mpf_abs)(t, prec, rnd)
+        if mpf_gt(mag, peak):
+            peak = mag
         used += 1
         prev, last = last, t
-        if stop_eps and mag < stop_eps * (abs(total) or 1):
-            small_run += 1
-            if small_run >= 3:
-                return total, peak, used, last, prev, True
-        else:
-            small_run = 0
+        if eps:
+            size = (mpc_abs if tc else mpf_abs)(total, prec, rnd)
+            bound = mpf_mul(eps, size, prec, rnd) if size != fzero else mpf_mul_int(eps, 1, prec, rnd)
+            if mpf_lt(mag, bound):
+                small_run += 1
+                if small_run >= 3:
+                    break
+            else:
+                small_run = 0
         if used >= limit:
-            return total, peak, used, last, prev, False
-    return total, peak, used, last, prev, True
+            settled = False
+            break
+    last, prev = (None if v is None else from_raw(v) for v in (last, prev))
+    return from_raw(total), mp.make_mpf(peak), used, last, prev, settled
 
 
 def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
@@ -286,7 +389,7 @@ def join_halves(plus: SeriesResult, pref, minus) -> SeriesResult:
 
 
 def _sum_algebraic(uppers, lowers, z, ctx, s):
-    gen = term_stream(uppers, lowers, z)
+    gen = ratio_terms(uppers, lowers, z)
     probe = partial_sum(gen, ctx.eps(), 48)
     total, peak, used, last, _, settled = probe
     # unsettled after the probe: sum on to the term count that the tail
@@ -300,7 +403,7 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
         # decaying series (small exponents) go to the accelerator, which
         # regenerates the terms at its boosted precision
         if k_needed >= min(ctx.max_terms, _DIRECT_CAP):
-            value, err, used = levin_core(term_stream(uppers, lowers, z), ctx)
+            value, err, used = levin_core(map(from_raw, ratio_terms(uppers, lowers, z)), ctx)
             return SeriesResult(value, err, used, "levin")
         k_stop = max(used + 1, int(k_needed) + 1)
         total, peak, used, last, _, _ = partial_sum(gen, 0, k_stop, probe[:5])
@@ -319,7 +422,7 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
         ups, lows, z = mp_parameters(spec)
         _lower_pole_check(ups, lows, cls.n)
         if cls.tag != "algebraic":  # terminating (n, no floor) or geometric
-            return sum_direct(lambda: term_stream(*mp_parameters(spec), max_k=cls.n), ctx, cls.ratio)
+            return sum_direct(lambda: ratio_terms(*mp_parameters(spec), max_k=cls.n), ctx, cls.ratio)
         return _sum_algebraic(ups, lows, z, ctx, cls.exponent)
 
 

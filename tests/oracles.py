@@ -1,8 +1,119 @@
-"""Independent low-precision oracles used by the tests.
+"""Independent oracles and reference recurrences used by the tests.
 
-Everything here runs in plain Python floats on purpose: the brute-force
-sums share no code with the extended-precision engines they check.
+The brute-force sums run in plain Python floats on purpose: they share no
+code with the extended-precision engines they check.
+
+The reference recurrences (`term_stream`, `q_term_stream`, `rising`, `qpoch`)
+start from the one of their input's type (``z ** 0``) and use only ring
+operations and division, so the same code runs in Fraction arithmetic, as
+the reference of the exact int kernels, and on mpf/mpc inputs, where it is
+the mp-operator loop whose bits the engines' raw libmp term streams must
+reproduce. `partial_sum` is the mp-operator form of `series.partial_sum`,
+the reference of its raw bookkeeping.
 """
+
+from mpmath import mpf
+
+from hyperid.errors import DivisionByZero, LowerPoleError
+
+
+def term_stream(uppers, lowers, z, max_k=None):
+    """Yield t_0, t_1, ... via t_{k+1} = t_k z prod(a+k) / ((1+k) prod(b+k))."""
+    t = z**0
+    k = 0
+    while True:
+        yield t
+        if max_k is not None and k >= max_k:
+            return
+        num = z
+        for a in uppers:
+            num = num * (a + k)
+        den = k + 1
+        for b in lowers:
+            den = den * (b + k)
+        if den == 0:
+            raise LowerPoleError(f"denominator parameter reaches a pole at k = {k}")
+        t = t * num / den
+        k += 1
+
+
+def q_term_stream(uppers, lowers, z, q, extra, max_k=None):
+    """Yield phi-series terms via the running ratio, including the balancing
+    factor {(-1) q^k}^extra per step."""
+    t = z**0
+    qk = q**0  # q^k
+    k = 0
+    while True:
+        yield t
+        if max_k is not None and k >= max_k:
+            return
+        num = z
+        for a in uppers:
+            num = num * (1 - a * qk)
+        den = 1 - q * qk
+        for b in lowers:
+            den = den * (1 - b * qk)
+        if den == 0:
+            raise LowerPoleError(f"q-series denominator vanishes at k = {k}")
+        if extra:
+            num = num * (-qk) ** extra
+        t = t * num / den
+        qk = qk * q
+        k += 1
+
+
+def rising(x, n: int):
+    """Shifted factorial (x)_n for any integer n.
+
+    (x)_0 = 1; for n > 0 the rising product x (x+1) ... (x+n-1); for n < 0
+    the reciprocal falling product 1 / ((x-1)(x-2)...(x+n)).
+    """
+    prod = x**0
+    if n >= 0:
+        for i in range(n):
+            prod = prod * (x + i)
+        return prod
+    for j in range(1, -n + 1):
+        factor = x - j
+        if factor == 0:
+            raise DivisionByZero(f"(x)_n with n={n} hits zero factor at x-{j}")
+        prod = prod * factor
+    return 1 / prod
+
+
+def qpoch(x, q, n: int):
+    """(x;q)_n for any integer n: prod_{i<n} (1 - x q^i) for n >= 0, and the
+    divisor form (x;q)_{-m} = 1 / ((x q^-m; q)_m) for n < 0."""
+    prod = x**0
+    xq = x if n >= 0 else x * q ** n
+    for _ in range(abs(n)):
+        factor = 1 - xq
+        if n < 0 and factor == 0:
+            raise DivisionByZero(f"(x;q)_{n} hits a zero factor")
+        prod = prod * factor
+        xq = xq * q
+    return prod if n >= 0 else 1 / prod
+
+
+def partial_sum(terms, stop_eps, limit, start=None):
+    """`series.partial_sum` written with mp operators on mp terms."""
+    total, peak, used, last, prev = start or (mpf(0), mpf(0), 0, None, None)
+    small_run = 0
+    for t in terms:
+        total = total + t
+        mag = abs(t)
+        peak = max(peak, mag)
+        used += 1
+        prev, last = last, t
+        if stop_eps and mag < stop_eps * (abs(total) or 1):
+            small_run += 1
+            if small_run >= 3:
+                return total, peak, used, last, prev, True
+        else:
+            small_run = 0
+        if used >= limit:
+            return total, peak, used, last, prev, False
+    return total, peak, used, last, prev, True
 
 
 def brute_bilateral_h(uppers, lowers, k_max, z=1.0):

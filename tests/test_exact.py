@@ -11,13 +11,15 @@ from hyperid import exact
 from hyperid.errors import DivisionByZero
 from hyperid.precision import to_mp
 
+from oracles import q_term_stream, qpoch, rising, term_stream
+
 
 def test_rising_values():
-    assert exact.rising(Fraction(1), 4) == 24
-    assert exact.rising(Fraction(3), -2) == Fraction(1, 2)
-    assert exact.rising(Fraction(5, 2), 0) == 1
+    assert rising(Fraction(1), 4) == 24
+    assert rising(Fraction(3), -2) == Fraction(1, 2)
+    assert rising(Fraction(5, 2), 0) == 1
     with pytest.raises(DivisionByZero):
-        exact.rising(Fraction(2), -3)
+        rising(Fraction(2), -3)
 
 
 def test_pfq_terminating_matches_hand_sum():
@@ -28,15 +30,15 @@ def test_pfq_terminating_matches_hand_sum():
 
 def test_qpoch_negative_and_zero():
     q = Fraction(1, 2)
-    assert exact.qpoch(Fraction(3, 4), q, 0) == 1
+    assert qpoch(Fraction(3, 4), q, 0) == 1
     # (x;q)_n (x q^n;q)_m == (x;q)_(n+m) across signs
     x = Fraction(-5, 4)
     for n, m in ((3, -2), (-3, 5), (-2, -2)):
-        lhs = exact.qpoch(x, q, n + m)
-        rhs = exact.qpoch(x, q, n) * exact.qpoch(x * q**n, q, m)
+        lhs = qpoch(x, q, n + m)
+        rhs = qpoch(x, q, n) * qpoch(x * q**n, q, m)
         assert lhs == rhs
     with pytest.raises(DivisionByZero):
-        exact.qpoch(Fraction(1, 4), q, -3)
+        qpoch(Fraction(1, 4), q, -3)
 
 
 def test_qbracket_n():
@@ -75,20 +77,21 @@ def test_jackson_sides_reject_zero_parameters():
 def test_streams_keep_the_arithmetic_of_their_inputs():
     ups, lows = [Fraction(1, 2), Fraction(3, 4)], [Fraction(5, 4)]
     z, q = Fraction(1, 3), Fraction(1, 2)
-    exact_terms = list(islice(exact.term_stream(ups, lows, z), 8))
-    exact_terms += islice(exact.q_term_stream(ups, lows, z, q, 1), 8)
+    exact_terms = list(islice(term_stream(ups, lows, z), 8))
+    exact_terms += islice(q_term_stream(ups, lows, z, q, 1), 8)
     assert all(type(t) is Fraction for t in exact_terms)
     with mp.workdps(40):
         ups, lows, z, q = [to_mp(u) for u in ups], [to_mp(b) for b in lows], to_mp(z), to_mp(q)
-        mp_terms = list(islice(exact.term_stream(ups, lows, z), 8))
-        mp_terms += islice(exact.q_term_stream(ups, lows, z, q, 1), 8)
+        mp_terms = list(islice(term_stream(ups, lows, z), 8))
+        mp_terms += islice(q_term_stream(ups, lows, z, q, 1), 8)
         for e, f in zip(exact_terms, mp_terms):
             assert abs(f - to_mp(e)) <= abs(f) * mpf(10) ** -38
 
 
 # The integer kernels of pfq_terminating, bracket_n, qbracket_n and
-# jackson_8phi7_sides against sums and products of the Fraction streams and
-# Pochhammer symbols: equal values, or the same exception and message.
+# jackson_8phi7_sides against sums and products of the Fraction reference
+# streams and Pochhammer symbols of `oracles`: equal values, or the same
+# exception and message.
 
 _RAT = st.one_of(st.integers(-8, 8), st.fractions(-8, 8, max_denominator=8)).map(Fraction)
 _NONZERO = _RAT.filter(bool)
@@ -116,7 +119,7 @@ def _jackson_reference(a, b, c, d, q, n):
     big_a = q ** (1 + n) * a**2 / (b * c * d)
     low_b = b * c * d / (a * q**n)
     low_c = q ** (1 + n) * a
-    terms = exact.q_term_stream(
+    terms = q_term_stream(
         [a, b, c, d, big_a, q**-n], [q * a / b, q * a / c, q * a / d, low_b, low_c],
         q, q, 0, max_k=n,
     )
@@ -124,7 +127,7 @@ def _jackson_reference(a, b, c, d, q, n):
     rhs = _bracket_reference(
         [q * a, q * a / (b * c), q * a / (b * d), q * a / (c * d)],
         [q * a / b, q * a / c, q * a / d, q * a / (b * c * d)],
-        lambda x: exact.qpoch(x, q, n), "exact q-bracket denominator vanishes",
+        lambda x: qpoch(x, q, n), "exact q-bracket denominator vanishes",
     )
     return lhs, rhs
 
@@ -135,7 +138,7 @@ def _jackson_reference(a, b, c, d, q, n):
 @example([Fraction(1)], [Fraction(0)], Fraction(1), 3)  # pole at k = 0
 @example([Fraction(-5, 2), Fraction(-7)], [Fraction(-9, 4)], Fraction(-3, 8), 30)
 def test_pfq_terminating_matches_the_term_stream(ups, lows, z, n):
-    reference = _outcome(lambda: sum(exact.term_stream(ups, lows, z, max_k=n)))
+    reference = _outcome(lambda: sum(term_stream(ups, lows, z, max_k=n)))
     assert _outcome(exact.pfq_terminating, ups, lows, z, n) == reference
 
 
@@ -143,7 +146,7 @@ def test_pfq_terminating_matches_the_term_stream(ups, lows, z, n):
 @given(st.lists(_RAT, max_size=4), st.lists(_RAT, max_size=4), st.integers(0, 30))
 @example([Fraction(5, 2)], [Fraction(-3, 1), Fraction(1, 2)], 6)  # (-3)_6 = 0
 def test_bracket_n_matches_rising(numers, denoms, n):
-    reference = _outcome(_bracket_reference, numers, denoms, lambda x: exact.rising(x, n),
+    reference = _outcome(_bracket_reference, numers, denoms, lambda x: rising(x, n),
                          "exact product side vanishes in the denominator")
     assert _outcome(exact.bracket_n, numers, denoms, n) == reference
 
@@ -154,7 +157,7 @@ def test_qbracket_n_matches_qpoch(data, q, n):
     # y = q^-i makes (y;q)_n vanish for n > i
     params = st.lists(st.one_of(_RAT, st.integers(0, 30).map(lambda i: q**-i)), max_size=4)
     numers, denoms = data.draw(params), data.draw(params)
-    reference = _outcome(_bracket_reference, numers, denoms, lambda x: exact.qpoch(x, q, n),
+    reference = _outcome(_bracket_reference, numers, denoms, lambda x: qpoch(x, q, n),
                          "exact q-bracket denominator vanishes")
     assert _outcome(exact.qbracket_n, numers, denoms, q, n) == reference
 

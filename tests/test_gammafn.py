@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from hyperid.errors import DivisionByZero, IndeterminateError, PoleError
+from hyperid.errors import DivisionByZero, DomainError, IndeterminateError, PoleError
 from hyperid.gammafn import gamma, gamma_ratio, log_gamma, pochhammer
 from hyperid.precision import PrecisionContext
 
@@ -61,6 +61,11 @@ def test_pochhammer_values(ctx30):
         assert pochhammer(3, -2, ctx30) == mpf(1) / 2
     with pytest.raises(DivisionByZero):
         pochhammer(2, -3, ctx30)
+
+
+def test_pochhammer_rejects_a_non_integer_index(ctx30):
+    with pytest.raises(DomainError, match="integer n"):
+        pochhammer(0.25, 2.5, ctx30)
 
 
 @settings(max_examples=40, deadline=None)

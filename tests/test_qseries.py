@@ -128,6 +128,15 @@ def test_qpoch_errors(ctx30):
         q_pochhammer(Fraction(1, 4), qc, -3)
 
 
+def test_qpoch_rejects_a_non_integer_index(ctx30):
+    # int(n) would give (0.25; 0.5)_2 = 0.65625 for n = 2.5, and a zero factor
+    # of (x;q)_-2 for n = -2.5
+    qc = QContext(0.5, ctx30)
+    for n in (2.5, -2.5):
+        with pytest.raises(DomainError, match="integer n or INF"):
+            q_pochhammer(0.25, qc, n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=-5, max_value=5),
