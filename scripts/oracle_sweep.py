@@ -10,7 +10,9 @@ off when it misses the oracle's by more than one unit in its last printed
 place. A side whose oracle is exactly 0 has no right digits to print; it is
 counted apart and is off when its printed modulus exceeds its err_estimate.
 Each run also gives the largest relative gap between the two oracles of a
-sample, which the identity says is 0.
+sample, which the identity says is 0, and for each id the smallest margin of
+the verdict: how many digits the sample's rel_err lies below the pass bound
+10^-digits (negative when a verdict failed).
 
 Run from the repository root; without options it sweeps every id at sample
 indices 0-19, seeds 0-3 at 30 digits and seeds 0-1 at 60 digits:
@@ -23,6 +25,7 @@ exits 1 when any side is off or failed.
 """
 
 import argparse
+import math
 import re
 import sys
 from fractions import Fraction
@@ -71,6 +74,7 @@ def sweep(digits, seeds, indices, ids):
     ctx = PrecisionContext(digits=digits)
     sides = hyper_sides = zero_sides = bad = 0
     worst, worst_at, gap, gap_at = mpf(0), None, mpf(0), None
+    margins = {}  # id -> (smallest margin in digits, seed, index, rel_err)
     for ident in ids:
         case = CATALOG[ident]
         for seed in seeds:
@@ -78,6 +82,10 @@ def sweep(digits, seeds, indices, ids):
                 params = sample_parameters(case, seed, index)
                 at = f"{ident} seed {seed} index {index}"
                 report = verify_one(case, params, ctx, index=index)
+                rel = report.rel_err
+                margin = -math.log10(rel) - digits if rel else math.inf
+                if ident not in margins or margin < margins[ident][0]:
+                    margins[ident] = (margin, seed, index, rel)
                 if not report.passed:
                     print(f"{digits} digits, {at}: FAILED verdict {report.error or ''}")
                     bad += 1
@@ -116,7 +124,11 @@ def sweep(digits, seeds, indices, ids):
           f"{sides} sides ({hyper_sides} lhs against mpmath.hyper, the rest against "
           f"themselves at {3 * digits} digits), {zero_sides} of value 0; worst "
           f"{mpmath.nstr(worst, 3)} ulp ({worst_at}); largest oracle lhs/rhs gap "
-          f"{mpmath.nstr(gap, 3)} ({gap_at}); off or failed: {bad}", flush=True)
+          f"{mpmath.nstr(gap, 3)} ({gap_at}); off or failed: {bad}")
+    for ident, (margin, seed, index, rel) in margins.items():
+        print(f"  {ident}: smallest verdict margin {margin:.2f} digits below 10^-{digits} "
+              f"(seed {seed} index {index}, rel_err {rel:.2g})")
+    sys.stdout.flush()
     return bad
 
 

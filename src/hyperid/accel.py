@@ -84,7 +84,7 @@ def levin_core(terms, ctx):
             partial = partial + t
             m = len(num)
             omega = (m + 1) * t
-            x, y = mp.convert(partial / omega), mp.convert(1 / omega)
+            x, y = partial / omega, 1 / omega
             if not complex_table and (hasattr(x, "_mpc_") or hasattr(y, "_mpc_")):
                 complex_table = True
                 num = [(v, fzero) for v in num]

@@ -18,9 +18,8 @@ rebinding of that attribute is seen. One sample's pair is evaluated once:
 the entry's lhs and rhs share a one-entry memo, keyed by that function and
 the parameters, that hands the pair the lhs computed to the rhs; complex
 samples, which take the float sides, leave it alone. Everything else runs at
-working precision with a pass rule of
-
-    rel_err < max(10^(8-digits), 100 (err_lhs + err_rhs) / |rhs|).
+working precision. A sample passes when its sides agree to every reported
+digit, rel_err < 10^-digits (relative to |rhs|, absolute when rhs = 0).
 """
 
 from __future__ import annotations
@@ -896,14 +895,10 @@ CATALOG = {c.id: c for c in (
 
 
 def tolerance_rule(lhs: SeriesResult, rhs: SeriesResult, ctx: PrecisionContext):
-    """Return (abs_err, rel_err, passed) under the catalog pass rule."""
+    """Return (abs_err, rel_err, passed), passed when rel_err < 10^-digits:
+    |lhs - rhs| relative to |rhs|, absolute when rhs = 0. The sides' values
+    alone decide; their error estimates do not enter."""
     with ctx.working():
         diff = abs(lhs.value - rhs.value)
-        scale = abs(rhs.value)
-        rel = diff / scale if scale > 0 else diff
-        floor = mpf(10) ** (8 - ctx.digits)
-        if scale > 0:
-            bound = max(floor, 100 * (lhs.err_estimate + rhs.err_estimate) / scale)
-        else:
-            bound = floor
-        return diff, rel, bool(rel < bound)
+        rel = diff / abs(rhs.value) if rhs.value != 0 else diff
+        return diff, rel, bool(rel < mpf(10) ** -ctx.digits)

@@ -37,8 +37,8 @@ cancellation, the conversion of a spec's parameters
 `reflected_factors` and the bilateral recombination `join_halves`, whose
 method ranking `combined_method` also labels the catalog's sums of sides.
 
-Error estimates are heuristic, not certified; callers compare at tolerances
-well above them.
+Error estimates are heuristic, not certified; the catalog's pass rule
+compares the two sides' values alone and reads no error estimate.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .errors import (
     BudgetExceeded,
     CancellationError,
     DivergentError,
+    DomainError,
     IndeterminateError,
     LowerPoleError,
     NotConvergent,
@@ -120,12 +121,11 @@ def tail_bound_algebraic(K: int, s, last_term_mag):
     return to_mp(last_term_mag) * K / (s - 1)
 
 
-def _unit_argument(spec: SeriesSpec, offset) -> ConvergenceClass:
+def _unit_argument(uppers, lowers, offset) -> ConvergenceClass:
     """The class at |z| = 1, carrying the decay exponent
     s = Re(sum lowers + offset - sum uppers): algebraic when s > 1, else
     divergent."""
-    s = sum(to_mp(b) for b in spec.lowers) + offset - sum(to_mp(a) for a in spec.uppers)
-    s = s.real if hasattr(s, "real") else s
+    s = (sum(lowers) + offset - sum(uppers)).real
     return ConvergenceClass("algebraic" if s > 1 else "divergent", exponent=s)
 
 
@@ -141,11 +141,12 @@ def classify(spec: SeriesSpec) -> ConvergenceClass:
     exponent is Re(sum lowers + 1 - sum uppers) for balanced unilateral
     series and Re(sum lowers - sum uppers) for bilateral ones; exponents
     <= 1 diverge. Runs at the ambient precision; the engines call it at
-    working precision.
+    working precision, and raises DomainError on a non-finite parameter.
     """
+    ups, lows, z = mp_parameters(spec)
     ns = [nonpositive_int(u) for u in spec.uppers]
     term_n = min((n for n in ns if n is not None), default=None)
-    az = abs(to_mp(spec.argument))
+    az = abs(z)
     if spec.kind == "unilateral":
         if term_n is not None:
             return ConvergenceClass("terminating", n=term_n)
@@ -155,25 +156,30 @@ def classify(spec: SeriesSpec) -> ConvergenceClass:
         if excess == 0 and az < 1:
             return ConvergenceClass("geometric", ratio=az)
         if excess == 0 and az == 1:
-            return _unit_argument(spec, 1)
+            return _unit_argument(ups, lows, 1)
         return ConvergenceClass("divergent")
     # bilateral
     low_cut = None
-    for b in spec.lowers:
-        m = nonpositive_int(-to_mp(b))  # positive integer lower
+    for b in lows:
+        m = nonpositive_int(-b)  # positive integer lower
         if m is not None and m > 0:
             low_cut = m if low_cut is None else min(low_cut, m)
     if term_n is not None and low_cut is not None:
         return ConvergenceClass("terminating", n=term_n)
     if az == 1:
-        return _unit_argument(spec, 0)
+        return _unit_argument(ups, lows, 0)
     return ConvergenceClass("divergent")
 
 
 def mp_parameters(spec):
     """The uppers, lowers and argument of a classical or q-series spec as
-    mp numbers at the ambient precision: (list, list, scalar)."""
-    return [to_mp(a) for a in spec.uppers], [to_mp(b) for b in spec.lowers], to_mp(spec.argument)
+    mp numbers at the ambient precision: (list, list, scalar); DomainError
+    when one is infinite or nan."""
+    ups, lows = [to_mp(a) for a in spec.uppers], [to_mp(b) for b in spec.lowers]
+    z = to_mp(spec.argument)
+    if not all(map(mpmath.isfinite, (*ups, *lows, z))):
+        raise DomainError("series parameters and argument must be finite")
+    return ups, lows, z
 
 
 def _lower_pole_check(uppers, lowers, term_n):
@@ -264,10 +270,10 @@ def partial_sum(terms, stop_eps, limit: int, start=None):
     resumes the (total, peak, used, last, prev) of an earlier call on the
     same iterator.
 
-    The terms are mp numbers or the raw libmp values that the term streams
-    yield. The sum runs on raw values, with the libmp routines of
-    total + t, abs(t), max(peak, |t|) and stop_eps * (|total| or 1) at the
-    ambient precision, so its bits are those of the same loop on mp numbers.
+    The terms are the raw libmp values that the term streams yield. The sum
+    runs on them with the libmp routines of total + t, abs(t), max(peak, |t|)
+    and stop_eps * (|total| or 1) at the ambient precision, so its bits are
+    those of the same loop on mp numbers.
 
     Returns (total, peak |term|, terms used, last term, the term before it
     or None, and whether the sum stopped before the limit; the limit wins a
@@ -284,8 +290,6 @@ def partial_sum(terms, stop_eps, limit: int, start=None):
     small_run = 0
     settled = True
     for t in terms:
-        if type(t) is not tuple:
-            t = raw(t)[1]
         c = len(t) == 2
         total = ADD[tc][c](total, t, prec, rnd)
         tc = tc or c
@@ -313,7 +317,7 @@ def partial_sum(terms, stop_eps, limit: int, start=None):
 def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
     """Sum a series directly, up to ctx.max_terms terms a pass.
 
-    `stream` builds the term stream at the ambient precision; each pass
+    `stream` builds the raw term stream at the ambient precision; each pass
     calls it once. floor = None marks a finite stream: it adds every term,
     has no tail and keeps the method "terminating". Otherwise the tail
     after the last term is bounded geometrically with the ratio

@@ -491,12 +491,23 @@ def test_negative_control_perturbed_rhs(ctx30):
     assert good.passed
 
 
-def test_tolerance_rule_uses_error_estimates(ctx30):
+def test_tolerance_rule_checks_every_reported_digit(ctx30):
     with ctx30.working():
-        a = SeriesResult(mpf(1), mpf(10) ** -25, 10, "levin")
-        b = SeriesResult(mpf(1) + mpf(10) ** -24, mpf(10) ** -25, 0, "direct")
-        _, rel, ok = tolerance_rule(a, b, ctx30)
-        assert ok  # within 100x the combined estimates
-        c = SeriesResult(mpf(1) + mpf(10) ** -18, mpf(10) ** -25, 0, "direct")
-        _, rel, ok = tolerance_rule(a, c, ctx30)
-        assert not ok
+        one = mpf(1)
+
+        def side(value, err=mpf(0)):
+            return SeriesResult(value, err, 0, "direct")
+
+        # large error estimates no longer buy a pass
+        big = mpf(10) ** -25
+        assert not tolerance_rule(side(one, big), side(one + mpf(10) ** -24, big), ctx30)[2]
+        # a gap of 10^-(digits + 1) relative passes, one of 10^-digits fails
+        # (10^31 + 1 and 10^30 + 1 are exact at working precision)
+        for exp, ok in ((31, True), (30, False)):
+            scale = mpf(10) ** exp
+            diff, rel, passed = tolerance_rule(side(scale + 1), side(scale), ctx30)
+            assert passed is ok and diff == 1 and rel == 1 / scale
+        # against rhs = 0 the absolute difference decides
+        for gap, ok in ((mpf(10) ** -31, True), (mpf(10) ** -30, False)):
+            diff, rel, passed = tolerance_rule(side(2 * gap), side(mpf(0)), ctx30)
+            assert passed is ok and diff == rel == 2 * gap

@@ -156,6 +156,21 @@ def test_eval_psi_out_of_domain(capsys):
     assert "DomainError" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("hseries", "--upper", "0.5,0.5", "--lower", "inf,1.5", "--z", "1"),
+    ("hseries", "--upper", "nan,1", "--lower", "2,2", "--z", "1"),
+    ("pfq", "--upper", "1", "--lower", "2", "--z", "nan"),
+    ("phi", "--upper", "nan", "--lower", "", "--z", "0.25", "--q", "0.5"),
+    ("pfq", "--upper", "1", "--lower", "inf", "--z", "0.5"),
+])
+def test_eval_non_finite_input_is_a_domain_error(capsys, argv):
+    # no traceback, no spin through the term budget, no value: a typed
+    # error before the first term
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("DomainError: ")
+
+
 def test_eval_psi_unequal_counts_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "eval", "psi", "--upper", "2,2", "--lower", "0.6",
                              "--z", "0.5", "--q", "0.5")
