@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import mpmath
@@ -215,6 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv):
+    """Join --upper/--lower/--z/--q to a value that opens with '-' ('-0.5,1',
+    '-0.5+0.5i', '-i'), which argparse would take for an option."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--upper", "--lower", "--z", "--q") and re.match(r"-[\d.ij]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     """Run the command line argv and return its exit code."""
     try:
@@ -223,7 +234,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(argv))
     except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
         return exc.code
     return args.func(args)

@@ -25,20 +25,23 @@ CancellationError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fone, fzero, mpc_abs, mpc_mul, mpc_mul_mpf, mpc_neg, mpc_pow_int, mpc_sub, mpf_abs, mpf_cmp,
-    mpf_mul, mpf_neg, mpf_pow_int, mpf_sub, round_nearest,
+    fhalf, fone, fzero, mpc_abs, mpc_neg, mpc_pow_int, mpc_sub, mpf_abs, mpf_cmp, mpf_neg,
+    mpf_pow_int, mpf_sub, round_nearest,
 )
 
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError, LowerPoleError
 from .precision import INF, PrecisionContext, to_mp
 from .series import (
-    DIV, MUL, SeriesResult, join_halves, mp_parameters, raw, reflected_factors, sum_direct,
+    ADD, DIV, MUL, SeriesResult, from_raw, join_halves, mp_parameters, raw, reflected_factors,
+    sum_direct,
 )
 
 
@@ -87,18 +90,18 @@ def principal_sqrt(a):
 def q_pochhammer(x, qc: QContext, n):
     """(x;q)_n for an int n or INF; any other n raises DomainError.
 
-    n >= 0: finite product prod_{i<n} (1 - x q^i). n = INF: the infinite
-    product, truncated once |x q^i| drops below working epsilon, with a
-    first-order tail correction exp(-x q^N / (1-q)). n < 0: the divisor form
+    n >= 0: finite product prod_{i<n} (1 - x q^i). n < 0: the divisor form
     (x;q)_{-m} = 1 / ((x q^-m; q)_m), which raises DivisionByZero at a zero
-    factor.
-
-    The infinite product's loop runs on raw libmp values, rounded to nearest
-    at the working precision exactly as the mpf and mpc operators round, so
-    its value is that of the same loop written with mp numbers. A complex x
-    or q puts the whole loop on mpc values (x q^i times a real q by
-    mpc_mul_mpf, times a complex q by mpc_mul), which gives the bits of the
-    mixed mpf/mpc operators too.
+    factor. n = INF: the factors 1 - x q^i while |x q^i| >= 1/2 (an exact
+    zero among them returns 0), times Euler's series (y;q)_inf = sum c_n y^n,
+    c_n = (-1)^n q^C(n,2) / (q;q)_n, in y = x q^m (Gasper-Rahman, 1.3), by
+    Horner over a row of c_n cached per (q, precision) up to the first term
+    below 2^-wp. Both run on raw libmp values (mpc when x or q is complex) at
+    wp = working precision + ceil(log2((-1/2;|q|)_inf / (1/2;|q|)_inf)) + 10
+    bits, rounded once to working precision: for |y| < 1/2, sum |c_n y^n| <=
+    (-|y|;|q|)_inf and |(y;q)_inf| >= (|y|;|q|)_inf, so that ratio bounds the
+    bits lost to cancellation. The guard's loop, factors plus row length are
+    held to 100 dps + 10000 steps, past which BudgetExceeded is raised.
     """
     ctx = qc.ctx
     with ctx.working():
@@ -121,34 +124,62 @@ def q_pochhammer(x, qc: QContext, n):
         return prod if n >= 0 else 1 / prod
 
 
+def _log2_abs(v):
+    """log2 |v| as a float for a raw mpf or mpc value v; -inf at zero."""
+    _, man, exp, _ = mpc_abs(v, 53, round_nearest) if len(v) == 2 else v
+    return math.log2(man) + exp if man else -math.inf
+
+
+@lru_cache(maxsize=4)
+def _euler_row(qv, prec, budget):
+    """(wp, raw c_0 .. c_N at wp, float log2 |c_n|) for a raw q (see
+    q_pochhammer); N is the first n with |c_n| 2^-n < 2^-wp."""
+    aq, u, guard = 2.0 ** _log2_abs(qv), 0.5, 0.0
+    for _ in range(budget):
+        guard += math.log2((1 + u) / (1 - u))
+        u *= aq
+        if u < 2.0 ** -60:
+            break
+    else:
+        raise BudgetExceeded("infinite q-product failed to truncate")
+    wp, qc, rnd = prec + math.ceil(guard) + 10, len(qv) == 2, round_nearest
+    one, sub = ((fone, fzero), mpc_sub) if qc else (fone, mpf_sub)
+    row, logs, qn = [one], [0.0], one
+    while logs[-1] - len(logs) + 1 >= -wp:
+        if len(row) > budget:
+            raise BudgetExceeded("infinite q-product failed to truncate")
+        # c_{n+1} = c_n q^n / (q^(n+1) - 1)
+        c, qn = MUL[qc][qc](row[-1], qn, wp, rnd), MUL[qc][qc](qn, qv, wp, rnd)
+        row.append(DIV[qc][qc](c, sub(qn, one, wp, rnd), wp, rnd))
+        logs.append(_log2_abs(row[-1]))
+    return wp, tuple(row), tuple(logs)
+
+
 def _infinite_product(x, q, ctx: PrecisionContext):
     """(x;q)_inf for nonzero x at working precision (see q_pochhammer)."""
-    prec, rnd = mp.prec, round_nearest
-    if hasattr(x, "_mpc_") or hasattr(q, "_mpc_"):
-        one, zero, make = (fone, fzero), (fzero, fzero), mp.make_mpc
-        sub, mul, size = mpc_sub, mpc_mul, mpc_abs
-        xq = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
-        step, qv = (mpc_mul, q._mpc_) if hasattr(q, "_mpc_") else (mpc_mul_mpf, q._mpf_)
-    else:
-        one, zero, make = fone, fzero, mp.make_mpf
-        sub, mul, size = mpf_sub, mpf_mul, mpf_abs
-        xq, step, qv = x._mpf_, mpf_mul, q._mpf_
-    eps = ctx.eps()._mpf_
-    budget = 100 * ctx.dps + 10000
-    prod = one
-    used = 0
-    while mpf_cmp(size(xq, prec, rnd), eps) >= 0:
-        factor = sub(one, xq, prec, rnd)
+    prec, rnd, budget = mp.prec, round_nearest, 100 * ctx.dps + 10000
+    (xc, xq), (qc, qv) = raw(x), raw(q)
+    wp, row, logs = _euler_row(qv, prec, budget)
+    cplx = xc or qc
+    one, sub, size = ((fone, fzero), mpc_sub, mpc_abs) if cplx else (fone, mpf_sub, mpf_abs)
+    mul, step, add = MUL[cplx][cplx], MUL[cplx][qc], ADD[cplx][qc]
+    if cplx and not xc:
+        xq = (xq, fzero)
+    prod, zero, used = one, sub(one, one, wp, rnd), 0
+    while mpf_cmp(size(xq, wp, rnd), fhalf) >= 0:
+        factor = sub(one, xq, wp, rnd)
         if factor == zero:
             return mpf(0)
-        prod = mul(prod, factor, prec, rnd)
-        xq = step(xq, qv, prec, rnd)
+        prod = mul(prod, factor, wp, rnd)
+        xq = step(xq, qv, wp, rnd)
         used += 1
-        if used > budget:
+        if used + len(row) > budget:
             raise BudgetExceeded("infinite q-product failed to truncate")
-    # before the first step x q^0 is x itself, a real x keeps its type there
-    tail = make(xq) if used else x
-    return make(prod) * mpmath.exp(-tail / (1 - q))
+    total, ly = zero, _log2_abs(xq)
+    n = next((n for n, lc in enumerate(logs) if lc + n * ly < -wp), len(row))
+    for c in reversed(row[:n]):
+        total = add(mul(total, xq, wp, rnd), c, wp, rnd)
+    return from_raw(mul(prod, total, prec, rnd))
 
 
 def q_bracket(numers, denoms, qc: QContext, n):
@@ -158,27 +189,15 @@ def q_bracket(numers, denoms, qc: QContext, n):
     does; IndeterminateError when both vanish.
     """
     with qc.ctx.working():
-        num = mpf(1)
-        num_zero = False
-        for x in numers:
-            p = q_pochhammer(x, qc, n)
-            if p == 0:
-                num_zero = True
-            num = num * p
-        den = mpf(1)
-        den_zero = False
-        for y in denoms:
-            p = q_pochhammer(y, qc, n)
-            if p == 0:
-                den_zero = True
-            den = den * p
-        if num_zero and den_zero:
-            raise IndeterminateError("q-bracket vanishes in numerator and denominator")
-        if den_zero:
+        nums = [q_pochhammer(x, qc, n) for x in numers]
+        dens = [q_pochhammer(y, qc, n) for y in denoms]
+        if 0 in dens:
+            if 0 in nums:
+                raise IndeterminateError("q-bracket vanishes in numerator and denominator")
             raise DivisionByZero("q-bracket denominator entry vanishes")
-        if num_zero:
+        if 0 in nums:
             return mpf(0)
-        return num / den
+        return mpmath.fprod(nums) / mpmath.fprod(dens)
 
 
 def split_psi(spec: QSeriesSpec, qc: QContext):

@@ -184,6 +184,26 @@ def test_eval_requires_q_for_psi(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("pfq", "--upper", "-0.5,1", "--lower", "2", "--z", "0.5"),
+    ("pfq", "--upper", "1", "--lower", "-1.5,2", "--z", "0.5"),
+    ("pfq", "--upper", "1", "--lower", "2", "--z", "-0.5+0.5i"),
+    ("pfq", "--upper", "1", "--lower", "2", "--z", "-i"),
+    ("phi", "--upper", "0.5", "--lower", "", "--z", "0.25", "--q", "-0.5+0.25i"),
+])
+def test_eval_value_opening_with_minus(capsys, argv):
+    # a list or a complex literal that opens with '-' is the option's value,
+    # exactly as when it is joined to the option with '='
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert code == 0 and err == ""
+    i = next(i for i, a in enumerate(argv) if a.startswith("-") and not a.startswith("--"))
+    joined = (*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:])
+    assert run_cli(capsys, "eval", *joined) == (0, out, "")
+    if argv[2] == "-0.5,1":
+        # 2F1(-1/2, 1; 2; 1/2) = (1 - 2^(-3/2)) / (3/4)
+        assert out.startswith("value: 0.86192881254230165039943709193\n")
+
+
 def test_eval_rejects_malformed_literal(capsys):
     code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "1,abc", "--lower", "3",
                              "--z", "1")
