@@ -132,5 +132,5 @@ def levin_core(terms, ctx):
                 return best, max(best_err, scale * err_floor), used
         raise AccelerationFailed(
             f"Levin u-transform stagnated after {used} terms "
-            f"(best error {best_err if best_err is not None else 'n/a'})"
+            f"(best error {mp.nstr(best_err, 3) if best_err is not None else 'n/a'})"
         )

@@ -7,6 +7,7 @@ configuration error. HYPERID_DIGITS overrides the default precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -138,13 +139,14 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    report = run_suite(config)
-    out = report.to_json() if args.json else report.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    try:
+        sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:  # before the suite runs, not after
+        print(f"usage error: cannot write {args.out} ({exc.strerror})", file=sys.stderr)
+        return 2
+    with sink as fh:
+        report = run_suite(config)
+        fh.write((report.to_json() if args.json else report.to_text()) + "\n")
     return 0 if report.failed == 0 else 1
 
 

@@ -3,11 +3,8 @@
 mpmath supplies the precision-scalable gamma kernel (Stirling series with
 argument shifting, reflection on the left half plane). This module adds the
 bookkeeping the identity evaluators rely on: exact-integer pole detection,
-Pochhammer symbols for negative index, and log-space gamma ratios that
-return an exact zero when a denominator pole wins.
-
-Gamma products of more than one factor always go through log-gamma so that
-individually overflowing factors stay representable.
+Pochhammer symbols for negative index, and gamma ratios that return an
+exact zero when a denominator pole wins.
 """
 
 from __future__ import annotations
@@ -64,26 +61,15 @@ def pochhammer(x, n: int, ctx: PrecisionContext):
         return 1 / prod
 
 
-def _real_log_abs_gamma(x):
-    """log|Gamma(x)| for real non-pole x."""
-    lg = mpmath.loggamma(x)
-    return lg.real if isinstance(lg, mpc) else lg
-
-
-def _real_gamma_sign(x) -> int:
-    """Sign of Gamma(x) for real non-pole x."""
-    if x > 0:
-        return 1
-    return -1 if int(mpmath.ceil(-x)) % 2 else 1
-
-
 def gamma_ratio(numer, denom, ctx: PrecisionContext):
-    """prod Gamma(numer_i) / prod Gamma(denom_j) via summed log-gamma.
+    """prod Gamma(numer_i) / prod Gamma(denom_j) by mpmath.gammaprod.
 
     Returns exact 0 when a denominator argument is a nonpositive integer and
     no numerator argument is. Raises PoleError for a numerator-only pole and
     IndeterminateError when poles coincide on both sides (the caller must
-    cancel those through pochhammer instead).
+    cancel those through pochhammer instead). Otherwise gammaprod multiplies
+    the gammas at 15 guard bits and rounds once; mpmath exponents are
+    unbounded, so no factor can overflow on the way.
     """
     with ctx.working():
         ns = [to_mp(v) for v in numer]
@@ -98,19 +84,4 @@ def gamma_ratio(numer, denom, ctx: PrecisionContext):
             raise PoleError(f"gamma pole in numerator at {n_poles[0]}")
         if d_poles:
             return mpf(0)
-        if all(isinstance(v, mpf) for v in ns + ds):
-            logsum = mpf(0)
-            sign = 1
-            for v in ns:
-                logsum += _real_log_abs_gamma(v)
-                sign *= _real_gamma_sign(v)
-            for v in ds:
-                logsum -= _real_log_abs_gamma(v)
-                sign *= _real_gamma_sign(v)
-            return sign * mpmath.exp(logsum)
-        logsum = mpc(0)
-        for v in ns:
-            logsum += mpmath.loggamma(v)
-        for v in ds:
-            logsum -= mpmath.loggamma(v)
-        return mpmath.exp(logsum)
+        return mpmath.gammaprod(ns, ds)

@@ -39,7 +39,7 @@ class SuiteConfig:
         for ident in ids:
             if ident not in CATALOG:
                 raise UnknownIdentityError(f"unknown identity id {ident!r}")
-        return tuple(ids)
+        return tuple(dict.fromkeys(ids))  # repeats dropped, first-seen order
 
     def context(self) -> PrecisionContext:
         kwargs = {"digits": self.digits}

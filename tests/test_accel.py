@@ -66,8 +66,10 @@ def test_levin_honesty_on_known_sums(ctx30):
 
 
 def test_levin_acceleration_failed(ctx30):
-    with pytest.raises(AccelerationFailed):
+    with pytest.raises(AccelerationFailed) as info:
         levin_core(_periodic_stream(), ctx30)
+    # the best error prints with 3 digits, not at the raised precision
+    assert len(str(info.value)) < 80
 
 
 def test_levin_coefficient_rows_follow_the_precision(ctx30):

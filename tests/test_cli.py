@@ -268,6 +268,18 @@ def test_verify_out_file(tmp_path, capsys):
     assert doc["summary"]["total"] == 2
 
 
+def test_verify_out_unwritable(tmp_path, capsys, monkeypatch):
+    # the path is checked before the suite runs
+    monkeypatch.setattr("hyperid.cli.run_suite", lambda config: pytest.fail("suite ran"))
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--identity", "saalschuetz",
+                             "--samples", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: cannot write {target}")
+    assert "Traceback" not in err
+
+
 def test_verify_byte_stable(capsys):
     def volatile_stripped():
         code, out, _ = run_cli(capsys, "verify", "--identity", "phi65",

@@ -9,7 +9,7 @@ from mpmath import mp, mpc, mpf
 
 from hyperid.errors import DivisionByZero, DomainError, IndeterminateError, PoleError
 from hyperid.gammafn import gamma, gamma_ratio, log_gamma, pochhammer
-from hyperid.precision import PrecisionContext
+from hyperid.precision import PrecisionContext, to_mp
 
 
 def test_gamma_values(ctx30):
@@ -123,3 +123,43 @@ def test_gamma_complex_argument_consistency(ctx30):
         z = mpc("1.25", "0.75")
         lg = log_gamma(z, ctx30)
         assert abs(mpmath.exp(lg) - gamma(z, ctx30)) < mpf(10) ** -35 * abs(gamma(z, ctx30))
+
+
+def _rel_err_vs_gamma(numer, denom, digits):
+    """Relative error of gamma_ratio against mpmath.gamma at 3*dps + 30."""
+    ctx = PrecisionContext(digits=digits)
+    value = gamma_ratio(numer, denom, ctx)
+    with mp.workdps(3 * ctx.dps + 30):
+        oracle = mpmath.fprod(mpmath.gamma(to_mp(v)) for v in numer) / mpmath.fprod(
+            mpmath.gamma(to_mp(v)) for v in denom
+        )
+        return abs(value - oracle) / abs(oracle) / ctx.eps()
+
+
+def test_gamma_ratio_dougall_worst_case():
+    # the dougall-2h2 rhs of seed 0, index 14 at 30 digits, once 24.5 eps off
+    a, b, c, d = Fraction(127, 64), Fraction(75, 64), Fraction(723, 64), Fraction(373, 32)
+    numer = [1 - a, 1 - b, c, d, c + d - a - b - 1]
+    denom = [c - a, c - b, d - a, d - b]
+    assert _rel_err_vs_gamma(numer, denom, 30) < 1
+
+
+_dyadic = st.builds(
+    lambda n, j: Fraction(n) + Fraction(j, 64),
+    st.integers(min_value=-20, max_value=39),
+    st.integers(min_value=1, max_value=63),
+)
+# a real dyadic non-integer, or a complex one with dyadic parts
+_gamma_arg = st.one_of(
+    _dyadic, _dyadic, st.builds(lambda re, im: complex(re, im), _dyadic, _dyadic)
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    numer=st.lists(_gamma_arg, min_size=1, max_size=5),
+    denom=st.lists(_gamma_arg, max_size=4),
+    digits=st.sampled_from([30, 60]),
+)
+def test_gamma_ratio_error_property(numer, denom, digits):
+    assert _rel_err_vs_gamma(numer, denom, digits) < 1

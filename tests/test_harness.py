@@ -95,6 +95,10 @@ def test_run_suite_empty_and_unknown():
     assert rep.total == 0
     with pytest.raises(UnknownIdentityError):
         SuiteConfig(identities=("nope",)).resolve_ids()
+    # repeated ids run once each, in first-seen order
+    config = SuiteConfig(identities=("dixon", "gauss-2f1", "dixon"), samples=2)
+    assert config.resolve_ids() == ("dixon", "gauss-2f1")
+    assert run_suite(SuiteConfig(identities=("dixon", "dixon"), samples=2)).total == 2
 
 
 def test_run_suite_subset_and_schema():
