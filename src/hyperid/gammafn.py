@@ -1,4 +1,4 @@
-"""Gamma, log-gamma, Pochhammer symbols and gamma-product ratios.
+"""Gamma, Pochhammer symbols and gamma-product ratios.
 
 mpmath supplies the precision-scalable gamma kernel (Stirling series with
 argument shifting, reflection on the left half plane). This module adds the
@@ -26,15 +26,6 @@ def gamma(z, ctx: PrecisionContext):
         if nonpositive_int(zz) is not None:
             raise PoleError(f"gamma pole at z = {zz}")
         return mpmath.gamma(zz)
-
-
-def log_gamma(z, ctx: PrecisionContext):
-    """Principal-branch log-gamma; exp(log_gamma(z)) == gamma(z) to precision."""
-    with ctx.working():
-        zz = to_mp(z)
-        if nonpositive_int(zz) is not None:
-            raise PoleError(f"log-gamma pole at z = {zz}")
-        return mpmath.loggamma(zz)
 
 
 def pochhammer(x, n: int, ctx: PrecisionContext):

@@ -12,10 +12,10 @@ whose sign and q-binomial factors cancel identically against the series'
 own, leaving a plain geometric-type sum in w = prod(lowers)/(prod(uppers) z).
 Both tails must converge: |z| < 1 (or termination) and |w| < 1.
 
-Terms come from the running term ratio (`q_ratio_terms`), on raw libmp
-values with the classical engine's operator tables, so they carry the bits
-of the same recurrence written with mp numbers. Every phi series takes the
-classical engine's direct route,
+Terms come from the running term ratio (`q_ratio_terms`), on the classical
+engine's fixed-point ints: the powers x q^k are running fixed-point
+products, and `series.fixed_terms` rounds each term once. Every phi series
+takes the classical engine's direct route,
 `series.sum_direct`, with its passes at raised precision against
 cancellation. A terminating one adds all its terms and has no tail; an
 exactly zero total comes back with an absolute error. A nonterminating one
@@ -33,15 +33,15 @@ from typing import Optional
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fhalf, fone, fzero, mpc_abs, mpc_neg, mpc_pow_int, mpc_sub, mpf_abs, mpf_cmp, mpf_neg,
-    mpf_pow_int, mpf_sub, round_nearest,
+    fhalf, fone, fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_sub, mpf_abs, mpf_add, mpf_cmp,
+    mpf_div, mpf_mul, mpf_sub, round_nearest,
 )
 
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError, LowerPoleError
 from .precision import INF, PrecisionContext, to_mp
 from .series import (
-    ADD, DIV, MUL, SeriesResult, from_raw, join_halves, mp_parameters, raw, reflected_factors,
-    sum_direct,
+    SeriesResult, dyadic, fixed_prec, fixed_terms, gmul, join_halves, mp_parameters,
+    reflected_factors, sum_direct, to_fixed,
 )
 
 
@@ -142,15 +142,16 @@ def _euler_row(qv, prec, budget):
             break
     else:
         raise BudgetExceeded("infinite q-product failed to truncate")
-    wp, qc, rnd = prec + math.ceil(guard) + 10, len(qv) == 2, round_nearest
-    one, sub = ((fone, fzero), mpc_sub) if qc else (fone, mpf_sub)
+    wp, rnd = prec + math.ceil(guard) + 10, round_nearest
+    one, sub, mul, div = ((fone, fzero), mpc_sub, mpc_mul, mpc_div) if len(qv) == 2 else \
+        (fone, mpf_sub, mpf_mul, mpf_div)
     row, logs, qn = [one], [0.0], one
     while logs[-1] - len(logs) + 1 >= -wp:
         if len(row) > budget:
             raise BudgetExceeded("infinite q-product failed to truncate")
         # c_{n+1} = c_n q^n / (q^(n+1) - 1)
-        c, qn = MUL[qc][qc](row[-1], qn, wp, rnd), MUL[qc][qc](qn, qv, wp, rnd)
-        row.append(DIV[qc][qc](c, sub(qn, one, wp, rnd), wp, rnd))
+        c, qn = mul(row[-1], qn, wp, rnd), mul(qn, qv, wp, rnd)
+        row.append(div(c, sub(qn, one, wp, rnd), wp, rnd))
         logs.append(_log2_abs(row[-1]))
     return wp, tuple(row), tuple(logs)
 
@@ -158,20 +159,25 @@ def _euler_row(qv, prec, budget):
 def _infinite_product(x, q, ctx: PrecisionContext):
     """(x;q)_inf for nonzero x at working precision (see q_pochhammer)."""
     prec, rnd, budget = mp.prec, round_nearest, 100 * ctx.dps + 10000
-    (xc, xq), (qc, qv) = raw(x), raw(q)
-    wp, row, logs = _euler_row(qv, prec, budget)
-    cplx = xc or qc
-    one, sub, size = ((fone, fzero), mpc_sub, mpc_abs) if cplx else (fone, mpf_sub, mpf_abs)
-    mul, step, add = MUL[cplx][cplx], MUL[cplx][qc], ADD[cplx][qc]
-    if cplx and not xc:
-        xq = (xq, fzero)
-    prod, zero, used = one, sub(one, one, wp, rnd), 0
+    qc = isinstance(q, mpmath.mpc)
+    wp, row, logs = _euler_row(q._mpc_ if qc else q._mpf_, prec, budget)
+    cplx = qc or isinstance(x, mpmath.mpc)
+    if cplx:
+        # a real x, q or row joins as (value, 0), on which the mpc routines
+        # round as the mixed mpc-mpf ones do
+        xq, qv = mpmath.mpc(x)._mpc_, mpmath.mpc(q)._mpc_
+        row = row if qc else [(c, fzero) for c in row]
+    else:
+        xq, qv = x._mpf_, q._mpf_
+    one, sub, mul, add, size = ((fone, fzero), mpc_sub, mpc_mul, mpc_add, mpc_abs) if cplx else \
+        (fone, mpf_sub, mpf_mul, mpf_add, mpf_abs)
+    head, zero, used = one, sub(one, one, wp, rnd), 0
     while mpf_cmp(size(xq, wp, rnd), fhalf) >= 0:
         factor = sub(one, xq, wp, rnd)
         if factor == zero:
             return mpf(0)
-        prod = mul(prod, factor, wp, rnd)
-        xq = step(xq, qv, wp, rnd)
+        head = mul(head, factor, wp, rnd)
+        xq = mul(xq, qv, wp, rnd)
         used += 1
         if used + len(row) > budget:
             raise BudgetExceeded("infinite q-product failed to truncate")
@@ -179,7 +185,8 @@ def _infinite_product(x, q, ctx: PrecisionContext):
     n = next((n for n, lc in enumerate(logs) if lc + n * ly < -wp), len(row))
     for c in reversed(row[:n]):
         total = add(mul(total, xq, wp, rnd), c, wp, rnd)
-    return from_raw(mul(prod, total, prec, rnd))
+    value = mul(head, total, prec, rnd)
+    return mp.make_mpc(value) if cplx else mp.make_mpf(value)
 
 
 def q_bracket(numers, denoms, qc: QContext, n):
@@ -220,9 +227,7 @@ def split_psi(spec: QSeriesSpec, qc: QContext):
         if any(a == 0 for a in ups) or any(b == 0 for b in lows):
             raise DomainError("zero parameters are not supported in psi-type series")
         plus = QSeriesSpec((q, *ups), tuple(lows), z, "phi", spec.terminating_index)
-        w = mpf(1)
-        for b in lows:
-            w = w * b
+        w = mpmath.fprod(lows)
         for a in ups:
             w = w / a
         w = w / z
@@ -241,62 +246,46 @@ def split_psi(spec: QSeriesSpec, qc: QContext):
 
 
 def q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
-    """Yield the phi-series terms t_0, t_1, ... as raw libmp values, from
-    t_0 = 1 (complex when z is) via t_{k+1} = t_k z prod(1 - a q^k)
-    (-q^k)^extra / ((1 - q^{k+1}) prod(1 - b q^k)), up to t_{max_k}.
+    """Yield the phi-series terms t_0, t_1, ... as `series.fixed_terms`
+    pairs, from t_0 = 1 via t_{k+1} = t_k z prod(1 - a q^k) (-q^k)^extra /
+    ((1 - q^{k+1}) prod(1 - b q^k)), up to t_{max_k}.
 
-    Like `series.ratio_terms`, it reads its mp arguments and the ambient
-    precision when the first term is asked for, and its terms are those of
-    the recurrence written with mp operators: 1 - x is mpf_sub(1, x), or
-    mpc_sub((1, 0), x) for a complex x, and (-q^k)^extra is mpf_pow_int (or
-    mpc_pow_int) of the negated power.
+    The scale 2^W is read when the first term is asked for. The powers
+    x q^k (x an upper, a lower, or q for 1 - q^{k+1}) are running products
+    p <- p q at that scale: x enters rounded to the nearest unit 2^-W in
+    each part, and each step rounds each part of p q to the nearest unit.
+    z and the balancing factor (-q^k)^extra are exact. The ratio is exact
+    on those factors, and `fixed_terms` rounds each term once.
     """
-    prec, rnd = mp.prec, round_nearest
-    zc, zv = raw(z)
-    qc, qv = raw(q)
+    wp = fixed_prec()
+    one = 1 << wp
+    cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z, q))
+    nu, e = len(uppers), abs(extra)
+    (zn, zs), (qn, qs) = dyadic(z, cplx), dyadic(q, cplx)
+    half = (1 << qs) >> 1
+    pows = [to_fixed(x, wp) if cplx else to_fixed(x, wp)[0] for x in (*uppers, *lowers, q)]
+    power = (1, 0) if cplx else 1
 
-    def factors(params, acc_c):
-        # (x, the routine of x q^k, 1 - x q^k, and of acc * (1 - x q^k))
-        plan = []
-        for x in params:
-            xc, xv = raw(x)
-            fc = xc or qc
-            sub, one = (mpc_sub, (fone, fzero)) if fc else (mpf_sub, fone)
-            plan.append((xv, MUL[xc][qc], sub, one, MUL[acc_c][fc]))
-            acc_c = acc_c or fc
-        return plan, acc_c
+    def ratio(k):
+        nonlocal pows, power
+        # (-q^k)^extra = balance^sign(extra) / 2^(qs k extra)
+        if cplx:
+            fs = [(one - re, -im) for re, im in pows]
+            pows = [((p * qn[0] - r * qn[1] + half) >> qs, (p * qn[1] + r * qn[0] + half) >> qs)
+                    for p, r in pows]
+            balance, power = [(-power[0], -power[1])] * e, gmul(power, qn)
+        else:
+            fs = [one - p for p in pows]
+            pows = [(p * qn + half) >> qs for p in pows]
+            balance, power = [-power] * e, power * qn
+        if extra < 0 and not (any(balance[0]) if cplx else balance[0]):
+            raise ZeroDivisionError  # q = 0, as the recurrence's division by (-0)^|extra|
+        nums, dens = [zn, *fs[:nu]], fs[nu:]
+        (nums if extra > 0 else dens).extend(balance)
+        return nums, dens, sh - qs * k * extra
 
-    ups, num_c = factors(uppers, zc)
-    lows, den_c = factors(lowers, qc)
-    qmul = MUL[qc][qc]
-    sub1, one1 = (mpc_sub, (fone, fzero)) if qc else (mpf_sub, fone)
-    # the balancing factor (-q^k)^extra joins the numerator last
-    neg, power = (mpc_neg, mpc_pow_int) if qc else (mpf_neg, mpf_pow_int)
-    xmul = MUL[num_c][qc]
-    if extra:
-        num_c = num_c or qc
-    zero = (fzero, fzero) if den_c else fzero
-    t, tc = (mpc_pow_int if zc else mpf_pow_int)(zv, 0, prec, rnd), zc
-    qk = (mpc_pow_int if qc else mpf_pow_int)(qv, 0, prec, rnd)
-    k = 0
-    while True:
-        yield t
-        if max_k is not None and k >= max_k:
-            return
-        num = zv
-        for xv, xq, sub, one, mul in ups:
-            num = mul(num, sub(one, xq(xv, qk, prec, rnd), prec, rnd), prec, rnd)
-        den = sub1(one1, qmul(qv, qk, prec, rnd), prec, rnd)
-        for xv, xq, sub, one, mul in lows:
-            den = mul(den, sub(one, xq(xv, qk, prec, rnd), prec, rnd), prec, rnd)
-        if den == zero:
-            raise LowerPoleError(f"q-series denominator vanishes at k = {k}")
-        if extra:
-            num = xmul(num, power(neg(qk, prec, rnd), extra, prec, rnd), prec, rnd)
-        t = DIV[tc or num_c][den_c](MUL[tc][num_c](t, num, prec, rnd), den, prec, rnd)
-        tc = tc or num_c or den_c
-        qk = qmul(qk, qv, prec, rnd)
-        k += 1
+    sh = wp * (len(lowers) + 1 - nu) - zs
+    yield from fixed_terms(ratio, cplx, max_k, wp, "q-series denominator vanishes at k = {}")
 
 
 def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:

@@ -20,12 +20,16 @@ Bilateral sums are split at k = 0; the negative tail becomes a unilateral
 series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
 
 The term streams of both engines (`ratio_terms` here, `qseries.q_ratio_terms`)
-and the loop that adds their terms run on raw libmp values: each step calls
-the libmp routine that the mp operator of the same recurrence would call
-(the tables `ADD`, `MUL` and `DIV` pick it by the operands' types), in the
-same order and rounded to nearest at the ambient precision, so every term
-and every total carries the bits of the loop written with mp numbers,
-without building an mp number per operation.
+and the loop that adds their terms run on Python ints scaled by 2^W,
+W = `fixed_prec()` = ambient precision + GUARD_BITS; a complex value is an
+(re, im) pair of ints. Each stream supplies its term ratio as a quotient of
+exact (Gaussian) ints, and `fixed_terms`, the one stepping loop, rounds each
+new term once, at a scale at which it keeps W + 1 bits however small it
+gets. `partial_sum` adds the terms exactly and applies its small-term test
+exactly in ints, so the rounding of a sum is counted: at most a relative
+2^-(W+1) per step of each term (sqrt(2) times that when complex), plus half
+a unit 2^-W per term added (see `fixed_terms`, and `qseries.q_ratio_terms`
+for the rounding of its q-powers). Levin reads the same terms as mp numbers.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms: to a stream's end, to a limit or to three
@@ -44,15 +48,14 @@ compares the two sides' values alone and reads no error estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from math import prod
 from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (
-    fzero, from_int, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_div_mpf, mpc_mpf_div, mpc_mul,
-    mpc_mul_int, mpc_mul_mpf, mpc_pow_int, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_pow_int, round_nearest,
-)
+from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import to_fixed as mpf_to_fixed
 
 from .accel import levin_core
 from .errors import (
@@ -194,72 +197,109 @@ def _lower_pole_check(uppers, lowers, term_n):
             )
 
 
-def raw(x):
-    """(whether x is complex, its raw libmp value) for an mpf or mpc x."""
-    return (True, x._mpc_) if hasattr(x, "_mpc_") else (False, x._mpf_)
+GUARD_BITS = 30  # fixed-point bits beyond the ambient precision
 
 
-def from_raw(v):
-    """The mp number of a raw libmp value: an mpc for a (re, im) pair."""
-    return mp.make_mpc(v) if len(v) == 2 else mp.make_mpf(v)
+def fixed_prec() -> int:
+    """W, the fixed-point scale 2^W of the term streams and `partial_sum` at
+    the ambient precision: mp.prec + GUARD_BITS."""
+    return mp.prec + GUARD_BITS
 
 
-def _swapped(f):
-    return lambda x, y, prec, rnd: f(y, x, prec, rnd)
+def dyadic(x, cplx):
+    """(n, s) with x = n / 2^s exactly and s >= 0 for an mpf or mpc x; n is
+    an (re, im) pair of ints when cplx, else an int (x real)."""
+    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+    ns = [((-man if sign else man), exp) for sign, man, exp, _ in parts]
+    s = max([0, *(-exp for n, exp in ns if n)])
+    ns = tuple(n << (exp + s) for n, exp in ns)
+    return (ns if cplx else ns[0]), s
 
 
-# The libmp routine that the mp operator x + y, x * y or x / y calls, by
-# [x is complex][y is complex]; each is called as f(x, y, prec, rnd).
-ADD = ((mpf_add, _swapped(mpc_add_mpf)), (mpc_add_mpf, mpc_add))
-MUL = ((mpf_mul, _swapped(mpc_mul_mpf)), (mpc_mul_mpf, mpc_mul))
-DIV = ((mpf_div, mpc_mpf_div), (mpc_div_mpf, mpc_div))
+def to_fixed(x, wp):
+    """The mp number x at scale 2^wp as an (re, im) pair of ints, each
+    rounded to nearest (exact for a value of `from_fixed` at wp)."""
+    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+    return tuple((mpf_to_fixed(v, wp + 1) + 1) >> 1 for v in parts)
+
+
+def from_fixed(t):
+    """The exact mp number of a fixed-point pair t at scale 2^fixed_prec():
+    an mpf when its imaginary part is 0, else an mpc."""
+    wp = fixed_prec()
+    re = from_man_exp(t[0], -wp)
+    return mp.make_mpc((re, from_man_exp(t[1], -wp))) if t[1] else mp.make_mpf(re)
+
+
+def gmul(x, y):
+    """The product of two Gaussian integers given as (re, im) pairs."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def fixed_terms(ratio, cplx, max_k, wp, pole):
+    """Yield the terms t_0 = 1, t_1, ... as (re, im) pairs of ints at scale
+    2^wp, up to t_{max_k}, where t_{k+1} = t_k num 2^sh / den for the
+    products num and den of the exact ints (Gaussian pairs when cplx) and
+    the int sh of (num factors, den factors, sh) = ratio(k). A zero den
+    raises LowerPoleError(pole.format(k)).
+
+    A term is kept at the scale 2^(wp+s), s >= 0, at which its larger part
+    exceeds 2^(wp+1) (s = 0 for a larger term), so that the step's one
+    rounding to the nearest unit of that scale errs by less than
+    u = 2^-(wp+1) (sqrt(2) 2^-(wp+1) when cplx) of the new term. The kept
+    t_k is thus within (1 + u)^k - 1 of t_k, relative, for the ratio's
+    values, and the yielded t_k is the kept one rounded to the nearest unit
+    2^-wp (exact when s = 0), which adds at most half a unit to each part.
+    """
+    t, s, k = (1 << wp, 0), 0, 0
+    while True:
+        yield ((t[0] + (1 << s - 1)) >> s, (t[1] + (1 << s - 1)) >> s) if s else t
+        if max_k is not None and k >= max_k:
+            return
+        nums, dens, sh = ratio(k)
+        num, den = (reduce(gmul, nums), reduce(gmul, dens)) if cplx else (prod(nums), prod(dens))
+        if not (any(den) if cplx else den):
+            raise LowerPoleError(pole.format(k))
+        if cplx:
+            num, den = gmul(num, (den[0], -den[1])), den[0] * den[0] + den[1] * den[1]
+        elif den < 0:
+            num, den = -num, -den
+        x = gmul(t, num) if cplx else (t[0] * num, 0)
+        bits = max(x[0].bit_length(), x[1].bit_length())
+        # the new term lies in (2^(bits - den bits + sh - 1), ...); rescale it by
+        # 2^d past 2^(wp+1), or back towards s = 0
+        d = max(wp + 2 - bits + den.bit_length() - sh, -s) if bits else 0
+        s += d
+        # the nearest int to x 2^(sh+d) / den is floor((x 2^(sh+d+1) + den) / (2 den))
+        e = sh + d + 1
+        if e >= 0:
+            x = (x[0] << e, x[1] << e)
+        else:
+            den <<= -e
+        two = den << 1
+        t = ((x[0] + den) // two, (x[1] + den) // two)
+        k += 1
 
 
 def ratio_terms(uppers, lowers, z, max_k=None):
-    """Yield t_0, t_1, ... of sum_k prod (a)_k / (k! prod (b)_k) z^k as raw
-    libmp values, from t_0 = 1 (complex when z is) via
-    t_{k+1} = t_k z prod(a+k) / ((1+k) prod(b+k)), up to t_{max_k}.
-
-    The mp parameters are read when the first term is asked for, and the
-    stream runs at the ambient precision of that moment. Its terms are those
-    of the recurrence written with mp operators (see the module docstring).
+    """Yield t_0, t_1, ... of sum_k prod (a)_k / (k! prod (b)_k) z^k as
+    `fixed_terms` pairs, from t_0 = 1 via
+    t_{k+1} = t_k z prod(a+k) / ((1+k) prod(b+k)), up to t_{max_k}. Every
+    mp number is a dyadic rational, so the ratio is exact. The scale 2^W is
+    read when the first term is asked for.
     """
-    prec, rnd = mp.prec, round_nearest
-    zc, zv = raw(z)
-    ups, num_c = [], zc
-    for a in uppers:
-        ac, av = raw(a)
-        ups.append((av, mpc_add_mpf if ac else mpf_add, MUL[num_c][ac]))
-        num_c = num_c or ac
-    lows, den_c = [], False
-    for b in lowers:
-        bc, bv = raw(b)
-        # the first lower factor multiplies the int k + 1
-        mul = MUL[den_c][bc] if lows else _swapped(mpc_mul_int if bc else mpf_mul_int)
-        lows.append((bv, mpc_add_mpf if bc else mpf_add, mul))
-        den_c = den_c or bc
-    zero = (fzero, fzero) if den_c else fzero
-    t, tc = (mpc_pow_int if zc else mpf_pow_int)(zv, 0, prec, rnd), zc
-    k = 0
-    while True:
-        yield t
-        if max_k is not None and k >= max_k:
-            return
-        kv = from_int(k)
-        num = zv
-        for av, add, mul in ups:
-            num = mul(num, add(av, kv, prec, rnd), prec, rnd)
-        if lows:
-            den = k + 1
-            for bv, add, mul in lows:
-                den = mul(den, add(bv, kv, prec, rnd), prec, rnd)
-            if den == zero:
-                raise LowerPoleError(f"denominator parameter reaches a pole at k = {k}")
-        else:
-            den = from_int(k + 1)
-        t = DIV[tc or num_c][den_c](MUL[tc][num_c](t, num, prec, rnd), den, prec, rnd)
-        tc = tc or num_c or den_c
-        k += 1
+    cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z))
+    (zn, zs), ups, lows = dyadic(z, cplx), [dyadic(a, cplx) for a in uppers], \
+        [dyadic(b, cplx) for b in lowers]
+
+    def ratio(k):
+        # x + k = (n + k 2^s) / 2^s
+        shifted = [((n[0] + (k << s), n[1]) if cplx else n + (k << s)) for n, s in ups + lows]
+        return [zn, *shifted[:len(ups)]], [(k + 1, 0) if cplx else k + 1, *shifted[len(ups):]], sh
+
+    sh = sum(s for _, s in lows) - sum(s for _, s in ups) - zs
+    yield from fixed_terms(ratio, cplx, max_k, fixed_prec(),
+                           "denominator parameter reaches a pole at k = {}")
 
 
 def partial_sum(terms, stop_eps, limit: int, start=None):
@@ -270,38 +310,40 @@ def partial_sum(terms, stop_eps, limit: int, start=None):
     resumes the (total, peak, used, last, prev) of an earlier call on the
     same iterator.
 
-    The terms are the raw libmp values that the term streams yield. The sum
-    runs on them with the libmp routines of total + t, abs(t), max(peak, |t|)
-    and stop_eps * (|total| or 1) at the ambient precision, so its bits are
-    those of the same loop on mp numbers.
+    The terms are the fixed-point pairs of `fixed_terms` at the ambient
+    precision. They add exactly, and the small-term test compares
+    |t| < stop_eps (|total| or 1) exactly in ints.
 
     Returns (total, peak |term|, terms used, last term, the term before it
     or None, and whether the sum stopped before the limit; the limit wins a
-    tie with the stream's end), as mp numbers.
+    tie with the stream's end), as mp numbers: total, last and prev exact,
+    peak rounded to the ambient precision.
     """
-    prec, rnd = mp.prec, round_nearest
+    wp = fixed_prec()
     if start:
         total, peak, used, last, prev = start
-        (tc, total), peak = raw(total), peak._mpf_
-        last, prev = (None if v is None else raw(v)[1] for v in (last, prev))
+        (sre, sim), peak = to_fixed(total, wp), to_fixed(peak, wp)[0] ** 2
+        last, prev = (None if v is None else to_fixed(v, wp) for v in (last, prev))
     else:
-        tc, total, peak, used, last, prev = False, fzero, fzero, 0, None, None
-    eps = stop_eps._mpf_ if stop_eps else None
+        sre = sim = peak = used = 0
+        last = prev = None
+    if stop_eps:
+        # |t|^2 a < b |total|^2 for stop_eps = m 2^e
+        _, m, e, _ = stop_eps._mpf_
+        a, b = 1 << max(-2 * e, 0), m * m << max(2 * e, 0)
     small_run = 0
     settled = True
     for t in terms:
-        c = len(t) == 2
-        total = ADD[tc][c](total, t, prec, rnd)
-        tc = tc or c
-        mag = (mpc_abs if c else mpf_abs)(t, prec, rnd)
-        if mpf_gt(mag, peak):
+        re, im = t
+        sre += re
+        sim += im
+        mag = re * re + im * im
+        if mag > peak:
             peak = mag
         used += 1
         prev, last = last, t
-        if eps:
-            size = (mpc_abs if tc else mpf_abs)(total, prec, rnd)
-            bound = mpf_mul(eps, size, prec, rnd) if size != fzero else mpf_mul_int(eps, 1, prec, rnd)
-            if mpf_lt(mag, bound):
+        if stop_eps:
+            if mag * a < b * ((sre * sre + sim * sim) or 1 << 2 * wp):
                 small_run += 1
                 if small_run >= 3:
                     break
@@ -310,14 +352,15 @@ def partial_sum(terms, stop_eps, limit: int, start=None):
         if used >= limit:
             settled = False
             break
-    last, prev = (None if v is None else from_raw(v) for v in (last, prev))
-    return from_raw(total), mp.make_mpf(peak), used, last, prev, settled
+    last, prev = (None if v is None else from_fixed(v) for v in (last, prev))
+    peak = mpmath.sqrt(mp.make_mpf(from_man_exp(peak, -2 * wp)))
+    return from_fixed((sre, sim)), peak, used, last, prev, settled
 
 
 def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
     """Sum a series directly, up to ctx.max_terms terms a pass.
 
-    `stream` builds the raw term stream at the ambient precision; each pass
+    `stream` builds the fixed-point term stream at the ambient precision; each pass
     calls it once. floor = None marks a finite stream: it adds every term,
     has no tail and keeps the method "terminating". Otherwise the tail
     after the last term is bounded geometrically with the ratio
@@ -334,8 +377,9 @@ def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
     still within its rounding at raised precision may be exactly 0, so it
     returns that total with the rounding as its absolute error. Any other
     pass beyond _CANCELLATION_CEILING times the working precision raises
-    CancellationError instead. A value summed at raised precision is rounded
-    back to the working precision, and that rounding joins err_estimate.
+    CancellationError instead. The value is rounded to the working
+    precision; when it was summed at raised precision, that rounding joins
+    err_estimate.
     """
     dps = ctx.dps
     while True:
@@ -367,11 +411,9 @@ def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
                 f"of {_CANCELLATION_CEILING * ctx.dps}")
         dps = raised
     method = "direct" if floor is not None else "terminating"
-    if dps == ctx.dps:
-        return SeriesResult(total, err, used, method)
     with ctx.working():
         value = +total
-        return SeriesResult(value, err + abs(value) * ctx.eps(), used, method)
+        return SeriesResult(value, err + (abs(value) * ctx.eps() if dps > ctx.dps else 0), used, method)
 
 
 def combined_method(*methods) -> str:
@@ -407,12 +449,12 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
         # decaying series (small exponents) go to the accelerator, which
         # regenerates the terms at its boosted precision
         if k_needed >= min(ctx.max_terms, _DIRECT_CAP):
-            value, err, used = levin_core(map(from_raw, ratio_terms(uppers, lowers, z)), ctx)
+            value, err, used = levin_core(map(from_fixed, ratio_terms(uppers, lowers, z)), ctx)
             return SeriesResult(value, err, used, "levin")
         k_stop = max(used + 1, int(k_needed) + 1)
         total, peak, used, last, _, _ = partial_sum(gen, 0, k_stop, probe[:5])
     err = tail_bound_algebraic(used, s, abs(last)) + peak * ctx.eps() * used
-    return SeriesResult(total, err, used, "direct+tail")
+    return SeriesResult(+total, err, used, "direct+tail")
 
 
 def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
@@ -438,12 +480,7 @@ def reflected_factors(uppers, lowers, reflect, point: str):
     kills the whole tail); raises IndeterminateError when both vanish and
     PoleError when only the denominator does.
     """
-    pnum = mpf(1)
-    for b in lowers:
-        pnum = pnum * reflect(b)
-    pden = mpf(1)
-    for a in uppers:
-        pden = pden * reflect(a)
+    pnum, pden = mpmath.fprod(map(reflect, lowers)), mpmath.fprod(map(reflect, uppers))
     if pnum == 0 and pden == 0:
         raise IndeterminateError(
             f"an upper and a lower parameter both equal {point}; cancel the pair first"

@@ -6,15 +6,17 @@ code with the extended-precision engines they check.
 The reference recurrences (`term_stream`, `q_term_stream`, `rising`, `qpoch`)
 start from the one of their input's type (``z ** 0``) and use only ring
 operations and division, so the same code runs in Fraction arithmetic, as
-the reference of the exact int kernels, and on mpf/mpc inputs, where it is
-the mp-operator loop whose bits the engines' raw libmp term streams must
-reproduce. `partial_sum` is the mp-operator form of `series.partial_sum`,
-the reference of its raw bookkeeping.
+the reference of the exact int kernels, and on mpf/mpc inputs, where at
+twice the precision it is the reference of the engines' fixed-point term
+streams. `partial_sum` is the mp-operator form of `series.partial_sum`.
+`ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
+the fixed-point streams state.
 """
 
-from mpmath import mpf
+from mpmath import mpf, sqrt
 
 from hyperid.errors import DivisionByZero, LowerPoleError
+from hyperid.series import fixed_prec
 
 
 def term_stream(uppers, lowers, z, max_k=None):
@@ -114,6 +116,48 @@ def partial_sum(terms, stop_eps, limit, start=None):
         if used >= limit:
             return total, peak, used, last, prev, False
     return total, peak, used, last, prev, True
+
+
+def ratio_stream_bounds(cplx):
+    """bounds(n): for k < n, the bound (1 + u)^k - 1 on the relative error of
+    the kept term t_k of `series.fixed_terms` on an exact ratio, which
+    `series.ratio_terms` supplies, with the scale of the ambient precision;
+    call bounds at twice that precision."""
+    wp = fixed_prec()
+
+    def bounds(n):
+        u = (sqrt(2) if cplx else 1) * mpf(2) ** -(wp + 1)
+        return [(1 + u) ** k - 1 for k in range(n)]
+
+    return bounds
+
+
+def q_stream_bounds(uppers, lowers, q, cplx):
+    """As `ratio_stream_bounds`, for `qseries.q_ratio_terms`, whose ratio is
+    not exact, as its docstring states: a running product x q^k enters within half a unit 2^-W of
+    each part (c/2 units, c = 1, or sqrt(2) when complex), and each step
+    rounds its parts to the nearest unit, so that its error eta_k is at most
+    |q| eta_{k-1} + c/2 units. The factor 1 - x q^k then perturbs the ratio
+    by eta_k 2^-W / |1 - x q^k| relative, and each step rounds within u of
+    the new term."""
+    wp = fixed_prec()
+
+    def bounds(n):
+        c = sqrt(2) if cplx else mpf(1)
+        unit, u = mpf(2) ** -wp, c * mpf(2) ** -(wp + 1)
+        out, rel, eta = [], mpf(0), c / 2
+        for k in range(n):
+            out.append(rel)
+            step = 1 + u
+            for i, x in enumerate((*uppers, *lowers, q)):
+                gap = abs(1 - x * q ** k)
+                eps = eta * unit / gap if gap else mpf(0)
+                step *= 1 + eps if i < len(uppers) else 1 / (1 - eps)
+            rel = (1 + rel) * step - 1
+            eta = abs(q) * eta + c / 2
+        return out
+
+    return bounds
 
 
 def brute_bilateral_h(uppers, lowers, k_max, z=1.0):

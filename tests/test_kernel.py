@@ -1,22 +1,24 @@
-"""The raw libmp term streams of both engines, and `partial_sum` over them,
-against the mp-operator loops of `oracles`: every term and every field of
-the sum carries the same bits and type, and a pole raises the same error."""
+"""The fixed-point term streams of both engines, and `partial_sum` over them,
+against the mp-operator loops of `oracles` at twice the precision: every term
+and every partial sum lies within the rounding bound that the kernel states
+(`series.fixed_terms`, `qseries.q_ratio_terms`), the sums stop after the same
+terms, and a pole raises the same error after the same terms."""
 
 from fractions import Fraction
 from itertools import islice
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc, mpf, sqrt
 
 from hyperid.precision import to_mp
 from hyperid.qseries import q_ratio_terms
-from hyperid.series import partial_sum, ratio_terms
+from hyperid.series import fixed_prec, from_fixed, partial_sum, ratio_terms
 
 import oracles
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
-_TERMS = 40  # terms compared per stream
+_TERMS = 40  # terms summed by the resumed call
 
 _REAL = st.fractions(-3, 3, max_denominator=12)
 # a complex value is drawn as its (re, im) pair of Fractions
@@ -34,40 +36,66 @@ def _mp(v):
     return mpc(to_mp(v[0]), to_mp(v[1])) if isinstance(v, tuple) else to_mp(v)
 
 
-def _bits(v):
-    """The raw libmp value of an mp number; anything else as it is."""
-    if hasattr(v, "_mpc_"):
-        return v._mpc_
-    return v._mpf_ if hasattr(v, "_mpf_") else v
+def _is_complex(*values):
+    return any(isinstance(v, mpc) for v in values)
 
 
-def _terms(stream):
-    """The first _TERMS terms as raw values, closed by the (type, message)
-    of an exception if the stream raises."""
+def _stream(stream, convert, n):
+    """The first n terms through convert, and the (type, message) of the
+    exception that ended the stream, or None."""
     out = []
     try:
-        out.extend(_bits(t) for t in islice(stream, _TERMS))
+        out.extend(map(convert, islice(stream, n)))
     except Exception as e:  # the exception itself is compared
-        out.append((type(e), str(e)))
-    return out
+        return out, (type(e), str(e))
+    return out, None
 
 
 def _sums(stream, psum, stop_eps, split):
-    """Two calls of psum on one stream, the second resuming the first, as
-    raw values; or the (type, message) of an exception."""
+    """Two calls of psum on one stream, the second resuming the first; or
+    the (type, message) of an exception."""
     try:
         first = psum(stream, stop_eps, split)
-        second = psum(stream, stop_eps, split + _TERMS, first[:5])
+        return first, psum(stream, stop_eps, split + _TERMS, first[:5])
     except Exception as e:  # the exception itself is compared
         return type(e), str(e)
-    return [_bits(v) for v in first + second]
 
 
-def _check(kernel, reference, split, small):
-    stop_eps = mpf(2) ** -mp.prec if small else 0
-    assert _terms(kernel()) == _terms(reference())
-    assert _sums(kernel(), partial_sum, stop_eps, split) == \
-        _sums(reference(), oracles.partial_sum, stop_eps, split)
+def _check(kernel, reference, relative_bounds, cplx, split, small):
+    """Compare a kernel stream with its reference at twice the precision.
+
+    relative_bounds(n) gives, for k < n, the bound on the relative error of
+    the kernel's kept term t_k; a yielded term adds half a unit 2^-W to each
+    part. The reference's own rounding is allowed for by 2^-(2 prec - 8)
+    times |t_k| per term.
+    """
+    prec = mp.prec
+    stop_eps = mpf(2) ** -prec if small else 0
+    wp = fixed_prec()
+    # as many terms as the two sums below can use
+    terms, error = _stream(kernel(), from_fixed, split + _TERMS)
+    with mp.workprec(2 * prec):
+        half_unit = (sqrt(2) if cplx else 1) * mpf(2) ** -(wp + 1)
+        exact, ref_error = _stream(reference(), lambda t: +t, split + _TERMS)
+        assert error == ref_error and len(terms) == len(exact)
+        slack = mpf(2) ** (8 - 2 * prec)
+        bound = [abs(t) * (r + slack) + half_unit for t, r in zip(exact, relative_bounds(len(exact)))]
+        for k, (t, ref) in enumerate(zip(terms, exact)):
+            assert abs(t - ref) <= bound[k], k
+    sums = _sums(kernel(), partial_sum, stop_eps, split)
+    with mp.workprec(2 * prec):
+        ref_sums = _sums(reference(), oracles.partial_sum, stop_eps, split)
+        if not isinstance(sums[0], tuple):  # both raised
+            assert sums == ref_sums
+            return
+        for got, ref in zip(sums, ref_sums):
+            total, peak, used, last, prev, settled = got
+            assert (used, settled) == (ref[2], ref[5])
+            assert abs(total - ref[0]) <= sum(bound[:used])
+            assert abs(last - ref[3]) <= bound[used - 1]
+            assert prev is ref[4] is None or abs(prev - ref[4]) <= bound[used - 2]
+            # peak is rounded to the working precision
+            assert abs(peak - ref[1]) <= max(bound[:used]) + ref[1] * 2 ** (1 - prec)
 
 
 @_SETTINGS
@@ -80,15 +108,16 @@ def _check(kernel, reference, split, small):
 @example([Fraction(1, 2), Fraction(-3)], [Fraction(-2)], Fraction(1), 53, None, 1, False)  # pole
 @example([Fraction(1, 3)], [], Fraction(1, 5), 100, 7, 12, False)  # max_k cuts the resumed sum
 @example([Fraction(-1)], [], Fraction(1), 53, None, 12, True)  # 1 - 1 + 0 + ...: |total| = 0
-# these two tell mpc_mpf_div(x, y) and mpc_div_mpf(x, y) from mpc_div on (x, 0) and (y, 0)
 @example([Fraction(-31, 12)], [(Fraction(-4), Fraction(6, 11))], Fraction(-12, 11), 53, None, 1,
          False)
 @example([Fraction(4)], [Fraction(7, 3)], (Fraction(-3), Fraction(26)), 167, None, 12, False)
-def test_ratio_terms_match_the_mp_loop(ups, lows, z, prec, max_k, split, small):
+def test_ratio_terms_within_the_stated_bound(ups, lows, z, prec, max_k, split, small):
     with mp.workprec(prec):
         ups, lows, z = [_mp(a) for a in ups], [_mp(b) for b in lows], _mp(z)
+        cplx = _is_complex(*ups, *lows, z)
         _check(lambda: ratio_terms(ups, lows, z, max_k),
-               lambda: oracles.term_stream(ups, lows, z, max_k), split, small)
+               lambda: oracles.term_stream(ups, lows, z, max_k), oracles.ratio_stream_bounds(cplx), cplx,
+               split, small)
 
 
 @_SETTINGS
@@ -106,13 +135,14 @@ def test_ratio_terms_match_the_mp_loop(ups, lows, z, prec, max_k, split, small):
          False)  # 1 - 4 q^2 = 0: a pole at k = 2
 @example([Fraction(1, 3), Fraction(3)], [], Fraction(1, 5), Fraction(1, 2), -1, 100, 7, 12,
          False)  # max_k cuts the resumed sum
-# these two tell mpc_mpf_div(x, y) and mpc_div_mpf(x, y) from mpc_div on (x, 0) and (y, 0)
 @example([Fraction(-13, 4), Fraction(-12, 11)], [(Fraction(-31, 9), Fraction(30)), Fraction(27, 11)],
          Fraction(-29, 9), Fraction(-1, 3), 0, 53, None, 1, False)
 @example([Fraction(17, 5)], [Fraction(-9, 8), Fraction(-1, 2)], (Fraction(27, 10), Fraction(-11, 2)),
          Fraction(-3, 4), -1, 100, None, 12, False)
-def test_q_ratio_terms_match_the_mp_loop(ups, lows, z, q, extra, prec, max_k, split, small):
+def test_q_ratio_terms_within_the_stated_bound(ups, lows, z, q, extra, prec, max_k, split, small):
     with mp.workprec(prec):
         ups, lows, z, q = [_mp(a) for a in ups], [_mp(b) for b in lows], _mp(z), _mp(q)
+        cplx = _is_complex(*ups, *lows, z, q)
         _check(lambda: q_ratio_terms(ups, lows, z, q, extra, max_k),
-               lambda: oracles.q_term_stream(ups, lows, z, q, extra, max_k), split, small)
+               lambda: oracles.q_term_stream(ups, lows, z, q, extra, max_k),
+               oracles.q_stream_bounds(ups, lows, q, cplx), cplx, split, small)

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -11,6 +12,7 @@ from hyperid.errors import (
     DivisionByZero,
     DomainError,
     IndeterminateError,
+    LowerPoleError,
     PoleError,
 )
 from hyperid.precision import INF, PrecisionContext, to_mp
@@ -23,7 +25,9 @@ from hyperid.qseries import (
     split_psi,
     sum_q_series,
 )
+from hyperid.series import fixed_prec
 
+import oracles
 from oracles import brute_bilateral_psi
 
 
@@ -230,6 +234,38 @@ def test_phi_tail_bound_near_one(ctx30):
     with mp.workdps(120):
         exact = mpmath.qp(z / 2, mpf("0.5")) / mpmath.qp(z, mpf("0.5"))
         assert abs(res.value - exact) <= res.err_estimate
+
+
+_DYADIC = st.integers(-96, 96).map(lambda n: Fraction(n, 32))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2).flatmap(lambda r: st.tuples(st.lists(_DYADIC, min_size=r + 1, max_size=r + 1),
+                                                      st.lists(_DYADIC, min_size=r, max_size=r))),
+       st.integers(-48, 48).filter(bool).map(lambda n: Fraction(n, 64)),
+       st.integers(-48, 48).filter(bool).map(lambda n: Fraction(n, 64)))
+def test_phi_error_within_estimate_and_kernel_bound(params, q, z):
+    # a real balanced phi at 30 digits against mpmath.qhyper on the same
+    # parameters: the error is at most err_estimate plus the rounding bound
+    # that the q term stream states, over the terms summed
+    uppers, lowers = params
+    # mpmath.qhyper does not stop on a series that terminates (z = 0 or
+    # a = q^-n)
+    assume(not any(a * q**n == 1 for a in uppers for n in range(200)))
+    ctx = PrecisionContext(digits=30)
+    try:
+        res = sum_q_series(QSeriesSpec(uppers, lowers, z, "phi"), QContext(q, ctx))
+    except LowerPoleError:
+        assume(False)
+    with ctx.working():
+        ups, lows, zz, qq = [to_mp(a) for a in uppers], [to_mp(b) for b in lowers], to_mp(z), to_mp(q)
+        bounds, wp = oracles.q_stream_bounds(ups, lows, qq, False), fixed_prec()
+    with mp.workdps(2 * ctx.dps):
+        exact = mpmath.qhyper(ups, lows, qq, zz)
+        terms = itertools.islice(oracles.q_term_stream(ups, lows, zz, qq, 0), res.terms_used)
+        # each summed term: its relative bound, and half a unit 2^-W
+        rounding = sum(abs(t) * r + mpf(2) ** -(wp + 1) for t, r in zip(terms, bounds(res.terms_used)))
+        assert abs(res.value - exact) <= res.err_estimate + rounding
 
 
 def test_split_psi_reflected_prefactor(qc_half):

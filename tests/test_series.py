@@ -23,12 +23,15 @@ from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
 from hyperid.series import (
     SeriesSpec,
     classify,
+    fixed_prec,
+    from_fixed,
     partial_sum,
     split_bilateral,
     sum_bilateral,
     sum_direct,
     sum_unilateral,
     tail_bound_algebraic,
+    to_fixed,
 )
 
 from oracles import brute_bilateral_h
@@ -153,28 +156,28 @@ def test_budget_exceeded():
 
 def test_partial_sum_contract(ctx30):
     def raw(*values):
-        return iter([v._mpf_ for v in values])
+        return iter([to_fixed(v, fixed_prec()) for v in values])
 
     with ctx30.working():
-        tiny = mpf(10) ** -50
+        tiny = mpf(2) ** -133  # below eps = 10^-40, and exact in the fixed-point sums
         # a big term resets the run; the sum stops on the third small term
         terms = raw(mpf(1), tiny, tiny, mpf(-5), tiny, 2 * tiny, 3 * tiny, mpf(9))
         total, peak, used, last, prev, settled = partial_sum(terms, ctx30.eps(), 100)
         assert settled and used == 7
         assert (last, prev) == (3 * tiny, 2 * tiny)
         assert peak == 5 and total == mpf(-4) + 8 * tiny
-        assert next(terms) == mpf(9)._mpf_
+        assert from_fixed(next(terms)) == 9
         # the limit stops an unsettled sum and leaves the stream after it
         terms = raw(*(mpf(k) for k in range(1, 100)))
         total, peak, used, last, prev, settled = partial_sum(terms, ctx30.eps(), 10)
         assert not settled and used == 10
         assert (total, peak, last, prev) == (55, 10, 10, 9)
-        assert next(terms) == mpf(11)._mpf_
+        assert from_fixed(next(terms)) == 11
         # resumed state: the iterator sums on from the earlier total (11 was
         # taken above), and the limit counts the earlier terms too
         state = partial_sum(terms, ctx30.eps(), 13, (total, peak, used, last, prev))
         assert state == (55 + 12 + 13 + 14, 14, 13, 14, 13, False)
-        assert next(terms) == mpf(15)._mpf_
+        assert from_fixed(next(terms)) == 15
         # the stream's end settles the sum; stop_eps = 0 adds every small term
         terms = raw(mpf(1), tiny, tiny, tiny, mpf(2))
         assert partial_sum(terms, 0, 100) == (3 + 3 * tiny, 2, 5, 2, tiny, True)
@@ -183,7 +186,7 @@ def test_partial_sum_contract(ctx30):
 def _cancelling_stream(loss):
     """A counting stream factory: 3e`loss` + (1/3 - 3e`loss`) sums to 1/3
     at more than `loss` digits and to 0 below, and the falling powers of
-    s = 10^(-2 dps) after it settle the sum either way, as raw libmp values.
+    s = 10^(-2 dps) after it settle the sum either way, as fixed-point pairs.
     Returns the factory and the list of ambient dps it was called at."""
     calls = []
 
@@ -191,7 +194,7 @@ def _cancelling_stream(loss):
         calls.append(mp.dps)
         big = 3 * mpf(10) ** loss
         s = mpf(10) ** (-2 * mp.dps)
-        return iter([t._mpf_ for t in (big, mpf(1) / 3 - big, s, s**2, s**3, s**4)])
+        return iter([to_fixed(t, fixed_prec()) for t in (big, mpf(1) / 3 - big, s, s**2, s**3, s**4)])
 
     return stream, calls
 
@@ -203,7 +206,7 @@ def test_sum_direct_pass_contract(ctx30):
     with ctx30.working():
         total = mpf(0)
         for t in itertools.islice(stream(), res.terms_used):
-            total += mp.make_mpf(t)
+            total += from_fixed(t)
     assert calls == [40, 40]
     assert res.value == total and res.terms_used == 5 and res.method == "direct"
     assert res.err_estimate < mpf(10) ** -33
