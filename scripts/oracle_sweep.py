@@ -248,7 +248,8 @@ def sweep(digits, samples):
                         print(f"{digits} digits, {at} {side}: OFF by {miss} against the "
                               f"{name} oracle, printed {printed}, oracle "
                               f"{mpmath.nstr(truth, digits + 5)}")
-    print(f"{digits} digits, {len(samples)} samples: {sides} sides, {zero_sides} of value 0; off or failed: {bad}")
+    print(f"{digits} digits, {len(samples)} samples: {sides} sides, {zero_sides} of value 0; "
+          f"off or failed: {bad}")
     for name in worst:
         print(f"  {name} oracle: worst {worst[name]} ulp; largest lhs/rhs gap {gap[name]}")
     print(f"  largest error of {series} engine series against mpmath on the same "
@@ -265,7 +266,7 @@ def main(argv=None):
     parser.add_argument("--digits", type=int, help="one run at these digits (default: 30 and 60)")
     parser.add_argument("--seeds", type=int, nargs="+",
                         help="seeds (default: 0-3 at 30 digits, 0-1 otherwise)")
-    parser.add_argument("--indices", type=int, nargs="+")
+    parser.add_argument("--indices", type=int, nargs="+", help="sample indices (default: 0-19)")
     parser.add_argument("--ids", nargs="+", default=list(CATALOG), choices=list(CATALOG))
     args = parser.parse_args(argv)
     bad = 0

@@ -37,7 +37,7 @@ from mpmath.libmp import (
     mpf_div, mpf_mul, mpf_sub, round_nearest,
 )
 
-from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError, LowerPoleError
+from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .precision import INF, PrecisionContext, to_mp
 from .series import (
     SeriesResult, dyadic, fixed_prec, fixed_terms, gmul, join_halves, mp_parameters,

@@ -20,16 +20,11 @@ Bilateral sums are split at k = 0; the negative tail becomes a unilateral
 series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
 
 The term streams of both engines (`ratio_terms` here, `qseries.q_ratio_terms`)
-and the loop that adds their terms run on Python ints scaled by 2^W,
-W = `fixed_prec()` = ambient precision + GUARD_BITS; a complex value is an
-(re, im) pair of ints. Each stream supplies its term ratio as a quotient of
-exact (Gaussian) ints, and `fixed_terms`, the one stepping loop, rounds each
-new term once, at a scale at which it keeps W + 1 bits however small it
-gets. `partial_sum` adds the terms exactly and applies its small-term test
-exactly in ints, so the rounding of a sum is counted: at most a relative
-2^-(W+1) per step of each term (sqrt(2) times that when complex), plus half
-a unit 2^-W per term added (see `fixed_terms`, and `qseries.q_ratio_terms`
-for the rounding of its q-powers). Levin reads the same terms as mp numbers.
+run on Python ints scaled by 2^W, W = `fixed_prec()`, the ambient precision
+plus GUARD_BITS; a complex value is an (re, im) pair of ints. `fixed_terms`,
+their one stepping loop, rounds each term once on a ratio of exact ints, and
+`partial_sum` adds the terms exactly, so the rounding of a sum is the bound
+that `fixed_terms` states. Levin reads the same terms as mp numbers.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms: to a stream's end, to a limit or to three
@@ -262,15 +257,13 @@ def fixed_terms(ratio, cplx, max_k, wp, pole):
             raise LowerPoleError(pole.format(k))
         if cplx:
             num, den = gmul(num, (den[0], -den[1])), den[0] * den[0] + den[1] * den[1]
-        elif den < 0:
-            num, den = -num, -den
         x = gmul(t, num) if cplx else (t[0] * num, 0)
         bits = max(x[0].bit_length(), x[1].bit_length())
         # the new term lies in (2^(bits - den bits + sh - 1), ...); rescale it by
         # 2^d past 2^(wp+1), or back towards s = 0
         d = max(wp + 2 - bits + den.bit_length() - sh, -s) if bits else 0
         s += d
-        # the nearest int to x 2^(sh+d) / den is floor((x 2^(sh+d+1) + den) / (2 den))
+        # for den of either sign, x 2^(sh+d) / den rounds to floor((x 2^(sh+d+1) + den) / (2 den))
         e = sh + d + 1
         if e >= 0:
             x = (x[0] << e, x[1] << e)
@@ -360,10 +353,10 @@ def partial_sum(terms, stop_eps, limit: int, start=None):
 def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
     """Sum a series directly, up to ctx.max_terms terms a pass.
 
-    `stream` builds the fixed-point term stream at the ambient precision; each pass
-    calls it once. floor = None marks a finite stream: it adds every term,
-    has no tail and keeps the method "terminating". Otherwise the tail
-    after the last term is bounded geometrically with the ratio
+    `stream` builds the fixed-point term stream at the ambient precision;
+    each pass calls it once. floor = None marks a finite stream: it adds
+    every term, has no tail and keeps the method "terminating". Otherwise
+    the tail after the last term is bounded geometrically with the ratio
     rho = max(floor, |last/prev|), or floor after a zero term (every later
     term is zero then); rho >= 1 raises BudgetExceeded. Callers pass
     floor = |z| for a balanced series, whose term ratio tends to z, and 0
@@ -413,7 +406,8 @@ def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
     method = "direct" if floor is not None else "terminating"
     with ctx.working():
         value = +total
-        return SeriesResult(value, err + (abs(value) * ctx.eps() if dps > ctx.dps else 0), used, method)
+        back = abs(value) * ctx.eps() if dps > ctx.dps else 0  # rounding back to working
+        return SeriesResult(value, err + back, used, method)
 
 
 def combined_method(*methods) -> str:

@@ -134,12 +134,12 @@ def ratio_stream_bounds(cplx):
 
 def q_stream_bounds(uppers, lowers, q, cplx):
     """As `ratio_stream_bounds`, for `qseries.q_ratio_terms`, whose ratio is
-    not exact, as its docstring states: a running product x q^k enters within half a unit 2^-W of
-    each part (c/2 units, c = 1, or sqrt(2) when complex), and each step
-    rounds its parts to the nearest unit, so that its error eta_k is at most
-    |q| eta_{k-1} + c/2 units. The factor 1 - x q^k then perturbs the ratio
-    by eta_k 2^-W / |1 - x q^k| relative, and each step rounds within u of
-    the new term."""
+    not exact. As its docstring states, a running product x q^k enters
+    within half a unit 2^-W of each part (c/2 units, c = 1, or sqrt(2) when
+    complex), and each step rounds its parts to the nearest unit, so that
+    its error eta_k is at most |q| eta_{k-1} + c/2 units. The factor
+    1 - x q^k then perturbs the ratio by eta_k 2^-W / |1 - x q^k| relative,
+    and each step rounds within u of the new term."""
     wp = fixed_prec()
 
     def bounds(n):

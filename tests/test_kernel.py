@@ -79,7 +79,8 @@ def _check(kernel, reference, relative_bounds, cplx, split, small):
         exact, ref_error = _stream(reference(), lambda t: +t, split + _TERMS)
         assert error == ref_error and len(terms) == len(exact)
         slack = mpf(2) ** (8 - 2 * prec)
-        bound = [abs(t) * (r + slack) + half_unit for t, r in zip(exact, relative_bounds(len(exact)))]
+        bound = [abs(t) * (r + slack) + half_unit
+                 for t, r in zip(exact, relative_bounds(len(exact)))]
         for k, (t, ref) in enumerate(zip(terms, exact)):
             assert abs(t - ref) <= bound[k], k
     sums = _sums(kernel(), partial_sum, stop_eps, split)

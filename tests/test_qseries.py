@@ -237,20 +237,21 @@ def test_phi_tail_bound_near_one(ctx30):
 
 
 _DYADIC = st.integers(-96, 96).map(lambda n: Fraction(n, 32))
+# r + 1 uppers and r lowers
+_BALANCED = st.integers(0, 2).flatmap(lambda r: st.tuples(
+    st.lists(_DYADIC, min_size=r + 1, max_size=r + 1), st.lists(_DYADIC, min_size=r, max_size=r)))
+# nonzero, |x| <= 3/4: mpmath.qhyper does not stop at z = 0
+_SMALL_NONZERO = st.integers(-48, 48).filter(bool).map(lambda n: Fraction(n, 64))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(0, 2).flatmap(lambda r: st.tuples(st.lists(_DYADIC, min_size=r + 1, max_size=r + 1),
-                                                      st.lists(_DYADIC, min_size=r, max_size=r))),
-       st.integers(-48, 48).filter(bool).map(lambda n: Fraction(n, 64)),
-       st.integers(-48, 48).filter(bool).map(lambda n: Fraction(n, 64)))
+@given(_BALANCED, _SMALL_NONZERO, _SMALL_NONZERO)
 def test_phi_error_within_estimate_and_kernel_bound(params, q, z):
     # a real balanced phi at 30 digits against mpmath.qhyper on the same
     # parameters: the error is at most err_estimate plus the rounding bound
     # that the q term stream states, over the terms summed
     uppers, lowers = params
-    # mpmath.qhyper does not stop on a series that terminates (z = 0 or
-    # a = q^-n)
+    # nor does it stop on a series that terminates through an upper q^-n
     assume(not any(a * q**n == 1 for a in uppers for n in range(200)))
     ctx = PrecisionContext(digits=30)
     try:
@@ -264,7 +265,8 @@ def test_phi_error_within_estimate_and_kernel_bound(params, q, z):
         exact = mpmath.qhyper(ups, lows, qq, zz)
         terms = itertools.islice(oracles.q_term_stream(ups, lows, zz, qq, 0), res.terms_used)
         # each summed term: its relative bound, and half a unit 2^-W
-        rounding = sum(abs(t) * r + mpf(2) ** -(wp + 1) for t, r in zip(terms, bounds(res.terms_used)))
+        half_unit = mpf(2) ** -(wp + 1)
+        rounding = sum(abs(t) * r + half_unit for t, r in zip(terms, bounds(res.terms_used)))
         assert abs(res.value - exact) <= res.err_estimate + rounding
 
 
