@@ -32,10 +32,7 @@ from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (
-    fhalf, fone, fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_sub, mpf_abs, mpf_add, mpf_cmp,
-    mpf_div, mpf_mul, mpf_sub, round_nearest,
-)
+from mpmath.libmp import from_man_exp
 
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .precision import INF, PrecisionContext, to_mp
@@ -96,12 +93,14 @@ def q_pochhammer(x, qc: QContext, n):
     zero among them returns 0), times Euler's series (y;q)_inf = sum c_n y^n,
     c_n = (-1)^n q^C(n,2) / (q;q)_n, in y = x q^m (Gasper-Rahman, 1.3), by
     Horner over a row of c_n cached per (q, precision) up to the first term
-    below 2^-wp. Both run on raw libmp values (mpc when x or q is complex) at
+    below 2^-wp. The factors run on mp numbers and the Horner sum on ints
+    scaled by 2^wp (pairs when complex), with
     wp = working precision + ceil(log2((-1/2;|q|)_inf / (1/2;|q|)_inf)) + 10
-    bits, rounded once to working precision: for |y| < 1/2, sum |c_n y^n| <=
-    (-|y|;|q|)_inf and |(y;q)_inf| >= (|y|;|q|)_inf, so that ratio bounds the
-    bits lost to cancellation. The guard's loop, factors plus row length are
-    held to 100 dps + 10000 steps, past which BudgetExceeded is raised.
+    bits, and their product is rounded once to working precision: for
+    |y| < 1/2, sum |c_n y^n| <= (-|y|;|q|)_inf and |(y;q)_inf| >=
+    (|y|;|q|)_inf, so that ratio bounds the bits lost to cancellation. The
+    guard's loop, factors plus row length are held to 100 dps + 10000 steps,
+    past which BudgetExceeded is raised.
     """
     ctx = qc.ctx
     with ctx.working():
@@ -124,17 +123,15 @@ def q_pochhammer(x, qc: QContext, n):
         return prod if n >= 0 else 1 / prod
 
 
-def _log2_abs(v):
-    """log2 |v| as a float for a raw mpf or mpc value v; -inf at zero."""
-    _, man, exp, _ = mpc_abs(v, 53, round_nearest) if len(v) == 2 else v
-    return math.log2(man) + exp if man else -math.inf
+_HALF = mpf(0.5)
 
 
 @lru_cache(maxsize=4)
-def _euler_row(qv, prec, budget):
-    """(wp, raw c_0 .. c_N at wp, float log2 |c_n|) for a raw q (see
-    q_pochhammer); N is the first n with |c_n| 2^-n < 2^-wp."""
-    aq, u, guard = 2.0 ** _log2_abs(qv), 0.5, 0.0
+def _euler_row(q, prec, budget):
+    """(wp, row) for q (see q_pochhammer): row holds, for n = 0 .. N, c_n as
+    a `series.to_fixed` pair at scale 2^wp and a bound b_n >= log2 |c_n|;
+    N is the first n with |c_n| 2^-n < 2^-wp."""
+    aq, u, guard = float(abs(q)), 0.5, 0.0
     for _ in range(budget):
         guard += math.log2((1 + u) / (1 - u))
         u *= aq
@@ -142,51 +139,41 @@ def _euler_row(qv, prec, budget):
             break
     else:
         raise BudgetExceeded("infinite q-product failed to truncate")
-    wp, rnd = prec + math.ceil(guard) + 10, round_nearest
-    one, sub, mul, div = ((fone, fzero), mpc_sub, mpc_mul, mpc_div) if len(qv) == 2 else \
-        (fone, mpf_sub, mpf_mul, mpf_div)
-    row, logs, qn = [one], [0.0], one
-    while logs[-1] - len(logs) + 1 >= -wp:
-        if len(row) > budget:
-            raise BudgetExceeded("infinite q-product failed to truncate")
-        # c_{n+1} = c_n q^n / (q^(n+1) - 1)
-        c, qn = mul(row[-1], qn, wp, rnd), mul(qn, qv, wp, rnd)
-        row.append(div(c, sub(qn, one, wp, rnd), wp, rnd))
-        logs.append(_log2_abs(row[-1]))
-    return wp, tuple(row), tuple(logs)
+    wp = prec + math.ceil(guard) + 10
+    row, c, qn = [], mpf(1), mpf(1)
+    with mp.workprec(wp + 10):
+        while not row or row[-1][1] - len(row) + 1 >= -wp:
+            if len(row) > budget:
+                raise BudgetExceeded("infinite q-product failed to truncate")
+            row.append((to_fixed(c, wp), mpmath.mag(c)))
+            # c_{n+1} = c_n q^n / (q^(n+1) - 1)
+            c, qn = c * qn / (qn * q - 1), qn * q
+    return wp, tuple(row)
 
 
 def _infinite_product(x, q, ctx: PrecisionContext):
     """(x;q)_inf for nonzero x at working precision (see q_pochhammer)."""
-    prec, rnd, budget = mp.prec, round_nearest, 100 * ctx.dps + 10000
-    qc = isinstance(q, mpmath.mpc)
-    wp, row, logs = _euler_row(q._mpc_ if qc else q._mpf_, prec, budget)
-    cplx = qc or isinstance(x, mpmath.mpc)
-    if cplx:
-        # a real x, q or row joins as (value, 0), on which the mpc routines
-        # round as the mixed mpc-mpf ones do
-        xq, qv = mpmath.mpc(x)._mpc_, mpmath.mpc(q)._mpc_
-        row = row if qc else [(c, fzero) for c in row]
-    else:
-        xq, qv = x._mpf_, q._mpf_
-    one, sub, mul, add, size = ((fone, fzero), mpc_sub, mpc_mul, mpc_add, mpc_abs) if cplx else \
-        (fone, mpf_sub, mpf_mul, mpf_add, mpf_abs)
-    head, zero, used = one, sub(one, one, wp, rnd), 0
-    while mpf_cmp(size(xq, wp, rnd), fhalf) >= 0:
-        factor = sub(one, xq, wp, rnd)
-        if factor == zero:
-            return mpf(0)
-        head = mul(head, factor, wp, rnd)
-        xq = mul(xq, qv, wp, rnd)
-        used += 1
-        if used + len(row) > budget:
-            raise BudgetExceeded("infinite q-product failed to truncate")
-    total, ly = zero, _log2_abs(xq)
-    n = next((n for n, lc in enumerate(logs) if lc + n * ly < -wp), len(row))
-    for c in reversed(row[:n]):
-        total = add(mul(total, xq, wp, rnd), c, wp, rnd)
-    value = mul(head, total, prec, rnd)
-    return mp.make_mpc(value) if cplx else mp.make_mpf(value)
+    budget = 100 * ctx.dps + 10000
+    wp, row = _euler_row(q, mp.prec, budget)
+    cplx = isinstance(x, mpmath.mpc) or isinstance(q, mpmath.mpc)
+    with mp.workprec(wp):
+        head, xq, used = mpf(1), x, 0
+        while abs(xq) >= _HALF:
+            if xq == 1:
+                return mpf(0)
+            head, xq, used = head * (1 - xq), xq * q, used + 1
+            if used + len(row) > budget:
+                raise BudgetExceeded("infinite q-product failed to truncate")
+    # Horner over c_n up to the first n with |c_n| |y|^n < 2^-wp, on ints at
+    # scale 2^wp, each step rounded to the nearest unit
+    y, half, total = to_fixed(xq, wp), 1 << wp - 1, (0, 0)
+    ly = max(y[0].bit_length(), y[1].bit_length()) - wp
+    n = next((n for n, (_, b) in enumerate(row) if b + n * ly < -wp), len(row))
+    for c, _ in reversed(row[:n]):
+        re, im = gmul(total, y) if cplx else (total[0] * y[0], 0)
+        total = ((re + half >> wp) + c[0], (im + half >> wp) + c[1])
+    re, im = (from_man_exp(v, -wp) for v in total)
+    return head * (mp.make_mpc((re, im)) if cplx else mp.make_mpf(re))
 
 
 def q_bracket(numers, denoms, qc: QContext, n):
