@@ -130,7 +130,7 @@ _HALF = mpf(0.5)
 def _euler_row(q, prec, budget):
     """(wp, row) for q (see q_pochhammer): row holds, for n = 0 .. N, c_n as
     a `series.to_fixed` pair at scale 2^wp and a bound b_n >= log2 |c_n|;
-    N is the first n with |c_n| 2^-n < 2^-wp."""
+    N is the first n with b_n - n < -wp, so that |c_N| 2^-N < 2^-wp."""
     aq, u, guard = float(abs(q)), 0.5, 0.0
     for _ in range(budget):
         guard += math.log2((1 + u) / (1 - u))
