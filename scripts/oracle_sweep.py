@@ -97,6 +97,24 @@ def _phi_sum(uppers, lowers, q, z, n):
     return total
 
 
+def _last_term(uppers, q, z):
+    """The n after which every term of a phi series vanishes: 0 at z = 0,
+    else the least n >= 0 with a q^n = 1 exactly for an upper a (the factor
+    1 - a q^n of every later term), or None. Exact on the dyadic mp
+    numbers; mpmath.qhyper never stops on the zero terms of such a series."""
+    if z == 0:
+        return 0
+    ends = []
+    for a in uppers:
+        power, n = a, 0
+        while abs(power) >= 1:
+            if power == 1:
+                ends.append(n)
+                break
+            power, n = mpmath.fmul(power, q, exact=True), n + 1
+    return min(ends, default=None)
+
+
 def mpmath_series(spec, ctx_or_qc):
     """mpmath's sum of a series spec at the ambient precision."""
     ups, lows, z = mp_parameters(spec)
@@ -107,8 +125,11 @@ def mpmath_series(spec, ctx_or_qc):
     q = to_mp(ctx_or_qc.q)
     if spec.kind == "psi":
         return _psi_sum(ups, lows, q, z)
-    if spec.terminating_index is not None:
-        return _phi_sum(ups, lows, q, z, spec.terminating_index)
+    n = spec.terminating_index
+    if n is None:
+        n = _last_term(ups, q, z)
+    if n is not None:
+        return _phi_sum(ups, lows, q, z, n)
     return mpmath.qhyper(ups, lows, q, z)
 
 

@@ -9,54 +9,77 @@ starts to churn instead of converge. Its whole policy (precision, term cap,
 stop and acceptance tolerances, error floor) follows from the caller's
 PrecisionContext.
 
-The table's coefficients depend only on the row, the column and the
-precision, so each row of them is computed once per working precision and
-kept for later calls. The table itself runs on raw libmp values, rounded
-to nearest at the working precision exactly as the mpf and mpc operators
-round, so its values are those of the same loop written with mp numbers.
+The table runs on Python ints. Its coefficients are exact rationals that
+depend only on the row and the column; each row of them is rounded once to
+the nearest multiple of 2^-G, G = the boosted precision + EXTRA_BITS, and
+kept for later calls at the same G. The entries of one call share one scale
+2^F, and each update rounds one product to the nearest unit of it. The
+table reads the fixed-point term pairs of `series.fixed_terms` as they come
+and keeps their partial sum exactly.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpc_mul_mpf, mpc_sub, mpf_mul, mpf_sub, round_nearest
+from itertools import accumulate
+from operator import sub
+
+from mpmath import mp, mpc, mpf
 
 from .errors import AccelerationFailed
+from .precision import fixed_prec
 
-# coefficient rows at the precision of the last call, as deep as any call went
-_ROWS_PREC, _ROWS = 0, []
+EXTRA_BITS = 64  # bits of the coefficients and the entries beyond the precision
+
+# coefficient rows at the G of the last call, as deep as any call went
+_ROWS_G, _ROWS = 0, []
 
 
-def _rows_at(prec):
-    """The coefficient rows kept for precision prec (a fresh list when the
-    precision differs from the last call's)."""
-    global _ROWS_PREC, _ROWS
-    if prec != _ROWS_PREC:
-        _ROWS_PREC, _ROWS = prec, []
+def _rows_at(g):
+    """The coefficient rows kept for G = g (a fresh list when g differs from
+    the last call's)."""
+    global _ROWS_G, _ROWS
+    if g != _ROWS_G:
+        _ROWS_G, _ROWS = g, []
     return _ROWS
 
 
-def _coefficient_row(m):
-    """Row m of the table coefficients at mp.prec as raw mpfs: entry j is
-    the c of the update of column j with k = m - j."""
+def _coefficient_row(m, g):
+    """Row m of the table coefficients as ints at scale 2^g: entry j is the
+    c = (1+j) (j+k)^(k-2) / (1+j+k)^(k-1), k = m - j, of the update of
+    column j, rounded to nearest."""
     row = []
     for j in range(m):
         k = m - j
-        c = mpf(1) if k == 1 else (1 + j) * mpf(j + k) ** (k - 2) / mpf(1 + j + k) ** (k - 1)
-        row.append(c._mpf_)
+        num, den = (1 + j) * m ** (k - 1) << g + 1, m * (m + 1) ** (k - 1)
+        row.append((num + den) // (den << 1))
     return row
+
+
+def _update(column, entry, row, g):
+    """A column after the update with its new entry: column[j] becomes
+    column[j+1] - round(column[j] c_j / 2^g), from j = m - 1 down to 0."""
+    half = 1 << g - 1
+    products = [(v * c + half) >> g for v, c in zip(column, row)]
+    return list(accumulate(reversed(products), sub, initial=entry))[::-1]
 
 
 def levin_core(terms, ctx):
     """Incremental Levin u-transform (beta = 1) over a term stream (terms,
     not partial sums) at 2 ctx.dps + 10 digits.
 
-    A lazy stream computes its terms at that precision. The table returns
-    once two diagonal differences in a row fall within 10^-(dps - 3)
-    relative. When it reaches min(4 digits + 40, 400) terms instead, or its
-    estimates degrade far past the best one seen, that best estimate is
-    accepted within 10^-(digits + 1) relative; otherwise AccelerationFailed
-    is raised.
+    The terms are (re, im) pairs of ints at scale 2^W, W = `fixed_prec()` at
+    that precision; a lazy stream reads it when its first term is asked
+    for. The table returns once two diagonal differences in a row fall
+    within 10^-(dps - 3) relative. When it reaches min(4 digits + 40, 400)
+    terms instead, or its estimates degrade far past the best one seen,
+    that best estimate is accepted within 10^-(digits + 1) relative;
+    otherwise AccelerationFailed is raised.
+
+    Term m enters as x = partial / omega and y = 1 / omega,
+    omega = (m + 1) t_m, each rounded once from the exact partial sum and
+    term. Entries share the scale 2^F, F >= G, raised (never lowered) so
+    that each y holds at least G bits, with the earlier entries shifted
+    exactly; terms that grow before they decay thus keep their precision.
 
     Returns (value, err_estimate, terms_used) at the raised precision. The
     error estimate is the difference between the last two diagonal entries,
@@ -66,51 +89,45 @@ def levin_core(terms, ctx):
     with mp.workdps(2 * ctx.dps + 10):
         tol_target = mpf(10) ** (-(ctx.dps - 3))
         err_floor = ctx.eps()
-        prec, rnd = mp.prec, round_nearest
-        rows = _rows_at(prec)
-        # num/den hold raw mpfs, or (re, im) pairs from the first complex entry on
-        num, den = [], []
-        mul, sub, make = mpf_mul, mpf_sub, mp.make_mpf
-        complex_table = False
-        partial = mpf(0)
+        g = mp.prec + EXTRA_BITS
+        w, f = fixed_prec(), g
+        rows = _rows_at(g)
+        table = [[], []]  # num and den: real parts, imaginary ones from the first complex term
+        pre = pim = 0  # the exact partial sum at 2^W
         val_prev = None
         best = best_err = None
         hits = 0
         used = 0
-        for t in terms:
+        for tre, tim in terms:
             if used >= cap:
                 break
             used += 1
-            partial = partial + t
-            m = len(num)
-            omega = (m + 1) * t
-            x, y = partial / omega, 1 / omega
-            if not complex_table and (hasattr(x, "_mpc_") or hasattr(y, "_mpc_")):
-                complex_table = True
-                num = [(v, fzero) for v in num]
-                den = [(v, fzero) for v in den]
-                mul, sub, make = mpc_mul_mpf, mpc_sub, mp.make_mpc
-            if complex_table:
-                num.append(x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero))
-                den.append(y._mpc_ if hasattr(y, "_mpc_") else (y._mpf_, fzero))
-            else:
-                num.append(x._mpf_)
-                den.append(y._mpf_)
+            pre, pim = pre + tre, pim + tim
+            m = len(table[0])
+            if tim and len(table) == 2:
+                table += [[0] * m, [0] * m]
+            # x = partial conj(t) / d and y = 2^W conj(t) / d, d = (m+1) |t|^2,
+            # at 2^f; |y| > 2^(f + W - bits - 1/2) holds G bits once f >= need
+            bits = (m + 1).bit_length() + max(abs(tre), abs(tim)).bit_length()
+            need = g + bits - w
+            if need > f:
+                table = [[v << need - f for v in column] for column in table]
+                f = need
+            d = (m + 1) * (tre * tre + tim * tim)
+            parts = (pre * tre + pim * tim, tre << w, pim * tre - pre * tim, -tim << w)
+            entries = [((p << f + 1) + d) // (d << 1) for p in parts[:len(table)]]
             if m == len(rows):
-                rows.append(_coefficient_row(m))
-            row = rows[m]
-            for j in range(m - 1, -1, -1):
-                c = row[j]
-                num[j] = sub(num[j + 1], mul(num[j], c, prec, rnd), prec, rnd)
-                den[j] = sub(den[j + 1], mul(den[j], c, prec, rnd), prec, rnd)
-            den0 = make(den[0])
-            if len(num) >= 2 and den0 != 0:
-                val = make(num[0]) / den0
+                rows.append(_coefficient_row(m, g))
+            table = [_update(c, e, rows[m], g) for c, e in zip(table, entries)]
+            if len(table) == 2:
+                num0, den0 = mpf(table[0][0]), mpf(table[1][0])
+            else:
+                num0, den0 = mpc(table[0][0], table[2][0]), mpc(table[1][0], table[3][0])
+            if m >= 1 and den0 != 0:
+                val = num0 / den0
                 if val_prev is not None:
                     err = abs(val - val_prev)
-                    scale = abs(val)
-                    if scale == 0:
-                        scale = mpf(1)
+                    scale = abs(val) or mpf(1)
                     if best_err is None or err < best_err:
                         best, best_err = val, err
                     if err <= tol_target * scale:
@@ -121,13 +138,11 @@ def levin_core(terms, ctx):
                         hits = 0
                     # deep in the table roundoff takes over; stop once estimates
                     # have degraded far past the best one seen
-                    if len(num) > 30 and err > best_err * mpf(10) ** 8:
+                    if m + 1 > 30 and err > best_err * 10**8:
                         break
                 val_prev = val
         if best is not None:
-            scale = abs(best)
-            if scale == 0:
-                scale = mpf(1)
+            scale = abs(best) or mpf(1)
             if best_err <= mpf(10) ** (-(ctx.digits + 1)) * scale:
                 return best, max(best_err, scale * err_floor), used
         raise AccelerationFailed(

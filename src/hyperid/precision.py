@@ -49,6 +49,15 @@ class PrecisionContext:
         return mpf(10) ** (-self.dps)
 
 
+GUARD_BITS = 30  # fixed-point bits beyond the ambient precision
+
+
+def fixed_prec() -> int:
+    """W, the fixed-point scale 2^W of the term streams, `partial_sum` and
+    the Levin table's input at the ambient precision: mp.prec + GUARD_BITS."""
+    return mp.prec + GUARD_BITS
+
+
 def to_mp(value):
     """Convert int/float/Fraction/complex/str/mpf/mpc to mpf or mpc.
 

@@ -35,10 +35,10 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
-from .precision import INF, PrecisionContext, to_mp
+from .precision import INF, PrecisionContext, fixed_prec, to_mp
 from .series import (
-    SeriesResult, dyadic, fixed_prec, fixed_terms, gmul, join_halves, mp_parameters,
-    reflected_factors, sum_direct, to_fixed,
+    SeriesResult, dyadic, fixed_terms, gmul, join_halves, mp_parameters, reflected_factors,
+    sum_direct, to_fixed,
 )
 
 

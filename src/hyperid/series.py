@@ -20,11 +20,12 @@ Bilateral sums are split at k = 0; the negative tail becomes a unilateral
 series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
 
 The term streams of both engines (`ratio_terms` here, `qseries.q_ratio_terms`)
-run on Python ints scaled by 2^W, W = `fixed_prec()`, the ambient precision
-plus GUARD_BITS; a complex value is an (re, im) pair of ints. `fixed_terms`,
-their one stepping loop, rounds each term once on a ratio of exact ints, and
-`partial_sum` adds the terms exactly, so the rounding of a sum is the bound
-that `fixed_terms` states. Levin reads the same terms as mp numbers.
+run on Python ints scaled by 2^W, W = `precision.fixed_prec()`, the ambient
+precision plus GUARD_BITS; a complex value is an (re, im) pair of ints.
+`fixed_terms`, their one stepping loop, rounds each term once on a ratio of
+exact ints, and `partial_sum` adds the terms exactly, so the rounding of a
+sum is the bound that `fixed_terms` states. The Levin table reads the same
+pairs, generated at its raised precision.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms: to a stream's end, to a limit or to three
@@ -63,7 +64,7 @@ from .errors import (
     NotConvergent,
     PoleError,
 )
-from .precision import PrecisionContext, nonpositive_int, to_mp
+from .precision import PrecisionContext, fixed_prec, nonpositive_int, to_mp
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,9 @@ class SeriesResult:
     method: str  # terminating | direct | direct+tail | levin
 
 
-_DIRECT_CAP = 20_000  # direct algebraic summation beyond this is slower than Levin
+# direct+tail term limit; a Levin call costs about 1000 direct terms at 30 digits,
+# so Levin is cheaper well below it, but a lower cap would move report methods
+_DIRECT_CAP = 20_000
 _CANCELLATION_CEILING = 10  # no direct pass runs above this many times the working precision
 
 
@@ -190,15 +193,6 @@ def _lower_pole_check(uppers, lowers, term_n):
             raise LowerPoleError(
                 f"lower parameter {b} is a nonpositive integer reached before termination"
             )
-
-
-GUARD_BITS = 30  # fixed-point bits beyond the ambient precision
-
-
-def fixed_prec() -> int:
-    """W, the fixed-point scale 2^W of the term streams and `partial_sum` at
-    the ambient precision: mp.prec + GUARD_BITS."""
-    return mp.prec + GUARD_BITS
 
 
 def dyadic(x, cplx):
@@ -443,7 +437,7 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
         # decaying series (small exponents) go to the accelerator, which
         # regenerates the terms at its boosted precision
         if k_needed >= min(ctx.max_terms, _DIRECT_CAP):
-            value, err, used = levin_core(map(from_fixed, ratio_terms(uppers, lowers, z)), ctx)
+            value, err, used = levin_core(ratio_terms(uppers, lowers, z), ctx)
             return SeriesResult(value, err, used, "levin")
         k_stop = max(used + 1, int(k_needed) + 1)
         total, peak, used, last, _, _ = partial_sum(gen, 0, k_stop, probe[:5])

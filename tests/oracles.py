@@ -16,7 +16,7 @@ the fixed-point streams state.
 from mpmath import mpf, sqrt
 
 from hyperid.errors import DivisionByZero, LowerPoleError
-from hyperid.series import fixed_prec
+from hyperid.precision import fixed_prec
 
 
 def term_stream(uppers, lowers, z, max_k=None):

@@ -1,23 +1,43 @@
 import itertools
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
+from hyperid import accel
 from hyperid.accel import levin_core
 from hyperid.errors import AccelerationFailed
-from hyperid.precision import PrecisionContext
-from hyperid.series import SeriesSpec, sum_unilateral
+from hyperid.precision import PrecisionContext, fixed_prec
+from hyperid.series import SeriesSpec, sum_unilateral, to_fixed
 
 HALF = mpf(1) / 2
 
 
+def _fixed(values):
+    """The mp values as the fixed-point pairs Levin reads, each computed and
+    converted when it is asked for, at the table's raised precision."""
+    return (to_fixed(v, fixed_prec()) for v in values)
+
+
 def _zeta2_stream():
-    return (1 / mpf(k + 1) ** 2 for k in itertools.count())
+    return _fixed(1 / mpf(k + 1) ** 2 for k in itertools.count())
 
 
 def _periodic_stream():
-    return (mpf(1) if k % 3 else mpf(-1) for k in itertools.count())
+    return _fixed(mpf(1) if k % 3 else mpf(-1) for k in itertools.count())
+
+
+def _model_terms(total):
+    """Exact terms t_n of a series with sum `total` whose remainders follow
+    the Levin u model exactly: total - S_n = (n+1) t_n P(1/(n+1)) with
+    P(x) = 1 + 2^130 x^24, so t_n = R_(n-1) / (n + 2 + 2^130 / (n+1)^23).
+    The terms grow by about 2^110 over the first 28, then decay like n^-2."""
+    rest = Fraction(total)
+    for n in itertools.count():
+        t = rest / (n + 2 + Fraction(2**130, (n + 1) ** 23))
+        rest -= t
+        yield t
 
 
 def test_levin_zeta2(ctx30):
@@ -33,7 +53,7 @@ def test_levin_zeta2(ctx30):
 
 
 def test_levin_geometric(ctx30):
-    value, err, used = levin_core((mpf(2) ** -k for k in itertools.count()), ctx30)
+    value, err, used = levin_core(_fixed(mpf(2) ** -k for k in itertools.count()), ctx30)
     assert used <= 10
     with mp.workdps(80):
         assert abs(value - 2) < mpf(10) ** -(ctx30.digits + 1)
@@ -60,7 +80,7 @@ def test_levin_honesty_on_known_sums(ctx30):
         with mp.workdps(80):
             err = abs(scale * res.value - mpmath.pi**2 / pi2_over)
             assert err < 100 * scale * res.err_estimate
-    value, err, _ = levin_core((mpf(3) ** -k for k in itertools.count()), ctx30)
+    value, err, _ = levin_core(_fixed(mpf(3) ** -k for k in itertools.count()), ctx30)
     with mp.workdps(80):
         assert abs(value - mpf(3) / 2) < 100 * err
 
@@ -98,3 +118,41 @@ def test_levin_mixed_real_and_complex_stream(ctx30):
                  / (mpmath.gamma(c - a) * mpmath.gamma(c - b)))
         assert abs(res.value - gauss) < mpf(10) ** -28 * abs(gauss)
         assert abs(res.value - gauss) < 100 * res.err_estimate + mpf(10) ** -45
+
+
+def test_levin_coefficients_are_correctly_rounded(ctx30):
+    levin_core(_zeta2_stream(), ctx30)
+    with mp.workdps(2 * ctx30.dps + 10):
+        g = mp.prec + accel.EXTRA_BITS
+    assert accel._ROWS_G == g and len(accel._ROWS) > 40
+    for m, row in enumerate(accel._ROWS):
+        assert len(row) == m
+        for j, c in enumerate(row):
+            k = m - j
+            exact = Fraction(1 + j) * Fraction(j + k) ** (k - 2) / Fraction(1 + j + k) ** (k - 1)
+            assert abs(c - exact * 2**g) <= Fraction(1, 2)
+
+
+def test_levin_terms_that_grow_before_they_decay(ctx30):
+    # the table is exact on this model from 26 terms on, so the value is the
+    # model's sum up to rounding; the terms used grow from 2^270 to 2^380,
+    # and the entries' scale must follow them
+    total = 2**400
+    terms = ((round(t * 2 ** fixed_prec()), 0) for t in _model_terms(total))
+    value, err, used = levin_core(terms, ctx30)
+    head = list(itertools.islice(_model_terms(1), used))
+    assert max(head) / head[0] > 2**100
+    assert abs(value - total) < mpf(10) ** -60 * total
+    assert err < mpf(10) ** -(ctx30.digits + 1) * total
+
+
+def test_levin_complex_from_the_first_term(ctx30):
+    # sum 1 / (k + 1 + i)^2 = trigamma(1 + i): every term, the first one too,
+    # is complex, and the phase turns from term to term
+    shift = mpmath.mpc(1, 1)
+    value, err, used = levin_core(_fixed(1 / (k + shift) ** 2 for k in itertools.count()), ctx30)
+    assert isinstance(value, mpmath.mpc) and used <= 60
+    with mp.workdps(80):
+        exact = mpmath.psi(1, shift)
+        assert abs(value - exact) < mpf(10) ** -(ctx30.digits + 1) * abs(exact)
+        assert abs(value - exact) < 100 * err

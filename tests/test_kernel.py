@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, sqrt
 
-from hyperid.precision import to_mp
+from hyperid.precision import fixed_prec, to_mp
 from hyperid.qseries import q_ratio_terms
-from hyperid.series import fixed_prec, from_fixed, partial_sum, ratio_terms
+from hyperid.series import from_fixed, partial_sum, ratio_terms
 
 import oracles
 

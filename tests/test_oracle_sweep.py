@@ -1,0 +1,41 @@
+"""mpmath sums of `scripts/oracle_sweep.py` on phi series that terminate
+without a stated terminating_index (z = 0, or an upper a with a q^n = 1),
+which mpmath.qhyper would run to its term limit."""
+
+import importlib.util
+from pathlib import Path
+
+import mpmath
+from mpmath import mp, mpf
+
+from hyperid.precision import PrecisionContext
+from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "oracle_sweep.py"
+_SPEC = importlib.util.spec_from_file_location("oracle_sweep", _PATH)
+oracle_sweep = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(oracle_sweep)
+
+CTX = PrecisionContext(digits=30)
+
+
+def test_phi_at_zero_argument_is_one():
+    for q in (0, mpf(1) / 2):
+        spec = QSeriesSpec((0,), (), 0, "phi")
+        with mp.workdps(80):
+            assert oracle_sweep.mpmath_series(spec, QContext(q, CTX)) == 1
+
+
+def test_phi_with_an_upper_at_q_to_the_minus_n():
+    # 8 (1/2)^3 = 1 and (-2i)(i/2) = 1: both series stop after their term 3
+    # and term 1; the engine sums them when told where they end
+    half = mpf(1) / 2
+    cases = ((mpf(8), half, 3), (mpmath.mpc(0, -2), mpmath.mpc(0, half), 1))
+    for a, q, n in cases:
+        qc = QContext(q, CTX)
+        spec = QSeriesSpec((mpf(1) / 4, a), (mpf(3) / 4,), mpf(1) / 3, "phi")
+        with mp.workdps(50):
+            value = oracle_sweep.mpmath_series(spec, qc)
+        stated = QSeriesSpec(spec.uppers, spec.lowers, spec.argument, "phi", n)
+        engine = sum_q_series(stated, qc).value
+        assert abs(value - engine) < mpf(10) ** -(CTX.digits + 5) * abs(engine)

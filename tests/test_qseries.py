@@ -15,7 +15,7 @@ from hyperid.errors import (
     LowerPoleError,
     PoleError,
 )
-from hyperid.precision import INF, PrecisionContext, to_mp
+from hyperid.precision import INF, PrecisionContext, fixed_prec, to_mp
 from hyperid.qseries import (
     QContext,
     QSeriesSpec,
@@ -25,7 +25,6 @@ from hyperid.qseries import (
     split_psi,
     sum_q_series,
 )
-from hyperid.series import fixed_prec
 
 import oracles
 from oracles import brute_bilateral_psi

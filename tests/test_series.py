@@ -18,12 +18,11 @@ from hyperid.errors import (
     PoleError,
 )
 from hyperid.gammafn import gamma_ratio
-from hyperid.precision import PrecisionContext, to_mp
+from hyperid.precision import PrecisionContext, fixed_prec, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
 from hyperid.series import (
     SeriesSpec,
     classify,
-    fixed_prec,
     from_fixed,
     partial_sum,
     split_bilateral,
