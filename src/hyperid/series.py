@@ -103,8 +103,8 @@ class SeriesResult:
     method: str  # terminating | direct | direct+tail | levin
 
 
-# direct+tail term limit; a Levin call costs about 1000 direct terms at 30 digits,
-# so Levin is cheaper well below it, but a lower cap would move report methods
+# direct+tail term limit; a Levin call costs 600-1700 direct terms (30-60 digits),
+# so Levin is cheaper far below it, but a lower cap would move report methods
 _DIRECT_CAP = 20_000
 _CANCELLATION_CEILING = 10  # no direct pass runs above this many times the working precision
 
