@@ -3,64 +3,51 @@
 It is the workhorse for the k^-2 algebraic tails this package meets (direct
 summation of those gains about one digit per decade of terms).
 
-The table amplifies rounding error as it deepens, so it runs at a boosted
-precision and tracks the best estimate seen, stopping once the diagonal
-starts to churn instead of converge. Its whole policy (precision, term cap,
-stop and acceptance tolerances, error floor) follows from the caller's
-PrecisionContext.
+The transform amplifies the rounding of its input as it deepens, so it runs
+at a boosted precision and tracks the best estimate seen, stopping once the
+diagonal starts to churn instead of converge. Its whole policy (precision,
+term cap, stop and acceptance tolerances, error floor) follows from the
+caller's PrecisionContext.
 
-The table runs on Python ints. Its coefficients are exact rationals that
-depend only on the row and the column; each row of them is rounded once to
-the nearest multiple of 2^-G, G = the boosted precision + EXTRA_BITS, and
-kept for later calls at the same G. The entries of one call share one scale
-2^F, and each update rounds one product to the nearest unit of it. The
-table reads the fixed-point term pairs of `series.fixed_terms` as they come
-and keeps their partial sum exactly.
+It runs on Python ints, in the closed form of Levin (1973) (Weniger, Comput.
+Phys. Rep. 10, 1989, section 7): after terms 0..m the diagonal is
+L_m = sum_j w_mj x_j / sum_j w_mj y_j, with exact integer weights
+w_mj = (-1)^j C(m, j) (j + 1)^(m - 1) that serve every precision. Both sums
+are exact over the rounded entries, and the stop tests compare them exactly;
+mp numbers are built only for the returned value and error.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import sub
+from math import comb
+from operator import mul
 
 from mpmath import mp, mpc, mpf
 
 from .errors import AccelerationFailed
 from .precision import fixed_prec
 
-EXTRA_BITS = 64  # bits of the coefficients and the entries beyond the precision
+EXTRA_BITS = 64  # bits of the entries and of the compared sums beyond the precision
 
-# coefficient rows at the G of the last call, as deep as any call went
-_ROWS_G, _ROWS = 0, []
-
-
-def _rows_at(g):
-    """The coefficient rows kept for G = g (a fresh list when g differs from
-    the last call's)."""
-    global _ROWS_G, _ROWS
-    if g != _ROWS_G:
-        _ROWS_G, _ROWS = g, []
-    return _ROWS
+# row m holds the weights w_mj, j = 0..m, as deep as any call went
+_WEIGHTS = [[1]]
 
 
-def _coefficient_row(m, g):
-    """Row m of the table coefficients as ints at scale 2^g: entry j is the
-    c = (1+j) (j+k)^(k-2) / (1+j+k)^(k-1), k = m - j, of the update of
-    column j, rounded to nearest."""
-    row = []
-    for j in range(m):
-        k = m - j
-        num, den = (1 + j) * m ** (k - 1) << g + 1, m * (m + 1) ** (k - 1)
-        row.append((num + den) // (den << 1))
-    return row
+def _value(sums):
+    """num / den of (num re, num im, den re, den im, complex table) as an mp
+    number, each part the exact quotient rounded once."""
+    nre, nim, dre, dim, cplx = sums
+    d2 = dre * dre + dim * dim
+    re = mp.fdiv(nre * dre + nim * dim, d2)
+    return mpc(re, mp.fdiv(nim * dre - nre * dim, d2)) if cplx else re
 
 
-def _update(column, entry, row, g):
-    """A column after the update with its new entry: column[j] becomes
-    column[j+1] - round(column[j] c_j / 2^g), from j = m - 1 down to 0."""
-    half = 1 << g - 1
-    products = [(v * c + half) >> g for v, c in zip(column, row)]
-    return list(accumulate(reversed(products), sub, initial=entry))[::-1]
+def _result(sums, prev, ctx):
+    """(value, err_estimate) of a diagonal entry, err the distance from the
+    entry before it floored at ctx.eps() relative."""
+    val = _value(sums)
+    scale = abs(val) or mpf(1)
+    return val, max(abs(val - _value(prev)), scale * ctx.eps())
 
 
 def levin_core(terms, ctx):
@@ -69,17 +56,20 @@ def levin_core(terms, ctx):
 
     The terms are (re, im) pairs of ints at scale 2^W, W = `fixed_prec()` at
     that precision; a lazy stream reads it when its first term is asked
-    for. The table returns once two diagonal differences in a row fall
+    for. The transform returns once two diagonal differences in a row fall
     within 10^-(dps - 3) relative. When it reaches min(4 digits + 40, 400)
     terms instead, or its estimates degrade far past the best one seen,
     that best estimate is accepted within 10^-(digits + 1) relative;
-    otherwise AccelerationFailed is raised.
+    otherwise AccelerationFailed says which stop it met and whether |t_m|
+    was still growing there.
 
     Term m enters as x = partial / omega and y = 1 / omega,
     omega = (m + 1) t_m, each rounded once from the exact partial sum and
-    term. Entries share the scale 2^F, F >= G, raised (never lowered) so
-    that each y holds at least G bits, with the earlier entries shifted
-    exactly; terms that grow before they decay thus keep their precision.
+    term. Entries share the scale 2^F, F >= G = prec + EXTRA_BITS, raised
+    (never lowered) so that each y holds at least G bits, with the earlier
+    entries shifted exactly; terms that grow before they decay thus keep
+    their precision. The tests run on the four weighted sums shifted right
+    by one amount, so that the smaller of |num| and |den| holds about G bits.
 
     Returns (value, err_estimate, terms_used) at the raised precision. The
     error estimate is the difference between the last two diagonal entries,
@@ -87,65 +77,74 @@ def levin_core(terms, ctx):
     """
     cap = min(4 * ctx.digits + 40, 400)
     with mp.workdps(2 * ctx.dps + 10):
-        tol_target = mpf(10) ** (-(ctx.dps - 3))
-        err_floor = ctx.eps()
         g = mp.prec + EXTRA_BITS
         w, f = fixed_prec(), g
-        rows = _rows_at(g)
-        table = [[], []]  # num and den: real parts, imaginary ones from the first complex term
+        # tol^-2 of the stop and acceptance tests: err <= tol scale reads
+        # e2 tol^-2 <= a2 in the squared, cross-multiplied sums below
+        stop_inv2, accept_inv2 = 10 ** (2 * (ctx.dps - 3)), 10 ** (2 * (ctx.digits + 1))
+        columns = [[], []]  # x and y: real parts, imaginary ones from the first complex term
         pre = pim = 0  # the exact partial sum at 2^W
-        val_prev = None
-        best = best_err = None
-        hits = 0
-        used = 0
+        t2 = t2_prev = 0  # |t_m|^2 and |t_(m-1)|^2 at 2^2W
+        prev = best = None
+        hits = used = 0
+        stop = "ended with its stream"
         for tre, tim in terms:
             if used >= cap:
+                stop = "reached its cap"
                 break
             used += 1
             pre, pim = pre + tre, pim + tim
-            m = len(table[0])
-            if tim and len(table) == 2:
-                table += [[0] * m, [0] * m]
+            m = len(columns[0])
+            if tim and len(columns) == 2:
+                columns += [[0] * m, [0] * m]
             # x = partial conj(t) / d and y = 2^W conj(t) / d, d = (m+1) |t|^2,
             # at 2^f; |y| > 2^(f + W - bits - 1/2) holds G bits once f >= need
             bits = (m + 1).bit_length() + max(abs(tre), abs(tim)).bit_length()
             need = g + bits - w
             if need > f:
-                table = [[v << need - f for v in column] for column in table]
+                columns = [[v << need - f for v in column] for column in columns]
                 f = need
-            d = (m + 1) * (tre * tre + tim * tim)
+            t2_prev, t2 = t2, tre * tre + tim * tim
+            d = (m + 1) * t2
             parts = (pre * tre + pim * tim, tre << w, pim * tre - pre * tim, -tim << w)
-            entries = [((p << f + 1) + d) // (d << 1) for p in parts[:len(table)]]
-            if m == len(rows):
-                rows.append(_coefficient_row(m, g))
-            table = [_update(c, e, rows[m], g) for c, e in zip(table, entries)]
-            if len(table) == 2:
-                num0, den0 = mpf(table[0][0]), mpf(table[1][0])
-            else:
-                num0, den0 = mpc(table[0][0], table[2][0]), mpc(table[1][0], table[3][0])
-            if m >= 1 and den0 != 0:
-                val = num0 / den0
-                if val_prev is not None:
-                    err = abs(val - val_prev)
-                    scale = abs(val) or mpf(1)
-                    if best_err is None or err < best_err:
-                        best, best_err = val, err
-                    if err <= tol_target * scale:
-                        hits += 1
-                        if hits >= 2:
-                            return val, max(err, scale * err_floor), used
-                    else:
-                        hits = 0
-                    # deep in the table roundoff takes over; stop once estimates
-                    # have degraded far past the best one seen
-                    if m + 1 > 30 and err > best_err * 10**8:
-                        break
-                val_prev = val
-        if best is not None:
-            scale = abs(best) or mpf(1)
-            if best_err <= mpf(10) ** (-(ctx.digits + 1)) * scale:
-                return best, max(best_err, scale * err_floor), used
+            for column, p in zip(columns, parts):
+                column.append(((p << f + 1) + d) // (d << 1))
+            if m == len(_WEIGHTS):
+                _WEIGHTS.append([(-1) ** j * comb(m, j) * (j + 1) ** (m - 1) for j in range(m + 1)])
+            sums = [sum(map(mul, _WEIGHTS[m], column)) for column in columns]
+            nre, dre, nim, dim = sums if len(sums) == 4 else (*sums, 0, 0)
+            if m < 1 or not (dre or dim):
+                continue
+            nbits = max(abs(nre), abs(nim)).bit_length()
+            dbits = max(abs(dre), abs(dim)).bit_length()
+            shift = max(min(nbits or dbits, dbits) - g, 0)
+            nre, nim, dre, dim = nre >> shift, nim >> shift, dre >> shift, dim >> shift
+            cur = (nre, nim, dre, dim, len(sums) == 4)
+            if prev is not None:
+                # err^2 = e2 / q2 and scale^2 = a2 / q2, scale = |val| or 1
+                pnr, pni, pdr, pdi, _ = prev
+                ere = nre * pdr - nim * pdi - pnr * dre + pni * dim
+                eim = nre * pdi + nim * pdr - pnr * dim - pni * dre
+                e2 = ere * ere + eim * eim
+                p2 = pdr * pdr + pdi * pdi
+                q2 = (dre * dre + dim * dim) * p2
+                a2 = (nre * nre + nim * nim) * p2 or q2
+                if best is None or e2 * best[1] < best[0] * q2:
+                    best = (e2, q2, a2, cur, prev)
+                hits = hits + 1 if e2 * stop_inv2 <= a2 else 0
+                if hits >= 2:
+                    return (*_result(cur, prev, ctx), used)
+                # deep in the table roundoff takes over; stop once estimates
+                # have degraded far past the best one seen
+                if m + 1 > 30 and e2 * best[1] > best[0] * q2 * 10**16:
+                    stop = "degraded past its best"
+                    break
+            prev = cur
+        if best is not None and best[0] * accept_inv2 <= best[2]:
+            return (*_result(*best[3:], ctx), used)
+        best_err = mp.nstr(abs(_value(best[3]) - _value(best[4])), 3) if best else "n/a"
+        growth = "growing" if t2 > t2_prev else "not growing"
         raise AccelerationFailed(
-            f"Levin u-transform stagnated after {used} terms "
-            f"(best error {mp.nstr(best_err, 3) if best_err is not None else 'n/a'})"
+            f"Levin {stop} at {used} terms; |t_m| {growth}; best error {best_err}"
         )
+

@@ -24,8 +24,8 @@ run on Python ints scaled by 2^W, W = `precision.fixed_prec()`, the ambient
 precision plus GUARD_BITS; a complex value is an (re, im) pair of ints.
 `fixed_terms`, their one stepping loop, rounds each term once on a ratio of
 exact ints, and `partial_sum` adds the terms exactly, so the rounding of a
-sum is the bound that `fixed_terms` states. The Levin table reads the same
-pairs, generated at its raised precision.
+sum is the bound that `fixed_terms` states. The Levin transform reads the
+same pairs, generated at its raised precision, and sums them exactly too.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms: to a stream's end, to a limit or to three
@@ -103,7 +103,7 @@ class SeriesResult:
     method: str  # terminating | direct | direct+tail | levin
 
 
-# direct+tail term limit; a Levin call costs 600-1700 direct terms (30-60 digits),
+# direct+tail term limit; a Levin call costs 300-900 direct terms (30-60 digits),
 # so Levin is cheaper far below it, but a lower cap would move report methods
 _DIRECT_CAP = 20_000
 _CANCELLATION_CEILING = 10  # no direct pass runs above this many times the working precision

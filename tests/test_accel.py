@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb, floor
 
 import mpmath
 import pytest
@@ -90,11 +91,13 @@ def test_levin_acceleration_failed(ctx30):
         levin_core(_periodic_stream(), ctx30)
     # the best error prints with 3 digits, not at the raised precision
     assert len(str(info.value)) < 80
+    # the message names the stop and the trend of |t_m| there
+    assert "reached its cap at 160 terms; |t_m| not growing" in str(info.value)
 
 
 def test_levin_coefficient_rows_follow_the_precision(ctx30):
     # raised precisions 90 and 150 digits; the failing periodic stream first
-    # leaves 160 coefficient rows at 90 digits
+    # leaves 160 weight rows, exact ints that serve every precision
     ctx60 = PrecisionContext(digits=60)
     with pytest.raises(AccelerationFailed):
         levin_core(_periodic_stream(), ctx30)
@@ -103,7 +106,7 @@ def test_levin_coefficient_rows_follow_the_precision(ctx30):
     third = levin_core(_zeta2_stream(), ctx30)
     assert repr(third) == repr(first)
     with mp.workdps(170):
-        # rows left over from 90 digits reach only ~4e-62 here
+        # rows rounded at 90 digits would reach only ~4e-62 here
         assert abs(value - mpmath.pi**2 / 6) < mpf(10) ** -66
         assert abs(value - mpmath.pi**2 / 6) < 100 * err
 
@@ -120,17 +123,55 @@ def test_levin_mixed_real_and_complex_stream(ctx30):
         assert abs(res.value - gauss) < 100 * res.err_estimate + mpf(10) ** -45
 
 
-def test_levin_coefficients_are_correctly_rounded(ctx30):
+def test_levin_weights_are_exact(ctx30):
     levin_core(_zeta2_stream(), ctx30)
-    with mp.workdps(2 * ctx30.dps + 10):
-        g = mp.prec + accel.EXTRA_BITS
-    assert accel._ROWS_G == g and len(accel._ROWS) > 40
-    for m, row in enumerate(accel._ROWS):
-        assert len(row) == m
-        for j, c in enumerate(row):
-            k = m - j
-            exact = Fraction(1 + j) * Fraction(j + k) ** (k - 2) / Fraction(1 + j + k) ** (k - 1)
-            assert abs(c - exact * 2**g) <= Fraction(1, 2)
+    assert len(accel._WEIGHTS) > 40
+    for k, row in enumerate(accel._WEIGHTS):
+        assert row == [(-1) ** j * comb(k, j) * Fraction(j + 1) ** (k - 1) for j in range(k + 1)]
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_levin_value_is_the_weighted_ratio_rounded_once(digits):
+    # sum_j w_mj x_j / sum_j w_mj y_j over the entries rounded from the terms
+    # read, evaluated in Fractions; zeta(2)'s terms only decay, so the first
+    # term sets the entries' scale 2^F for all of them
+    ctx = PrecisionContext(digits=digits)
+    read = []
+    value, _, used = levin_core((read.append(t) or t for t in _zeta2_stream()), ctx)
+    with mp.workdps(2 * ctx.dps + 10):
+        prec, w = mp.prec, fixed_prec()
+    f = prec + accel.EXTRA_BITS + 1 + read[0][0].bit_length() - w
+    xs, ys, partial = [], [], 0
+    for j, (t, _) in enumerate(read[:used]):
+        partial += t
+        xs.append(floor(Fraction(partial << f, (j + 1) * t) + Fraction(1, 2)))
+        ys.append(floor(Fraction(1 << w + f, (j + 1) * t) + Fraction(1, 2)))
+    m = used - 1
+    weights = [(-1) ** j * comb(m, j) * (j + 1) ** (m - 1) for j in range(m + 1)]
+    exact = Fraction(sum(map(int.__mul__, weights, xs)), sum(map(int.__mul__, weights, ys)))
+    # half a unit in the last place, and the sums' shift to G bits before
+    # the division, well below 2^-60 of that
+    man, exp = value.man_exp
+    assert abs(man * Fraction(2) ** exp - exact) <= abs(exact) / 2**prec * (1 + Fraction(1, 2**60))
+
+
+def test_levin_accepts_its_best_estimate_at_a_stop(ctx30):
+    # zeta(2) terms rounded to 48 digits: the diagonal never meets the stop
+    # test twice in a row and degrades past its best after about 50 terms,
+    # and that best estimate passes the acceptance test
+    def noisy():
+        for k in itertools.count():
+            with mp.workdps(48):
+                t = 1 / mpf(k + 1) ** 2
+            yield to_fixed(t, fixed_prec())
+
+    value, err, used = levin_core(noisy(), ctx30)
+    # an error above the stop tolerance is returned only through acceptance
+    assert 30 < used < 160 and err > mpf(10) ** -(ctx30.dps - 3) * value
+    with mp.workdps(80):
+        true_err = abs(value - mpmath.pi**2 / 6)
+        assert true_err < mpf(10) ** -(ctx30.digits + 1) * value
+        assert true_err < 100 * err
 
 
 def test_levin_terms_that_grow_before_they_decay(ctx30):

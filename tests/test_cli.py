@@ -220,6 +220,16 @@ def test_eval_divergent_beyond_thirty_digits(capsys):
     assert "DivergentError" in err
 
 
+def test_eval_levin_failure_names_its_stop(capsys):
+    # Gauss 2F1(a, b; a+b+1; 1) whose terms grow until k ~ 180: the Levin
+    # table degrades long before they turn, and the message says so
+    code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "20.25,20.125",
+                             "--lower", "41.375", "--z", "1", "--digits", "30")
+    assert code == 1 and out == ""
+    assert err.startswith("AccelerationFailed: Levin degraded past its best at 31 terms; "
+                          "|t_m| growing; best error ")
+
+
 def test_bad_precision_settings_are_usage_errors(capsys):
     for argv in (
         ("verify", "--digits", "5"),
