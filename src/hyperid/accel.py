@@ -147,4 +147,3 @@ def levin_core(terms, ctx):
         raise AccelerationFailed(
             f"Levin {stop} at {used} terms; |t_m| {growth}; best error {best_err}"
         )
-
