@@ -125,9 +125,7 @@ def mpmath_series(spec, ctx_or_qc):
     q = to_mp(ctx_or_qc.q)
     if spec.kind == "psi":
         return _psi_sum(ups, lows, q, z)
-    n = spec.terminating_index
-    if n is None:
-        n = _last_term(ups, q, z)
+    n = _last_term(ups, q, z)
     if n is not None:
         return _phi_sum(ups, lows, q, z, n)
     return mpmath.qhyper(ups, lows, q, z)

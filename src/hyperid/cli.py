@@ -66,22 +66,12 @@ def _print_result(res, digits):
     print(f"method: {res.method}")
 
 
-def _terminates_at(uppers, q, n, ctx) -> bool:
-    """Whether some upper parameter equals q^-n at working precision."""
-    with ctx.working():
-        return any(abs(a * q**n - 1) <= (n + 2) * ctx.eps() for a in uppers)
-
-
 def _cmd_eval(args) -> int:
     q_series = args.series in ("phi", "psi")
-    n = args.terminating if q_series else None
     try:
         ctx = PrecisionContext(digits=args.digits, max_terms=args.max_terms)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    if n is not None and n < 0:
-        print("usage error: --terminating must be >= 0", file=sys.stderr)
         return 2
     try:
         with mp.workdps(ctx.dps):
@@ -97,10 +87,7 @@ def _cmd_eval(args) -> int:
             kind = "unilateral" if args.series == "pfq" else "bilateral"
             spec = SeriesSpec(tuple(uppers), tuple(lowers), z, kind)
         else:
-            if n is not None and not _terminates_at(uppers, q, n, ctx):
-                raise ValueError(f"--terminating {n} needs an upper parameter equal to q^-{n}")
-            spec = QSeriesSpec(tuple(uppers), tuple(lowers), z, args.series,
-                               terminating_index=n)
+            spec = QSeriesSpec(tuple(uppers), tuple(lowers), z, args.series)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -195,10 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--z", default="1", help="series argument (RE or RE+IMi)")
         if name in ("phi", "psi"):
             p.add_argument("--q", required=True, help="nome, |q|<1")
-            p.add_argument("--terminating", type=int, default=None,
-                           help="known terminating index n")
         p.add_argument("--digits", type=int, default=default_digits())
-        p.add_argument("--max-terms", type=int, default=1_000_000)
+        p.add_argument("--max-terms", type=int, default=PrecisionContext.max_terms)
         p.set_defaults(func=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="verify catalog identities on seeded samples")
@@ -207,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--digits", type=int, default=default_digits())
-    p_verify.add_argument("--max-terms", type=int, default=None)
+    p_verify.add_argument("--max-terms", type=int, default=PrecisionContext.max_terms)
     p_verify.add_argument("--json", action="store_true", help="emit the JSON report schema")
     p_verify.add_argument("--out", default=None, help="write the report to a file")
     p_verify.set_defaults(func=_cmd_verify)

@@ -30,7 +30,7 @@ class SuiteConfig:
     samples: int = 20
     seed: int = 0
     digits: int = 30
-    max_terms: Optional[int] = None
+    max_terms: int = PrecisionContext.max_terms
 
     def resolve_ids(self):
         ids = self.identities
@@ -42,10 +42,7 @@ class SuiteConfig:
         return tuple(dict.fromkeys(ids))  # repeats dropped, first-seen order
 
     def context(self) -> PrecisionContext:
-        kwargs = {"digits": self.digits}
-        if self.max_terms is not None:
-            kwargs["max_terms"] = self.max_terms
-        return PrecisionContext(**kwargs)
+        return PrecisionContext(digits=self.digits, max_terms=self.max_terms)
 
 
 @dataclass

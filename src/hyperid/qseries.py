@@ -17,7 +17,8 @@ engine's fixed-point ints: the powers x q^k are running fixed-point
 products, and `series.fixed_terms` rounds each term once. Every phi series
 takes the classical engine's direct route,
 `series.sum_direct`, with its passes at raised precision against
-cancellation. A terminating one adds all its terms and has no tail; an
+cancellation. A terminating one (an upper q^-n at working precision, n
+found by `_terminating_index`) adds all its terms and has no tail; an
 exactly zero total comes back with an absolute error. A nonterminating one
 gets a geometric tail bound, and an exactly zero sum raises
 CancellationError.
@@ -57,18 +58,13 @@ class QContext:
 
 @dataclass(frozen=True)
 class QSeriesSpec:
-    """Parameter lists, argument and kind of a basic hypergeometric series.
-
-    terminating_index marks an upper parameter equal to q^-n exactly; the
-    engine cannot detect that reliably from rounded values, so callers that
-    construct terminating series state n themselves.
-    """
+    """Parameter lists, argument and kind of a basic hypergeometric series;
+    whether it terminates follows from the parameters and q."""
 
     uppers: tuple
     lowers: tuple
     argument: object
     kind: str  # "phi" | "psi"
-    terminating_index: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in ("phi", "psi"):
@@ -213,7 +209,7 @@ def split_psi(spec: QSeriesSpec, qc: QContext):
             raise DomainError("bilateral q-series undefined at z = 0")
         if any(a == 0 for a in ups) or any(b == 0 for b in lows):
             raise DomainError("zero parameters are not supported in psi-type series")
-        plus = QSeriesSpec((q, *ups), tuple(lows), z, "phi", spec.terminating_index)
+        plus = QSeriesSpec((q, *ups), tuple(lows), z, "phi")
         w = mpmath.fprod(lows)
         for a in ups:
             w = w / a
@@ -275,14 +271,37 @@ def q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
     yield from fixed_terms(ratio, cplx, max_k, wp, "q-series denominator vanishes at k = {}")
 
 
+def _terminating_index(uppers, q, eps) -> Optional[int]:
+    """The least n >= 0 with |a q^n - 1| <= (n + 2) eps for some upper a
+    (eps = `PrecisionContext.eps`), after which a phi series with these
+    uppers ends, or None. Only |a| >= 1/2 can pass, at
+    n = round(log|a| / log(1/|q|)) (0 at q = 0): that n is tried on float
+    logs first, with a margin 10^6 times their rounding, and on mp numbers
+    only when it passes there. mpmath takes the logs of |a| past the float
+    range and of |q| that underflows to 0 or rounds to 1.
+    """
+    fq = float(abs(q))
+    lq = -math.log(fq) if 0 < fq < 1 else -float(mpmath.log(abs(q)))  # inf at q = 0
+    hits = []
+    for a in uppers:
+        fa = float(abs(a))
+        if fa >= 0.5:
+            t = (math.log(fa) if fa < math.inf else float(mpmath.log(abs(a)))) / lq
+            n = round(t)
+            if (n >= 0 and abs(t - n) <= 1e-9 * (1 + n) * (1 + 1 / lq)
+                    and abs(a * q**n - 1) <= (n + 2) * eps):
+                hits.append(n)
+    return min(hits, default=None)
+
+
 def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
     """Sum a phi- or psi-type basic hypergeometric series."""
     ctx = qc.ctx
     with ctx.working():
-        z = to_mp(spec.argument)
+        q, z = to_mp(qc.q), to_mp(spec.argument)
         if spec.kind == "phi":
             extra = len(spec.lowers) - (len(spec.uppers) - 1)
-            n = spec.terminating_index
+            n = _terminating_index(mp_parameters(spec)[0], q, ctx.eps())
             floor = None  # a finite stream has no tail
             if n is None:
                 if extra < 0:
@@ -298,7 +317,7 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
         # psi
         plus, pref, minus = split_psi(spec, qc)
         w = to_mp(minus.argument) if minus is not None else None
-        if spec.terminating_index is None and not abs(z) < 1:
+        if not abs(z) < 1 and _terminating_index(plus.uppers, q, ctx.eps()) is None:
             raise DomainError("psi series requires |z| < 1 (or a terminating upper)")
         if minus is not None and not abs(w) < 1:
             raise DomainError(

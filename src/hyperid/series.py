@@ -29,10 +29,9 @@ same pairs, generated at its raised precision, and sums them exactly too.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms: to a stream's end, to a limit or to three
-small terms in a row, resumable where an earlier call stopped), the direct
-route `sum_direct` (the one pass driver, for finite and infinite streams)
-with its geometric tail bound and its precision passes against
-cancellation, the conversion of a spec's parameters
+small terms in a row), the direct route `sum_direct` (the one pass driver,
+for finite and infinite streams) with its geometric tail bound and its
+precision passes against cancellation, the conversion of a spec's parameters
 `mp_parameters`, the reflected prefactor of a split's negative tail
 `reflected_factors` and the bilateral recombination `join_halves`, whose
 method ranking `combined_method` also labels the catalog's sums of sides.
@@ -289,13 +288,11 @@ def ratio_terms(uppers, lowers, z, max_k=None):
                            "denominator parameter reaches a pole at k = {}")
 
 
-def partial_sum(terms, stop_eps, limit: int, start=None):
+def partial_sum(terms, stop_eps, limit: int):
     """Add terms until three in a row fall below stop_eps*|total|, until
     `limit` terms are used, or until the stream ends; the iterator is left
     after the last term used. stop_eps is an mpf, or 0 to turn the
-    small-term rule off, so that a finite stream adds every term. `start`
-    resumes the (total, peak, used, last, prev) of an earlier call on the
-    same iterator.
+    small-term rule off, so that a finite stream adds every term.
 
     The terms are the fixed-point pairs of `fixed_terms` at the ambient
     precision. They add exactly, and the small-term test compares
@@ -307,13 +304,8 @@ def partial_sum(terms, stop_eps, limit: int, start=None):
     peak rounded to the ambient precision.
     """
     wp = fixed_prec()
-    if start:
-        total, peak, used, last, prev = start
-        (sre, sim), peak = to_fixed(total, wp), to_fixed(peak, wp)[0] ** 2
-        last, prev = (None if v is None else to_fixed(v, wp) for v in (last, prev))
-    else:
-        sre = sim = peak = used = 0
-        last = prev = None
+    sre = sim = peak = used = 0
+    last = prev = None
     if stop_eps:
         # |t|^2 a < b |total|^2 for stop_eps = m 2^e
         _, m, e, _ = stop_eps._mpf_
@@ -424,8 +416,7 @@ def join_halves(plus: SeriesResult, pref, minus) -> SeriesResult:
 
 def _sum_algebraic(uppers, lowers, z, ctx, s):
     gen = ratio_terms(uppers, lowers, z)
-    probe = partial_sum(gen, ctx.eps(), 48)
-    total, peak, used, last, _, settled = probe
+    total, peak, used, last, _, settled = partial_sum(gen, ctx.eps(), 48)
     # unsettled after the probe: sum on to the term count that the tail
     # bound needs (a zero term leaves no tail at all)
     if not settled and last != 0:
@@ -440,7 +431,9 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
             value, err, used = levin_core(ratio_terms(uppers, lowers, z), ctx)
             return SeriesResult(value, err, used, "levin")
         k_stop = max(used + 1, int(k_needed) + 1)
-        total, peak, used, last, _, _ = partial_sum(gen, 0, k_stop, probe[:5])
+        more, more_peak, more_used, last, _, _ = partial_sum(gen, 0, k_stop - used)
+        # both totals are exact, so their sum is rounded once
+        total, peak, used = total + more, max(peak, more_peak), used + more_used
     err = tail_bound_algebraic(used, s, abs(last)) + peak * ctx.eps() * used
     return SeriesResult(+total, err, used, "direct+tail")
 

@@ -97,9 +97,9 @@ def qpoch(x, q, n: int):
     return prod if n >= 0 else 1 / prod
 
 
-def partial_sum(terms, stop_eps, limit, start=None):
+def partial_sum(terms, stop_eps, limit):
     """`series.partial_sum` written with mp operators on mp terms."""
-    total, peak, used, last, prev = start or (mpf(0), mpf(0), 0, None, None)
+    total, peak, used, last, prev = mpf(0), mpf(0), 0, None, None
     small_run = 0
     for t in terms:
         total = total + t

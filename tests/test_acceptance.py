@@ -294,7 +294,7 @@ def test_criterion_8_negative_controls(capsys):
     params = sample_parameters(case, 0, 0)
     rep = verify_one(broken, params, ctx)
     assert not rep.passed
-    code = cli_main(["eval", "psi", "--upper", "2,2", "--lower", "0.6,0.6",
+    code = cli_main(["eval", "psi", "--upper", "3,3", "--lower", "0.6,0.6",
                      "--z", "1.5", "--q", "0.5"])
     out = capsys.readouterr()
     assert code == 1

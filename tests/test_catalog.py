@@ -336,7 +336,7 @@ def test_phi65_terminating_instance(ctx30):
         spec = QSeriesSpec(
             (am, qm * ra, -qm * ra, bm, cm, dm),
             (ra, -ra, qm * am / bm, qm * am / cm, qm * am / dm),
-            z, "phi", terminating_index=n,
+            z, "phi",
         )
         lhs = sum_q_series(spec, qc)
         rhs = q_bracket(
@@ -370,7 +370,7 @@ def test_jackson_8phi7_engine_matches_exact(ctx30):
             (a, qm * ra, -qm * ra, b, c, d, big_a, qm**-n),
             (ra, -ra, qm * a / b, qm * a / c, qm * a / d,
              b * c * d / (a * qm**n), qm ** (1 + n) * a),
-            qm, "phi", terminating_index=n,
+            qm, "phi",
         )
         res = sum_q_series(spec, qc)
         assert abs(res.value - to_mp(lv)) < abs(res.value) * mpf(10) ** -30

@@ -150,7 +150,7 @@ def test_eval_phi(capsys):
 
 
 def test_eval_psi_out_of_domain(capsys):
-    code, out, err = run_cli(capsys, "eval", "psi", "--upper", "2,2",
+    code, out, err = run_cli(capsys, "eval", "psi", "--upper", "3,3",
                              "--lower", "0.6,0.6", "--z", "1.5", "--q", "0.5")
     assert code == 1
     assert "DomainError" in err
@@ -237,8 +237,6 @@ def test_bad_precision_settings_are_usage_errors(capsys):
         ("eval", "pfq", "--upper", "1,1", "--lower", "3", "--digits", "5"),
         ("eval", "pfq", "--upper", "1,1", "--lower", "3", "--max-terms", "10"),
         ("verify", "--identity", "gauss-2f1", "--samples", "-3"),
-        ("eval", "phi", "--upper", "0.5", "--lower", "", "--z", "0.25", "--q", "0.5",
-         "--terminating", "-2"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -328,20 +326,27 @@ def test_digits_env_override(monkeypatch, capsys):
     assert default_digits() == 30
 
 
-def test_eval_terminating_index_must_match_an_upper(capsys):
-    # 1phi0(0.5;;q=0.5, z=0.5) sums to 2.0; no upper is q^-3, so N = 3 is refused
-    code, out, err = run_cli(capsys, "eval", "phi", "--upper", "0.5", "--z", "0.5",
-                             "--q", "0.5", "--terminating", "3")
-    assert code == 2 and out == ""
-    assert err.startswith("usage error:")
-    # the upper 8 = q^-3 does terminate the series after four terms
-    code, out, _ = run_cli(capsys, "eval", "phi", "--upper", "8", "--z", "0.5",
-                           "--q", "0.5", "--terminating", "3")
+def test_eval_finds_the_terminating_index(capsys):
+    # an upper q^-n ends a phi series after its term n, whatever z:
+    # 8 (1/2)^3 = 1 gives an exact 0 at z = 1/2 and a finite sum at z = 3
+    for argv, value, terms in (
+        (("--upper", "8", "--z", "0.5", "--q", "0.5"), "0.0", 4),
+        (("--upper", "8", "--z", "3", "--q", "0.5"), "-1265.0", 4),
+        (("--upper", "1000", "--z", "3", "--q", "0.1"), "-26004329.0", 4),
+        (("--upper", "1e400", "--q", "1e-400"), "-1.0e+400", 2),
+        (("--upper", "1", "--z", "0.5", "--q", "0"), "1.0", 1),
+    ):
+        code, out, _ = run_cli(capsys, "eval", "phi", *argv)
+        assert code == 0, argv
+        assert out.startswith(f"value: {value}\n"), argv
+        assert f"terms_used: {terms}\nmethod: terminating\n" in out, argv
+    # no upper of 1phi0(0.5;;q=0.5, z=0.5) is a power q^-n: it sums to 2
+    code, out, _ = run_cli(capsys, "eval", "phi", "--upper", "0.5", "--z", "0.5", "--q", "0.5")
     assert code == 0
-    assert "method: terminating" in out and "terms_used: 4" in out
-    code, out, _ = run_cli(capsys, "eval", "psi", "--upper", "0.001", "--lower", "0.5",
-                           "--z", "0.5", "--q", "0.1", "--terminating", "3")
-    assert code == 2
+    assert out.startswith("value: 2.0\n") and "method: direct" in out
+    # nor is 1e400, past the float range, at q = 1/2
+    code, out, err = run_cli(capsys, "eval", "phi", "--upper", "1e400", "--q", "0.5")
+    assert code == 1 and err.startswith("DomainError: ")
 
 
 def test_eval_bad_parameter_counts_are_usage_errors(capsys):
@@ -369,10 +374,6 @@ def test_eval_balance_decides_convergence(capsys):
 
 
 def test_eval_q_options_only_on_q_series(capsys):
-    code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "0.5", "--z", "0.5",
-                             "--terminating", "3")
-    assert code == 2 and out == ""
-    assert "--terminating" in err
     code, out, err = run_cli(capsys, "eval", "hseries", "--upper", "0.5", "--lower", "1.5",
                              "--z", "1", "--q", "0.5")
     assert code == 2 and out == ""

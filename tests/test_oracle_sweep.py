@@ -1,6 +1,6 @@
 """mpmath sums of `scripts/oracle_sweep.py` on phi series that terminate
-without a stated terminating_index (z = 0, or an upper a with a q^n = 1),
-which mpmath.qhyper would run to its term limit."""
+(z = 0, or an upper a with a q^n = 1), which mpmath.qhyper would run to its
+term limit, against the engine, which finds the same last term itself."""
 
 import importlib.util
 from pathlib import Path
@@ -28,7 +28,7 @@ def test_phi_at_zero_argument_is_one():
 
 def test_phi_with_an_upper_at_q_to_the_minus_n():
     # 8 (1/2)^3 = 1 and (-2i)(i/2) = 1: both series stop after their term 3
-    # and term 1; the engine sums them when told where they end
+    # and term 1
     half = mpf(1) / 2
     cases = ((mpf(8), half, 3), (mpmath.mpc(0, -2), mpmath.mpc(0, half), 1))
     for a, q, n in cases:
@@ -36,6 +36,6 @@ def test_phi_with_an_upper_at_q_to_the_minus_n():
         spec = QSeriesSpec((mpf(1) / 4, a), (mpf(3) / 4,), mpf(1) / 3, "phi")
         with mp.workdps(50):
             value = oracle_sweep.mpmath_series(spec, qc)
-        stated = QSeriesSpec(spec.uppers, spec.lowers, spec.argument, "phi", n)
-        engine = sum_q_series(stated, qc).value
-        assert abs(value - engine) < mpf(10) ** -(CTX.digits + 5) * abs(engine)
+        res = sum_q_series(spec, qc)
+        assert (res.method, res.terms_used) == ("terminating", n + 1)
+        assert abs(value - res.value) < mpf(10) ** -(CTX.digits + 5) * abs(res.value)

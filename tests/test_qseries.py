@@ -282,10 +282,10 @@ def test_split_psi_reflected_prefactor(qc_half):
 
 
 def test_sum_psi_domain_errors(qc_half, ctx30):
-    # |z| >= 1 rejected
+    # |z| >= 1 rejected when no upper is a power q^-n (3 is none at q = 1/2)
     with pytest.raises(DomainError):
         sum_q_series(
-            QSeriesSpec((mpf(2), mpf(2)), (mpf("0.5"), mpf("0.5")), mpf("1.5"), "psi"), qc_half
+            QSeriesSpec((mpf(3), mpf(3)), (mpf("0.5"), mpf("0.5")), mpf("1.5"), "psi"), qc_half
         )
     # annulus violation: |prod(lowers)/(prod(uppers) z)| >= 1
     with pytest.raises(DomainError):
@@ -298,10 +298,28 @@ def test_terminating_phi_index(qc_half, ctx30):
     # an upper q^-n cuts the series after n+1 terms; n = 0 gives 1
     with ctx30.working():
         q = mpf(1) / 2
-        spec = QSeriesSpec((q ** -0, mpf("0.3")), (mpf("0.7"),), q, "phi", terminating_index=0)
+        spec = QSeriesSpec((q ** -0, mpf("0.3")), (mpf("0.7"),), q, "phi")
         res = sum_q_series(spec, qc_half)
         assert res.value == 1
         assert res.method == "terminating"
+
+
+def test_terminating_index_found_from_the_uppers(qc_half, ctx30):
+    with ctx30.working():
+        # 2psi2(2,2; 0.6,0.6; q, 1.5) at q = 1/2: 2 q = 1 ends the positive
+        # half at k = 1, so the series converges though |z| > 1; the value is
+        # a k = -400..2 sum of mpmath.qp terms at 60 digits
+        spec = QSeriesSpec((mpf(2), mpf(2)), (mpf("0.6"), mpf("0.6")), mpf("1.5"), "psi")
+        ref = mpf("10.378045539558202330532638592780807")
+        assert abs(sum_q_series(spec, qc_half).value - ref) < ref * mpf(10) ** -30
+        # a near miss: q^-3 (1 + 10^-25) is no power of q at 30 digits, and
+        # 1phi0(a;;q,1/2) = (a/2;q)_inf / (1/2;q)_inf does not terminate
+        a, half = 8 * (1 + mpf(10) ** -25), mpf(1) / 2
+        res = sum_q_series(QSeriesSpec((a,), (), half, "phi"), qc_half)
+        assert res.method == "direct"
+        with mp.workdps(80):
+            ref = mpmath.qp(a * half, half) / mpmath.qp(half, half)
+        assert abs(res.value - ref) < abs(ref) * mpf(10) ** -30
 
 
 def test_bailey_6psi6_point(qc_half, ctx30):
@@ -385,7 +403,7 @@ def test_sqrt_sign_invariance(qc_half, ctx30):
             (a, q * r, -q * r, b, c, d, big_a, q**-n),
             (r, -r, q * a / b, q * a / c, q * a / d,
              b * c * d / (a * q**n), q ** (1 + n) * a),
-            q, "phi", terminating_index=n))
+            q, "phi"))
         # nonterminating 8phi7 shape at argument q
         f = q * a * a / (b * c * d * e)
         both(lambda r: QSeriesSpec(

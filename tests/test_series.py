@@ -172,10 +172,8 @@ def test_partial_sum_contract(ctx30):
         assert not settled and used == 10
         assert (total, peak, last, prev) == (55, 10, 10, 9)
         assert from_fixed(next(terms)) == 11
-        # resumed state: the iterator sums on from the earlier total (11 was
-        # taken above), and the limit counts the earlier terms too
-        state = partial_sum(terms, ctx30.eps(), 13, (total, peak, used, last, prev))
-        assert state == (55 + 12 + 13 + 14, 14, 13, 14, 13, False)
+        # a second call goes on along the same stream (11 was taken above)
+        assert partial_sum(terms, ctx30.eps(), 3) == (12 + 13 + 14, 14, 3, 14, 13, False)
         assert from_fixed(next(terms)) == 15
         # the stream's end settles the sum; stop_eps = 0 adds every small term
         terms = raw(mpf(1), tiny, tiny, tiny, mpf(2))
