@@ -19,7 +19,6 @@ mp numbers are built only for the returned value and error.
 
 from __future__ import annotations
 
-from math import comb
 from operator import mul
 
 from mpmath import mp, mpc, mpf
@@ -29,7 +28,9 @@ from .precision import fixed_prec
 
 EXTRA_BITS = 64  # bits of the entries and of the compared sums beyond the precision
 
-# row m holds the weights w_mj, j = 0..m, as deep as any call went
+# row m holds the weights w_mj, j = 0..m, shared up to the 30-digit term cap (about
+# 1.5 MiB); a deeper call builds its rows past that itself and drops them on return
+_SHARED_ROWS = 160
 _WEIGHTS = [[1]]
 
 
@@ -109,9 +110,15 @@ def levin_core(terms, ctx):
             parts = (pre * tre + pim * tim, tre << w, pim * tre - pre * tim, -tim << w)
             for column, p in zip(columns, parts):
                 column.append(((p << f + 1) + d) // (d << 1))
-            if m == len(_WEIGHTS):
-                _WEIGHTS.append([(-1) ** j * comb(m, j) * (j + 1) ** (m - 1) for j in range(m + 1)])
-            sums = [sum(map(mul, _WEIGHTS[m], column)) for column in columns]
+            if m < len(_WEIGHTS):
+                row = _WEIGHTS[m]
+            else:
+                # w_mj = w_(m-1)j m (j + 1) / (m - j), exactly, and w_mm = (-1)^m (m + 1)^(m - 1)
+                row = [w * m * (j + 1) // (m - j) for j, w in enumerate(row)]
+                row.append((-1) ** m * (m + 1) ** (m - 1))
+                if m < _SHARED_ROWS:
+                    _WEIGHTS.append(row)
+            sums = [sum(map(mul, row, column)) for column in columns]
             nre, dre, nim, dim = sums if len(sums) == 4 else (*sums, 0, 0)
             if m < 1 or not (dre or dim):
                 continue

@@ -10,7 +10,7 @@ negative tail is re-expressed through
 (x;q)_{-m} = (-1/x)^m q^(m(m+1)/2) / (q/x;q)_m,
 whose sign and q-binomial factors cancel identically against the series'
 own, leaving a plain geometric-type sum in w = prod(lowers)/(prod(uppers) z).
-Both tails must converge: |z| < 1 (or termination) and |w| < 1.
+Both tails must converge: |z| < 1 and |w| < 1, or the tail terminates.
 
 Terms come from the running term ratio (`q_ratio_terms`), on the classical
 engine's fixed-point ints: the powers x q^k are running fixed-point
@@ -38,8 +38,8 @@ from mpmath.libmp import from_man_exp
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .precision import INF, PrecisionContext, fixed_prec, to_mp
 from .series import (
-    SeriesResult, dyadic, fixed_terms, gmul, join_halves, mp_parameters, reflected_factors,
-    sum_direct, to_fixed,
+    SeriesResult, dyadic, fixed_terms, gmul, gproduct, join_halves, mp_parameters,
+    reflected_factors, sum_direct, to_fixed,
 )
 
 
@@ -238,7 +238,8 @@ def q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
     p <- p q at that scale: x enters rounded to the nearest unit 2^-W in
     each part, and each step rounds each part of p q to the nearest unit.
     z and the balancing factor (-q^k)^extra are exact. The ratio is exact
-    on those factors, and `fixed_terms` rounds each term once.
+    on those factors; `fixed_terms` gets it as the products of the
+    numerator's and the denominator's factors and rounds each term once.
     """
     wp = fixed_prec()
     one = 1 << wp
@@ -248,6 +249,7 @@ def q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
     half = (1 << qs) >> 1
     pows = [to_fixed(x, wp) if cplx else to_fixed(x, wp)[0] for x in (*uppers, *lowers, q)]
     power = (1, 0) if cplx else 1
+    product = gproduct if cplx else math.prod
 
     def ratio(k):
         nonlocal pows, power
@@ -265,7 +267,7 @@ def q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
             raise ZeroDivisionError  # q = 0, as the recurrence's division by (-0)^|extra|
         nums, dens = [zn, *fs[:nu]], fs[nu:]
         (nums if extra > 0 else dens).extend(balance)
-        return nums, dens, sh - qs * k * extra
+        return product(nums), product(dens), sh - qs * k * extra
 
     sh = wp * (len(lowers) + 1 - nu) - zs
     yield from fixed_terms(ratio, cplx, max_k, wp, "q-series denominator vanishes at k = {}")
@@ -319,7 +321,8 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
         w = to_mp(minus.argument) if minus is not None else None
         if not abs(z) < 1 and _terminating_index(plus.uppers, q, ctx.eps()) is None:
             raise DomainError("psi series requires |z| < 1 (or a terminating upper)")
-        if minus is not None and not abs(w) < 1:
+        if (minus is not None and not abs(w) < 1
+                and _terminating_index(minus.uppers, q, ctx.eps()) is None):
             raise DomainError(
                 "psi series outside its convergence annulus: |prod(b)/(prod(a) z)| >= 1"
             )

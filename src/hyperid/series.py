@@ -22,10 +22,11 @@ series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
 The term streams of both engines (`ratio_terms` here, `qseries.q_ratio_terms`)
 run on Python ints scaled by 2^W, W = `precision.fixed_prec()`, the ambient
 precision plus GUARD_BITS; a complex value is an (re, im) pair of ints.
-`fixed_terms`, their one stepping loop, rounds each term once on a ratio of
-exact ints, and `partial_sum` adds the terms exactly, so the rounding of a
-sum is the bound that `fixed_terms` states. The Levin transform reads the
-same pairs, generated at its raised precision, and sums them exactly too.
+`fixed_terms`, their one stepping loop, takes each step's ratio as ready
+products, num and den, of exact ints, and rounds each term once; a real
+stream steps one int. `partial_sum` adds the terms exactly, so the rounding
+of a sum is the bound that `fixed_terms` states. The Levin transform reads
+the same pairs, generated at its raised precision, and sums them exactly too.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms: to a stream's end, to a limit or to three
@@ -43,7 +44,8 @@ compares the two sides' values alone and reads no error estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
+from itertools import count, repeat
 from math import prod
 from typing import Optional
 
@@ -224,12 +226,15 @@ def gmul(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
+gproduct = partial(reduce, gmul)  # the product of a nonempty iterable of Gaussian integers
+
+
 def fixed_terms(ratio, cplx, max_k, wp, pole):
     """Yield the terms t_0 = 1, t_1, ... as (re, im) pairs of ints at scale
-    2^wp, up to t_{max_k}, where t_{k+1} = t_k num 2^sh / den for the
-    products num and den of the exact ints (Gaussian pairs when cplx) and
-    the int sh of (num factors, den factors, sh) = ratio(k). A zero den
-    raises LowerPoleError(pole.format(k)).
+    2^wp, up to t_{max_k}, where t_{k+1} = t_k num 2^sh / den for the exact
+    ints (Gaussian pairs when cplx) num and den and the int sh of
+    (num, den, sh) = ratio(k). A zero den raises LowerPoleError(pole.format(k)).
+    A real stream steps one int and yields it with the imaginary part 0.
 
     A term is kept at the scale 2^(wp+s), s >= 0, at which its larger part
     exceeds 2^(wp+1) (s = 0 for a larger term), so that the step's one
@@ -239,19 +244,24 @@ def fixed_terms(ratio, cplx, max_k, wp, pole):
     values, and the yielded t_k is the kept one rounded to the nearest unit
     2^-wp (exact when s = 0), which adds at most half a unit to each part.
     """
-    t, s, k = (1 << wp, 0), 0, 0
+    re, im, s, k = 1 << wp, 0, 0, 0
     while True:
-        yield ((t[0] + (1 << s - 1)) >> s, (t[1] + (1 << s - 1)) >> s) if s else t
+        half = 1 << s >> 1
+        yield (re + half) >> s, (im + half) >> s if cplx else 0
         if max_k is not None and k >= max_k:
             return
-        nums, dens, sh = ratio(k)
-        num, den = (reduce(gmul, nums), reduce(gmul, dens)) if cplx else (prod(nums), prod(dens))
+        num, den, sh = ratio(k)
         if not (any(den) if cplx else den):
             raise LowerPoleError(pole.format(k))
         if cplx:
-            num, den = gmul(num, (den[0], -den[1])), den[0] * den[0] + den[1] * den[1]
-        x = gmul(t, num) if cplx else (t[0] * num, 0)
-        bits = max(x[0].bit_length(), x[1].bit_length())
+            # t num conj(den) / |den|^2
+            (nre, nim), (dre, dim) = num, den
+            nre, nim, den = nre * dre + nim * dim, nim * dre - nre * dim, dre * dre + dim * dim
+            re, im = re * nre - im * nim, re * nim + im * nre
+            bits = max(abs(re), abs(im)).bit_length()
+        else:
+            re *= num
+            bits = re.bit_length()
         # the new term lies in (2^(bits - den bits + sh - 1), ...); rescale it by
         # 2^d past 2^(wp+1), or back towards s = 0
         d = max(wp + 2 - bits + den.bit_length() - sh, -s) if bits else 0
@@ -259,11 +269,13 @@ def fixed_terms(ratio, cplx, max_k, wp, pole):
         # for den of either sign, x 2^(sh+d) / den rounds to floor((x 2^(sh+d+1) + den) / (2 den))
         e = sh + d + 1
         if e >= 0:
-            x = (x[0] << e, x[1] << e)
+            re, im = re << e, im << e
         else:
             den <<= -e
         two = den << 1
-        t = ((x[0] + den) // two, (x[1] + den) // two)
+        re = (re + den) // two
+        if cplx:
+            im = (im + den) // two
         k += 1
 
 
@@ -271,20 +283,22 @@ def ratio_terms(uppers, lowers, z, max_k=None):
     """Yield t_0, t_1, ... of sum_k prod (a)_k / (k! prod (b)_k) z^k as
     `fixed_terms` pairs, from t_0 = 1 via
     t_{k+1} = t_k z prod(a+k) / ((1+k) prod(b+k)), up to t_{max_k}. Every
-    mp number is a dyadic rational, so the ratio is exact. The scale 2^W is
-    read when the first term is asked for.
+    mp number is a dyadic rational, so the ratio is exact: each factor
+    x + k = (n + k 2^s) / 2^s runs as the int n + k 2^s (the real part of a
+    Gaussian pair), which steps by 2^s. The scale 2^W is read when the first
+    term is asked for.
     """
     cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z))
-    (zn, zs), ups, lows = dyadic(z, cplx), [dyadic(a, cplx) for a in uppers], \
-        [dyadic(b, cplx) for b in lowers]
-
-    def ratio(k):
-        # x + k = (n + k 2^s) / 2^s
-        shifted = [((n[0] + (k << s), n[1]) if cplx else n + (k << s)) for n, s in ups + lows]
-        return [zn, *shifted[:len(ups)]], [(k + 1, 0) if cplx else k + 1, *shifted[len(ups):]], sh
-
-    sh = sum(s for _, s in lows) - sum(s for _, s in ups) - zs
-    yield from fixed_terms(ratio, cplx, max_k, fixed_prec(),
+    (zn, zs), nu = dyadic(z, cplx), len(uppers)
+    # the uppers, 1 (for the k!) and the lowers
+    ns, ss = zip(*(dyadic(x, cplx) for x in (*uppers, mpf(1), *lowers)))
+    if cplx:
+        fs, product = [zip(count(n[0], 1 << s), repeat(n[1])) for n, s in zip(ns, ss)], gproduct
+    else:
+        fs, product = [count(n, 1 << s) for n, s in zip(ns, ss)], prod
+    sh = sum(ss[nu:]) - sum(ss[:nu]) - zs
+    ratios = zip(map(product, zip(repeat(zn), *fs[:nu])), map(product, zip(*fs[nu:])), repeat(sh))
+    yield from fixed_terms(lambda k: next(ratios), cplx, max_k, fixed_prec(),
                            "denominator parameter reaches a pole at k = {}")
 
 

@@ -8,15 +8,23 @@ start from the one of their input's type (``z ** 0``) and use only ring
 operations and division, so the same code runs in Fraction arithmetic, as
 the reference of the exact int kernels, and on mpf/mpc inputs, where at
 twice the precision it is the reference of the engines' fixed-point term
-streams. `partial_sum` is the mp-operator form of `series.partial_sum`.
+streams. `list_fixed_terms` is the fixed-point stepping loop in its list
+form, which multiplies out the ratio's lists of factors on every term, and
+`list_ratio_terms` and `list_q_ratio_terms` feed it the engines' ratios in
+that form: the engines' streams must equal them bit for bit.
+`partial_sum` is the mp-operator form of `series.partial_sum`.
 `ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
 the fixed-point streams state.
 """
+
+from functools import reduce
+from math import prod
 
 from mpmath import mpf, sqrt
 
 from hyperid.errors import DivisionByZero, LowerPoleError
 from hyperid.precision import fixed_prec
+from hyperid.series import dyadic, gmul, to_fixed
 
 
 def term_stream(uppers, lowers, z, max_k=None):
@@ -62,6 +70,83 @@ def q_term_stream(uppers, lowers, z, q, extra, max_k=None):
         t = t * num / den
         qk = qk * q
         k += 1
+
+
+def list_fixed_terms(ratio, cplx, max_k, wp, pole):
+    """`series.fixed_terms` with a ratio(k) that returns (num factors,
+    den factors, sh), the factors' products taken on every term."""
+    t, s, k = (1 << wp, 0), 0, 0
+    while True:
+        yield ((t[0] + (1 << s - 1)) >> s, (t[1] + (1 << s - 1)) >> s) if s else t
+        if max_k is not None and k >= max_k:
+            return
+        nums, dens, sh = ratio(k)
+        num, den = (reduce(gmul, nums), reduce(gmul, dens)) if cplx else (prod(nums), prod(dens))
+        if not (any(den) if cplx else den):
+            raise LowerPoleError(pole.format(k))
+        if cplx:
+            num, den = gmul(num, (den[0], -den[1])), den[0] * den[0] + den[1] * den[1]
+        x = gmul(t, num) if cplx else (t[0] * num, 0)
+        bits = max(x[0].bit_length(), x[1].bit_length())
+        d = max(wp + 2 - bits + den.bit_length() - sh, -s) if bits else 0
+        s += d
+        e = sh + d + 1
+        if e >= 0:
+            x = (x[0] << e, x[1] << e)
+        else:
+            den <<= -e
+        two = den << 1
+        t = ((x[0] + den) // two, (x[1] + den) // two)
+        k += 1
+
+
+def list_ratio_terms(uppers, lowers, z, max_k=None):
+    """`series.ratio_terms` with its factors x + k rebuilt as lists on every
+    term, through `list_fixed_terms`."""
+    cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z))
+    (zn, zs), ups, lows = dyadic(z, cplx), [dyadic(a, cplx) for a in uppers], \
+        [dyadic(b, cplx) for b in lowers]
+
+    def ratio(k):
+        shifted = [((n[0] + (k << s), n[1]) if cplx else n + (k << s)) for n, s in ups + lows]
+        return [zn, *shifted[:len(ups)]], [(k + 1, 0) if cplx else k + 1, *shifted[len(ups):]], sh
+
+    sh = sum(s for _, s in lows) - sum(s for _, s in ups) - zs
+    yield from list_fixed_terms(ratio, cplx, max_k, fixed_prec(),
+                                "denominator parameter reaches a pole at k = {}")
+
+
+def list_q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
+    """`qseries.q_ratio_terms` with its factors handed over as lists, through
+    `list_fixed_terms`."""
+    wp = fixed_prec()
+    one = 1 << wp
+    cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z, q))
+    nu, e = len(uppers), abs(extra)
+    (zn, zs), (qn, qs) = dyadic(z, cplx), dyadic(q, cplx)
+    half = (1 << qs) >> 1
+    pows = [to_fixed(x, wp) if cplx else to_fixed(x, wp)[0] for x in (*uppers, *lowers, q)]
+    power = (1, 0) if cplx else 1
+
+    def ratio(k):
+        nonlocal pows, power
+        if cplx:
+            fs = [(one - re, -im) for re, im in pows]
+            pows = [((p * qn[0] - r * qn[1] + half) >> qs, (p * qn[1] + r * qn[0] + half) >> qs)
+                    for p, r in pows]
+            balance, power = [(-power[0], -power[1])] * e, gmul(power, qn)
+        else:
+            fs = [one - p for p in pows]
+            pows = [(p * qn + half) >> qs for p in pows]
+            balance, power = [-power] * e, power * qn
+        if extra < 0 and not (any(balance[0]) if cplx else balance[0]):
+            raise ZeroDivisionError
+        nums, dens = [zn, *fs[:nu]], fs[nu:]
+        (nums if extra > 0 else dens).extend(balance)
+        return nums, dens, sh - qs * k * extra
+
+    sh = wp * (len(lowers) + 1 - nu) - zs
+    yield from list_fixed_terms(ratio, cplx, max_k, wp, "q-series denominator vanishes at k = {}")
 
 
 def rising(x, n: int):

@@ -130,6 +130,24 @@ def test_levin_weights_are_exact(ctx30):
         assert row == [(-1) ** j * comb(k, j) * Fraction(j + 1) ** (k - 1) for j in range(k + 1)]
 
 
+def test_levin_rows_past_the_shared_depth_stay_in_the_call(monkeypatch):
+    # sum 1/(k + 30)^2 = trigamma(30) takes 172 terms at 90 digits, past the
+    # shared rows; the deeper rows, built from the row before, are dropped
+    ctx = PrecisionContext(digits=90)
+
+    def stream():
+        return _fixed(1 / (mpf(k) + 30) ** 2 for k in itertools.count())
+
+    value, err, used = levin_core(stream(), ctx)
+    assert used > accel._SHARED_ROWS and len(accel._WEIGHTS) <= accel._SHARED_ROWS + 1
+    with mp.workdps(200):
+        assert abs(value - mpmath.psi(1, 30)) < mpf(10) ** -91 * value
+    # the same call on every row from the closed form, all of them shared
+    rows = [[(-1) ** j * comb(m, j) * (j + 1) ** (m - 1) for j in range(m + 1)] for m in range(used)]
+    monkeypatch.setattr(accel, "_WEIGHTS", rows)
+    assert levin_core(stream(), ctx) == (value, err, used)
+
+
 @pytest.mark.parametrize("digits", [30, 60])
 def test_levin_value_is_the_weighted_ratio_rounded_once(digits):
     # sum_j w_mj x_j / sum_j w_mj y_j over the entries rounded from the terms

@@ -156,6 +156,14 @@ def test_eval_psi_out_of_domain(capsys):
     assert "DomainError" in err
 
 
+def test_eval_psi_with_a_terminating_negative_half(capsys):
+    # the lower 1/4 = q^2 ends the negative half after its k = -1 term
+    code, out, err = run_cli(capsys, "eval", "psi", "--upper", "0.3", "--lower", "0.25",
+                             "--z", "0.5", "--q", "0.5")
+    assert code == 0 and err == ""
+    assert out.startswith("value: 4.41602194925151168837044061806")
+
+
 @pytest.mark.parametrize("argv", [
     ("hseries", "--upper", "0.5,0.5", "--lower", "inf,1.5", "--z", "1"),
     ("hseries", "--upper", "nan,1", "--lower", "2,2", "--z", "1"),

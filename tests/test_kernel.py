@@ -2,7 +2,10 @@
 against the mp-operator loops of `oracles` at twice the precision: every term
 and every partial sum lies within the rounding bound that the kernel states
 (`series.fixed_terms`, `qseries.q_ratio_terms`), the sums stop after the same
-terms, and a pole raises the same error after the same terms."""
+terms, and a pole raises the same error after the same terms. The streams
+also equal, bit for bit, the kernel's loop in its list form
+(`oracles.list_ratio_terms`, `oracles.list_q_ratio_terms`), which
+multiplies out the ratio's lists of factors on every term."""
 
 from fractions import Fraction
 from itertools import islice
@@ -19,6 +22,7 @@ import oracles
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 _TERMS = 40  # limit of the second call
+_EXACT_TERMS = 200  # terms compared with the list form
 
 _REAL = st.fractions(-3, 3, max_denominator=12)
 # a complex value is drawn as its (re, im) pair of Fractions
@@ -60,8 +64,9 @@ def _sums(stream, psum, stop_eps, split):
         return type(e), str(e)
 
 
-def _check(kernel, reference, relative_bounds, cplx, split, small):
-    """Compare a kernel stream with its reference at twice the precision.
+def _check(kernel, list_form, reference, relative_bounds, cplx, split, small):
+    """Compare a kernel stream with its list form, pair for pair and error
+    for error, and with its reference at twice the precision.
 
     relative_bounds(n) gives, for k < n, the bound on the relative error of
     the kernel's kept term t_k; a yielded term adds half a unit 2^-W to each
@@ -71,6 +76,7 @@ def _check(kernel, reference, relative_bounds, cplx, split, small):
     prec = mp.prec
     stop_eps = mpf(2) ** -prec if small else 0
     wp = fixed_prec()
+    assert _stream(kernel(), tuple, _EXACT_TERMS) == _stream(list_form(), tuple, _EXACT_TERMS)
     # as many terms as the two sums below can use
     terms, error = _stream(kernel(), from_fixed, split + _TERMS)
     with mp.workprec(2 * prec):
@@ -119,6 +125,7 @@ def test_ratio_terms_within_the_stated_bound(ups, lows, z, prec, max_k, split, s
         ups, lows, z = [_mp(a) for a in ups], [_mp(b) for b in lows], _mp(z)
         cplx = _is_complex(*ups, *lows, z)
         _check(lambda: ratio_terms(ups, lows, z, max_k),
+               lambda: oracles.list_ratio_terms(ups, lows, z, max_k),
                lambda: oracles.term_stream(ups, lows, z, max_k), oracles.ratio_stream_bounds(cplx), cplx,
                split, small)
 
@@ -147,5 +154,6 @@ def test_q_ratio_terms_within_the_stated_bound(ups, lows, z, q, extra, prec, max
         ups, lows, z, q = [_mp(a) for a in ups], [_mp(b) for b in lows], _mp(z), _mp(q)
         cplx = _is_complex(*ups, *lows, z, q)
         _check(lambda: q_ratio_terms(ups, lows, z, q, extra, max_k),
+               lambda: oracles.list_q_ratio_terms(ups, lows, z, q, extra, max_k),
                lambda: oracles.q_term_stream(ups, lows, z, q, extra, max_k),
                oracles.q_stream_bounds(ups, lows, q, cplx), cplx, split, small)

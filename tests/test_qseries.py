@@ -322,6 +322,18 @@ def test_terminating_index_found_from_the_uppers(qc_half, ctx30):
         assert abs(res.value - ref) < abs(ref) * mpf(10) ** -30
 
 
+def test_psi_with_a_terminating_negative_half(qc_half, ctx30):
+    # 1psi1(0.3; 0.25; q, 1/2) at q = 1/2: b = q^2, so 1/(b;q)_k = 0 for every
+    # k <= -2 and the negative half is its k = -1 term alone, though
+    # |b / (a z)| > 1; (x;q)_{-1} = 1 / (x/q;q)_1
+    a, b, q, z = mpf("0.3"), mpf("0.25"), mpf(1) / 2, mpf(1) / 2
+    res = sum_q_series(QSeriesSpec((a,), (b,), z, "psi"), qc_half)
+    with mp.workdps(60):
+        ref = mpmath.qp(b / q, q, 1) / (mpmath.qp(a / q, q, 1) * z) + sum(
+            mpmath.qp(a, q, k) / mpmath.qp(b, q, k) * z**k for k in range(200))
+    assert abs(res.value - ref) < abs(ref) * mpf(10) ** -30
+
+
 def test_bailey_6psi6_point(qc_half, ctx30):
     # nondegenerate instance near the classic q=1/2 sample point
     with ctx30.working():
