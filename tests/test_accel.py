@@ -143,7 +143,8 @@ def test_levin_rows_past_the_shared_depth_stay_in_the_call(monkeypatch):
     with mp.workdps(200):
         assert abs(value - mpmath.psi(1, 30)) < mpf(10) ** -91 * value
     # the same call on every row from the closed form, all of them shared
-    rows = [[(-1) ** j * comb(m, j) * (j + 1) ** (m - 1) for j in range(m + 1)] for m in range(used)]
+    rows = [[(-1) ** j * comb(m, j) * (j + 1) ** (m - 1) for j in range(m + 1)]
+            for m in range(used)]
     monkeypatch.setattr(accel, "_WEIGHTS", rows)
     assert levin_core(stream(), ctx) == (value, err, used)
 
