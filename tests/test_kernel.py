@@ -16,7 +16,7 @@ from mpmath import mp, mpc, mpf, sqrt
 
 from hyperid.precision import fixed_prec, to_mp
 from hyperid.qseries import q_ratio_terms
-from hyperid.series import from_fixed, partial_sum, ratio_terms
+from hyperid.series import fixed_terms, from_fixed, partial_sum, ratio_terms
 
 import oracles
 
@@ -157,3 +157,14 @@ def test_q_ratio_terms_within_the_stated_bound(ups, lows, z, q, extra, prec, max
                lambda: oracles.list_q_ratio_terms(ups, lows, z, q, extra, max_k),
                lambda: oracles.q_term_stream(ups, lows, z, q, extra, max_k),
                oracles.q_stream_bounds(ups, lows, q, cplx), cplx, split, small)
+
+
+def test_fixed_terms_rounds_a_tie_up():
+    # at wp = 2, t_1 = 4 * 1056 / 1024 (times 1 + i when complex) lies half
+    # way between 16 and 17 units of its scale 2^-4 in each part; t_1 is kept
+    # as 17 (17 + 17i), and t_2 shows it: 5 (9i at the scale 2^-2), where 16
+    # would give 4 (8i)
+    for cplx, num, den in ((False, 1056, 1024), (True, (1056, 1056), (1024, 0))):
+        terms = list(fixed_terms(lambda k: (num, den, 0), cplx, 2, 2, ""))
+        assert terms == list(oracles.list_fixed_terms(lambda k: ([num], [den], 0), cplx, 2, 2, ""))
+        assert terms[2] == ((0, 9) if cplx else (5, 0))
