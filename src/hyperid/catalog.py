@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, Optional
 
 from mpmath import mpf
@@ -104,21 +104,14 @@ def _bad_nonpositive(v, window: Optional[int] = None) -> bool:
 
 
 def _clear_of_q_poles(x, q: Fraction, upto: Optional[int] = None) -> bool:
-    """False when x == q**-i for some admissible i >= 0 (i < upto if given)."""
-    x = Fraction(x)
-    if x <= 0:
-        return True
-    i = 0
-    v = x
-    while True:
-        if upto is not None and i >= upto:
-            return True
-        if v == 1:
-            return False
-        if v < 1:
-            return True
-        v *= q
-        i += 1
+    """False when x == q**-i for some admissible i >= 0 (i < upto if given),
+    for 0 < q < 1: with x = a/b and q = m/n, a m^i and b n^i compared as ints."""
+    (a, b), (m, n) = x.as_integer_ratio(), q.as_integer_ratio()
+    for _ in count() if upto is None else range(upto):
+        if a <= b:
+            return a != b
+        a, b = a * m, b * n
+    return True
 
 
 def _clear(q, values, squared=()) -> bool:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 INF = mpmath.inf
 
@@ -67,7 +68,9 @@ def to_mp(value):
     if isinstance(value, (mpf, mpc)):
         return value
     if isinstance(value, Fraction):
-        return mpf(value.numerator) / mpf(value.denominator)
+        num, den = value.numerator, value.denominator  # den = 2^k: num rounded once, as by /
+        return (mpf(num) / mpf(den) if den & (den - 1) else
+                mp.make_mpf(from_man_exp(num, 1 - den.bit_length(), mp.prec, round_nearest)))
     if isinstance(value, complex):
         return mpc(value.real, value.imag)
     if isinstance(value, (int, float, str)):

@@ -14,14 +14,14 @@ Both tails must converge: |z| < 1 and |w| < 1, or the tail terminates.
 
 Terms come from the running term ratio (`q_ratio_terms`), on the classical
 engine's fixed-point ints: the powers x q^k are running fixed-point
-products, and `series.fixed_terms` rounds each term once. Every phi series
-takes the classical engine's direct route,
-`series.sum_direct`, with its passes at raised precision against
-cancellation. A terminating one (an upper q^-n at working precision, n
-found by `_terminating_index`) adds all its terms and has no tail; an
-exactly zero total comes back with an absolute error. A nonterminating one
-gets a geometric tail bound, and an exactly zero sum raises
-CancellationError.
+products, and `series.fixed_terms` rounds each term once; (x;q)_inf runs
+on ints from exact dyadic x and q, rounded once (`q_pochhammer`). Every phi
+series takes the classical engine's direct route, `series.sum_direct`, with
+its passes at raised precision against cancellation. A terminating one (an
+upper q^-n at working precision, n found by `_terminating_index`) adds all
+its terms and has no tail; an exactly zero total comes back with an
+absolute error. A nonterminating one gets a geometric tail bound, and an
+exactly zero sum raises CancellationError.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .precision import INF, PrecisionContext, fixed_prec, to_mp
@@ -89,14 +89,20 @@ def q_pochhammer(x, qc: QContext, n):
     zero among them returns 0), times Euler's series (y;q)_inf = sum c_n y^n,
     c_n = (-1)^n q^C(n,2) / (q;q)_n, in y = x q^m (Gasper-Rahman, 1.3), by
     Horner over a row of c_n cached per (q, precision) up to the first term
-    below 2^-wp. The factors run on mp numbers and the Horner sum on ints
-    scaled by 2^wp (pairs when complex), with
-    wp = working precision + ceil(log2((-1/2;|q|)_inf / (1/2;|q|)_inf)) + 10
-    bits, and their product is rounded once to working precision: for
-    |y| < 1/2, sum |c_n y^n| <= (-|y|;|q|)_inf and |(y;q)_inf| >=
-    (|y|;|q|)_inf, so that ratio bounds the bits lost to cancellation. The
-    guard's loop, factors plus row length are held to 100 dps + 10000 steps,
-    past which BudgetExceeded is raised.
+    below 2^-wp, wp = working precision + ceil(guard) + 10 bits. All on ints
+    (Gaussian pairs when complex) from the exact dyadics x and q: the factors
+    exactly, their product kept to wp + 2 bits, the Horner sum at scale 2^wp
+    on the exact y, rounded to the nearest unit a step; the two multiply with
+    one rounding to working precision.
+
+    guard = log2((-1/2;|q|)_inf / (1/2;|q|)_inf) bounds the bits lost to
+    cancellation: |(y;q)_inf| >= (|y|;|q|)_inf >= 2^-guard for |y| < 1/2.
+    The sum is within 5 units 2^-wp of (y;q)_inf: 3/2 from the row (see
+    _euler_row), 3/2 from the Horner steps, 2 from the terms cut off (each
+    below half the one before, as for 0 < q < 1). With 2^-(wp+1) for each
+    of the m factors and 2^-prec for the last rounding, a product is within
+    2^-prec (1 + (m + 6) 2^-10) of (x;q)_inf, relative. The guard's loop,
+    factors and row are held to 100 dps + 10000 steps, else BudgetExceeded.
     """
     ctx = qc.ctx
     with ctx.working():
@@ -119,14 +125,15 @@ def q_pochhammer(x, qc: QContext, n):
         return prod if n >= 0 else 1 / prod
 
 
-_HALF = mpf(0.5)
-
-
 @lru_cache(maxsize=4)
 def _euler_row(q, prec, budget):
-    """(wp, row) for q (see q_pochhammer): row holds, for n = 0 .. N, c_n as
-    a `series.to_fixed` pair at scale 2^wp and a bound b_n >= log2 |c_n|;
-    N is the first n with b_n - n < -wp, so that |c_N| 2^-N < 2^-wp."""
+    """(wp, (a, s), row) for q (see q_pochhammer), q = a / 2^s with a a
+    Gaussian pair: row holds c_n, n = 0 .. N, as (re, im) pairs of ints at
+    scale 2^wp with bounds b_n >= log2 |c_n|, N the first n with b_n - n < -wp.
+    `series.fixed_terms` steps them on the exact ratio q^n / (q^(n+1) - 1)
+    at scale 2^(wp+g), g = ceil(guard) + 30, within |c_n| n + 1/2 units
+    there; as |c_n| <= (-1;|q|)_inf <= 2^guard, an entry rounded to 2^-wp
+    is within 1/2 + (n + 1) 2^-30 units of c_n."""
     aq, u, guard = float(abs(q)), 0.5, 0.0
     for _ in range(budget):
         guard += math.log2((1 + u) / (1 - u))
@@ -135,41 +142,53 @@ def _euler_row(q, prec, budget):
             break
     else:
         raise BudgetExceeded("infinite q-product failed to truncate")
-    wp = prec + math.ceil(guard) + 10
-    row, c, qn = [], mpf(1), mpf(1)
-    with mp.workprec(wp + 10):
-        while not row or row[-1][1] - len(row) + 1 >= -wp:
-            if len(row) > budget:
-                raise BudgetExceeded("infinite q-product failed to truncate")
-            row.append((to_fixed(c, wp), mpmath.mag(c)))
-            # c_{n+1} = c_n q^n / (q^(n+1) - 1)
-            c, qn = c * qn / (qn * q - 1), qn * q
-    return wp, tuple(row)
+    wp, g, cplx = prec + math.ceil(guard) + 10, math.ceil(guard) + 30, hasattr(q, "_mpc_")
+    (a, s), power = dyadic(q, True), (1, 0) if cplx else 1  # power = a^n
+
+    def ratio(n):
+        nonlocal power
+        num, power, one = power, gmul(power, a) if cplx else power * a[0], 1 << s * (n + 1)
+        return num, (power[0] - one, power[1]) if cplx else power - one, s
+
+    row, half = [], 1 << g - 1
+    for re, im in fixed_terms(ratio, cplx, None, wp + g, "q^({} + 1) = 1"):
+        if len(row) > budget:
+            raise BudgetExceeded("infinite q-product failed to truncate")
+        b = max(abs(re), abs(im)).bit_length() - wp - g + 1
+        row.append((((re + half) >> g, (im + half) >> g), b))
+        if b - len(row) + 1 < -wp:
+            return wp, (a, s), tuple(row)
 
 
 def _infinite_product(x, q, ctx: PrecisionContext):
     """(x;q)_inf for nonzero x at working precision (see q_pochhammer)."""
     budget = 100 * ctx.dps + 10000
-    wp, row = _euler_row(q, mp.prec, budget)
-    cplx = isinstance(x, mpmath.mpc) or isinstance(q, mpmath.mpc)
-    with mp.workprec(wp):
-        head, xq, used = mpf(1), x, 0
-        while abs(xq) >= _HALF:
-            if xq == 1:
-                return mpf(0)
-            head, xq, used = head * (1 - xq), xq * q, used + 1
-            if used + len(row) > budget:
-                raise BudgetExceeded("infinite q-product failed to truncate")
+    wp, (qn, qs), row = _euler_row(q, mp.prec, budget)
+    cplx, (p, e) = hasattr(x, "_mpc_") or hasattr(q, "_mpc_"), dyadic(x, True)
+    # 1 - x q^i = (2^e - p) / 2^e of the exact x q^i = p / 2^e into h / 2^hs
+    h, hs, used = (1, 0), 0, 0
+    while (0 < (bl := (abs(p[0]) | abs(p[1])).bit_length()) >= e  # |p| >= 2^(e-1)
+           or bl == e - 1 and 4 * (p[0] * p[0] + p[1] * p[1]) >= 1 << 2 * e):
+        if p == (1 << e, 0):
+            return mpf(0)
+        h = gmul(h, ((1 << e) - p[0], -p[1]))
+        d = max(max(map(abs, h)).bit_length() - wp - 2, 0)
+        h, hs = tuple((v + (1 << d >> 1)) >> d for v in h), hs + e - d
+        p, e, used = gmul(p, qn), e + qs, used + 1
+        if used + len(row) > budget:
+            raise BudgetExceeded("infinite q-product failed to truncate")
     # Horner over c_n up to the first n with |c_n| |y|^n < 2^-wp, on ints at
-    # scale 2^wp, each step rounded to the nearest unit
-    y, half, total = to_fixed(xq, wp), 1 << wp - 1, (0, 0)
-    ly = max(y[0].bit_length(), y[1].bit_length()) - wp
+    # scale 2^wp with y = p / 2^e, each step rounded to the nearest unit
+    ly, half, re, im = ((p[0] * p[0] + p[1] * p[1]).bit_length() + 1) // 2 - e, 1 << e >> 1, 0, 0
     n = next((n for n, (_, b) in enumerate(row) if b + n * ly < -wp), len(row))
     for c, _ in reversed(row[:n]):
-        re, im = gmul(total, y) if cplx else (total[0] * y[0], 0)
-        total = ((re + half >> wp) + c[0], (im + half >> wp) + c[1])
-    re, im = (from_man_exp(v, -wp) for v in total)
-    return head * (mp.make_mpc((re, im)) if cplx else mp.make_mpf(re))
+        if cplx:
+            re, im = gmul((re, im), p)
+            re, im = (re + half >> e) + c[0], (im + half >> e) + c[1]
+        else:
+            re = (re * p[0] + half >> e) + c[0]
+    re, im = (from_man_exp(v, -hs - wp, mp.prec, round_nearest) for v in gmul(h, (re, im)))
+    return mp.make_mpc((re, im)) if cplx else mp.make_mpf(re)
 
 
 def q_bracket(numers, denoms, qc: QContext, n):

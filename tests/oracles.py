@@ -12,11 +12,13 @@ streams. `list_fixed_terms` is the fixed-point stepping loop in its list
 form, which multiplies out the ratio's lists of factors on every term, and
 `list_ratio_terms` and `list_q_ratio_terms` feed it the engines' ratios in
 that form: the engines' streams must equal them bit for bit.
-`partial_sum` is the mp-operator form of `series.partial_sum`.
+`partial_sum` is the mp-operator form of `series.partial_sum`, and
+`clear_of_q_poles` the Fraction form of the catalog's int pole check.
 `ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
 the fixed-point streams state.
 """
 
+from fractions import Fraction
 from functools import reduce
 from math import prod
 
@@ -180,6 +182,25 @@ def qpoch(x, q, n: int):
         prod = prod * factor
         xq = xq * q
     return prod if n >= 0 else 1 / prod
+
+
+def clear_of_q_poles(x, q, upto=None):
+    """`catalog._clear_of_q_poles` in Fraction arithmetic: False when
+    x == q**-i for some i >= 0 (i < upto if given), for 0 < q < 1."""
+    x = Fraction(x)
+    if x <= 0:
+        return True
+    i = 0
+    v = x
+    while True:
+        if upto is not None and i >= upto:
+            return True
+        if v == 1:
+            return False
+        if v < 1:
+            return True
+        v *= q
+        i += 1
 
 
 def partial_sum(terms, stop_eps, limit):
@@ -359,8 +380,6 @@ def telescoping_2f1_value():
 
 def chu_vandermonde(a, c, n):
     """Exact finite 2F1(a,-n;c;1) = (c-a)_n / (c)_n via Fractions."""
-    from fractions import Fraction
-
     a, c = Fraction(a), Fraction(c)
     num = Fraction(1)
     den = Fraction(1)

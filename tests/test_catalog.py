@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from hyperid import exact
+from hyperid import catalog, exact
 from hyperid.catalog import CATALOG, phi_sum, phi_via_3f2, tolerance_rule
 from hyperid.gammafn import gamma_ratio
 from hyperid.harness import sample_parameters, verify_one
@@ -13,7 +15,7 @@ from hyperid.precision import INF, PrecisionContext, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from hyperid.series import SeriesResult, SeriesSpec, sum_unilateral
 
-from oracles import chu_vandermonde
+from oracles import chu_vandermonde, clear_of_q_poles
 
 
 def _sides(ident, params, ctx):
@@ -35,6 +37,31 @@ def test_catalog_has_seventeen_entries():
         "h22-split", "bailey-6psi6", "phi65", "jackson-8phi7", "jackson-nt",
         "omega", "theta", "bailey-split",
     }
+
+
+# q in (0, 1): dyadic, as the samplers draw it, or not
+_POLE_Q = st.one_of(
+    st.integers(1, 255).map(lambda n: Fraction(n, 256)),
+    st.fractions(0, 1, max_denominator=1000).filter(lambda f: 0 < f < 1),
+)
+
+
+@st.composite
+def _pole_cases(draw):
+    # x on a pole q^-i, one unit of 2^-40 beside it, or anywhere in (-2, 40)
+    q, i = draw(_POLE_Q), draw(st.integers(0, 20))
+    x = draw(st.one_of(
+        st.sampled_from([q**-i, q**-i * (1 + Fraction(1, 2**40)), q**-i * (1 - Fraction(1, 2**40))]),
+        st.fractions(-2, 40, max_denominator=2**12),
+    ))
+    return x, q, draw(st.one_of(st.none(), st.integers(0, 16)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_pole_cases())
+def test_pole_check_on_ints_matches_the_fraction_loop(case):
+    x, q, upto = case
+    assert catalog._clear_of_q_poles(x, q, upto) == clear_of_q_poles(x, q, upto)
 
 
 def test_saalschuetz_examples(ctx30):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from hyperid.precision import (
@@ -35,6 +37,20 @@ def test_to_mp_exact_dyadics():
         assert to_mp(7) == 7
     with pytest.raises(TypeError):
         to_mp(object())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    num=st.one_of(st.integers(-2**300, 2**300), st.sampled_from([0, 1, -1, 2**1000 + 1, -3**700])),
+    k=st.integers(0, 400),
+    den=st.sampled_from([1, 3, 10, 2**64 + 1]),
+    prec=st.sampled_from([53, 136, 233]),
+)
+def test_to_mp_fraction_rounds_as_the_division(num, k, den, prec):
+    # a dyadic Fraction skips the division, bit for bit
+    with mp.workprec(prec):
+        for v in (Fraction(num, 2**k), Fraction(num, den << k)):
+            assert to_mp(v)._mpf_ == (mpf(v.numerator) / mpf(v.denominator))._mpf_
 
 
 def test_integer_detection():

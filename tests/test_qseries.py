@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from hyperid import qseries
 from hyperid.errors import (
     BudgetExceeded,
     DivisionByZero,
@@ -25,6 +27,7 @@ from hyperid.qseries import (
     split_psi,
     sum_q_series,
 )
+from hyperid.series import dyadic, gmul
 
 import oracles
 from oracles import brute_bilateral_psi
@@ -92,6 +95,9 @@ def _rel_err_vs_qp(x, qc):
     (mpc("-0.5", 0), mpc(0, "0.75")),
     (mpc(0, "-0.6667"), mpc(0, "0.75")),
     (Fraction(1, 2), mpc("0.5", "0.5")),
+    # |x| >= 1/2 with both parts below 1/2: a head factor, which Euler's
+    # series at q near 1 could not stand in for
+    (mpc("0.4921875", "0.4921875"), Fraction(31, 32)),
     # q = 0: (x;0)_inf = 1 - x, with y = x q = 0 after the switch
     (Fraction(3, 4), 0),
     (Fraction(1, 4), 0),
@@ -100,11 +106,28 @@ def _rel_err_vs_qp(x, qc):
         "x=1/2", "x=-1/2", "x just below 1/2", "x just above 1/2", "x=1/(2q)",
         "x just below 1/(2q)", "x just above 1/(2q)", "x=-1/(2q)", "complex x, |x|=1/2",
         "x=-1/2, complex q", "complex x near 1/(2q), complex q", "x=1/2, complex q",
+        "complex x, parts below 1/2, q near 1",
         "q=0, x=3/4", "q=0, x=1/4"])
 @pytest.mark.parametrize("digits", [30, 60])
 def test_qpoch_infinite_against_mpmath(x, q, digits):
     qc = QContext(q, PrecisionContext(digits=digits))
     assert _rel_err_vs_qp(x, qc) < 1
+    _assert_product_bound(x, qc)
+
+
+def _assert_product_bound(x, qc):
+    """The stated rounding of one product: within 2^-prec (1 + (m + 6) 2^-10)
+    of (x;q)_inf, relative, for the m head factors |x q^i| >= 1/2, against
+    mpmath.qp at twice the working precision on x and q as given."""
+    ctx = qc.ctx
+    v = q_pochhammer(x, qc, INF)
+    with ctx.working():
+        x, q, prec = to_mp(x), to_mp(qc.q), mp.prec
+    with mp.workprec(2 * prec):
+        m = next(i for i in itertools.count() if abs(x * q**i) < mpf(1) / 2)
+        exact = mpmath.qp(x, q)
+        assert v != 0 and exact != 0
+        assert abs(v - exact) <= abs(exact) * mpf(2) ** -prec * (1 + (m + 6) * mpf(2) ** -10)
 
 
 def test_qpoch_infinite_exact_cases(qc_half, ctx30):
@@ -115,9 +138,12 @@ def test_qpoch_infinite_exact_cases(qc_half, ctx30):
         v = q_pochhammer(zero, qc_half, INF)
         assert v == 1 and isinstance(v, mpf)
     # q = 1 - 2^-20 needs about 2^20 * 92 factors, past the loop's budget,
-    # and the guard bits of Euler's series alone take about 2^20 * 60 steps
+    # and the guard bits of Euler's series alone take about 2^20 * 60 steps,
+    # so the guard's loop fails at once
+    start = time.perf_counter()
     with pytest.raises(BudgetExceeded):
         q_pochhammer(Fraction(1, 2), QContext(1 - Fraction(1, 2**20), ctx30), INF)
+    assert time.perf_counter() - start < 0.5
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -137,6 +163,107 @@ def test_qpoch_infinite_error_property(xnum, qnum, digits):
             assert mpmath.qp(to_mp(x), to_mp(qc.q)) == 0
         return
     assert _rel_err_vs_qp(x, qc) < 1
+
+
+def _exact_row_entry(q, n):
+    """c_n = (-1)^n q^C(n,2) / (q;q)_n for a dyadic q given as an (re, im)
+    pair of Fractions, as such a pair."""
+    num, den, qi = (Fraction((-1) ** n), Fraction(0)), (Fraction(1), Fraction(0)), q
+    for _ in range(n * (n - 1) // 2):
+        num = gmul(num, q)
+    for _ in range(n):
+        den, qi = gmul(den, (1 - qi[0], -qi[1])), gmul(qi, q)
+    norm = den[0] ** 2 + den[1] ** 2
+    re, im = gmul(num, (den[0], -den[1]))
+    return re / norm, im / norm
+
+
+@pytest.mark.parametrize("q", [
+    Fraction(1, 2), Fraction(3, 4), Fraction(51, 64), Fraction(7, 64), Fraction(-5, 8),
+    Fraction(-1, 2), 0, mpc("0.25", "0.5"), mpc("-0.375", "0.625"),
+], ids=str)
+@pytest.mark.parametrize("digits", [30, 60])
+def test_euler_row_entries_against_fractions(q, digits):
+    # each entry within half a unit 2^-wp (plus the (n + 1) 2^-30 units the
+    # row's docstring allows) of the exact c_n in each part, each bound
+    # b_n >= log2 |c_n|, and the row cut at the first n with b_n - n < -wp
+    ctx = PrecisionContext(digits=digits)
+    with ctx.working():
+        qm = to_mp(q)
+        wp, _, row = qseries._euler_row(qm, mp.prec, 100 * ctx.dps + 10000)
+    (re, im), s = dyadic(qm, True)
+    exact_q = Fraction(re, 2**s), Fraction(im, 2**s)
+    for n, (entry, b) in enumerate(row):
+        c = _exact_row_entry(exact_q, n)
+        for got, want in zip(entry, c):
+            assert abs(got - want * 2**wp) <= Fraction(1, 2) + Fraction(n + 1, 2**30)
+        assert c[0] ** 2 + c[1] ** 2 < Fraction(2) ** (2 * b)
+        assert (b - n < -wp) == (n == len(row) - 1)
+
+
+def test_qpoch_infinite_integer_x(ctx30):
+    # an integer x has exponent 0 in its dyadic form, before and after the
+    # head (q = 0 keeps it 0)
+    for x, q in ((3, Fraction(1, 2)), (-2, Fraction(3, 4)), (5, Fraction(1, 4)), (3, 0), (-7, 0)):
+        _assert_product_bound(x, QContext(q, ctx30))
+    assert q_pochhammer(1, QContext(0, ctx30), INF) == 0
+    assert q_pochhammer(4, QContext(Fraction(1, 4), ctx30), INF) == 0
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_qpoch_infinite_one_unit_off_a_zero(digits):
+    # x = q^-i (1 +- 2^-prec), held exactly in an mpf of more bits: the
+    # factor 1 - x q^i = -+2^-prec is no zero, and the product keeps its
+    # relative precision
+    ctx = PrecisionContext(digits=digits)
+    for q in (Fraction(1, 2), Fraction(1, 4)):
+        qc = QContext(q, ctx)
+        with ctx.working():
+            prec = mp.prec
+        for i in (0, 1, 3):
+            for sign in (1, -1):
+                with mp.workprec(2 * prec):
+                    x = (1 / to_mp(q)) ** i * (1 + sign * mpf(2) ** -prec)
+                _assert_product_bound(x, qc)
+
+
+def test_qpoch_infinite_mpf_wider_than_working(ctx30):
+    # an x of three times the working precision enters the factors exactly
+    with ctx30.working():
+        prec = mp.prec
+    with mp.workprec(3 * prec):
+        xs = [mpf(7) / 3, -mpf(11) / 7, mpf(1) / 3, mpc(5, 1) / 3]
+    for x in xs:
+        for q in (Fraction(1, 2), Fraction(51, 64)):
+            _assert_product_bound(x, QContext(q, ctx30))
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_qpoch_infinite_non_dyadic_q(digits):
+    # q = 2/3 rounded to the working precision carries a mantissa of that many
+    # bits, so the exact ratio's powers grow by it each step; a cold row
+    # still takes milliseconds
+    ctx = PrecisionContext(digits=digits)
+    for q in (Fraction(2, 3), 0.3):
+        qc = QContext(q, ctx)
+        for x in (Fraction(7, 4), Fraction(-3, 2), Fraction(1, 3), Fraction(2, 5)):
+            _assert_product_bound(x, qc)
+        with ctx.working():
+            qm = to_mp(q)
+            start = time.perf_counter()
+            qseries._euler_row.__wrapped__(qm, mp.prec, 100 * ctx.dps + 10000)
+            assert time.perf_counter() - start < 0.05
+
+
+def test_qpoch_infinite_negative_q(ctx30):
+    for q in (Fraction(-1, 2), Fraction(-3, 4), Fraction(-51, 64)):
+        qc = QContext(q, ctx30)
+        for x in (Fraction(5, 2), Fraction(-9, 4), Fraction(1, 3), Fraction(3, 4)):
+            _assert_product_bound(x, qc)
+    # -2 q = 1 and 4 q^2 = 1 at q = -1/2
+    qc = QContext(Fraction(-1, 2), ctx30)
+    assert q_pochhammer(-2, qc, INF) == 0
+    assert q_pochhammer(4, qc, INF) == 0
 
 
 def test_qpoch_negative_index_forms(qc_half, ctx30):
