@@ -13,8 +13,9 @@ It runs on Python ints, in the closed form of Levin (1973) (Weniger, Comput.
 Phys. Rep. 10, 1989, section 7): after terms 0..m the diagonal is
 L_m = sum_j w_mj x_j / sum_j w_mj y_j, with exact integer weights
 w_mj = (-1)^j C(m, j) (j + 1)^(m - 1) that serve every precision. Both sums
-are exact over the rounded entries, and the stop tests compare them exactly;
-mp numbers are built only for the returned value and error.
+are exact over the rounded entries. Each stop test compares two products
+a b < c d exactly, on the factors' bit lengths unless their sums are within
+one; mp numbers are built only for the returned value and error.
 """
 
 from __future__ import annotations
@@ -43,6 +44,16 @@ def _value(sums):
     return mpc(re, mp.fdiv(nim * dre - nre * dim, d2)) if cplx else re
 
 
+def _less(a, b, c, d):
+    """a b < c d for ints >= 0; an i-bit times a j-bit int has i + j - 1 or
+    i + j bits, so only sums of bit lengths within one multiply out."""
+    i = a.bit_length() + b.bit_length()
+    j = c.bit_length() + d.bit_length()
+    if a and b and c and d and abs(i - j) > 1:
+        return i < j
+    return a * b < c * d
+
+
 def _result(sums, prev, ctx):
     """(value, err_estimate) of a diagonal entry, err the distance from the
     entry before it floored at ctx.eps() relative."""
@@ -66,11 +77,13 @@ def levin_core(terms, ctx):
 
     Term m enters as x = partial / omega and y = 1 / omega,
     omega = (m + 1) t_m, each rounded once from the exact partial sum and
-    term. Entries share the scale 2^F, F >= G = prec + EXTRA_BITS, raised
-    (never lowered) so that each y holds at least G bits, with the earlier
-    entries shifted exactly; terms that grow before they decay thus keep
-    their precision. The tests run on the four weighted sums shifted right
-    by one amount, so that the smaller of |num| and |den| holds about G bits.
+    term: a real term divides by omega, a complex one multiplies by
+    conj(t_m) and divides by (m + 1) |t_m|^2. Entries share the scale 2^F,
+    F >= G = prec + EXTRA_BITS, raised (never lowered) so that each y holds
+    at least G bits, with the earlier entries shifted exactly; terms that
+    grow before they decay thus keep their precision. The tests run on the
+    four weighted sums shifted right by one amount, so that the smaller of
+    |num| and |den| holds about G bits.
 
     Returns (value, err_estimate, terms_used) at the raised precision. The
     error estimate is the difference between the last two diagonal entries,
@@ -81,11 +94,11 @@ def levin_core(terms, ctx):
         g = mp.prec + EXTRA_BITS
         w, f = fixed_prec(), g
         # tol^-2 of the stop and acceptance tests: err <= tol scale reads
-        # e2 tol^-2 <= a2 in the squared, cross-multiplied sums below
+        # e2 tol^-2 <= n2 p2 in the squared, cross-multiplied sums below
         stop_inv2, accept_inv2 = 10 ** (2 * (ctx.dps - 3)), 10 ** (2 * (ctx.digits + 1))
         columns = [[], []]  # x and y: real parts, imaginary ones from the first complex term
         pre = pim = 0  # the exact partial sum at 2^W
-        t2 = t2_prev = 0  # |t_m|^2 and |t_(m-1)|^2 at 2^2W
+        t2 = t2_prev = d2 = 0  # |t_m|^2, |t_(m-1)|^2 at 2^2W; |den|^2 of the last entry
         prev = best = None
         hits = used = 0
         stop = "ended with its stream"
@@ -106,8 +119,10 @@ def levin_core(terms, ctx):
                 columns = [[v << need - f for v in column] for column in columns]
                 f = need
             t2_prev, t2 = t2, tre * tre + tim * tim
-            d = (m + 1) * t2
-            parts = (pre * tre + pim * tim, tre << w, pim * tre - pre * tim, -tim << w)
+            d, parts = (m + 1) * tre, (pre, 1 << w, pim, 0)  # real t: same quotients, t cancelled
+            if tim:
+                d = (m + 1) * t2
+                parts = (pre * tre + pim * tim, tre << w, pim * tre - pre * tim, -tim << w)
             for column, p in zip(columns, parts):
                 column.append(((p << f + 1) + d) // (d << 1))
             if m < len(_WEIGHTS):
@@ -127,29 +142,29 @@ def levin_core(terms, ctx):
             shift = max(min(nbits or dbits, dbits) - g, 0)
             nre, nim, dre, dim = nre >> shift, nim >> shift, dre >> shift, dim >> shift
             cur = (nre, nim, dre, dim, len(sums) == 4)
+            p2, d2 = d2, dre * dre + dim * dim
             if prev is not None:
-                # err^2 = e2 / q2 and scale^2 = a2 / q2, scale = |val| or 1
+                # err^2 = e2 / q2 and scale^2 = n2 p2 / q2, scale = |val| or 1
                 pnr, pni, pdr, pdi, _ = prev
                 ere = nre * pdr - nim * pdi - pnr * dre + pni * dim
                 eim = nre * pdi + nim * pdr - pnr * dim - pni * dre
                 e2 = ere * ere + eim * eim
-                p2 = pdr * pdr + pdi * pdi
-                q2 = (dre * dre + dim * dim) * p2
-                a2 = (nre * nre + nim * nim) * p2 or q2
-                if best is None or e2 * best[1] < best[0] * q2:
-                    best = (e2, q2, a2, cur, prev)
-                hits = hits + 1 if e2 * stop_inv2 <= a2 else 0
+                q2 = d2 * p2
+                n2 = nre * nre + nim * nim or d2
+                if best is None or _less(e2, best[1], best[0], q2):
+                    best = (e2, q2, n2, p2, cur, prev)
+                hits = 0 if _less(n2, p2, e2, stop_inv2) else hits + 1
                 if hits >= 2:
                     return (*_result(cur, prev, ctx), used)
                 # deep in the table roundoff takes over; stop once estimates
                 # have degraded far past the best one seen
-                if m + 1 > 30 and e2 * best[1] > best[0] * q2 * 10**16:
+                if m + 1 > 30 and _less(best[0] * 10**16, q2, e2, best[1]):
                     stop = "degraded past its best"
                     break
             prev = cur
-        if best is not None and best[0] * accept_inv2 <= best[2]:
-            return (*_result(*best[3:], ctx), used)
-        best_err = mp.nstr(abs(_value(best[3]) - _value(best[4])), 3) if best else "n/a"
+        if best is not None and not _less(best[2], best[3], best[0], accept_inv2):
+            return (*_result(*best[4:], ctx), used)
+        best_err = mp.nstr(abs(_value(best[4]) - _value(best[5])), 3) if best else "n/a"
         growth = "growing" if t2 > t2_prev else "not growing"
         raise AccelerationFailed(
             f"Levin {stop} at {used} terms; |t_m| {growth}; best error {best_err}"

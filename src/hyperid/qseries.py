@@ -165,6 +165,11 @@ def _infinite_product(x, q, ctx: PrecisionContext):
     budget = 100 * ctx.dps + 10000
     wp, (qn, qs), row = _euler_row(q, mp.prec, budget)
     cplx, (p, e) = hasattr(x, "_mpc_") or hasattr(q, "_mpc_"), dyadic(x, True)
+    # log2 |x| >= k, and the float bound below is >= log2(1/|q|): past it, the loop
+    # would step budget - len(row) + 1 factors with |x q^i| > 1, none of them zero
+    if (k := (abs(p[0]) | abs(p[1])).bit_length() - 1 - e) > 0 and (fq := float(abs(q))):
+        if k > max(budget - len(row), 0) * (-math.log2(fq) * (1 + 1e-12) + 1e-15):
+            raise BudgetExceeded("infinite q-product failed to truncate")
     # 1 - x q^i = (2^e - p) / 2^e of the exact x q^i = p / 2^e into h / 2^hs
     h, hs, used = (1, 0), 0, 0
     while (0 < (bl := (abs(p[0]) | abs(p[1])).bit_length()) >= e  # |p| >= 2^(e-1)

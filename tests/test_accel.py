@@ -4,6 +4,8 @@ from math import comb, floor
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from hyperid import accel
@@ -23,6 +25,17 @@ def _fixed(values):
 
 def _zeta2_stream():
     return _fixed(1 / mpf(k + 1) ** 2 for k in itertools.count())
+
+
+def _alternating_stream():
+    # sum (-1)^k / (k + 1)^2 = pi^2 / 12: every other entry divides by a negative t
+    return _fixed((-1) ** k / mpf(k + 1) ** 2 for k in itertools.count())
+
+
+def _complex_stream():
+    # sum 1 / (k + 1 + i)^2 = trigamma(1 + i): every term is complex, the first too
+    shift = mpmath.mpc(1, 1)
+    return _fixed(1 / (k + shift) ** 2 for k in itertools.count())
 
 
 def _periodic_stream():
@@ -149,14 +162,20 @@ def test_levin_rows_past_the_shared_depth_stay_in_the_call(monkeypatch):
     assert levin_core(stream(), ctx) == (value, err, used)
 
 
-@pytest.mark.parametrize("digits", [30, 60])
-def test_levin_value_is_the_weighted_ratio_rounded_once(digits):
+@pytest.mark.parametrize("digits, stream", [
+    pytest.param(30, _zeta2_stream, id="30"),
+    pytest.param(60, _zeta2_stream, id="60"),
+    pytest.param(30, _alternating_stream, id="alternating-30"),
+    pytest.param(60, _alternating_stream, id="alternating-60"),
+])
+def test_levin_value_is_the_weighted_ratio_rounded_once(digits, stream):
     # sum_j w_mj x_j / sum_j w_mj y_j over the entries rounded from the terms
-    # read, evaluated in Fractions; zeta(2)'s terms only decay, so the first
-    # term sets the entries' scale 2^F for all of them
+    # read, evaluated in Fractions; both streams' terms only decay in size, so
+    # the first term sets the entries' scale 2^F for all of them. Real entries
+    # divide by (j + 1) t, negative for every odd j of the alternating stream
     ctx = PrecisionContext(digits=digits)
     read = []
-    value, _, used = levin_core((read.append(t) or t for t in _zeta2_stream()), ctx)
+    value, _, used = levin_core((read.append(t) or t for t in stream()), ctx)
     with mp.workdps(2 * ctx.dps + 10):
         prec, w = mp.prec, fixed_prec()
     f = prec + accel.EXTRA_BITS + 1 + read[0][0].bit_length() - w
@@ -207,12 +226,53 @@ def test_levin_terms_that_grow_before_they_decay(ctx30):
 
 
 def test_levin_complex_from_the_first_term(ctx30):
-    # sum 1 / (k + 1 + i)^2 = trigamma(1 + i): every term, the first one too,
-    # is complex, and the phase turns from term to term
-    shift = mpmath.mpc(1, 1)
-    value, err, used = levin_core(_fixed(1 / (k + shift) ** 2 for k in itertools.count()), ctx30)
+    # every term, the first one too, is complex, and the phase turns from
+    # term to term
+    value, err, used = levin_core(_complex_stream(), ctx30)
     assert isinstance(value, mpmath.mpc) and used <= 60
     with mp.workdps(80):
-        exact = mpmath.psi(1, shift)
+        exact = mpmath.psi(1, mpmath.mpc(1, 1))
         assert abs(value - exact) < mpf(10) ** -(ctx30.digits + 1) * abs(exact)
         assert abs(value - exact) < 100 * err
+
+
+# levin_core's (value, err, used) at 30 digits, printed at the raised
+# precision: a change to the entries' divisors or to the tests' comparisons
+# that moves any bit of them, or the stop, shows here
+@pytest.mark.parametrize("stream, exact, pinned", [
+    pytest.param(
+        _alternating_stream, lambda: mpmath.pi**2 / 12,
+        "(mpf('0.822467033424113218236207583323012594609560622122580042573359382428084193662334891762612391088'),"
+        " mpf('3.14873112523165713411795245512885937821991781953438247890649069526046184555265580952452551088e-39'),"
+        " 33)",
+        id="alternating"),
+    pytest.param(
+        _complex_stream, lambda: mpmath.psi(1, mpmath.mpc(1, 1)),
+        "(mpc(real='0.463000096622763786298326518184185794410240665584192191870259526227671369891838659607595334636',"
+        " imag='-0.794233542759318865583013617156902995904984302736140217870079100304169666907185487750163171728'),"
+        " mpf('4.53937997374933291945268106334292740493353319055696141446793291361223559349138193617964615734e-39'),"
+        " 46)",
+        id="complex"),
+])
+def test_levin_triples_are_pinned(ctx30, stream, exact, pinned):
+    result = levin_core(stream(), ctx30)
+    with mp.workdps(2 * ctx30.dps + 10):
+        assert repr(result) == pinned
+        assert abs(result[0] - exact()) < result[1]
+
+
+operand = st.one_of(st.just(0), st.integers(1, 2**12), st.integers(1, 2**400))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(operand, operand, operand, st.integers(-2, 2), st.integers(0, 2**400), st.booleans())
+@example(0, 5, 0, 0, 0, False)
+@example(3, 3, 1, 1, 0, False)  # sums 4 and 5, yet 3 * 3 > 1 * 8
+@example(2**100, 2**100, 2**199, 1, 0, False)
+def test_less_is_the_exact_product_comparison(a, b, c, gap, low, zero):
+    # d takes the bit length that puts the sums of bit lengths `gap` apart
+    # (0, 1 or 2 either way, where c leaves room), or is 0
+    n = max(a.bit_length() + b.bit_length() + gap - c.bit_length(), 1)
+    d = 0 if zero else (1 << n - 1) | low % (1 << n - 1)
+    assert accel._less(a, b, c, d) is (a * b < c * d)
+    assert accel._less(c, d, a, b) is (c * d < a * b)

@@ -146,6 +146,27 @@ def test_qpoch_infinite_exact_cases(qc_half, ctx30):
     assert time.perf_counter() - start < 0.5
 
 
+def test_qpoch_infinite_head_past_the_budget_fails_at_once(qc_half, ctx30):
+    # 1e20000 needs about 66,440 head factors at q = 1/2, past the budget of
+    # 13,981 left beside the Euler row: it fails before stepping any of them
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        q_pochhammer(mpf("1e20000"), qc_half, INF)
+    assert time.perf_counter() - start < 0.1
+    # 1e3000 steps its 9,967 factors and keeps every bit of its product
+    v = q_pochhammer(mpf("1e3000"), qc_half, INF)
+    assert v._mpf_ == (0, 68764168138005246780262092428230762056241, 49663269, 136)
+    # at the edge: 2^N q^N = 1 is the last factor the budget leaves room for,
+    # an exact zero, and 2^(N+1) needs one factor more
+    with ctx30.working():
+        budget = 100 * ctx30.dps + 10000
+        n = budget - len(qseries._euler_row(to_mp(qc_half.q), mp.prec, budget)[2])
+    assert n == 13981
+    assert q_pochhammer(mpf(2) ** n, qc_half, INF) == 0
+    with pytest.raises(BudgetExceeded):
+        q_pochhammer(mpf(2) ** (n + 1), qc_half, INF)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     xnum=st.integers(min_value=-512, max_value=512),
