@@ -10,17 +10,20 @@ term cap, stop and acceptance tolerances, error floor) follows from the
 caller's PrecisionContext.
 
 It runs on Python ints, in the closed form of Levin (1973) (Weniger, Comput.
-Phys. Rep. 10, 1989, section 7): after terms 0..m the diagonal is
-L_m = sum_j w_mj x_j / sum_j w_mj y_j, with exact integer weights
-w_mj = (-1)^j C(m, j) (j + 1)^(m - 1) that serve every precision. Both sums
-are exact over the rounded entries. Each stop test compares two products
-a b < c d exactly, on the factors' bit lengths unless their sums are within
-one; mp numbers are built only for the returned value and error.
+Phys. Rep. 10, 1989, section 7): after entries v_0..v_m the diagonal is
+L_m = sum_j w_mj x_j / sum_j w_mj y_j, with integer weights
+w_mj = (-1)^j C(m, j) (j + 1)^(m - 1). Each sum is exactly the last element
+E_m of a running anti-diagonal E_0 = v_m and, for k >= 1,
+E_k = sum_j (-1)^j C(k, j) (m - k + j + 1)^(k - 1) v_(m-k+j), which the next
+entry steps with small-int factors only (`_antidiagonal`), the recursive
+scheme of Fessler, Ford and Smith and of Weniger in integer form. A call
+stores one anti-diagonal per column (x, y and, from the first complex term
+on, their imaginary parts) and nothing between calls. Each stop test
+compares two products a b < c d exactly, on the factors' bit lengths unless
+their sums are within one; only the returned value and error are mp numbers.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from mpmath import mp, mpc, mpf
 
@@ -29,10 +32,24 @@ from .precision import fixed_prec
 
 EXTRA_BITS = 64  # bits of the entries and of the compared sums beyond the precision
 
-# row m holds the weights w_mj, j = 0..m, shared up to the 30-digit term cap (about
-# 1.5 MiB); a deeper call builds its rows past that itself and drops them on return
-_SHARED_ROWS = 160
-_WEIGHTS = [[1]]
+
+def _entry(p, f, d):
+    """p 2^f / d rounded half up, for d of either sign."""
+    return ((p << f + 1) + d) // (d << 1)
+
+
+def _antidiagonal(diag, v):
+    """Step diag, in place, from E'_0..E'_(m-1) after v_(m-1) to E_0..E_m
+    after v_m = v: E_1 = E'_0 - v, E_k = (m - k + 1) E'_(k-1) - (m + 1) E_(k-1),
+    by (n + 1) C(k-1, j) + (n + k + 1) C(k-1, j-1) = (n + j + 1) C(k, j)
+    with n = m - k."""
+    m = len(diag)
+    if m:
+        b, e, diag[0] = m + 1, diag[0] - v, v
+        for k in range(1, m):
+            diag[k], e = e, (m - k) * diag[k] - b * e
+        v = e
+    diag.append(v)
 
 
 def _value(sums):
@@ -81,9 +98,9 @@ def levin_core(terms, ctx):
     conj(t_m) and divides by (m + 1) |t_m|^2. Entries share the scale 2^F,
     F >= G = prec + EXTRA_BITS, raised (never lowered) so that each y holds
     at least G bits, with the earlier entries shifted exactly; terms that
-    grow before they decay thus keep their precision. The tests run on the
-    four weighted sums shifted right by one amount, so that the smaller of
-    |num| and |den| holds about G bits.
+    grow before they decay thus keep their precision (the anti-diagonals
+    shift with them). The tests run on the four weighted sums shifted right
+    by one amount, so that the smaller of |num| and |den| holds about G bits.
 
     Returns (value, err_estimate, terms_used) at the raised precision. The
     error estimate is the difference between the last two diagonal entries,
@@ -96,7 +113,7 @@ def levin_core(terms, ctx):
         # tol^-2 of the stop and acceptance tests: err <= tol scale reads
         # e2 tol^-2 <= n2 p2 in the squared, cross-multiplied sums below
         stop_inv2, accept_inv2 = 10 ** (2 * (ctx.dps - 3)), 10 ** (2 * (ctx.digits + 1))
-        columns = [[], []]  # x and y: real parts, imaginary ones from the first complex term
+        diags = [[], []]  # of x and y: real parts, imaginary ones from the first complex term
         pre = pim = 0  # the exact partial sum at 2^W
         t2 = t2_prev = d2 = 0  # |t_m|^2, |t_(m-1)|^2 at 2^2W; |den|^2 of the last entry
         prev = best = None
@@ -108,32 +125,24 @@ def levin_core(terms, ctx):
                 break
             used += 1
             pre, pim = pre + tre, pim + tim
-            m = len(columns[0])
-            if tim and len(columns) == 2:
-                columns += [[0] * m, [0] * m]
+            m = len(diags[0])
+            if tim and len(diags) == 2:
+                diags += [[0] * m, [0] * m]
             # x = partial conj(t) / d and y = 2^W conj(t) / d, d = (m+1) |t|^2,
             # at 2^f; |y| > 2^(f + W - bits - 1/2) holds G bits once f >= need
             bits = (m + 1).bit_length() + max(abs(tre), abs(tim)).bit_length()
             need = g + bits - w
             if need > f:
-                columns = [[v << need - f for v in column] for column in columns]
+                diags = [[e << need - f for e in diag] for diag in diags]
                 f = need
             t2_prev, t2 = t2, tre * tre + tim * tim
             d, parts = (m + 1) * tre, (pre, 1 << w, pim, 0)  # real t: same quotients, t cancelled
             if tim:
                 d = (m + 1) * t2
                 parts = (pre * tre + pim * tim, tre << w, pim * tre - pre * tim, -tim << w)
-            for column, p in zip(columns, parts):
-                column.append(((p << f + 1) + d) // (d << 1))
-            if m < len(_WEIGHTS):
-                row = _WEIGHTS[m]
-            else:
-                # w_mj = w_(m-1)j m (j + 1) / (m - j), exactly, and w_mm = (-1)^m (m + 1)^(m - 1)
-                row = [w * m * (j + 1) // (m - j) for j, w in enumerate(row)]
-                row.append((-1) ** m * (m + 1) ** (m - 1))
-                if m < _SHARED_ROWS:
-                    _WEIGHTS.append(row)
-            sums = [sum(map(mul, row, column)) for column in columns]
+            for diag, p in zip(diags, parts):
+                _antidiagonal(diag, _entry(p, f, d))
+            sums = [diag[-1] for diag in diags]
             nre, dre, nim, dim = sums if len(sums) == 4 else (*sums, 0, 0)
             if m < 1 or not (dre or dim):
                 continue

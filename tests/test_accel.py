@@ -38,8 +38,19 @@ def _complex_stream():
     return _fixed(1 / (k + shift) ** 2 for k in itertools.count())
 
 
+def _trigamma30_stream():
+    # sum 1 / (k + 30)^2 = trigamma(30): 172 terms at 90 digits
+    return _fixed(1 / (mpf(k) + 30) ** 2 for k in itertools.count())
+
+
 def _periodic_stream():
     return _fixed(mpf(1) if k % 3 else mpf(-1) for k in itertools.count())
+
+
+def _closed_form_sum(column):
+    """sum_j w_mj v_j over v_0..v_m, w_mj = (-1)^j C(m, j) (j + 1)^(m - 1)."""
+    m = len(column) - 1
+    return sum((-1) ** j * comb(m, j) * Fraction(j + 1) ** (m - 1) * v for j, v in enumerate(column))
 
 
 def _model_terms(total):
@@ -108,18 +119,17 @@ def test_levin_acceleration_failed(ctx30):
     assert "reached its cap at 160 terms; |t_m| not growing" in str(info.value)
 
 
-def test_levin_coefficient_rows_follow_the_precision(ctx30):
-    # raised precisions 90 and 150 digits; the failing periodic stream first
-    # leaves 160 weight rows, exact ints that serve every precision
+def test_levin_keeps_no_state_between_calls(ctx30):
+    # raised precisions 90 and 150 digits; neither a call at the other
+    # precision nor a failing one that reaches the 160-term cap moves the next
     ctx60 = PrecisionContext(digits=60)
+    first = levin_core(_zeta2_stream(), ctx30)
     with pytest.raises(AccelerationFailed):
         levin_core(_periodic_stream(), ctx30)
-    first = levin_core(_zeta2_stream(), ctx30)
     value, err, _ = levin_core(_zeta2_stream(), ctx60)
     third = levin_core(_zeta2_stream(), ctx30)
     assert repr(third) == repr(first)
     with mp.workdps(170):
-        # rows rounded at 90 digits would reach only ~4e-62 here
         assert abs(value - mpmath.pi**2 / 6) < mpf(10) ** -66
         assert abs(value - mpmath.pi**2 / 6) < 100 * err
 
@@ -134,32 +144,6 @@ def test_levin_mixed_real_and_complex_stream(ctx30):
                  / (mpmath.gamma(c - a) * mpmath.gamma(c - b)))
         assert abs(res.value - gauss) < mpf(10) ** -28 * abs(gauss)
         assert abs(res.value - gauss) < 100 * res.err_estimate + mpf(10) ** -45
-
-
-def test_levin_weights_are_exact(ctx30):
-    levin_core(_zeta2_stream(), ctx30)
-    assert len(accel._WEIGHTS) > 40
-    for k, row in enumerate(accel._WEIGHTS):
-        assert row == [(-1) ** j * comb(k, j) * Fraction(j + 1) ** (k - 1) for j in range(k + 1)]
-
-
-def test_levin_rows_past_the_shared_depth_stay_in_the_call(monkeypatch):
-    # sum 1/(k + 30)^2 = trigamma(30) takes 172 terms at 90 digits, past the
-    # shared rows; the deeper rows, built from the row before, are dropped
-    ctx = PrecisionContext(digits=90)
-
-    def stream():
-        return _fixed(1 / (mpf(k) + 30) ** 2 for k in itertools.count())
-
-    value, err, used = levin_core(stream(), ctx)
-    assert used > accel._SHARED_ROWS and len(accel._WEIGHTS) <= accel._SHARED_ROWS + 1
-    with mp.workdps(200):
-        assert abs(value - mpmath.psi(1, 30)) < mpf(10) ** -91 * value
-    # the same call on every row from the closed form, all of them shared
-    rows = [[(-1) ** j * comb(m, j) * (j + 1) ** (m - 1) for j in range(m + 1)]
-            for m in range(used)]
-    monkeypatch.setattr(accel, "_WEIGHTS", rows)
-    assert levin_core(stream(), ctx) == (value, err, used)
 
 
 @pytest.mark.parametrize("digits, stream", [
@@ -184,9 +168,7 @@ def test_levin_value_is_the_weighted_ratio_rounded_once(digits, stream):
         partial += t
         xs.append(floor(Fraction(partial << f, (j + 1) * t) + Fraction(1, 2)))
         ys.append(floor(Fraction(1 << w + f, (j + 1) * t) + Fraction(1, 2)))
-    m = used - 1
-    weights = [(-1) ** j * comb(m, j) * (j + 1) ** (m - 1) for j in range(m + 1)]
-    exact = Fraction(sum(map(int.__mul__, weights, xs)), sum(map(int.__mul__, weights, ys)))
+    exact = _closed_form_sum(xs) / _closed_form_sum(ys)
     # half a unit in the last place, and the sums' shift to G bits before
     # the division, well below 2^-60 of that
     man, exp = value.man_exp
@@ -236,29 +218,69 @@ def test_levin_complex_from_the_first_term(ctx30):
         assert abs(value - exact) < 100 * err
 
 
-# levin_core's (value, err, used) at 30 digits, printed at the raised
-# precision: a change to the entries' divisors or to the tests' comparisons
+# levin_core's (value, err, used), printed at the raised precision: a change
+# to the entries' divisors, to the table's sums or to the tests' comparisons
 # that moves any bit of them, or the stop, shows here
-@pytest.mark.parametrize("stream, exact, pinned", [
+@pytest.mark.parametrize("digits, stream, exact, pinned", [
     pytest.param(
-        _alternating_stream, lambda: mpmath.pi**2 / 12,
+        30, _alternating_stream, lambda: mpmath.pi**2 / 12,
         "(mpf('0.822467033424113218236207583323012594609560622122580042573359382428084193662334891762612391088'),"
         " mpf('3.14873112523165713411795245512885937821991781953438247890649069526046184555265580952452551088e-39'),"
         " 33)",
         id="alternating"),
     pytest.param(
-        _complex_stream, lambda: mpmath.psi(1, mpmath.mpc(1, 1)),
+        30, _complex_stream, lambda: mpmath.psi(1, mpmath.mpc(1, 1)),
         "(mpc(real='0.463000096622763786298326518184185794410240665584192191870259526227671369891838659607595334636',"
         " imag='-0.794233542759318865583013617156902995904984302736140217870079100304169666907185487750163171728'),"
         " mpf('4.53937997374933291945268106334292740493353319055696141446793291361223559349138193617964615734e-39'),"
         " 46)",
         id="complex"),
+    pytest.param(
+        90, _trigamma30_stream, lambda: mpmath.psi(1, 30),
+        "(mpf('0.0338950603577399442137593888443374498029082374721280108851379838609026401695981767212320026429952995474716181948025512984067058221668844628863159028271554482379538423229238400039275249595783386656648426653305951988'),"
+        " mpf('1.99440602062210821202710238309765157794403959681051529441705155577233712174822660499833483550389179464303805455043685158178180453135444041636210345823589265125221098382440310010801605847541925338933617580564459411e-100'),"
+        " 172)",
+        id="trigamma-90"),
 ])
-def test_levin_triples_are_pinned(ctx30, stream, exact, pinned):
-    result = levin_core(stream(), ctx30)
-    with mp.workdps(2 * ctx30.dps + 10):
+def test_levin_triples_are_pinned(digits, stream, exact, pinned):
+    ctx = PrecisionContext(digits=digits)
+    result = levin_core(stream(), ctx)
+    with mp.workdps(2 * ctx.dps + 10):
         assert repr(result) == pinned
-        assert abs(result[0] - exact()) < result[1]
+        assert abs(result[0] - exact()) < min(result[1], mpf(10) ** -(digits + 1) * abs(exact()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2**400, 2**400), min_size=1, max_size=61),
+       st.integers(0, 60), st.integers(0, 200), st.integers(0, 60))
+@example([(-1) ** j * 3 ** (4 * j) + j for j in range(61)], 23, 97, 11)
+def test_antidiagonal_ends_in_the_weighted_sum(entries, raised_at, shift, start):
+    # the column is 0 before `start` (imaginary parts from the first complex
+    # term on); at step `raised_at` the scale rises by `shift` bits, and the
+    # entries so far and the anti-diagonal shift left exactly
+    start = min(start, len(entries) - 1)
+    column, diag = [0] * start, [0] * start
+    for m in range(start, len(entries)):
+        if m == raised_at:
+            column = [v << shift for v in column]
+            diag = [e << shift for e in diag]
+        column.append(entries[m])
+        accel._antidiagonal(diag, entries[m])
+        assert len(diag) == m + 1 and diag[-1] == _closed_form_sum(column)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(-2**300, 2**300), st.integers(0, 200), st.integers(1, 2**200),
+       st.sampled_from([1, -1]), st.booleans())
+@example(-3, 0, 1, -1, True)
+@example(5, 7, 3, -1, True)
+def test_entry_is_the_quotient_rounded_half_up(p, f, d, sign, tie):
+    # the entries of the table: p 2^f / d rounded to the nearest int, halves
+    # up, for either sign of the divisor; a tie makes the quotient (2p + 1) / 2
+    if tie:
+        p, d = (2 * p + 1) * d, d << f + 1
+    d *= sign
+    assert accel._entry(p, f, d) == floor(Fraction(p << f, d) + Fraction(1, 2))
 
 
 operand = st.one_of(st.just(0), st.integers(1, 2**12), st.integers(1, 2**400))
