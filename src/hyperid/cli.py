@@ -133,7 +133,11 @@ def _cmd_verify(args) -> int:
         return 2
     with sink as fh:
         report = run_suite(config)
-        fh.write((report.to_json() if args.json else report.to_text()) + "\n")
+        if args.json:
+            report.write_json(fh)
+        else:
+            fh.write(report.to_text())
+        fh.write("\n")
     return 0 if report.failed == 0 else 1
 
 

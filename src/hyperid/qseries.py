@@ -125,7 +125,7 @@ def q_pochhammer(x, qc: QContext, n):
         return prod if n >= 0 else 1 / prod
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=64)  # one row per nome of the 1/64 grid in (1/10, 4/5)
 def _euler_row(q, prec, budget):
     """(wp, (a, s), row) for q (see q_pochhammer), q = a / 2^s with a a
     Gaussian pair: row holds c_n, n = 0 .. N, as (re, im) pairs of ints at

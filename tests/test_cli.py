@@ -7,6 +7,9 @@ import mpmath
 import pytest
 
 from hyperid.cli import main, parse_scalar
+from hyperid.harness import SuiteConfig, run_suite
+
+from test_harness import _strip_volatile
 
 
 def run_cli(capsys, *argv):
@@ -296,14 +299,22 @@ def test_verify_out_unwritable(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_verify_out_file_is_the_report_json(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "--identity", "saalschuetz,jackson-8phi7",
+                         "--samples", "3", "--seed", "5", "--json", "--out", str(target))
+    assert code == 0
+    config = SuiteConfig(identities=("saalschuetz", "jackson-8phi7"), samples=3, seed=5)
+    expected = run_suite(config).to_json() + "\n"
+    assert _strip_volatile(target.read_text()) == _strip_volatile(expected)
+
+
 def test_verify_byte_stable(capsys):
     def volatile_stripped():
         code, out, _ = run_cli(capsys, "verify", "--identity", "phi65",
                                "--samples", "2", "--seed", "9", "--json")
         assert code == 0
-        out = re.sub(r'"wall_time": [0-9eE.+-]+', '"wall_time": 0', out)
-        out = re.sub(r'"started_at": "[^"]*"', '"started_at": ""', out)
-        return out
+        return _strip_volatile(out)
 
     assert volatile_stripped() == volatile_stripped()
 

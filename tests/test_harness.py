@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from mpmath import mpf
 from hyperid.catalog import CATALOG
 from hyperid.errors import HyperidError, UnknownIdentityError
 from hyperid.harness import (
+    IdentityReport,
     SuiteConfig,
+    SuiteReport,
     run_suite,
     sample_parameters,
     verify_one,
@@ -130,6 +133,57 @@ def test_reproducible_json_reports():
     a = run_suite(config).to_json()
     b = run_suite(config).to_json()
     assert _strip_volatile(a) == _strip_volatile(b)
+
+
+def _one_shot_json(report):
+    return json.dumps(report.to_dict(), indent=2)
+
+
+def test_to_json_matches_one_shot_dumps_on_an_empty_report():
+    report = SuiteReport(seed=1, digits=30, started_at="")
+    assert '"results": []' in report.to_json()
+    assert report.to_json() == _one_shot_json(report)
+
+
+def test_to_json_matches_one_shot_dumps_on_a_failed_sample(monkeypatch):
+    never = replace(CATALOG["gauss-2f1"], id="zz-never", check=lambda p: False)
+    monkeypatch.setitem(CATALOG, "zz-never", never)
+    report = run_suite(SuiteConfig(identities=("zz-never",), samples=1, seed=4))
+    text = report.to_json()
+    assert '"rel_err": Infinity' in text and '"error": "SamplingExhausted: ' in text
+    assert text == _one_shot_json(report)
+
+
+def test_to_json_matches_one_shot_dumps_with_complex_parameters(ctx30):
+    # sample 9 is the complex one (see test_golden_report)
+    report = SuiteReport(seed=0, digits=30, started_at="")
+    for ident in ("saalschuetz", "dougall-2h2"):
+        params = sample_parameters(CATALOG[ident], 0, 9)
+        report.results.append(verify_one(CATALOG[ident], params, ctx30, index=9))
+    text = report.to_json()
+    assert re.search(r'"a": "[0-9.]+ [+-] [0-9.]+j"', text)
+    assert text == _one_shot_json(report)
+
+
+def test_to_json_peak_memory_stays_near_the_text():
+    # the report is written chunk by chunk: no list of all chunks beside the text
+    value = "1." + "2345678901" * 3
+    report = SuiteReport(seed=1, digits=30, started_at="")
+    for i in range(2000):
+        report.results.append(IdentityReport(
+            identity="saalschuetz", index=i,
+            params={"a": "0.40625 + 0.5j", "b": "1.0 + 0.734375j", "c": "1.75", "n": "15"},
+            lhs=value, rhs=value, abs_err=1.5e-31, rel_err=2.5e-31, passed=True,
+            terms_used={"lhs": 16, "rhs": 0}, method={"lhs": "terminating", "rhs": "closed"},
+            wall_time=0.001))
+    tracemalloc.start()
+    try:
+        text = report.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)
+    assert text == _one_shot_json(report)  # many batches of chunks, same bytes
 
 
 def test_isolation_of_failures(monkeypatch):
