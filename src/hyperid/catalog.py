@@ -103,10 +103,10 @@ def _bad_nonpositive(v, window: Optional[int] = None) -> bool:
     return True if window is None else m <= window - 1
 
 
-def _clear_of_q_poles(x, q: Fraction, upto: Optional[int] = None) -> bool:
+def _clear_of_q_poles(x, q, upto: Optional[int] = None) -> bool:
     """False when x == q**-i for some admissible i >= 0 (i < upto if given),
-    for 0 < q < 1: with x = a/b and q = m/n, a m^i and b n^i compared as ints."""
-    (a, b), (m, n) = x.as_integer_ratio(), q.as_integer_ratio()
+    for 0 < q < 1: x = a/b (b > 0) and q = m/n are int pairs, a m^i and b n^i compared."""
+    (a, b), (m, n) = x, q
     for _ in count() if upto is None else range(upto):
         if a <= b:
             return a != b
@@ -116,8 +116,9 @@ def _clear_of_q_poles(x, q: Fraction, upto: Optional[int] = None) -> bool:
 
 def _clear(q, values, squared=()) -> bool:
     """No value on a q-power pole and none of `squared` on a q^2-power pole."""
-    return (all(_clear_of_q_poles(x, q) for x in values)
-            and all(_clear_of_q_poles(x, q * q) for x in squared))
+    q, q2 = q.as_integer_ratio(), (q * q).as_integer_ratio()
+    return (all(_clear_of_q_poles(x.as_integer_ratio(), q) for x in values)
+            and all(_clear_of_q_poles(x.as_integer_ratio(), q2) for x in squared))
 
 
 def _vwp_clear(q, a, xs) -> bool:
@@ -582,13 +583,12 @@ def _jackson_check(p):
     a, b, c, d, q, n = (p[k] for k in "abcdqn")
     if not (isinstance(n, int) and 0 <= n <= 15):
         return False
-    if not _clear(q, [a, *(q * a / x for x in (b, c, d))], [a]):
-        return False
-    big_a = q ** (1 + n) * a * a / (b * c * d)
-    low_b = b * c * d / (a * q**n)
-    low_c = q ** (1 + n) * a
+    (a, *_, big_a, _), (*qa_over, low_b, low_c) = exact.jackson_parameters(a, b, c, d, q, n)
+    q = q.as_integer_ratio()
     return (
-        _clear_of_q_poles(big_a, q, upto=n + 1)
+        all(_clear_of_q_poles(x, q) for x in (a, *qa_over))
+        and _clear_of_q_poles(a, (q[0] * q[0], q[1] * q[1]))
+        and _clear_of_q_poles(big_a, q, upto=n + 1)
         and _clear_of_q_poles(low_b, q, upto=n)
         and _clear_of_q_poles(low_c, q, upto=n)
     )

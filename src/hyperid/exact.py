@@ -2,28 +2,42 @@
 
 Terminating identities at rational q and dyadic parameters are checked
 exactly, where equality is literal; a tolerance window cannot hide an
-off-by-one in a termination index. The exact sums and brackets run on ints:
-each parameter is carried as a (numerator, denominator) pair, each step's
-term ratio is an int pair (A_k, B_k), the finite sum is taken by backward
+off-by-one in a termination index. Each value runs on ints up to its one
+reduction, in `Fraction(P, Q)`: the classical sides put their parameters
+over one common denominator D, so 1 + a + b - c - n is (D + A + B - C - nD)/D,
+the q side forms products such as q a / (b c) as gcd-reduced int pairs, each
+step's term ratio is an int pair (A_k, B_k), the sum is taken by backward
 Horner, (P, Q) <- (B_k Q + A_k P, B_k Q), and a bracket multiplies int
-numerators and denominators, so each value is reduced by one gcd at the end,
-in `Fraction(P, Q)`, instead of after every operation. The very-well-poised
-+-sqrt(a) parameter pairs only ever enter through pairwise products, which
-stay rational: (sqrt(a);q)_k (-sqrt(a);q)_k = (a;q^2)_k, so they fold into a
-rational weight per term.
+numerators and denominators. The very-well-poised +-sqrt(a) pairs enter only
+through pairwise products, which stay rational: (sqrt(a);q)_k (-sqrt(a);q)_k
+= (a;q^2)_k, so they fold into a rational weight per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .errors import DivisionByZero, LowerPoleError
 
 
-def _ints(x):
-    """x as an int pair (numerator, denominator)."""
-    x = Fraction(x)
-    return x.numerator, x.denominator
+def _over(x, ys=()):
+    """x / prod ys for int pairs, gcd-reduced, its (nonzero) denominator > 0."""
+    p, d = x[0] * prod(v for _, v in ys), x[1] * prod(u for u, _ in ys)
+    g = gcd(p, d) if d > 0 else -gcd(p, d)
+    return p // g, d // g
+
+
+def _common(xs):
+    """The numerators of xs over their least common denominator, and it."""
+    pairs = [x.as_integer_ratio() for x in xs]
+    den = lcm(*(d for _, d in pairs))
+    return [p * (den // d) for p, d in pairs], den
+
+
+def _check_n(n: int):
+    if n < 0:
+        raise ValueError(f"an exact terminating sum or bracket needs n >= 0, not {n}")
 
 
 def _horner(ratios, weights):
@@ -36,89 +50,98 @@ def _horner(ratios, weights):
     return p, q
 
 
-def _bracket(numers, denoms, message):
-    """prod of int-pair products `numers` over prod of `denoms`, reduced once."""
-    num = den = 1
-    for p, d in numers:
-        num, den = num * p, den * d
-    for p, d in denoms:
-        num, den = num * d, den * p
+def _sum(ups, lows, z, n: int) -> Fraction:
+    """sum_{k<=n} of the hypergeometric terms of int-pair parameters and
+    argument; their denominators give every ratio one constant factor."""
+    cn, cd = _over((z[0] * prod(d for _, d in lows), z[1] * prod(d for _, d in ups)))
+    ratios = []
+    for k in range(n):
+        num, den = cn, cd * (k + 1)
+        for an, ad in ups:
+            num *= an + k * ad
+        for bn, bd in lows:
+            den *= bn + k * bd
+        if den == 0:
+            raise LowerPoleError(f"denominator parameter reaches a pole at k = {k}")
+        ratios.append((num, den))
+    return Fraction(*_horner(ratios, [1] * (n + 1)))
+
+
+def _bracket(numers, denoms, s, message):
+    """The product of the int pairs `numers` over that of `denoms`, each pair
+    also over s, whose powers cancel but for the difference of the counts."""
+    num = prod(p for p, _ in numers) * prod(d for _, d in denoms)
+    den = prod(p for p, _ in denoms) * prod(d for _, d in numers)
+    k = len(denoms) - len(numers)
+    num, den = (num * s**k, den) if k >= 0 else (num, den * s**-k)
     if den == 0:
         raise DivisionByZero(message)
     return Fraction(num, den)
 
 
-def _check_n(n: int):
-    if n < 0:
-        raise ValueError(f"an exact bracket needs n >= 0, not {n}")
+def _rising_bracket(numers, denoms, d, n: int) -> Fraction:
+    """prod (x/d)_n / prod (y/d)_n for ints x, y: (x/d)_n = prod_i (x + i d) / d^n."""
+    return _bracket([(prod(x + i * d for i in range(n)), 1) for x in numers],
+                    [(prod(y + i * d for i in range(n)), 1) for y in denoms],
+                    d**n, "exact product side vanishes in the denominator")
 
 
-def _rising_ints(x, n: int):
-    """(x)_n for n >= 0 as an int pair: prod_i (xn + i xd) over xd^n."""
-    xn, xd = _ints(x)
-    p = 1
-    for i in range(n):
-        p *= xn + i * xd
-    return p, xd**n
-
-
-def _qpoch_ints(x, qn, qd, n: int):
-    """(x;q)_n for n >= 0 at q = qn/qd as an int pair:
-    prod_i (xd qd^i - xn qn^i) over prod_i xd qd^i."""
-    u, v = _ints(x)
-    p = d = 1
-    for _ in range(n):
-        p, d = p * (v - u), d * v
-        u, v = u * qn, v * qd
-    return p, d
+def _qbracket(numers, denoms, q, n: int) -> Fraction:
+    """prod (x;q)_n / prod (y;q)_n for int pairs x, y and q:
+    (x;q)_n = prod_i (xd qd^i - xn qn^i) / (xd^n qd^(n(n-1)/2))."""
+    powers = [(q[0] ** i, q[1] ** i) for i in range(n)]
+    pairs = [(prod(v * d - u * p for p, d in powers), v**n) for u, v in (*numers, *denoms)]
+    return _bracket(pairs[:len(numers)], pairs[len(numers):], q[1] ** (n * (n - 1) // 2),
+                    "exact q-bracket denominator vanishes")
 
 
 def pfq_terminating(uppers, lowers, z: Fraction, n: int) -> Fraction:
     """Exact finite sum of a hypergeometric series terminating at index n."""
-    ups = [_ints(a) for a in uppers]
-    lows = [_ints(b) for b in lowers]
-    zn, zd = _ints(z)
-    ratios = []
-    for k in range(n):
-        num, den = zn, zd * (k + 1)
-        for an, ad in ups:
-            num, den = num * (an + k * ad), den * ad
-        for bn, bd in lows:
-            num, den = num * bd, den * (bn + k * bd)
-        if den == 0:
-            raise LowerPoleError(f"denominator parameter reaches a pole at k = {k}")
-        ratios.append((num, den))
-    return Fraction(*_horner(ratios, [1] * (len(ratios) + 1)))
+    _check_n(n)
+    ups, lows = ([x.as_integer_ratio() for x in xs] for xs in (uppers, lowers))
+    return _sum(ups, lows, z.as_integer_ratio(), n)
 
 
 def bracket_n(numers, denoms, n: int) -> Fraction:
     """prod (x)_n / prod (y)_n in exact rational arithmetic, n >= 0."""
     _check_n(n)
-    return _bracket([_rising_ints(x, n) for x in numers], [_rising_ints(y, n) for y in denoms],
-                    "exact product side vanishes in the denominator")
+    xs, d = _common([*numers, *denoms])
+    return _rising_bracket(xs[:len(numers)], xs[len(numers):], d, n)
 
 
 def qbracket_n(numers, denoms, q: Fraction, n: int) -> Fraction:
     """prod (x;q)_n / prod (y;q)_n in exact rational arithmetic, n >= 0."""
     _check_n(n)
-    qn, qd = _ints(q)
-    return _bracket([_qpoch_ints(x, qn, qd, n) for x in numers],
-                    [_qpoch_ints(y, qn, qd, n) for y in denoms],
-                    "exact q-bracket denominator vanishes")
+    numers, denoms = ([x.as_integer_ratio() for x in xs] for xs in (numers, denoms))
+    return _qbracket(numers, denoms, q.as_integer_ratio(), n)
 
 
 def saalschuetz_sides(a, b, c, n: int):
     """Both sides of the balanced terminating 3F2 summation, exactly."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    lhs = pfq_terminating([a, b, -n], [c, 1 + a + b - c - n], 1, n)
-    return lhs, bracket_n([c - a, c - b], [c, c - a - b], n)
+    _check_n(n)
+    (a, b, c), d = _common([a, b, c])
+    lhs = _sum([(a, d), (b, d), (-n, 1)], [(c, d), (d + a + b - c - n * d, d)], (1, 1), n)
+    return lhs, _rising_bracket([c - a, c - b], [c, c - a - b], d, n)
 
 
 def phi_symmetric_terminating_sides(a, c, d, n: int):
     """Both sides of the terminating reduction of the symmetric Phi identity."""
-    a, c, d = Fraction(a), Fraction(c), Fraction(d)
-    lhs = pfq_terminating([a, a + c + d - 1 - n, -n], [a + c - n, a + d - n], 1, n)
-    return lhs, bracket_n([1 - c, 1 - d], [1 - a - c, 1 - a - d], n)
+    _check_n(n)
+    (a, c, d), e = _common([a, c, d])
+    ups = [(a, e), (a + c + d - e - n * e, e), (-n, 1)]
+    lhs = _sum(ups, [(a + c - n * e, e), (a + d - n * e, e)], (1, 1), n)
+    return lhs, _rising_bracket([e - c, e - d], [e - a - c, e - a - d], e, n)
+
+
+def jackson_parameters(a, b, c, d, q, n: int):
+    """The uppers a, b, c, d, q^(1+n) a^2/(b c d), q^-n and lowers q a/b, q a/c,
+    q a/d, b c d/(a q^n), q^(1+n) a of the terminating 8phi7 as reduced int pairs."""
+    (an, ad), (qn, qd), *bcd = (x.as_integer_ratio() for x in (a, q, b, c, d))
+    qnn, qdn = qn**n, qd**n
+    qa, low_c = _over((qn * an, qd * ad)), _over((qnn * qn * an, qdn * qd * ad))
+    ups = [(an, ad), *bcd, _over((low_c[0] * an, low_c[1] * ad), bcd), _over((qdn, qnn))]
+    low_b = _over((ad * qdn, an * qnn), [(y, x) for x, y in bcd])
+    return ups, [*(_over(qa, [x]) for x in bcd), low_b, low_c]
 
 
 def jackson_8phi7_sides(a, b, c, d, q, n: int):
@@ -132,25 +155,24 @@ def jackson_8phi7_sides(a, b, c, d, q, n: int):
     are the ints ad qd^2k - an qn^2k, over ad - an once at the end. A weight
     that vanishes (a = q^-2k) stays a weight, never a ratio's denominator.
     """
-    a, b, c, d, q = (Fraction(v) for v in (a, b, c, d, q))
-    if a == 0 or b * c * d == 0:
+    _check_n(n)
+    if not (a and b and c and d):
         raise DivisionByZero("exact 8phi7 needs nonzero a, b, c and d")
-    if a == 1 and n >= 1:
+    if n and not q:
+        raise DivisionByZero("exact 8phi7 needs q != 0 for n >= 1")
+    ups, lows = jackson_parameters(a, b, c, d, q, n)
+    (an, ad), (qn, qd) = ups[0], q.as_integer_ratio()
+    if an == ad and n:
         raise DivisionByZero("exact 8phi7 very-well-poised factor needs a != 1")
-    big_a = q ** (1 + n) * a**2 / (b * c * d)
-    low_b = b * c * d / (a * q**n)
-    low_c = q ** (1 + n) * a
-    ups = [_ints(x) for x in (a, b, c, d, big_a, q**-n)]
-    lows = [_ints(x) for x in (q * a / b, q * a / c, q * a / d, low_b, low_c)]
-    (qn, qd), (an, ad) = _ints(q), _ints(a)
+    fn, fd = _over((qn * prod(y for _, y in lows), qd * qd * prod(y for _, y in ups)))
     ratios, weights = [], [ad - an]
     qnk, qdk = 1, 1  # qn^k, qd^k
     for k in range(n):
-        num, den = qn, qd * qd * (qd * qdk - qn * qnk)
+        num, den = fn, fd * (qd * qdk - qn * qnk)
         for xn, xd in ups:
-            num, den = num * (xd * qdk - xn * qnk), den * xd
+            num *= xd * qdk - xn * qnk
         for xn, xd in lows:
-            num, den = num * xd, den * (xd * qdk - xn * qnk)
+            den *= xd * qdk - xn * qnk
         if den == 0:
             raise LowerPoleError(f"q-series denominator vanishes at k = {k}")
         ratios.append((num, den))
@@ -158,9 +180,6 @@ def jackson_8phi7_sides(a, b, c, d, q, n: int):
         weights.append(ad * qdk * qdk - an * qnk * qnk)
     p, s = _horner(ratios, weights)
     lhs = Fraction(p, s * (ad - an)) if n else Fraction(1)  # a = 1 is allowed at n = 0
-    rhs = qbracket_n(
-        [q * a, q * a / (b * c), q * a / (b * d), q * a / (c * d)],
-        [q * a / b, q * a / c, q * a / d, q * a / (b * c * d)],
-        q, n,
-    )
-    return lhs, rhs
+    qa, (b, c, d) = _over((qn * an, qd * ad)), ups[1:4]
+    numers = [qa, _over(qa, [b, c]), _over(qa, [b, d]), _over(qa, [c, d])]
+    return lhs, _qbracket(numers, [*lows[:3], _over(qa, [b, c, d])], (qn, qd), n)

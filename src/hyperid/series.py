@@ -321,9 +321,9 @@ def partial_sum(terms, stop_eps, limit: int):
     sre = sim = peak = used = 0
     last = prev = None
     if stop_eps:
-        # |t|^2 a < b |total|^2 for stop_eps = m 2^e
+        # |t|^2 2^s < b |total|^2 for stop_eps = m 2^e
         _, m, e, _ = stop_eps._mpf_
-        a, b = 1 << max(-2 * e, 0), m * m << max(2 * e, 0)
+        s, b = max(-2 * e, 0), m * m << max(2 * e, 0)
     small_run = 0
     settled = True
     for t in terms:
@@ -336,7 +336,7 @@ def partial_sum(terms, stop_eps, limit: int):
         used += 1
         prev, last = last, t
         if stop_eps:
-            if mag * a < b * ((sre * sre + sim * sim) or 1 << 2 * wp):
+            if mag << s < b * ((sre * sre + sim * sim) or 1 << 2 * wp):
                 small_run += 1
                 if small_run >= 3:
                     break

@@ -12,8 +12,9 @@ streams. `list_fixed_terms` is the fixed-point stepping loop in its list
 form, which multiplies out the ratio's lists of factors on every term, and
 `list_ratio_terms` and `list_q_ratio_terms` feed it the engines' ratios in
 that form: the engines' streams must equal them bit for bit.
-`partial_sum` is the mp-operator form of `series.partial_sum`, and
-`clear_of_q_poles` the Fraction form of the catalog's int pole check.
+`partial_sum` is the mp-operator form of `series.partial_sum`,
+`clear_of_q_poles` the Fraction form of the catalog's int pole check, and
+`jackson_check` the Fraction form of the jackson-8phi7 sampler's check.
 `ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
 the fixed-point streams state.
 """
@@ -201,6 +202,25 @@ def clear_of_q_poles(x, q, upto=None):
             return True
         v *= q
         i += 1
+
+
+def jackson_check(p):
+    """`catalog._jackson_check` with its parameters formed in Fraction
+    arithmetic and tested by `clear_of_q_poles`."""
+    a, b, c, d, q, n = (p[k] for k in "abcdqn")
+    if not (isinstance(n, int) and 0 <= n <= 15):
+        return False
+    if not (all(clear_of_q_poles(x, q) for x in [a, *(q * a / x for x in (b, c, d))])
+            and clear_of_q_poles(a, q * q)):
+        return False
+    big_a = q ** (1 + n) * a * a / (b * c * d)
+    low_b = b * c * d / (a * q**n)
+    low_c = q ** (1 + n) * a
+    return (
+        clear_of_q_poles(big_a, q, upto=n + 1)
+        and clear_of_q_poles(low_b, q, upto=n)
+        and clear_of_q_poles(low_c, q, upto=n)
+    )
 
 
 def partial_sum(terms, stop_eps, limit):

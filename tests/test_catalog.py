@@ -1,9 +1,10 @@
 from dataclasses import replace
 from fractions import Fraction
+from hashlib import sha256
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -15,7 +16,7 @@ from hyperid.precision import INF, PrecisionContext, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from hyperid.series import SeriesResult, SeriesSpec, sum_unilateral
 
-from oracles import chu_vandermonde, clear_of_q_poles
+from oracles import chu_vandermonde, clear_of_q_poles, jackson_check
 
 
 def _sides(ident, params, ctx):
@@ -61,7 +62,44 @@ def _pole_cases(draw):
 @given(_pole_cases())
 def test_pole_check_on_ints_matches_the_fraction_loop(case):
     x, q, upto = case
-    assert catalog._clear_of_q_poles(x, q, upto) == clear_of_q_poles(x, q, upto)
+    assert catalog._clear_of_q_poles(x.as_integer_ratio(), q.as_integer_ratio(), upto) == \
+        clear_of_q_poles(x, q, upto)
+
+
+@st.composite
+def _jackson_params(draw):
+    # a parameter q^i puts q a/b, A = q^(1+n) a^2/(b c d) or b c d/(a q^n)
+    # on a q-power pole whenever the exponents line up
+    q = draw(_POLE_Q)
+    param = st.one_of(st.fractions(Fraction(1, 64), 4, max_denominator=64).filter(bool),
+                      st.integers(-20, 20).map(lambda i: q**i))
+    return {**{k: draw(param) for k in "abcd"}, "q": q, "n": draw(st.integers(-1, 16))}
+
+
+_HALF = Fraction(1, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_jackson_params())
+@example(dict(zip("abcdqn", (Fraction(209, 64), Fraction(5, 4), Fraction(129, 64),
+                             Fraction(43681, 82560), _HALF, 2))))  # A = q^-1
+@example(dict(zip("abcdqn", (Fraction(209, 64), Fraction(5, 4), Fraction(129, 64),
+                             Fraction(209, 645), _HALF, 2))))  # b c d/(a q^n) = q^-1
+def test_jackson_check_on_ints_matches_the_fraction_form(p):
+    assert catalog._jackson_check(p) == jackson_check(p)
+
+
+def test_terminating_samples_are_pinned():
+    # the sampled dicts of the three exact ids, seeds 1-3, indices 0-99, as
+    # drawn by the checks of Fraction arithmetic
+    ids = ("saalschuetz", "theorem-1-b-neg-n", "jackson-8phi7")
+    dicts = [sample_parameters(CATALOG[i], seed, index)
+             for i in ids for seed in (1, 2, 3) for index in range(100)]
+    digest = "6c7ffd73532ff89eb4efef873e353ded9ffc01a3d8339e4838ccdb02f640a369"
+    assert sha256(repr(dicts).encode()).hexdigest() == digest
+    fraction_form = replace(CATALOG["jackson-8phi7"], check=jackson_check)
+    assert dicts[-300:] == [sample_parameters(fraction_form, seed, index)
+                            for seed in (1, 2, 3) for index in range(100)]
 
 
 def test_saalschuetz_examples(ctx30):

@@ -67,11 +67,34 @@ def test_jackson_sides_at_a_equal_one():
 
 
 def test_jackson_sides_reject_zero_parameters():
-    # a = 0 or b c d = 0 zeroes a denominator of the parameter set-up
+    # a = 0 or b c d = 0 zeroes a denominator of the parameter set-up, and
+    # q = 0 one of q^-n for n >= 1
     b, c, d, q, n = Fraction(9, 4), Fraction(43, 2), Fraction(60), Fraction(-4, 5), 12
     for args in ((0, b, c, d), (b, 0, c, d), (b, c, 0, d), (b, c, d, 0)):
         with pytest.raises(DivisionByZero, match="nonzero a, b, c and d"):
             exact.jackson_8phi7_sides(*args, q, n)
+    with pytest.raises(DivisionByZero, match="q != 0"):
+        exact.jackson_8phi7_sides(b, b, c, d, 0, n)
+    assert exact.jackson_8phi7_sides(b, b, c, d, 0, 0) == (1, 1)
+
+
+_ONE, _HALF = Fraction(1), Fraction(1, 2)
+
+
+@pytest.mark.parametrize("entry, args", [
+    (exact.pfq_terminating, ([1], [2], _ONE)),
+    (exact.bracket_n, ([_HALF], [_ONE])),
+    (exact.qbracket_n, ([_HALF], [_ONE], _HALF)),
+    (exact.saalschuetz_sides, (_HALF, _HALF, _ONE)),
+    (exact.phi_symmetric_terminating_sides, (_HALF, _HALF, _HALF)),
+    (exact.jackson_8phi7_sides, (_ONE, Fraction(5, 4), Fraction(4, 3), Fraction(7, 4), _HALF)),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_every_exact_entry_rejects_a_negative_n(entry, args):
+    # checked before any parameter algebra, so that jackson at a = 1 cannot
+    # end in a bare ZeroDivisionError nor pfq_terminating sum no terms to 1
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match=f"needs n >= 0, not {n}"):
+            entry(*args, n)
 
 
 def test_streams_keep_the_arithmetic_of_their_inputs():
@@ -88,8 +111,8 @@ def test_streams_keep_the_arithmetic_of_their_inputs():
             assert abs(f - to_mp(e)) <= abs(f) * mpf(10) ** -38
 
 
-# The integer kernels of pfq_terminating, bracket_n, qbracket_n and
-# jackson_8phi7_sides against sums and products of the Fraction reference
+# The integer kernels of pfq_terminating, bracket_n, qbracket_n and the three
+# exact sides against sums and products of the Fraction reference
 # streams and Pochhammer symbols of `oracles`: equal values, or the same
 # exception and message.
 
@@ -111,6 +134,23 @@ def _bracket_reference(numers, denoms, poch, message):
     if den == 0:
         raise DivisionByZero(message)
     return prod(poch(x) for x in numers) / den
+
+
+_PRODUCT_MESSAGE = "exact product side vanishes in the denominator"
+
+
+def _saalschuetz_reference(a, b, c, n):
+    lhs = sum(term_stream([a, b, -n], [c, 1 + a + b - c - n], Fraction(1), max_k=n))
+    rhs = _bracket_reference([c - a, c - b], [c, c - a - b], lambda x: rising(x, n),
+                             _PRODUCT_MESSAGE)
+    return lhs, rhs
+
+
+def _phi_terminating_reference(a, c, d, n):
+    lhs = sum(term_stream([a, a + c + d - 1 - n, -n], [a + c - n, a + d - n], Fraction(1), max_k=n))
+    rhs = _bracket_reference([1 - c, 1 - d], [1 - a - c, 1 - a - d], lambda x: rising(x, n),
+                             _PRODUCT_MESSAGE)
+    return lhs, rhs
 
 
 def _jackson_reference(a, b, c, d, q, n):
@@ -147,7 +187,7 @@ def test_pfq_terminating_matches_the_term_stream(ups, lows, z, n):
 @example([Fraction(5, 2)], [Fraction(-3, 1), Fraction(1, 2)], 6)  # (-3)_6 = 0
 def test_bracket_n_matches_rising(numers, denoms, n):
     reference = _outcome(_bracket_reference, numers, denoms, lambda x: rising(x, n),
-                         "exact product side vanishes in the denominator")
+                         _PRODUCT_MESSAGE)
     assert _outcome(exact.bracket_n, numers, denoms, n) == reference
 
 
@@ -169,3 +209,30 @@ def test_jackson_8phi7_sides_match_the_q_term_stream(data, q, b, c, d, n):
     a = data.draw(st.one_of(_NONZERO, st.integers(0, 4).map(lambda j: q ** (-2 * j))))
     reference = _outcome(_jackson_reference, a, b, c, d, q, n)
     assert _outcome(exact.jackson_8phi7_sides, a, b, c, d, q, n) == reference
+
+
+_SHIFT = st.integers(-30, 30)
+
+
+@_SETTINGS
+@given(st.data(), _RAT, _RAT, st.integers(0, 30))
+def test_saalschuetz_sides_match_the_term_stream(data, a, b, n):
+    # c = -j or 1 + a + b - c - n = -j puts a lower parameter on a pole;
+    # c - a - b = -j zeroes the bracket's denominator, c - a = -j its numerator
+    c = data.draw(st.one_of(_RAT, _SHIFT.map(Fraction), _SHIFT.map(lambda j: a + b + j),
+                            _SHIFT.map(lambda j: a + j), _SHIFT.map(lambda j: 1 + a + b - n + j)))
+    reference = _outcome(_saalschuetz_reference, a, b, c, n)
+    assert _outcome(exact.saalschuetz_sides, a, b, c, n) == reference
+
+
+@_SETTINGS
+@given(st.data(), _RAT, st.integers(0, 30))
+def test_phi_symmetric_terminating_sides_match_the_term_stream(data, a, n):
+    # an integer a + c puts a + c - n on a pole or zeroes 1 - a - c in the
+    # bracket's denominator; an integer c >= 1 zeroes 1 - c in its numerator
+    def param():
+        return data.draw(st.one_of(_RAT, _SHIFT.map(lambda j: j - a), _SHIFT.map(Fraction)))
+
+    c, d = param(), param()
+    reference = _outcome(_phi_terminating_reference, a, c, d, n)
+    assert _outcome(exact.phi_symmetric_terminating_sides, a, c, d, n) == reference
