@@ -9,8 +9,11 @@ checked against two oracles:
                bilateral 2H2 by `bihyper`, phi by `qhyper` (a terminating
                phi by its finite sum of `qp` products), psi by the sum over
                k = -N..N of its terms built from `qp`, and every infinite
-               q-product by `qp`. Gamma ratios are mpmath's already, and the
-               terminating ids' exact sides are exact.
+               q-product by `qp`. Gamma ratios are mpmath's already. The
+               exact sides of `saalschuetz` and `theorem-1-b-neg-n` have
+               their own: the terminating 3F2 by `hyper` and the Pochhammer
+               ratio by `rf` products (TERMINATING). Those of
+               `jackson-8phi7` are taken as exact.
   3x           the same side at three times the working digits on the
                engine's own routes, with its infinite q-products from `qp`.
 
@@ -131,6 +134,33 @@ def mpmath_series(spec, ctx_or_qc):
     return mpmath.qhyper(ups, lows, q, z)
 
 
+def _rf_ratio(numers, denoms, n):
+    """prod (x)_n / prod (y)_n by mpmath.rf."""
+    return mpmath.fprod(mpmath.rf(x, n) for x in numers) / mpmath.fprod(
+        mpmath.rf(y, n) for y in denoms)
+
+
+def _terminating_3f2(uppers, lowers):
+    """The terminating 3F2 at 1 by mpmath.hyper, taken as 0 when its terms
+    cancel by more than 4x the working bits: hyper cannot otherwise end on
+    an exact 0. A sum wrongly taken as 0 shows as a side off, since the
+    exact side must then be 0 too."""
+    return mpmath.hyper(uppers, lowers, 1, zeroprec=4 * mp.prec)
+
+
+# id -> (lhs, rhs) of an exact classical entry, by mpmath from its parameters
+TERMINATING = {
+    "saalschuetz": (
+        lambda a, b, c, n: _terminating_3f2([a, b, -n], [c, 1 + a + b - c - n]),
+        lambda a, b, c, n: _rf_ratio([c - a, c - b], [c, c - a - b], n),
+    ),
+    "theorem-1-b-neg-n": (
+        lambda a, c, d, n: _terminating_3f2([a, a + c + d - 1 - n, -n], [a + c - n, a + d - n]),
+        lambda a, c, d, n: _rf_ratio([1 - c, 1 - d], [1 - a - c, 1 - a - d], n),
+    ),
+}
+
+
 def _ctx_of(ctx_or_qc):
     return getattr(ctx_or_qc, "ctx", ctx_or_qc)
 
@@ -160,8 +190,13 @@ def oracles(case, params, ctx):
     """((lhs, rhs) independent, (lhs, rhs) at 3x digits) of one sample."""
     # working precision digits + 20
     high = PrecisionContext(digits=ctx.digits + 10, max_terms=ctx.max_terms)
-    with _patched(lambda _, spec, c: _oracle_sum(spec, c)):
-        independent = case.lhs(params, high).value, case.rhs(params, high).value
+    if case.id in TERMINATING:
+        with high.working():
+            args = {k: v if k == "n" else to_mp(v) for k, v in params.items()}
+            independent = tuple(side(**args) for side in TERMINATING[case.id])
+    else:
+        with _patched(lambda _, spec, c: _oracle_sum(spec, c)):
+            independent = case.lhs(params, high).value, case.rhs(params, high).value
     triple = PrecisionContext(digits=3 * ctx.digits, max_terms=ctx.max_terms)
     with _patched(lambda f, spec, c: f(spec, c)):
         return independent, (case.lhs(params, triple).value, case.rhs(params, triple).value)

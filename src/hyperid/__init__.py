@@ -17,7 +17,7 @@ from .errors import (
     SamplingExhausted,
     UnknownIdentityError,
 )
-from .gammafn import gamma, gamma_ratio, pochhammer
+from .gammafn import gamma, gamma_ratio
 from .harness import SuiteConfig, run_suite, sample_parameters, verify_one
 from .precision import INF, PrecisionContext, to_mp
 from .qseries import (
@@ -37,7 +37,6 @@ from .series import (
     split_bilateral,
     sum_bilateral,
     sum_unilateral,
-    tail_bound_algebraic,
 )
 
 __version__ = "0.1.0"

@@ -11,15 +11,14 @@ functions below. A side is written as a function of the sample's parameters
 by name plus `ctx`, and `_mp` turns it into the `(params, ctx)` callable an
 entry holds: it converts every parameter but the integer `n` with `to_mp`
 under `ctx.working()` and runs the side at working precision; q sides build
-their `QContext` from the converted q. Terminating entries at Fraction
-parameters are evaluated exactly (zero error) through `_exact_or_float`,
+their `QContext` from the converted q. Terminating entries are evaluated
+exactly (zero error) on every sample, real or complex, through `_exact`,
 which looks `exact.<name>_sides` up on the `exact` module at each call, so a
 rebinding of that attribute is seen. One sample's pair is evaluated once:
 the entry's lhs and rhs share a one-entry memo, keyed by that function and
-the parameters, that hands the pair the lhs computed to the rhs; complex
-samples, which take the float sides, leave it alone. Everything else runs at
-working precision. A sample passes when its sides agree to every reported
-digit, rel_err < 10^-digits (relative to |rhs|, absolute when rhs = 0).
+the parameters, that hands the pair the lhs computed to the rhs. A sample
+passes when its sides agree to every reported digit, rel_err < 10^-digits
+(relative to |rhs|, absolute when rhs = 0).
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ from fractions import Fraction
 from itertools import combinations, count
 from typing import Callable, Optional
 
-from mpmath import mpf
+from mpmath import mpc, mpf
 
 from . import exact
 from .errors import DomainError
-from .gammafn import gamma_ratio, pochhammer
+from .gammafn import gamma_ratio
 from .precision import INF, PrecisionContext, exact_int, nonpositive_int, to_mp
 from .qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from .series import SeriesResult, SeriesSpec, combined_method, sum_bilateral, sum_unilateral
@@ -145,33 +144,28 @@ def _mp(side):
     return run
 
 
-def _exact_or_float(name, float_lhs=None, float_rhs=None):
+def _exact(name):
     """The (lhs, rhs) of a terminating entry: each side of
-    `exact.<name>_sides` with zero error when every parameter but n is a
-    Fraction (always, without float sides), else the float side via `_mp`.
-    The two share a one-entry memo keyed by the looked-up function and the
-    parameters, so the rhs reuses the pair the lhs computed; the float path
-    neither reads nor fills it."""
-    memo = [None, None]  # key and (lhs, rhs) of the last exact evaluation
+    `exact.<name>_sides` with zero error, as an mpf, or as an mpc for an
+    (re, im) pair. The rhs reuses the pair the lhs computed, through a
+    one-entry memo keyed by the looked-up function and the parameters."""
+    memo = [None, None]  # key and (lhs, rhs) of the last evaluation
 
-    def side(which, float_side):
-        float_side = float_side and _mp(float_side)
-
+    def side(which):
         def run(p, ctx):
-            if float_side and not all(isinstance(v, Fraction) for k, v in p.items() if k != "n"):
-                return float_side(p, ctx)
             sides = getattr(exact, f"{name}_sides")
             key = (sides, dict(p))
             if memo[0] != key:
                 memo[:] = key, sides(**p)
+            value = memo[1][which]
             with ctx.working():
-                value = to_mp(memo[1][which])
+                value = mpc(*map(to_mp, value)) if isinstance(value, tuple) else to_mp(value)
             terms = p["n"] + 1 if which == 0 else 0
             return SeriesResult(value, mpf(0), terms, "terminating")
 
         return run
 
-    return side(0, float_lhs), side(1, float_rhs)
+    return side(0), side(1)
 
 
 def _pfq(uppers, lowers, ctx) -> SeriesResult:
@@ -264,18 +258,6 @@ def _saalschuetz_check(p):
         if _bad_nonpositive(w, window=n):
             return False
     return True
-
-
-def _saalschuetz_lhs(a, b, c, n, ctx):
-    return _pfq([a, b, -n], [c, 1 + a + b - c - n], ctx)
-
-
-def _saalschuetz_rhs(a, b, c, n, ctx):
-    v = (
-        pochhammer(c - a, n, ctx) * pochhammer(c - b, n, ctx)
-        / (pochhammer(c, n, ctx) * pochhammer(c - a - b, n, ctx))
-    )
-    return _closed(v, ctx)
 
 
 def _saalschuetz_nt_sampler(rng, index):
@@ -447,18 +429,6 @@ def _b_neg_n_check(p):
     if not (isinstance(p["n"], int) and 0 <= p["n"] <= 20):
         return False
     return not (_is_integer(p["a"] + p["c"]) or _is_integer(p["a"] + p["d"]))
-
-
-def _b_neg_n_lhs(a, c, d, n, ctx):
-    return _pfq([a, a + c + d - 1 - n, -n], [a + c - n, a + d - n], ctx)
-
-
-def _b_neg_n_rhs(a, c, d, n, ctx):
-    v = (
-        pochhammer(1 - c, n, ctx) * pochhammer(1 - d, n, ctx)
-        / (pochhammer(1 - a - c, n, ctx) * pochhammer(1 - a - d, n, ctx))
-    )
-    return _closed(v, ctx)
 
 
 def _phi_as_3f2_sampler(rng, index):
@@ -768,7 +738,7 @@ CATALOG = {c.id: c for c in (
         {"a": "complex", "b": "complex", "c": "complex", "n": "int 0..30"},
         ("c > 0", "c-a-b, c-a, c-b not in {0,-1,...,-(n-1)}"),
         _saalschuetz_sampler, _saalschuetz_check,
-        *_exact_or_float("saalschuetz", _saalschuetz_lhs, _saalschuetz_rhs),
+        *_exact("saalschuetz"),
     ),
     IdentityCase(
         "saalschuetz-nt",
@@ -820,7 +790,7 @@ CATALOG = {c.id: c for c in (
         {"a": "complex", "c": "complex", "d": "complex", "n": "int 0..20"},
         ("a+c, a+d not integers",),
         _b_neg_n_sampler, _b_neg_n_check,
-        *_exact_or_float("phi_symmetric_terminating", _b_neg_n_lhs, _b_neg_n_rhs),
+        *_exact("phi_symmetric_terminating"),
     ),
     IdentityCase(
         "phi-as-3f2",
@@ -857,7 +827,7 @@ CATALOG = {c.id: c for c in (
         {**dict.fromkeys("abcd", "positive"), "q": "in (0.1,0.8)", "n": "int 0..15"},
         ("no lower parameter truncates before index n",),
         _jackson_sampler, _jackson_check,
-        *_exact_or_float("jackson_8phi7"),
+        *_exact("jackson_8phi7"),
     ),
     IdentityCase(
         "jackson-nt",

@@ -1,16 +1,20 @@
-"""Exact big-rational evaluation of terminating sums and Pochhammer brackets.
+"""Both sides of the terminating identities in exact big-rational arithmetic.
 
-Terminating identities at rational q and dyadic parameters are checked
-exactly, where equality is literal; a tolerance window cannot hide an
-off-by-one in a termination index. Each value runs on ints up to its one
-reduction, in `Fraction(P, Q)`: the classical sides put their parameters
-over one common denominator D, so 1 + a + b - c - n is (D + A + B - C - nD)/D,
-the q side forms products such as q a / (b c) as gcd-reduced int pairs, each
-step's term ratio is an int pair (A_k, B_k), the sum is taken by backward
-Horner, (P, Q) <- (B_k Q + A_k P, B_k Q), and a bracket multiplies int
-numerators and denominators. The very-well-poised +-sqrt(a) pairs enter only
-through pairwise products, which stay rational: (sqrt(a);q)_k (-sqrt(a);q)_k
-= (a;q^2)_k, so they fold into a rational weight per term.
+Equality is literal, so a tolerance window cannot hide an off-by-one in a
+termination index. Each value runs on ints up to its one reduction,
+`_value(P, Q)`: the classical sides put their parameters over one common
+denominator D, so 1 + a + b - c - n is (D + A + B - C - nD)/D, the q side
+forms products such as q a / (b c) as gcd-reduced int pairs, each step's
+term ratio is an int pair (A_k, B_k), the sum is taken by backward Horner,
+(P, Q) <- (B_k Q + A_k P, B_k Q), and a bracket multiplies int numerators
+and denominators. The very-well-poised +-sqrt(a) pairs enter only through
+pairwise products, which stay rational: (sqrt(a);q)_k (-sqrt(a);q)_k =
+(a;q^2)_k, so they fold into a rational weight per term.
+
+A complex classical parameter with dyadic parts, as sampled, has a Gaussian
+int `_Gauss` for its numerator over D, and the same loops run on it; real
+ones stay on plain ints. A Gaussian P/Q is the (re, im) pair of Fractions
+of P conj(Q) / |Q|^2.
 """
 
 from __future__ import annotations
@@ -19,6 +23,40 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import DivisionByZero, LowerPoleError
+from .series import gmul
+
+
+class _Gauss(tuple):
+    """The Gaussian int re + im i as the immutable pair (re, im), with ints
+    taken on either side of +, -, * and ==."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        re, im = other if isinstance(other, _Gauss) else (other, 0)
+        return _Gauss((self[0] + re, self[1] + im))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __rsub__(self, other):
+        return self * -1 + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Gauss):
+            return _Gauss(gmul(self, other))
+        return _Gauss((self[0] * other, self[1] * other))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        re, im = other if isinstance(other, _Gauss) else (other, 0)
+        return self[0] == re and self[1] == im
+
+    def __ne__(self, other):
+        return not self == other
 
 
 def _over(x, ys=()):
@@ -29,10 +67,23 @@ def _over(x, ys=()):
 
 
 def _common(xs):
-    """The numerators of xs over their least common denominator, and it."""
-    pairs = [x.as_integer_ratio() for x in xs]
+    """The numerators of xs over their least common denominator, and it: an
+    int, or for a complex x a `_Gauss` of its two parts read exactly."""
+    parts = [(x.real, x.imag) if isinstance(x, complex) else (x,) for x in xs]
+    pairs = [v.as_integer_ratio() for xp in parts for v in xp]
     den = lcm(*(d for _, d in pairs))
-    return [p * (den // d) for p, d in pairs], den
+    nums = iter([p * (den // d) for p, d in pairs])
+    return [_Gauss((next(nums), next(nums))) if len(xp) == 2 else next(nums) for xp in parts], den
+
+
+def _value(p, q):
+    """p / q as a Fraction for ints, else as the (re, im) pair of Fractions
+    of p conj(q) / |q|^2 for Gaussian ints."""
+    if not (isinstance(p, _Gauss) or isinstance(q, _Gauss)):
+        return Fraction(p, q)
+    re, im = q if isinstance(q, _Gauss) else (q, 0)
+    (nr, ni), norm = p * _Gauss((re, -im)), re * re + im * im
+    return Fraction(nr, norm), Fraction(ni, norm)
 
 
 def _check_n(n: int):
@@ -50,7 +101,7 @@ def _horner(ratios, weights):
     return p, q
 
 
-def _sum(ups, lows, z, n: int) -> Fraction:
+def _sum(ups, lows, z, n: int):
     """sum_{k<=n} of the hypergeometric terms of int-pair parameters and
     argument; their denominators give every ratio one constant factor."""
     cn, cd = _over((z[0] * prod(d for _, d in lows), z[1] * prod(d for _, d in ups)))
@@ -64,7 +115,7 @@ def _sum(ups, lows, z, n: int) -> Fraction:
         if den == 0:
             raise LowerPoleError(f"denominator parameter reaches a pole at k = {k}")
         ratios.append((num, den))
-    return Fraction(*_horner(ratios, [1] * (n + 1)))
+    return _value(*_horner(ratios, [1] * (n + 1)))
 
 
 def _bracket(numers, denoms, s, message):
@@ -76,10 +127,10 @@ def _bracket(numers, denoms, s, message):
     num, den = (num * s**k, den) if k >= 0 else (num, den * s**-k)
     if den == 0:
         raise DivisionByZero(message)
-    return Fraction(num, den)
+    return _value(num, den)
 
 
-def _rising_bracket(numers, denoms, d, n: int) -> Fraction:
+def _rising_bracket(numers, denoms, d, n: int):
     """prod (x/d)_n / prod (y/d)_n for ints x, y: (x/d)_n = prod_i (x + i d) / d^n."""
     return _bracket([(prod(x + i * d for i in range(n)), 1) for x in numers],
                     [(prod(y + i * d for i in range(n)), 1) for y in denoms],
@@ -93,27 +144,6 @@ def _qbracket(numers, denoms, q, n: int) -> Fraction:
     pairs = [(prod(v * d - u * p for p, d in powers), v**n) for u, v in (*numers, *denoms)]
     return _bracket(pairs[:len(numers)], pairs[len(numers):], q[1] ** (n * (n - 1) // 2),
                     "exact q-bracket denominator vanishes")
-
-
-def pfq_terminating(uppers, lowers, z: Fraction, n: int) -> Fraction:
-    """Exact finite sum of a hypergeometric series terminating at index n."""
-    _check_n(n)
-    ups, lows = ([x.as_integer_ratio() for x in xs] for xs in (uppers, lowers))
-    return _sum(ups, lows, z.as_integer_ratio(), n)
-
-
-def bracket_n(numers, denoms, n: int) -> Fraction:
-    """prod (x)_n / prod (y)_n in exact rational arithmetic, n >= 0."""
-    _check_n(n)
-    xs, d = _common([*numers, *denoms])
-    return _rising_bracket(xs[:len(numers)], xs[len(numers):], d, n)
-
-
-def qbracket_n(numers, denoms, q: Fraction, n: int) -> Fraction:
-    """prod (x;q)_n / prod (y;q)_n in exact rational arithmetic, n >= 0."""
-    _check_n(n)
-    numers, denoms = ([x.as_integer_ratio() for x in xs] for xs in (numers, denoms))
-    return _qbracket(numers, denoms, q.as_integer_ratio(), n)
 
 
 def saalschuetz_sides(a, b, c, n: int):

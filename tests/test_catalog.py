@@ -16,7 +16,7 @@ from hyperid.precision import INF, PrecisionContext, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from hyperid.series import SeriesResult, SeriesSpec, sum_unilateral
 
-from oracles import chu_vandermonde, clear_of_q_poles, jackson_check
+from oracles import chu_vandermonde, clear_of_q_poles, jackson_check, term_stream
 
 
 def _sides(ident, params, ctx):
@@ -115,9 +115,28 @@ def test_saalschuetz_examples(ctx30):
 
 
 def test_saalschuetz_complex_route(ctx30):
+    # complex parameters with dyadic parts are exact Gaussian dyadics: both
+    # sides come from the exact path, equal, with zero error
     p = {"a": complex(0.5, 0.25), "b": complex(1.25, -0.5), "c": Fraction(7, 4), "n": 9}
     l, r = _sides("saalschuetz", p, ctx30)
-    _assert_close(l, r, ctx30, -30)
+    assert isinstance(l.value, mpmath.mpc) and l.value == r.value
+    assert l.err_estimate == r.err_estimate == 0
+    assert l.method == r.method == "terminating"
+    assert tolerance_rule(l, r, ctx30) == (0, 0, True)
+
+
+@pytest.mark.parametrize("ident", ["saalschuetz", "theorem-1-b-neg-n"])
+def test_every_terminating_sample_is_exact(ident, ctx30):
+    # real and complex samples alike (every tenth is complex) take the exact
+    # sides: both terminating, with zero error and equal values
+    case = CATALOG[ident]
+    for index in range(100):
+        p = sample_parameters(case, 1, index)
+        l, r = case.lhs(p, ctx30), case.rhs(p, ctx30)
+        assert l.method == r.method == "terminating"
+        assert l.err_estimate == r.err_estimate == 0 and l.value == r.value
+        assert l.terms_used == p["n"] + 1 and r.terms_used == 0
+        assert (index % 10 == 9) == any(isinstance(v, complex) for v in p.values())
 
 
 _FLOAT_3F2 = {
@@ -134,7 +153,7 @@ _FLOAT_3F2 = {
     ("theorem-1-b-neg-n", 1, 369, 60),
 ])
 def test_cancelling_complex_terminating_samples(ident, seed, index, digits):
-    # the float lhs against mpmath at twice the working precision: right to
+    # the exact lhs against mpmath at twice the working precision: right to
     # every reported digit, or within its absolute error when the value is 0
     case = CATALOG[ident]
     p = sample_parameters(case, seed, index)
@@ -224,11 +243,11 @@ def test_dixon_examples(ctx30):
     p = {"a": Fraction(5, 2), "b": Fraction(-3), "c": Fraction(-9, 8)}
     l, r = _sides("dixon", p, ctx30)
     with ctx30.working():
-        finite = exact.pfq_terminating(
+        finite = sum(term_stream(
             [p["a"], p["b"], p["c"]],
             [1 + p["a"] - p["b"], 1 + p["a"] - p["c"]],
-            Fraction(1), 3,
-        )
+            Fraction(1), max_k=3,
+        ))
         assert abs(l.value - to_mp(finite)) < mpf(10) ** -33
         assert abs(r.value - to_mp(finite)) < abs(r.value) * mpf(10) ** -30
     # generic sample
@@ -317,13 +336,20 @@ def test_theorem1_b_neg_n_examples(ctx30):
     assert l.value == r.value and l.err_estimate == 0
 
 
-def test_theorem1_b_neg_n_matches_saalschuetz(ctx30):
-    # parameter mapping onto the balanced terminating sum
-    a, c, d, n = Fraction(5, 8), Fraction(9, 8), Fraction(13, 16), 7
+@pytest.mark.parametrize("a, c, d", [
+    (Fraction(5, 8), Fraction(9, 8), Fraction(13, 16)),
+    (complex(0.625, -0.75), Fraction(9, 8), Fraction(13, 16)),
+    (complex(0.625, 0.5), complex(1.125, -0.25), complex(-0.5, 1.75)),
+])
+def test_theorem1_b_neg_n_matches_saalschuetz(a, c, d):
+    # parameter mapping onto the balanced terminating sum, for real and
+    # Gaussian dyadic parameters
+    n = 7
     lv, rv = exact.phi_symmetric_terminating_sides(a, c, d, n)
     ls, rs = exact.saalschuetz_sides(a, a + c + d - 1 - n, a + c - n, n)
     assert lv == ls
     assert rv == rs
+    assert isinstance(lv, tuple) == isinstance(a, complex)
 
 
 def test_theorem1_ca_db_coherence(ctx30):
@@ -510,16 +536,12 @@ def test_exact_sides_called_through_the_module(monkeypatch, ctx30):
                      "jackson_8phi7_sides": 1}
 
 
-def test_exact_memo_follows_the_sample_and_skips_the_float_path(monkeypatch, ctx30):
+def test_exact_memo_follows_the_sample(monkeypatch, ctx30):
+    # the lhs and rhs of one sample, real or complex, share one exact call,
+    # and the rhs of a sample right after the lhs of another is its own
     case = CATALOG["saalschuetz"]
     pa, pb, pc = (sample_parameters(case, 0, i) for i in (0, 1, 9))
-    ra, rb = exact.saalschuetz_sides(**pa)[1], exact.saalschuetz_sides(**pb)[1]
-    assert ra != rb
-    case.lhs(pa, ctx30)
-    with ctx30.working():
-        assert case.rhs(pb, ctx30).value == to_mp(rb)
-    # a complex sample takes the float sides: no exact call, and the pair of
-    # the Fraction sample before it is still the one the memo holds
+    assert isinstance(pc["a"], complex)
     calls = []
     original = exact.saalschuetz_sides
 
@@ -528,13 +550,13 @@ def test_exact_memo_follows_the_sample_and_skips_the_float_path(monkeypatch, ctx
         return original(**p)
 
     monkeypatch.setattr(exact, "saalschuetz_sides", counting)
-    case.lhs(pa, ctx30)
-    assert not all(isinstance(v, Fraction) for k, v in pc.items() if k != "n")
-    l, r = _sides("saalschuetz", pc, ctx30)
-    assert isinstance(l.value, mpmath.mpc) and isinstance(r.value, mpmath.mpc)
-    with ctx30.working():
-        assert case.rhs(pa, ctx30).value == to_mp(ra)
-    assert calls == [pa]
+    values = []
+    for p in (pa, pc, pb):
+        case.lhs(pa, ctx30)
+        values.append(case.rhs(p, ctx30).value)
+        assert case.lhs(p, ctx30).value == values[-1]
+    assert calls == [pa, pc, pa, pb]
+    assert isinstance(values[1], mpmath.mpc) and values[0] != values[2]
 
 
 def test_negative_control_perturbed_rhs(ctx30):

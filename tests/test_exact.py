@@ -8,10 +8,32 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from hyperid import exact
-from hyperid.errors import DivisionByZero
+from hyperid.errors import DivisionByZero, LowerPoleError
 from hyperid.precision import to_mp
 
 from oracles import q_term_stream, qpoch, rising, term_stream
+
+
+# The int kernels of the sides on lists of rationals: a terminating pFq sum,
+# a rising bracket over one common denominator and a q-bracket, each
+# checking n first, as the sides do.
+
+def pfq_terminating(uppers, lowers, z, n):
+    exact._check_n(n)
+    ups, lows = ([x.as_integer_ratio() for x in xs] for xs in (uppers, lowers))
+    return exact._sum(ups, lows, z.as_integer_ratio(), n)
+
+
+def bracket_n(numers, denoms, n):
+    exact._check_n(n)
+    xs, d = exact._common([*numers, *denoms])
+    return exact._rising_bracket(xs[:len(numers)], xs[len(numers):], d, n)
+
+
+def qbracket_n(numers, denoms, q, n):
+    exact._check_n(n)
+    numers, denoms = ([x.as_integer_ratio() for x in xs] for xs in (numers, denoms))
+    return exact._qbracket(numers, denoms, q.as_integer_ratio(), n)
 
 
 def test_rising_values():
@@ -24,7 +46,7 @@ def test_rising_values():
 
 def test_pfq_terminating_matches_hand_sum():
     # 3F2(1,2,-1; 5,-2; 1) = 1 + (1*2*(-1))/(1*5*(-2)) = 6/5
-    v = exact.pfq_terminating([1, 2, -1], [5, -2], Fraction(1), 1)
+    v = pfq_terminating([1, 2, -1], [5, -2], Fraction(1), 1)
     assert v == Fraction(6, 5)
 
 
@@ -43,12 +65,12 @@ def test_qpoch_negative_and_zero():
 
 def test_qbracket_n():
     q = Fraction(1, 3)
-    v = exact.qbracket_n([Fraction(1, 2)], [Fraction(1, 2)], q, 5)
+    v = qbracket_n([Fraction(1, 2)], [Fraction(1, 2)], q, 5)
     assert v == 1
     with pytest.raises(ValueError):
-        exact.qbracket_n([Fraction(1, 2)], [Fraction(1, 2)], q, -1)
+        qbracket_n([Fraction(1, 2)], [Fraction(1, 2)], q, -1)
     with pytest.raises(ValueError):
-        exact.bracket_n([Fraction(1, 2)], [Fraction(1, 2)], -1)
+        bracket_n([Fraction(1, 2)], [Fraction(1, 2)], -1)
 
 
 def test_jackson_sides_equal_for_range_of_n():
@@ -82,9 +104,9 @@ _ONE, _HALF = Fraction(1), Fraction(1, 2)
 
 
 @pytest.mark.parametrize("entry, args", [
-    (exact.pfq_terminating, ([1], [2], _ONE)),
-    (exact.bracket_n, ([_HALF], [_ONE])),
-    (exact.qbracket_n, ([_HALF], [_ONE], _HALF)),
+    (pfq_terminating, ([1], [2], _ONE)),
+    (bracket_n, ([_HALF], [_ONE])),
+    (qbracket_n, ([_HALF], [_ONE], _HALF)),
     (exact.saalschuetz_sides, (_HALF, _HALF, _ONE)),
     (exact.phi_symmetric_terminating_sides, (_HALF, _HALF, _HALF)),
     (exact.jackson_8phi7_sides, (_ONE, Fraction(5, 4), Fraction(4, 3), Fraction(7, 4), _HALF)),
@@ -111,8 +133,8 @@ def test_streams_keep_the_arithmetic_of_their_inputs():
             assert abs(f - to_mp(e)) <= abs(f) * mpf(10) ** -38
 
 
-# The integer kernels of pfq_terminating, bracket_n, qbracket_n and the three
-# exact sides against sums and products of the Fraction reference
+# The integer kernels, through pfq_terminating, bracket_n, qbracket_n and the
+# three exact sides, against sums and products of the Fraction reference
 # streams and Pochhammer symbols of `oracles`: equal values, or the same
 # exception and message.
 
@@ -179,7 +201,7 @@ def _jackson_reference(a, b, c, d, q, n):
 @example([Fraction(-5, 2), Fraction(-7)], [Fraction(-9, 4)], Fraction(-3, 8), 30)
 def test_pfq_terminating_matches_the_term_stream(ups, lows, z, n):
     reference = _outcome(lambda: sum(term_stream(ups, lows, z, max_k=n)))
-    assert _outcome(exact.pfq_terminating, ups, lows, z, n) == reference
+    assert _outcome(pfq_terminating, ups, lows, z, n) == reference
 
 
 @_SETTINGS
@@ -188,7 +210,7 @@ def test_pfq_terminating_matches_the_term_stream(ups, lows, z, n):
 def test_bracket_n_matches_rising(numers, denoms, n):
     reference = _outcome(_bracket_reference, numers, denoms, lambda x: rising(x, n),
                          _PRODUCT_MESSAGE)
-    assert _outcome(exact.bracket_n, numers, denoms, n) == reference
+    assert _outcome(bracket_n, numers, denoms, n) == reference
 
 
 @_SETTINGS
@@ -199,7 +221,7 @@ def test_qbracket_n_matches_qpoch(data, q, n):
     numers, denoms = data.draw(params), data.draw(params)
     reference = _outcome(_bracket_reference, numers, denoms, lambda x: qpoch(x, q, n),
                          "exact q-bracket denominator vanishes")
-    assert _outcome(exact.qbracket_n, numers, denoms, q, n) == reference
+    assert _outcome(qbracket_n, numers, denoms, q, n) == reference
 
 
 @_SETTINGS
@@ -236,3 +258,49 @@ def test_phi_symmetric_terminating_sides_match_the_term_stream(data, a, n):
     c, d = param(), param()
     reference = _outcome(_phi_terminating_reference, a, c, d, n)
     assert _outcome(exact.phi_symmetric_terminating_sides, a, c, d, n) == reference
+
+
+# The same two sides on Gaussian dyadics, the sampled complex parameters,
+# mixed with dyadic Fractions: the two must be equal (an (re, im) pair for
+# n >= 1), the rhs must match mpmath's Pochhammer ratio, and a lower
+# parameter on a pole below n must raise at its first k. The draws put lower
+# parameters on poles and zeros in the brackets as above.
+
+_SIXTEENTHS = st.integers(-64, 64)
+_DYADIC = _SIXTEENTHS.map(lambda i: Fraction(i, 16))
+_GAUSS = st.builds(complex, *[_SIXTEENTHS.map(lambda i: i / 16)] * 2)
+
+
+def _check_gaussian_sides(sides, args, lows, numers, denoms, n):
+    outcome = _outcome(sides, *args, n)
+    pole = next((k for k in range(n) for y in lows if y + k == 0), None)
+    if pole is not None:
+        assert outcome == (LowerPoleError, f"denominator parameter reaches a pole at k = {pole}")
+        return
+    lhs, rhs = outcome
+    assert lhs == rhs and isinstance(rhs, tuple) == (n > 0)
+    with mp.workdps(50):
+        ratio = prod(mp.rf(to_mp(x), n) for x in numers) / prod(mp.rf(to_mp(y), n) for y in denoms)
+        value = mp.mpc(*map(to_mp, rhs)) if n else to_mp(rhs)
+        assert abs(value - ratio) <= abs(ratio) * mpf(10) ** -45
+
+
+@_SETTINGS
+@given(st.data(), _GAUSS, _GAUSS, st.integers(0, 30))
+def test_saalschuetz_sides_on_gaussian_dyadics(data, a, b, n):
+    c = data.draw(st.one_of(_DYADIC, _GAUSS, _SHIFT.map(Fraction), _SHIFT.map(lambda j: a + b + j),
+                            _SHIFT.map(lambda j: a + j), _SHIFT.map(lambda j: 1 + a + b - n + j)))
+    _check_gaussian_sides(exact.saalschuetz_sides, (a, b, c), [c, 1 + a + b - c - n],
+                          [c - a, c - b], [c, c - a - b], n)
+
+
+@_SETTINGS
+@given(st.data(), _GAUSS, st.integers(0, 30))
+def test_phi_symmetric_terminating_sides_on_gaussian_dyadics(data, a, n):
+    def param():
+        return data.draw(st.one_of(_DYADIC, _GAUSS, _SHIFT.map(lambda j: j - a),
+                                   _SHIFT.map(Fraction)))
+
+    c, d = param(), param()
+    _check_gaussian_sides(exact.phi_symmetric_terminating_sides, (a, c, d),
+                          [a + c - n, a + d - n], [1 - c, 1 - d], [1 - a - c, 1 - a - d], n)

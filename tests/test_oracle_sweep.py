@@ -1,13 +1,18 @@
 """mpmath sums of `scripts/oracle_sweep.py` on phi series that terminate
 (z = 0, or an upper a with a q^n = 1), which mpmath.qhyper would run to its
-term limit, against the engine, which finds the same last term itself."""
+term limit, against the engine, which finds the same last term itself; and
+its independent oracle of the exact classical sides."""
 
 import importlib.util
 from pathlib import Path
 
 import mpmath
+import pytest
 from mpmath import mp, mpf
 
+from hyperid import exact
+from hyperid.catalog import CATALOG
+from hyperid.harness import sample_parameters, verify_one
 from hyperid.precision import PrecisionContext
 from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
 
@@ -39,3 +44,31 @@ def test_phi_with_an_upper_at_q_to_the_minus_n():
         res = sum_q_series(spec, qc)
         assert (res.method, res.terms_used) == ("terminating", n + 1)
         assert abs(value - res.value) < mpf(10) ** -(CTX.digits + 5) * abs(res.value)
+
+
+_EXACT_IDS = {"saalschuetz": "saalschuetz_sides",
+              "theorem-1-b-neg-n": "phi_symmetric_terminating_sides"}
+
+
+@pytest.mark.parametrize("ident", sorted(_EXACT_IDS))
+def test_terminating_oracle_matches_the_exact_sides(ident):
+    # index 0 is a real sample and index 9 a complex one: every printed digit
+    # of the exact sides agrees with mpmath's hyper and rf products
+    case = CATALOG[ident]
+    (lhs, _), _ = oracle_sweep.oracles(case, sample_parameters(case, 1, 9), CTX)
+    assert isinstance(lhs, mpmath.mpc)
+    assert oracle_sweep.sweep(CTX.digits, [(ident, 1, 0), (ident, 1, 9)]) == 0
+
+
+@pytest.mark.parametrize("ident", sorted(_EXACT_IDS))
+def test_terminating_oracle_catches_n_off_by_one(ident, monkeypatch):
+    # exact sides summed and multiplied to n + 1 still equal each other, so
+    # the verdict passes and the 3x oracle (the engine's own sides) agrees;
+    # only the independent oracle sees both sides off, on both samples
+    name = _EXACT_IDS[ident]
+    original = getattr(exact, name)
+    monkeypatch.setattr(exact, name, lambda n, **p: original(n=n + 1, **p))
+    samples = [(ident, 1, 0), (ident, 1, 9)]
+    assert all(verify_one(CATALOG[i], sample_parameters(CATALOG[i], s, k), CTX).passed
+               for i, s, k in samples)
+    assert oracle_sweep.sweep(CTX.digits, samples) == 4
