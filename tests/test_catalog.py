@@ -336,20 +336,29 @@ def test_theorem1_b_neg_n_examples(ctx30):
     assert l.value == r.value and l.err_estimate == 0
 
 
+def test_theorem1_b_neg_n_matches_saalschuetz(ctx30):
+    # parameter mapping onto the balanced terminating sum
+    a, c, d, n = Fraction(5, 8), Fraction(9, 8), Fraction(13, 16), 7
+    lv, rv = exact.phi_symmetric_terminating_sides(a, c, d, n)
+    ls, rs = exact.saalschuetz_sides(a, a + c + d - 1 - n, a + c - n, n)
+    assert lv == ls
+    assert rv == rs
+    assert not isinstance(lv, tuple)
+
+
 @pytest.mark.parametrize("a, c, d", [
-    (Fraction(5, 8), Fraction(9, 8), Fraction(13, 16)),
     (complex(0.625, -0.75), Fraction(9, 8), Fraction(13, 16)),
     (complex(0.625, 0.5), complex(1.125, -0.25), complex(-0.5, 1.75)),
 ])
-def test_theorem1_b_neg_n_matches_saalschuetz(a, c, d):
-    # parameter mapping onto the balanced terminating sum, for real and
-    # Gaussian dyadic parameters
+def test_theorem1_b_neg_n_matches_saalschuetz_on_gaussian_dyadics(a, c, d):
+    # the same mapping with Gaussian dyadic parameters: both entries return
+    # equal (re, im) pairs of Fractions
     n = 7
     lv, rv = exact.phi_symmetric_terminating_sides(a, c, d, n)
     ls, rs = exact.saalschuetz_sides(a, a + c + d - 1 - n, a + c - n, n)
     assert lv == ls
     assert rv == rs
-    assert isinstance(lv, tuple) == isinstance(a, complex)
+    assert isinstance(lv, tuple)
 
 
 def test_theorem1_ca_db_coherence(ctx30):
