@@ -10,10 +10,12 @@ checked against two oracles:
                phi by its finite sum of `qp` products), psi by the sum over
                k = -N..N of its terms built from `qp`, and every infinite
                q-product by `qp`. Gamma ratios are mpmath's already. The
-               exact sides of `saalschuetz` and `theorem-1-b-neg-n` have
-               their own: the terminating 3F2 by `hyper` and the Pochhammer
-               ratio by `rf` products (TERMINATING). Those of
-               `jackson-8phi7` are taken as exact.
+               exact sides of `saalschuetz`, `theorem-1-b-neg-n` and
+               `jackson-8phi7` have their own (TERMINATING): the terminating
+               3F2 by `hyper` and the Pochhammer ratio by `rf` products;
+               the 8phi7 as the finite sum of its terms built from `qp`,
+               with the very-well-poised pairs +-q sqrt(a) over +-sqrt(a)
+               among its parameters, and its bracket by `qp` products.
   3x           the same side at three times the working digits on the
                engine's own routes, with its infinite q-products from `qp`.
 
@@ -148,7 +150,21 @@ def _terminating_3f2(uppers, lowers):
     return mpmath.hyper(uppers, lowers, 1, zeroprec=4 * mp.prec)
 
 
-# id -> (lhs, rhs) of an exact classical entry, by mpmath from its parameters
+def _jackson_8phi7(a, b, c, d, q, n):
+    """The terminating very-well-poised 8phi7 with e = q^(1+n) a^2 / (b c d)
+    by `_phi_sum`, at the argument q."""
+    r, e = mpmath.sqrt(a), q ** (1 + n) * a**2 / (b * c * d)
+    return _phi_sum([a, q * r, -q * r, b, c, d, e, q**-n],
+                    [r, -r, q * a / b, q * a / c, q * a / d, q * a / e, q ** (1 + n) * a], q, q, n)
+
+
+def _qp_ratio(numers, denoms, q, n):
+    """prod (x;q)_n / prod (y;q)_n by mpmath.qp."""
+    return mpmath.fprod(mpmath.qp(x, q, n) for x in numers) / mpmath.fprod(
+        mpmath.qp(y, q, n) for y in denoms)
+
+
+# id -> (lhs, rhs) of an exact entry, by mpmath from its parameters
 TERMINATING = {
     "saalschuetz": (
         lambda a, b, c, n: _terminating_3f2([a, b, -n], [c, 1 + a + b - c - n]),
@@ -157,6 +173,12 @@ TERMINATING = {
     "theorem-1-b-neg-n": (
         lambda a, c, d, n: _terminating_3f2([a, a + c + d - 1 - n, -n], [a + c - n, a + d - n]),
         lambda a, c, d, n: _rf_ratio([1 - c, 1 - d], [1 - a - c, 1 - a - d], n),
+    ),
+    "jackson-8phi7": (
+        _jackson_8phi7,
+        lambda a, b, c, d, q, n: _qp_ratio([q * a, q * a / (b * c), q * a / (b * d), q * a / (c * d)],
+                                           [q * a / b, q * a / c, q * a / d, q * a / (b * c * d)],
+                                           q, n),
     ),
 }
 
@@ -221,15 +243,18 @@ def engine_sides(case, params, ctx):
 
 def ulps_off(printed: str, oracle, digits: int):
     """The largest miss, in units of the last printed place, of the printed
-    parts (real, then imaginary when printed) against the oracle's."""
+    parts (real, then imaginary when printed) against the oracle's. The
+    printed text is read, and the miss taken, at digits + 10 whatever the
+    ambient precision."""
     m = re.fullmatch(r"(\S+) ([+-]) (\S+)j", printed)
     parts = [(m[1], oracle.real), (m[2] + m[3], oracle.imag)] if m else [(printed, mpmath.re(oracle))]
     worst = mpf(0)
-    for text, exact in parts:
-        x = mpf(text)
-        size = abs(x) or abs(oracle)
-        ulp = mpf(10) ** (int(mpmath.floor(mpmath.log10(size))) - digits + 1)
-        worst = max(worst, abs(x - exact) / ulp)
+    with mp.workdps(digits + 10):
+        for text, exact in parts:
+            x = mpf(text)
+            size = abs(x) or abs(oracle)
+            ulp = mpf(10) ** (int(mpmath.floor(mpmath.log10(size))) - digits + 1)
+            worst = max(worst, abs(x - exact) / ulp)
     return worst
 
 

@@ -17,7 +17,7 @@ from .errors import (
     SamplingExhausted,
     UnknownIdentityError,
 )
-from .gammafn import gamma, gamma_ratio
+from .gammafn import gamma_ratio
 from .harness import SuiteConfig, run_suite, sample_parameters, verify_one
 from .precision import INF, PrecisionContext, to_mp
 from .qseries import (

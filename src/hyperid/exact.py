@@ -12,7 +12,7 @@ pairwise products, which stay rational: (sqrt(a);q)_k (-sqrt(a);q)_k =
 (a;q^2)_k, so they fold into a rational weight per term.
 
 A complex classical parameter with dyadic parts, as sampled, has a Gaussian
-int `_Gauss` for its numerator over D, and the same loops run on it; real
+int `series.Gauss` for its numerator over D, and the same loops run on it; real
 ones stay on plain ints. A Gaussian P/Q is the (re, im) pair of Fractions
 of P conj(Q) / |Q|^2.
 """
@@ -23,40 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import DivisionByZero, LowerPoleError
-from .series import gmul
-
-
-class _Gauss(tuple):
-    """The Gaussian int re + im i as the immutable pair (re, im), with ints
-    taken on either side of +, -, * and ==."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        re, im = other if isinstance(other, _Gauss) else (other, 0)
-        return _Gauss((self[0] + re, self[1] + im))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + other * -1
-
-    def __rsub__(self, other):
-        return self * -1 + other
-
-    def __mul__(self, other):
-        if isinstance(other, _Gauss):
-            return _Gauss(gmul(self, other))
-        return _Gauss((self[0] * other, self[1] * other))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        re, im = other if isinstance(other, _Gauss) else (other, 0)
-        return self[0] == re and self[1] == im
-
-    def __ne__(self, other):
-        return not self == other
+from .series import Gauss
 
 
 def _over(x, ys=()):
@@ -68,21 +35,21 @@ def _over(x, ys=()):
 
 def _common(xs):
     """The numerators of xs over their least common denominator, and it: an
-    int, or for a complex x a `_Gauss` of its two parts read exactly."""
+    int, or for a complex x a `Gauss` of its two parts read exactly."""
     parts = [(x.real, x.imag) if isinstance(x, complex) else (x,) for x in xs]
     pairs = [v.as_integer_ratio() for xp in parts for v in xp]
     den = lcm(*(d for _, d in pairs))
     nums = iter([p * (den // d) for p, d in pairs])
-    return [_Gauss((next(nums), next(nums))) if len(xp) == 2 else next(nums) for xp in parts], den
+    return [Gauss((next(nums), next(nums))) if len(xp) == 2 else next(nums) for xp in parts], den
 
 
 def _value(p, q):
     """p / q as a Fraction for ints, else as the (re, im) pair of Fractions
     of p conj(q) / |q|^2 for Gaussian ints."""
-    if not (isinstance(p, _Gauss) or isinstance(q, _Gauss)):
+    if not (isinstance(p, Gauss) or isinstance(q, Gauss)):
         return Fraction(p, q)
-    re, im = q if isinstance(q, _Gauss) else (q, 0)
-    (nr, ni), norm = p * _Gauss((re, -im)), re * re + im * im
+    re, im = q if isinstance(q, Gauss) else (q, 0)
+    (nr, ni), norm = p * Gauss((re, -im)), re * re + im * im
     return Fraction(nr, norm), Fraction(ni, norm)
 
 

@@ -1,4 +1,4 @@
-"""Gamma, Pochhammer symbols and gamma-product ratios.
+"""Pochhammer symbols and gamma-product ratios.
 
 mpmath supplies the precision-scalable gamma kernel (Stirling series with
 argument shifting, reflection on the left half plane). This module adds the
@@ -14,18 +14,6 @@ from mpmath import mpc, mpf
 
 from .errors import DivisionByZero, DomainError, IndeterminateError, PoleError
 from .precision import PrecisionContext, nonpositive_int, to_mp
-
-
-def gamma(z, ctx: PrecisionContext):
-    """Gamma function at working precision.
-
-    Raises PoleError at nonpositive integers.
-    """
-    with ctx.working():
-        zz = to_mp(z)
-        if nonpositive_int(zz) is not None:
-            raise PoleError(f"gamma pole at z = {zz}")
-        return mpmath.gamma(zz)
 
 
 def pochhammer(x, n: int, ctx: PrecisionContext):

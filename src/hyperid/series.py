@@ -13,9 +13,12 @@ Routes, chosen by convergence class:
                more than lowers; summed again at raised precision while its
                terms cancel by more than the digits kept beyond the
                reported ones, up to ten times the working precision
-  algebraic    |z| = 1 with decay exponent s > 1: direct summation plus an
-               integral tail bound when the needed term count fits the
-               budget, otherwise the Levin u-transform
+  algebraic    |z| = 1 with decay exponent s > 1: when a 48-term probe
+               puts the terms needed below the direct cap, the first K
+               terms summed directly plus the tail t_K f(K), where
+               f(K) = T_K / t_K is an inverse factorial series whose
+               coefficients follow a banded int recurrence (direct+tail);
+               otherwise the Levin u-transform
 Bilateral sums are split at k = 0; the negative tail becomes a unilateral
 series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
 
@@ -104,23 +107,11 @@ class SeriesResult:
     method: str  # terminating | direct | direct+tail | levin
 
 
-# direct+tail term limit; a Levin call costs 300-900 direct terms (30-60 digits),
-# so Levin is cheaper far below it, but a lower cap would move report methods
+# the probe's estimate k_needed from which the Levin route takes a series at
+# |z| = 1; direct+tail sums at most k_needed + 1 terms below it, and a
+# different cap would move report methods
 _DIRECT_CAP = 20_000
 _CANCELLATION_CEILING = 10  # no direct pass runs above this many times the working precision
-
-
-def tail_bound_algebraic(K: int, s, last_term_mag):
-    """Integral-comparison bound on sum_{k>K} C k^-s given |term_K|.
-
-    The bound is last_term_mag * K / (s - 1); monotone in each argument.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    s = to_mp(s)
-    if not s > 1:
-        raise ValueError("tail bound requires s > 1")
-    return to_mp(last_term_mag) * K / (s - 1)
 
 
 def _unit_argument(uppers, lowers, offset) -> ConvergenceClass:
@@ -199,6 +190,9 @@ def _lower_pole_check(uppers, lowers, term_n):
 def dyadic(x, cplx):
     """(n, s) with x = n / 2^s exactly and s >= 0 for an mpf or mpc x; n is
     an (re, im) pair of ints when cplx, else an int (x real)."""
+    if not cplx:
+        sign, man, exp, _ = x._mpf_
+        return (-man if sign else man) << max(exp, 0), max(-exp, 0) if man else 0
     parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
     ns = [((-man if sign else man), exp) for sign, man, exp, _ in parts]
     s = max([0, *(-exp for n, exp in ns if n)])
@@ -213,10 +207,10 @@ def to_fixed(x, wp):
     return tuple((mpf_to_fixed(v, wp + 1) + 1) >> 1 for v in parts)
 
 
-def from_fixed(t):
-    """The exact mp number of a fixed-point pair t at scale 2^fixed_prec():
-    an mpf when its imaginary part is 0, else an mpc."""
-    wp = fixed_prec()
+def from_fixed(t, wp=None):
+    """The exact mp number of a fixed-point pair t at scale 2^wp (default
+    fixed_prec()): an mpf when its imaginary part is 0, else an mpc."""
+    wp = fixed_prec() if wp is None else wp
     re = from_man_exp(t[0], -wp)
     return mp.make_mpc((re, from_man_exp(t[1], -wp))) if t[1] else mp.make_mpf(re)
 
@@ -227,6 +221,59 @@ def gmul(x, y):
 
 
 gproduct = partial(reduce, gmul)  # the product of a nonempty iterable of Gaussian integers
+
+
+class Gauss(tuple):
+    """The Gaussian int re + im i as the immutable pair (re, im), with ints
+    taken on either side of +, -, * and ==, and // by an int."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        re, im = other if isinstance(other, Gauss) else (other, 0)
+        return Gauss((self[0] + re, self[1] + im))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __rsub__(self, other):
+        return self * -1 + other
+
+    def __mul__(self, other):
+        if isinstance(other, Gauss):
+            return Gauss(gmul(self, other))
+        return Gauss((self[0] * other, self[1] * other))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, n):
+        """Each part floor-divided by the int n."""
+        return Gauss((self[0] // n, self[1] // n))
+
+    def __eq__(self, other):
+        re, im = other if isinstance(other, Gauss) else (other, 0)
+        return self[0] == re and self[1] == im
+
+    def __ne__(self, other):
+        return not self == other
+
+
+def _rdiv(x, d):
+    """x / d rounded to the nearest (Gaussian) int, halves up in each part,
+    for a nonzero d; x and d are ints or `Gauss` values."""
+    if isinstance(d, Gauss):
+        x, d = x * Gauss((d[0], -d[1])), d[0] * d[0] + d[1] * d[1]
+    # for d of either sign, x / d rounds to floor((2x + d) / (2d))
+    if isinstance(x, Gauss):
+        return Gauss(((2 * x[0] + d) // (2 * d), (2 * x[1] + d) // (2 * d)))
+    return (2 * x + d) // (2 * d)
+
+
+def _norm(x):
+    """|x|^2 of an int or a `Gauss` value."""
+    return x[0] * x[0] + x[1] * x[1] if isinstance(x, Gauss) else x * x
 
 
 def fixed_terms(ratio, cplx, max_k, wp, pole):
@@ -302,6 +349,13 @@ def ratio_terms(uppers, lowers, z, max_k=None):
                            "denominator parameter reaches a pole at k = {}")
 
 
+def _below(eps):
+    """(s, b) such that |x| < eps |y| iff |x|^2 2^s < b |y|^2, for an mpf
+    eps = m 2^e > 0."""
+    _, m, e, _ = eps._mpf_
+    return max(-2 * e, 0), m * m << max(2 * e, 0)
+
+
 def partial_sum(terms, stop_eps, limit: int):
     """Add terms until three in a row fall below stop_eps*|total|, until
     `limit` terms are used, or until the stream ends; the iterator is left
@@ -321,9 +375,7 @@ def partial_sum(terms, stop_eps, limit: int):
     sre = sim = peak = used = 0
     last = prev = None
     if stop_eps:
-        # |t|^2 2^s < b |total|^2 for stop_eps = m 2^e
-        _, m, e, _ = stop_eps._mpf_
-        s, b = max(-2 * e, 0), m * m << max(2 * e, 0)
+        s, b = _below(stop_eps)
     small_run = 0
     settled = True
     for t in terms:
@@ -428,11 +480,90 @@ def join_halves(plus: SeriesResult, pref, minus) -> SeriesResult:
     return SeriesResult(value, err, plus.terms_used + minus.terms_used, method)
 
 
+def _newton(values):
+    """In place, the values A(k), A(k+1), ..., A(k+n) of a polynomial A of
+    degree <= n with exact (Gaussian) int Newton coefficients become those
+    coefficients (Delta^m A)(k) / m!, m = 0 .. n."""
+    for m in range(1, len(values)):
+        for i in range(len(values) - 1, m - 1, -1):
+            values[i] = (values[i] - values[i - 1]) // m  # exact
+    return values
+
+
+def _tail_coefficients(uppers, lowers, z, wp):
+    """Yield 2^wp c_j, rounded to the nearest (Gaussian) int, for j = 0, 1,
+    ...: the coefficients of the tail ratio f(K) = T_K / t_K of
+    sum_k prod (a)_k / (k! prod (b)_k) z^k, with T_K = sum_{k>=K} t_k, as
+    the inverse factorial series f(K) = sum_j c_j u_j(K),
+    u_j(K) = Gamma(K) / Gamma(K + j - 1) (Nörlund 1924; Weniger 1989).
+
+    With t_{k+1} / t_k = z Q(k) / P(k), Q(k) = prod (k + a) and
+    P(k) = (k + 1) prod (k + b), both of degree d = len(uppers), f solves
+    P(K) f(K) - z Q(K) f(K+1) = P(K). As K u_j = u_{j-1} - (j - 2) u_j and
+    u_j(K+1) = u_j(K) - (j - 1) u_{j+1}(K), a polynomial A(K) times u_j is
+    sum_m A_m(2 - j) u_{j-m}, A_m(k) = (Delta^m A)(k) / m! its Newton
+    coefficients at k, so the equation maps u_j to
+    (P - zQ)(K) u_j + z (j - 1) Q(K) u_{j+1} = sum_r E_r(j) u_{j+1-r},
+    E_r(j) = (P - zQ)_{r-1}(2 - j) + z (j - 1) Q_r(1 - j), r = 0 .. rho.
+    At z = 1, P - Q has degree d - 1, rho = d and the pivot E_d(j) is
+    s + j - 1, s = 1 + sum b - sum a (so c_0 = 1 / (s - 1)); at any other z,
+    rho = d + 1 and the pivot is 1 - z. Matching P(K) = sum_m P_m(1) u_{1-m}
+    in row j + 1 - rho gives c_j from the rho coefficients before it.
+
+    Every parameter is a dyadic rational, so over their common denominator
+    2^S (and z's 2^zs) the Newton coefficients are small exact ints
+    (Gaussian ones when complex); from one column to the next they step by
+    forward differences, A_m(k - 1) = A_m(k) - (m + 1) A_{m+1}(k - 1). Only
+    the c_j carry the scale 2^wp, one rounding each.
+    """
+    cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z))
+    (zn, zs), *ps = (dyadic(x, cplx) for x in (z, *uppers, *lowers))
+    sc = max(s for _, s in ps)
+    ps = [(Gauss((n[0] << sc - s, n[1] << sc - s)) if cplx else n << sc - s) for n, s in ps]
+    zn, d, den = Gauss(zn) if cplx else zn, len(uppers), 1 << sc
+    ps.insert(d, den)  # the 1 of k!
+    # 2^(zs + d S) P and 2^(d S) Q at k = 1 .. d + 2
+    qv = [prod(den * k + a for a in ps[:d]) for k in range(1, d + 3)]
+    pv = [prod(den * k + b for b in ps[d:]) * (1 << zs) for k in range(1, d + 3)]
+    # Newton coefficients: (P - zQ)_m(2), z Q_m(1) (with Q_{d+1} = 0), P_m(1)
+    nn = _newton([p - zn * q for p, q in zip(pv[1:], qv[1:])])
+    zq = [zn * q for q in _newton(qv[:-1])] + [0]
+    rhs = {1 - m: p * (1 << wp) for m, p in enumerate(_newton(pv[:-1]))}
+    rho = d if zn == 1 << zs else d + 1
+    cols = [(0, ())] * rho  # (2^wp c, band entries) of columns j - rho .. j - 1
+    for j in count():
+        entries = [(j - 1) * zq[0], *(n + (j - 1) * q for n, q in zip(nn, zq[1:]))]
+        for m in range(d - 1, -1, -1):
+            nn[m] -= (m + 1) * nn[m + 1]
+            zq[m] -= (m + 1) * zq[m + 1]
+        acc = rhs.get(j + 1 - rho, 0)
+        for r, (c, es) in enumerate(cols):
+            if es:
+                acc -= c * es[r]
+        c = _rdiv(acc, entries[rho])
+        cols = [*cols[1:], (c, entries)]
+        yield c
+
+
 def _sum_algebraic(uppers, lowers, z, ctx, s):
+    """Sum a unilateral series at |z| = 1 with decay exponent s > 1.
+
+    A 48-term probe estimates the count k_needed at which C k^-s, fitted at
+    its last term, falls below 10^-(digits+4) of the sum; from
+    min(max_terms, _DIRECT_CAP) on, the Levin u-transform sums the series.
+    Otherwise (direct+tail) the head t_0 .. t_{K-1}, K = max(48,
+    min(dps + 20, k_needed + 1)) (or the probe's count when its terms
+    already fell below eps), is summed exactly and the tail is
+    t_K f(K), f the inverse factorial series of `_tail_coefficients`,
+    added until three of its terms in a row fall below eps |head| / |t_K|.
+    When 3K terms do not settle, K doubles, the head sums on, and the
+    coefficients are reused; past ctx.max_terms it raises BudgetExceeded.
+
+    The error estimate, 3 |t_K| times the largest of the last three terms
+    plus the head's rounding peak eps K, is heuristic, as Levin's is.
+    """
     gen = ratio_terms(uppers, lowers, z)
     total, peak, used, last, _, settled = partial_sum(gen, ctx.eps(), 48)
-    # unsettled after the probe: sum on to the term count that the tail
-    # bound needs (a zero term leaves no tail at all)
     if not settled and last != 0:
         scale = max(mpf(1), abs(total), peak)
         target = mpf(10) ** (-(ctx.digits + 4)) * scale
@@ -444,12 +575,49 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
         if k_needed >= min(ctx.max_terms, _DIRECT_CAP):
             value, err, used = levin_core(ratio_terms(uppers, lowers, z), ctx)
             return SeriesResult(value, err, used, "levin")
-        k_stop = max(used + 1, int(k_needed) + 1)
-        more, more_peak, more_used, last, _, _ = partial_sum(gen, 0, k_stop - used)
-        # both totals are exact, so their sum is rounded once
-        total, peak, used = total + more, max(peak, more_peak), used + more_used
-    err = tail_bound_algebraic(used, s, abs(last)) + peak * ctx.eps() * used
-    return SeriesResult(+total, err, used, "direct+tail")
+        head_len = max(used, min(ctx.dps + 20, int(k_needed) + 1))
+    else:
+        head_len = used
+    wp = fixed_prec()
+    head = Gauss(to_fixed(total, wp))
+    sh, b = _below(ctx.eps())
+    coeffs, cgen = [], _tail_coefficients(uppers, lowers, z, wp)
+    while True:
+        if head_len > used:
+            more, more_peak, more_used, _, _, _ = partial_sum(gen, 0, head_len - used)
+            head, peak, used = head + Gauss(to_fixed(more, wp)), max(peak, more_peak), used + more_used
+        t_k = Gauss(next(gen))
+        if t_k == 0:  # every later term rounds to 0 too
+            tail, small = 0, 0
+            break
+        # |e| t_k < eps |head| at scale 2^wp: |e|^2 2^sh |t_k|^2 < b |head|^2 2^(2 wp)
+        lhs, rhs = _norm(t_k) << sh, b * (_norm(head) or 1 << 2 * wp) << 2 * wp
+        tail = run = small = 0
+        div, k = 1, head_len
+        for j in range(3 * k):
+            if j == len(coeffs):
+                coeffs.append(next(cgen))
+            if j >= 2:
+                div *= k + j - 2
+            e = coeffs[j] * (k - 1) if j == 0 else _rdiv(coeffs[j], div)
+            tail += e
+            mag = _norm(e)
+            if mag * lhs < rhs:
+                run, small = run + 1, max(small, mag)
+                if run == 3:
+                    break
+            else:
+                run = small = 0
+        if run == 3:
+            break
+        if 2 * head_len > ctx.max_terms:
+            raise BudgetExceeded(
+                f"the factorial tail after {head_len} terms does not settle within "
+                f"{3 * head_len} of its terms, and {ctx.max_terms} terms are the budget")
+        head, used, head_len = head + t_k, used + 1, 2 * head_len
+    err = mpmath.sqrt(mp.make_mpf(from_man_exp(9 * _norm(t_k) * small, -4 * wp)))
+    return SeriesResult(+from_fixed(head * (1 << wp) + t_k * tail, 2 * wp),
+                        err + peak * ctx.eps() * used, used, "direct+tail")
 
 
 def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:

@@ -16,18 +16,31 @@ that form: the engines' streams must equal them bit for bit.
 `clear_of_q_poles` the Fraction form of the catalog's int pole check, and
 `jackson_check` the Fraction form of the jackson-8phi7 sampler's check.
 `ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
-the fixed-point streams state.
+the fixed-point streams state. `gamma` is mpmath's gamma function at a
+context's working precision, with a PoleError at its poles: the reference
+of the gamma-ratio and Pochhammer tests.
 """
 
 from fractions import Fraction
 from functools import reduce
 from math import prod
 
+import mpmath
 from mpmath import mpf, sqrt
 
-from hyperid.errors import DivisionByZero, LowerPoleError
-from hyperid.precision import fixed_prec
+from hyperid.errors import DivisionByZero, LowerPoleError, PoleError
+from hyperid.precision import fixed_prec, nonpositive_int, to_mp
 from hyperid.series import dyadic, gmul, to_fixed
+
+
+def gamma(z, ctx):
+    """Gamma(z) at ctx's working precision; PoleError at a nonpositive
+    integer."""
+    with ctx.working():
+        zz = to_mp(z)
+        if nonpositive_int(zz) is not None:
+            raise PoleError(f"gamma pole at z = {zz}")
+        return mpmath.gamma(zz)
 
 
 def term_stream(uppers, lowers, z, max_k=None):

@@ -13,13 +13,12 @@ from mpmath import mp, mpc, mpf
 
 from hyperid.catalog import CATALOG, phi_sum
 from hyperid.cli import main as cli_main
-from hyperid.gammafn import gamma
 from hyperid.harness import SuiteConfig, run_suite, sample_parameters, verify_one
 from hyperid.precision import PrecisionContext, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_pochhammer, sum_q_series
 from hyperid.series import SeriesSpec, split_bilateral, sum_unilateral
 
-from oracles import brute_bilateral_h, brute_bilateral_psi
+from oracles import brute_bilateral_h, brute_bilateral_psi, gamma
 
 
 def test_criterion_1_analytic_anchor():

@@ -72,3 +72,35 @@ def test_terminating_oracle_catches_n_off_by_one(ident, monkeypatch):
     assert all(verify_one(CATALOG[i], sample_parameters(CATALOG[i], s, k), CTX).passed
                for i, s, k in samples)
     assert oracle_sweep.sweep(CTX.digits, samples) == 4
+
+
+def test_ulps_off_at_the_default_precision():
+    # read at the ambient 15 digits, a printed 30-digit side would be 1.9e13
+    # ulp off its own value; ulps_off reads it at digits + 10
+    printed = "-519064.590055172699482116345668"
+    with mp.workdps(60):
+        exact = mpf(printed) + mpf("3e-25")
+        exact_c = mpmath.mpc(exact, -exact)
+    assert mp.dps == 15
+    assert abs(oracle_sweep.ulps_off(printed, exact, 30) - mpf("0.3")) < mpf(10) ** -6
+    miss = oracle_sweep.ulps_off(f"{printed} + {printed[1:]}j", exact_c, 30)
+    assert abs(miss - mpf("0.3")) < mpf(10) ** -6
+
+
+_JACKSON = [("jackson-8phi7", 1, 0), ("jackson-8phi7", 1, 9)]
+
+
+def test_jackson_oracle_matches_the_exact_sides():
+    # the independent oracle sums the 8phi7 and multiplies its bracket with
+    # mpmath.qp, sharing no code with exact.jackson_8phi7_sides
+    assert oracle_sweep.sweep(CTX.digits, _JACKSON) == 0
+
+
+def test_jackson_oracle_catches_n_off_by_one(monkeypatch):
+    # both exact sides at n + 1 still agree, so only the independent oracle
+    # sees them off, on both samples
+    original = exact.jackson_8phi7_sides
+    monkeypatch.setattr(exact, "jackson_8phi7_sides", lambda n, **p: original(n=n + 1, **p))
+    assert all(verify_one(CATALOG[i], sample_parameters(CATALOG[i], s, k), CTX).passed
+               for i, s, k in _JACKSON)
+    assert oracle_sweep.sweep(CTX.digits, _JACKSON) == 4

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -22,6 +22,7 @@ from hyperid.precision import PrecisionContext, fixed_prec, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
 from hyperid.series import (
     SeriesSpec,
+    _tail_coefficients,
     classify,
     from_fixed,
     partial_sum,
@@ -29,7 +30,6 @@ from hyperid.series import (
     sum_bilateral,
     sum_direct,
     sum_unilateral,
-    tail_bound_algebraic,
     to_fixed,
 )
 
@@ -332,36 +332,107 @@ def test_budget_invariant(ctx30):
         assert res.terms_used <= ctx30.max_terms
 
 
-def test_tail_bound_examples():
-    with mp.workdps(40):
-        v = tail_bound_algebraic(40, 20, mpf(40) ** -20)
-        assert abs(v - mpf(40) ** -19 / 19) < mpf(10) ** -40
-        assert tail_bound_algebraic(1, 2, 1) == 1
-        # bound decreases as s grows
-        assert tail_bound_algebraic(40, 200, mpf(40) ** -20) < v
+def _gauss_2f1(a, b, c, digits):
+    """Gauss's closed form Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
+    of 2F1(a, b; c; 1), at digits + 40."""
+    with mp.workdps(digits + 40):
+        a, b, c = (to_mp(x) for x in (a, b, c))
+        return mpmath.gammaprod([c, c - a - b], [c - a, c - b])
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    k=st.integers(min_value=1, max_value=10_000),
-    s_num=st.integers(min_value=65, max_value=2000),
-    mag_exp=st.integers(min_value=-30, max_value=0),
-)
-def test_tail_bound_monotone(k, s_num, mag_exp):
-    with mp.workdps(30):
-        s = Fraction(s_num, 64)  # > 1
-        mag = mpf(10) ** mag_exp
-        base = tail_bound_algebraic(k, s, mag)
-        assert tail_bound_algebraic(k + 1, s, mag) >= base * mpf(k) / (k + 1) - mpf(10) ** -40
-        assert tail_bound_algebraic(k, s + 1, mag) <= base
-        assert tail_bound_algebraic(k, s, mag / 2) <= base
+def _gauss_tail_miss(a, b, c, ctx):
+    """The Gauss sum's result and its true error."""
+    res = sum_unilateral(SeriesSpec((a, b), (c,), 1), ctx)
+    with mp.workdps(ctx.dps + 40):
+        return res, abs(res.value - _gauss_2f1(a, b, c, ctx.digits))
 
 
-def test_tail_bound_validation():
-    with pytest.raises(ValueError):
-        tail_bound_algebraic(0, 2, 1)
-    with pytest.raises(ValueError):
-        tail_bound_algebraic(5, 1, 1)
+_GRAIN = st.integers(min_value=1, max_value=127).map(lambda n: Fraction(n, 64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(digits=st.sampled_from((30, 60)), a=_GRAIN, b=_GRAIN, im=st.none() | _GRAIN.map(lambda x: x - 1),
+       excess=st.integers(min_value=4 * 64, max_value=26 * 64))
+def test_direct_tail_error_within_estimate(digits, a, b, im, excess):
+    # real and complex dyadic Gauss sums with c - a - b in [4, 26]: the
+    # factorial tail's estimate covers the error against the closed form
+    # wherever the probe sends the sum to direct+tail
+    a = a if im is None else complex(a, im)
+    c = a + b + Fraction(excess, 64)
+    res, miss = _gauss_tail_miss(a, b, c, PrecisionContext(digits=digits))
+    assume(res.method == "direct+tail")
+    assert miss <= res.err_estimate
+
+
+def test_direct_tail_estimate_covers_the_integral_bound_miss(ctx30):
+    # `eval pfq --upper 0.921875,1.859375 --lower 26.625 --z 1`: the integral
+    # bound |t_K| K / (s - 1) after 261 terms estimated 3.68e-34 against a
+    # true error of 3.69e-34
+    res, miss = _gauss_tail_miss(Fraction(59, 64), Fraction(119, 64), Fraction(213, 8), ctx30)
+    assert res.method == "direct+tail"
+    assert miss <= res.err_estimate
+    assert miss < mpf(10) ** -40
+
+
+def test_direct_tail_large_constant_takes_few_terms(ctx30):
+    # the classical-30 seed-1 Gauss sum whose slow decay constant took 17385
+    # terms to the integral bound: the head and the factorial tail take K
+    a, b, c = complex(Fraction(49, 64), Fraction(43, 64)), complex(1, Fraction(-35, 64)), \
+        Fraction(727, 64)
+    res, miss = _gauss_tail_miss(a, b, c, ctx30)
+    assert res.method == "direct+tail" and res.terms_used <= 120
+    assert miss <= res.err_estimate
+
+
+def test_direct_tail_doubles_its_head(ctx30):
+    # 2F1(240, 1/2; 533/2; 1): 180 tail terms at K = 60 do not settle, so K
+    # doubles once and the coefficients are reused
+    res, miss = _gauss_tail_miss(240, Fraction(1, 2), Fraction(533, 2), ctx30)
+    assert (res.method, res.terms_used) == ("direct+tail", 120)
+    assert miss <= res.err_estimate
+    assert miss < mpf(10) ** -40 * abs(res.value)
+
+
+@pytest.mark.parametrize("uppers, lowers, digits, method", [
+    # probe estimates k_needed of 12289 and 30576 terms at 30 digits
+    ((Fraction(123, 64), Fraction(15, 64)), (Fraction(387, 32),), 30, "direct+tail"),
+    ((Fraction(109, 64), Fraction(1, 32)), (Fraction(653, 64),), 30, "levin"),
+    # 17188, 19862, 21071 and 35736 terms at 60 digits
+    ((Fraction(91, 64), Fraction(11, 16)), (Fraction(85, 4),), 60, "direct+tail"),
+    ((1, Fraction(57, 32), Fraction(23, 8)), (Fraction(69, 32), Fraction(1455, 64)), 60, "direct+tail"),
+    ((1, Fraction(9, 8), Fraction(51, 32)), (Fraction(583, 64), Fraction(777, 64)), 60, "levin"),
+    ((Fraction(25, 64), Fraction(41, 64)), (Fraction(573, 32),), 60, "levin"),
+])
+def test_routes_on_both_sides_of_the_direct_cap(uppers, lowers, digits, method):
+    ctx = PrecisionContext(digits=digits)
+    res = sum_unilateral(SeriesSpec(uppers, lowers, 1), ctx)
+    assert res.method == method
+    if len(uppers) == 2:
+        with mp.workdps(ctx.dps + 40):
+            exact = _gauss_2f1(*uppers, *lowers, digits)
+            assert abs(res.value - exact) <= mpf(10) ** -(digits + 2) * abs(exact)
+
+
+@pytest.mark.parametrize("z", [-1, 1j, -1j])
+def test_direct_tail_off_one(ctx30, z):
+    # at z != 1 on the unit circle the band gains a row and its pivot is 1 - z
+    ups, lows = (Fraction(1, 2), Fraction(1, 4)), (Fraction(83, 4),)
+    res = sum_unilateral(SeriesSpec(ups, lows, z), ctx30)
+    assert res.method == "direct+tail"
+    with mp.workdps(ctx30.dps + 40):
+        exact = mpmath.hyp2f1(*map(to_mp, ups + lows), to_mp(z))
+        assert abs(res.value - exact) <= res.err_estimate
+
+
+def test_tail_coefficients_of_a_finite_expansion(ctx30):
+    # t_k = k! / (1 + s)_k, 2F1(1, 1; 1 + s; 1), has the tail ratio
+    # f(K) = (K + s) / (s - 1) = c_0 (K - 1) + c_1 exactly
+    s = Fraction(5, 2)
+    with ctx30.working():
+        wp = fixed_prec()
+        cs = list(itertools.islice(_tail_coefficients([mpf(1), mpf(1)], [to_mp(1 + s)], mpf(1), wp), 12))
+    assert cs[:2] == [round(Fraction(2**wp) / (s - 1)), round(Fraction(2**wp) * (s + 1) / (s - 1))]
+    assert all(abs(c) <= 2 for c in cs[2:])
 
 
 _HALF = Fraction(1, 2)
