@@ -15,13 +15,21 @@ Both tails must converge: |z| < 1 and |w| < 1, or the tail terminates.
 Terms come from the running term ratio (`q_ratio_terms`), on the classical
 engine's fixed-point ints: the powers x q^k are running fixed-point
 products, and `series.fixed_terms` rounds each term once; (x;q)_inf runs
-on ints from exact dyadic x and q, rounded once (`q_pochhammer`). Every phi
-series takes the classical engine's direct route, `series.sum_direct`, with
-its passes at raised precision against cancellation. A terminating one (an
-upper q^-n at working precision, n found by `_terminating_index`) adds all
-its terms and has no tail; an exactly zero total comes back with an
-absolute error. A nonterminating one gets a geometric tail bound, and an
-exactly zero sum raises CancellationError.
+on ints from exact dyadic x and q, rounded once (`q_pochhammer`), and a
+q-bracket multiplies their mantissas exactly and rounds its quotient once.
+Every phi series runs through the classical engine's `series.sum_direct`,
+with its passes at raised precision against cancellation. A terminating
+one (an upper q^-n at working precision, n found by `_terminating_index`)
+adds all its terms and has no tail; an exactly zero total comes back with
+an absolute error. A nonterminating one with at least as many lowers as
+uppers, whose term ratio tends to 0, gets a geometric tail bound (direct).
+A nonterminating balanced one (one more upper than lowers, as every
+catalog phi and both halves of each psi) sums K head terms, K from
+`_head_length`, and then t_K times the tail ratio T_K / t_K,
+T_K = sum_{k>=K} t_k, as a power series in x = q^K whose terms a banded
+recurrence on exact dyadic ints gives (`_tail_ratio_terms`; direct+tail);
+a head that settles before K keeps the geometric bound (direct). An
+exactly zero nonterminating sum raises CancellationError.
 """
 
 from __future__ import annotations
@@ -29,17 +37,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
+from operator import mul
 from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, mpf_div, round_nearest
 
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .precision import INF, PrecisionContext, fixed_prec, to_mp
 from .series import (
-    SeriesResult, dyadic, fixed_terms, gmul, gproduct, join_halves, mp_parameters,
-    reflected_factors, sum_direct, to_fixed,
+    Gauss, SeriesResult, _rdiv, dyadic, fixed_terms, gmul, gproduct, join_halves,
+    mp_parameters, reflected_factors, sum_direct, to_fixed,
 )
 
 
@@ -200,7 +210,11 @@ def q_bracket(numers, denoms, qc: QContext, n):
     """prod (x_i;q)_n / prod (y_j;q)_n with a shared index n (or INF).
 
     Returns exact 0 when a numerator entry vanishes and no denominator entry
-    does; IndeterminateError when both vanish.
+    does; IndeterminateError when both vanish. The entries' mantissas and
+    exponents multiply exactly as ints (Gaussian pairs when one is complex)
+    and the quotient is rounded once to the working precision, so the
+    bracket is within the sum of its entries' relative errors (see
+    q_pochhammer) plus 2^-prec of its value, relative, in each part.
     """
     with qc.ctx.working():
         nums = [q_pochhammer(x, qc, n) for x in numers]
@@ -211,7 +225,21 @@ def q_bracket(numers, denoms, qc: QContext, n):
             raise DivisionByZero("q-bracket denominator entry vanishes")
         if 0 in nums:
             return mpf(0)
-        return mpmath.fprod(nums) / mpmath.fprod(dens)
+        cplx = any(hasattr(v, "_mpc_") for v in (*nums, *dens))
+        (pn, ps), (dn, ds) = (_exact_product(vs, cplx) for vs in (nums, dens))
+        if not cplx:
+            return mp.make_mpf(mpf_div(from_man_exp(pn, ds - ps), from_man_exp(dn, 0), mp.prec,
+                                       round_nearest))
+        # pn conj(dn) / |dn|^2, each part rounded once
+        norm = from_man_exp(dn[0] * dn[0] + dn[1] * dn[1], 0)
+        return mp.make_mpc(tuple(mpf_div(from_man_exp(v, ds - ps), norm, mp.prec, round_nearest)
+                                 for v in gmul(pn, (dn[0], -dn[1]))))
+
+
+def _exact_product(values, cplx):
+    """(n, s) with prod(values) = n / 2^s exactly, n a Gaussian pair when cplx."""
+    ns, ss = zip(*(dyadic(v, cplx) for v in values)) if values else ((), ())
+    return (gproduct(ns, (1, 0)) if cplx else math.prod(ns)), sum(ss)
 
 
 def split_psi(spec: QSeriesSpec, qc: QContext):
@@ -297,6 +325,81 @@ def q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
     yield from fixed_terms(ratio, cplx, max_k, wp, "q-series denominator vanishes at k = {}")
 
 
+def _head_length(uppers, lowers, q) -> int:
+    """K of the direct+tail route: the least k >= 1 with
+    |q|^k max(|q|, |a|, |b|) <= 1/16 over the uppers a and lowers b, so
+    that x = q^K lies within a sixteenth of the tail ratio's radius. It is
+    decided on float logs (mpmath's past the float range, as in
+    `_terminating_index`), to within 10^-9 of a step."""
+    big, fq = max(abs(v) for v in (q, *uppers, *lowers)), float(abs(q))
+    if fq == 0 or 16 * big <= 1:
+        return 1
+    lb = math.log(fb) if (fb := float(big)) < math.inf else float(mpmath.log(big))
+    lq = -math.log(fq) if fq < 1 else -float(mpmath.log(abs(q)))
+    return max(1, math.ceil((math.log(16) + lb) / lq - 1e-9))
+
+
+def _tail_ratio_terms(uppers, lowers, z, q, k):
+    """Yield 2^W g_m (W = fixed_prec()), rounded to the nearest (Gaussian)
+    int, for m = 0, 1, ...: g_m = f_m x^m, x = q^k, where f(x) = sum f_m x^m
+    is the tail ratio T_k / t_k of a balanced phi series (one more upper
+    than lowers) with T_k = sum_{j>=k} t_j.
+
+    T_k = t_k + T_{k+1} and t_{k+1} / t_k = z N(x) / D(x) with
+    N(y) = prod (1 - a y), D(y) = (1 - q y) prod (1 - b y) give
+    D(x) f(x) = D(x) + z N(x) f(qx) (Gasper & Rahman, ch. 1); matching
+    powers of x, g_0 = 1 / (1 - z) and, with N_i, D_i the coefficients of
+    y^i (i <= d = the number of uppers),
+    (1 - z q^m) g_m = D_m x^m - sum_{i=1..d} (D_i x^i - z N_i x^i q^(m-i)) g_{m-i}.
+    f is analytic for |y| max(|q|, |b|) < 1 and `_head_length` puts x
+    sixteen times inside that, so the g_m fall by about 2^-4 a step.
+
+    Every parameter is a dyadic rational, so the coefficients of N and D
+    are exact ints over 2^S_N and 2^S_D, S_N and S_D the sums of the
+    parameters' own exponents; x^i = n^(ki) / 2^(s k i) for q = n / 2^s,
+    and z and the powers q^(m-i) are exact too, so the right-hand side over
+    2^(max(S_N, S_D) + s k d + zs + s m) is an exact int given the rounded
+    g_{m-i}; each g_m is that int divided by the pivot's, rounded once.
+    """
+    wp = fixed_prec()
+    cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z, q))
+    cast = Gauss if cplx else int
+    (zn, zs), (qn, qs) = dyadic(z, cplx), dyadic(q, cplx)
+    zn, qn, d = cast(zn), cast(qn), len(uppers)
+
+    def poly(roots):  # (c, S): prod (1 - r y) = sum c_i y^i / 2^S, r = n / 2^s exactly
+        cs, total = [1], 0
+        for n, s in (dyadic(r, cplx) for r in roots):
+            n, total = cast(n), total + s
+            cs.append(0)
+            for i in range(len(cs) - 1, 0, -1):
+                cs[i] = (cs[i] << s) - n * cs[i - 1]
+            cs[0] <<= s
+        return cs, total
+
+    (nc, ns), (dc, ds) = poly(uppers), poly([*lowers, q])
+    xs, xn = qs * k, math.prod([qn] * k)  # x = xn / 2^xs
+    xp = [1]  # xn^i
+    for _ in range(d):
+        xp.append(xp[-1] * xn)
+    # D_i x^i = e[i] / 2^L and z N_i x^i q^(m-i) = p[i] n^(m-i) / 2^(L + zs + s m),
+    # L = max(S_N, S_D) + xs d; p[i] carries the 2^(s i) that q^(m-i) leaves over 2^(s m)
+    top_s = max(ns, ds)
+    e = [dc[i] * xp[i] << xs * (d - i) + top_s - ds for i in range(d + 1)]
+    p = [zn * nc[i] * xp[i] << xs * (d - i) + qs * i + top_s - ns for i in range(d + 1)]
+    eb, pb, big_l = e[1:], p[1:], top_s + xs * d
+    gs, hs, qm = [], [], 1  # the last d of g_m and of n^m g_m, newest first; n^m
+    for m in count():
+        top = zs + qs * m  # 1 - z q^m = (2^top - zn n^m) / 2^top
+        acc = (e[m] << wp if m <= d else 0) - sum(map(mul, eb, gs))
+        g = _rdiv((acc << top) + sum(map(mul, pb, hs)), ((1 << top) - zn * qm) << big_l)
+        gs.insert(0, g)
+        hs.insert(0, qm * g)
+        del gs[d:], hs[d:]
+        qm = qm * qn
+        yield g
+
+
 def _terminating_index(uppers, q, eps) -> Optional[int]:
     """The least n >= 0 with |a q^n - 1| <= (n + 2) eps for some upper a
     (eps = `PrecisionContext.eps`), after which a phi series with these
@@ -326,9 +429,10 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
     with ctx.working():
         q, z = to_mp(qc.q), to_mp(spec.argument)
         if spec.kind == "phi":
-            extra = len(spec.lowers) - (len(spec.uppers) - 1)
-            n = _terminating_index(mp_parameters(spec)[0], q, ctx.eps())
-            floor = None  # a finite stream has no tail
+            ups, lows, _ = mp_parameters(spec)
+            extra = len(lows) - (len(ups) - 1)
+            n = _terminating_index(ups, q, ctx.eps())
+            floor = tail = None  # a finite stream has no tail
             if n is None:
                 if extra < 0:
                     raise DomainError(
@@ -338,8 +442,12 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
                     raise DomainError("phi series requires |z| < 1 or termination")
                 # a balanced series' term ratio tends to z, any other's to 0
                 floor = abs(z) if extra == 0 else mpf(0)
+                if extra == 0:
+                    k = _head_length(ups, lows, q)
+                    tail = k, lambda: _tail_ratio_terms(*mp_parameters(spec), to_mp(qc.q), k)
             return sum_direct(
-                lambda: q_ratio_terms(*mp_parameters(spec), to_mp(qc.q), extra, max_k=n), ctx, floor)
+                lambda: q_ratio_terms(*mp_parameters(spec), to_mp(qc.q), extra, max_k=n), ctx,
+                floor, tail)
         # psi
         plus, pref, minus = split_psi(spec, qc)
         w = to_mp(minus.argument) if minus is not None else None

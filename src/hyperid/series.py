@@ -20,7 +20,10 @@ Routes, chosen by convergence class:
                coefficients follow a banded int recurrence (direct+tail);
                otherwise the Levin u-transform
 Bilateral sums are split at k = 0; the negative tail becomes a unilateral
-series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k.
+series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k. The q
+engine routes a nonterminating balanced phi series through `sum_direct`
+as direct+tail too: K head terms, then t_K times its tail ratio, a power
+series in q^K (see `qseries`), with the geometric route's passes.
 
 The term streams of both engines (`ratio_terms` here, `qseries.q_ratio_terms`)
 run on Python ints scaled by 2^W, W = `precision.fixed_prec()`, the ambient
@@ -34,8 +37,9 @@ the same pairs, generated at its raised precision, and sums them exactly too.
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms: to a stream's end, to a limit or to three
 small terms in a row), the direct route `sum_direct` (the one pass driver,
-for finite and infinite streams) with its geometric tail bound and its
-precision passes against cancellation, the conversion of a spec's parameters
+for finite and infinite streams) with its geometric tail bound or summed
+tail and its precision passes against cancellation, `_tail_sum` (the loop
+that adds both routes' summed tails), the conversion of a spec's parameters
 `mp_parameters`, the reflected prefactor of a split's negative tail
 `reflected_factors` and the bilateral recombination `join_halves`, whose
 method ranking `combined_method` also labels the catalog's sums of sides.
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from math import prod
 from typing import Optional
 
@@ -208,9 +212,11 @@ def to_fixed(x, wp):
 
 
 def from_fixed(t, wp=None):
-    """The exact mp number of a fixed-point pair t at scale 2^wp (default
-    fixed_prec()): an mpf when its imaginary part is 0, else an mpc."""
+    """The exact mp number of a fixed-point pair t (or int, for a real t) at
+    scale 2^wp (default fixed_prec()): an mpf when its imaginary part is 0,
+    else an mpc."""
     wp = fixed_prec() if wp is None else wp
+    t = t if isinstance(t, tuple) else (t, 0)
     re = from_man_exp(t[0], -wp)
     return mp.make_mpc((re, from_man_exp(t[1], -wp))) if t[1] else mp.make_mpf(re)
 
@@ -225,7 +231,7 @@ gproduct = partial(reduce, gmul)  # the product of a nonempty iterable of Gaussi
 
 class Gauss(tuple):
     """The Gaussian int re + im i as the immutable pair (re, im), with ints
-    taken on either side of +, -, * and ==, and // by an int."""
+    taken on either side of +, -, * and ==, // by an int and << by one."""
 
     __slots__ = ()
 
@@ -252,12 +258,22 @@ class Gauss(tuple):
         """Each part floor-divided by the int n."""
         return Gauss((self[0] // n, self[1] // n))
 
+    def __lshift__(self, n):
+        """Each part shifted left by n bits: the product with 2^n."""
+        return Gauss((self[0] << n, self[1] << n))
+
     def __eq__(self, other):
         re, im = other if isinstance(other, Gauss) else (other, 0)
         return self[0] == re and self[1] == im
 
     def __ne__(self, other):
         return not self == other
+
+
+def _fixed_value(t):
+    """The fixed-point pair t as an int when its imaginary part is 0, else
+    as a `Gauss`, so that real tails step plain ints."""
+    return Gauss(t) if t[1] else t[0]
 
 
 def _rdiv(x, d):
@@ -402,7 +418,7 @@ def partial_sum(terms, stop_eps, limit: int):
     return from_fixed((sre, sim)), peak, used, last, prev, settled
 
 
-def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
+def sum_direct(stream, ctx: PrecisionContext, floor, tail=None) -> SeriesResult:
     """Sum a series directly, up to ctx.max_terms terms a pass.
 
     `stream` builds the fixed-point term stream at the ambient precision;
@@ -413,6 +429,15 @@ def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
     term is zero then); rho >= 1 raises BudgetExceeded. Callers pass
     floor = |z| for a balanced series, whose term ratio tends to z, and 0
     for one whose ratio tends to 0.
+
+    tail = (K, ratio_terms) gives an infinite stream a summed tail
+    (direct+tail): when its first K terms do not settle, the pass adds
+    t_K times the `_tail_sum` of ratio_terms(), the (Gaussian) ints at
+    scale 2^W of the tail ratio T_K / t_K, T_K = sum_{k>=K} t_k, built at
+    the pass's precision; terms_used is then K, the tail's own estimate
+    joins err_estimate and |t_K T_K / t_K| joins the peak |term|. A head
+    that settles before K keeps the geometric bound and "direct"; one that
+    does not settle within ctx.max_terms < K raises BudgetExceeded.
 
     Cancellation costs a pass log10(peak |term| / |total|) digits. While
     that is more than the digits the pass kept beyond ctx.digits, another
@@ -426,16 +451,28 @@ def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
     precision; when it was summed at raised precision, that rounding joins
     err_estimate.
     """
-    dps = ctx.dps
+    dps, limit = ctx.dps, ctx.max_terms if tail is None else min(tail[0], ctx.max_terms)
     while True:
         pass_ctx = replace(ctx, digits=ctx.digits + dps - ctx.dps)
         with pass_ctx.working():
+            terms = stream()
             total, peak, used, last, prev, settled = partial_sum(
-                stream(), 0 if floor is None else pass_ctx.eps(), ctx.max_terms)
-            if not settled:
+                terms, 0 if floor is None else pass_ctx.eps(), limit)
+            if not settled and (tail is None or tail[0] > ctx.max_terms):
                 raise BudgetExceeded(f"direct summation needs more than {ctx.max_terms} terms")
-            err = rounding = peak * pass_ctx.eps() * used
-            if floor is not None:
+            err = 0
+            if not settled:
+                wp, t_k = fixed_prec(), _fixed_value(next(terms))
+                head = _fixed_value(to_fixed(total, wp))
+                tail_sum, err, done = _tail_sum(
+                    tail[1](), t_k, head, pass_ctx.eps(), ctx.max_terms)
+                if not done:
+                    raise BudgetExceeded(f"the summed tail needs more than {ctx.max_terms} terms")
+                total = from_fixed((head << wp) + t_k * tail_sum, 2 * wp)
+                peak = max(peak, abs(from_fixed(t_k * tail_sum, 2 * wp)))
+            rounding = peak * pass_ctx.eps() * used
+            err += rounding
+            if settled and floor is not None:
                 rho = max(floor, abs(last) / abs(prev)) if last != 0 else floor
                 if rho >= 1:
                     raise BudgetExceeded(
@@ -455,11 +492,40 @@ def sum_direct(stream, ctx: PrecisionContext, floor) -> SeriesResult:
                 f"working digits to cancellation; {raised} digits would pass the ceiling "
                 f"of {_CANCELLATION_CEILING * ctx.dps}")
         dps = raised
-    method = "direct" if floor is not None else "terminating"
+    method = "terminating" if floor is None else "direct" if settled else "direct+tail"
     with ctx.working():
         value = +total
         back = abs(value) * ctx.eps() if dps > ctx.dps else 0  # rounding back to working
         return SeriesResult(value, err + back, used, method)
+
+
+def _tail_sum(terms, t_k, head, eps, limit):
+    """Add the (Gaussian) ints `terms`, at scale 2^W (W = fixed_prec()) as
+    are t_k and head, until three in a row fall below eps / |t_k| times
+    |head + t_k (the terms so far)| (read as 1 when it is 0), or `limit` of
+    them are added.
+
+    Returns (sum, err, settled): err, 3 |t_k| times the largest of the
+    last three plus |t_k| 2^-W for each term added (a unit of rounding
+    each), estimates how far t_k sum is from t_k times the whole series.
+    """
+    wp = fixed_prec()
+    sh, b = _below(eps)
+    # |e t_k| < eps |head + t_k total| at scale 2^(2 wp): |e|^2 |t_k|^2 2^sh < b |...|^2
+    lhs, head = _norm(t_k) << sh, head << wp
+    total = run = small = n = 0
+    for n, e in enumerate(islice(terms, limit), 1):
+        total += e
+        mag = _norm(e)
+        if mag * lhs < b * (_norm(head + t_k * total) or 1 << 4 * wp):
+            run, small = run + 1, max(small, mag)
+            if run == 3:
+                break
+        else:
+            run = small = 0
+    err = mpmath.sqrt(mp.make_mpf(from_man_exp(_norm(t_k), -2 * wp))) * (
+        3 * mpmath.sqrt(mp.make_mpf(from_man_exp(small, -2 * wp))) + mpmath.ldexp(n, -wp))
+    return total, err, run == 3
 
 
 def combined_method(*methods) -> str:
@@ -555,12 +621,13 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
     min(dps + 20, k_needed + 1)) (or the probe's count when its terms
     already fell below eps), is summed exactly and the tail is
     t_K f(K), f the inverse factorial series of `_tail_coefficients`,
-    added until three of its terms in a row fall below eps |head| / |t_K|.
-    When 3K terms do not settle, K doubles, the head sums on, and the
-    coefficients are reused; past ctx.max_terms it raises BudgetExceeded.
+    added by `_tail_sum` until three of its terms in a row fall below
+    eps |head + t_K (its terms so far)| / |t_K|. When 3K terms do not
+    settle, K doubles, the head sums on, and the coefficients are reused;
+    past ctx.max_terms it raises BudgetExceeded.
 
-    The error estimate, 3 |t_K| times the largest of the last three terms
-    plus the head's rounding peak eps K, is heuristic, as Levin's is.
+    The error estimate, `_tail_sum`'s plus the head's rounding peak eps K,
+    is heuristic, as Levin's is.
     """
     gen = ratio_terms(uppers, lowers, z)
     total, peak, used, last, _, settled = partial_sum(gen, ctx.eps(), 48)
@@ -579,43 +646,35 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
     else:
         head_len = used
     wp = fixed_prec()
-    head = Gauss(to_fixed(total, wp))
-    sh, b = _below(ctx.eps())
+    head = _fixed_value(to_fixed(total, wp))
     coeffs, cgen = [], _tail_coefficients(uppers, lowers, z, wp)
-    while True:
-        if head_len > used:
-            more, more_peak, more_used, _, _, _ = partial_sum(gen, 0, head_len - used)
-            head, peak, used = head + Gauss(to_fixed(more, wp)), max(peak, more_peak), used + more_used
-        t_k = Gauss(next(gen))
-        if t_k == 0:  # every later term rounds to 0 too
-            tail, small = 0, 0
-            break
-        # |e| t_k < eps |head| at scale 2^wp: |e|^2 2^sh |t_k|^2 < b |head|^2 2^(2 wp)
-        lhs, rhs = _norm(t_k) << sh, b * (_norm(head) or 1 << 2 * wp) << 2 * wp
-        tail = run = small = 0
-        div, k = 1, head_len
-        for j in range(3 * k):
+
+    def tail_terms(k):  # c_j u_j(K) at scale 2^wp, u_0(K) = K - 1, u_1 = 1
+        div = 1
+        for j in count():
             if j == len(coeffs):
                 coeffs.append(next(cgen))
             if j >= 2:
                 div *= k + j - 2
-            e = coeffs[j] * (k - 1) if j == 0 else _rdiv(coeffs[j], div)
-            tail += e
-            mag = _norm(e)
-            if mag * lhs < rhs:
-                run, small = run + 1, max(small, mag)
-                if run == 3:
-                    break
-            else:
-                run = small = 0
-        if run == 3:
+            yield coeffs[j] * (k - 1) if j == 0 else _rdiv(coeffs[j], div)
+
+    while True:
+        if head_len > used:
+            more, more_peak, more_used, _, _, _ = partial_sum(gen, 0, head_len - used)
+            head, peak = head + _fixed_value(to_fixed(more, wp)), max(peak, more_peak)
+            used += more_used
+        t_k = _fixed_value(next(gen))
+        if t_k == 0:  # every later term rounds to 0 too
+            tail, err = 0, 0
+            break
+        tail, err, settled = _tail_sum(tail_terms(head_len), t_k, head, ctx.eps(), 3 * head_len)
+        if settled:
             break
         if 2 * head_len > ctx.max_terms:
             raise BudgetExceeded(
                 f"the factorial tail after {head_len} terms does not settle within "
                 f"{3 * head_len} of its terms, and {ctx.max_terms} terms are the budget")
         head, used, head_len = head + t_k, used + 1, 2 * head_len
-    err = mpmath.sqrt(mp.make_mpf(from_man_exp(9 * _norm(t_k) * small, -4 * wp)))
     return SeriesResult(+from_fixed(head * (1 << wp) + t_k * tail, 2 * wp),
                         err + peak * ctx.eps() * used, used, "direct+tail")
 

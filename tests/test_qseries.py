@@ -357,6 +357,43 @@ def test_q_bracket_values(qc_half, ctx30):
         q_bracket([1], [1], qc_half, INF)
 
 
+def _omega_bracket(a, c, d, e, f, q):
+    """The q-bracket entries of the omega entry's closed form."""
+    return ([q, q * a / c, q * a / d, q * a / e, q * a / f, q * c * d * e * f / a],
+            [q * a, q * c, q * d, q * e, q * f, q * a * a / (c * d * e * f)])
+
+
+@pytest.mark.parametrize("seed, index", [(35, 40), (1, 0), (1, 7), (1, 23)])
+def test_q_bracket_rounds_its_quotient_once(seed, index):
+    # against mpmath.qp at three times the digits: after the entries' own
+    # errors (to first order), one rounding of the quotient is left, within
+    # 2^-prec relative; the omega bracket at seed 35, index 40 was 1.7 units
+    # past its entries when the products were rounded one factor at a time
+    from hyperid.catalog import CATALOG
+    from hyperid.harness import sample_parameters
+
+    ctx = PrecisionContext(digits=30)
+    p = sample_parameters(CATALOG["omega"], seed, index)
+    q = p.pop("q")
+    cases = [(*_omega_bracket(*(p[k] for k in "acdef"), q), q),
+             # a complex nome: one rounding in each part
+             ([mpf("0.3"), mpc("0.1", "-0.7")], [mpc("-0.2", "0.4")], mpc("0.3", "0.2"))]
+    for numers, denoms, nome in cases:
+        qc = QContext(nome, ctx)
+        with ctx.working():
+            value, prec = q_bracket(numers, denoms, qc, INF), mp.prec
+            xs, ys, qq = [to_mp(x) for x in numers], [to_mp(y) for y in denoms], to_mp(nome)
+            entries = [q_pochhammer(x, qc, INF) for x in xs], [q_pochhammer(y, qc, INF) for y in ys]
+        with mp.workdps(3 * ctx.dps):
+            refs = [mpmath.qp(x, qq) for x in xs], [mpmath.qp(y, qq) for y in ys]
+            ref = mpmath.fprod(refs[0]) / mpmath.fprod(refs[1])
+            first = (sum(v / r - 1 for v, r in zip(entries[0], refs[0]))
+                     - sum(v / r - 1 for v, r in zip(entries[1], refs[1])))
+            # a complex quotient rounds each part, within sqrt(2) 2^-prec of it
+            bound = mpf(2) ** -prec * (1.5 if isinstance(ref, mpc) else 1)
+            assert abs(value / ref - 1 - first) <= bound
+
+
 def test_sum_phi_z_zero(qc_half):
     res = sum_q_series(QSeriesSpec((mpf("0.5"), mpf("0.25")), (mpf("0.75"),), 0, "phi"), qc_half)
     assert res.value == 1
@@ -368,18 +405,57 @@ def test_sum_phi_domain_error(qc_half):
 
 
 def test_sum_phi_budget_exceeded():
-    qc = QContext(0.5, PrecisionContext(max_terms=1000))
+    # at q = 0.999 the head alone is K = 2771 terms (0.999^K 0.999 <= 1/16),
+    # past a budget of 1000, and its first 1000 terms do not settle
+    qc = QContext(0.999, PrecisionContext(max_terms=1000))
     with pytest.raises(BudgetExceeded):
         sum_q_series(QSeriesSpec((0.5,), (), 0.999, "phi"), qc)
 
 
+def test_sum_phi_near_one_within_a_small_budget():
+    # 1phi0(1/2;;1/2, 0.999) = (0.4995;q)_inf / (0.999;q)_inf: its terms
+    # fall by 0.999 a step, but the head is K = 3 terms and the tail a few
+    # dozen, well inside a budget of 1000
+    ctx = PrecisionContext(max_terms=1000)
+    res = sum_q_series(QSeriesSpec((0.5,), (), 0.999, "phi"), QContext(0.5, ctx))
+    assert (res.method, res.terms_used) == ("direct+tail", 3)
+    with mp.workdps(2 * ctx.dps):
+        z, q = mpf(0.999), mpf(0.5)
+        exact = mpmath.qp(z / 2, q) / mpmath.qp(z, q)
+        assert abs(res.value - exact) <= mpf(10) ** -ctx.dps * abs(exact)
+
+
 def test_phi_tail_bound_near_one(ctx30):
-    # 1phi0(a;;q,z) = (az;q)_inf / (z;q)_inf; at |z| = 0.999 the tail bound
-    # must follow the terms' own ratio, not a fixed cap below it
+    # 1phi0(a;;q,z) = (az;q)_inf / (z;q)_inf; at |z| = 0.999 nearly all of
+    # the sum is the tail t_K f(q^K), which must be right to the working
+    # digits, not only within err_estimate
     z = mpf("0.999")
     res = sum_q_series(QSeriesSpec((mpf("0.5"),), (), z, "phi"), QContext(Fraction(1, 2), ctx30))
-    with mp.workdps(120):
+    assert res.method == "direct+tail"
+    with mp.workdps(2 * ctx30.dps):
         exact = mpmath.qp(z / 2, mpf("0.5")) / mpmath.qp(z, mpf("0.5"))
+        assert abs(res.value - exact) <= mpf(10) ** -ctx30.dps * abs(exact)
+        assert abs(res.value - exact) <= res.err_estimate
+
+
+@pytest.mark.parametrize("uppers, lowers, q, z", [
+    ((Fraction(-101, 64),), (), Fraction(25, 32), Fraction(-27, 32)),  # head and tail cancel
+    ((Fraction(3, 4), Fraction(-5, 4)), (Fraction(7, 8),), Fraction(-5, 8), Fraction(11, 16)),
+    ((Fraction(1, 2),), (), complex(0.3, 0.2), Fraction(1, 4)),
+    ((complex(0.5, 0.25), Fraction(3, 2)), (complex(-0.75, 0.5),), Fraction(3, 4), Fraction(-7, 8)),
+    ((Fraction(17, 4), Fraction(13, 8), Fraction(7, 4), Fraction(9, 4)),
+     (Fraction(5, 4), Fraction(3, 2), Fraction(11, 16)), Fraction(1, 2), Fraction(5, 8)),
+], ids=["1phi0-cancelling", "2phi1-negative-q", "1phi0-complex-q", "2phi1-complex", "4phi3"])
+def test_q_tail_within_the_working_digits(ctx30, uppers, lowers, q, z):
+    # balanced phi series on the direct+tail route against mpmath.qhyper at
+    # twice the working digits, to within 10^-dps of the value
+    res = sum_q_series(QSeriesSpec(uppers, lowers, z, "phi"), QContext(q, ctx30))
+    assert res.method == "direct+tail"
+    with ctx30.working():
+        ups, lows, zz, qq = [to_mp(a) for a in uppers], [to_mp(b) for b in lowers], to_mp(z), to_mp(q)
+    with mp.workdps(2 * ctx30.dps):
+        exact = mpmath.qhyper(ups, lows, qq, zz)
+        assert abs(res.value - exact) <= mpf(10) ** -ctx30.dps * abs(exact)
         assert abs(res.value - exact) <= res.err_estimate
 
 
@@ -464,7 +540,7 @@ def test_terminating_index_found_from_the_uppers(qc_half, ctx30):
         # 1phi0(a;;q,1/2) = (a/2;q)_inf / (1/2;q)_inf does not terminate
         a, half = 8 * (1 + mpf(10) ** -25), mpf(1) / 2
         res = sum_q_series(QSeriesSpec((a,), (), half, "phi"), qc_half)
-        assert res.method == "direct"
+        assert res.method == "direct+tail"
         with mp.workdps(80):
             ref = mpmath.qp(a * half, half) / mpmath.qp(half, half)
         assert abs(res.value - ref) < abs(ref) * mpf(10) ** -30

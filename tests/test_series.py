@@ -419,9 +419,36 @@ def test_direct_tail_off_one(ctx30, z):
     ups, lows = (Fraction(1, 2), Fraction(1, 4)), (Fraction(83, 4),)
     res = sum_unilateral(SeriesSpec(ups, lows, z), ctx30)
     assert res.method == "direct+tail"
-    with mp.workdps(ctx30.dps + 40):
+    with mp.workdps(2 * ctx30.dps):
         exact = mpmath.hyp2f1(*map(to_mp, ups + lows), to_mp(z))
+        assert abs(res.value - exact) <= mpf(10) ** -ctx30.dps * abs(exact)
         assert abs(res.value - exact) <= res.err_estimate
+
+
+def _dixon(a, b, c):
+    """Dixon's closed form of 3F2(a, b, c; 1 + a - b, 1 + a - c; 1)."""
+    return mpmath.gammaprod([1 + a / 2, 1 + a - b, 1 + a - c, 1 + a / 2 - b - c],
+                            [1 + a, 1 + a / 2 - b, 1 + a / 2 - c, 1 + a - b - c])
+
+
+@pytest.mark.parametrize("uppers, lowers", [
+    ((Fraction(1, 2), Fraction(1, 4)), (Fraction(83, 4),)),
+    ((complex(Fraction(49, 64), Fraction(43, 64)), complex(1, Fraction(-35, 64))),
+     (Fraction(727, 64),)),
+    ((240, Fraction(1, 2)), (Fraction(533, 2),)),
+    ((Fraction(25, 2), Fraction(-3, 8), Fraction(-5, 16)), (Fraction(111, 8), Fraction(221, 16))),
+])
+def test_direct_tail_within_the_working_digits(ctx30, uppers, lowers):
+    # the factorial tail against closed forms at twice the working digits,
+    # to within 10^-dps of the value: a tail cut short or dropped shows here
+    # where err_estimate, set by the head's rounding, hides it
+    res = sum_unilateral(SeriesSpec(uppers, lowers, 1), ctx30)
+    assert res.method == "direct+tail"
+    with ctx30.working():
+        ups = [to_mp(a) for a in uppers]
+    with mp.workdps(2 * ctx30.dps):
+        exact = _gauss_2f1(*uppers, *lowers, ctx30.dps) if len(ups) == 2 else _dixon(*ups)
+        assert abs(res.value - exact) <= mpf(10) ** -ctx30.dps * abs(exact)
 
 
 def test_tail_coefficients_of_a_finite_expansion(ctx30):
