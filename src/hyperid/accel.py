@@ -9,8 +9,9 @@ diagonal starts to churn instead of converge. Its whole policy (precision,
 term cap, stop and acceptance tolerances, error floor) follows from the
 caller's PrecisionContext.
 
-It runs on Python ints, in the closed form of Levin (1973) (Weniger, Comput.
-Phys. Rep. 10, 1989, section 7): after entries v_0..v_m the diagonal is
+It runs on Python ints (a complex term's two parts taken apart on entry), in
+the closed form of Levin (1973) (Weniger, Comput. Phys. Rep. 10, 1989,
+section 7): after entries v_0..v_m the diagonal is
 L_m = sum_j w_mj x_j / sum_j w_mj y_j, with integer weights
 w_mj = (-1)^j C(m, j) (j + 1)^(m - 1). Each sum is exactly the last element
 E_m of a running anti-diagonal E_0 = v_m and, for k >= 1,
@@ -83,14 +84,14 @@ def levin_core(terms, ctx):
     """Incremental Levin u-transform (beta = 1) over a term stream (terms,
     not partial sums) at 2 ctx.dps + 10 digits.
 
-    The terms are (re, im) pairs of ints at scale 2^W, W = `fixed_prec()` at
-    that precision; a lazy stream reads it when its first term is asked
-    for. The transform returns once two diagonal differences in a row fall
-    within 10^-(dps - 3) relative. When it reaches min(4 digits + 40, 400)
-    terms instead, or its estimates degrade far past the best one seen,
-    that best estimate is accepted within 10^-(digits + 1) relative;
-    otherwise AccelerationFailed says which stop it met and whether |t_m|
-    was still growing there.
+    The terms are ints, or `series.Gauss` values when complex, at scale
+    2^W, W = `fixed_prec()` at that precision; a lazy stream reads it when
+    its first term is asked for. The transform returns once two diagonal
+    differences in a row fall within 10^-(dps - 3) relative. When it
+    reaches min(4 digits + 40, 400) terms instead, or its estimates degrade
+    far past the best one seen, that best estimate is accepted within
+    10^-(digits + 1) relative; otherwise AccelerationFailed says which stop
+    it met and whether |t_m| was still growing there.
 
     Term m enters as x = partial / omega and y = 1 / omega,
     omega = (m + 1) t_m, each rounded once from the exact partial sum and
@@ -119,7 +120,8 @@ def levin_core(terms, ctx):
         prev = best = None
         hits = used = 0
         stop = "ended with its stream"
-        for tre, tim in terms:
+        for t in terms:
+            tre, tim = (t, 0) if type(t) is int else t
             if used >= cap:
                 stop = "reached its cap"
                 break

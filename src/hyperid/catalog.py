@@ -33,7 +33,7 @@ from mpmath import mpc, mpf
 from . import exact
 from .errors import DomainError
 from .gammafn import gamma_ratio
-from .precision import INF, PrecisionContext, exact_int, nonpositive_int, to_mp
+from .precision import PrecisionContext, exact_int, nonpositive_int, to_mp
 from .qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from .series import SeriesResult, SeriesSpec, combined_method, sum_bilateral, sum_unilateral
 
@@ -185,7 +185,7 @@ def _gamma_side(numers, denoms, ctx) -> SeriesResult:
 
 
 def _bracket_side(numers, denoms, q, ctx) -> SeriesResult:
-    return _closed(q_bracket(numers, denoms, QContext(q, ctx), INF), ctx)
+    return _closed(q_bracket(numers, denoms, QContext(q, ctx)), ctx)
 
 
 def _scaled(result: SeriesResult, factor, ctx) -> SeriesResult:
@@ -598,7 +598,7 @@ def _jackson_nt_rhs(a, b, c, d, e, q, ctx):
         [q * a, c, d, e, f, q * b / a, q * b / c, q * b / d, q * b / e, q * b / f],
         [q * a / b, q * a / c, q * a / d, q * a / e, q * a / f,
          b * c / a, b * d / a, b * e / a, b * f / a, b * b * q / a],
-        qc, INF,
+        qc,
     )
     t87 = _vwp(b * b / a, (b, b * c / a, b * d / a, b * e / a, b * f / a), q, qc,
                r=b / principal_sqrt(a))
@@ -607,7 +607,7 @@ def _jackson_nt_rhs(a, b, c, d, e, q, ctx):
          q * a / (d * e), q * a / (d * f), q * a / (e * f)],
         [q * a / c, q * a / d, q * a / e, q * a / f,
          b * c / a, b * d / a, b * e / a, b * f / a],
-        qc, INF,
+        qc,
     )
     return _added(_scaled(t87, (b / a) * br1, ctx), _closed(br2, ctx), ctx)
 
@@ -656,7 +656,7 @@ def _omega_rhs(a, c, d, e, f, q, ctx):
     br = q_bracket(
         [q, q * a / c, q * a / d, q * a / e, q * a / f, q * c * d * e * f / a],
         [q * a, q * c, q * d, q * e, q * f, z],
-        qc, INF,
+        qc,
     )
     return _scaled(_vwp(a, (z, c, d, e, f), q, qc), br, ctx)
 
@@ -700,7 +700,7 @@ def _theta_rhs(a, c, d, e, f, q, ctx):
          q * q * a * a / (c * d * e * f * f)],
         [q * q * a / (c * d * e), q * q * a / (c * d * f), q * q * a / (c * e * f),
          q * q * a / (d * e * f), z, q**3 * a**3 / cdef**2],
-        qc, INF,
+        qc,
     )
     t87 = _vwp(
         gg,

@@ -13,8 +13,8 @@ pairwise products, which stay rational: (sqrt(a);q)_k (-sqrt(a);q)_k =
 
 A complex classical parameter with dyadic parts, as sampled, has a Gaussian
 int `series.Gauss` for its numerator over D, and the same loops run on it; real
-ones stay on plain ints. A Gaussian P/Q is the (re, im) pair of Fractions
-of P conj(Q) / |Q|^2.
+ones stay on plain ints, as everywhere in the package. A Gaussian P/Q is the
+(re, im) pair of Fractions of P conj(Q) / |Q|^2.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import DivisionByZero, LowerPoleError
-from .series import Gauss
+from .series import Gauss, _norm
 
 
 def _over(x, ys=()):
@@ -46,10 +46,9 @@ def _common(xs):
 def _value(p, q):
     """p / q as a Fraction for ints, else as the (re, im) pair of Fractions
     of p conj(q) / |q|^2 for Gaussian ints."""
-    if not (isinstance(p, Gauss) or isinstance(q, Gauss)):
+    if Gauss not in (type(p), type(q)):
         return Fraction(p, q)
-    re, im = q if isinstance(q, Gauss) else (q, 0)
-    (nr, ni), norm = p * Gauss((re, -im)), re * re + im * im
+    (nr, ni), norm = p * q.conjugate(), _norm(q)
     return Fraction(nr, norm), Fraction(ni, norm)
 
 

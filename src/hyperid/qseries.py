@@ -17,6 +17,8 @@ engine's fixed-point ints: the powers x q^k are running fixed-point
 products, and `series.fixed_terms` rounds each term once; (x;q)_inf runs
 on ints from exact dyadic x and q, rounded once (`q_pochhammer`), and a
 q-bracket multiplies their mantissas exactly and rounds its quotient once.
+A complex value is a `series.Gauss` wherever a real one is an int, and the
+same code runs on both.
 Every phi series runs through the classical engine's `series.sum_direct`,
 with its passes at raised precision against cancellation. A terminating
 one (an upper q^-n at working precision, n found by `_terminating_index`)
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count
 from operator import mul
 from typing import Optional
@@ -48,8 +50,8 @@ from mpmath.libmp import from_man_exp, mpf_div, round_nearest
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .precision import INF, PrecisionContext, fixed_prec, to_mp
 from .series import (
-    Gauss, SeriesResult, _rdiv, dyadic, fixed_terms, gmul, gproduct, join_halves,
-    mp_parameters, reflected_factors, sum_direct, to_fixed,
+    Gauss, SeriesResult, _norm, _parts, _rdiv, dyadic, fixed_terms, join_halves, mp_parameters,
+    reflected_factors, sum_direct, to_fixed,
 )
 
 
@@ -91,19 +93,18 @@ def principal_sqrt(a):
 
 
 def q_pochhammer(x, qc: QContext, n):
-    """(x;q)_n for an int n or INF; any other n raises DomainError.
+    """(x;q)_inf for n = INF; any other n raises DomainError (a finite
+    (x;q)_n is the q-bracket of [x] over [x q^n]).
 
-    n >= 0: finite product prod_{i<n} (1 - x q^i). n < 0: the divisor form
-    (x;q)_{-m} = 1 / ((x q^-m; q)_m), which raises DivisionByZero at a zero
-    factor. n = INF: the factors 1 - x q^i while |x q^i| >= 1/2 (an exact
-    zero among them returns 0), times Euler's series (y;q)_inf = sum c_n y^n,
+    The factors 1 - x q^i while |x q^i| >= 1/2 (an exact zero among them
+    returns 0), times Euler's series (y;q)_inf = sum c_n y^n,
     c_n = (-1)^n q^C(n,2) / (q;q)_n, in y = x q^m (Gasper-Rahman, 1.3), by
     Horner over a row of c_n cached per (q, precision) up to the first term
     below 2^-wp, wp = working precision + ceil(guard) + 10 bits. All on ints
-    (Gaussian pairs when complex) from the exact dyadics x and q: the factors
-    exactly, their product kept to wp + 2 bits, the Horner sum at scale 2^wp
-    on the exact y, rounded to the nearest unit a step; the two multiply with
-    one rounding to working precision.
+    (`series.Gauss` values when complex) from the exact dyadics x and q: the
+    factors exactly, their product kept to wp + 2 bits, the Horner sum at
+    scale 2^wp on the exact y, rounded to the nearest unit a step; the two
+    multiply with one rounding to working precision.
 
     guard = log2((-1/2;|q|)_inf / (1/2;|q|)_inf) bounds the bits lost to
     cancellation: |(y;q)_inf| >= (|y|;|q|)_inf >= 2^-guard for |y| < 1/2.
@@ -114,32 +115,24 @@ def q_pochhammer(x, qc: QContext, n):
     2^-prec (1 + (m + 6) 2^-10) of (x;q)_inf, relative. The guard's loop,
     factors and row are held to 100 dps + 10000 steps, else BudgetExceeded.
     """
+    if n is not INF and n != mpmath.inf:
+        raise DomainError(f"(x;q)_n is evaluated at n = INF only, not {n!r}")
     ctx = qc.ctx
     with ctx.working():
-        q = to_mp(qc.q)
         xx = to_mp(x)
-        if n is INF or n == mpmath.inf:
-            if xx == 0:
-                return mpf(1)
-            return _infinite_product(xx, q, ctx)
-        if not isinstance(n, int):
-            raise DomainError(f"(x;q)_n needs an integer n or INF, not {n!r}")
-        prod = mpmath.mpc(1) if isinstance(xx, mpmath.mpc) else mpf(1)
-        xq = xx if n >= 0 else xx * q**n
-        for _ in range(abs(n)):
-            factor = 1 - xq
-            if n < 0 and factor == 0:
-                raise DivisionByZero(f"(x;q)_{n} hits a zero factor")
-            prod = prod * factor
-            xq = xq * q
-        return prod if n >= 0 else 1 / prod
+        if xx == 0:
+            return mpf(1)
+        return _infinite_product(xx, to_mp(qc.q), ctx)
 
 
-@lru_cache(maxsize=64)  # one row per nome of the 1/64 grid in (1/10, 4/5)
+# one row per nome of the 1/64 grid in (1/10, 4/5); typed, since an mpc nome equal
+# to an mpf one has a row of Gauss values, which keeps its products complex
+@lru_cache(maxsize=64, typed=True)
 def _euler_row(q, prec, budget):
-    """(wp, (a, s), row) for q (see q_pochhammer), q = a / 2^s with a a
-    Gaussian pair: row holds c_n, n = 0 .. N, as (re, im) pairs of ints at
-    scale 2^wp with bounds b_n >= log2 |c_n|, N the first n with b_n - n < -wp.
+    """(wp, (a, s), row) for q (see q_pochhammer), q = a / 2^s exactly
+    (`series.dyadic`): row holds c_n, n = 0 .. N, as ints or `series.Gauss`
+    values at scale 2^wp with bounds b_n >= log2 |c_n|, N the first n with
+    b_n - n < -wp.
     `series.fixed_terms` steps them on the exact ratio q^n / (q^(n+1) - 1)
     at scale 2^(wp+g), g = ceil(guard) + 30, within |c_n| n + 1/2 units
     there; as |c_n| <= (-1;|q|)_inf <= 2^guard, an entry rounded to 2^-wp
@@ -152,20 +145,21 @@ def _euler_row(q, prec, budget):
             break
     else:
         raise BudgetExceeded("infinite q-product failed to truncate")
-    wp, g, cplx = prec + math.ceil(guard) + 10, math.ceil(guard) + 30, hasattr(q, "_mpc_")
-    (a, s), power = dyadic(q, True), (1, 0) if cplx else 1  # power = a^n
+    wp, g = prec + math.ceil(guard) + 10, math.ceil(guard) + 30
+    (a, s), power = dyadic(q), 1  # power = a^n
 
     def ratio(n):
         nonlocal power
-        num, power, one = power, gmul(power, a) if cplx else power * a[0], 1 << s * (n + 1)
-        return num, (power[0] - one, power[1]) if cplx else power - one, s
+        num, power = power, power * a
+        return num, power - (1 << s * (n + 1)), s
 
-    row, half = [], 1 << g - 1
-    for re, im in fixed_terms(ratio, cplx, None, wp + g, "q^({} + 1) = 1"):
+    row = []
+    for t in fixed_terms(ratio, None, wp + g, "q^({} + 1) = 1"):
         if len(row) > budget:
             raise BudgetExceeded("infinite q-product failed to truncate")
-        b = max(abs(re), abs(im)).bit_length() - wp - g + 1
-        row.append((((re + half) >> g, (im + half) >> g), b))
+        b = _bits(t) - wp - g + 1
+        # + 0 a: c_0 comes before the stream's first step, an int even for a complex q
+        row.append((_rdiv(t, 1 << g) + 0 * a, b))
         if b - len(row) + 1 < -wp:
             return wp, (a, s), tuple(row)
 
@@ -174,72 +168,68 @@ def _infinite_product(x, q, ctx: PrecisionContext):
     """(x;q)_inf for nonzero x at working precision (see q_pochhammer)."""
     budget = 100 * ctx.dps + 10000
     wp, (qn, qs), row = _euler_row(q, mp.prec, budget)
-    cplx, (p, e) = hasattr(x, "_mpc_") or hasattr(q, "_mpc_"), dyadic(x, True)
+    p, e = dyadic(x)
     # log2 |x| >= k, and the float bound below is >= log2(1/|q|): past it, the loop
     # would step budget - len(row) + 1 factors with |x q^i| > 1, none of them zero
-    if (k := (abs(p[0]) | abs(p[1])).bit_length() - 1 - e) > 0 and (fq := float(abs(q))):
+    if (k := _bits(p) - 1 - e) > 0 and (fq := float(abs(q))):
         if k > max(budget - len(row), 0) * (-math.log2(fq) * (1 + 1e-12) + 1e-15):
             raise BudgetExceeded("infinite q-product failed to truncate")
     # 1 - x q^i = (2^e - p) / 2^e of the exact x q^i = p / 2^e into h / 2^hs
-    h, hs, used = (1, 0), 0, 0
-    while (0 < (bl := (abs(p[0]) | abs(p[1])).bit_length()) >= e  # |p| >= 2^(e-1)
-           or bl == e - 1 and 4 * (p[0] * p[0] + p[1] * p[1]) >= 1 << 2 * e):
-        if p == (1 << e, 0):
+    h, hs, used = 1, 0, 0
+    while (0 < (bl := _bits(p)) >= e  # |p| >= 2^(e-1)
+           or bl == e - 1 and 4 * _norm(p) >= 1 << 2 * e):
+        if p == 1 << e:
             return mpf(0)
-        h = gmul(h, ((1 << e) - p[0], -p[1]))
-        d = max(max(map(abs, h)).bit_length() - wp - 2, 0)
-        h, hs = tuple((v + (1 << d >> 1)) >> d for v in h), hs + e - d
-        p, e, used = gmul(p, qn), e + qs, used + 1
+        h *= (1 << e) - p
+        d = max(_bits(h) - wp - 2, 0)
+        h, hs = _rdiv(h, 1 << d), hs + e - d
+        p, e, used = p * qn, e + qs, used + 1
         if used + len(row) > budget:
             raise BudgetExceeded("infinite q-product failed to truncate")
     # Horner over c_n up to the first n with |c_n| |y|^n < 2^-wp, on ints at
-    # scale 2^wp with y = p / 2^e, each step rounded to the nearest unit
-    ly, half, re, im = ((p[0] * p[0] + p[1] * p[1]).bit_length() + 1) // 2 - e, 1 << e >> 1, 0, 0
+    # scale 2^wp with y = p / 2^e, each step rounded to the nearest unit: as in
+    # `series._rdiv`, t - (t >> 1) with t = floor(2 acc y) rounds acc y halves up
+    ly, p2, acc = (_norm(p).bit_length() + 1) // 2 - e, p << 1, 0
     n = next((n for n, (_, b) in enumerate(row) if b + n * ly < -wp), len(row))
     for c, _ in reversed(row[:n]):
-        if cplx:
-            re, im = gmul((re, im), p)
-            re, im = (re + half >> e) + c[0], (im + half >> e) + c[1]
-        else:
-            re = (re * p[0] + half >> e) + c[0]
-    re, im = (from_man_exp(v, -hs - wp, mp.prec, round_nearest) for v in gmul(h, (re, im)))
-    return mp.make_mpc((re, im)) if cplx else mp.make_mpf(re)
+        acc = (t := acc * p2 >> e) - (t >> 1) + c
+    acc *= h
+    re, im = (from_man_exp(v, -hs - wp, mp.prec, round_nearest) for v in _parts(acc))
+    return mp.make_mpc((re, im)) if type(acc) is Gauss else mp.make_mpf(re)
 
 
-def q_bracket(numers, denoms, qc: QContext, n):
-    """prod (x_i;q)_n / prod (y_j;q)_n with a shared index n (or INF).
+def q_bracket(numers, denoms, qc: QContext):
+    """prod (x_i;q)_inf / prod (y_j;q)_inf.
 
     Returns exact 0 when a numerator entry vanishes and no denominator entry
     does; IndeterminateError when both vanish. The entries' mantissas and
-    exponents multiply exactly as ints (Gaussian pairs when one is complex)
-    and the quotient is rounded once to the working precision, so the
-    bracket is within the sum of its entries' relative errors (see
+    exponents multiply exactly as ints (`series.Gauss` values when one is
+    complex) and the quotient is rounded once to the working precision, so
+    the bracket is within the sum of its entries' relative errors (see
     q_pochhammer) plus 2^-prec of its value, relative, in each part.
     """
     with qc.ctx.working():
-        nums = [q_pochhammer(x, qc, n) for x in numers]
-        dens = [q_pochhammer(y, qc, n) for y in denoms]
+        nums = [q_pochhammer(x, qc, INF) for x in numers]
+        dens = [q_pochhammer(y, qc, INF) for y in denoms]
         if 0 in dens:
             if 0 in nums:
                 raise IndeterminateError("q-bracket vanishes in numerator and denominator")
             raise DivisionByZero("q-bracket denominator entry vanishes")
         if 0 in nums:
             return mpf(0)
-        cplx = any(hasattr(v, "_mpc_") for v in (*nums, *dens))
-        (pn, ps), (dn, ds) = (_exact_product(vs, cplx) for vs in (nums, dens))
-        if not cplx:
-            return mp.make_mpf(mpf_div(from_man_exp(pn, ds - ps), from_man_exp(dn, 0), mp.prec,
-                                       round_nearest))
-        # pn conj(dn) / |dn|^2, each part rounded once
-        norm = from_man_exp(dn[0] * dn[0] + dn[1] * dn[1], 0)
-        return mp.make_mpc(tuple(mpf_div(from_man_exp(v, ds - ps), norm, mp.prec, round_nearest)
-                                 for v in gmul(pn, (dn[0], -dn[1]))))
+        # pn / 2^ps over dn / 2^ds: pn conj(dn) / |dn|^2, each part rounded once
+        pairs = [dyadic(v) for v in (*nums, *dens)]
+        (pn, ps), (dn, ds) = ((math.prod(n for n, _ in vs), sum(s for _, s in vs))
+                              for vs in (pairs[:len(nums)], pairs[len(nums):]))
+        num, norm = pn * dn.conjugate(), from_man_exp(_norm(dn), 0)
+        re, im = (mpf_div(from_man_exp(v, ds - ps), norm, mp.prec, round_nearest)
+                  for v in _parts(num))
+        return mp.make_mpc((re, im)) if type(num) is Gauss else mp.make_mpf(re)
 
 
-def _exact_product(values, cplx):
-    """(n, s) with prod(values) = n / 2^s exactly, n a Gaussian pair when cplx."""
-    ns, ss = zip(*(dyadic(v, cplx) for v in values)) if values else ((), ())
-    return (gproduct(ns, (1, 0)) if cplx else math.prod(ns)), sum(ss)
+def _bits(x):
+    """The bit length of the larger part of an int or a `series.Gauss`."""
+    return max(map(abs, _parts(x))).bit_length()
 
 
 def split_psi(spec: QSeriesSpec, qc: QContext):
@@ -282,47 +272,38 @@ def split_psi(spec: QSeriesSpec, qc: QContext):
 
 def q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
     """Yield the phi-series terms t_0, t_1, ... as `series.fixed_terms`
-    pairs, from t_0 = 1 via t_{k+1} = t_k z prod(1 - a q^k) (-q^k)^extra /
+    values, from t_0 = 1 via t_{k+1} = t_k z prod(1 - a q^k) (-q^k)^extra /
     ((1 - q^{k+1}) prod(1 - b q^k)), up to t_{max_k}.
 
     The scale 2^W is read when the first term is asked for. The powers
     x q^k (x an upper, a lower, or q for 1 - q^{k+1}) are running products
     p <- p q at that scale: x enters rounded to the nearest unit 2^-W in
-    each part, and each step rounds each part of p q to the nearest unit.
-    z and the balancing factor (-q^k)^extra are exact. The ratio is exact
-    on those factors; `fixed_terms` gets it as the products of the
+    each part, and each step rounds each part of p q to the nearest unit,
+    halves up. z and the balancing factor (-q^k)^extra are exact. The ratio
+    is exact on those factors; `fixed_terms` gets it as the products of the
     numerator's and the denominator's factors and rounds each term once.
     """
     wp = fixed_prec()
     one = 1 << wp
-    cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z, q))
     nu, e = len(uppers), abs(extra)
-    (zn, zs), (qn, qs) = dyadic(z, cplx), dyadic(q, cplx)
-    half = (1 << qs) >> 1
-    pows = [to_fixed(x, wp) if cplx else to_fixed(x, wp)[0] for x in (*uppers, *lowers, q)]
-    power = (1, 0) if cplx else 1
-    product = gproduct if cplx else math.prod
+    (zn, zs), (qn, qs) = dyadic(z), dyadic(q)
+    pows, power, q2 = [to_fixed(x, wp) for x in (*uppers, *lowers, q)], 1, qn << 1
 
     def ratio(k):
         nonlocal pows, power
+        fs = [one - p for p in pows]
+        # as in `series._rdiv`, t - (t >> 1) with t = floor(2 p q) rounds p q halves up
+        pows = [(t := p * q2 >> qs) - (t >> 1) for p in pows]
         # (-q^k)^extra = balance^sign(extra) / 2^(qs k extra)
-        if cplx:
-            fs = [(one - re, -im) for re, im in pows]
-            pows = [((p * qn[0] - r * qn[1] + half) >> qs, (p * qn[1] + r * qn[0] + half) >> qs)
-                    for p, r in pows]
-            balance, power = [(-power[0], -power[1])] * e, gmul(power, qn)
-        else:
-            fs = [one - p for p in pows]
-            pows = [(p * qn + half) >> qs for p in pows]
-            balance, power = [-power] * e, power * qn
-        if extra < 0 and not (any(balance[0]) if cplx else balance[0]):
+        balance, power = [-power] * e, power * qn
+        if extra < 0 and not balance[0]:
             raise ZeroDivisionError  # q = 0, as the recurrence's division by (-0)^|extra|
         nums, dens = [zn, *fs[:nu]], fs[nu:]
         (nums if extra > 0 else dens).extend(balance)
-        return product(nums), product(dens), sh - qs * k * extra
+        return math.prod(nums), math.prod(dens), sh - qs * k * extra
 
     sh = wp * (len(lowers) + 1 - nu) - zs
-    yield from fixed_terms(ratio, cplx, max_k, wp, "q-series denominator vanishes at k = {}")
+    yield from fixed_terms(ratio, max_k, wp, "q-series denominator vanishes at k = {}")
 
 
 def _head_length(uppers, lowers, q) -> int:
@@ -362,15 +343,12 @@ def _tail_ratio_terms(uppers, lowers, z, q, k):
     g_{m-i}; each g_m is that int divided by the pivot's, rounded once.
     """
     wp = fixed_prec()
-    cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z, q))
-    cast = Gauss if cplx else int
-    (zn, zs), (qn, qs) = dyadic(z, cplx), dyadic(q, cplx)
-    zn, qn, d = cast(zn), cast(qn), len(uppers)
+    (zn, zs), (qn, qs), d = dyadic(z), dyadic(q), len(uppers)
 
     def poly(roots):  # (c, S): prod (1 - r y) = sum c_i y^i / 2^S, r = n / 2^s exactly
         cs, total = [1], 0
-        for n, s in (dyadic(r, cplx) for r in roots):
-            n, total = cast(n), total + s
+        for n, s in map(dyadic, roots):
+            total += s
             cs.append(0)
             for i in range(len(cs) - 1, 0, -1):
                 cs[i] = (cs[i] << s) - n * cs[i - 1]
@@ -427,9 +405,9 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
     """Sum a phi- or psi-type basic hypergeometric series."""
     ctx = qc.ctx
     with ctx.working():
-        q, z = to_mp(qc.q), to_mp(spec.argument)
+        q = to_mp(qc.q)
         if spec.kind == "phi":
-            ups, lows, _ = mp_parameters(spec)
+            ups, lows, z = mp_parameters(spec)
             extra = len(lows) - (len(ups) - 1)
             n = _terminating_index(ups, q, ctx.eps())
             floor = tail = None  # a finite stream has no tail
@@ -444,11 +422,11 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
                 floor = abs(z) if extra == 0 else mpf(0)
                 if extra == 0:
                     k = _head_length(ups, lows, q)
-                    tail = k, lambda: _tail_ratio_terms(*mp_parameters(spec), to_mp(qc.q), k)
-            return sum_direct(
-                lambda: q_ratio_terms(*mp_parameters(spec), to_mp(qc.q), extra, max_k=n), ctx,
-                floor, tail)
+                    tail = k, partial(_tail_ratio_terms, k=k)
+            return sum_direct(partial(q_ratio_terms, extra=extra, max_k=n), (ups, lows, z, q),
+                              lambda: (*mp_parameters(spec), to_mp(qc.q)), ctx, floor, tail)
         # psi
+        z = to_mp(spec.argument)
         plus, pref, minus = split_psi(spec, qc)
         w = to_mp(minus.argument) if minus is not None else None
         if not abs(z) < 1 and _terminating_index(plus.uppers, q, ctx.eps()) is None:

@@ -27,12 +27,14 @@ series in q^K (see `qseries`), with the geometric route's passes.
 
 The term streams of both engines (`ratio_terms` here, `qseries.q_ratio_terms`)
 run on Python ints scaled by 2^W, W = `precision.fixed_prec()`, the ambient
-precision plus GUARD_BITS; a complex value is an (re, im) pair of ints.
-`fixed_terms`, their one stepping loop, takes each step's ratio as ready
-products, num and den, of exact ints, and rounds each term once; a real
-stream steps one int. `partial_sum` adds the terms exactly, so the rounding
-of a sum is the bound that `fixed_terms` states. The Levin transform reads
-the same pairs, generated at its raised precision, and sums them exactly too.
+precision plus GUARD_BITS. Every exact dyadic and fixed-point value of both
+engines is an int when real and a Gaussian int `Gauss` when complex, so one
+path of + - * // << >> serves both. `fixed_terms`, their one stepping loop,
+takes each step's ratio as ready products, num and den, of exact values,
+and rounds each term once; a real stream steps one int, a complex one its
+two parts. `partial_sum` adds the terms exactly, so the rounding of a sum
+is the bound that `fixed_terms` states. The Levin transform reads the same
+terms, generated at its raised precision, and sums them exactly too.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms: to a stream's end, to a limit or to three
@@ -51,14 +53,14 @@ compares the two sides' values alone and reads no error estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial, reduce
-from itertools import count, islice, repeat
+from functools import partial
+from itertools import accumulate, count, islice, repeat
 from math import prod
 from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import from_man_exp
 from mpmath.libmp import to_fixed as mpf_to_fixed
 
 from .accel import levin_core
@@ -140,7 +142,11 @@ def classify(spec: SeriesSpec) -> ConvergenceClass:
     <= 1 diverge. Runs at the ambient precision; the engines call it at
     working precision, and raises DomainError on a non-finite parameter.
     """
-    ups, lows, z = mp_parameters(spec)
+    return _classify(spec, *mp_parameters(spec))
+
+
+def _classify(spec, ups, lows, z) -> ConvergenceClass:
+    """`classify` of a spec whose `mp_parameters` are ups, lows and z."""
     ns = [nonpositive_int(u) for u in spec.uppers]
     term_n = min((n for n in ns if n is not None), default=None)
     az = abs(z)
@@ -191,140 +197,146 @@ def _lower_pole_check(uppers, lowers, term_n):
             )
 
 
-def dyadic(x, cplx):
-    """(n, s) with x = n / 2^s exactly and s >= 0 for an mpf or mpc x; n is
-    an (re, im) pair of ints when cplx, else an int (x real)."""
-    if not cplx:
-        sign, man, exp, _ = x._mpf_
-        return (-man if sign else man) << max(exp, 0), max(-exp, 0) if man else 0
-    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
-    ns = [((-man if sign else man), exp) for sign, man, exp, _ in parts]
-    s = max([0, *(-exp for n, exp in ns if n)])
-    ns = tuple(n << (exp + s) for n, exp in ns)
-    return (ns if cplx else ns[0]), s
-
-
-def to_fixed(x, wp):
-    """The mp number x at scale 2^wp as an (re, im) pair of ints, each
-    rounded to nearest (exact for a value of `from_fixed` at wp)."""
-    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
-    return tuple((mpf_to_fixed(v, wp + 1) + 1) >> 1 for v in parts)
-
-
-def from_fixed(t, wp=None):
-    """The exact mp number of a fixed-point pair t (or int, for a real t) at
-    scale 2^wp (default fixed_prec()): an mpf when its imaginary part is 0,
-    else an mpc."""
-    wp = fixed_prec() if wp is None else wp
-    t = t if isinstance(t, tuple) else (t, 0)
-    re = from_man_exp(t[0], -wp)
-    return mp.make_mpc((re, from_man_exp(t[1], -wp))) if t[1] else mp.make_mpf(re)
-
-
-def gmul(x, y):
-    """The product of two Gaussian integers given as (re, im) pairs."""
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-gproduct = partial(reduce, gmul)  # the product of a nonempty iterable of Gaussian integers
-
-
 class Gauss(tuple):
-    """The Gaussian int re + im i as the immutable pair (re, im), with ints
-    taken on either side of +, -, * and ==, // by an int and << by one."""
+    """The Gaussian int re + im i as the immutable pair (re, im), the complex
+    counterpart of an int: ints mix in on either side of +, -, * and ==,
+    and // by an int, << and >> act on each part as on an int. It is false
+    only when both parts are 0, and no hash key (it defines ==)."""
 
     __slots__ = ()
 
     def __add__(self, other):
-        re, im = other if isinstance(other, Gauss) else (other, 0)
+        re, im = other if type(other) is Gauss else (other, 0)
         return Gauss((self[0] + re, self[1] + im))
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return Gauss((-self[0], -self[1]))
+
     def __sub__(self, other):
-        return self + other * -1
+        return self + -other
 
     def __rsub__(self, other):
-        return self * -1 + other
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, Gauss):
-            return Gauss(gmul(self, other))
+        if type(other) is Gauss:
+            (a, b), (c, d) = self, other
+            return Gauss((a * c - b * d, a * d + b * c))
         return Gauss((self[0] * other, self[1] * other))
 
     __rmul__ = __mul__
 
     def __floordiv__(self, n):
-        """Each part floor-divided by the int n."""
         return Gauss((self[0] // n, self[1] // n))
 
     def __lshift__(self, n):
-        """Each part shifted left by n bits: the product with 2^n."""
         return Gauss((self[0] << n, self[1] << n))
 
+    def __rshift__(self, n):
+        return Gauss((self[0] >> n, self[1] >> n))
+
+    def __bool__(self):
+        return bool(self[0] or self[1])
+
+    def conjugate(self):
+        return Gauss((self[0], -self[1]))
+
     def __eq__(self, other):
-        re, im = other if isinstance(other, Gauss) else (other, 0)
+        re, im = other if type(other) is Gauss else (other, 0)
         return self[0] == re and self[1] == im
 
     def __ne__(self, other):
         return not self == other
 
 
-def _fixed_value(t):
-    """The fixed-point pair t as an int when its imaginary part is 0, else
-    as a `Gauss`, so that real tails step plain ints."""
-    return Gauss(t) if t[1] else t[0]
+def _parts(x):
+    """(re, im) of an int or a `Gauss` value."""
+    return x if type(x) is Gauss else (x, 0)
+
+
+def dyadic(x):
+    """(n, s) with x = n / 2^s exactly and s >= 0 for an mpf or mpc x: n is
+    an int for an mpf and a `Gauss` for an mpc."""
+    if hasattr(x, "_mpc_"):
+        ns = [((-man if sign else man), exp) for sign, man, exp, _ in x._mpc_]
+        s = max([0, *(-exp for n, exp in ns if n)])
+        return Gauss(n << exp + s for n, exp in ns), s
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man) << max(exp, 0), max(-exp, 0) if man else 0
+
+
+def to_fixed(x, wp):
+    """The mp number x at scale 2^wp, rounded to nearest in each part (exact
+    for a value of `from_fixed` at wp): an int for an mpf, a `Gauss` for an
+    mpc."""
+    if hasattr(x, "_mpc_"):
+        return Gauss((mpf_to_fixed(v, wp + 1) + 1) >> 1 for v in x._mpc_)
+    return (mpf_to_fixed(x._mpf_, wp + 1) + 1) >> 1
+
+
+def from_fixed(t, wp=None):
+    """The exact mp number of a fixed-point int or `Gauss` t at scale 2^wp
+    (default fixed_prec()): an mpf when its imaginary part is 0, else an
+    mpc."""
+    wp = fixed_prec() if wp is None else wp
+    re, im = _parts(t)
+    re = from_man_exp(re, -wp)
+    return mp.make_mpc((re, from_man_exp(im, -wp))) if im else mp.make_mpf(re)
 
 
 def _rdiv(x, d):
     """x / d rounded to the nearest (Gaussian) int, halves up in each part,
     for a nonzero d; x and d are ints or `Gauss` values."""
-    if isinstance(d, Gauss):
-        x, d = x * Gauss((d[0], -d[1])), d[0] * d[0] + d[1] * d[1]
-    # for d of either sign, x / d rounds to floor((2x + d) / (2d))
-    if isinstance(x, Gauss):
-        return Gauss(((2 * x[0] + d) // (2 * d), (2 * x[1] + d) // (2 * d)))
-    return (2 * x + d) // (2 * d)
+    if type(d) is Gauss:
+        x, d = x * d.conjugate(), _norm(d)
+    # t = floor(2x / d) for d of either sign, and t - floor(t / 2) = ceil(t / 2)
+    # is floor(x / d + 1/2); in that form no constant is added to a part
+    t = (x << 1) // d
+    return t - (t >> 1)
 
 
 def _norm(x):
     """|x|^2 of an int or a `Gauss` value."""
-    return x[0] * x[0] + x[1] * x[1] if isinstance(x, Gauss) else x * x
+    return x[0] * x[0] + x[1] * x[1] if type(x) is Gauss else x * x
 
 
-def fixed_terms(ratio, cplx, max_k, wp, pole):
-    """Yield the terms t_0 = 1, t_1, ... as (re, im) pairs of ints at scale
-    2^wp, up to t_{max_k}, where t_{k+1} = t_k num 2^sh / den for the exact
-    ints (Gaussian pairs when cplx) num and den and the int sh of
-    (num, den, sh) = ratio(k). A zero den raises LowerPoleError(pole.format(k)).
-    A real stream steps one int and yields it with the imaginary part 0.
+def fixed_terms(ratio, max_k, wp, pole):
+    """Yield the terms t_0 = 1, t_1, ... as ints at scale 2^wp, up to
+    t_{max_k}, where t_{k+1} = t_k num 2^sh / den for the exact ints or
+    `Gauss` values num and den and the int sh of (num, den, sh) = ratio(k).
+    A zero den raises LowerPoleError(pole.format(k)). A real stream steps one
+    int; from the first step with a `Gauss` num or den on, it steps the two
+    parts as ints and yields `Gauss` terms.
 
     A term is kept at the scale 2^(wp+s), s >= 0, at which its larger part
     exceeds 2^(wp+1) (s = 0 for a larger term), so that the step's one
     rounding to the nearest unit of that scale errs by less than
-    u = 2^-(wp+1) (sqrt(2) 2^-(wp+1) when cplx) of the new term. The kept
+    u = 2^-(wp+1) (sqrt(2) 2^-(wp+1) when complex) of the new term. The kept
     t_k is thus within (1 + u)^k - 1 of t_k, relative, for the ratio's
     values, and the yielded t_k is the kept one rounded to the nearest unit
     2^-wp (exact when s = 0), which adds at most half a unit to each part.
     """
-    re, im, s, k = 1 << wp, 0, 0, 0
+    re, im, s, k, cplx = 1 << wp, 0, 0, 0, False
     while True:
         half = 1 << s >> 1
-        yield (re + half) >> s, (im + half) >> s if cplx else 0
+        yield Gauss(((re + half) >> s, (im + half) >> s)) if cplx else (re + half) >> s
         if max_k is not None and k >= max_k:
             return
         num, den, sh = ratio(k)
-        if not (any(den) if cplx else den):
+        if not den:
             raise LowerPoleError(pole.format(k))
-        if cplx:
+        if not cplx and type(num) is type(den) is int:
+            re *= num
+            bits = re.bit_length()
+        else:
             # t num conj(den) / |den|^2
-            (nre, nim), (dre, dim) = num, den
+            cplx = True
+            (nre, nim), (dre, dim) = _parts(num), _parts(den)
             nre, nim, den = nre * dre + nim * dim, nim * dre - nre * dim, dre * dre + dim * dim
             re, im = re * nre - im * nim, re * nim + im * nre
             bits = max(abs(re), abs(im)).bit_length()
-        else:
-            re *= num
-            bits = re.bit_length()
         # the new term lies in (2^(bits - den bits + sh - 1), ...); rescale it by
         # 2^d past 2^(wp+1), or back towards s = 0
         d = max(wp + 2 - bits + den.bit_length() - sh, -s) if bits else 0
@@ -344,24 +356,19 @@ def fixed_terms(ratio, cplx, max_k, wp, pole):
 
 def ratio_terms(uppers, lowers, z, max_k=None):
     """Yield t_0, t_1, ... of sum_k prod (a)_k / (k! prod (b)_k) z^k as
-    `fixed_terms` pairs, from t_0 = 1 via
+    `fixed_terms` values, from t_0 = 1 via
     t_{k+1} = t_k z prod(a+k) / ((1+k) prod(b+k)), up to t_{max_k}. Every
     mp number is a dyadic rational, so the ratio is exact: each factor
-    x + k = (n + k 2^s) / 2^s runs as the int n + k 2^s (the real part of a
-    Gaussian pair), which steps by 2^s. The scale 2^W is read when the first
-    term is asked for.
+    x + k = (n + k 2^s) / 2^s runs as the int or `Gauss` n + k 2^s, which
+    steps by 2^s. The scale 2^W is read when the first term is asked for.
     """
-    cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z))
-    (zn, zs), nu = dyadic(z, cplx), len(uppers)
-    # the uppers, 1 (for the k!) and the lowers
-    ns, ss = zip(*(dyadic(x, cplx) for x in (*uppers, mpf(1), *lowers)))
-    if cplx:
-        fs, product = [zip(count(n[0], 1 << s), repeat(n[1])) for n, s in zip(ns, ss)], gproduct
-    else:
-        fs, product = [count(n, 1 << s) for n, s in zip(ns, ss)], prod
+    (zn, zs), nu = dyadic(z), len(uppers)
+    # the uppers, 1 (for the k!) and the lowers; itertools.count takes no Gauss start
+    ns, ss = zip(*(dyadic(x) for x in (*uppers, mpf(1), *lowers)))
+    fs = [accumulate(repeat(1 << s), initial=n) for n, s in zip(ns, ss)]
     sh = sum(ss[nu:]) - sum(ss[:nu]) - zs
-    ratios = zip(map(product, zip(repeat(zn), *fs[:nu])), map(product, zip(*fs[nu:])), repeat(sh))
-    yield from fixed_terms(lambda k: next(ratios), cplx, max_k, fixed_prec(),
+    ratios = zip(map(prod, zip(repeat(zn), *fs[:nu])), map(prod, zip(*fs[nu:])), repeat(sh))
+    yield from fixed_terms(lambda k: next(ratios), max_k, fixed_prec(),
                            "denominator parameter reaches a pole at k = {}")
 
 
@@ -378,9 +385,10 @@ def partial_sum(terms, stop_eps, limit: int):
     after the last term used. stop_eps is an mpf, or 0 to turn the
     small-term rule off, so that a finite stream adds every term.
 
-    The terms are the fixed-point pairs of `fixed_terms` at the ambient
-    precision. They add exactly, and the small-term test compares
-    |t| < stop_eps (|total| or 1) exactly in ints.
+    The terms are the fixed-point ints and `Gauss` values of `fixed_terms`
+    at the ambient precision. They add exactly, on the two parts as ints,
+    and the small-term test compares |t| < stop_eps (|total| or 1) exactly
+    in ints.
 
     Returns (total, peak |term|, terms used, last term, the term before it
     or None, and whether the sum stopped before the limit; the limit wins a
@@ -395,10 +403,14 @@ def partial_sum(terms, stop_eps, limit: int):
     small_run = 0
     settled = True
     for t in terms:
-        re, im = t
-        sre += re
-        sim += im
-        mag = re * re + im * im
+        if type(t) is int:
+            sre += t
+            mag = t * t
+        else:
+            re, im = t
+            sre += re
+            sim += im
+            mag = re * re + im * im
         if mag > peak:
             peak = mag
         used += 1
@@ -415,14 +427,17 @@ def partial_sum(terms, stop_eps, limit: int):
             break
     last, prev = (None if v is None else from_fixed(v) for v in (last, prev))
     peak = mpmath.sqrt(mp.make_mpf(from_man_exp(peak, -2 * wp)))
-    return from_fixed((sre, sim)), peak, used, last, prev, settled
+    return from_fixed(Gauss((sre, sim))), peak, used, last, prev, settled
 
 
-def sum_direct(stream, ctx: PrecisionContext, floor, tail=None) -> SeriesResult:
+def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None) -> SeriesResult:
     """Sum a series directly, up to ctx.max_terms terms a pass.
 
-    `stream` builds the fixed-point term stream at the ambient precision;
-    each pass calls it once. floor = None marks a finite stream: it adds
+    stream(*params) builds the fixed-point term stream at the ambient
+    precision; each pass calls it once, on `params` (the series' parameters
+    as the caller converted them at the working precision) in the first
+    pass and on convert() in a raised one, so that a non-dyadic Fraction
+    gains bits there. floor = None marks a finite stream: it adds
     every term, has no tail and keeps the method "terminating". Otherwise
     the tail after the last term is bounded geometrically with the ratio
     rho = max(floor, |last/prev|), or floor after a zero term (every later
@@ -432,10 +447,9 @@ def sum_direct(stream, ctx: PrecisionContext, floor, tail=None) -> SeriesResult:
 
     tail = (K, ratio_terms) gives an infinite stream a summed tail
     (direct+tail): when its first K terms do not settle, the pass adds
-    t_K times the `_tail_sum` of ratio_terms(), the (Gaussian) ints at
-    scale 2^W of the tail ratio T_K / t_K, T_K = sum_{k>=K} t_k, built at
-    the pass's precision; terms_used is then K, the tail's own estimate
-    joins err_estimate and |t_K T_K / t_K| joins the peak |term|. A head
+    t_K times the `_tail_sum` of ratio_terms(*params), the (Gaussian) ints
+    at scale 2^W of the tail ratio T_K / t_K, T_K = sum_{k>=K} t_k;
+    terms_used is then K, the tail's own estimate joins err_estimate and |t_K T_K / t_K| joins the peak |term|. A head
     that settles before K keeps the geometric bound and "direct"; one that
     does not settle within ctx.max_terms < K raises BudgetExceeded.
 
@@ -455,17 +469,19 @@ def sum_direct(stream, ctx: PrecisionContext, floor, tail=None) -> SeriesResult:
     while True:
         pass_ctx = replace(ctx, digits=ctx.digits + dps - ctx.dps)
         with pass_ctx.working():
-            terms = stream()
+            if dps > ctx.dps:
+                params = convert()
+            terms = stream(*params)
             total, peak, used, last, prev, settled = partial_sum(
                 terms, 0 if floor is None else pass_ctx.eps(), limit)
             if not settled and (tail is None or tail[0] > ctx.max_terms):
                 raise BudgetExceeded(f"direct summation needs more than {ctx.max_terms} terms")
             err = 0
             if not settled:
-                wp, t_k = fixed_prec(), _fixed_value(next(terms))
-                head = _fixed_value(to_fixed(total, wp))
+                wp, t_k = fixed_prec(), next(terms)
+                head = to_fixed(total, wp)
                 tail_sum, err, done = _tail_sum(
-                    tail[1](), t_k, head, pass_ctx.eps(), ctx.max_terms)
+                    tail[1](*params), t_k, head, pass_ctx.eps(), ctx.max_terms)
                 if not done:
                     raise BudgetExceeded(f"the summed tail needs more than {ctx.max_terms} terms")
                 total = from_fixed((head << wp) + t_k * tail_sum, 2 * wp)
@@ -582,11 +598,9 @@ def _tail_coefficients(uppers, lowers, z, wp):
     forward differences, A_m(k - 1) = A_m(k) - (m + 1) A_{m+1}(k - 1). Only
     the c_j carry the scale 2^wp, one rounding each.
     """
-    cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z))
-    (zn, zs), *ps = (dyadic(x, cplx) for x in (z, *uppers, *lowers))
+    (zn, zs), *ps = map(dyadic, (z, *uppers, *lowers))
     sc = max(s for _, s in ps)
-    ps = [(Gauss((n[0] << sc - s, n[1] << sc - s)) if cplx else n << sc - s) for n, s in ps]
-    zn, d, den = Gauss(zn) if cplx else zn, len(uppers), 1 << sc
+    ps, d, den = [n << sc - s for n, s in ps], len(uppers), 1 << sc
     ps.insert(d, den)  # the 1 of k!
     # 2^(zs + d S) P and 2^(d S) Q at k = 1 .. d + 2
     qv = [prod(den * k + a for a in ps[:d]) for k in range(1, d + 3)]
@@ -646,7 +660,7 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
     else:
         head_len = used
     wp = fixed_prec()
-    head = _fixed_value(to_fixed(total, wp))
+    head = to_fixed(total, wp)
     coeffs, cgen = [], _tail_coefficients(uppers, lowers, z, wp)
 
     def tail_terms(k):  # c_j u_j(K) at scale 2^wp, u_0(K) = K - 1, u_1 = 1
@@ -661,9 +675,9 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
     while True:
         if head_len > used:
             more, more_peak, more_used, _, _, _ = partial_sum(gen, 0, head_len - used)
-            head, peak = head + _fixed_value(to_fixed(more, wp)), max(peak, more_peak)
+            head, peak = head + to_fixed(more, wp), max(peak, more_peak)
             used += more_used
-        t_k = _fixed_value(next(gen))
+        t_k = next(gen)
         if t_k == 0:  # every later term rounds to 0 too
             tail, err = 0, 0
             break
@@ -684,13 +698,14 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
     if spec.kind != "unilateral":
         raise ValueError("sum_unilateral expects a unilateral spec")
     with ctx.working():
-        cls = classify(spec)
+        ups, lows, z = params = mp_parameters(spec)
+        cls = _classify(spec, *params)
         if cls.tag == "divergent":
             raise DivergentError("series diverges at the given argument")
-        ups, lows, z = mp_parameters(spec)
         _lower_pole_check(ups, lows, cls.n)
         if cls.tag != "algebraic":  # terminating (n, no floor) or geometric
-            return sum_direct(lambda: ratio_terms(*mp_parameters(spec), max_k=cls.n), ctx, cls.ratio)
+            return sum_direct(partial(ratio_terms, max_k=cls.n), params,
+                              lambda: mp_parameters(spec), ctx, cls.ratio)
         return _sum_algebraic(ups, lows, z, ctx, cls.exponent)
 
 

@@ -11,7 +11,10 @@ twice the precision it is the reference of the engines' fixed-point term
 streams. `list_fixed_terms` is the fixed-point stepping loop in its list
 form, which multiplies out the ratio's lists of factors on every term, and
 `list_ratio_terms` and `list_q_ratio_terms` feed it the engines' ratios in
-that form: the engines' streams must equal them bit for bit.
+that form: the engines' streams must equal them bit for bit. They keep a
+complex value as an (re, im) pair of ints with their own arithmetic
+(`gmul`), where the engines use `series.Gauss`; `pair` reads an engine's
+int or Gauss value as such a pair.
 `partial_sum` is the mp-operator form of `series.partial_sum`,
 `clear_of_q_poles` the Fraction form of the catalog's int pole check, and
 `jackson_check` the Fraction form of the jackson-8phi7 sampler's check.
@@ -30,7 +33,7 @@ from mpmath import mpf, sqrt
 
 from hyperid.errors import DivisionByZero, LowerPoleError, PoleError
 from hyperid.precision import fixed_prec, nonpositive_int, to_mp
-from hyperid.series import dyadic, gmul, to_fixed
+from hyperid.series import dyadic, to_fixed
 
 
 def gamma(z, ctx):
@@ -88,6 +91,22 @@ def q_term_stream(uppers, lowers, z, q, extra, max_k=None):
         k += 1
 
 
+def gmul(x, y):
+    """The product of two Gaussian integers given as (re, im) pairs."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def pair(n):
+    """An int or `series.Gauss` value as an (re, im) tuple of ints."""
+    return tuple(n) if isinstance(n, tuple) else (n, 0)
+
+
+def _dyadic(x, cplx):
+    """`series.dyadic` with n as an (re, im) pair when cplx, else an int."""
+    n, s = dyadic(x)
+    return (pair(n) if cplx else n), s
+
+
 def list_fixed_terms(ratio, cplx, max_k, wp, pole):
     """`series.fixed_terms` with a ratio(k) that returns (num factors,
     den factors, sh), the factors' products taken on every term."""
@@ -120,8 +139,8 @@ def list_ratio_terms(uppers, lowers, z, max_k=None):
     """`series.ratio_terms` with its factors x + k rebuilt as lists on every
     term, through `list_fixed_terms`."""
     cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z))
-    (zn, zs), ups, lows = dyadic(z, cplx), [dyadic(a, cplx) for a in uppers], \
-        [dyadic(b, cplx) for b in lowers]
+    (zn, zs), ups, lows = _dyadic(z, cplx), [_dyadic(a, cplx) for a in uppers], \
+        [_dyadic(b, cplx) for b in lowers]
 
     def ratio(k):
         shifted = [((n[0] + (k << s), n[1]) if cplx else n + (k << s)) for n, s in ups + lows]
@@ -139,9 +158,9 @@ def list_q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
     one = 1 << wp
     cplx = any(hasattr(x, "_mpc_") for x in (*uppers, *lowers, z, q))
     nu, e = len(uppers), abs(extra)
-    (zn, zs), (qn, qs) = dyadic(z, cplx), dyadic(q, cplx)
+    (zn, zs), (qn, qs) = _dyadic(z, cplx), _dyadic(q, cplx)
     half = (1 << qs) >> 1
-    pows = [to_fixed(x, wp) if cplx else to_fixed(x, wp)[0] for x in (*uppers, *lowers, q)]
+    pows = [pair(to_fixed(x, wp)) if cplx else to_fixed(x, wp) for x in (*uppers, *lowers, q)]
     power = (1, 0) if cplx else 1
 
     def ratio(k):

@@ -18,8 +18,9 @@ HALF = mpf(1) / 2
 
 
 def _fixed(values):
-    """The mp values as the fixed-point pairs Levin reads, each computed and
-    converted when it is asked for, at the table's raised precision."""
+    """The mp values as the fixed-point ints (Gauss values when complex)
+    Levin reads, each computed and converted when it is asked for, at the
+    table's raised precision."""
     return (to_fixed(v, fixed_prec()) for v in values)
 
 
@@ -162,9 +163,9 @@ def test_levin_value_is_the_weighted_ratio_rounded_once(digits, stream):
     value, _, used = levin_core((read.append(t) or t for t in stream()), ctx)
     with mp.workdps(2 * ctx.dps + 10):
         prec, w = mp.prec, fixed_prec()
-    f = prec + accel.EXTRA_BITS + 1 + read[0][0].bit_length() - w
+    f = prec + accel.EXTRA_BITS + 1 + read[0].bit_length() - w
     xs, ys, partial = [], [], 0
-    for j, (t, _) in enumerate(read[:used]):
+    for j, t in enumerate(read[:used]):
         partial += t
         xs.append(floor(Fraction(partial << f, (j + 1) * t) + Fraction(1, 2)))
         ys.append(floor(Fraction(1 << w + f, (j + 1) * t) + Fraction(1, 2)))
@@ -199,7 +200,7 @@ def test_levin_terms_that_grow_before_they_decay(ctx30):
     # model's sum up to rounding; the terms used grow from 2^270 to 2^380,
     # and the entries' scale must follow them
     total = 2**400
-    terms = ((round(t * 2 ** fixed_prec()), 0) for t in _model_terms(total))
+    terms = (round(t * 2 ** fixed_prec()) for t in _model_terms(total))
     value, err, used = levin_core(terms, ctx30)
     head = list(itertools.islice(_model_terms(1), used))
     assert max(head) / head[0] > 2**100

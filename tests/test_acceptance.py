@@ -15,7 +15,7 @@ from hyperid.catalog import CATALOG, phi_sum
 from hyperid.cli import main as cli_main
 from hyperid.harness import SuiteConfig, run_suite, sample_parameters, verify_one
 from hyperid.precision import PrecisionContext, to_mp
-from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_pochhammer, sum_q_series
+from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from hyperid.series import SeriesSpec, split_bilateral, sum_unilateral
 
 from oracles import brute_bilateral_h, brute_bilateral_psi, gamma
@@ -231,8 +231,10 @@ def test_criterion_7_numerics_substrate():
             x = Fraction(-rng.randint(17, 190), 64)
             n = rng.randint(-5, 5)
             m = rng.randint(-5, 5)
-            lhs = q_pochhammer(x, qc, n + m)
-            rhs = q_pochhammer(x, qc, n) * q_pochhammer(to_mp(x) * to_mp(qv) ** n, qc, m)
+            # (x;q)_n = (x;q)_inf / (x q^n;q)_inf
+            xq = [to_mp(x) * to_mp(qv) ** k for k in (n, n + m)]
+            lhs = q_bracket([x], [xq[1]], qc)
+            rhs = q_bracket([x], [xq[0]], qc) * q_bracket([xq[0]], [xq[1]], qc)
             assert abs(lhs - rhs) <= abs(lhs) * mpf(10) ** -33
     # Levin u recovers zeta(2) = 3F2(1, 1, 1; 2, 2; 1) to 31 digits within 60 terms
     res = sum_unilateral(SeriesSpec((1, 1, 1), (2, 2), 1), ctx)

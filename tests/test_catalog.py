@@ -12,7 +12,7 @@ from hyperid import catalog, exact
 from hyperid.catalog import CATALOG, phi_sum, phi_via_3f2, tolerance_rule
 from hyperid.gammafn import gamma_ratio
 from hyperid.harness import sample_parameters, verify_one
-from hyperid.precision import INF, PrecisionContext, to_mp
+from hyperid.precision import PrecisionContext, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from hyperid.series import SeriesResult, SeriesSpec, sum_unilateral
 
@@ -442,7 +442,7 @@ def test_phi65_terminating_instance(ctx30):
         rhs = q_bracket(
             [qm * am, qm * am / (bm * cm), qm * am / (bm * dm), qm * am / (cm * dm)],
             [qm * am / bm, qm * am / cm, qm * am / dm, qm * am / (bm * cm * dm)],
-            qc, INF,
+            qc,
         )
         assert abs(lhs.value - rhs) < abs(rhs) * mpf(10) ** -30
 

@@ -16,7 +16,7 @@ from mpmath import mp, mpc, mpf, sqrt
 
 from hyperid.precision import fixed_prec, to_mp
 from hyperid.qseries import q_ratio_terms
-from hyperid.series import fixed_terms, from_fixed, partial_sum, ratio_terms
+from hyperid.series import Gauss, fixed_terms, from_fixed, partial_sum, ratio_terms
 
 import oracles
 
@@ -76,7 +76,10 @@ def _check(kernel, list_form, reference, relative_bounds, cplx, split, small):
     prec = mp.prec
     stop_eps = mpf(2) ** -prec if small else 0
     wp = fixed_prec()
-    assert _stream(kernel(), tuple, _EXACT_TERMS) == _stream(list_form(), tuple, _EXACT_TERMS)
+    assert _stream(kernel(), oracles.pair, _EXACT_TERMS) == _stream(list_form(), tuple, _EXACT_TERMS)
+    # an int when real, a Gauss when complex (t_0 = 1 comes before the first step)
+    kinds = {type(t) for t in _stream(kernel(), lambda t: t, _EXACT_TERMS)[0][1:]}
+    assert kinds <= {Gauss if cplx else int}
     # as many terms as the two sums below can use
     terms, error = _stream(kernel(), from_fixed, split + _TERMS)
     with mp.workprec(2 * prec):
@@ -164,7 +167,10 @@ def test_fixed_terms_rounds_a_tie_up():
     # way between 16 and 17 units of its scale 2^-4 in each part; t_1 is kept
     # as 17 (17 + 17i), and t_2 shows it: 5 (9i at the scale 2^-2), where 16
     # would give 4 (8i)
-    for cplx, num, den in ((False, 1056, 1024), (True, (1056, 1056), (1024, 0))):
-        terms = list(fixed_terms(lambda k: (num, den, 0), cplx, 2, 2, ""))
-        assert terms == list(oracles.list_fixed_terms(lambda k: ([num], [den], 0), cplx, 2, 2, ""))
-        assert terms[2] == ((0, 9) if cplx else (5, 0))
+    for cplx, num, den in ((False, 1056, 1024), (True, Gauss((1056, 1056)), 1024)):
+        terms = list(fixed_terms(lambda k: (num, den, 0), 2, 2, ""))
+        list_form = oracles.list_fixed_terms(
+            lambda k: ([oracles.pair(num) if cplx else num], [(den, 0) if cplx else den], 0),
+            cplx, 2, 2, "")
+        assert list(map(oracles.pair, terms)) == list(list_form)
+        assert terms[2] == (Gauss((0, 9)) if cplx else 5)

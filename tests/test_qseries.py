@@ -27,9 +27,10 @@ from hyperid.qseries import (
     split_psi,
     sum_q_series,
 )
-from hyperid.series import dyadic, gmul
+from hyperid.series import dyadic, mp_parameters
 
 import oracles
+from oracles import gmul
 from oracles import brute_bilateral_psi
 
 
@@ -39,9 +40,10 @@ def qc_half(ctx30):
 
 
 def test_qpoch_basics(qc_half, ctx30):
-    assert q_pochhammer(mpf("0.37"), qc_half, 0) == 1
-    assert q_pochhammer(0, qc_half, 5) == 1
     assert q_pochhammer(0, qc_half, INF) == 1
+    # a finite (x;q)_n is the bracket of [x] over [x q^n]: (x;q)_0 and (0;q)_5
+    assert q_bracket([mpf("0.37")], [mpf("0.37")], qc_half) == 1
+    assert q_bracket([0], [0], qc_half) == 1
 
 
 def test_qpoch_infinite_value(qc_half, ctx30):
@@ -212,11 +214,11 @@ def test_euler_row_entries_against_fractions(q, digits):
     with ctx.working():
         qm = to_mp(q)
         wp, _, row = qseries._euler_row(qm, mp.prec, 100 * ctx.dps + 10000)
-    (re, im), s = dyadic(qm, True)
-    exact_q = Fraction(re, 2**s), Fraction(im, 2**s)
+    n, s = dyadic(qm)
+    exact_q = tuple(Fraction(v, 2**s) for v in oracles.pair(n))
     for n, (entry, b) in enumerate(row):
         c = _exact_row_entry(exact_q, n)
-        for got, want in zip(entry, c):
+        for got, want in zip(oracles.pair(entry), c):
             assert abs(got - want * 2**wp) <= Fraction(1, 2) + Fraction(n + 1, 2**30)
         assert c[0] ** 2 + c[1] ** 2 < Fraction(2) ** (2 * b)
         assert (b - n < -wp) == (n == len(row) - 1)
@@ -288,12 +290,14 @@ def test_qpoch_infinite_negative_q(ctx30):
 
 
 def test_qpoch_negative_index_forms(qc_half, ctx30):
-    # divisor form against the (-q/x)^m q^(m(m-1)/2) / (q/x;q)_m variant
+    # (x;q)_-m = (x;q)_inf / (x q^-m;q)_inf against the variant
+    # (-q/x)^m q^(m(m-1)/2) / (q/x;q)_m, both through infinite products
     with ctx30.working():
         q = mpf(1) / 2
         for x, m in ((mpf("0.3"), 3), (mpf("2.6"), 5), (mpf("-1.25"), 4)):
-            mine = q_pochhammer(x, qc_half, -m)
-            variant = (-q / x) ** m * q ** (m * (m - 1) // 2) / q_pochhammer(q / x, qc_half, m)
+            mine = q_bracket([x], [x * q**-m], qc_half)
+            variant = (-q / x) ** m * q ** (m * (m - 1) // 2) / q_bracket(
+                [q / x], [q ** (m + 1) / x], qc_half)
             assert abs(mine - variant) <= abs(mine) * mpf(10) ** -35
 
 
@@ -301,17 +305,17 @@ def test_qpoch_errors(ctx30):
     with pytest.raises(DomainError):
         QContext(mpf("1.5"), ctx30)
     qc = QContext(Fraction(1, 2), ctx30)
-    # x = q^2 makes a factor of (x q^-3; q)_3 vanish
+    # x = q^2 makes (x q^-3;q)_inf = (2;q)_inf vanish, so (x;q)_-3 has none
     with pytest.raises(DivisionByZero):
-        q_pochhammer(Fraction(1, 4), qc, -3)
+        q_bracket([Fraction(1, 4)], [Fraction(1, 4) / qc.q**3], qc)
 
 
 def test_qpoch_rejects_a_non_integer_index(ctx30):
-    # int(n) would give (0.25; 0.5)_2 = 0.65625 for n = 2.5, and a zero factor
-    # of (x;q)_-2 for n = -2.5
+    # only n = INF is evaluated, so neither int(n) nor a finite product takes
+    # n = 2.5 or an int
     qc = QContext(0.5, ctx30)
-    for n in (2.5, -2.5):
-        with pytest.raises(DomainError, match="integer n or INF"):
+    for n in (2.5, -2.5, 2, -2, 0):
+        with pytest.raises(DomainError, match="n = INF only"):
             q_pochhammer(0.25, qc, n)
 
 
@@ -329,8 +333,9 @@ def test_qpoch_functional_equation(n, m, xnum, qnum):
     x = Fraction(xnum, 64)
     with ctx.working():
         q = to_mp(qc.q)
-        lhs = q_pochhammer(x, qc, n + m)
-        rhs = q_pochhammer(x, qc, n) * q_pochhammer(to_mp(x) * q**n, qc, m)
+        # (x;q)_n = (x;q)_inf / (x q^n;q)_inf
+        lhs = q_bracket([x], [x * q ** (n + m)], qc)
+        rhs = q_bracket([x], [x * q**n], qc) * q_bracket([x * q**n], [x * q ** (n + m)], qc)
         assert abs(lhs - rhs) <= abs(lhs) * mpf(10) ** -33
 
 
@@ -339,22 +344,22 @@ def test_qpoch_finite_vs_infinite_ratio(qc_half, ctx30):
         q = mpf(1) / 2
         for x in (mpf("0.45"), mpf("-2.3"), mpf("3.75")):
             for n in (1, 3, 6):
-                fin = q_pochhammer(x, qc_half, n)
-                ratio = q_bracket([x], [x * q**n], qc_half, INF)
+                fin = oracles.qpoch(x, q, n)
+                ratio = q_bracket([x], [x * q**n], qc_half)
                 assert abs(fin - ratio) <= abs(fin) * mpf(10) ** -35
 
 
 def test_q_bracket_values(qc_half, ctx30):
     with ctx30.working():
-        assert abs(q_bracket([mpf("0.8")], [mpf("0.8")], qc_half, INF) - 1) < mpf(10) ** -38
+        assert abs(q_bracket([mpf("0.8")], [mpf("0.8")], qc_half) - 1) < mpf(10) ** -38
         # (q;q)_inf / (q^2;q)_inf = 1 - q
-        v = q_bracket([Fraction(1, 2)], [Fraction(1, 4)], qc_half, INF)
+        v = q_bracket([Fraction(1, 2)], [Fraction(1, 4)], qc_half)
         assert abs(v - mpf("0.5")) < mpf(10) ** -38
-        assert q_bracket([1], [mpf("0.7")], qc_half, INF) == 0
+        assert q_bracket([1], [mpf("0.7")], qc_half) == 0
     with pytest.raises(DivisionByZero):
-        q_bracket([mpf("0.3")], [1], qc_half, INF)
+        q_bracket([mpf("0.3")], [1], qc_half)
     with pytest.raises(IndeterminateError):
-        q_bracket([1], [1], qc_half, INF)
+        q_bracket([1], [1], qc_half)
 
 
 def _omega_bracket(a, c, d, e, f, q):
@@ -381,7 +386,7 @@ def test_q_bracket_rounds_its_quotient_once(seed, index):
     for numers, denoms, nome in cases:
         qc = QContext(nome, ctx)
         with ctx.working():
-            value, prec = q_bracket(numers, denoms, qc, INF), mp.prec
+            value, prec = q_bracket(numers, denoms, qc), mp.prec
             xs, ys, qq = [to_mp(x) for x in numers], [to_mp(y) for y in denoms], to_mp(nome)
             entries = [q_pochhammer(x, qc, INF) for x in xs], [q_pochhammer(y, qc, INF) for y in ys]
         with mp.workdps(3 * ctx.dps):
@@ -576,7 +581,7 @@ def test_bailey_6psi6_point(qc_half, ctx30):
             [q, q * a, q / a, q * a / (b * c), q * a / (b * d), q * a / (b * e),
              q * a / (c * d), q * a / (c * e), q * a / (d * e)],
             [q / b, q / c, q / d, q / e, q * a / b, q * a / c, q * a / d, q * a / e, z],
-            qc_half, INF,
+            qc_half,
         )
         assert abs(lhs.value - rhs) / abs(rhs) < mpf(10) ** -25
 
@@ -652,10 +657,13 @@ def test_complex_q_supported(ctx30):
     # complex nome accepted by the evaluators (not sampled by the harness)
     qc = QContext(mpc("0.3", "0.2"), ctx30)
     with ctx30.working():
-        x = mpf("0.5")
-        whole = q_pochhammer(x, qc, 4)
-        split = q_pochhammer(x, qc, 2) * q_pochhammer(x * to_mp(qc.q) ** 2, qc, 2)
+        x, q = mpf("0.5"), to_mp(qc.q)
+        # (x;q)_4 as the bracket of [x] over [x q^4], split at 2, and as the
+        # finite product
+        whole = q_bracket([x], [x * q**4], qc)
+        split = q_bracket([x], [x * q**2], qc) * q_bracket([x * q**2], [x * q**4], qc)
         assert abs(whole - split) <= abs(whole) * mpf(10) ** -35
+        assert abs(whole - oracles.qpoch(x, q, 4)) <= abs(whole) * mpf(10) ** -35
         res = sum_q_series(QSeriesSpec((x,), (), mpf("0.25"), "phi"), qc)
         assert res.terms_used > 1
 
@@ -672,3 +680,29 @@ def test_psi_requires_balanced_counts():
         QSeriesSpec((mpf(2),), (mpf("0.5"), mpf("0.5")), mpf("0.5"), "psi")
     # a phi series takes any counts
     QSeriesSpec((mpf(2),), (mpf("0.5"), mpf("0.5")), mpf("0.5"), "phi")
+
+
+def test_qpoch_type_follows_its_inputs(ctx30):
+    # the Euler row is cached per nome and type: a complex nome with a zero
+    # imaginary part keeps complex products, and the real nome equal to it
+    # real ones, whichever of the two came first; x = 2^-300 takes c_0 alone
+    for order in ((mpf("0.5"), mpc("0.5", 0)), (mpc("0.5", 0), mpf("0.5"))):
+        qseries._euler_row.cache_clear()
+        for qv in order:
+            for x in (mpf("-1.5"), mpf("0.25"), mpf(2) ** -300):
+                v = q_pochhammer(x, QContext(qv, ctx30), INF)
+                assert isinstance(v, mpc) == isinstance(qv, mpc)
+
+
+def test_a_one_pass_phi_sum_converts_its_parameters_once(ctx30, monkeypatch):
+    # the route and both of the pass's streams (head and tail) share one conversion
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return mp_parameters(spec)
+
+    monkeypatch.setattr(qseries, "mp_parameters", counting)
+    spec = QSeriesSpec((Fraction(1, 3), Fraction(5, 4)), (Fraction(3, 2),), Fraction(1, 2), "phi")
+    res = sum_q_series(spec, QContext(Fraction(1, 2), ctx30))
+    assert res.method == "direct+tail" and calls == [spec]

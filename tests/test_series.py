@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import floor
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from hyperid.errors import (
     BudgetExceeded,
@@ -20,11 +22,16 @@ from hyperid.errors import (
 from hyperid.gammafn import gamma_ratio
 from hyperid.precision import PrecisionContext, fixed_prec, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
+from hyperid import series
 from hyperid.series import (
+    Gauss,
     SeriesSpec,
+    _rdiv,
     _tail_coefficients,
     classify,
+    dyadic,
     from_fixed,
+    mp_parameters,
     partial_sum,
     split_bilateral,
     sum_bilateral,
@@ -33,6 +40,7 @@ from hyperid.series import (
     to_fixed,
 )
 
+import oracles
 from oracles import brute_bilateral_h
 
 
@@ -196,10 +204,30 @@ def _cancelling_stream(loss):
     return stream, calls
 
 
+def test_a_unilateral_sum_converts_its_parameters_once_a_pass(ctx30, monkeypatch):
+    # the route and the first pass share one conversion, at the working
+    # precision; each raised pass converts again at its own
+    precs = []
+
+    def counting(spec):
+        precs.append(mp.prec)
+        return mp_parameters(spec)
+
+    monkeypatch.setattr(series, "mp_parameters", counting)
+    sum_unilateral(SeriesSpec((Fraction(1, 3), Fraction(5, 4)), (Fraction(3, 2),), Fraction(1, 2)), ctx30)
+    assert len(precs) == 1
+    precs.clear()
+    # 1F1(1; 2; -60): terms up to about 10^24 sum to 1/60, so a second pass runs
+    res = sum_unilateral(SeriesSpec((1,), (2,), -60), ctx30)
+    with mp.workdps(60):
+        assert abs(res.value - (mpmath.exp(-60) - 1) / -60) < mpf(10) ** -40
+    assert len(precs) == 2 and precs[1] > precs[0]
+
+
 def test_sum_direct_pass_contract(ctx30):
     # ctx30 works at 40 digits, 10 beyond the 30 reported
     stream, calls = _cancelling_stream(5)  # loses 6 digits: within the guard
-    res = sum_direct(stream, ctx30, mpf(0))
+    res = sum_direct(stream, (), tuple, ctx30, mpf(0))
     with ctx30.working():
         total = mpf(0)
         for t in itertools.islice(stream(), res.terms_used):
@@ -209,20 +237,20 @@ def test_sum_direct_pass_contract(ctx30):
     assert res.err_estimate < mpf(10) ** -33
     # loses 26 digits: the second pass adds them
     stream, calls = _cancelling_stream(25)
-    res = sum_direct(stream, ctx30, mpf(0))
+    res = sum_direct(stream, (), tuple, ctx30, mpf(0))
     assert calls == [40, 66]
     with mp.workdps(200):
         assert abs(res.value - mpf(1) / 3) <= res.err_estimate < mpf(10) ** -38
     # not one digit survives at 40: the second pass runs at three times that
     stream, calls = _cancelling_stream(50)
-    res = sum_direct(stream, ctx30, mpf(0))
+    res = sum_direct(stream, (), tuple, ctx30, mpf(0))
     assert calls == [40, 120]
     with mp.workdps(200):
         assert abs(res.value - mpf(1) / 3) <= res.err_estimate
     # 1080 digits would pass the ceiling of ten times the working precision
     stream, calls = _cancelling_stream(500)
     with pytest.raises(CancellationError, match="360 working digits"):
-        sum_direct(stream, ctx30, mpf(0))
+        sum_direct(stream, (), tuple, ctx30, mpf(0))
     assert calls == [40, 120, 360]
 
 
@@ -495,3 +523,76 @@ def test_direct_route_error_bound(ctx30, uppers, lowers, z, q):
         else:
             exact = mpmath.qhyper(ups, lows, to_mp(q), zz)
         assert abs(res.value - exact) <= res.err_estimate
+
+
+# Gauss against Fraction arithmetic on (re, im) pairs; small ints make ties
+# and zero parts common, big ones carry
+_INT = st.one_of(st.integers(-40, 40), st.integers(-2**130, 2**130))
+_GAUSS = st.builds(lambda re, im: Gauss((re, im)), _INT, _INT)
+_VALUE = st.one_of(_INT, _GAUSS)
+
+
+def _pair(x):
+    """(re, im) of an int or a Gauss as Fractions."""
+    return tuple(map(Fraction, oracles.pair(x)))
+
+
+def _is(x, re, im, gauss):
+    """x is the int re (im = 0), or the Gauss (re, im) when gauss."""
+    return type(x) is (Gauss if gauss else int) and _pair(x) == (re, im)
+
+
+def _round(v):
+    return floor(v + Fraction(1, 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_VALUE, _VALUE, _INT.filter(bool), st.integers(0, 200))
+def test_gauss_arithmetic_against_fractions(x, y, n, k):
+    (a, b), (c, d) = _pair(x), _pair(y)
+    gauss = isinstance(x, Gauss) or isinstance(y, Gauss)
+    assert _is(x + y, a + c, b + d, gauss) and _is(x - y, a - c, b - d, gauss)
+    assert _is(x * y, a * c - b * d, a * d + b * c, gauss)
+    one = isinstance(x, Gauss)
+    assert _is(-x, -a, -b, one) and _is(x // n, floor(a / n), floor(b / n), one)
+    assert _is(x << k, a * 2**k, b * 2**k, one) and _is(x >> k, floor(a / 2**k), floor(b / 2**k), one)
+    assert _is(x.conjugate(), a, -b, one)
+    assert bool(x) == (a != 0 or b != 0) and (x == y) == ((a, b) == (c, d)) != (x != y)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_VALUE, _VALUE.filter(bool))
+def test_rdiv_rounds_each_part_half_up(x, d):
+    # x / d = x conj(d) / |d|^2, for int and Gaussian divisors of either sign
+    (a, b), (c, e) = _pair(x), _pair(d)
+    norm = c * c + e * e
+    re, im = (a * c + b * e) / norm, (b * c - a * e) / norm
+    assert _is(_rdiv(x, d), _round(re), _round(im), isinstance(x, Gauss) or isinstance(d, Gauss))
+
+
+_MP_PART = st.builds(lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
+                     st.integers(-2**200, 2**200), st.integers(-300, 100))
+
+
+def _fraction(v):
+    sign, man, exp, _ = v._mpf_  # mpf.man_exp drops the sign
+    return (-man if sign else man) * Fraction(2) ** exp
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_MP_PART, st.builds(lambda re, im: mp.make_mpc((re._mpf_, im._mpf_)), _MP_PART,
+                                      _MP_PART)), st.integers(0, 400))
+def test_dyadic_and_fixed_round_trip(x, wp):
+    # dyadic is exact; to_fixed rounds each part halves up, and from_fixed
+    # reads the value back exactly: an int for an mpf, a Gauss for an mpc
+    gauss = isinstance(x, mpc)
+    re, im = (_fraction(x.real), _fraction(x.imag)) if gauss else (_fraction(x), 0)
+    n, s = dyadic(x)
+    assert s >= 0 and _is(n, re * 2**s, im * 2**s, gauss)
+    t = to_fixed(x, wp)
+    assert _is(t, _round(re * 2**wp), _round(im * 2**wp), gauss)
+    back = from_fixed(t, wp)
+    t_re, t_im = _pair(t)
+    assert isinstance(back, mpc) == (t_im != 0)
+    assert (_fraction(back.real), _fraction(back.imag)) == (t_re / 2**wp, t_im / 2**wp)
+    assert to_fixed(back, wp) == t
