@@ -33,7 +33,7 @@ from mpmath import mpc, mpf
 from . import exact
 from .errors import DomainError
 from .gammafn import gamma_ratio
-from .precision import PrecisionContext, exact_int, nonpositive_int, to_mp
+from .precision import PrecisionContext, exact_int, nonpositive_int, pow10, to_mp
 from .qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from .series import SeriesResult, SeriesSpec, combined_method, sum_bilateral, sum_unilateral
 
@@ -113,21 +113,36 @@ def _clear_of_q_poles(x, q, upto: Optional[int] = None) -> bool:
     return True
 
 
+def _quot(ups, downs=()):
+    """prod(ups) / prod(downs) of int pairs x = a/b, b > 0, with positive
+    downs: an unreduced int pair of the same kind."""
+    n = d = 1
+    for u, v in ups:
+        n, d = n * u, d * v
+    for u, v in downs:
+        n, d = n * v, d * u
+    return n, d
+
+
 def _clear(q, values, squared=()) -> bool:
-    """No value on a q-power pole and none of `squared` on a q^2-power pole."""
-    q, q2 = q.as_integer_ratio(), (q * q).as_integer_ratio()
-    return (all(_clear_of_q_poles(x.as_integer_ratio(), q) for x in values)
-            and all(_clear_of_q_poles(x.as_integer_ratio(), q2) for x in squared))
+    """No value on a q-power pole and none of `squared` on a q^2-power pole,
+    q and the values int pairs as `_clear_of_q_poles` reads them."""
+    q2 = (q[0] * q[0], q[1] * q[1])
+    return (all(_clear_of_q_poles(x, q) for x in values)
+            and all(_clear_of_q_poles(x, q2) for x in squared))
 
 
 def _vwp_clear(q, a, xs) -> bool:
-    """The pole rule of a very-well-poised sum in a with extras xs."""
-    pairs = (q * a / (x * y) for x, y in combinations(xs, 2))
-    return _clear(q, [a, *(q * a / x for x in xs), *pairs], [a])
+    """The pole rule of a very-well-poised sum in a with extras xs (int pairs)."""
+    qa = _quot([q, a])
+    return _clear(q, [a, *(_quot([qa], [x]) for x in xs),
+                      *(_quot([qa], pair) for pair in combinations(xs, 2))], [a])
 
 
 def _z_in_range(z) -> bool:
-    return Fraction(1, 20) <= z <= Fraction(4, 5)
+    """1/20 <= z <= 4/5 for an int pair z."""
+    n, d = z
+    return d <= 20 * n and 5 * n <= 4 * d
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +517,8 @@ def _bailey_sampler(rng, index):
 
 
 def _bailey_check(p):
-    a, b, c, d, e, q = (p[k] for k in "abcdeq")
-    return _z_in_range(q * a * a / (b * c * d * e)) and _vwp_clear(q, a, (b, c, d, e))
+    a, b, c, d, e, q = (p[k].as_integer_ratio() for k in "abcdeq")
+    return _z_in_range(_quot([q, a, a], [b, c, d, e])) and _vwp_clear(q, a, (b, c, d, e))
 
 
 def _bailey_lhs(a, b, c, d, e, q, ctx):
@@ -527,8 +542,8 @@ def _phi65_sampler(rng, index):
 
 
 def _phi65_check(p):
-    a, b, c, d, q = (p[k] for k in "abcdq")
-    return _z_in_range(q * a / (b * c * d)) and _vwp_clear(q, a, (b, c, d))
+    a, b, c, d, q = (p[k].as_integer_ratio() for k in "abcdq")
+    return _z_in_range(_quot([q, a], [b, c, d])) and _vwp_clear(q, a, (b, c, d))
 
 
 def _phi65_lhs(a, b, c, d, q, ctx):
@@ -556,8 +571,7 @@ def _jackson_check(p):
     (a, *_, big_a, _), (*qa_over, low_b, low_c) = exact.jackson_parameters(a, b, c, d, q, n)
     q = q.as_integer_ratio()
     return (
-        all(_clear_of_q_poles(x, q) for x in (a, *qa_over))
-        and _clear_of_q_poles(a, (q[0] * q[0], q[1] * q[1]))
+        _clear(q, [a, *qa_over], [a])
         and _clear_of_q_poles(big_a, q, upto=n + 1)
         and _clear_of_q_poles(low_b, q, upto=n)
         and _clear_of_q_poles(low_c, q, upto=n)
@@ -574,16 +588,17 @@ def _jackson_nt_sampler(rng, index):
 
 
 def _jackson_nt_check(p):
-    a, b, c, d, e, q = (p[k] for k in "abcdeq")
-    f = q * a * a / (b * c * d * e)
-    if not Fraction(1, 32) <= f <= 32:
+    a, b, c, d, e, q = (p[k].as_integer_ratio() for k in "abcdeq")
+    f = _quot([q, a, a], [b, c, d, e])
+    if not (f[1] <= 32 * f[0] and f[0] <= 32 * f[1]):  # 1/32 <= f <= 32
         return False
+    qa, qb = _quot([q, a]), _quot([q, b])
     values = [a, b, c, d, e, f,
-              q * a / b, q * a / c, q * a / d, q * a / e, b * c * d * e / a,
-              b * c / a, b * d / a, b * e / a, b * f / a,
-              q * b / a, q * b / c, q * b / d, q * b / e, b * b * c * d * e / (a * a),
-              b * b * q / a, q * a / (c * d * e)]
-    return _clear(q, values, [a, b * b / a])
+              *(_quot([qa], [x]) for x in (b, c, d, e)), _quot([b, c, d, e], [a]),
+              *(_quot([b, x], [a]) for x in (c, d, e, f)),
+              *(_quot([qb], [x]) for x in (a, c, d, e)), _quot([b, b, c, d, e], [a, a]),
+              _quot([b, b, q], [a]), _quot([qa], [c, d, e])]
+    return _clear(q, values, [a, _quot([b, b], [a])])
 
 
 def _jackson_nt_lhs(a, b, c, d, e, q, ctx):
@@ -622,21 +637,20 @@ def _split_sampler(rng, index):
 
 
 def _split_check(p):
-    a, c, d, e, f, q = (p[k] for k in "acdefq")
-    cdef = c * d * e * f
-    if not _z_in_range(q * a * a / cdef):
+    a, c, d, e, f, q = (p[k].as_integer_ratio() for k in "acdefq")
+    cdef = _quot([c, d, e, f])
+    if not _z_in_range(_quot([q, a, a], [cdef])):
         return False
-    big_a = cdef / a
+    qa, big_a = _quot([q, a]), _quot([cdef], [a])
+    qqa = _quot([q, qa])
     values = [c, d, e, f, a,
-              q * a / c, q * a / d, q * a / e, q * a / f,
+              *(_quot([qa], [x]) for x in (c, d, e, f)),
               big_a,
-              q * a / (c * d * e), q * a / (c * d * f), q * a / (c * e * f), q * a / (d * e * f),
-              q * q * a / cdef,
-              q * q * a * a / (c * d * e * f * f), q * q * a * a / (c * d * e * e * f),
-              q * q * a * a / (c * d * d * e * f), q * q * a * a / (c * c * d * e * f),
-              q * a / (c * d), q * a / (c * e), q * a / (c * f),
-              q * a / (d * e), q * a / (d * f), q * a / (e * f)]
-    return _clear(q, values, [a, big_a, q * q * a**3 / cdef**2, a / cdef])
+              *(_quot([qa], xs) for xs in combinations((c, d, e, f), 3)),
+              _quot([qqa], [cdef]),
+              *(_quot([qqa, a], [cdef, x]) for x in (f, e, d, c)),
+              *(_quot([qa], xs) for xs in combinations((c, d, e, f), 2))]
+    return _clear(q, values, [a, big_a, _quot([qqa, a, a], [cdef, cdef]), _quot([a], [cdef])])
 
 
 def _omega_lhs(a, c, d, e, f, q, ctx):
@@ -864,4 +878,4 @@ def tolerance_rule(lhs: SeriesResult, rhs: SeriesResult, ctx: PrecisionContext):
     with ctx.working():
         diff = abs(lhs.value - rhs.value)
         rel = diff / abs(rhs.value) if rhs.value != 0 else diff
-        return diff, rel, bool(rel < mpf(10) ** -ctx.digits)
+        return diff, rel, bool(rel < pow10(-ctx.digits))

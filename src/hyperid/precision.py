@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 INF = mpmath.inf
 
@@ -47,7 +48,19 @@ class PrecisionContext:
 
     def eps(self):
         """10^-dps, the unit used by stopping rules (valid at any ambient dps)."""
-        return mpf(10) ** (-self.dps)
+        return pow10(-self.dps)
+
+
+def pow10(n: int):
+    """10^n at the ambient precision, bit for bit `mpf(10) ** n`, computed
+    once per (n, mp.prec)."""
+    return _pow10(n, mp.prec)
+
+
+@lru_cache(maxsize=256)
+def _pow10(n, prec):
+    with mp.workprec(prec):
+        return mpf(10) ** n
 
 
 GUARD_BITS = 30  # fixed-point bits beyond the ambient precision
@@ -68,9 +81,10 @@ def to_mp(value):
     if isinstance(value, (mpf, mpc)):
         return value
     if isinstance(value, Fraction):
-        num, den = value.numerator, value.denominator  # den = 2^k: num rounded once, as by /
-        return (mpf(num) / mpf(den) if den & (den - 1) else
-                mp.make_mpf(from_man_exp(num, 1 - den.bit_length(), mp.prec, round_nearest)))
+        # the exact quotient rounded once; den = 2^k needs no division
+        num, den, prec = value.numerator, value.denominator, mp.prec
+        return mp.make_mpf(from_rational(num, den, prec, round_nearest) if den & (den - 1) else
+                           from_man_exp(num, 1 - den.bit_length(), prec, round_nearest))
     if isinstance(value, complex):
         return mpc(value.real, value.imag)
     if isinstance(value, (int, float, str)):

@@ -190,7 +190,11 @@ def _infinite_product(x, q, ctx: PrecisionContext):
     # scale 2^wp with y = p / 2^e, each step rounded to the nearest unit: as in
     # `series._rdiv`, t - (t >> 1) with t = floor(2 acc y) rounds acc y halves up
     ly, p2, acc = (_norm(p).bit_length() + 1) // 2 - e, p << 1, 0
-    n = next((n for n, (_, b) in enumerate(row) if b + n * ly < -wp), len(row))
+    n = 0
+    for _, b in row:
+        if b + n * ly < -wp:
+            break
+        n += 1
     for c, _ in reversed(row[:n]):
         acc = (t := acc * p2 >> e) - (t >> 1) + c
     acc *= h
@@ -229,7 +233,7 @@ def q_bracket(numers, denoms, qc: QContext):
 
 def _bits(x):
     """The bit length of the larger part of an int or a `series.Gauss`."""
-    return max(map(abs, _parts(x))).bit_length()
+    return x.bit_length() if type(x) is int else max(x[0].bit_length(), x[1].bit_length())
 
 
 def split_psi(spec: QSeriesSpec, qc: QContext):

@@ -18,7 +18,8 @@ Routes, chosen by convergence class:
                terms summed directly plus the tail t_K f(K), where
                f(K) = T_K / t_K is an inverse factorial series whose
                coefficients follow a banded int recurrence (direct+tail);
-               otherwise the Levin u-transform
+               otherwise the Levin u-transform, and direct+tail with
+               K = max(48, dps + 20) where the transform fails
 Bilateral sums are split at k = 0; the negative tail becomes a unilateral
 series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k. The q
 engine routes a nonterminating balanced phi series through `sum_direct`
@@ -65,6 +66,7 @@ from mpmath.libmp import to_fixed as mpf_to_fixed
 
 from .accel import levin_core
 from .errors import (
+    AccelerationFailed,
     BudgetExceeded,
     CancellationError,
     DivergentError,
@@ -74,7 +76,7 @@ from .errors import (
     NotConvergent,
     PoleError,
 )
-from .precision import PrecisionContext, fixed_prec, nonpositive_int, to_mp
+from .precision import PrecisionContext, fixed_prec, nonpositive_int, pow10, to_mp
 
 
 @dataclass(frozen=True)
@@ -630,10 +632,11 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
 
     A 48-term probe estimates the count k_needed at which C k^-s, fitted at
     its last term, falls below 10^-(digits+4) of the sum; from
-    min(max_terms, _DIRECT_CAP) on, the Levin u-transform sums the series.
-    Otherwise (direct+tail) the head t_0 .. t_{K-1}, K = max(48,
-    min(dps + 20, k_needed + 1)) (or the probe's count when its terms
-    already fell below eps), is summed exactly and the tail is
+    min(max_terms, _DIRECT_CAP) on, the Levin u-transform sums the series,
+    and where it raises AccelerationFailed direct+tail does, with
+    K = max(48, dps + 20). Otherwise (direct+tail) the head t_0 .. t_{K-1},
+    K = max(48, min(dps + 20, k_needed + 1)) (or the probe's count when its
+    terms already fell below eps), is summed exactly and the tail is
     t_K f(K), f the inverse factorial series of `_tail_coefficients`,
     added by `_tail_sum` until three of its terms in a row fall below
     eps |head + t_K (its terms so far)| / |t_K|. When 3K terms do not
@@ -647,16 +650,21 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
     total, peak, used, last, _, settled = partial_sum(gen, ctx.eps(), 48)
     if not settled and last != 0:
         scale = max(mpf(1), abs(total), peak)
-        target = mpf(10) ** (-(ctx.digits + 4)) * scale
+        target = pow10(-(ctx.digits + 4)) * scale
         c_coeff = abs(last) * mpf(used) ** s
         k_needed = (c_coeff / target) ** (1 / (s - 1))
         # the direct route is only worth it while it stays cheap; slowly
         # decaying series (small exponents) go to the accelerator, which
         # regenerates the terms at its boosted precision
-        if k_needed >= min(ctx.max_terms, _DIRECT_CAP):
-            value, err, used = levin_core(ratio_terms(uppers, lowers, z), ctx)
-            return SeriesResult(value, err, used, "levin")
-        head_len = max(used, min(ctx.dps + 20, int(k_needed) + 1))
+        if k_needed < min(ctx.max_terms, _DIRECT_CAP):
+            head_len = max(used, min(ctx.dps + 20, int(k_needed) + 1))
+        else:
+            try:
+                value, err, levin_used = levin_core(ratio_terms(uppers, lowers, z), ctx)
+            except AccelerationFailed:  # the factorial tail takes what the table cannot
+                head_len = max(used, ctx.dps + 20)
+            else:
+                return SeriesResult(value, err, levin_used, "levin")
     else:
         head_len = used
     wp = fixed_prec()
@@ -742,22 +750,27 @@ def split_bilateral(spec: SeriesSpec, ctx: PrecisionContext):
     if spec.kind != "bilateral":
         raise ValueError("split_bilateral expects a bilateral spec")
     with ctx.working():
-        ups, lows, z = mp_parameters(spec)
-        if z == 0:
-            raise DivergentError("bilateral series undefined at z = 0")
-        plus = SeriesSpec((mpf(1), *ups), tuple(lows), z, "unilateral")
-        reflected = reflected_factors(ups, lows, lambda x: 1 - x, "1")
-        if reflected is None:
-            return plus, mpf(0), None
-        pnum, pden = reflected
-        pref = pnum / pden / z
-        minus = SeriesSpec(
-            (mpf(1), *(2 - b for b in lows)),
-            tuple(2 - a for a in ups),
-            1 / z,
-            "unilateral",
-        )
-        return plus, pref, minus
+        return _split(*mp_parameters(spec))
+
+
+def _split(ups, lows, z):
+    """`split_bilateral` of a spec whose `mp_parameters` are ups, lows and z,
+    at working precision."""
+    if z == 0:
+        raise DivergentError("bilateral series undefined at z = 0")
+    plus = SeriesSpec((mpf(1), *ups), tuple(lows), z, "unilateral")
+    reflected = reflected_factors(ups, lows, lambda x: 1 - x, "1")
+    if reflected is None:
+        return plus, mpf(0), None
+    pnum, pden = reflected
+    pref = pnum / pden / z
+    minus = SeriesSpec(
+        (mpf(1), *(2 - b for b in lows)),
+        tuple(2 - a for a in ups),
+        1 / z,
+        "unilateral",
+    )
+    return plus, pref, minus
 
 
 def sum_bilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
@@ -765,12 +778,13 @@ def sum_bilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
     if spec.kind != "bilateral":
         raise ValueError("sum_bilateral expects a bilateral spec")
     with ctx.working():
-        cls = classify(spec)
+        params = mp_parameters(spec)
+        cls = _classify(spec, *params)
         if cls.tag == "divergent":
             if cls.exponent is not None:
                 raise NotConvergent(f"bilateral decay exponent Re = {cls.exponent} is not > 1")
             raise DivergentError("bilateral series diverges at the given argument")
-    plus, pref, minus = split_bilateral(spec, ctx)
+        plus, pref, minus = _split(*params)
     res_plus = sum_unilateral(plus, ctx)
     res_minus = sum_unilateral(minus, ctx) if minus is not None else None
     with ctx.working():

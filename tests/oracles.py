@@ -17,7 +17,9 @@ complex value as an (re, im) pair of ints with their own arithmetic
 int or Gauss value as such a pair.
 `partial_sum` is the mp-operator form of `series.partial_sum`,
 `clear_of_q_poles` the Fraction form of the catalog's int pole check, and
-`jackson_check` the Fraction form of the jackson-8phi7 sampler's check.
+`jackson_check`, `bailey_check`, `phi65_check`, `jackson_nt_check` and
+`split_check` the Fraction forms of the q samplers' checks, which the
+catalog runs on int pairs.
 `ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
 the fixed-point streams state. `gamma` is mpmath's gamma function at a
 context's working precision, with a PoleError at its poles: the reference
@@ -26,6 +28,7 @@ of the gamma-ratio and Pochhammer tests.
 
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import prod
 
 import mpmath
@@ -253,6 +256,65 @@ def jackson_check(p):
         and clear_of_q_poles(low_b, q, upto=n)
         and clear_of_q_poles(low_c, q, upto=n)
     )
+
+
+def _clear(q, values, squared=()):
+    return (all(clear_of_q_poles(x, q) for x in values)
+            and all(clear_of_q_poles(x, q * q) for x in squared))
+
+
+def _vwp_clear(q, a, xs):
+    pairs = (q * a / (x * y) for x, y in combinations(xs, 2))
+    return _clear(q, [a, *(q * a / x for x in xs), *pairs], [a])
+
+
+def _z_in_range(z):
+    return Fraction(1, 20) <= z <= Fraction(4, 5)
+
+
+def bailey_check(p):
+    """`catalog._bailey_check` in Fraction arithmetic."""
+    a, b, c, d, e, q = (p[k] for k in "abcdeq")
+    return _z_in_range(q * a * a / (b * c * d * e)) and _vwp_clear(q, a, (b, c, d, e))
+
+
+def phi65_check(p):
+    """`catalog._phi65_check` in Fraction arithmetic."""
+    a, b, c, d, q = (p[k] for k in "abcdq")
+    return _z_in_range(q * a / (b * c * d)) and _vwp_clear(q, a, (b, c, d))
+
+
+def jackson_nt_check(p):
+    """`catalog._jackson_nt_check` in Fraction arithmetic."""
+    a, b, c, d, e, q = (p[k] for k in "abcdeq")
+    f = q * a * a / (b * c * d * e)
+    if not Fraction(1, 32) <= f <= 32:
+        return False
+    values = [a, b, c, d, e, f,
+              q * a / b, q * a / c, q * a / d, q * a / e, b * c * d * e / a,
+              b * c / a, b * d / a, b * e / a, b * f / a,
+              q * b / a, q * b / c, q * b / d, q * b / e, b * b * c * d * e / (a * a),
+              b * b * q / a, q * a / (c * d * e)]
+    return _clear(q, values, [a, b * b / a])
+
+
+def split_check(p):
+    """`catalog._split_check` (omega, theta, bailey-split) in Fraction arithmetic."""
+    a, c, d, e, f, q = (p[k] for k in "acdefq")
+    cdef = c * d * e * f
+    if not _z_in_range(q * a * a / cdef):
+        return False
+    big_a = cdef / a
+    values = [c, d, e, f, a,
+              q * a / c, q * a / d, q * a / e, q * a / f,
+              big_a,
+              q * a / (c * d * e), q * a / (c * d * f), q * a / (c * e * f), q * a / (d * e * f),
+              q * q * a / cdef,
+              q * q * a * a / (c * d * e * f * f), q * q * a * a / (c * d * e * e * f),
+              q * q * a * a / (c * d * d * e * f), q * q * a * a / (c * c * d * e * f),
+              q * a / (c * d), q * a / (c * e), q * a / (c * f),
+              q * a / (d * e), q * a / (d * f), q * a / (e * f)]
+    return _clear(q, values, [a, big_a, q * q * a**3 / cdef**2, a / cdef])
 
 
 def partial_sum(terms, stop_eps, limit):

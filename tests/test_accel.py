@@ -12,7 +12,7 @@ from hyperid import accel
 from hyperid.accel import levin_core
 from hyperid.errors import AccelerationFailed
 from hyperid.precision import PrecisionContext, fixed_prec
-from hyperid.series import SeriesSpec, sum_unilateral, to_fixed
+from hyperid.series import SeriesSpec, ratio_terms, sum_unilateral, to_fixed
 
 HALF = mpf(1) / 2
 
@@ -118,6 +118,23 @@ def test_levin_acceleration_failed(ctx30):
     assert len(str(info.value)) < 80
     # the message names the stop and the trend of |t_m| there
     assert "reached its cap at 160 terms; |t_m| not growing" in str(info.value)
+
+
+@pytest.mark.parametrize("a, b, c, digits, stop", [
+    # terms that grow until k ~ 180
+    ("20.25", "20.125", "41.375", 30, "at 31 terms; |t_m| growing"),
+    ("480", "0.5", "500.5", 60, "at 234 terms; |t_m| not growing"),
+], ids=["growing", "not-growing"])
+def test_levin_degraded_past_its_best_names_the_trend(a, b, c, digits, stop):
+    # Gauss 2F1(a, b; c; 1) streams that the table cannot sum (the algebraic
+    # route sums them direct+tail instead): the message names the stop and
+    # the trend of |t_m| there
+    ctx = PrecisionContext(digits=digits)
+    with ctx.working():
+        terms = ratio_terms([mpf(a), mpf(b)], [mpf(c)], mpf(1))
+    with pytest.raises(AccelerationFailed) as info:
+        levin_core(terms, ctx)
+    assert str(info.value).startswith(f"Levin degraded past its best {stop}; best error ")
 
 
 def test_levin_keeps_no_state_between_calls(ctx30):

@@ -16,7 +16,16 @@ from hyperid.precision import PrecisionContext, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from hyperid.series import SeriesResult, SeriesSpec, sum_unilateral
 
-from oracles import chu_vandermonde, clear_of_q_poles, jackson_check, term_stream
+from oracles import (
+    bailey_check,
+    chu_vandermonde,
+    clear_of_q_poles,
+    jackson_check,
+    jackson_nt_check,
+    phi65_check,
+    split_check,
+    term_stream,
+)
 
 
 def _sides(ident, params, ctx):
@@ -89,6 +98,27 @@ def test_jackson_check_on_ints_matches_the_fraction_form(p):
     assert catalog._jackson_check(p) == jackson_check(p)
 
 
+@st.composite
+def _q_params(draw):
+    # parameters q^i put products such as q a/b on a q-power pole whenever
+    # the exponents line up; fractions near 1 keep z in range often enough
+    q = draw(_POLE_Q)
+    param = st.one_of(st.fractions(Fraction(1, 4), 4, max_denominator=64),
+                      st.integers(-6, 6).map(lambda i: q**i))
+    return {**{k: draw(param) for k in "abcdef"}, "q": q}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_q_params())
+def test_q_checks_on_int_pairs_match_the_fraction_forms(p):
+    # each check reads its own parameters of the one dict
+    for check, oracle in ((catalog._bailey_check, bailey_check),
+                          (catalog._phi65_check, phi65_check),
+                          (catalog._jackson_nt_check, jackson_nt_check),
+                          (catalog._split_check, split_check)):
+        assert check(p) == oracle(p)
+
+
 def test_terminating_samples_are_pinned():
     # the sampled dicts of the three exact ids, seeds 1-3, indices 0-99, as
     # drawn by the checks of Fraction arithmetic
@@ -100,6 +130,16 @@ def test_terminating_samples_are_pinned():
     fraction_form = replace(CATALOG["jackson-8phi7"], check=jackson_check)
     assert dicts[-300:] == [sample_parameters(fraction_form, seed, index)
                             for seed in (1, 2, 3) for index in range(100)]
+
+
+def test_q_samples_are_pinned():
+    # the sampled dicts of the other six q ids, seeds 1-3, indices 0-99, as
+    # drawn by the checks of Fraction arithmetic
+    ids = ("bailey-6psi6", "phi65", "jackson-nt", "omega", "theta", "bailey-split")
+    dicts = [sample_parameters(CATALOG[i], seed, index)
+             for i in ids for seed in (1, 2, 3) for index in range(100)]
+    digest = "1fea403bca4a94ffbb43bb6d96f7c0319936df7a491b0152c98f251b2557eb62"
+    assert sha256(repr(dicts).encode()).hexdigest() == digest
 
 
 def test_saalschuetz_examples(ctx30):

@@ -231,14 +231,23 @@ def test_eval_divergent_beyond_thirty_digits(capsys):
     assert "DivergentError" in err
 
 
-def test_eval_levin_failure_names_its_stop(capsys):
-    # Gauss 2F1(a, b; a+b+1; 1) whose terms grow until k ~ 180: the Levin
-    # table degrades long before they turn, and the message says so
-    code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "20.25,20.125",
-                             "--lower", "41.375", "--z", "1", "--digits", "30")
-    assert code == 1 and out == ""
-    assert err.startswith("AccelerationFailed: Levin degraded past its best at 31 terms; "
-                          "|t_m| growing; best error ")
+@pytest.mark.parametrize("a, b, c, digits, terms", [
+    # terms that grow until k ~ 180: the Levin table degrades at 31 terms
+    ("20.25", "20.125", "41.375", 30, 60),
+    # the table degrades past its best at 234 terms, |t_m| not growing
+    ("480", "0.5", "500.5", 60, 180),
+], ids=["30-digits", "60-digits"])
+def test_eval_levin_failure_falls_to_the_factorial_tail(capsys, a, b, c, digits, terms):
+    # Gauss 2F1(a, b; c; 1) whose probe sends it to Levin, where the table
+    # fails: direct+tail sums it, and every printed digit is the closed form's
+    code, out, err = run_cli(capsys, "eval", "pfq", "--upper", f"{a},{b}", "--lower", c,
+                             "--z", "1", "--digits", str(digits))
+    assert code == 0 and err == ""
+    assert f"terms_used: {terms}\nmethod: direct+tail\n" in out
+    with mpmath.workdps(digits + 40):
+        a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        gauss = mpmath.gammaprod([c, c - a - b], [c - a, c - b])
+        assert out.startswith(f"value: {mpmath.nstr(gauss, digits)}\n")
 
 
 def test_bad_precision_settings_are_usage_errors(capsys):

@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from hyperid import precision
 from hyperid.precision import (
     PrecisionContext,
     exact_int,
     format_value,
     nonpositive_int,
+    pow10,
     to_mp,
 )
 
@@ -39,6 +41,19 @@ def test_to_mp_exact_dyadics():
         to_mp(object())
 
 
+def _rounded(v, prec):
+    """The Fraction v rounded to prec bits, ties to even, as a Fraction."""
+    if not v:
+        return v
+    e = v.numerator.bit_length() - v.denominator.bit_length() - prec
+    m = abs(v) / Fraction(2) ** e
+    while m >= 2**prec:
+        m, e = m / 2, e + 1
+    while m < 2 ** (prec - 1):
+        m, e = m * 2, e - 1
+    return (1 if v > 0 else -1) * round(m) * Fraction(2) ** e
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     num=st.one_of(st.integers(-2**300, 2**300), st.sampled_from([0, 1, -1, 2**1000 + 1, -3**700])),
@@ -46,11 +61,28 @@ def test_to_mp_exact_dyadics():
     den=st.sampled_from([1, 3, 10, 2**64 + 1]),
     prec=st.sampled_from([53, 136, 233]),
 )
+# 2^54 + 1 rounded to 53 bits before the division by 3 would give 2^54 / 3
+@example(num=2**54 + 1, k=0, den=3, prec=53)
 def test_to_mp_fraction_rounds_as_the_division(num, k, den, prec):
-    # a dyadic Fraction skips the division, bit for bit
+    # the exact quotient rounded once to the nearest, ties to even, for a
+    # dyadic Fraction and any other
     with mp.workprec(prec):
         for v in (Fraction(num, 2**k), Fraction(num, den << k)):
-            assert to_mp(v)._mpf_ == (mpf(v.numerator) / mpf(v.denominator))._mpf_
+            sign, man, exp, _ = to_mp(v)._mpf_
+            assert (-1) ** sign * man * Fraction(2) ** exp == _rounded(v, prec)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-250, 250), st.sampled_from([53, 136, 233])),
+                min_size=1, max_size=12))
+def test_pow10_is_the_power_bit_for_bit(reads):
+    # each read, the first and the cached second, at its own precision,
+    # whatever precisions came before it
+    precision._pow10.cache_clear()
+    for n, prec in reads + reads:
+        with mp.workprec(prec):
+            assert pow10(n)._mpf_ == (mpf(10) ** n)._mpf_
+            assert PrecisionContext(digits=n % 50 + 10).eps() is pow10(-(n % 50 + 20))
 
 
 def test_integer_detection():
