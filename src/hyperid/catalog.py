@@ -565,15 +565,16 @@ def _jackson_sampler(rng, index):
 
 
 def _jackson_check(p):
-    a, b, c, d, q, n = (p[k] for k in "abcdqn")
+    n = p["n"]
     if not (isinstance(n, int) and 0 <= n <= 15):
         return False
-    (a, *_, big_a, _), (*qa_over, low_b, low_c) = exact.jackson_parameters(a, b, c, d, q, n)
-    q = q.as_integer_ratio()
+    a, b, c, d, q = (p[k].as_integer_ratio() for k in "abcdq")
+    qa, qn = _quot([q, a]), (q[0] ** n, q[1] ** n)
+    low_c = _quot([qn, qa])  # q^(1+n) a
     return (
-        _clear(q, [a, *qa_over], [a])
-        and _clear_of_q_poles(big_a, q, upto=n + 1)
-        and _clear_of_q_poles(low_b, q, upto=n)
+        _clear(q, [a, *(_quot([qa], [x]) for x in (b, c, d))], [a])
+        and _clear_of_q_poles(_quot([low_c, a], [b, c, d]), q, upto=n + 1)
+        and _clear_of_q_poles(_quot([b, c, d], [a, qn]), q, upto=n)
         and _clear_of_q_poles(low_c, q, upto=n)
     )
 

@@ -10,15 +10,17 @@ part is exactly zero and its real part equals an integer exactly.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, round_nearest
 
 INF = mpmath.inf
+_HELD = nullcontext()  # shared: entering and leaving it changes nothing
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,15 @@ class PrecisionContext:
         return self.digits + 10
 
     def working(self):
-        """Context manager installing the working precision."""
-        return mp.workdps(self.dps)
+        """Context manager installing the working precision, restored on
+        exit. When mp.prec and mp.dps already hold it, a shared no-op one,
+        so that a nested entry costs nothing: nothing in the package assigns
+        mp.prec or mp.dps outside such a context, and dps -> prec -> dps
+        round-trips, so the enclosing context restores the same state."""
+        dps = self.dps
+        if mp.dps == dps and mp.prec == dps_to_prec(dps):
+            return _HELD
+        return mp.workdps(dps)
 
     def eps(self):
         """10^-dps, the unit used by stopping rules (valid at any ambient dps)."""

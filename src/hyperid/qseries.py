@@ -27,11 +27,15 @@ an absolute error. A nonterminating one with at least as many lowers as
 uppers, whose term ratio tends to 0, gets a geometric tail bound (direct).
 A nonterminating balanced one (one more upper than lowers, as every
 catalog phi and both halves of each psi) sums K head terms, K from
-`_head_length`, and then t_K times the tail ratio T_K / t_K,
+`_head_length` (x = q^K within 1/16 of the tail ratio's radius; 1/64 and
+1/256 ran no faster), and then t_K times the tail ratio T_K / t_K,
 T_K = sum_{k>=K} t_k, as a power series in x = q^K whose terms a banded
-recurrence on exact dyadic ints gives (`_tail_ratio_terms`; direct+tail);
-a head that settles before K keeps the geometric bound (direct). An
-exactly zero nonterminating sum raises CancellationError.
+recurrence on dyadic ints gives (`_tail_ratio_terms`; direct+tail). Its
+band is exact until it is rounded, once per tail, to scale 2^(W+32), which
+moves each term by far less than the unit per term that the tail's
+estimate counts (the bound is in `_tail_ratio_terms`). A head that
+settles before K keeps the geometric bound (direct).
+An exactly zero nonterminating sum raises CancellationError.
 """
 
 from __future__ import annotations
@@ -99,8 +103,9 @@ def q_pochhammer(x, qc: QContext, n):
     The factors 1 - x q^i while |x q^i| >= 1/2 (an exact zero among them
     returns 0), times Euler's series (y;q)_inf = sum c_n y^n,
     c_n = (-1)^n q^C(n,2) / (q;q)_n, in y = x q^m (Gasper-Rahman, 1.3), by
-    Horner over a row of c_n cached per (q, precision) up to the first term
-    below 2^-wp, wp = working precision + ceil(guard) + 10 bits. All on ints
+    Horner over a row of c_n cached per (q, precision), looked up by q's raw
+    mpmath tuple, up to the first term below 2^-wp,
+    wp = working precision + ceil(guard) + 10 bits. All on ints
     (`series.Gauss` values when complex) from the exact dyadics x and q: the
     factors exactly, their product kept to wp + 2 bits, the Horner sum at
     scale 2^wp on the exact y, rounded to the nearest unit a step; the two
@@ -114,6 +119,8 @@ def q_pochhammer(x, qc: QContext, n):
     of the m factors and 2^-prec for the last rounding, a product is within
     2^-prec (1 + (m + 6) 2^-10) of (x;q)_inf, relative. The guard's loop,
     factors and row are held to 100 dps + 10000 steps, else BudgetExceeded.
+    Called at the working precision already, as from q_bracket, it enters
+    no second precision context (`PrecisionContext.working`).
     """
     if n is not INF and n != mpmath.inf:
         raise DomainError(f"(x;q)_n is evaluated at n = INF only, not {n!r}")
@@ -125,18 +132,21 @@ def q_pochhammer(x, qc: QContext, n):
         return _infinite_product(xx, to_mp(qc.q), ctx)
 
 
-# one row per nome of the 1/64 grid in (1/10, 4/5); typed, since an mpc nome equal
-# to an mpf one has a row of Gauss values, which keeps its products complex
-@lru_cache(maxsize=64, typed=True)
-def _euler_row(q, prec, budget):
-    """(wp, (a, s), row) for q (see q_pochhammer), q = a / 2^s exactly
-    (`series.dyadic`): row holds c_n, n = 0 .. N, as ints or `series.Gauss`
+# one row per nome of the 1/64 grid in (1/10, 4/5), looked up by its raw mpmath
+# tuple, whose shape keeps an mpc nome (a row of Gauss values, so complex
+# products) apart from an equal mpf one
+@lru_cache(maxsize=64)
+def _euler_row(raw, prec, budget):
+    """(wp, (a, s), row, |q|) for the nome q whose `_mpf_` or `_mpc_` tuple
+    is raw (see q_pochhammer), q = a / 2^s exactly (`series.dyadic`) and
+    |q| a float: row holds c_n, n = 0 .. N, as ints or `series.Gauss`
     values at scale 2^wp with bounds b_n >= log2 |c_n|, N the first n with
     b_n - n < -wp.
     `series.fixed_terms` steps them on the exact ratio q^n / (q^(n+1) - 1)
     at scale 2^(wp+g), g = ceil(guard) + 30, within |c_n| n + 1/2 units
     there; as |c_n| <= (-1;|q|)_inf <= 2^guard, an entry rounded to 2^-wp
     is within 1/2 + (n + 1) 2^-30 units of c_n."""
+    q = mp.make_mpc(raw) if len(raw) == 2 else mp.make_mpf(raw)
     aq, u, guard = float(abs(q)), 0.5, 0.0
     for _ in range(budget):
         guard += math.log2((1 + u) / (1 - u))
@@ -161,17 +171,17 @@ def _euler_row(q, prec, budget):
         # + 0 a: c_0 comes before the stream's first step, an int even for a complex q
         row.append((_rdiv(t, 1 << g) + 0 * a, b))
         if b - len(row) + 1 < -wp:
-            return wp, (a, s), tuple(row)
+            return wp, (a, s), tuple(row), aq
 
 
 def _infinite_product(x, q, ctx: PrecisionContext):
     """(x;q)_inf for nonzero x at working precision (see q_pochhammer)."""
     budget = 100 * ctx.dps + 10000
-    wp, (qn, qs), row = _euler_row(q, mp.prec, budget)
+    wp, (qn, qs), row, fq = _euler_row(getattr(q, "_mpc_", None) or q._mpf_, mp.prec, budget)
     p, e = dyadic(x)
     # log2 |x| >= k, and the float bound below is >= log2(1/|q|): past it, the loop
     # would step budget - len(row) + 1 factors with |x q^i| > 1, none of them zero
-    if (k := _bits(p) - 1 - e) > 0 and (fq := float(abs(q))):
+    if (k := _bits(p) - 1 - e) > 0 and fq:
         if k > max(budget - len(row), 0) * (-math.log2(fq) * (1 + 1e-12) + 1e-15):
             raise BudgetExceeded("infinite q-product failed to truncate")
     # 1 - x q^i = (2^e - p) / 2^e of the exact x q^i = p / 2^e into h / 2^hs
@@ -314,12 +324,15 @@ def _head_length(uppers, lowers, q) -> int:
     """K of the direct+tail route: the least k >= 1 with
     |q|^k max(|q|, |a|, |b|) <= 1/16 over the uppers a and lowers b, so
     that x = q^K lies within a sixteenth of the tail ratio's radius. It is
-    decided on float logs (mpmath's past the float range, as in
-    `_terminating_index`), to within 10^-9 of a step."""
-    big, fq = max(abs(v) for v in (q, *uppers, *lowers)), float(abs(q))
+    decided on float logs of the float magnitudes (mpmath's past the float
+    range, as in `_terminating_index`), to within 10^-9 of a step; that
+    margin also keeps K at a magnitude that rounds onto 1/16 from above."""
+    fq = float(abs(q))
+    big = max(float(abs(v)) for v in (q, *uppers, *lowers))
     if fq == 0 or 16 * big <= 1:
         return 1
-    lb = math.log(fb) if (fb := float(big)) < math.inf else float(mpmath.log(big))
+    lb = math.log(big) if big < math.inf else float(
+        mpmath.log(max(abs(v) for v in (*uppers, *lowers))))
     lq = -math.log(fq) if fq < 1 else -float(mpmath.log(abs(q)))
     return max(1, math.ceil((math.log(16) + lb) / lq - 1e-9))
 
@@ -342,9 +355,20 @@ def _tail_ratio_terms(uppers, lowers, z, q, k):
     Every parameter is a dyadic rational, so the coefficients of N and D
     are exact ints over 2^S_N and 2^S_D, S_N and S_D the sums of the
     parameters' own exponents; x^i = n^(ki) / 2^(s k i) for q = n / 2^s,
-    and z and the powers q^(m-i) are exact too, so the right-hand side over
-    2^(max(S_N, S_D) + s k d + zs + s m) is an exact int given the rounded
-    g_{m-i}; each g_m is that int divided by the pivot's, rounded once.
+    and z and the powers q^(m-i) are exact too. The band entries D_i x^i
+    and z N_i x^i (times the 2^(s i) that q^(m-i) leaves over 2^(s m)) are
+    thus exact ints over 2^L and 2^(L + zs), L = max(S_N, S_D) + s k d:
+    hundreds of bits wider than W when the parameters carry full mantissas.
+    Once per tail, each is rounded by the same shift to scale 2^(W+32), to
+    the nearest unit in each part, which moves D_i x^i and z N_i x^i by at
+    most c 2^-(W+33) (c = 1, or sqrt(2) when complex); D_0 = 1 stays exact.
+    The right-hand side over 2^(W + 32 + zs + s m) is then an exact int
+    given the rounded g_{m-i}, and each g_m is that int divided by the
+    pivot's, rounded once. Beyond that half unit, the rounded band moves g_m
+    by at most c 2^-33 ([m <= d] + 2 sum_{i=1..d} |g_{m-i}|) / |1 - z q^m|
+    units 2^-W: at most (1 + 2d) c 2^-32 units when every |g_{m-i}| <= 1
+    and |z q^m| <= 1/2, far inside the unit per term that `series._tail_sum`
+    charges.
     """
     wp = fixed_prec()
     (zn, zs), (qn, qs), d = dyadic(z), dyadic(q), len(uppers)
@@ -369,7 +393,10 @@ def _tail_ratio_terms(uppers, lowers, z, q, k):
     top_s = max(ns, ds)
     e = [dc[i] * xp[i] << xs * (d - i) + top_s - ds for i in range(d + 1)]
     p = [zn * nc[i] * xp[i] << xs * (d - i) + qs * i + top_s - ns for i in range(d + 1)]
-    eb, pb, big_l = e[1:], p[1:], top_s + xs * d
+    big_l = top_s + xs * d
+    if (r := big_l - wp - 32) > 0:  # the band to scale 2^(wp+32), see above
+        e, p, big_l = [_rdiv(v, 1 << r) for v in e], [_rdiv(v, 1 << r) for v in p], big_l - r
+    eb, pb = e[1:], p[1:]
     gs, hs, qm = [], [], 1  # the last d of g_m and of n^m g_m, newest first; n^m
     for m in count():
         top = zs + qs * m  # 1 - z q^m = (2^top - zn n^m) / 2^top

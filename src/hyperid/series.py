@@ -464,8 +464,7 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None)
     returns that total with the rounding as its absolute error. Any other
     pass beyond _CANCELLATION_CEILING times the working precision raises
     CancellationError instead. The value is rounded to the working
-    precision; when it was summed at raised precision, that rounding joins
-    err_estimate.
+    precision, and that rounding, |value| 2^-prec, joins err_estimate.
     """
     dps, limit = ctx.dps, ctx.max_terms if tail is None else min(tail[0], ctx.max_terms)
     while True:
@@ -512,9 +511,16 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None)
         dps = raised
     method = "terminating" if floor is None else "direct" if settled else "direct+tail"
     with ctx.working():
-        value = +total
-        back = abs(value) * ctx.eps() if dps > ctx.dps else 0  # rounding back to working
+        value, back = _to_working(total)
         return SeriesResult(value, err + back, used, method)
+
+
+def _to_working(total):
+    """(value, bound): total rounded to the ambient precision, and
+    |value| 2^-prec, which bounds that rounding (half a unit in the last
+    place of each part)."""
+    value = +total
+    return value, mpmath.ldexp(abs(value), -mp.prec)
 
 
 def _tail_sum(terms, t_k, head, eps, limit):
@@ -643,8 +649,8 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
     settle, K doubles, the head sums on, and the coefficients are reused;
     past ctx.max_terms it raises BudgetExceeded.
 
-    The error estimate, `_tail_sum`'s plus the head's rounding peak eps K,
-    is heuristic, as Levin's is.
+    The error estimate, `_tail_sum`'s plus the head's rounding peak eps K
+    plus the final rounding |value| 2^-prec, is heuristic, as Levin's is.
     """
     gen = ratio_terms(uppers, lowers, z)
     total, peak, used, last, _, settled = partial_sum(gen, ctx.eps(), 48)
@@ -697,8 +703,8 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
                 f"the factorial tail after {head_len} terms does not settle within "
                 f"{3 * head_len} of its terms, and {ctx.max_terms} terms are the budget")
         head, used, head_len = head + t_k, used + 1, 2 * head_len
-    return SeriesResult(+from_fixed(head * (1 << wp) + t_k * tail, 2 * wp),
-                        err + peak * ctx.eps() * used, used, "direct+tail")
+    value, back = _to_working(from_fixed(head * (1 << wp) + t_k * tail, 2 * wp))
+    return SeriesResult(value, err + peak * ctx.eps() * used + back, used, "direct+tail")
 
 
 def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:

@@ -20,6 +20,8 @@ int or Gauss value as such a pair.
 `jackson_check`, `bailey_check`, `phi65_check`, `jackson_nt_check` and
 `split_check` the Fraction forms of the q samplers' checks, which the
 catalog runs on int pairs.
+`tail_ratio_terms` is the exact recurrence of the q tail ratio's power
+series, on pairs of Fractions.
 `ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
 the fixed-point streams state. `gamma` is mpmath's gamma function at a
 context's working precision, with a PoleError at its poles: the reference
@@ -185,6 +187,46 @@ def list_q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
 
     sh = wp * (len(lowers) + 1 - nu) - zs
     yield from list_fixed_terms(ratio, cplx, max_k, wp, "q-series denominator vanishes at k = {}")
+
+
+def tail_ratio_terms(uppers, lowers, z, q, k, count):
+    """The first `count` g_m = f_m x^m, x = q^k, of `qseries._tail_ratio_terms`,
+    exactly, from the recurrence its docstring states:
+    (1 - z q^m) g_m = D_m x^m - sum_{i=1..d} (D_i x^i - z N_i x^i q^(m-i)) g_{m-i}
+    with N(y) = prod (1 - a y), D(y) = (1 - q y) prod (1 - b y), d the
+    number of uppers and D_m = 0 past d. Parameters and g_m are (re, im)
+    pairs of Fractions."""
+    def sub(x, y):
+        return x[0] - y[0], x[1] - y[1]
+
+    def div(x, y):
+        norm = y[0] * y[0] + y[1] * y[1]
+        re, im = gmul(x, (y[0], -y[1]))
+        return re / norm, im / norm
+
+    def poly(roots):  # the coefficients of prod (1 - r y)
+        cs = [(Fraction(1), Fraction(0))]
+        for r in roots:
+            cs = [sub(c, gmul(r, prev)) for c, prev in zip([*cs, (0, 0)], [(0, 0), *cs])]
+        return cs
+
+    one, d = (Fraction(1), Fraction(0)), len(uppers)
+    nc, dc = poly(uppers), poly([*lowers, q])
+    x = one
+    for _ in range(k):
+        x = gmul(x, q)
+    xp, qp = [one], [one]  # x^i, q^i
+    for _ in range(max(d, count)):
+        xp.append(gmul(xp[-1], x))
+        qp.append(gmul(qp[-1], q))
+    gs = []
+    for m in range(count):
+        rhs = gmul(dc[m], xp[m]) if m <= d else (0, 0)
+        for i in range(1, min(m, d) + 1):
+            band = sub(gmul(dc[i], xp[i]), gmul(gmul(z, nc[i]), gmul(xp[i], qp[m - i])))
+            rhs = sub(rhs, gmul(band, gs[m - i]))
+        gs.append(div(rhs, sub(one, gmul(z, qp[m]))))
+    return gs
 
 
 def rising(x, n: int):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from hyperid import precision
+from hyperid.errors import CancellationError
 from hyperid.precision import (
     PrecisionContext,
     exact_int,
@@ -14,6 +15,7 @@ from hyperid.precision import (
     pow10,
     to_mp,
 )
+from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
 
 
 def test_context_validation():
@@ -29,6 +31,34 @@ def test_working_precision_scoping():
     outer = mp.dps
     with ctx.working():
         assert mp.dps == 40
+    assert mp.dps == outer
+
+
+def test_nested_working_precision_holds_and_raised_passes_restore(monkeypatch):
+    # an entry at the precision already held installs nothing; an entry at
+    # another one, as a raised pass makes, restores the held one on exit,
+    # also when it exits through an exception
+    ctx, outer = PrecisionContext(digits=30), mp.dps
+    with ctx.working():
+        held = mp.prec
+        entries = []
+        workdps = mp.workdps
+        monkeypatch.setattr(mp, "workdps", lambda n: entries.append(n) or workdps(n))
+        with ctx.working():
+            assert (mp.prec, mp.dps) == (held, 40)
+            with PrecisionContext(digits=70).working():
+                assert mp.dps == 80
+            assert (mp.prec, mp.dps) == (held, 40)
+            with pytest.raises(ZeroDivisionError):
+                with PrecisionContext(digits=70).working():
+                    1 / mpf(0)
+            assert (mp.prec, mp.dps) == (held, 40)
+        assert entries == [80, 80]
+        monkeypatch.undo()
+        # 8phi0's sum is exactly 0: its raised passes end in CancellationError
+        with pytest.raises(CancellationError):
+            sum_q_series(QSeriesSpec((8,), (), Fraction(1, 2), "phi"), QContext(Fraction(-1, 2), ctx))
+        assert (mp.prec, mp.dps) == (held, 40)
     assert mp.dps == outer
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -32,6 +33,11 @@ from hyperid.series import dyadic, mp_parameters
 import oracles
 from oracles import gmul
 from oracles import brute_bilateral_psi
+
+
+def _raw(q):
+    """The raw mpmath tuple by which `qseries._euler_row` looks a nome up."""
+    return getattr(q, "_mpc_", None) or q._mpf_
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +168,7 @@ def test_qpoch_infinite_head_past_the_budget_fails_at_once(qc_half, ctx30):
     # an exact zero, and 2^(N+1) needs one factor more
     with ctx30.working():
         budget = 100 * ctx30.dps + 10000
-        n = budget - len(qseries._euler_row(to_mp(qc_half.q), mp.prec, budget)[2])
+        n = budget - len(qseries._euler_row(_raw(to_mp(qc_half.q)), mp.prec, budget)[2])
     assert n == 13981
     assert q_pochhammer(mpf(2) ** n, qc_half, INF) == 0
     with pytest.raises(BudgetExceeded):
@@ -213,7 +219,7 @@ def test_euler_row_entries_against_fractions(q, digits):
     ctx = PrecisionContext(digits=digits)
     with ctx.working():
         qm = to_mp(q)
-        wp, _, row = qseries._euler_row(qm, mp.prec, 100 * ctx.dps + 10000)
+        wp, _, row, _ = qseries._euler_row(_raw(qm), mp.prec, 100 * ctx.dps + 10000)
     n, s = dyadic(qm)
     exact_q = tuple(Fraction(v, 2**s) for v in oracles.pair(n))
     for n, (entry, b) in enumerate(row):
@@ -274,7 +280,7 @@ def test_qpoch_infinite_non_dyadic_q(digits):
         with ctx.working():
             qm = to_mp(q)
             start = time.perf_counter()
-            qseries._euler_row.__wrapped__(qm, mp.prec, 100 * ctx.dps + 10000)
+            qseries._euler_row.__wrapped__(_raw(qm), mp.prec, 100 * ctx.dps + 10000)
             assert time.perf_counter() - start < 0.05
 
 
@@ -462,6 +468,71 @@ def test_q_tail_within_the_working_digits(ctx30, uppers, lowers, q, z):
         exact = mpmath.qhyper(ups, lows, qq, zz)
         assert abs(res.value - exact) <= mpf(10) ** -ctx30.dps * abs(exact)
         assert abs(res.value - exact) <= res.err_estimate
+
+
+def _mp_head_length(uppers, lowers, q):
+    """`qseries._head_length` deciding its first comparison and its max on
+    mp magnitudes."""
+    big, fq = max(abs(v) for v in (q, *uppers, *lowers)), float(abs(q))
+    if fq == 0 or 16 * big <= 1:
+        return 1
+    lb = math.log(fb) if (fb := float(big)) < math.inf else float(mpmath.log(big))
+    lq = -math.log(fq) if fq < 1 else -float(mpmath.log(abs(q)))
+    return max(1, math.ceil((math.log(16) + lb) / lq - 1e-9))
+
+
+@pytest.mark.parametrize("params", [
+    # the largest magnitude rounds onto 1/16 as a float
+    lambda: ((mpf(1) / 16 + mpf(2) ** -200,), (), mpf(1) / 32),
+    lambda: ((mpf(1) / 16,), (mpf(2) ** -200,), mpf(1) / 32),
+    lambda: ((mpf(1) / 32,), (-mpf(1) / 16 - mpf(2) ** -200,), mpf(1) / 16 - mpf(2) ** -200),
+    lambda: ((mpf(1) + mpf(2) ** -200, mpf("0.25")), (mpf("0.5"),), mpf("0.5")),
+    lambda: ((mpf(10) ** 400, mpf("0.5")), (mpf("-3.25"),), mpf("0.5")),  # past the float range
+    lambda: ((mpf("0.5"),), (mpc(0, -mpf(10) ** 400),), mpc("0.25", "0.5")),
+    lambda: ((mpf("0.5"),), (), mpf(2) ** -2000),  # q underflows to 0.0
+], ids=["edge", "edge-at", "edge-q-and-lower", "one", "huge-upper", "huge-complex-lower",
+        "tiny-q"])
+def test_head_length_matches_the_mp_decision(params):
+    # float magnitudes pick the same K as mp ones, at the 1/16 edge and past
+    # the float range (the parameters are built at 60 digits)
+    with PrecisionContext(digits=60).working():
+        uppers, lowers, q = params()
+        assert qseries._head_length(uppers, lowers, q) == _mp_head_length(uppers, lowers, q)
+
+
+def _f(n, d, im=None):
+    """n/d, or n/d + i im, rounded to the working precision: full mantissas."""
+    return to_mp(Fraction(n, d)) if im is None else mpc(to_mp(Fraction(n, d)), to_mp(im))
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("params", [
+    lambda: ((_f(1, 3), _f(5, 7), _f(11, 13), _f(7, 3)), (_f(9, 7), _f(4, 11), _f(6, 5)),
+             _f(3, 7), _f(5, 13)),
+    lambda: ((_f(1, 3, Fraction(1, 5)), _f(5, 7), _f(2, 9, Fraction(-1, 7))),
+             (_f(9, 7, Fraction(1, 11)), _f(4, 11)), _f(1, 3, Fraction(-1, 6)),
+             _f(2, 5, Fraction(1, 7))),
+], ids=["real-4phi3", "complex-3phi2"])
+def test_tail_ratio_terms_against_the_exact_recurrence(digits, params):
+    # the band rounded to scale 2^(W+32) keeps every g_m within one unit
+    # 2^-W of the exact recurrence on the same (full-mantissa) parameters
+    ctx = PrecisionContext(digits=digits)
+    with ctx.working():
+        ups, lows, z, q = params()
+        k, wp = qseries._head_length(ups, lows, q), fixed_prec()
+        # the largest g_m, on which the band's rounding weighs most (the exact
+        # recurrence's Fractions grow quickly beyond them)
+        got = list(itertools.islice(qseries._tail_ratio_terms(ups, lows, z, q, k), 16))
+
+    def exact(x):
+        n, s = dyadic(x)
+        return tuple(Fraction(v, 2**s) for v in oracles.pair(n))
+
+    want = oracles.tail_ratio_terms([exact(a) for a in ups], [exact(b) for b in lows],
+                                    exact(z), exact(q), k, len(got))
+    for g, w in zip(got, want):
+        for part, exact_part in zip(oracles.pair(g), w):
+            assert abs(part - exact_part * 2**wp) <= 1
 
 
 _DYADIC = st.integers(-96, 96).map(lambda n: Fraction(n, 32))

@@ -392,6 +392,26 @@ def test_direct_tail_error_within_estimate(digits, a, b, im, excess):
     assert miss <= res.err_estimate
 
 
+def test_direct_tail_estimate_counts_the_final_rounding():
+    # 150 seeded real Gauss sums, a and b on the 1/64 grid in [-10, 60] and
+    # s = c - a - b in [1/32, 25/8], at 30 and 60 digits: the estimate of
+    # each direct+tail sum covers its error against the closed form, which
+    # for a large value is mostly the rounding of the returned value to the
+    # working precision (Levin's estimate stays heuristic and is not checked)
+    rng, checked = random.Random(1), 0
+    for _ in range(150):
+        a, b = (Fraction(rng.randint(-640, 3840), 64) for _ in range(2))
+        c = a + b + Fraction(rng.randint(2, 200), 64)
+        if c <= 0 and c.denominator == 1:
+            continue
+        for digits in (30, 60):
+            res, miss = _gauss_tail_miss(a, b, c, PrecisionContext(digits=digits))
+            if res.method == "direct+tail":
+                assert miss <= res.err_estimate, (a, b, c, digits)
+                checked += 1
+    assert checked > 100
+
+
 def test_direct_tail_estimate_covers_the_integral_bound_miss(ctx30):
     # `eval pfq --upper 0.921875,1.859375 --lower 26.625 --z 1`: the integral
     # bound |t_K| K / (s - 1) after 261 terms estimated 3.68e-34 against a
