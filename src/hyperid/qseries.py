@@ -26,15 +26,15 @@ adds all its terms and has no tail; an exactly zero total comes back with
 an absolute error. A nonterminating one with at least as many lowers as
 uppers, whose term ratio tends to 0, gets a geometric tail bound (direct).
 A nonterminating balanced one (one more upper than lowers, as every
-catalog phi and both halves of each psi) sums K head terms, K from
+catalog phi and both halves of each psi) sums all K head terms (no stop
+on terms that dip near a lower's q-pole and regrow), K from
 `_head_length` (x = q^K within 1/16 of the tail ratio's radius; 1/64 and
 1/256 ran no faster), and then t_K times the tail ratio T_K / t_K,
 T_K = sum_{k>=K} t_k, as a power series in x = q^K whose terms a banded
 recurrence on dyadic ints gives (`_tail_ratio_terms`; direct+tail). Its
 band is exact until it is rounded, once per tail, to scale 2^(W+32), which
 moves each term by far less than the unit per term that the tail's
-estimate counts (the bound is in `_tail_ratio_terms`). A head that
-settles before K keeps the geometric bound (direct).
+estimate counts (the bound is in `_tail_ratio_terms`).
 An exactly zero nonterminating sum raises CancellationError.
 """
 
@@ -453,7 +453,7 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
                 floor = abs(z) if extra == 0 else mpf(0)
                 if extra == 0:
                     k = _head_length(ups, lows, q)
-                    tail = k, partial(_tail_ratio_terms, k=k)
+                    tail = k, _tail_ratio_terms
             return sum_direct(partial(q_ratio_terms, extra=extra, max_k=n), (ups, lows, z, q),
                               lambda: (*mp_parameters(spec), to_mp(qc.q)), ctx, floor, tail)
         # psi

@@ -21,10 +21,10 @@ Routes, chosen by convergence class:
                otherwise the Levin u-transform, and direct+tail with
                K = max(48, dps + 20) where the transform fails
 Bilateral sums are split at k = 0; the negative tail becomes a unilateral
-series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k. The q
-engine routes a nonterminating balanced phi series through `sum_direct`
-as direct+tail too: K head terms, then t_K times its tail ratio, a power
-series in q^K (see `qseries`), with the geometric route's passes.
+series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k. Both
+engines' direct+tail sums run in `sum_direct`, with the geometric route's
+passes: here the factorial tail after the probe's terms, in `qseries` a
+nonterminating balanced phi series' tail ratio, a power series in q^K.
 
 The term streams of both engines (`ratio_terms` here, `qseries.q_ratio_terms`)
 run on Python ints scaled by 2^W, W = `precision.fixed_prec()`, the ambient
@@ -39,10 +39,10 @@ terms, generated at its raised precision, and sums them exactly too.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms: to a stream's end, to a limit or to three
-small terms in a row), the direct route `sum_direct` (the one pass driver,
-for finite and infinite streams) with its geometric tail bound or summed
-tail and its precision passes against cancellation, `_tail_sum` (the loop
-that adds both routes' summed tails), the conversion of a spec's parameters
+small terms in a row), `sum_direct` (the one pass driver, for finite and
+infinite streams) with its geometric tail bound or its summed tail, whose
+head K doubles while `_tail_sum` does not settle, and its precision passes
+against cancellation, the conversion of a spec's parameters
 `mp_parameters`, the reflected prefactor of a split's negative tail
 `reflected_factors` and the bilateral recombination `join_halves`, whose
 method ranking `combined_method` also labels the catalog's sums of sides.
@@ -432,7 +432,8 @@ def partial_sum(terms, stop_eps, limit: int):
     return from_fixed(Gauss((sre, sim))), peak, used, last, prev, settled
 
 
-def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None) -> SeriesResult:
+def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None,
+               head=None) -> SeriesResult:
     """Sum a series directly, up to ctx.max_terms terms a pass.
 
     stream(*params) builds the fixed-point term stream at the ambient
@@ -447,13 +448,16 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None)
     floor = |z| for a balanced series, whose term ratio tends to z, and 0
     for one whose ratio tends to 0.
 
-    tail = (K, ratio_terms) gives an infinite stream a summed tail
-    (direct+tail): when its first K terms do not settle, the pass adds
-    t_K times the `_tail_sum` of ratio_terms(*params), the (Gaussian) ints
-    at scale 2^W of the tail ratio T_K / t_K, T_K = sum_{k>=K} t_k;
-    terms_used is then K, the tail's own estimate joins err_estimate and |t_K T_K / t_K| joins the peak |term|. A head
-    that settles before K keeps the geometric bound and "direct"; one that
-    does not settle within ctx.max_terms < K raises BudgetExceeded.
+    tail = (K, tail_terms) sums an infinite stream as direct+tail instead:
+    a pass adds exactly its first K terms, with no small-term stop, then
+    t_K times the `_tail_sum` of tail_terms(*params, K), the (Gaussian) ints
+    at scale 2^W of the tail ratio T_K / t_K, T_K = sum_{k>=K} t_k. While
+    max(3K, dps + 20) of them do not settle, K doubles and the head sums
+    on. terms_used is the last K, the tail's own estimate joins err_estimate
+    and |t_K T_K / t_K| joins the peak |term|; a K past ctx.max_terms raises
+    BudgetExceeded. head = (stream, exact total, peak |term|, terms used)
+    lets the first pass go on along terms the caller already summed at the
+    working precision; a raised pass builds its stream anew.
 
     Cancellation costs a pass log10(peak |term| / |total|) digits. While
     that is more than the digits the pass kept beyond ctx.digits, another
@@ -466,40 +470,51 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None)
     CancellationError instead. The value is rounded to the working
     precision, and that rounding, |value| 2^-prec, joins err_estimate.
     """
-    dps, limit = ctx.dps, ctx.max_terms if tail is None else min(tail[0], ctx.max_terms)
+    dps, k = ctx.dps, tail and tail[0]
     while True:
         pass_ctx = replace(ctx, digits=ctx.digits + dps - ctx.dps)
         with pass_ctx.working():
+            eps, err = pass_ctx.eps(), 0
             if dps > ctx.dps:
-                params = convert()
-            terms = stream(*params)
-            total, peak, used, last, prev, settled = partial_sum(
-                terms, 0 if floor is None else pass_ctx.eps(), limit)
-            if not settled and (tail is None or tail[0] > ctx.max_terms):
-                raise BudgetExceeded(f"direct summation needs more than {ctx.max_terms} terms")
-            err = 0
-            if not settled:
-                wp, t_k = fixed_prec(), next(terms)
-                head = to_fixed(total, wp)
-                tail_sum, err, done = _tail_sum(
-                    tail[1](*params), t_k, head, pass_ctx.eps(), ctx.max_terms)
-                if not done:
-                    raise BudgetExceeded(f"the summed tail needs more than {ctx.max_terms} terms")
-                total = from_fixed((head << wp) + t_k * tail_sum, 2 * wp)
+                params, head = convert(), None
+            if tail is None:
+                total, peak, used, last, prev, settled = partial_sum(
+                    stream(*params), 0 if floor is None else eps, ctx.max_terms)
+                if not settled:
+                    raise BudgetExceeded(f"direct summation needs more than {ctx.max_terms} terms")
+                if floor is not None:
+                    rho = max(floor, abs(last) / abs(prev)) if last != 0 else floor
+                    if rho >= 1:
+                        raise BudgetExceeded(
+                            f"direct summation tail ratio {mpmath.nstr(rho, 5)} is not below 1")
+                    err = abs(last) * rho / (1 - rho)
+            else:
+                wp = fixed_prec()
+                terms, total, peak, used = head or (stream(*params), mpf(0), mpf(0), 0)
+                total = to_fixed(total, wp)
+                while True:
+                    if k > ctx.max_terms:
+                        raise BudgetExceeded(f"direct+tail needs more than {ctx.max_terms} terms")
+                    if k > used:
+                        more, more_peak, more_used, *_ = partial_sum(terms, 0, k - used)
+                        total, peak = total + to_fixed(more, wp), max(peak, more_peak)
+                        used += more_used
+                    t_k = next(terms)
+                    tail_sum, err, done = _tail_sum(
+                        tail[1](*params, k), t_k, total, eps, max(3 * k, dps + 20))
+                    if done:
+                        break
+                    total, used, k = total + t_k, used + 1, 2 * k
                 peak = max(peak, abs(from_fixed(t_k * tail_sum, 2 * wp)))
-            rounding = peak * pass_ctx.eps() * used
+                total = from_fixed((total << wp) + t_k * tail_sum, 2 * wp)
+            rounding = peak * eps * used
             err += rounding
-            if settled and floor is not None:
-                rho = max(floor, abs(last) / abs(prev)) if last != 0 else floor
-                if rho >= 1:
-                    raise BudgetExceeded(
-                        f"direct summation tail ratio {mpmath.nstr(rho, 5)} is not below 1")
-                err += abs(last) * rho / (1 - rho)
             lost = None
             if abs(total) > rounding:
-                lost = int(mpmath.ceil(mpmath.log10(peak / abs(total))))
-                if lost <= dps - ctx.digits:
+                # lost = ceil(log10(peak / |total|)) digits; the log only sizes a raised pass
+                if peak <= abs(total) * pow10(dps - ctx.digits):
                     break
+                lost = int(mpmath.ceil(mpmath.log10(peak / abs(total))))
             elif floor is None and dps > ctx.dps:
                 break
         raised = 3 * dps if lost is None else dps + lost
@@ -509,18 +524,10 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None)
                 f"working digits to cancellation; {raised} digits would pass the ceiling "
                 f"of {_CANCELLATION_CEILING * ctx.dps}")
         dps = raised
-    method = "terminating" if floor is None else "direct" if settled else "direct+tail"
+    method = "terminating" if floor is None else "direct" if tail is None else "direct+tail"
     with ctx.working():
-        value, back = _to_working(total)
-        return SeriesResult(value, err + back, used, method)
-
-
-def _to_working(total):
-    """(value, bound): total rounded to the ambient precision, and
-    |value| 2^-prec, which bounds that rounding (half a unit in the last
-    place of each part)."""
-    value = +total
-    return value, mpmath.ldexp(abs(value), -mp.prec)
+        value = +total
+        return SeriesResult(value, err + mpmath.ldexp(abs(value), -mp.prec), used, method)
 
 
 def _tail_sum(terms, t_k, head, eps, limit):
@@ -633,26 +640,34 @@ def _tail_coefficients(uppers, lowers, z, wp):
         yield c
 
 
-def _sum_algebraic(uppers, lowers, z, ctx, s):
-    """Sum a unilateral series at |z| = 1 with decay exponent s > 1.
+def _factorial_tail(uppers, lowers, z, k):
+    """Yield c_j u_j(k) at scale 2^W (W = fixed_prec()), j = 0, 1, ...: the
+    terms of the tail ratio f(k) = T_k / t_k as the inverse factorial series
+    of `_tail_coefficients`, u_0(k) = k - 1, u_1(k) = 1 and
+    u_j(k) = 1 / (k (k + 1) ... (k + j - 2))."""
+    div = 1
+    for j, c in enumerate(_tail_coefficients(uppers, lowers, z, fixed_prec())):
+        if j >= 2:
+            div *= k + j - 2
+        yield c * (k - 1) if j == 0 else _rdiv(c, div)
+
+
+def _sum_algebraic(spec, params, ctx, s):
+    """Sum a unilateral series at |z| = 1 with decay exponent s > 1; params
+    are its `mp_parameters` at the working precision.
 
     A 48-term probe estimates the count k_needed at which C k^-s, fitted at
     its last term, falls below 10^-(digits+4) of the sum; from
     min(max_terms, _DIRECT_CAP) on, the Levin u-transform sums the series,
     and where it raises AccelerationFailed direct+tail does, with
-    K = max(48, dps + 20). Otherwise (direct+tail) the head t_0 .. t_{K-1},
-    K = max(48, min(dps + 20, k_needed + 1)) (or the probe's count when its
-    terms already fell below eps), is summed exactly and the tail is
-    t_K f(K), f the inverse factorial series of `_tail_coefficients`,
-    added by `_tail_sum` until three of its terms in a row fall below
-    eps |head + t_K (its terms so far)| / |t_K|. When 3K terms do not
-    settle, K doubles, the head sums on, and the coefficients are reused;
-    past ctx.max_terms it raises BudgetExceeded.
-
-    The error estimate, `_tail_sum`'s plus the head's rounding peak eps K
-    plus the final rounding |value| 2^-prec, is heuristic, as Levin's is.
+    K = max(48, dps + 20). Otherwise K = max(48, min(dps + 20, k_needed + 1))
+    (or the probe's count when its terms already fell below eps).
+    `sum_direct` sums it as direct+tail, going on from the probe: the head
+    t_0 .. t_{K-1} exactly, then t_K f(K), f the `_factorial_tail`, with K
+    doubling while the tail does not settle and its passes against
+    cancellation. Its error estimate is heuristic, as Levin's is.
     """
-    gen = ratio_terms(uppers, lowers, z)
+    gen = ratio_terms(*params)
     total, peak, used, last, _, settled = partial_sum(gen, ctx.eps(), 48)
     if not settled and last != 0:
         scale = max(mpf(1), abs(total), peak)
@@ -666,45 +681,15 @@ def _sum_algebraic(uppers, lowers, z, ctx, s):
             head_len = max(used, min(ctx.dps + 20, int(k_needed) + 1))
         else:
             try:
-                value, err, levin_used = levin_core(ratio_terms(uppers, lowers, z), ctx)
+                value, err, levin_used = levin_core(ratio_terms(*params), ctx)
             except AccelerationFailed:  # the factorial tail takes what the table cannot
                 head_len = max(used, ctx.dps + 20)
             else:
                 return SeriesResult(value, err, levin_used, "levin")
     else:
         head_len = used
-    wp = fixed_prec()
-    head = to_fixed(total, wp)
-    coeffs, cgen = [], _tail_coefficients(uppers, lowers, z, wp)
-
-    def tail_terms(k):  # c_j u_j(K) at scale 2^wp, u_0(K) = K - 1, u_1 = 1
-        div = 1
-        for j in count():
-            if j == len(coeffs):
-                coeffs.append(next(cgen))
-            if j >= 2:
-                div *= k + j - 2
-            yield coeffs[j] * (k - 1) if j == 0 else _rdiv(coeffs[j], div)
-
-    while True:
-        if head_len > used:
-            more, more_peak, more_used, _, _, _ = partial_sum(gen, 0, head_len - used)
-            head, peak = head + to_fixed(more, wp), max(peak, more_peak)
-            used += more_used
-        t_k = next(gen)
-        if t_k == 0:  # every later term rounds to 0 too
-            tail, err = 0, 0
-            break
-        tail, err, settled = _tail_sum(tail_terms(head_len), t_k, head, ctx.eps(), 3 * head_len)
-        if settled:
-            break
-        if 2 * head_len > ctx.max_terms:
-            raise BudgetExceeded(
-                f"the factorial tail after {head_len} terms does not settle within "
-                f"{3 * head_len} of its terms, and {ctx.max_terms} terms are the budget")
-        head, used, head_len = head + t_k, used + 1, 2 * head_len
-    value, back = _to_working(from_fixed(head * (1 << wp) + t_k * tail, 2 * wp))
-    return SeriesResult(value, err + peak * ctx.eps() * used + back, used, "direct+tail")
+    return sum_direct(ratio_terms, params, lambda: mp_parameters(spec), ctx, mpf(1),
+                      (head_len, _factorial_tail), (gen, total, peak, used))
 
 
 def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
@@ -712,7 +697,7 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
     if spec.kind != "unilateral":
         raise ValueError("sum_unilateral expects a unilateral spec")
     with ctx.working():
-        ups, lows, z = params = mp_parameters(spec)
+        ups, lows, _ = params = mp_parameters(spec)
         cls = _classify(spec, *params)
         if cls.tag == "divergent":
             raise DivergentError("series diverges at the given argument")
@@ -720,7 +705,7 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
         if cls.tag != "algebraic":  # terminating (n, no floor) or geometric
             return sum_direct(partial(ratio_terms, max_k=cls.n), params,
                               lambda: mp_parameters(spec), ctx, cls.ratio)
-        return _sum_algebraic(ups, lows, z, ctx, cls.exponent)
+        return _sum_algebraic(spec, params, ctx, cls.exponent)
 
 
 def reflected_factors(uppers, lowers, reflect, point: str):

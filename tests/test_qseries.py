@@ -436,6 +436,21 @@ def test_sum_phi_near_one_within_a_small_budget():
         assert abs(res.value - exact) <= mpf(10) ** -ctx.dps * abs(exact)
 
 
+def test_balanced_phi_head_sums_past_a_dip(ctx30):
+    # 3phi2(9/32, -17/64, 109/64; 161/64, -61/64; q = 63/64, z = 9/32): its
+    # terms fall to 1e-38 of the sum of 50.75 at k = 52 and climb back to
+    # 2.3e-34 at k = 68 (161/64 (63/64)^k nears 1 at k = 59); the head runs
+    # to K = 235 past that dip instead of stopping on small terms
+    ups, lows = (Fraction(9, 32), Fraction(-17, 64), Fraction(109, 64)), \
+        (Fraction(161, 64), Fraction(-61, 64))
+    z, q = Fraction(9, 32), Fraction(63, 64)
+    res = sum_q_series(QSeriesSpec(ups, lows, z, "phi"), QContext(q, ctx30))
+    assert res.method == "direct+tail"
+    with mp.workdps(2 * ctx30.dps):
+        exact = mpmath.qhyper(*(list(map(to_mp, v)) for v in (ups, lows)), to_mp(q), to_mp(z))
+        assert abs(res.value - exact) <= res.err_estimate
+
+
 def test_phi_tail_bound_near_one(ctx30):
     # 1phi0(a;;q,z) = (az;q)_inf / (z;q)_inf; at |z| = 0.999 nearly all of
     # the sum is the tail t_K f(q^K), which must be right to the working

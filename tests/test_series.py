@@ -254,6 +254,53 @@ def test_sum_direct_pass_contract(ctx30):
     assert calls == [40, 120, 360]
 
 
+def _halving_stream(calls, lead=()):
+    """A counting stream factory: the mp values `lead` (at the ambient
+    precision), then 2^-k for k from len(lead) on, as fixed-point ints; the
+    ambient dps of each call goes to `calls`."""
+    def stream():
+        calls.append(mp.dps)
+        wp = fixed_prec()
+        head = [to_fixed(v(), wp) for v in lead]
+        return itertools.chain(head, ((1 << wp) >> k for k in itertools.count(len(head))))
+
+    return stream
+
+
+def test_sum_direct_tail_contract(ctx30):
+    # 2^-k has the tail ratio T_K / t_K = 2 at every K; this tail gives it
+    # only from K = 8 on, and never settles below, so K = 4 doubles once
+    calls, tails = [], []
+
+    def tail_terms(k):
+        tails.append(k)
+        one = 1 << fixed_prec()
+        return itertools.chain([2 * one], itertools.repeat(0)) if k >= 8 else itertools.repeat(one)
+
+    res = sum_direct(_halving_stream(calls), (), tuple, ctx30, mpf(1), (4, tail_terms))
+    assert (res.value, res.terms_used, res.method) == (2, 8, "direct+tail")
+    assert calls == [40] and tails == [4, 8]
+    # a given head goes on along its stream, which is not built again
+    with ctx30.working():
+        terms = _halving_stream([])()
+        total, peak, used, *_ = partial_sum(terms, 0, 3)
+    calls.clear()
+    res = sum_direct(_halving_stream(calls), (), tuple, ctx30, mpf(1), (8, tail_terms),
+                     (terms, total, peak, used))
+    assert (res.value, res.terms_used) == (2, 8) and calls == []
+    # 3e25 + (1/3 - 3e25) + 1/4 + 1/8 + ... loses 26 digits: the raised pass
+    # builds the stream anew at 66 digits instead of reusing the head
+    big = lambda: 3 * mpf(10) ** 25
+    lead = (big, lambda: mpf(1) / 3 - big())
+    with ctx30.working():
+        terms = _halving_stream([], lead)()
+        head = (terms, *partial_sum(terms, 0, 2)[:2], 2)
+    res = sum_direct(_halving_stream(calls, lead), (), tuple, ctx30, mpf(1), (8, tail_terms), head)
+    assert calls == [66] and res.terms_used == 8
+    with mp.workdps(200):
+        assert abs(res.value - mpf(5) / 6) <= res.err_estimate < mpf(10) ** -38
+
+
 def test_divergent_error(ctx30):
     with pytest.raises(DivergentError):
         sum_unilateral(SeriesSpec((1, 2), (3,), mpf("1.5")), ctx30)
@@ -397,19 +444,28 @@ def test_direct_tail_estimate_counts_the_final_rounding():
     # s = c - a - b in [1/32, 25/8], at 30 and 60 digits: the estimate of
     # each direct+tail sum covers its error against the closed form, which
     # for a large value is mostly the rounding of the returned value to the
-    # working precision (Levin's estimate stays heuristic and is not checked)
-    rng, checked = random.Random(1), 0
+    # working precision (Levin's estimate stays heuristic and is not checked).
+    # One draw, 2F1(-29/4, 2769/64; 2449/64; 1), has c - b = -5 and so the
+    # sum 0, which no pass resolves: it raises, as every nonterminating exact
+    # zero does
+    rng, checked, zeros = random.Random(1), 0, 0
     for _ in range(150):
         a, b = (Fraction(rng.randint(-640, 3840), 64) for _ in range(2))
         c = a + b + Fraction(rng.randint(2, 200), 64)
         if c <= 0 and c.denominator == 1:
             continue
+        zero = any(x <= 0 and x.denominator == 1 for x in (c - a, c - b))
         for digits in (30, 60):
+            if zero:
+                with pytest.raises(CancellationError):
+                    sum_unilateral(SeriesSpec((a, b), (c,), 1), PrecisionContext(digits=digits))
+                zeros += 1
+                continue
             res, miss = _gauss_tail_miss(a, b, c, PrecisionContext(digits=digits))
             if res.method == "direct+tail":
                 assert miss <= res.err_estimate, (a, b, c, digits)
                 checked += 1
-    assert checked > 100
+    assert checked > 100 and zeros == 2
 
 
 def test_direct_tail_estimate_covers_the_integral_bound_miss(ctx30):
@@ -485,11 +541,16 @@ def _dixon(a, b, c):
      (Fraction(727, 64),)),
     ((240, Fraction(1, 2)), (Fraction(533, 2),)),
     ((Fraction(25, 2), Fraction(-3, 8), Fraction(-5, 16)), (Fraction(111, 8), Fraction(221, 16))),
+    # terms up to 10^10 .. 10^20 that cancel to sums of 10^-46 .. 10^-23
+    ((Fraction(-121, 2), Fraction(241, 4)), (Fraction(91, 2),)),
+    ((Fraction(-81, 2), Fraction(161, 4)), (30,)),
+    ((Fraction(-61, 2), Fraction(121, 4)), (20,)),
 ])
 def test_direct_tail_within_the_working_digits(ctx30, uppers, lowers):
     # the factorial tail against closed forms at twice the working digits,
     # to within 10^-dps of the value: a tail cut short or dropped shows here
-    # where err_estimate, set by the head's rounding, hides it
+    # where err_estimate, set by the head's rounding, hides it, and so does
+    # a sum that cancels without the passes at raised precision
     res = sum_unilateral(SeriesSpec(uppers, lowers, 1), ctx30)
     assert res.method == "direct+tail"
     with ctx30.working():
