@@ -14,11 +14,11 @@ under `ctx.working()` and runs the side at working precision; q sides build
 their `QContext` from the converted q. Terminating entries are evaluated
 exactly (zero error) on every sample, real or complex, through `_exact`,
 which looks `exact.<name>_sides` up on the `exact` module at each call, so a
-rebinding of that attribute is seen. One sample's pair is evaluated once:
-the entry's lhs and rhs share a one-entry memo, keyed by that function and
-the parameters, that hands the pair the lhs computed to the rhs. A sample
-passes when its sides agree to every reported digit, rel_err < 10^-digits
-(relative to |rhs|, absolute when rhs = 0).
+rebinding of that attribute is seen. Its values, unreduced int pairs, are
+rounded once a sample: the lhs and rhs share a one-entry memo, and the rhs
+reuses the rounded lhs when the two pairs are equal. A sample passes when
+its sides agree to every reported digit, rel_err < 10^-digits (relative to
+|rhs|, absolute when rhs = 0).
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from fractions import Fraction
 from itertools import combinations, count
 from typing import Callable, Optional
 
-from mpmath import mpc, mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from . import exact
 from .errors import DomainError
@@ -57,16 +58,17 @@ class IdentityCase:
 # ---------------------------------------------------------------------------
 # sampling helpers
 
-def _dyadic(rng, lo, hi) -> Fraction:
-    """Dyadic rational strictly inside (lo, hi) on the 1/GRAIN grid."""
-    lo_n = int(lo * GRAIN) + 1
-    hi_n = int(hi * GRAIN) - 1
-    return Fraction(rng.randint(lo_n, hi_n), GRAIN)
+def _dyadic(rng, lo, hi, d=1) -> Fraction:
+    """Dyadic rational strictly inside (lo/d, hi/d) on the 1/GRAIN grid, for
+    ints lo, hi and d > 0; a bound is truncated towards 0 onto the grid."""
+    lo, hi = lo * GRAIN, hi * GRAIN  # over d: the floor from 0 up, the ceiling below
+    return Fraction(rng.randint((lo if lo >= 0 else lo + d - 1) // d + 1,
+                                (hi if hi >= 0 else hi + d - 1) // d - 1), GRAIN)
 
 
-def _dyadic_noninteger(rng, lo, hi) -> Fraction:
+def _dyadic_noninteger(rng, lo, hi, d=1) -> Fraction:
     while True:
-        v = _dyadic(rng, lo, hi)
+        v = _dyadic(rng, lo, hi, d)
         if v.denominator > 1:
             return v
 
@@ -76,11 +78,10 @@ def _complexify(params, rng, index, fields):
     if index % 10 != 9:
         return params
     for f in fields:
-        while True:
-            im = Fraction(rng.randint(-GRAIN, GRAIN), GRAIN)
-            if im != 0:
-                break
-        params[f] = complex(float(params[f]), float(im))
+        im = 0
+        while not im:
+            im = rng.randint(-GRAIN, GRAIN)
+        params[f] = complex(float(params[f]), im / GRAIN)
     return params
 
 
@@ -92,14 +93,6 @@ def _re(v):
 
 def _is_integer(v) -> bool:
     return exact_int(v) is not None
-
-
-def _bad_nonpositive(v, window: Optional[int] = None) -> bool:
-    """True when v is a nonpositive integer (within -window+1..0 if given)."""
-    m = nonpositive_int(v)
-    if m is None:
-        return False
-    return True if window is None else m <= window - 1
 
 
 def _clear_of_q_poles(x, q, upto: Optional[int] = None) -> bool:
@@ -160,27 +153,41 @@ def _mp(side):
 
 
 def _exact(name):
-    """The (lhs, rhs) of a terminating entry: each side of
-    `exact.<name>_sides` with zero error, as an mpf, or as an mpc for an
-    (re, im) pair. The rhs reuses the pair the lhs computed, through a
-    one-entry memo keyed by the looked-up function and the parameters."""
-    memo = [None, None]  # key and (lhs, rhs) of the last evaluation
+    """The (lhs, rhs) of a terminating entry: the values of
+    `exact.<name>_sides` with zero error, each `_rounded` once, or the rhs
+    the rounded lhs when the two are `_equal`. A one-entry memo keyed by
+    that function, ctx.dps and the parameters serves both sides of a sample."""
+    memo = [None, None]  # key and the rounded (lhs, rhs) of the last evaluation
 
     def side(which):
         def run(p, ctx):
             sides = getattr(exact, f"{name}_sides")
-            key = (sides, dict(p))
+            key = (sides, ctx.dps, dict(p))
             if memo[0] != key:
-                memo[:] = key, sides(**p)
-            value = memo[1][which]
-            with ctx.working():
-                value = mpc(*map(to_mp, value)) if isinstance(value, tuple) else to_mp(value)
-            terms = p["n"] + 1 if which == 0 else 0
-            return SeriesResult(value, mpf(0), terms, "terminating")
+                left, right = sides(**p)
+                with ctx.working():
+                    lhs = _rounded(left)
+                    memo[:] = key, (lhs, lhs if _equal(left, right) else _rounded(right))
+            return SeriesResult(memo[1][which], mpf(0), 0 if which else p["n"] + 1, "terminating")
 
         return run
 
     return side(0), side(1)
+
+
+def _rounded(x):
+    """A value of `exact` rounded once at the ambient precision: the mpf of
+    an int pair (P, Q), or the mpc of a pair of them."""
+    if type(x[0]) is tuple:
+        return mp.make_mpc(tuple(from_rational(*part, mp.prec, round_nearest) for part in x))
+    return mp.make_mpf(from_rational(*x, mp.prec, round_nearest))
+
+
+def _equal(x, y) -> bool:
+    """Whether two values of `exact` are equal, their int pairs cross-multiplied."""
+    if type(x[0]) is not type(y[0]):
+        return False
+    return all(map(_equal, x, y)) if type(x[0]) is tuple else x[0] * y[1] == y[0] * x[1]
 
 
 def _pfq(uppers, lowers, ctx) -> SeriesResult:
@@ -265,14 +272,11 @@ def _saalschuetz_sampler(rng, index):
 
 def _saalschuetz_check(p):
     n = p["n"]
-    if not (isinstance(n, int) and 0 <= n <= 30):
+    if not (isinstance(n, int) and 0 <= n <= 30) or not p["c"].real > 0:
         return False
-    if not _re(p["c"]) > 0:
-        return False
-    for w in (p["c"] - p["a"] - p["b"], p["c"] - p["a"], p["c"] - p["b"]):
-        if _bad_nonpositive(w, window=n):
-            return False
-    return True
+    (a, b, c), d = exact.common([p["a"], p["b"], p["c"]])
+    ks = (exact.whole(w, d) for w in (c - a - b, c - a, c - b))
+    return not any(k is not None and -n < k <= 0 for k in ks)
 
 
 def _saalschuetz_nt_sampler(rng, index):
@@ -293,9 +297,9 @@ def _saalschuetz_nt_check(p):
         return False
     # c+d-a-b-1 at a nonpositive integer degenerates the two-term right
     # side (vanishing gamma prefactor against a divergent series)
-    if _bad_nonpositive(c + d - a - b - 1):
+    if nonpositive_int(c + d - a - b - 1) is not None:
         return False
-    return not any(_bad_nonpositive(w) for w in (c - a, c - b, d - a, d - b))
+    return not any(nonpositive_int(w) is not None for w in (c - a, c - b, d - a, d - b))
 
 
 def _saalschuetz_nt_lhs(a, b, c, d, ctx):
@@ -326,7 +330,7 @@ def _dougall_check(p):
         return False
     if not 15 <= _re(c) + _re(d) - _re(a) - _re(b) <= 30:
         return False
-    return not any(_bad_nonpositive(w) for w in (c - a, c - b, d - a, d - b))
+    return not any(nonpositive_int(w) is not None for w in (c - a, c - b, d - a, d - b))
 
 
 def _dougall_lhs(a, b, c, d, ctx):
@@ -361,8 +365,8 @@ def _gauss_rhs(a, b, c, ctx):
 def _dixon_sampler(rng, index):
     while True:
         a = _dyadic(rng, 1, 4)
-        b = _dyadic_noninteger(rng, Fraction(-7, 2), Fraction(-1, 2))
-        c = _dyadic_noninteger(rng, Fraction(-7, 2), Fraction(-1, 2))
+        b = _dyadic_noninteger(rng, -7, -1, 2)
+        c = _dyadic_noninteger(rng, -7, -1, 2)
         if 5 <= 1 + Fraction(a, 2) - b - c <= 9:
             break
     return _complexify({"a": a, "b": b, "c": c}, rng, index, ("a", "b"))
@@ -387,7 +391,7 @@ def _dixon_rhs(a, b, c, ctx):
 
 def _theorem1_sampler(rng, index):
     while True:
-        p = {k: _dyadic(rng, Fraction(1, 4), 3) for k in "abcd"}
+        p = {k: _dyadic(rng, 1, 12, 4) for k in "abcd"}
         if sum(p.values()) > 1 + Fraction(1, 16):
             break
     return _complexify(p, rng, index, ("a", "b"))
@@ -409,7 +413,7 @@ def _theorem1_rhs(a, b, c, d, ctx):
 
 def _ca_db_sampler(rng, index):
     while True:
-        p = {"a": _dyadic(rng, Fraction(1, 4), 2), "b": _dyadic(rng, Fraction(1, 4), 2)}
+        p = {"a": _dyadic(rng, 1, 8, 4), "b": _dyadic(rng, 1, 8, 4)}
         if 2 * p["a"] + 2 * p["b"] - 1 > Fraction(1, 16):
             break
     return _complexify(p, rng, index, ("a", "b"))
@@ -432,9 +436,9 @@ def _ca_db_rhs(a, b, ctx):
 
 def _b_neg_n_sampler(rng, index):
     p = {
-        "a": _dyadic(rng, Fraction(1, 4), 3),
-        "c": _dyadic(rng, Fraction(1, 4), 3),
-        "d": _dyadic(rng, Fraction(1, 4), 3),
+        "a": _dyadic(rng, 1, 12, 4),
+        "c": _dyadic(rng, 1, 12, 4),
+        "d": _dyadic(rng, 1, 12, 4),
         "n": rng.randint(0, 20),
     }
     return _complexify(p, rng, index, ("a",))
@@ -443,15 +447,16 @@ def _b_neg_n_sampler(rng, index):
 def _b_neg_n_check(p):
     if not (isinstance(p["n"], int) and 0 <= p["n"] <= 20):
         return False
-    return not (_is_integer(p["a"] + p["c"]) or _is_integer(p["a"] + p["d"]))
+    (a, c, d), e = exact.common([p["a"], p["c"], p["d"]])  # a + c, a + d not integers
+    return all(exact.whole(w, e) is None for w in (a + c, a + d))
 
 
 def _phi_as_3f2_sampler(rng, index):
     p = {
-        "a": _dyadic(rng, Fraction(1, 4), 3),
-        "b": _dyadic(rng, Fraction(1, 4), 3),
+        "a": _dyadic(rng, 1, 12, 4),
+        "b": _dyadic(rng, 1, 12, 4),
         "c": _dyadic(rng, 5, 8),
-        "d": _dyadic(rng, Fraction(1, 4), 3),
+        "d": _dyadic(rng, 1, 12, 4),
     }
     return _complexify(p, rng, index, ("a", "b"))
 
@@ -473,8 +478,8 @@ def _phi_as_3f2_rhs(a, b, c, d, ctx):
 def _h22_sampler(rng, index):
     while True:
         p = {
-            "a": _dyadic_noninteger(rng, Fraction(1, 4), 2),
-            "b": _dyadic_noninteger(rng, Fraction(1, 4), 2),
+            "a": _dyadic_noninteger(rng, 1, 8, 4),
+            "b": _dyadic_noninteger(rng, 1, 8, 4),
             "c": _dyadic_noninteger(rng, 6, 15),
             "d": _dyadic_noninteger(rng, 6, 15),
         }
@@ -503,7 +508,7 @@ def _h22_rhs(a, b, c, d, ctx):
 # sample_parameters then draws again from the same stream
 
 def _sample_q(rng):
-    return _dyadic(rng, Fraction(1, 10), Fraction(4, 5))
+    return _dyadic(rng, 1, 8, 10)
 
 
 def _bailey_sampler(rng, index):
@@ -584,7 +589,7 @@ def _jackson_nt_sampler(rng, index):
         "a": _dyadic(rng, 1, 3), "b": _dyadic(rng, 1, 3),
         "c": _dyadic(rng, 1, 3), "d": _dyadic(rng, 1, 3),
         "e": _dyadic(rng, 1, 3),
-        "q": _dyadic(rng, Fraction(1, 10), Fraction(7, 10)),
+        "q": _dyadic(rng, 1, 7, 10),
     }
 
 

@@ -1,8 +1,9 @@
 """Both sides of the terminating identities in exact big-rational arithmetic.
 
 Equality is literal, so a tolerance window cannot hide an off-by-one in a
-termination index. Each value runs on ints up to its one reduction,
-`_value(P, Q)`: the classical sides put their parameters over one common
+termination index. Each value runs on ints and is returned unreduced, the
+int pair (P, Q) of P/Q (no gcd of the big ints is taken; the catalog rounds
+the pair once): the classical sides put their parameters over one common
 denominator D, so 1 + a + b - c - n is (D + A + B - C - nD)/D, the q side
 forms products such as q a / (b c) as gcd-reduced int pairs, each step's
 term ratio is an int pair (A_k, B_k), the sum is taken by backward Horner,
@@ -13,17 +14,16 @@ pairwise products, which stay rational: (sqrt(a);q)_k (-sqrt(a);q)_k =
 
 A complex classical parameter with dyadic parts, as sampled, has a Gaussian
 int `series.Gauss` for its numerator over D, and the same loops run on it; real
-ones stay on plain ints, as everywhere in the package. A Gaussian P/Q is the
-(re, im) pair of Fractions of P conj(Q) / |Q|^2.
+ones stay on plain ints, as everywhere in the package. A Gaussian P/Q is
+returned as ((re, N), (im, N)): re + im i = P conj(Q), N = |Q|^2.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import DivisionByZero, LowerPoleError
-from .series import Gauss, _norm
+from .series import Gauss, _norm, _parts
 
 
 def _over(x, ys=()):
@@ -33,7 +33,7 @@ def _over(x, ys=()):
     return p // g, d // g
 
 
-def _common(xs):
+def common(xs):
     """The numerators of xs over their least common denominator, and it: an
     int, or for a complex x a `Gauss` of its two parts read exactly."""
     parts = [(x.real, x.imag) if isinstance(x, complex) else (x,) for x in xs]
@@ -43,13 +43,20 @@ def _common(xs):
     return [Gauss((next(nums), next(nums))) if len(xp) == 2 else next(nums) for xp in parts], den
 
 
+def whole(w, d):
+    """w / d as an int when w, a numerator of `common` over d, is a multiple
+    of d, else None."""
+    re, im = _parts(w)
+    return None if im or re % d else re // d
+
+
 def _value(p, q):
-    """p / q as a Fraction for ints, else as the (re, im) pair of Fractions
-    of p conj(q) / |q|^2 for Gaussian ints."""
+    """p / q as the unreduced int pair (p, q) for ints, else as the pair of
+    the parts' int pairs of p conj(q) / |q|^2 for Gaussian ints."""
     if Gauss not in (type(p), type(q)):
-        return Fraction(p, q)
+        return p, q
     (nr, ni), norm = p * q.conjugate(), _norm(q)
-    return Fraction(nr, norm), Fraction(ni, norm)
+    return (nr, norm), (ni, norm)
 
 
 def _check_n(n: int):
@@ -103,7 +110,7 @@ def _rising_bracket(numers, denoms, d, n: int):
                     d**n, "exact product side vanishes in the denominator")
 
 
-def _qbracket(numers, denoms, q, n: int) -> Fraction:
+def _qbracket(numers, denoms, q, n: int):
     """prod (x;q)_n / prod (y;q)_n for int pairs x, y and q:
     (x;q)_n = prod_i (xd qd^i - xn qn^i) / (xd^n qd^(n(n-1)/2))."""
     powers = [(q[0] ** i, q[1] ** i) for i in range(n)]
@@ -115,7 +122,7 @@ def _qbracket(numers, denoms, q, n: int) -> Fraction:
 def saalschuetz_sides(a, b, c, n: int):
     """Both sides of the balanced terminating 3F2 summation, exactly."""
     _check_n(n)
-    (a, b, c), d = _common([a, b, c])
+    (a, b, c), d = common([a, b, c])
     lhs = _sum([(a, d), (b, d), (-n, 1)], [(c, d), (d + a + b - c - n * d, d)], (1, 1), n)
     return lhs, _rising_bracket([c - a, c - b], [c, c - a - b], d, n)
 
@@ -123,7 +130,7 @@ def saalschuetz_sides(a, b, c, n: int):
 def phi_symmetric_terminating_sides(a, c, d, n: int):
     """Both sides of the terminating reduction of the symmetric Phi identity."""
     _check_n(n)
-    (a, c, d), e = _common([a, c, d])
+    (a, c, d), e = common([a, c, d])
     ups = [(a, e), (a + c + d - e - n * e, e), (-n, 1)]
     lhs = _sum(ups, [(a + c - n * e, e), (a + d - n * e, e)], (1, 1), n)
     return lhs, _rising_bracket([e - c, e - d], [e - a - c, e - a - d], e, n)
@@ -175,7 +182,7 @@ def jackson_8phi7_sides(a, b, c, d, q, n: int):
         qnk, qdk = qnk * qn, qdk * qd
         weights.append(ad * qdk * qdk - an * qnk * qnk)
     p, s = _horner(ratios, weights)
-    lhs = Fraction(p, s * (ad - an)) if n else Fraction(1)  # a = 1 is allowed at n = 0
+    lhs = (p, s * (ad - an)) if n else (1, 1)  # a = 1 is allowed at n = 0
     qa, (b, c, d) = _over((qn * an, qd * ad)), ups[1:4]
     numers = [qa, _over(qa, [b, c]), _over(qa, [b, d]), _over(qa, [c, d])]
     return lhs, _qbracket(numers, [*lows[:3], _over(qa, [b, c, d])], (qn, qd), n)

@@ -193,21 +193,23 @@ def _format_param(v) -> str:
 
 
 def verify_one(case: IdentityCase, params, ctx: PrecisionContext, index: int = 0) -> IdentityReport:
-    """Evaluate both sides, apply the tolerance rule, never raise on
-    evaluator errors: any exception becomes a failed report with
-    diagnostics, so one bad sample cannot abort a suite."""
+    """Evaluate both sides and the tolerance rule in one `ctx.working()`,
+    format equal sides once, never raise on evaluator errors: any exception
+    becomes a failed report with diagnostics, so one bad sample cannot abort a suite."""
     start = time.perf_counter()
     shown = {k: _format_param(v) for k, v in params.items()}
     try:
-        left = case.lhs(params, ctx)
-        right = case.rhs(params, ctx)
-        abs_err, rel_err, ok = tolerance_rule(left, right, ctx)
+        with ctx.working():
+            left, right = case.lhs(params, ctx), case.rhs(params, ctx)
+            abs_err, rel_err, ok = tolerance_rule(left, right, ctx)
+        lhs = format_value(left.value, ctx.digits)
+        same = type(left.value) is type(right.value) and left.value == right.value
         return IdentityReport(
             identity=case.id,
             index=index,
             params=shown,
-            lhs=format_value(left.value, ctx.digits),
-            rhs=format_value(right.value, ctx.digits),
+            lhs=lhs,
+            rhs=lhs if same else format_value(right.value, ctx.digits),
             abs_err=float(abs_err),
             rel_err=float(rel_err),
             passed=ok,

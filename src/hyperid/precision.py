@@ -129,20 +129,14 @@ def nonpositive_int(value):
     return None
 
 
-def realify(value):
-    """Drop an exactly-zero imaginary part."""
-    if isinstance(value, (mpc, complex)) and value.imag == 0:
-        return to_mp(value).real if isinstance(value, mpc) else value.real
-    return value
-
-
 def format_value(value, digits: int) -> str:
-    """Deterministic decimal string at `digits` significant places."""
-    v = realify(to_mp(value))
-    if isinstance(v, mpc):
+    """Deterministic decimal string at `digits` significant places, with no
+    imaginary part when that is exactly 0."""
+    v = to_mp(value)
+    if isinstance(v, mpc) and v.imag:
         # abs() and unary minus would round the imaginary part to the
         # ambient precision; the sign comes off its string instead
         im = mpmath.nstr(v.imag, digits)
         sign, im = ("-", im[1:]) if im.startswith("-") else ("+", im)
         return f"{mpmath.nstr(v.real, digits)} {sign} {im}j"
-    return mpmath.nstr(v, digits)
+    return mpmath.nstr(v.real, digits)

@@ -19,7 +19,10 @@ int or Gauss value as such a pair.
 `clear_of_q_poles` the Fraction form of the catalog's int pole check, and
 `jackson_check`, `bailey_check`, `phi65_check`, `jackson_nt_check` and
 `split_check` the Fraction forms of the q samplers' checks, which the
-catalog runs on int pairs.
+catalog runs on int pairs, as it runs `saalschuetz_check` and
+`b_neg_n_check` of the classical terminating samplers.
+`fraction_value` reads an exact side of `hyperid.exact`, an unreduced int
+pair or a pair of them, as a Fraction or an (re, im) pair of Fractions.
 `tail_ratio_terms` is the exact recurrence of the q tail ratio's power
 series, on pairs of Fractions.
 `ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
@@ -37,7 +40,7 @@ import mpmath
 from mpmath import mpf, sqrt
 
 from hyperid.errors import DivisionByZero, LowerPoleError, PoleError
-from hyperid.precision import fixed_prec, nonpositive_int, to_mp
+from hyperid.precision import exact_int, fixed_prec, nonpositive_int, to_mp
 from hyperid.series import dyadic, to_fixed
 
 
@@ -298,6 +301,33 @@ def jackson_check(p):
         and clear_of_q_poles(low_b, q, upto=n)
         and clear_of_q_poles(low_c, q, upto=n)
     )
+
+
+def _re(v):
+    return Fraction(v.real) if isinstance(v, complex) else Fraction(v)
+
+
+def saalschuetz_check(p):
+    """`catalog._saalschuetz_check` in Fraction arithmetic: c - a - b, c - a
+    and c - b are tested by `nonpositive_int`."""
+    a, b, c, n = (p[k] for k in "abcn")
+    if not (isinstance(n, int) and 0 <= n <= 30) or not _re(c) > 0:
+        return False
+    return not any(nonpositive_int(w) is not None and nonpositive_int(w) <= n - 1
+                   for w in (c - a - b, c - a, c - b))
+
+
+def b_neg_n_check(p):
+    """`catalog._b_neg_n_check` in Fraction arithmetic."""
+    if not (isinstance(p["n"], int) and 0 <= p["n"] <= 20):
+        return False
+    return exact_int(p["a"] + p["c"]) is None and exact_int(p["a"] + p["d"]) is None
+
+
+def fraction_value(v):
+    """An exact side of `hyperid.exact` as a Fraction, for an int pair
+    (P, Q), or as the (re, im) pair of Fractions of a pair of them."""
+    return (Fraction(*v[0]), Fraction(*v[1])) if isinstance(v[0], tuple) else Fraction(*v)
 
 
 def _clear(q, values, squared=()):

@@ -18,7 +18,7 @@ from hyperid.precision import PrecisionContext, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from hyperid.series import SeriesSpec, split_bilateral, sum_unilateral
 
-from oracles import brute_bilateral_h, brute_bilateral_psi, gamma
+from oracles import brute_bilateral_h, brute_bilateral_psi, fraction_value, gamma
 
 
 def test_criterion_1_analytic_anchor():
@@ -151,8 +151,8 @@ def test_criterion_6_specialization_coherence():
         c = Fraction(rng.randint(17, 190), 64) + Fraction(1, 128)
         d = Fraction(rng.randint(17, 190), 64) + Fraction(1, 128)
         n = rng.randint(0, 20)
-        lv, rv = exact.phi_symmetric_terminating_sides(a, c, d, n)
-        ls, rs = exact.saalschuetz_sides(a, a + c + d - 1 - n, a + c - n, n)
+        lv, rv = map(fraction_value, exact.phi_symmetric_terminating_sides(a, c, d, n))
+        ls, rs = map(fraction_value, exact.saalschuetz_sides(a, a + c + d - 1 - n, a + c - n, n))
         assert lv == ls and rv == rs and lv == rv
     # bailey at e = a collapses onto the unilateral 6phi5 evaluation
     for index in range(10):

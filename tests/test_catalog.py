@@ -14,15 +14,18 @@ from hyperid.gammafn import gamma_ratio
 from hyperid.harness import sample_parameters, verify_one
 from hyperid.precision import PrecisionContext, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
-from hyperid.series import SeriesResult, SeriesSpec, sum_unilateral
+from hyperid.series import Gauss, SeriesResult, SeriesSpec, sum_unilateral
 
 from oracles import (
+    b_neg_n_check,
     bailey_check,
     chu_vandermonde,
     clear_of_q_poles,
+    fraction_value,
     jackson_check,
     jackson_nt_check,
     phi65_check,
+    saalschuetz_check,
     split_check,
     term_stream,
 )
@@ -119,6 +122,27 @@ def test_q_checks_on_int_pairs_match_the_fraction_forms(p):
         assert check(p) == oracle(p)
 
 
+@st.composite
+def _terminating_params(draw):
+    # integer shifts put c - a - b, c - a, c - b, a + c or a + d on an
+    # integer; complex parameters have dyadic parts, as sampled
+    grid = st.integers(-256, 256).map(lambda i: Fraction(i, 64))
+    parts = st.integers(-64, 64).map(lambda i: i / 16)
+    a, b = (draw(st.one_of(grid, st.builds(complex, parts, parts))) for _ in "ab")
+    shift = st.integers(-32, 3)
+    c, d = (draw(st.one_of(grid, shift.map(lambda j: a + b + j), shift.map(lambda j: a + j),
+                           shift.map(lambda j: j - a), st.builds(complex, parts, parts)))
+            for _ in "cd")
+    return {"a": a, "b": b, "c": c, "d": d, "n": draw(st.integers(-1, 31))}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_terminating_params())
+def test_terminating_checks_on_ints_match_the_fraction_forms(p):
+    assert catalog._saalschuetz_check(p) == saalschuetz_check(p)
+    assert catalog._b_neg_n_check(p) == b_neg_n_check(p)
+
+
 def test_terminating_samples_are_pinned():
     # the sampled dicts of the three exact ids, seeds 1-3, indices 0-99, as
     # drawn by the checks of Fraction arithmetic
@@ -127,9 +151,31 @@ def test_terminating_samples_are_pinned():
              for i in ids for seed in (1, 2, 3) for index in range(100)]
     digest = "6c7ffd73532ff89eb4efef873e353ded9ffc01a3d8339e4838ccdb02f640a369"
     assert sha256(repr(dicts).encode()).hexdigest() == digest
-    fraction_form = replace(CATALOG["jackson-8phi7"], check=jackson_check)
-    assert dicts[-300:] == [sample_parameters(fraction_form, seed, index)
-                            for seed in (1, 2, 3) for index in range(100)]
+    forms = (saalschuetz_check, b_neg_n_check, jackson_check)
+    assert dicts == [sample_parameters(replace(CATALOG[i], check=form), seed, index)
+                     for i, form in zip(ids, forms) for seed in (1, 2, 3) for index in range(100)]
+
+
+_BIG = st.one_of(st.integers(-2**40, 2**40), st.integers(-2**900, 2**900))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_BIG, _BIG.filter(bool), _BIG, _BIG.filter(bool), _BIG.filter(bool), st.integers(53, 400))
+def test_exact_values_round_once_as_their_fractions(p, q, i, j, g, prec):
+    # an unreduced pair (g p, g q), denominators of either sign, and a
+    # Gaussian quotient as its parts' pairs over its norm, round bit for bit
+    # as to_mp rounds their reduced Fractions
+    z = exact._value(Gauss((p, i)), Gauss((q, j)))
+    with mp.workprec(prec):
+        assert catalog._rounded((g * p, g * q))._mpf_ == to_mp(Fraction(p, q))._mpf_
+        assert catalog._rounded(z)._mpc_ == tuple(to_mp(Fraction(*part))._mpf_ for part in z)
+
+
+def test_equal_exact_values_are_found_unreduced():
+    assert catalog._equal((6, -4), (-3, 2)) and not catalog._equal((6, 4), (3, -2))
+    z = exact._value(Gauss((1, 2)), 3)
+    assert catalog._equal(z, exact._value(Gauss((2, 4)), 6)) and not catalog._equal(z, (1, 3))
+    assert not catalog._equal((1, 3), z)
 
 
 def test_q_samples_are_pinned():
@@ -225,7 +271,7 @@ def test_saalschuetz_nt_terminating_reduction(ctx30):
     assert not CATALOG["saalschuetz-nt"].check(p)  # excluded from sampling
     l = CATALOG["saalschuetz-nt"].lhs(p, ctx30)
     assert l.method == "terminating"
-    ls, rs = exact.saalschuetz_sides(a, b, c, n)
+    ls, rs = map(fraction_value, exact.saalschuetz_sides(a, b, c, n))
     assert ls == rs
     with ctx30.working():
         assert abs(l.value - to_mp(rs)) < abs(l.value) * mpf(10) ** -30
@@ -379,8 +425,8 @@ def test_theorem1_b_neg_n_examples(ctx30):
 def test_theorem1_b_neg_n_matches_saalschuetz(ctx30):
     # parameter mapping onto the balanced terminating sum
     a, c, d, n = Fraction(5, 8), Fraction(9, 8), Fraction(13, 16), 7
-    lv, rv = exact.phi_symmetric_terminating_sides(a, c, d, n)
-    ls, rs = exact.saalschuetz_sides(a, a + c + d - 1 - n, a + c - n, n)
+    lv, rv = map(fraction_value, exact.phi_symmetric_terminating_sides(a, c, d, n))
+    ls, rs = map(fraction_value, exact.saalschuetz_sides(a, a + c + d - 1 - n, a + c - n, n))
     assert lv == ls
     assert rv == rs
     assert not isinstance(lv, tuple)
@@ -392,10 +438,10 @@ def test_theorem1_b_neg_n_matches_saalschuetz(ctx30):
 ])
 def test_theorem1_b_neg_n_matches_saalschuetz_on_gaussian_dyadics(a, c, d):
     # the same mapping with Gaussian dyadic parameters: both entries return
-    # equal (re, im) pairs of Fractions
+    # equal pairs of int pairs, read as (re, im) pairs of Fractions
     n = 7
-    lv, rv = exact.phi_symmetric_terminating_sides(a, c, d, n)
-    ls, rs = exact.saalschuetz_sides(a, a + c + d - 1 - n, a + c - n, n)
+    lv, rv = map(fraction_value, exact.phi_symmetric_terminating_sides(a, c, d, n))
+    ls, rs = map(fraction_value, exact.saalschuetz_sides(a, a + c + d - 1 - n, a + c - n, n))
     assert lv == ls
     assert rv == rs
     assert isinstance(lv, tuple)
@@ -499,7 +545,7 @@ def test_jackson_8phi7_small_n(ctx30):
 def test_jackson_8phi7_engine_matches_exact(ctx30):
     # the mp series engine reproduces the exact rational route
     p = {"a": Fraction(9, 4), "b": Fraction(3, 2), "c": Fraction(5, 4), "d": Fraction(7, 4), "q": Fraction(1, 2), "n": 4}
-    lv, rv = exact.jackson_8phi7_sides(p["a"], p["b"], p["c"], p["d"], p["q"], p["n"])
+    lv, rv = map(fraction_value, exact.jackson_8phi7_sides(*(p[k] for k in "abcdqn")))
     qc = QContext(p["q"], ctx30)
     with ctx30.working():
         a, b, c, d, qm = (to_mp(p[k]) for k in "abcdq")
@@ -530,7 +576,7 @@ def test_jackson_nt_sample_and_termination(ctx30):
     e = qv ** (1 + n) * a * a / (b * c * d)
     p2 = {"a": a, "b": b, "c": c, "d": d, "e": e, "q": qv}
     l2, r2 = _sides("jackson-nt", p2, ctx30)
-    lv, rv = exact.jackson_8phi7_sides(a, b, c, d, qv, n)
+    lv, rv = map(fraction_value, exact.jackson_8phi7_sides(a, b, c, d, qv, n))
     with ctx30.working():
         assert abs(l2.value - to_mp(lv)) < abs(l2.value) * mpf(10) ** -25
         assert abs(r2.value - to_mp(rv)) < abs(r2.value) * mpf(10) ** -25

@@ -11,29 +11,38 @@ from hyperid import exact
 from hyperid.errors import DivisionByZero, LowerPoleError
 from hyperid.precision import to_mp
 
-from oracles import q_term_stream, qpoch, rising, term_stream
+from oracles import fraction_value, q_term_stream, qpoch, rising, term_stream
 
 
 # The int kernels of the sides on lists of rationals: a terminating pFq sum,
 # a rising bracket over one common denominator and a q-bracket, each
-# checking n first, as the sides do.
+# checking n first, as the sides do, and each value read as a Fraction. The
+# three sides are read the same way through `fractions`.
 
 def pfq_terminating(uppers, lowers, z, n):
     exact._check_n(n)
     ups, lows = ([x.as_integer_ratio() for x in xs] for xs in (uppers, lowers))
-    return exact._sum(ups, lows, z.as_integer_ratio(), n)
+    return fraction_value(exact._sum(ups, lows, z.as_integer_ratio(), n))
 
 
 def bracket_n(numers, denoms, n):
     exact._check_n(n)
-    xs, d = exact._common([*numers, *denoms])
-    return exact._rising_bracket(xs[:len(numers)], xs[len(numers):], d, n)
+    xs, d = exact.common([*numers, *denoms])
+    return fraction_value(exact._rising_bracket(xs[:len(numers)], xs[len(numers):], d, n))
 
 
 def qbracket_n(numers, denoms, q, n):
     exact._check_n(n)
     numers, denoms = ([x.as_integer_ratio() for x in xs] for xs in (numers, denoms))
-    return exact._qbracket(numers, denoms, q.as_integer_ratio(), n)
+    return fraction_value(exact._qbracket(numers, denoms, q.as_integer_ratio(), n))
+
+
+def fractions(sides):
+    """The exact entry `sides` with both its values read by `fraction_value`."""
+    def read(*args):
+        return tuple(map(fraction_value, sides(*args)))
+
+    return read
 
 
 def test_rising_values():
@@ -75,7 +84,7 @@ def test_qbracket_n():
 
 def test_jackson_sides_equal_for_range_of_n():
     for n in (0, 1, 2, 5, 9):
-        l, r = exact.jackson_8phi7_sides(
+        l, r = fractions(exact.jackson_8phi7_sides)(
             Fraction(9, 4), Fraction(5, 4), Fraction(4, 3), Fraction(7, 4), Fraction(2, 5), n
         )
         assert l == r
@@ -83,7 +92,7 @@ def test_jackson_sides_equal_for_range_of_n():
 
 def test_jackson_sides_at_a_equal_one():
     b, c, d, q = Fraction(5, 4), Fraction(4, 3), Fraction(7, 4), Fraction(2, 5)
-    assert exact.jackson_8phi7_sides(Fraction(1), b, c, d, q, 0) == (1, 1)
+    assert fractions(exact.jackson_8phi7_sides)(Fraction(1), b, c, d, q, 0) == (1, 1)
     with pytest.raises(DivisionByZero):
         exact.jackson_8phi7_sides(Fraction(1), b, c, d, q, 1)
 
@@ -97,7 +106,7 @@ def test_jackson_sides_reject_zero_parameters():
             exact.jackson_8phi7_sides(*args, q, n)
     with pytest.raises(DivisionByZero, match="q != 0"):
         exact.jackson_8phi7_sides(b, b, c, d, 0, n)
-    assert exact.jackson_8phi7_sides(b, b, c, d, 0, 0) == (1, 1)
+    assert fractions(exact.jackson_8phi7_sides)(b, b, c, d, 0, 0) == (1, 1)
 
 
 _ONE, _HALF = Fraction(1), Fraction(1, 2)
@@ -230,7 +239,7 @@ def test_jackson_8phi7_sides_match_the_q_term_stream(data, q, b, c, d, n):
     # a = q^-2j puts a zero on the very-well-poised weight of term j (a = 1 at j = 0)
     a = data.draw(st.one_of(_NONZERO, st.integers(0, 4).map(lambda j: q ** (-2 * j))))
     reference = _outcome(_jackson_reference, a, b, c, d, q, n)
-    assert _outcome(exact.jackson_8phi7_sides, a, b, c, d, q, n) == reference
+    assert _outcome(fractions(exact.jackson_8phi7_sides), a, b, c, d, q, n) == reference
 
 
 _SHIFT = st.integers(-30, 30)
@@ -244,7 +253,7 @@ def test_saalschuetz_sides_match_the_term_stream(data, a, b, n):
     c = data.draw(st.one_of(_RAT, _SHIFT.map(Fraction), _SHIFT.map(lambda j: a + b + j),
                             _SHIFT.map(lambda j: a + j), _SHIFT.map(lambda j: 1 + a + b - n + j)))
     reference = _outcome(_saalschuetz_reference, a, b, c, n)
-    assert _outcome(exact.saalschuetz_sides, a, b, c, n) == reference
+    assert _outcome(fractions(exact.saalschuetz_sides), a, b, c, n) == reference
 
 
 @_SETTINGS
@@ -257,7 +266,7 @@ def test_phi_symmetric_terminating_sides_match_the_term_stream(data, a, n):
 
     c, d = param(), param()
     reference = _outcome(_phi_terminating_reference, a, c, d, n)
-    assert _outcome(exact.phi_symmetric_terminating_sides, a, c, d, n) == reference
+    assert _outcome(fractions(exact.phi_symmetric_terminating_sides), a, c, d, n) == reference
 
 
 # The same two sides on Gaussian dyadics, the sampled complex parameters,
@@ -272,7 +281,7 @@ _GAUSS = st.builds(complex, *[_SIXTEENTHS.map(lambda i: i / 16)] * 2)
 
 
 def _check_gaussian_sides(sides, args, lows, numers, denoms, n):
-    outcome = _outcome(sides, *args, n)
+    outcome = _outcome(fractions(sides), *args, n)
     pole = next((k for k in range(n) for y in lows if y + k == 0), None)
     if pole is not None:
         assert outcome == (LowerPoleError, f"denominator parameter reaches a pole at k = {pole}")

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from hyperid.catalog import CATALOG
 from hyperid.errors import HyperidError, UnknownIdentityError
@@ -71,6 +71,19 @@ def test_verify_one_passes_and_fails(ctx30):
     broken = replace(case, id="broken", rhs=corrupted)
     rep2 = verify_one(broken, {"a": Fraction(1), "b": Fraction(1), "c": Fraction(3)}, ctx30)
     assert not rep2.passed
+
+
+def test_verify_one_enters_the_working_precision_once(monkeypatch, ctx30):
+    # both sides and the tolerance rule of a sample run under one working
+    # precision, in which every nested ctx.working() is the shared no-op
+    entered, workdps = [], mp.workdps
+    monkeypatch.setattr(mp, "workdps", lambda dps: entered.append(dps) or workdps(dps))
+    assert mp.dps != ctx30.dps
+    for ident in ("saalschuetz", "jackson-8phi7"):
+        case = CATALOG[ident]
+        report = verify_one(case, sample_parameters(case, 1, 3), ctx30)
+        assert report.passed and report.lhs == report.rhs
+    assert entered == [ctx30.dps, ctx30.dps]
 
 
 def test_verify_one_captures_errors(ctx30):
