@@ -878,9 +878,11 @@ CATALOG = {c.id: c for c in (
 
 
 def tolerance_rule(lhs: SeriesResult, rhs: SeriesResult, ctx: PrecisionContext):
-    """Return (abs_err, rel_err, passed), passed when rel_err < 10^-digits:
-    |lhs - rhs| relative to |rhs|, absolute when rhs = 0. The sides' values
-    alone decide; their error estimates do not enter."""
+    """Return (abs_err, rel_err, passed), passed when rel_err < 10^-digits: |lhs - rhs|
+    relative to |rhs|, absolute when rhs = 0; equal finite sides give its zeros and pass
+    without the arithmetic. The values alone decide; error estimates do not enter."""
+    if lhs.value == rhs.value and mp.isfinite(lhs.value):
+        return mp.zero, mp.zero, True
     with ctx.working():
         diff = abs(lhs.value - rhs.value)
         rel = diff / abs(rhs.value) if rhs.value != 0 else diff

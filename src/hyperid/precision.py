@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, fzero, round_nearest, to_str
 
 INF = mpmath.inf
 _HELD = nullcontext()  # shared: entering and leaving it changes nothing
@@ -130,13 +130,14 @@ def nonpositive_int(value):
 
 
 def format_value(value, digits: int) -> str:
-    """Deterministic decimal string at `digits` significant places, with no
-    imaginary part when that is exactly 0."""
+    """Deterministic decimal string at `digits` significant places, each part as
+    mpmath.nstr prints it (libmp.to_str), with no imaginary part when that is 0."""
     v = to_mp(value)
-    if isinstance(v, mpc) and v.imag:
-        # abs() and unary minus would round the imaginary part to the
-        # ambient precision; the sign comes off its string instead
-        im = mpmath.nstr(v.imag, digits)
-        sign, im = ("-", im[1:]) if im.startswith("-") else ("+", im)
-        return f"{mpmath.nstr(v.real, digits)} {sign} {im}j"
-    return mpmath.nstr(v.real, digits)
+    real, im = (v._mpf_, fzero) if isinstance(v, mpf) else v._mpc_
+    if im == fzero:
+        return to_str(real, digits)
+    # abs() and unary minus would round the imaginary part to the ambient
+    # precision; the sign comes off its string instead
+    im = to_str(im, digits)
+    sign, im = ("-", im[1:]) if im.startswith("-") else ("+", im)
+    return f"{to_str(real, digits)} {sign} {im}j"

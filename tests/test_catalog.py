@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from hyperid import catalog, exact
 from hyperid.catalog import CATALOG, phi_sum, phi_via_3f2, tolerance_rule
@@ -671,6 +671,42 @@ def test_negative_control_perturbed_rhs(ctx30):
     assert not report.passed
     good = verify_one(case, params, ctx30)
     assert good.passed
+
+
+def _rule_by_arithmetic(x, y, ctx):
+    # the rule's arithmetic, spelled out: what tolerance_rule returns
+    with ctx.working():
+        diff = abs(x - y)
+        rel = diff / abs(y) if y != 0 else diff
+        return diff, rel, bool(rel < mpf(10) ** -ctx.digits)
+
+
+def _same_triple(got, want):
+    return all(type(g) is type(w) and (g == w or (g != g and w != w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_tolerance_rule_on_equal_sides_is_its_arithmetic(digits):
+    # equal finite sides (mpf, mpc, zero, mixed mpf/mpc) give the arithmetic's
+    # zeros and pass; inf == inf and nan sides keep (nan, nan, False)
+    ctx = PrecisionContext(digits=digits)
+    with ctx.working():
+        big, tiny = mpf(10) ** 1000, mpf(10) ** -1000
+        pairs = [(mpf(1), mpf(1)), (mpf(-2.5), mpf(-2.5)), (big, big), (tiny, tiny),
+                 (mpf(1) / 3, mpf(1) / 3), (mpf(0), mpf(0)), (mpc(0, 0), mpc(0, 0)),
+                 (mpc(1, -3), mpc(1, -3)), (mpc(0, tiny), mpc(0, tiny)),
+                 (mpf(2), mpc(2, 0)), (mpc(2, 0), mpf(2)), (mpf(0), mpc(0, 0)),
+                 (mp.inf, mp.inf), (-mp.inf, -mp.inf), (mpc(mp.inf, 1), mpc(mp.inf, 1)),
+                 (mp.nan, mp.nan), (mpf(1), mp.nan), (mp.nan, mpf(0)),
+                 (mpf(1), mpf(1) + mpf(10) ** -35), (mpf(0), tiny), (mpc(1, 1), mpf(1))]
+    for x, y in pairs:
+        got = tolerance_rule(SeriesResult(x, 0, 0, "direct"), SeriesResult(y, 0, 0, "direct"), ctx)
+        assert _same_triple(got, _rule_by_arithmetic(x, y, ctx)), (x, y, got)
+        if x == y and mpmath.isfinite(x):
+            assert got == (0, 0, True)
+    for x in (mp.inf, mp.nan):
+        got = tolerance_rule(SeriesResult(x, 0, 0, "direct"), SeriesResult(x, 0, 0, "direct"), ctx)
+        assert mpmath.isnan(got[0]) and mpmath.isnan(got[1]) and got[2] is False
 
 
 def test_tolerance_rule_checks_every_reported_digit(ctx30):

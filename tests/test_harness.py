@@ -1,12 +1,17 @@
 import json
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from hyperid import harness
 from hyperid.catalog import CATALOG
 from hyperid.errors import HyperidError, UnknownIdentityError
 from hyperid.harness import (
@@ -197,6 +202,100 @@ def test_to_json_peak_memory_stays_near_the_text():
         tracemalloc.stop()
     assert peak < 6 * len(text)
     assert text == _one_shot_json(report)  # many batches of chunks, same bytes
+
+
+class _Writes:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+# every escape the encoder knows, non-ASCII and an astral character
+_TRICKY = '"\\\x00\x1f\x7f\n\t\u2028é€😀/'
+_TEXT = st.text(max_size=12) | st.just(_TRICKY)
+_FLOAT = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0,
+                                        5e-324, 1e308])
+_RESULT = st.builds(
+    IdentityReport, identity=_TEXT, index=st.integers(0, 2**70),
+    params=st.dictionaries(_TEXT, _TEXT, max_size=4), lhs=_TEXT, rhs=_TEXT,
+    abs_err=_FLOAT, rel_err=_FLOAT, passed=st.booleans(),
+    terms_used=st.fixed_dictionaries({"lhs": st.integers(-2**64, 2**64),
+                                      "rhs": st.integers(0, 9)}),
+    method=st.fixed_dictionaries({"lhs": _TEXT, "rhs": _TEXT}), wall_time=_FLOAT,
+    error=st.none() | _TEXT)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(-2**40, 2**40), st.integers(0, 100), _TEXT,
+       st.lists(_RESULT, min_size=1, max_size=4),
+       st.sampled_from([0, 1, 2, harness._BATCH, harness._BATCH + 1, 2 * harness._BATCH + 3]))
+@example(1, 30, _TRICKY, [IdentityReport(_TRICKY, 0, {}, "", _TRICKY, float("nan"), -0.0, False,
+                                         {"lhs": 0, "rhs": 0}, {"lhs": "", "rhs": _TRICKY},
+                                         5e-324, _TRICKY)], 1)
+def test_write_json_is_json_dumps_with_indent_2(seed, digits, started_at, drawn, count):
+    # the drawn results, cycled to `count` of them: none, one, and more
+    # than one batch holds
+    report = SuiteReport(seed=seed, digits=digits, started_at=started_at,
+                         results=[drawn[i % len(drawn)] for i in range(count)])
+    expected = json.dumps(report.to_dict(), indent=2)
+    assert report.to_json() == expected
+    stream = _Writes()
+    report.write_json(stream)
+    assert "".join(stream.writes) == expected
+    if count > harness._BATCH:
+        assert max(map(len, stream.writes)) < len(expected)
+
+
+def test_format_param_prints_a_dyadic_fraction_exactly(monkeypatch):
+    # a float that holds the value prints it; one that would round it or
+    # overflow does not, and the suite is not aborted by it
+    huge = Fraction(2**1100)
+    cases = {
+        Fraction(3, 4): "0.75", Fraction(-3): "-3.0", Fraction(0): "0.0",
+        Fraction(2**60): "1.152921504606847e+18", Fraction(1, 2**1074): "5e-324",
+        Fraction(2**53 - 1, 2): "4503599627370495.5",
+        Fraction(int(sys.float_info.max)): "1.7976931348623157e+308",
+        Fraction(2**60 + 1, 4): "1152921504606846977/4",
+        Fraction(2**53 + 1, 2): "9007199254740993/2",
+        Fraction(3, 2**1074): "1.5e-323", Fraction(3, 2**1075): f"3/{2**1075}",
+        Fraction(1, 2**1075): f"1/{2**1075}", Fraction(2**1024): f"{2**1024}/1",
+        huge: f"{2**1100}/1", Fraction(1, 3): "1/3",
+    }
+    for value, shown in cases.items():
+        assert harness._format_param(value) == shown, value
+    wild = replace(CATALOG["gauss-2f1"], id="zz-huge", check=lambda p: True,
+                   sampler=lambda rng, index: {"a": huge, "b": Fraction(2**60 + 1, 4)})
+    monkeypatch.setitem(CATALOG, "zz-huge", wild)
+    report = run_suite(SuiteConfig(identities=("zz-huge", "saalschuetz"), samples=1, seed=4))
+    good, odd = report.results  # sorted by id
+    assert report.total == 2 and good.passed and odd.identity == "zz-huge"
+    assert odd.params == {"a": f"{2**1100}/1", "b": "1152921504606846977/4"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-2**60, 2**60) | st.integers(-2**1100, 2**1100), st.integers(0, 1100))
+def test_format_param_is_the_float_exactly_when_it_holds_the_fraction(num, k):
+    value = Fraction(num, 2**k)
+    try:
+        f = float(value)
+        exact = Fraction(f) == value
+    except OverflowError:
+        exact = False
+    shown = repr(f) if exact else f"{value.numerator}/{value.denominator}"
+    assert harness._format_param(value) == shown
+
+
+def test_sampled_params_print_as_pinned():
+    # the printed params of all 17 ids, seeds 1-4, indices 0-199
+    shown = [{k: harness._format_param(v)
+              for k, v in sample_parameters(CATALOG[i], seed, index).items()}
+             for i in CATALOG for seed in (1, 2, 3, 4) for index in range(200)]
+    digest = "91e1cda4ed16d60f3fafb44a6135af41363c6e07884d55f5ba8248a027d2bf67"
+    assert sha256(repr(shown).encode()).hexdigest() == digest
 
 
 def test_isolation_of_failures(monkeypatch):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -126,6 +127,46 @@ def test_integer_detection():
         assert nonpositive_int(mpf(0)) == 0
         assert nonpositive_int(mpf(2)) is None
         assert nonpositive_int(mpf("-6.5")) is None
+
+
+def _nstr_form(v, digits):
+    # format_value's contract in mpmath.nstr: the real part, and a nonzero
+    # imaginary part with its sign moved in front of it
+    if isinstance(v, mpc) and v.imag:
+        im = mpmath.nstr(v.imag, digits)
+        sign, im = ("-", im[1:]) if im.startswith("-") else ("+", im)
+        return f"{mpmath.nstr(v.real, digits)} {sign} {im}j"
+    return mpmath.nstr(v.real, digits)
+
+
+def _near_powers_of_ten(prec):
+    # 10^k rounded to prec bits and its two neighbours at that precision
+    out = []
+    for k in (-1000, -61, -31, -16, -1, 0, 1, 15, 16, 30, 31, 60, 61, 1000):
+        with mp.workprec(prec):
+            t = mpf(10) ** k
+        man, exp = t.man, t.exp
+        shift = prec - man.bit_length()
+        with mp.workprec(prec):
+            out += [mpf(((man << shift) + d, exp - shift)) for d in (-1, 0, 1)]
+    return out
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60])
+def test_format_value_is_nstr(digits):
+    values = [mpf(0), mpf(1), mpf(-1), mpf(2), mpf("-0.1"), mpf(1) / 3, -mpf(2) / 3,
+              mpf(2) ** 3321, -mpf(2) ** -3321, mp.inf, -mp.inf, mp.nan]
+    for prec in (53, 113, 233):
+        with mp.workprec(prec):
+            values += [mpf(10) ** 1000 / 7, -mpf(10) ** -1000 * 3, mpf(1) - mpf(10) ** -digits / 2]
+        values += _near_powers_of_ten(prec)
+    with mp.workprec(300):  # exact, so the parts keep their precision
+        values += [mpc(v, 0) for v in values[:12]] + [mpc(0, v) for v in values[:12]]
+        values += [mpc(v, w) for v, w in zip(values[:40], values[40:80])]
+    for v in values:
+        assert format_value(v, digits) == _nstr_form(v, digits), (v, digits)
+    for v in values[:40]:
+        assert format_value(v, digits) == mpmath.nstr(v, digits)
 
 
 def test_format_value():
