@@ -225,13 +225,13 @@ def verify_one(case: IdentityCase, params, ctx: PrecisionContext, index: int = 0
             left, right = case.lhs(params, ctx), case.rhs(params, ctx)
             abs_err, rel_err, ok = tolerance_rule(left, right, ctx)
         lhs = format_value(left.value, ctx.digits)
-        same = type(left.value) is type(right.value) and left.value == right.value
         return IdentityReport(
             identity=case.id,
             index=index,
             params=shown,
             lhs=lhs,
-            rhs=lhs if same else format_value(right.value, ctx.digits),
+            # abs_err is 0 only for equal finite sides, which print alike
+            rhs=lhs if not abs_err else format_value(right.value, ctx.digits),
             abs_err=float(abs_err),
             rel_err=float(rel_err),
             passed=ok,

@@ -49,13 +49,13 @@ from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_div, round_nearest
+from mpmath.libmp import from_man_exp, mpf_div, round_nearest, to_float
 
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
 from .precision import INF, PrecisionContext, fixed_prec, to_mp
 from .series import (
-    Gauss, SeriesResult, _norm, _parts, _rdiv, dyadic, fixed_terms, join_halves, mp_parameters,
-    reflected_factors, sum_direct, to_fixed,
+    Gauss, SeriesResult, _bits, _norm, _parts, _rdiv, _rshift, dyadic, fixed_terms, join_halves,
+    mp_parameters, reflected_factors, sum_direct, to_fixed,
 )
 
 
@@ -127,7 +127,7 @@ def q_pochhammer(x, qc: QContext, n):
     ctx = qc.ctx
     with ctx.working():
         xx = to_mp(x)
-        if xx == 0:
+        if not xx:
             return mpf(1)
         return _infinite_product(xx, to_mp(qc.q), ctx)
 
@@ -169,7 +169,7 @@ def _euler_row(raw, prec, budget):
             raise BudgetExceeded("infinite q-product failed to truncate")
         b = _bits(t) - wp - g + 1
         # + 0 a: c_0 comes before the stream's first step, an int even for a complex q
-        row.append((_rdiv(t, 1 << g) + 0 * a, b))
+        row.append((_rshift(t, g) + 0 * a, b))
         if b - len(row) + 1 < -wp:
             return wp, (a, s), tuple(row), aq
 
@@ -177,7 +177,7 @@ def _euler_row(raw, prec, budget):
 def _infinite_product(x, q, ctx: PrecisionContext):
     """(x;q)_inf for nonzero x at working precision (see q_pochhammer)."""
     budget = 100 * ctx.dps + 10000
-    wp, (qn, qs), row, fq = _euler_row(getattr(q, "_mpc_", None) or q._mpf_, mp.prec, budget)
+    wp, (qn, qs), row, fq = _euler_row(q._mpf_ if type(q) is mpf else q._mpc_, mp.prec, budget)
     p, e = dyadic(x)
     # log2 |x| >= k, and the float bound below is >= log2(1/|q|): past it, the loop
     # would step budget - len(row) + 1 factors with |x q^i| > 1, none of them zero
@@ -192,13 +192,13 @@ def _infinite_product(x, q, ctx: PrecisionContext):
             return mpf(0)
         h *= (1 << e) - p
         d = max(_bits(h) - wp - 2, 0)
-        h, hs = _rdiv(h, 1 << d), hs + e - d
+        h, hs = _rshift(h, d), hs + e - d
         p, e, used = p * qn, e + qs, used + 1
         if used + len(row) > budget:
             raise BudgetExceeded("infinite q-product failed to truncate")
     # Horner over c_n up to the first n with |c_n| |y|^n < 2^-wp, on ints at
     # scale 2^wp with y = p / 2^e, each step rounded to the nearest unit: as in
-    # `series._rdiv`, t - (t >> 1) with t = floor(2 acc y) rounds acc y halves up
+    # `series._rshift`, t - (t >> 1) with t = floor(2 acc y) rounds acc y halves up
     ly, p2, acc = (_norm(p).bit_length() + 1) // 2 - e, p << 1, 0
     n = 0
     for _, b in row:
@@ -208,42 +208,47 @@ def _infinite_product(x, q, ctx: PrecisionContext):
     for c, _ in reversed(row[:n]):
         acc = (t := acc * p2 >> e) - (t >> 1) + c
     acc *= h
-    re, im = (from_man_exp(v, -hs - wp, mp.prec, round_nearest) for v in _parts(acc))
-    return mp.make_mpc((re, im)) if type(acc) is Gauss else mp.make_mpf(re)
+    if type(acc) is int:
+        return mp.make_mpf(from_man_exp(acc, -hs - wp, mp.prec, round_nearest))
+    return mp.make_mpc(tuple(from_man_exp(v, -hs - wp, mp.prec, round_nearest) for v in acc))
 
 
 def q_bracket(numers, denoms, qc: QContext):
     """prod (x_i;q)_inf / prod (y_j;q)_inf.
 
     Returns exact 0 when a numerator entry vanishes and no denominator entry
-    does; IndeterminateError when both vanish. The entries' mantissas and
-    exponents multiply exactly as ints (`series.Gauss` values when one is
-    complex) and the quotient is rounded once to the working precision, so
-    the bracket is within the sum of its entries' relative errors (see
-    q_pochhammer) plus 2^-prec of its value, relative, in each part.
+    does; IndeterminateError when both vanish. The entries' raw mantissas and
+    exponents multiply exactly as ints (`series.Gauss` values when complex),
+    a zero entry zeroing its side, and the quotient is rounded once to the
+    working precision, so the bracket is within the sum of its entries'
+    relative errors (see q_pochhammer) plus 2^-prec of its value in each part.
     """
     with qc.ctx.working():
-        nums = [q_pochhammer(x, qc, INF) for x in numers]
-        dens = [q_pochhammer(y, qc, INF) for y in denoms]
-        if 0 in dens:
-            if 0 in nums:
+        sides = []
+        for xs in (numers, denoms):
+            m, e = 1, 0  # the side's product m 2^e
+            for x in xs:
+                v = q_pochhammer(x, qc, INF)
+                if type(v) is mpf:
+                    sign, man, exp, _ = v._mpf_
+                    m *= -man if sign else man
+                else:
+                    exp = min(v._mpc_[0][2], v._mpc_[1][2])
+                    m *= Gauss((-man if sign else man) << ex - exp for sign, man, ex, _ in v._mpc_)
+                e += exp
+            sides.append((m, e))
+        (pn, pe), (dn, de) = sides
+        if not dn:
+            if not pn:
                 raise IndeterminateError("q-bracket vanishes in numerator and denominator")
             raise DivisionByZero("q-bracket denominator entry vanishes")
-        if 0 in nums:
+        if not pn:
             return mpf(0)
-        # pn / 2^ps over dn / 2^ds: pn conj(dn) / |dn|^2, each part rounded once
-        pairs = [dyadic(v) for v in (*nums, *dens)]
-        (pn, ps), (dn, ds) = ((math.prod(n for n, _ in vs), sum(s for _, s in vs))
-                              for vs in (pairs[:len(nums)], pairs[len(nums):]))
-        num, norm = pn * dn.conjugate(), from_man_exp(_norm(dn), 0)
-        re, im = (mpf_div(from_man_exp(v, ds - ps), norm, mp.prec, round_nearest)
-                  for v in _parts(num))
-        return mp.make_mpc((re, im)) if type(num) is Gauss else mp.make_mpf(re)
-
-
-def _bits(x):
-    """The bit length of the larger part of an int or a `series.Gauss`."""
-    return x.bit_length() if type(x) is int else max(x[0].bit_length(), x[1].bit_length())
+        if type(dn) is Gauss:  # pn conj(dn) / |dn|^2, each part rounded once
+            pn, dn = pn * dn.conjugate(), _norm(dn)
+        den = from_man_exp(dn, de)
+        re, im = (mpf_div(from_man_exp(v, pe), den, mp.prec, round_nearest) for v in _parts(pn))
+        return mp.make_mpc((re, im)) if type(pn) is Gauss else mp.make_mpf(re)
 
 
 def split_psi(spec: QSeriesSpec, qc: QContext):
@@ -306,7 +311,7 @@ def q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
     def ratio(k):
         nonlocal pows, power
         fs = [one - p for p in pows]
-        # as in `series._rdiv`, t - (t >> 1) with t = floor(2 p q) rounds p q halves up
+        # as in `series._rshift`, t - (t >> 1) with t = floor(2 p q) rounds p q halves up
         pows = [(t := p * q2 >> qs) - (t >> 1) for p in pows]
         # (-q^k)^extra = balance^sign(extra) / 2^(qs k extra)
         balance, power = [-power] * e, power * qn
@@ -320,6 +325,11 @@ def q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
     yield from fixed_terms(ratio, max_k, wp, "q-series denominator vanishes at k = {}")
 
 
+def _fabs(v):
+    """float(abs(v)), for an mpf read off its raw tuple."""
+    return abs(to_float(v._mpf_, rnd=round_nearest)) if type(v) is mpf else float(abs(v))
+
+
 def _head_length(uppers, lowers, q) -> int:
     """K of the direct+tail route: the least k >= 1 with
     |q|^k max(|q|, |a|, |b|) <= 1/16 over the uppers a and lowers b, so
@@ -327,8 +337,8 @@ def _head_length(uppers, lowers, q) -> int:
     decided on float logs of the float magnitudes (mpmath's past the float
     range, as in `_terminating_index`), to within 10^-9 of a step; that
     margin also keeps K at a magnitude that rounds onto 1/16 from above."""
-    fq = float(abs(q))
-    big = max(float(abs(v)) for v in (q, *uppers, *lowers))
+    fq = _fabs(q)
+    big = max(map(_fabs, (q, *uppers, *lowers)))
     if fq == 0 or 16 * big <= 1:
         return 1
     lb = math.log(big) if big < math.inf else float(
@@ -359,8 +369,8 @@ def _tail_ratio_terms(uppers, lowers, z, q, k):
     and z N_i x^i (times the 2^(s i) that q^(m-i) leaves over 2^(s m)) are
     thus exact ints over 2^L and 2^(L + zs), L = max(S_N, S_D) + s k d:
     hundreds of bits wider than W when the parameters carry full mantissas.
-    Once per tail, each is rounded by the same shift to scale 2^(W+32), to
-    the nearest unit in each part, which moves D_i x^i and z N_i x^i by at
+    Once per tail, each is rounded by one shift to scale 2^(W+32), to the
+    nearest unit in each part, which moves D_i x^i and z N_i x^i by at
     most c 2^-(W+33) (c = 1, or sqrt(2) when complex); D_0 = 1 stays exact.
     The right-hand side over 2^(W + 32 + zs + s m) is then an exact int
     given the rounded g_{m-i}, and each g_m is that int divided by the
@@ -385,17 +395,17 @@ def _tail_ratio_terms(uppers, lowers, z, q, k):
 
     (nc, ns), (dc, ds) = poly(uppers), poly([*lowers, q])
     xs, xn = qs * k, math.prod([qn] * k)  # x = xn / 2^xs
-    xp = [1]  # xn^i
-    for _ in range(d):
-        xp.append(xp[-1] * xn)
     # D_i x^i = e[i] / 2^L and z N_i x^i q^(m-i) = p[i] n^(m-i) / 2^(L + zs + s m),
-    # L = max(S_N, S_D) + xs d; p[i] carries the 2^(s i) that q^(m-i) leaves over 2^(s m)
-    top_s = max(ns, ds)
-    e = [dc[i] * xp[i] << xs * (d - i) + top_s - ds for i in range(d + 1)]
-    p = [zn * nc[i] * xp[i] << xs * (d - i) + qs * i + top_s - ns for i in range(d + 1)]
-    big_l = top_s + xs * d
-    if (r := big_l - wp - 32) > 0:  # the band to scale 2^(wp+32), see above
-        e, p, big_l = [_rdiv(v, 1 << r) for v in e], [_rdiv(v, 1 << r) for v in p], big_l - r
+    # L = max(S_N, S_D) + xs d, or wp + 32 past it (see above): each entry goes to scale 2^L
+    # by one shift of its exact product; p[i] carries the 2^(s i) q^(m-i) leaves over 2^(s m)
+    big_l = max(ns, ds) + xs * d
+    big_l -= max(big_l - wp - 32, 0)
+    e, p, xp = [], [], 1  # xp = xn^i
+    for i in range(d + 1):
+        for band, c, sh in ((e, dc[i], big_l - ds - xs * i),
+                            (p, zn * nc[i], big_l - ns - (xs - qs) * i)):
+            band.append(c * xp << sh if sh >= 0 else _rshift(c * xp, -sh))
+        xp *= xn
     eb, pb = e[1:], p[1:]
     gs, hs, qm = [], [], 1  # the last d of g_m and of n^m g_m, newest first; n^m
     for m in count():
@@ -418,11 +428,11 @@ def _terminating_index(uppers, q, eps) -> Optional[int]:
     only when it passes there. mpmath takes the logs of |a| past the float
     range and of |q| that underflows to 0 or rounds to 1.
     """
-    fq = float(abs(q))
+    fq = _fabs(q)
     lq = -math.log(fq) if 0 < fq < 1 else -float(mpmath.log(abs(q)))  # inf at q = 0
     hits = []
     for a in uppers:
-        fa = float(abs(a))
+        fa = _fabs(a)
         if fa >= 0.5:
             t = (math.log(fa) if fa < math.inf else float(mpmath.log(abs(a)))) / lq
             n = round(t)

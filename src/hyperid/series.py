@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate, count, islice, repeat
-from math import prod
+from math import inf, prod
 from typing import Optional
 
 import mpmath
@@ -261,21 +261,21 @@ def _parts(x):
 def dyadic(x):
     """(n, s) with x = n / 2^s exactly and s >= 0 for an mpf or mpc x: n is
     an int for an mpf and a `Gauss` for an mpc."""
-    if hasattr(x, "_mpc_"):
-        ns = [((-man if sign else man), exp) for sign, man, exp, _ in x._mpc_]
-        s = max([0, *(-exp for n, exp in ns if n)])
-        return Gauss(n << exp + s for n, exp in ns), s
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man) << max(exp, 0), max(-exp, 0) if man else 0
+    if type(x) is mpf:
+        sign, man, exp, _ = x._mpf_
+        return (-man if sign else man) << max(exp, 0), max(-exp, 0) if man else 0
+    ns = [((-man if sign else man), exp) for sign, man, exp, _ in x._mpc_]
+    s = max([0, *(-exp for n, exp in ns if n)])
+    return Gauss(n << exp + s for n, exp in ns), s
 
 
 def to_fixed(x, wp):
     """The mp number x at scale 2^wp, rounded to nearest in each part (exact
     for a value of `from_fixed` at wp): an int for an mpf, a `Gauss` for an
     mpc."""
-    if hasattr(x, "_mpc_"):
-        return Gauss((mpf_to_fixed(v, wp + 1) + 1) >> 1 for v in x._mpc_)
-    return (mpf_to_fixed(x._mpf_, wp + 1) + 1) >> 1
+    if type(x) is mpf:
+        return (mpf_to_fixed(x._mpf_, wp + 1) + 1) >> 1
+    return Gauss((mpf_to_fixed(v, wp + 1) + 1) >> 1 for v in x._mpc_)
 
 
 def from_fixed(t, wp=None):
@@ -299,9 +299,22 @@ def _rdiv(x, d):
     return t - (t >> 1)
 
 
+def _rshift(x, r):
+    """`_rdiv(x, 1 << r)`, r >= 0, by shifts: t - floor(t / 2), t = floor(2x / 2^r), per part."""
+    if type(x) is Gauss:
+        return Gauss((_rshift(x[0], r), _rshift(x[1], r)))
+    t = (x << 1) >> r
+    return t - (t >> 1)
+
+
 def _norm(x):
     """|x|^2 of an int or a `Gauss` value."""
     return x[0] * x[0] + x[1] * x[1] if type(x) is Gauss else x * x
+
+
+def _bits(x):
+    """The bit length of the larger part of an int or a `Gauss` value."""
+    return x.bit_length() if type(x) is int else max(x[0].bit_length(), x[1].bit_length())
 
 
 def fixed_terms(ratio, max_k, wp, pole):
@@ -469,12 +482,14 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None,
     pass beyond _CANCELLATION_CEILING times the working precision raises
     CancellationError instead. The value is rounded to the working
     precision, and that rounding, |value| 2^-prec, joins err_estimate.
+    A direct+tail pass compares t_K T_K / t_K and its total, kept as ints, with the peak
+    (>= |t_0| = 1) and the rounding on bit lengths first, as mp numbers where those cannot tell.
     """
     dps, k = ctx.dps, tail and tail[0]
     while True:
-        pass_ctx = replace(ctx, digits=ctx.digits + dps - ctx.dps)
+        pass_ctx = ctx if dps == ctx.dps else replace(ctx, digits=ctx.digits + dps - ctx.dps)
         with pass_ctx.working():
-            eps, err = pass_ctx.eps(), 0
+            eps, err, low = pass_ctx.eps(), 0, -inf
             if dps > ctx.dps:
                 params, head = convert(), None
             if tail is None:
@@ -505,11 +520,18 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None,
                     if done:
                         break
                     total, used, k = total + t_k, used + 1, 2 * k
-                peak = max(peak, abs(from_fixed(t_k * tail_sum, 2 * wp)))
-                total = from_fixed((total << wp) + t_k * tail_sum, 2 * wp)
+                v = t_k * tail_sum  # at scale 2^(2 wp); on bit lengths, see above
+                if _bits(v) + 3 - 2 * wp > sum(peak._mpf_[2:]):
+                    peak = max(peak, abs(from_fixed(v, 2 * wp)))
+                total = (total << wp) + v
+                low = _bits(total) - 1 - 2 * wp if total else -inf
+                total = from_fixed(total, 2 * wp)
             rounding = peak * eps * used
             err += rounding
             lost = None
+            if low >= sum(rounding._mpf_[2:]) and sum(peak._mpf_[2:]) < low + sum(
+                    pow10(dps - ctx.digits)._mpf_[2:]):
+                break
             if abs(total) > rounding:
                 # lost = ceil(log10(peak / |total|)) digits; the log only sizes a raised pass
                 if peak <= abs(total) * pow10(dps - ctx.digits):
@@ -534,7 +556,9 @@ def _tail_sum(terms, t_k, head, eps, limit):
     """Add the (Gaussian) ints `terms`, at scale 2^W (W = fixed_prec()) as
     are t_k and head, until three in a row fall below eps / |t_k| times
     |head + t_k (the terms so far)| (read as 1 when it is 0), or `limit` of
-    them are added.
+    them are added. With B the bit length of an int or a `Gauss` value's larger
+    part, |head + t_k total|^2 < 2^(2 max(B(head), B(t_k) + B(total)) + 4): a term
+    whose side has two bits more is not small, and only others form the products.
 
     Returns (sum, err, settled): err, 3 |t_k| times the largest of the
     last three plus |t_k| 2^-W for each term added (a unit of rounding
@@ -544,18 +568,24 @@ def _tail_sum(terms, t_k, head, eps, limit):
     sh, b = _below(eps)
     # |e t_k| < eps |head + t_k total| at scale 2^(2 wp): |e|^2 |t_k|^2 2^sh < b |...|^2
     lhs, head = _norm(t_k) << sh, head << wp
+    bb, lb = b.bit_length(), lhs.bit_length() - 2 if lhs else -inf
+    lo, hi = max(bb + 4 + 2 * _bits(head), bb + 4 * wp) - lb, bb + 4 + 2 * _bits(t_k) - lb
     total = run = small = n = 0
     for n, e in enumerate(islice(terms, limit), 1):
         total += e
         mag = _norm(e)
-        if mag * lhs < b * (_norm(head + t_k * total) or 1 << 4 * wp):
+        if mag and mag.bit_length() >= max(lo, hi + 2 * (
+                total.bit_length() if type(total) is int else _bits(total))):
+            run = small = 0
+        elif mag * lhs < b * (_norm(head + t_k * total) or 1 << 4 * wp):
             run, small = run + 1, max(small, mag)
             if run == 3:
                 break
         else:
             run = small = 0
-    err = mpmath.sqrt(mp.make_mpf(from_man_exp(_norm(t_k), -2 * wp))) * (
-        3 * mpmath.sqrt(mp.make_mpf(from_man_exp(small, -2 * wp))) + mpmath.ldexp(n, -wp))
+    tk = abs(from_fixed(t_k, wp)) if type(t_k) is int else mpmath.sqrt(  # |t_k|, rounded once
+        mp.make_mpf(from_man_exp(_norm(t_k), -2 * wp)))
+    err = tk * (3 * mpmath.sqrt(mp.make_mpf(from_man_exp(small, -2 * wp))) + mpmath.ldexp(n, -wp))
     return total, err, run == 3
 
 

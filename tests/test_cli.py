@@ -427,3 +427,14 @@ def test_readme_examples_run(capsys):
     for line in commands:
         code, _, err = run_cli(capsys, *shlex.split(line)[1:])
         assert code == 0, (line, err)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: a nonterminating phi series whose sum is exactly 0 "
+                          "ends in CancellationError")
+def test_eval_phi_whose_sum_is_exactly_zero(capsys):
+    # 1phi0(8;;q = -1/2, z = 1/2) = (4;q)_inf / (1/2;q)_inf holds the factor
+    # 1 - 4 q^2 = 0, though no upper is a power q^-n
+    code, out, err = run_cli(capsys, "eval", "phi", "--upper", "8", "--z", "0.5", "--q", "-0.5")
+    assert code == 0, err
+    assert out.startswith("value: 0.0\n")

@@ -3,7 +3,8 @@
 Reports must not change when the code under them is reorganised: every
 catalog id at sample indices 0 and 9 (index 9 is the complex sample) at 30
 digits, plus the three terminating ids and two ids whose every series side
-takes the Levin route at 60 digits, all with seed 0. Wall
+takes the Levin route at 60 digits, and the seven q ids at 60 digits, all
+with seed 0. Wall
 time and the start stamp are stripped; every other byte must match.
 
 Regenerate the golden file (only when a report change is intended) with
@@ -22,7 +23,11 @@ from hyperid.precision import PrecisionContext
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 TERMINATING = ("saalschuetz", "theorem-1-b-neg-n", "jackson-8phi7")
 LEVIN = ("theorem-1", "phi-as-3f2")
-RUNS = ((30, tuple(CATALOG)), (60, TERMINATING + LEVIN))
+Q_IDS = (
+    "bailey-6psi6", "phi65", "jackson-8phi7", "jackson-nt", "omega", "theta",
+    "bailey-split",
+)
+RUNS = ((30, tuple(CATALOG)), (60, TERMINATING + LEVIN), (60, Q_IDS))
 INDICES = (0, 9)
 SEED = 0
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, mpf_div, round_nearest
 
 from hyperid import qseries
 from hyperid.errors import (
@@ -28,7 +29,7 @@ from hyperid.qseries import (
     split_psi,
     sum_q_series,
 )
-from hyperid.series import dyadic, mp_parameters
+from hyperid.series import Gauss, dyadic, mp_parameters
 
 import oracles
 from oracles import gmul
@@ -366,6 +367,94 @@ def test_q_bracket_values(qc_half, ctx30):
         q_bracket([mpf("0.3")], [1], qc_half)
     with pytest.raises(IndeterminateError):
         q_bracket([1], [1], qc_half)
+
+
+def _bracket_reference(numers, denoms, qc):
+    """`q_bracket` from `dyadic` of each `q_pochhammer` entry and mp zero tests."""
+    with qc.ctx.working():
+        nums = [q_pochhammer(x, qc, INF) for x in numers]
+        dens = [q_pochhammer(y, qc, INF) for y in denoms]
+        if 0 in dens:
+            raise (IndeterminateError if 0 in nums else DivisionByZero)("zero entry")
+        if 0 in nums:
+            return mpf(0)
+        pairs = [dyadic(v) for v in (*nums, *dens)]
+        (pn, ps), (dn, ds) = ((math.prod(n for n, _ in vs), sum(s for _, s in vs))
+                              for vs in (pairs[:len(nums)], pairs[len(nums):]))
+        num, norm = pn * dn.conjugate(), from_man_exp(sum(v * v for v in oracles.pair(dn)), 0)
+        re, im = (mpf_div(from_man_exp(v, ds - ps), norm, mp.prec, round_nearest)
+                  for v in oracles.pair(num))
+        return mp.make_mpc((re, im)) if isinstance(num, Gauss) else mp.make_mpf(re)
+
+
+def _outcome(f, *args):
+    try:
+        v = f(*args)
+    except (DivisionByZero, IndeterminateError) as exc:
+        return type(exc)
+    return type(v), getattr(v, "_mpc_", None) or v._mpf_
+
+
+# an entry: a dyadic, a full-mantissa decimal, a complex value, or q^-k, which
+# makes (x;q)_inf exactly 0
+_ENTRY = st.one_of(
+    st.integers(-64, 64).map(lambda n: Fraction(n, 32)),
+    st.integers(-10**6, 10**6).map(lambda n: mpf(n) / 10**5),
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40)).map(lambda p: mpc(*p) / 16),
+    st.integers(0, 3).map(lambda k: ("pole", k)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_ENTRY, max_size=5), st.lists(_ENTRY, max_size=5),
+       st.sampled_from([Fraction(1, 2), Fraction(-3, 8), mpf("0.3"), mpc("0.3", "0.2"),
+                        mpc(0, "-0.45")]), st.sampled_from([30, 60]))
+def test_q_bracket_matches_the_dyadic_reference(numers, denoms, nome, digits):
+    # the raw mantissa products give the reference's bits, its zero result, its
+    # DivisionByZero and its IndeterminateError, for real and complex nomes
+    qc = QContext(nome, PrecisionContext(digits=digits))
+    with qc.ctx.working():
+        q = to_mp(nome)
+        numers, denoms = ([q ** -x[1] if isinstance(x, tuple) else x for x in xs]
+                          for xs in (numers, denoms))
+    assert _outcome(q_bracket, numers, denoms, qc) == _outcome(_bracket_reference, numers,
+                                                               denoms, qc)
+
+
+def test_q_bracket_zero_entries_and_a_complex_nome():
+    # each case of the reference once: an exactly zero numerator entry, a zero
+    # denominator entry, both, and a complex nome with a zero entry and without
+    ctx = PrecisionContext(digits=30)
+    for nome in (Fraction(1, 2), mpc("0.25", "0.25")):
+        qc = QContext(nome, ctx)
+        with ctx.working():
+            zero = 1 / to_mp(nome) ** 2  # exactly q^-2: (q^-2;q)_inf has the factor 1 - q^-2 q^2
+        for numers, denoms, want in (([zero, mpf("0.3")], [mpf("0.7")], "zero"),
+                                     ([mpf("0.3")], [mpf("0.7"), zero], DivisionByZero),
+                                     ([zero], [zero], IndeterminateError),
+                                     ([mpf("0.3"), mpc("0.1", "-0.7")], [mpf("0.7")], "value")):
+            got = _outcome(q_bracket, numers, denoms, qc)
+            assert got == _outcome(_bracket_reference, numers, denoms, qc)
+            assert got == want if want in (DivisionByZero, IndeterminateError) else (
+                (got[1] == mpf(0)._mpf_) == (want == "zero"))
+
+
+_MAGNITUDE = st.builds(
+    lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
+    st.one_of(st.just(0), st.integers(-2**20, 2**20), st.builds(  # mantissas of 64 to 120 bits
+        lambda hi, lo, sign: sign * (hi << 64 | lo), st.integers(1, 2**56),
+        st.integers(0, 2**64 - 1), st.sampled_from([1, -1]))),
+    st.integers(-1300, 1300))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_MAGNITUDE, st.builds(lambda re, im: mp.make_mpc((re._mpf_, im._mpf_)),
+                                       _MAGNITUDE, _MAGNITUDE)))
+def test_raw_magnitudes_are_the_float_of_abs(v):
+    # 0, mantissas past 53 bits (rounded to nearest), and values beyond the
+    # float range either way (inf and 0.0): the floats that K and n are read from
+    with PrecisionContext(digits=30).working():
+        assert qseries._fabs(v) == float(abs(v))
 
 
 def _omega_bracket(a, c, d, e, f, q):

@@ -26,7 +26,10 @@ from hyperid import series
 from hyperid.series import (
     Gauss,
     SeriesSpec,
+    _norm,
     _rdiv,
+    _rshift,
+    _tail_sum,
     _tail_coefficients,
     classify,
     dyadic,
@@ -651,6 +654,74 @@ def test_rdiv_rounds_each_part_half_up(x, d):
     assert _is(_rdiv(x, d), _round(re), _round(im), isinstance(x, Gauss) or isinstance(d, Gauss))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_VALUE, st.one_of(st.integers(0, 2), st.integers(0, 400)), st.booleans())
+def test_rshift_is_rdiv_by_a_power_of_two(x, r, half):
+    # negatives, exact halves (odd multiples of 2^(r-1), in each part) and r
+    # from 0 to far past the bit length of x
+    if half and r:
+        x = (x * 2 + (Gauss((1, 1)) if isinstance(x, Gauss) else 1)) << r - 1
+    got, want = _rshift(x, r), _rdiv(x, 1 << r)
+    assert type(got) is type(want) and got == want
+
+
+def _exact_tail_sum(terms, t_k, head, eps, limit):
+    """`series._tail_sum` deciding every term on the exact products, with |t_k|
+    the rounded root of its exact norm."""
+    wp = fixed_prec()
+    sh, b = series._below(eps)
+    lhs, head = _norm(t_k) << sh, head << wp
+    total = run = small = n = 0
+    for n, e in enumerate(itertools.islice(terms, limit), 1):
+        total += e
+        mag = _norm(e)
+        if mag * lhs < b * (_norm(head + t_k * total) or 1 << 4 * wp):
+            run, small = run + 1, max(small, mag)
+            if run == 3:
+                break
+        else:
+            run = small = 0
+    err = mpmath.sqrt(mp.make_mpf(from_man_exp(_norm(t_k), -2 * wp))) * (
+        3 * mpmath.sqrt(mp.make_mpf(from_man_exp(small, -2 * wp))) + mpmath.ldexp(n, -wp))
+    return total, err, run == 3
+
+
+def _scaled(wp):
+    """m 2^k at scale 2^wp, an int or a Gauss value: from far below a unit to far above 1."""
+    part = st.builds(lambda m, k: m << wp + k if wp + k >= 0 else m >> -wp - k,
+                     st.integers(-2**24, 2**24), st.integers(-260, 30))
+    return st.one_of(part, st.builds(lambda re, im: Gauss((re, im)), part, part))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([15, 30, 60]), st.integers(0, 12), st.booleans())
+def test_tail_sum_decides_as_the_exact_comparison(data, digits, zero_at, zero_t_k):
+    # the bit-length pre-decision gives the sum, err and settled of the exact
+    # comparisons: terms from far below eps to far above 1, t_k = 0, and a head
+    # with head + t_k total = 0 after the first zero_at terms (the test's 1)
+    ctx = PrecisionContext(digits=digits)
+    with ctx.working():
+        wp = fixed_prec()
+        # random magnitudes, or a tail falling by 0 to 6 bits a term, which meets
+        # the test's bound near its edge
+        terms = data.draw(st.one_of(st.lists(_scaled(wp), min_size=1, max_size=40), st.builds(
+            lambda k, drops, ms: [m << wp + k - d if wp + k >= d else m >> d - wp - k
+                                  for d, m in zip(itertools.accumulate(drops), ms)],
+            st.integers(-40, 30), st.lists(st.integers(0, 6), min_size=1, max_size=40),
+            st.lists(_VALUE, min_size=40, max_size=40))))
+        t_k, head = data.draw(_scaled(wp)), data.draw(_scaled(wp))
+        if zero_t_k:
+            t_k = 0
+        elif zero_at <= len(terms):
+            c = data.draw(st.one_of(st.integers(1, 2**40), st.builds(
+                lambda re, im: Gauss((re, im)), st.integers(-99, 99), st.integers(1, 99))))
+            t_k, head = c << wp, -c * sum(terms[:zero_at])
+        limit = data.draw(st.integers(1, 45))
+        got = _tail_sum(iter(terms), t_k, head, ctx.eps(), limit)
+        want = _exact_tail_sum(iter(terms), t_k, head, ctx.eps(), limit)
+    assert got[0] == want[0] and got[2] == want[2] and got[1]._mpf_ == want[1]._mpf_
+
+
 _MP_PART = st.builds(lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
                      st.integers(-2**200, 2**200), st.integers(-300, 100))
 
@@ -677,3 +748,17 @@ def test_dyadic_and_fixed_round_trip(x, wp):
     assert isinstance(back, mpc) == (t_im != 0)
     assert (_fraction(back.real), _fraction(back.imag)) == (t_re / 2**wp, t_im / 2**wp)
     assert to_fixed(back, wp) == t
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the geometric route's three-small-terms stop ends a "
+                          "sum whose terms dip and regrow near a lower pole")
+def test_geometric_route_past_terms_that_regrow_near_a_lower_pole(ctx30):
+    # 2F1(1, 1; -59 + 2^-60; 1/4) = 0.995798765791465235450616449575...: the
+    # terms fall below eps and regrow up to k = 79; the direct route stops
+    # after 47 terms, 2.2e-9 off
+    c = Fraction(-59) + Fraction(1, 2**60)
+    res = sum_unilateral(SeriesSpec((1, 1), (c,), Fraction(1, 4)), ctx30)
+    with mp.workdps(200):
+        exact = mpmath.hyp2f1(1, 1, mpf(c.numerator) / c.denominator, mpf(1) / 4)
+    assert abs(res.value - exact) <= mpf(10) ** -30 * abs(exact)
