@@ -76,8 +76,8 @@ GUARD_BITS = 30  # fixed-point bits beyond the ambient precision
 
 
 def fixed_prec() -> int:
-    """W, the fixed-point scale 2^W of the term streams, `partial_sum` and
-    the Levin table's input at the ambient precision: mp.prec + GUARD_BITS."""
+    """W, the fixed-point scale 2^W of the term streams, the heads and tails
+    `partial_sum` adds and the Levin table's input: mp.prec + GUARD_BITS."""
     return mp.prec + GUARD_BITS
 
 

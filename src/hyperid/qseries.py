@@ -377,8 +377,8 @@ def _tail_ratio_terms(uppers, lowers, z, q, k):
     pivot's, rounded once. Beyond that half unit, the rounded band moves g_m
     by at most c 2^-33 ([m <= d] + 2 sum_{i=1..d} |g_{m-i}|) / |1 - z q^m|
     units 2^-W: at most (1 + 2d) c 2^-32 units when every |g_{m-i}| <= 1
-    and |z q^m| <= 1/2, far inside the unit per term that `series._tail_sum`
-    charges.
+    and |z q^m| <= 1/2, far inside the unit per term that `series.sum_direct`
+    charges a summed tail.
     """
     wp = fixed_prec()
     (zn, zs), (qn, qs), d = dyadic(z), dyadic(q), len(uppers)

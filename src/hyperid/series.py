@@ -38,14 +38,15 @@ is the bound that `fixed_terms` states. The Levin transform reads the same
 terms, generated at its raised precision, and sums them exactly too.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
-(the one loop that adds terms: to a stream's end, to a limit or to three
-small terms in a row), `sum_direct` (the one pass driver, for finite and
-infinite streams) with its geometric tail bound or its summed tail, whose
-head K doubles while `_tail_sum` does not settle, and its precision passes
-against cancellation, the conversion of a spec's parameters
-`mp_parameters`, the reflected prefactor of a split's negative tail
-`reflected_factors` and the bilateral recombination `join_halves`, whose
-method ranking `combined_method` also labels the catalog's sums of sides.
+(the one loop that adds terms, of heads and of summed tails, on ints: to a
+stream's end, to a limit or to three small terms in a row), `sum_direct`
+(the one pass driver, for finite and infinite streams) with its geometric
+tail bound or its summed tail, whose head K doubles while the tail does
+not settle, and its precision passes against cancellation, the conversion
+of a spec's parameters `mp_parameters`, the reflected prefactor of a
+split's negative tail `reflected_factors` and the bilateral recombination
+`join_halves`, whose method ranking `combined_method` also labels the
+catalog's sums of sides.
 
 Error estimates are heuristic, not certified; the catalog's pass rule
 compares the two sides' values alone and reads no error estimate.
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, repeat
 from math import inf, prod
 from typing import Optional
 
@@ -394,29 +395,40 @@ def _below(eps):
     return max(-2 * e, 0), m * m << max(2 * e, 0)
 
 
-def partial_sum(terms, stop_eps, limit: int):
-    """Add terms until three in a row fall below stop_eps*|total|, until
-    `limit` terms are used, or until the stream ends; the iterator is left
-    after the last term used. stop_eps is an mpf, or 0 to turn the
-    small-term rule off, so that a finite stream adds every term.
+def _root(norm, wp):
+    """sqrt(norm) 2^-wp rounded to the ambient precision: |x| of |x|^2 at scale 2^(2 wp)."""
+    return mpmath.sqrt(mp.make_mpf(from_man_exp(norm, -2 * wp)))
 
-    The terms are the fixed-point ints and `Gauss` values of `fixed_terms`
-    at the ambient precision. They add exactly, on the two parts as ints,
-    and the small-term test compares |t| < stop_eps (|total| or 1) exactly
-    in ints.
 
-    Returns (total, peak |term|, terms used, last term, the term before it
-    or None, and whether the sum stopped before the limit; the limit wins a
-    tie with the stream's end), as mp numbers: total, last and prev exact,
-    peak rounded to the ambient precision.
+def partial_sum(terms, stop_eps, limit: int, s=None, h=0):
+    """Add terms until three in a row are small, until `limit` terms are
+    used, or until the stream ends, leaving the iterator after the last term
+    used. A term e is small when |s e| < stop_eps |h + s total| (read as 1
+    when 0): s = 1 and h = 0 for a plain sum, s = t_K and h the head's total
+    for a summed tail t_K sum e; stop_eps = 0 turns the rule off.
+
+    Terms, s and h are ints or `Gauss` values at scale 2^W (W = fixed_prec()),
+    as `fixed_terms` yields them, and add and compare exactly in ints. With B
+    the bit length of a value's larger part, |h + s total| is below
+    2^(max(B(h), B(s) + B(total)) + 2) at scale 2^(2W): a term whose side has
+    two bits more is not small, and only others form the products.
+
+    Returns ints (total, peak |term|^2, terms used, last term, the one before
+    or None, the largest |term|^2 of the last small run, settled), |term|^2
+    at scale 2^(2W); settled is false when the limit stopped the sum (which
+    wins a tie with the stream's end and loses one with a third small term).
     """
     wp = fixed_prec()
-    sre = sim = peak = used = 0
+    sre = sim = peak = small = used = run = 0
     last = prev = None
-    if stop_eps:
-        s, b = _below(stop_eps)
-    small_run = 0
     settled = True
+    if stop_eps:
+        sh, b = _below(stop_eps)
+        (sr, si), (hr, hi) = _parts(1 << wp if s is None else s), _parts(h << wp)
+        lhs = (sr * sr + si * si) << sh  # |e s|^2 2^sh < b |h + s total|^2 at scale 2^(4W)
+        bb, lb = b.bit_length(), lhs.bit_length() - 2 if lhs else -inf
+        lo = max(bb + 4 + 2 * max(hr.bit_length(), hi.bit_length()), bb + 4 * wp) - lb
+        up = bb + 4 + 2 * max(sr.bit_length(), si.bit_length()) - lb
     for t in terms:
         if type(t) is int:
             sre += t
@@ -431,18 +443,19 @@ def partial_sum(terms, stop_eps, limit: int):
         used += 1
         prev, last = last, t
         if stop_eps:
-            if mag << s < b * ((sre * sre + sim * sim) or 1 << 2 * wp):
-                small_run += 1
-                if small_run >= 3:
+            if mag and mag.bit_length() >= max(lo, up + 2 * (abs(sre) | abs(sim)).bit_length()):
+                run = small = 0
+            elif mag * lhs < b * ((hr + sr * sre - si * sim) ** 2 + (hi + sr * sim + si * sre) ** 2
+                                  or 1 << 4 * wp):
+                run, small = run + 1, max(small, mag)
+                if run == 3:
                     break
             else:
-                small_run = 0
+                run = small = 0
         if used >= limit:
             settled = False
             break
-    last, prev = (None if v is None else from_fixed(v) for v in (last, prev))
-    peak = mpmath.sqrt(mp.make_mpf(from_man_exp(peak, -2 * wp)))
-    return from_fixed(Gauss((sre, sim))), peak, used, last, prev, settled
+    return Gauss((sre, sim)) if sim else sre, peak, used, last, prev, small, settled
 
 
 def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None,
@@ -463,13 +476,15 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None,
 
     tail = (K, tail_terms) sums an infinite stream as direct+tail instead:
     a pass adds exactly its first K terms, with no small-term stop, then
-    t_K times the `_tail_sum` of tail_terms(*params, K), the (Gaussian) ints
-    at scale 2^W of the tail ratio T_K / t_K, T_K = sum_{k>=K} t_k. While
-    max(3K, dps + 20) of them do not settle, K doubles and the head sums
-    on. terms_used is the last K, the tail's own estimate joins err_estimate
-    and |t_K T_K / t_K| joins the peak |term|; a K past ctx.max_terms raises
-    BudgetExceeded. head = (stream, exact total, peak |term|, terms used)
-    lets the first pass go on along terms the caller already summed at the
+    t_K times the `partial_sum` (s = t_K, h = the head's total) of
+    tail_terms(*params, K), the (Gaussian) ints at scale 2^W of the tail
+    ratio T_K / t_K, T_K = sum_{k>=K} t_k. While max(3K, dps + 20) of them
+    do not settle, K doubles and the head sums on. terms_used is the last K,
+    the tail's estimate, 3 |t_K| times the largest of its last three terms
+    plus |t_K| 2^-W a term added, joins err_estimate and |t_K T_K / t_K| the
+    peak |term|; a K past ctx.max_terms raises BudgetExceeded. head =
+    (stream, total, peak |term|^2, terms used), `partial_sum`'s ints, lets
+    the first pass go on along terms the caller already summed at the
     working precision; a raised pass builds its stream anew.
 
     Cancellation costs a pass log10(peak |term| / |total|) digits. While
@@ -482,50 +497,52 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None,
     pass beyond _CANCELLATION_CEILING times the working precision raises
     CancellationError instead. The value is rounded to the working
     precision, and that rounding, |value| 2^-prec, joins err_estimate.
-    A direct+tail pass compares t_K T_K / t_K and its total, kept as ints, with the peak
+    A pass keeps total and peak as ints; t_K T_K / t_K and the total meet the peak
     (>= |t_0| = 1) and the rounding on bit lengths first, as mp numbers where those cannot tell.
     """
     dps, k = ctx.dps, tail and tail[0]
     while True:
         pass_ctx = ctx if dps == ctx.dps else replace(ctx, digits=ctx.digits + dps - ctx.dps)
         with pass_ctx.working():
-            eps, err, low = pass_ctx.eps(), 0, -inf
+            eps, wp, err = pass_ctx.eps(), fixed_prec(), 0
             if dps > ctx.dps:
                 params, head = convert(), None
             if tail is None:
-                total, peak, used, last, prev, settled = partial_sum(
+                total, peak, used, last, prev, _, settled = partial_sum(
                     stream(*params), 0 if floor is None else eps, ctx.max_terms)
                 if not settled:
                     raise BudgetExceeded(f"direct summation needs more than {ctx.max_terms} terms")
+                peak, scale = _root(peak, wp), wp
                 if floor is not None:
-                    rho = max(floor, abs(last) / abs(prev)) if last != 0 else floor
+                    last, rho = abs(from_fixed(last)), floor
+                    if last:  # a term that regrows after one rounded to 0 has no finite ratio
+                        rho = max(floor, last / abs(from_fixed(prev))) if prev else mpmath.inf
                     if rho >= 1:
                         raise BudgetExceeded(
                             f"direct summation tail ratio {mpmath.nstr(rho, 5)} is not below 1")
-                    err = abs(last) * rho / (1 - rho)
+                    err = last * rho / (1 - rho)
             else:
-                wp = fixed_prec()
-                terms, total, peak, used = head or (stream(*params), mpf(0), mpf(0), 0)
-                total = to_fixed(total, wp)
+                terms, total, peak, used = head or (stream(*params), 0, 0, 0)
                 while True:
                     if k > ctx.max_terms:
                         raise BudgetExceeded(f"direct+tail needs more than {ctx.max_terms} terms")
                     if k > used:
                         more, more_peak, more_used, *_ = partial_sum(terms, 0, k - used)
-                        total, peak = total + to_fixed(more, wp), max(peak, more_peak)
-                        used += more_used
+                        total, peak, used = total + more, max(peak, more_peak), used + more_used
                     t_k = next(terms)
-                    tail_sum, err, done = _tail_sum(
-                        tail[1](*params, k), t_k, total, eps, max(3 * k, dps + 20))
+                    tail_sum, _, n, _, _, small, done = partial_sum(
+                        tail[1](*params, k), eps, max(3 * k, dps + 20), t_k, total)
                     if done:
                         break
                     total, used, k = total + t_k, used + 1, 2 * k
-                v = t_k * tail_sum  # at scale 2^(2 wp); on bit lengths, see above
+                tk = abs(from_fixed(t_k, wp)) if type(t_k) is int else _root(_norm(t_k), wp)
+                err = tk * (3 * _root(small, wp) + mpmath.ldexp(n, -wp))
+                v, peak = t_k * tail_sum, _root(peak, wp)  # v at scale 2^(2 wp)
                 if _bits(v) + 3 - 2 * wp > sum(peak._mpf_[2:]):
                     peak = max(peak, abs(from_fixed(v, 2 * wp)))
-                total = (total << wp) + v
-                low = _bits(total) - 1 - 2 * wp if total else -inf
-                total = from_fixed(total, 2 * wp)
+                total, scale = (total << wp) + v, 2 * wp
+            low = _bits(total) - 1 - scale if total else -inf
+            total = from_fixed(total, scale)
             rounding = peak * eps * used
             err += rounding
             lost = None
@@ -550,43 +567,6 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None,
     with ctx.working():
         value = +total
         return SeriesResult(value, err + mpmath.ldexp(abs(value), -mp.prec), used, method)
-
-
-def _tail_sum(terms, t_k, head, eps, limit):
-    """Add the (Gaussian) ints `terms`, at scale 2^W (W = fixed_prec()) as
-    are t_k and head, until three in a row fall below eps / |t_k| times
-    |head + t_k (the terms so far)| (read as 1 when it is 0), or `limit` of
-    them are added. With B the bit length of an int or a `Gauss` value's larger
-    part, |head + t_k total|^2 < 2^(2 max(B(head), B(t_k) + B(total)) + 4): a term
-    whose side has two bits more is not small, and only others form the products.
-
-    Returns (sum, err, settled): err, 3 |t_k| times the largest of the
-    last three plus |t_k| 2^-W for each term added (a unit of rounding
-    each), estimates how far t_k sum is from t_k times the whole series.
-    """
-    wp = fixed_prec()
-    sh, b = _below(eps)
-    # |e t_k| < eps |head + t_k total| at scale 2^(2 wp): |e|^2 |t_k|^2 2^sh < b |...|^2
-    lhs, head = _norm(t_k) << sh, head << wp
-    bb, lb = b.bit_length(), lhs.bit_length() - 2 if lhs else -inf
-    lo, hi = max(bb + 4 + 2 * _bits(head), bb + 4 * wp) - lb, bb + 4 + 2 * _bits(t_k) - lb
-    total = run = small = n = 0
-    for n, e in enumerate(islice(terms, limit), 1):
-        total += e
-        mag = _norm(e)
-        if mag and mag.bit_length() >= max(lo, hi + 2 * (
-                total.bit_length() if type(total) is int else _bits(total))):
-            run = small = 0
-        elif mag * lhs < b * (_norm(head + t_k * total) or 1 << 4 * wp):
-            run, small = run + 1, max(small, mag)
-            if run == 3:
-                break
-        else:
-            run = small = 0
-    tk = abs(from_fixed(t_k, wp)) if type(t_k) is int else mpmath.sqrt(  # |t_k|, rounded once
-        mp.make_mpf(from_man_exp(_norm(t_k), -2 * wp)))
-    err = tk * (3 * mpmath.sqrt(mp.make_mpf(from_man_exp(small, -2 * wp))) + mpmath.ldexp(n, -wp))
-    return total, err, run == 3
 
 
 def combined_method(*methods) -> str:
@@ -698,11 +678,11 @@ def _sum_algebraic(spec, params, ctx, s):
     cancellation. Its error estimate is heuristic, as Levin's is.
     """
     gen = ratio_terms(*params)
-    total, peak, used, last, _, settled = partial_sum(gen, ctx.eps(), 48)
+    total, peak, used, last, _, _, settled = partial_sum(gen, ctx.eps(), 48)
     if not settled and last != 0:
-        scale = max(mpf(1), abs(total), peak)
+        scale = max(mpf(1), abs(from_fixed(total)), _root(peak, fixed_prec()))
         target = pow10(-(ctx.digits + 4)) * scale
-        c_coeff = abs(last) * mpf(used) ** s
+        c_coeff = abs(from_fixed(last)) * mpf(used) ** s
         k_needed = (c_coeff / target) ** (1 / (s - 1))
         # the direct route is only worth it while it stays cheap; slowly
         # decaying series (small exponents) go to the accelerator, which

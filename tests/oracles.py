@@ -15,7 +15,8 @@ that form: the engines' streams must equal them bit for bit. They keep a
 complex value as an (re, im) pair of ints with their own arithmetic
 (`gmul`), where the engines use `series.Gauss`; `pair` reads an engine's
 int or Gauss value as such a pair.
-`partial_sum` is the mp-operator form of `series.partial_sum`,
+`partial_sum` is the mp-operator form of `series.partial_sum`, whose ints
+`mp_sum` reads as the mp numbers they stand for,
 `clear_of_q_poles` the Fraction form of the catalog's int pole check, and
 `jackson_check`, `bailey_check`, `phi65_check`, `jackson_nt_check` and
 `split_check` the Fraction forms of the q samplers' checks, which the
@@ -41,7 +42,7 @@ from mpmath import mpf, sqrt
 
 from hyperid.errors import DivisionByZero, LowerPoleError, PoleError
 from hyperid.precision import exact_int, fixed_prec, nonpositive_int, to_mp
-from hyperid.series import dyadic, to_fixed
+from hyperid.series import _root, dyadic, from_fixed, to_fixed
 
 
 def gamma(z, ctx):
@@ -408,6 +409,15 @@ def partial_sum(terms, stop_eps, limit):
         if used >= limit:
             return total, peak, used, last, prev, False
     return total, peak, used, last, prev, True
+
+
+def mp_sum(result):
+    """The ints of a `series.partial_sum` result as its mp-operator form
+    returns them: (total, peak |term|, used, last, prev, settled), with
+    total, last and prev exact and peak rounded to the ambient precision."""
+    total, peak, used, last, prev, _, settled = result
+    last, prev = (None if v is None else from_fixed(v) for v in (last, prev))
+    return from_fixed(total), _root(peak, fixed_prec()), used, last, prev, settled
 
 
 def ratio_stream_bounds(cplx):

@@ -81,6 +81,20 @@ def test_eval_pfq_geometric_next_to_one(capsys):
     assert "method: direct" in out
 
 
+def test_eval_pfq_geometric_term_regrowing_after_a_zero(capsys):
+    # 2F1(1, 1; -5 + 2^-72; 2^-40): t_5 rounds to 0 in fixed point and t_6,
+    # past the near-pole c + 5 = 2^-72, grows back, so the small-term stop
+    # ends on a last/prev ratio with no finite value; the sum converges
+    # (0.99999999999981810105964549707 by mpmath.hyp2f1 at 200 digits), but
+    # the geometric tail bound cannot be formed: a typed error, not a
+    # ZeroDivisionError
+    c = "-4.999999999999999999999788241763186424915232919374830089509487152099609375"
+    code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "1,1", f"--lower={c}",
+                             "--z", "9.094947017729282379150390625e-13")
+    assert code == 1 and out == ""
+    assert err.startswith("BudgetExceeded: ") and "Traceback" not in err
+
+
 def test_eval_pfq_cancellation(capsys):
     # 1F1(1;2;-200) = (1 - e^-200)/200: terms up to 1e83 cancel down to
     # 0.005, so the direct route must sum again at raised precision

@@ -91,7 +91,7 @@ def _check(kernel, list_form, reference, relative_bounds, cplx, split, small):
                  for t, r in zip(exact, relative_bounds(len(exact)))]
         for k, (t, ref) in enumerate(zip(terms, exact)):
             assert abs(t - ref) <= bound[k], k
-    sums = _sums(kernel(), partial_sum, stop_eps, split)
+    sums = _sums(kernel(), lambda *args: oracles.mp_sum(partial_sum(*args)), stop_eps, split)
     with mp.workprec(2 * prec):
         ref_sums = _sums(reference(), oracles.partial_sum, stop_eps, split)
         if not isinstance(sums[0], tuple):  # both raised

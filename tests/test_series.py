@@ -29,7 +29,6 @@ from hyperid.series import (
     _norm,
     _rdiv,
     _rshift,
-    _tail_sum,
     _tail_coefficients,
     classify,
     dyadic,
@@ -172,23 +171,25 @@ def test_partial_sum_contract(ctx30):
         tiny = mpf(2) ** -133  # below eps = 10^-40, and exact in the fixed-point sums
         # a big term resets the run; the sum stops on the third small term
         terms = raw(mpf(1), tiny, tiny, mpf(-5), tiny, 2 * tiny, 3 * tiny, mpf(9))
-        total, peak, used, last, prev, settled = partial_sum(terms, ctx30.eps(), 100)
+        result = partial_sum(terms, ctx30.eps(), 100)
+        total, peak, used, last, prev, settled = oracles.mp_sum(result)
         assert settled and used == 7
         assert (last, prev) == (3 * tiny, 2 * tiny)
         assert peak == 5 and total == mpf(-4) + 8 * tiny
+        assert result[5] == to_fixed(3 * tiny, fixed_prec()) ** 2  # the run's largest |term|^2
         assert from_fixed(next(terms)) == 9
         # the limit stops an unsettled sum and leaves the stream after it
         terms = raw(*(mpf(k) for k in range(1, 100)))
-        total, peak, used, last, prev, settled = partial_sum(terms, ctx30.eps(), 10)
+        total, peak, used, last, prev, settled = oracles.mp_sum(partial_sum(terms, ctx30.eps(), 10))
         assert not settled and used == 10
         assert (total, peak, last, prev) == (55, 10, 10, 9)
         assert from_fixed(next(terms)) == 11
         # a second call goes on along the same stream (11 was taken above)
-        assert partial_sum(terms, ctx30.eps(), 3) == (12 + 13 + 14, 14, 3, 14, 13, False)
+        assert oracles.mp_sum(partial_sum(terms, ctx30.eps(), 3)) == (12 + 13 + 14, 14, 3, 14, 13, False)
         assert from_fixed(next(terms)) == 15
         # the stream's end settles the sum; stop_eps = 0 adds every small term
         terms = raw(mpf(1), tiny, tiny, tiny, mpf(2))
-        assert partial_sum(terms, 0, 100) == (3 + 3 * tiny, 2, 5, 2, tiny, True)
+        assert oracles.mp_sum(partial_sum(terms, 0, 100)) == (3 + 3 * tiny, 2, 5, 2, tiny, True)
 
 
 def _cancelling_stream(loss):
@@ -665,25 +666,33 @@ def test_rshift_is_rdiv_by_a_power_of_two(x, r, half):
     assert type(got) is type(want) and got == want
 
 
-def _exact_tail_sum(terms, t_k, head, eps, limit):
-    """`series._tail_sum` deciding every term on the exact products, with |t_k|
-    the rounded root of its exact norm."""
+def _pairs(values):
+    """Ints and Gauss values as oracles.pair tuples, None kept."""
+    return [v if v is None else oracles.pair(v) for v in values]
+
+
+def _exact_partial_sum(terms, eps, limit, s, h):
+    """`series.partial_sum` deciding every term on the exact products."""
     wp = fixed_prec()
     sh, b = series._below(eps)
-    lhs, head = _norm(t_k) << sh, head << wp
-    total = run = small = n = 0
-    for n, e in enumerate(itertools.islice(terms, limit), 1):
-        total += e
+    lhs, h = _norm(s) << sh, h << wp
+    total = peak = small = used = run = 0
+    last = prev = None
+    settled = True
+    for e in terms:
+        total, used, prev, last = total + e, used + 1, last, e
         mag = _norm(e)
-        if mag * lhs < b * (_norm(head + t_k * total) or 1 << 4 * wp):
+        peak = max(peak, mag)
+        if mag * lhs < b * (_norm(h + s * total) or 1 << 4 * wp):
             run, small = run + 1, max(small, mag)
             if run == 3:
                 break
         else:
             run = small = 0
-    err = mpmath.sqrt(mp.make_mpf(from_man_exp(_norm(t_k), -2 * wp))) * (
-        3 * mpmath.sqrt(mp.make_mpf(from_man_exp(small, -2 * wp))) + mpmath.ldexp(n, -wp))
-    return total, err, run == 3
+        if used >= limit:
+            settled = False
+            break
+    return total, peak, used, last, prev, small, settled
 
 
 def _scaled(wp):
@@ -693,22 +702,27 @@ def _scaled(wp):
     return st.one_of(part, st.builds(lambda re, im: Gauss((re, im)), part, part))
 
 
+def _streams(wp):
+    """Random magnitudes, or terms falling by 0 to 6 bits each, which meet
+    the small-term bound near its edge."""
+    return st.one_of(st.lists(_scaled(wp), min_size=1, max_size=40), st.builds(
+        lambda k, drops, ms: [m << wp + k - d if wp + k >= d else m >> d - wp - k
+                              for d, m in zip(itertools.accumulate(drops), ms)],
+        st.integers(-40, 30), st.lists(st.integers(0, 6), min_size=1, max_size=40),
+        st.lists(_VALUE, min_size=40, max_size=40)))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data(), st.sampled_from([15, 30, 60]), st.integers(0, 12), st.booleans())
 def test_tail_sum_decides_as_the_exact_comparison(data, digits, zero_at, zero_t_k):
-    # the bit-length pre-decision gives the sum, err and settled of the exact
-    # comparisons: terms from far below eps to far above 1, t_k = 0, and a head
-    # with head + t_k total = 0 after the first zero_at terms (the test's 1)
+    # for a summed tail (s = t_k, h = head), the bit-length pre-decision gives
+    # the results of the exact comparisons: terms from far below eps to far
+    # above 1, t_k = 0, and a head with head + t_k total = 0 after the first
+    # zero_at terms (the test's 1)
     ctx = PrecisionContext(digits=digits)
     with ctx.working():
         wp = fixed_prec()
-        # random magnitudes, or a tail falling by 0 to 6 bits a term, which meets
-        # the test's bound near its edge
-        terms = data.draw(st.one_of(st.lists(_scaled(wp), min_size=1, max_size=40), st.builds(
-            lambda k, drops, ms: [m << wp + k - d if wp + k >= d else m >> d - wp - k
-                                  for d, m in zip(itertools.accumulate(drops), ms)],
-            st.integers(-40, 30), st.lists(st.integers(0, 6), min_size=1, max_size=40),
-            st.lists(_VALUE, min_size=40, max_size=40))))
+        terms = data.draw(_streams(wp))
         t_k, head = data.draw(_scaled(wp)), data.draw(_scaled(wp))
         if zero_t_k:
             t_k = 0
@@ -717,9 +731,68 @@ def test_tail_sum_decides_as_the_exact_comparison(data, digits, zero_at, zero_t_
                 lambda re, im: Gauss((re, im)), st.integers(-99, 99), st.integers(1, 99))))
             t_k, head = c << wp, -c * sum(terms[:zero_at])
         limit = data.draw(st.integers(1, 45))
-        got = _tail_sum(iter(terms), t_k, head, ctx.eps(), limit)
-        want = _exact_tail_sum(iter(terms), t_k, head, ctx.eps(), limit)
-    assert got[0] == want[0] and got[2] == want[2] and got[1]._mpf_ == want[1]._mpf_
+        got = partial_sum(iter(terms), ctx.eps(), limit, t_k, head)
+        want = _exact_partial_sum(iter(terms), ctx.eps(), limit, t_k, head)
+    assert _pairs(got) == _pairs(want)
+
+
+def test_tail_sum_under_a_head_far_above_its_terms():
+    # |t_k e| < eps |head| for every term: small on the head's size alone,
+    # where the pre-decision's bound for the head is the one that binds
+    ctx = PrecisionContext(digits=15)
+    with ctx.working():
+        one = 1 << fixed_prec()
+        terms, t_k, head = [one >> k for k in range(5)], one >> 52, one << 100
+        got = partial_sum(iter(terms), ctx.eps(), 10, t_k, head)
+        assert got == _exact_partial_sum(iter(terms), ctx.eps(), 10, t_k, head)
+    assert got[2] == 3 and got[5] == one * one and got[6]
+
+
+def _plain_rule_sum(terms, stop_eps, limit):
+    """(total, used, last, prev, settled) of a plain sum that stops on three
+    terms in a row with |t|^2 2^s < b (|total|^2 or 2^(2W)), (s, b) =
+    `series._below(stop_eps)`, exact in ints."""
+    wp = fixed_prec()
+    total, used, run, last, prev, settled = 0, 0, 0, None, None, True
+    if stop_eps:
+        sh, b = series._below(stop_eps)
+    for t in terms:
+        total, used, prev, last = total + t, used + 1, last, t
+        if stop_eps:
+            if _norm(t) << sh < b * (_norm(total) or 1 << 2 * wp):
+                run += 1
+                if run >= 3:
+                    break
+            else:
+                run = 0
+        if used >= limit:
+            settled = False
+            break
+    return total, used, last, prev, settled
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([15, 30, 60]), st.booleans(), st.booleans(), st.booleans())
+def test_plain_sum_keeps_the_plain_rule(data, digits, cplx, rule, tie):
+    # s = 1 and h = 0, given or by default, stop where |t| < eps (|total| or 1)
+    # does: real and complex streams with zero terms, the rule on and off, and
+    # a limit on the stopping term (the third small one or the stream's last)
+    # or anywhere
+    ctx = PrecisionContext(digits=digits)
+    with ctx.working():
+        wp, eps = fixed_prec(), ctx.eps() if rule else 0
+        terms = [Gauss(oracles.pair(t)) if cplx else oracles.pair(t)[0]
+                 for t in data.draw(_streams(wp))]
+        for i in data.draw(st.lists(st.integers(0, len(terms) - 1), max_size=4)):
+            terms[i] = 0
+        limit = (_plain_rule_sum(iter(terms), eps, len(terms) + 1)[1] if tie
+                 else data.draw(st.integers(1, len(terms) + 1)))
+        want = _plain_rule_sum(iter(terms), eps, limit)
+        for args in ((), (1 << wp, 0)):
+            stream = iter(terms)
+            total, _, used, last, prev, _, settled = partial_sum(stream, eps, limit, *args)
+            assert _pairs((total, used, last, prev, settled)) == _pairs(want)
+            assert list(stream) == terms[used:]
 
 
 _MP_PART = st.builds(lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
