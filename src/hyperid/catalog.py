@@ -691,13 +691,11 @@ def _theta_prefactor(q, a, c, d, e, f):
     )
     if den == 0:
         raise DomainError("reflected-sum prefactor denominator vanishes")
-    return num / den
+    return cdef, z, num / den
 
 
 def _theta_lhs(a, c, d, e, f, q, ctx):
-    cdef = c * d * e * f
-    z = q * a * a / cdef
-    pref = _theta_prefactor(q, a, c, d, e, f)
+    cdef, z, pref = _theta_prefactor(q, a, c, d, e, f)
     r = principal_sqrt(a / cdef)
     spec = QSeriesSpec(
         (q, q * q * r, -q * q * r, q / c, q / d, q / e, q / f),
@@ -710,9 +708,7 @@ def _theta_lhs(a, c, d, e, f, q, ctx):
 
 def _theta_rhs(a, c, d, e, f, q, ctx):
     qc = QContext(q, ctx)
-    cdef = c * d * e * f
-    z = q * a * a / cdef
-    pref = _theta_prefactor(q, a, c, d, e, f)
+    cdef, z, pref = _theta_prefactor(q, a, c, d, e, f)
     gg = q * q * a**3 / cdef**2
     br = q_bracket(
         [q, q**3 * a / cdef, q * q * a * a / (c * c * d * e * f),

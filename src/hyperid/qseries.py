@@ -16,15 +16,17 @@ Terms come from the running term ratio (`q_ratio_terms`), on the classical
 engine's fixed-point ints: the powers x q^k are running fixed-point
 products, and `series.fixed_terms` rounds each term once; (x;q)_inf runs
 on ints from exact dyadic x and q, rounded once (`q_pochhammer`), and a
-q-bracket multiplies their mantissas exactly and rounds its quotient once.
+q-bracket multiplies their exact values and rounds its quotient once.
 A complex value is a `series.Gauss` wherever a real one is an int, and the
 same code runs on both.
 Every phi series runs through the classical engine's `series.sum_direct`,
 with its passes at raised precision against cancellation. A terminating
 one (an upper q^-n at working precision, n found by `_terminating_index`)
 adds all its terms and has no tail; an exactly zero total comes back with
-an absolute error. A nonterminating one with at least as many lowers as
-uppers, whose term ratio tends to 0, gets a geometric tail bound (direct).
+an absolute error. A lower q^-m (the same rule) raises LowerPoleError
+unless an upper ends the series first. A nonterminating one with at least
+as many lowers as uppers, whose term ratio tends to 0, gets a geometric
+tail bound (direct).
 A nonterminating balanced one (one more upper than lowers, as every
 catalog phi and both halves of each psi) sums all K head terms (no stop
 on terms that dip near a lower's q-pole and regrow), K from
@@ -51,7 +53,7 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_div, round_nearest, to_float
 
-from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError
+from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError, LowerPoleError
 from .precision import INF, PrecisionContext, fixed_prec, to_mp
 from .series import (
     Gauss, SeriesResult, _bits, _norm, _parts, _rdiv, _rshift, dyadic, fixed_terms, join_halves,
@@ -217,10 +219,10 @@ def q_bracket(numers, denoms, qc: QContext):
     """prod (x_i;q)_inf / prod (y_j;q)_inf.
 
     Returns exact 0 when a numerator entry vanishes and no denominator entry
-    does; IndeterminateError when both vanish. The entries' raw mantissas and
-    exponents multiply exactly as ints (`series.Gauss` values when complex),
-    a zero entry zeroing its side, and the quotient is rounded once to the
-    working precision, so the bracket is within the sum of its entries'
+    does; IndeterminateError when both vanish. The entries' exact values
+    n / 2^s (`series.dyadic`: n an int, a `series.Gauss` when complex) multiply
+    exactly, a zero entry zeroing its side, and the quotient is rounded once to
+    the working precision, so the bracket is within the sum of its entries'
     relative errors (see q_pochhammer) plus 2^-prec of its value in each part.
     """
     with qc.ctx.working():
@@ -228,14 +230,8 @@ def q_bracket(numers, denoms, qc: QContext):
         for xs in (numers, denoms):
             m, e = 1, 0  # the side's product m 2^e
             for x in xs:
-                v = q_pochhammer(x, qc, INF)
-                if type(v) is mpf:
-                    sign, man, exp, _ = v._mpf_
-                    m *= -man if sign else man
-                else:
-                    exp = min(v._mpc_[0][2], v._mpc_[1][2])
-                    m *= Gauss((-man if sign else man) << ex - exp for sign, man, ex, _ in v._mpc_)
-                e += exp
+                n, s = dyadic(q_pochhammer(x, qc, INF))
+                m, e = m * n, e - s
             sides.append((m, e))
         (pn, pe), (dn, de) = sides
         if not dn:
@@ -464,6 +460,9 @@ def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
                 if extra == 0:
                     k = _head_length(ups, lows, q)
                     tail = k, _tail_ratio_terms
+            m = _terminating_index(lows, q, ctx.eps())
+            if m is not None and (n is None or m < n):
+                raise LowerPoleError(f"lower parameter q^-{m}: a pole reached before termination")
             return sum_direct(partial(q_ratio_terms, extra=extra, max_k=n), (ups, lows, z, q),
                               lambda: (*mp_parameters(spec), to_mp(qc.q)), ctx, floor, tail)
         # psi

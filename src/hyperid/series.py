@@ -16,8 +16,8 @@ Routes, chosen by convergence class:
   algebraic    |z| = 1 with decay exponent s > 1: when a 48-term probe
                puts the terms needed below the direct cap, the first K
                terms summed directly plus the tail t_K f(K), where
-               f(K) = T_K / t_K is an inverse factorial series whose
-               coefficients follow a banded int recurrence (direct+tail);
+               f(K) = T_K / t_K is an inverse factorial series on a
+               banded int recurrence, `_factorial_tail` (direct+tail);
                otherwise the Levin u-transform, and direct+tail with
                K = max(48, dps + 20) where the transform fails
 Bilateral sums are split at k = 0; the negative tail becomes a unilateral
@@ -30,12 +30,13 @@ The term streams of both engines (`ratio_terms` here, `qseries.q_ratio_terms`)
 run on Python ints scaled by 2^W, W = `precision.fixed_prec()`, the ambient
 precision plus GUARD_BITS. Every exact dyadic and fixed-point value of both
 engines is an int when real and a Gaussian int `Gauss` when complex, so one
-path of + - * // << >> serves both. `fixed_terms`, their one stepping loop,
-takes each step's ratio as ready products, num and den, of exact values,
-and rounds each term once; a real stream steps one int, a complex one its
-two parts. `partial_sum` adds the terms exactly, so the rounding of a sum
-is the bound that `fixed_terms` states. The Levin transform reads the same
-terms, generated at its raised precision, and sums them exactly too.
+path of + - * // << >> serves both; `dyadic` alone reads an mp number's
+exact value. `fixed_terms`, their one stepping loop, takes each step's ratio
+as ready products, num and den, of exact values, and rounds each term once;
+a real stream steps one int, a complex one its two parts. `partial_sum` adds
+the terms exactly, so the rounding of a sum is the bound that `fixed_terms`
+states. The Levin transform reads the same terms, generated at its raised
+precision, and sums them exactly too.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms, of heads and of summed tails, on ints: to a
@@ -63,7 +64,6 @@ from typing import Optional
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
-from mpmath.libmp import to_fixed as mpf_to_fixed
 
 from .accel import levin_core
 from .errors import (
@@ -271,12 +271,11 @@ def dyadic(x):
 
 
 def to_fixed(x, wp):
-    """The mp number x at scale 2^wp, rounded to nearest in each part (exact
-    for a value of `from_fixed` at wp): an int for an mpf, a `Gauss` for an
-    mpc."""
-    if type(x) is mpf:
-        return (mpf_to_fixed(x._mpf_, wp + 1) + 1) >> 1
-    return Gauss((mpf_to_fixed(v, wp + 1) + 1) >> 1 for v in x._mpc_)
+    """The mp number x at scale 2^wp, rounded to nearest in each part, halves up
+    (exact for a value of `from_fixed` at wp): `_rshift` of its `dyadic` n / 2^s
+    at scale 2^(wp+s), an int for an mpf, a `Gauss` for an mpc."""
+    n, s = dyadic(x)
+    return _rshift(n << wp, s)
 
 
 def from_fixed(t, wp=None):
@@ -390,9 +389,9 @@ def ratio_terms(uppers, lowers, z, max_k=None):
 
 def _below(eps):
     """(s, b) such that |x| < eps |y| iff |x|^2 2^s < b |y|^2, for an mpf
-    eps = m 2^e > 0."""
-    _, m, e, _ = eps._mpf_
-    return max(-2 * e, 0), m * m << max(2 * e, 0)
+    eps > 0: with eps = n / 2^t (`dyadic`), s = 2t and b = n^2."""
+    n, t = dyadic(eps)
+    return 2 * t, n * n
 
 
 def _root(norm, wp):
@@ -597,12 +596,13 @@ def _newton(values):
     return values
 
 
-def _tail_coefficients(uppers, lowers, z, wp):
-    """Yield 2^wp c_j, rounded to the nearest (Gaussian) int, for j = 0, 1,
-    ...: the coefficients of the tail ratio f(K) = T_K / t_K of
-    sum_k prod (a)_k / (k! prod (b)_k) z^k, with T_K = sum_{k>=K} t_k, as
-    the inverse factorial series f(K) = sum_j c_j u_j(K),
-    u_j(K) = Gamma(K) / Gamma(K + j - 1) (Nörlund 1924; Weniger 1989).
+def _factorial_tail(uppers, lowers, z, k):
+    """Yield c_j u_j(K) at scale 2^W (W = fixed_prec()), K = k, j = 0, 1, ...,
+    rounded to nearest (Gaussian) ints: the terms of the tail ratio
+    f(K) = T_K / t_K of sum_k prod (a)_k / (k! prod (b)_k) z^k, with
+    T_K = sum_{k>=K} t_k, as the inverse factorial series f(K) = sum_j c_j u_j(K),
+    u_j(K) = Gamma(K) / Gamma(K + j - 1): u_0 = K - 1, u_1 = 1 and
+    u_j = 1 / (K (K + 1) ... (K + j - 2)) (Nörlund 1924; Weniger 1989).
 
     With t_{k+1} / t_k = z Q(k) / P(k), Q(k) = prod (k + a) and
     P(k) = (k + 1) prod (k + b), both of degree d = len(uppers), f solves
@@ -621,8 +621,10 @@ def _tail_coefficients(uppers, lowers, z, wp):
     2^S (and z's 2^zs) the Newton coefficients are small exact ints
     (Gaussian ones when complex); from one column to the next they step by
     forward differences, A_m(k - 1) = A_m(k) - (m + 1) A_{m+1}(k - 1). Only
-    the c_j carry the scale 2^wp, one rounding each.
+    the c_j carry the scale 2^W, one rounding each; a term c_j u_j(K), j >= 2,
+    is rounded once more, from 2^W c_j over the int 1 / u_j(K).
     """
+    wp = fixed_prec()
     (zn, zs), *ps = map(dyadic, (z, *uppers, *lowers))
     sc = max(s for _, s in ps)
     ps, d, den = [n << sc - s for n, s in ps], len(uppers), 1 << sc
@@ -636,6 +638,7 @@ def _tail_coefficients(uppers, lowers, z, wp):
     rhs = {1 - m: p * (1 << wp) for m, p in enumerate(_newton(pv[:-1]))}
     rho = d if zn == 1 << zs else d + 1
     cols = [(0, ())] * rho  # (2^wp c, band entries) of columns j - rho .. j - 1
+    div = 1  # 1 / u_j(k) for j >= 2
     for j in count():
         entries = [(j - 1) * zq[0], *(n + (j - 1) * q for n, q in zip(nn, zq[1:]))]
         for m in range(d - 1, -1, -1):
@@ -647,16 +650,6 @@ def _tail_coefficients(uppers, lowers, z, wp):
                 acc -= c * es[r]
         c = _rdiv(acc, entries[rho])
         cols = [*cols[1:], (c, entries)]
-        yield c
-
-
-def _factorial_tail(uppers, lowers, z, k):
-    """Yield c_j u_j(k) at scale 2^W (W = fixed_prec()), j = 0, 1, ...: the
-    terms of the tail ratio f(k) = T_k / t_k as the inverse factorial series
-    of `_tail_coefficients`, u_0(k) = k - 1, u_1(k) = 1 and
-    u_j(k) = 1 / (k (k + 1) ... (k + j - 2))."""
-    div = 1
-    for j, c in enumerate(_tail_coefficients(uppers, lowers, z, fixed_prec())):
         if j >= 2:
             div *= k + j - 2
         yield c * (k - 1) if j == 0 else _rdiv(c, div)

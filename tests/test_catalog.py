@@ -10,6 +10,7 @@ from mpmath import mp, mpc, mpf
 
 from hyperid import catalog, exact
 from hyperid.catalog import CATALOG, phi_sum, phi_via_3f2, tolerance_rule
+from hyperid.errors import DomainError
 from hyperid.gammafn import gamma_ratio
 from hyperid.harness import sample_parameters, verify_one
 from hyperid.precision import PrecisionContext, to_mp
@@ -375,6 +376,11 @@ def test_phi_sum_values(ctx30):
         va = phi_sum(mpf("0.75"), mpf("1.5"), mpf("0.5"), mpf("2.25"), ctx30)
         vb = phi_sum(mpf("1.5"), mpf("0.75"), mpf("2.25"), mpf("0.5"), ctx30)
         assert abs(va.value - vb.value) < abs(va.value) * mpf(10) ** -25
+
+
+def test_phi_via_3f2_prefactor_pole(ctx30):
+    with pytest.raises(DomainError, match=r"^prefactor pole: d \(a\+b\+c\+d-1\) = 0$"):
+        phi_via_3f2(mpf("0.5"), 0, mpf("0.5"), mpf("0.5"), ctx30)
 
 
 def test_phi_route_equivalence(ctx30):

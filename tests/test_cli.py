@@ -158,6 +158,26 @@ def test_eval_hseries(capsys):
     assert out.startswith("value: 2.4674")
 
 
+def test_eval_hseries_off_the_unit_circle(capsys):
+    code, out, err = run_cli(capsys, "eval", "hseries", "--upper", "0.5,0.5",
+                             "--lower", "1.5,1.5", "--z", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith("DivergentError: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--upper", "0.5", "--lower", "1152921504606846976,0.25", "--z", "0.5", "--q", "0.015625"),
+    ("--upper", "0.5", "--lower", "1000", "--z", "0.5", "--q", "0.1"),
+    ("--upper", "0.5,0.3", "--lower", "1000", "--z", "0.5", "--q", "0.1"),
+])
+def test_eval_phi_lower_on_a_q_pole(capsys, argv):
+    # lowers q^-10 (exact) and q^-3 (to within q's rounding), reached before
+    # the sum ends: no value, a typed error
+    code, out, err = run_cli(capsys, "eval", "phi", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("LowerPoleError: ") and "Traceback" not in err
+
+
 def test_eval_phi(capsys):
     # 1phi0(0.5; -; q=0.5, z=0.25): plain geometric-type q-series
     code, out, _ = run_cli(capsys, "eval", "phi", "--upper", "0.5", "--lower", "",

@@ -698,6 +698,59 @@ def test_sum_psi_domain_errors(qc_half, ctx30):
         )
 
 
+def test_q_series_typed_errors_before_any_term(qc_half):
+    half = mpf("0.5")
+    with pytest.raises(DomainError, match="^bilateral q-series undefined at z = 0$"):
+        split_psi(QSeriesSpec((mpf("0.3"),), (mpf("0.6"),), 0, "psi"), qc_half)
+    for ups, lows in (((0,), (mpf("0.6"),)), ((mpf("0.3"),), (0,))):
+        with pytest.raises(DomainError, match="^zero parameters are not supported in psi-type series$"):
+            split_psi(QSeriesSpec(ups, lows, half, "psi"), qc_half)
+    # two uppers over no lowers, neither a power q^-n
+    with pytest.raises(DomainError,
+                       match="^phi series with more uppers than lowers diverges unless terminating$"):
+        sum_q_series(QSeriesSpec((mpf("0.3"), mpf("0.6")), (), half, "phi"), qc_half)
+
+
+@pytest.mark.parametrize("uppers, lowers, q, m", [
+    # b = 2^60 = q^-10 exactly: the terms fall below eps by k = 6, before the pole
+    (("0.5",), ("1152921504606846976", "0.25"), "0.015625", 10),
+    # b = 1000 is q^-3 only to within q's rounding, so 1 - b q^3 rounds off zero
+    (("0.5",), ("1000",), "0.1", 3),
+    (("0.5", "0.3"), ("1000",), "0.1", 3),  # balanced: direct+tail
+], ids=["dyadic", "rounded", "balanced"])
+def test_phi_lower_on_a_q_pole_is_rejected(ctx30, uppers, lowers, q, m):
+    # the uppers' termination rule |b q^m - 1| <= (m + 2) eps, applied to the
+    # lowers, finds the pole before any term is summed
+    with pytest.raises(LowerPoleError,
+                       match=rf"^lower parameter q\^-{m}: a pole reached before termination$"):
+        sum_q_series(QSeriesSpec(uppers, lowers, "0.5", "phi"), QContext(q, ctx30))
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_phi_lower_pole_at_or_past_the_terminating_index_sums(qc_half, m):
+    # 2phi1(q^-2, 5/16; q^-m; q, 1/2) at q = 1/2 ends after t_2, and the
+    # lower's factor 1 - q^-m q^k first vanishes in t_(m+1)
+    q, a, z = Fraction(1, 2), Fraction(5, 16), Fraction(1, 2)
+
+    def poch(x, k):
+        return math.prod((1 - x * q**i for i in range(k)), start=Fraction(1))
+
+    exact = sum(poch(q**-2, k) * poch(a, k) / (poch(q, k) * poch(q**-m, k)) * z**k
+                for k in range(3))
+    res = sum_q_series(QSeriesSpec((q**-2, a), (q**-m,), z, "phi"), qc_half)
+    assert res.method == "terminating" and res.terms_used == 3
+    with mp.workdps(60):
+        assert abs(res.value - to_mp(exact)) <= abs(to_mp(exact)) * mpf(10) ** -30
+
+
+def test_psi_negative_half_on_a_lower_q_pole(ctx30):
+    # 1psi1(1e-5; 2e-6; q, 1/2) at q = 0.1: the upper a = q^5 (rounded) reflects
+    # to the negative half's lower q^2 / a, q^-3 to within the rounding
+    spec = QSeriesSpec(("0.00001",), ("0.000002",), "0.5", "psi")
+    with pytest.raises(LowerPoleError, match=r"^lower parameter q\^-3: a pole "):
+        sum_q_series(spec, QContext("0.1", ctx30))
+
+
 def test_terminating_phi_index(qc_half, ctx30):
     # an upper q^-n cuts the series after n+1 terms; n = 0 gives 1
     with ctx30.working():

@@ -26,10 +26,10 @@ from hyperid import series
 from hyperid.series import (
     Gauss,
     SeriesSpec,
+    _factorial_tail,
     _norm,
     _rdiv,
     _rshift,
-    _tail_coefficients,
     classify,
     dyadic,
     from_fixed,
@@ -340,6 +340,18 @@ def test_bilateral_dougall_sample(ctx30):
         assert abs(res.value - rhs) / abs(rhs) < mpf(10) ** -25
 
 
+def test_bilateral_off_the_unit_circle_diverges(ctx30):
+    # one half of a bilateral series has ratio z, the other 1/z: only |z| = 1
+    # can converge, and z = 0 has no negative half at all
+    spec = SeriesSpec((mpf("0.5"), mpf("0.5")), (mpf("1.5"), mpf("1.5")), mpf("0.5"), "bilateral")
+    assert classify(spec).tag == "divergent"
+    with pytest.raises(DivergentError, match="^bilateral series diverges at the given argument$") as exc:
+        sum_bilateral(spec, ctx30)
+    assert exc.type is DivergentError  # not NotConvergent, which names a decay exponent
+    with pytest.raises(DivergentError, match="^bilateral series undefined at z = 0$"):
+        split_bilateral(SeriesSpec(spec.uppers, spec.lowers, 0, "bilateral"), ctx30)
+
+
 def test_bilateral_error_cases(ctx30):
     # decay exponent (0.75 + 1.25) - (0.5 + 0.5) = 1 is not > 1
     with pytest.raises(NotConvergent):
@@ -566,11 +578,12 @@ def test_direct_tail_within_the_working_digits(ctx30, uppers, lowers):
 
 def test_tail_coefficients_of_a_finite_expansion(ctx30):
     # t_k = k! / (1 + s)_k, 2F1(1, 1; 1 + s; 1), has the tail ratio
-    # f(K) = (K + s) / (s - 1) = c_0 (K - 1) + c_1 exactly
+    # f(K) = (K + s) / (s - 1) = c_0 (K - 1) + c_1 exactly; at K = 2,
+    # u_0 = u_1 = 1, so the first two terms are c_0 and c_1 themselves
     s = Fraction(5, 2)
     with ctx30.working():
         wp = fixed_prec()
-        cs = list(itertools.islice(_tail_coefficients([mpf(1), mpf(1)], [to_mp(1 + s)], mpf(1), wp), 12))
+        cs = list(itertools.islice(_factorial_tail([mpf(1), mpf(1)], [to_mp(1 + s)], mpf(1), 2), 12))
     assert cs[:2] == [round(Fraction(2**wp) / (s - 1)), round(Fraction(2**wp) * (s + 1) / (s - 1))]
     assert all(abs(c) <= 2 for c in cs[2:])
 
