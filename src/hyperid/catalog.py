@@ -33,9 +33,10 @@ from mpmath.libmp import from_rational, round_nearest
 
 from . import exact
 from .errors import DomainError
+from .exact import jackson_parameters, quot
 from .gammafn import gamma_ratio
 from .precision import PrecisionContext, exact_int, nonpositive_int, pow10, to_mp
-from .qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
+from .qseries import QContext, principal_sqrt, q_bracket, sum_q_series
 from .series import SeriesResult, SeriesSpec, combined_method, sum_bilateral, sum_unilateral
 
 GRAIN = 64  # dyadic sampling grid 1/64
@@ -106,17 +107,6 @@ def _clear_of_q_poles(x, q, upto: Optional[int] = None) -> bool:
     return True
 
 
-def _quot(ups, downs=()):
-    """prod(ups) / prod(downs) of int pairs x = a/b, b > 0, with positive
-    downs: an unreduced int pair of the same kind."""
-    n = d = 1
-    for u, v in ups:
-        n, d = n * u, d * v
-    for u, v in downs:
-        n, d = n * v, d * u
-    return n, d
-
-
 def _clear(q, values, squared=()) -> bool:
     """No value on a q-power pole and none of `squared` on a q^2-power pole,
     q and the values int pairs as `_clear_of_q_poles` reads them."""
@@ -127,9 +117,9 @@ def _clear(q, values, squared=()) -> bool:
 
 def _vwp_clear(q, a, xs) -> bool:
     """The pole rule of a very-well-poised sum in a with extras xs (int pairs)."""
-    qa = _quot([q, a])
-    return _clear(q, [a, *(_quot([qa], [x]) for x in xs),
-                      *(_quot([qa], pair) for pair in combinations(xs, 2))], [a])
+    qa = quot([q, a])
+    return _clear(q, [a, *(quot([qa], [x]) for x in xs),
+                      *(quot([qa], pair) for pair in combinations(xs, 2))], [a])
 
 
 def _z_in_range(z) -> bool:
@@ -256,7 +246,7 @@ def _vwp(base, extras, arg, qc, kind="phi", r=None) -> SeriesResult:
     r = principal_sqrt(base) if r is None else r
     uppers = ((base,) if kind == "phi" else ()) + (q * r, -q * r, *extras)
     lowers = (r, -r, *(q * base / x for x in extras))
-    return sum_q_series(QSeriesSpec(uppers, lowers, arg, kind), qc)
+    return sum_q_series(SeriesSpec(uppers, lowers, arg, kind), qc)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +513,7 @@ def _bailey_sampler(rng, index):
 
 def _bailey_check(p):
     a, b, c, d, e, q = (p[k].as_integer_ratio() for k in "abcdeq")
-    return _z_in_range(_quot([q, a, a], [b, c, d, e])) and _vwp_clear(q, a, (b, c, d, e))
+    return _z_in_range(quot([q, a, a], [b, c, d, e])) and _vwp_clear(q, a, (b, c, d, e))
 
 
 def _bailey_lhs(a, b, c, d, e, q, ctx):
@@ -548,7 +538,7 @@ def _phi65_sampler(rng, index):
 
 def _phi65_check(p):
     a, b, c, d, q = (p[k].as_integer_ratio() for k in "abcdq")
-    return _z_in_range(_quot([q, a], [b, c, d])) and _vwp_clear(q, a, (b, c, d))
+    return _z_in_range(quot([q, a], [b, c, d])) and _vwp_clear(q, a, (b, c, d))
 
 
 def _phi65_lhs(a, b, c, d, q, ctx):
@@ -570,17 +560,17 @@ def _jackson_sampler(rng, index):
 
 
 def _jackson_check(p):
+    """The terminating 8phi7's pole rule, read on `exact.jackson_parameters`:
+    the parameters that its exact side sums, e = q^(1+n) a^2/(b c d) among them."""
     n = p["n"]
     if not (isinstance(n, int) and 0 <= n <= 15):
         return False
-    a, b, c, d, q = (p[k].as_integer_ratio() for k in "abcdq")
-    qa, qn = _quot([q, a]), (q[0] ** n, q[1] ** n)
-    low_c = _quot([qn, qa])  # q^(1+n) a
+    ups, lows = jackson_parameters(*(p[k] for k in "abcdq"), n)
+    a, e, q = ups[0], ups[4], p["q"].as_integer_ratio()
     return (
-        _clear(q, [a, *(_quot([qa], [x]) for x in (b, c, d))], [a])
-        and _clear_of_q_poles(_quot([low_c, a], [b, c, d]), q, upto=n + 1)
-        and _clear_of_q_poles(_quot([b, c, d], [a, qn]), q, upto=n)
-        and _clear_of_q_poles(low_c, q, upto=n)
+        _clear(q, [a, *lows[:3]], [a])
+        and _clear_of_q_poles(e, q, upto=n + 1)
+        and all(_clear_of_q_poles(x, q, upto=n) for x in lows[3:])
     )
 
 
@@ -595,16 +585,16 @@ def _jackson_nt_sampler(rng, index):
 
 def _jackson_nt_check(p):
     a, b, c, d, e, q = (p[k].as_integer_ratio() for k in "abcdeq")
-    f = _quot([q, a, a], [b, c, d, e])
+    f = quot([q, a, a], [b, c, d, e])
     if not (f[1] <= 32 * f[0] and f[0] <= 32 * f[1]):  # 1/32 <= f <= 32
         return False
-    qa, qb = _quot([q, a]), _quot([q, b])
+    qa, qb = quot([q, a]), quot([q, b])
     values = [a, b, c, d, e, f,
-              *(_quot([qa], [x]) for x in (b, c, d, e)), _quot([b, c, d, e], [a]),
-              *(_quot([b, x], [a]) for x in (c, d, e, f)),
-              *(_quot([qb], [x]) for x in (a, c, d, e)), _quot([b, b, c, d, e], [a, a]),
-              _quot([b, b, q], [a]), _quot([qa], [c, d, e])]
-    return _clear(q, values, [a, _quot([b, b], [a])])
+              *(quot([qa], [x]) for x in (b, c, d, e)), quot([b, c, d, e], [a]),
+              *(quot([b, x], [a]) for x in (c, d, e, f)),
+              *(quot([qb], [x]) for x in (a, c, d, e)), quot([b, b, c, d, e], [a, a]),
+              quot([b, b, q], [a]), quot([qa], [c, d, e])]
+    return _clear(q, values, [a, quot([b, b], [a])])
 
 
 def _jackson_nt_lhs(a, b, c, d, e, q, ctx):
@@ -644,25 +634,25 @@ def _split_sampler(rng, index):
 
 def _split_check(p):
     a, c, d, e, f, q = (p[k].as_integer_ratio() for k in "acdefq")
-    cdef = _quot([c, d, e, f])
-    if not _z_in_range(_quot([q, a, a], [cdef])):
+    cdef = quot([c, d, e, f])
+    if not _z_in_range(quot([q, a, a], [cdef])):
         return False
-    qa, big_a = _quot([q, a]), _quot([cdef], [a])
-    qqa = _quot([q, qa])
+    qa, big_a = quot([q, a]), quot([cdef], [a])
+    qqa = quot([q, qa])
     values = [c, d, e, f, a,
-              *(_quot([qa], [x]) for x in (c, d, e, f)),
+              *(quot([qa], [x]) for x in (c, d, e, f)),
               big_a,
-              *(_quot([qa], xs) for xs in combinations((c, d, e, f), 3)),
-              _quot([qqa], [cdef]),
-              *(_quot([qqa, a], [cdef, x]) for x in (f, e, d, c)),
-              *(_quot([qa], xs) for xs in combinations((c, d, e, f), 2))]
-    return _clear(q, values, [a, big_a, _quot([qqa, a, a], [cdef, cdef]), _quot([a], [cdef])])
+              *(quot([qa], xs) for xs in combinations((c, d, e, f), 3)),
+              quot([qqa], [cdef]),
+              *(quot([qqa, a], [cdef, x]) for x in (f, e, d, c)),
+              *(quot([qa], xs) for xs in combinations((c, d, e, f), 2))]
+    return _clear(q, values, [a, big_a, quot([qqa, a, a], [cdef, cdef]), quot([a], [cdef])])
 
 
 def _omega_lhs(a, c, d, e, f, q, ctx):
     z = q * a * a / (c * d * e * f)
     r = principal_sqrt(c * d * e * f / a)
-    spec = QSeriesSpec(
+    spec = SeriesSpec(
         (q, q * r, -q * r, c * d * e / a, c * d * f / a, c * e * f / a, d * e * f / a),
         (r, -r, q * f, q * e, q * d, q * c),
         z, "phi",
@@ -697,7 +687,7 @@ def _theta_prefactor(q, a, c, d, e, f):
 def _theta_lhs(a, c, d, e, f, q, ctx):
     cdef, z, pref = _theta_prefactor(q, a, c, d, e, f)
     r = principal_sqrt(a / cdef)
-    spec = QSeriesSpec(
+    spec = SeriesSpec(
         (q, q * q * r, -q * q * r, q / c, q / d, q / e, q / f),
         (q * r, -q * r, q * q * a / (d * e * f), q * q * a / (c * e * f),
          q * q * a / (c * d * f), q * q * a / (c * d * e)),

@@ -20,7 +20,7 @@ from .catalog import CATALOG
 from .errors import HyperidError, UnknownIdentityError
 from .harness import SuiteConfig, run_suite
 from .precision import PrecisionContext, format_value
-from .qseries import QContext, QSeriesSpec, sum_q_series
+from .qseries import QContext, sum_q_series
 from .series import SeriesSpec, sum_bilateral, sum_unilateral
 
 
@@ -67,7 +67,6 @@ def _print_result(res, digits):
 
 
 def _cmd_eval(args) -> int:
-    q_series = args.series in ("phi", "psi")
     try:
         ctx = PrecisionContext(digits=args.digits, max_terms=args.max_terms)
     except ValueError as exc:
@@ -78,16 +77,12 @@ def _cmd_eval(args) -> int:
             uppers = parse_list(args.upper)
             lowers = parse_list(args.lower)
             z = parse_scalar(args.z)
-            q = parse_scalar(args.q) if q_series else None
+            q = parse_scalar(args.q) if "q" in args else None
     except ValueError as exc:
         print(f"usage error: bad numeric literal ({exc})", file=sys.stderr)
         return 2
     try:
-        if not q_series:
-            kind = "unilateral" if args.series == "pfq" else "bilateral"
-            spec = SeriesSpec(tuple(uppers), tuple(lowers), z, kind)
-        else:
-            spec = QSeriesSpec(tuple(uppers), tuple(lowers), z, args.series)
+        spec = SeriesSpec(tuple(uppers), tuple(lowers), z, args.kind)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -174,11 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a single series")
     eval_sub = p_eval.add_subparsers(dest="series", required=True)
-    for name, text in (
-        ("pfq", "generalized hypergeometric series"),
-        ("hseries", "bilateral hypergeometric series"),
-        ("phi", "basic hypergeometric series"),
-        ("psi", "bilateral basic hypergeometric series"),
+    for name, kind, text in (
+        ("pfq", "unilateral", "generalized hypergeometric series"),
+        ("hseries", "bilateral", "bilateral hypergeometric series"),
+        ("phi", "phi", "basic hypergeometric series"),
+        ("psi", "psi", "bilateral basic hypergeometric series"),
     ):
         p = eval_sub.add_parser(name, help=text)
         p.add_argument("--upper", default="", help="comma-separated upper parameters")
@@ -188,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q", required=True, help="nome, |q|<1")
         p.add_argument("--digits", type=int, default=default_digits())
         p.add_argument("--max-terms", type=int, default=PrecisionContext.max_terms)
-        p.set_defaults(func=_cmd_eval)
+        p.set_defaults(func=_cmd_eval, kind=kind)
 
     p_verify = sub.add_parser("verify", help="verify catalog identities on seeded samples")
     p_verify.add_argument("--identity", default="all",

@@ -26,9 +26,20 @@ from .errors import DivisionByZero, LowerPoleError
 from .series import Gauss, _norm, _parts
 
 
+def quot(ups, downs=()):
+    """prod(ups) / prod(downs) of int pairs x = a/b, b > 0, with positive
+    downs: an unreduced int pair of the same kind (the catalog's q checks)."""
+    n = d = 1
+    for u, v in ups:
+        n, d = n * u, d * v
+    for u, v in downs:
+        n, d = n * v, d * u
+    return n, d
+
+
 def _over(x, ys=()):
-    """x / prod ys for int pairs, gcd-reduced, its (nonzero) denominator > 0."""
-    p, d = x[0] * prod(v for _, v in ys), x[1] * prod(u for u, _ in ys)
+    """x / prod ys for int pairs: `quot`'s pair gcd-reduced, its (nonzero) denominator > 0."""
+    p, d = quot([x], ys)
     g = gcd(p, d) if d > 0 else -gcd(p, d)
     return p // g, d // g
 
@@ -138,13 +149,13 @@ def phi_symmetric_terminating_sides(a, c, d, n: int):
 
 def jackson_parameters(a, b, c, d, q, n: int):
     """The uppers a, b, c, d, q^(1+n) a^2/(b c d), q^-n and lowers q a/b, q a/c,
-    q a/d, b c d/(a q^n), q^(1+n) a of the terminating 8phi7 as reduced int pairs."""
-    (an, ad), (qn, qd), *bcd = (x.as_integer_ratio() for x in (a, q, b, c, d))
-    qnn, qdn = qn**n, qd**n
-    qa, low_c = _over((qn * an, qd * ad)), _over((qnn * qn * an, qdn * qd * ad))
-    ups = [(an, ad), *bcd, _over((low_c[0] * an, low_c[1] * ad), bcd), _over((qdn, qnn))]
-    low_b = _over((ad * qdn, an * qnn), [(y, x) for x, y in bcd])
-    return ups, [*(_over(qa, [x]) for x in bcd), low_b, low_c]
+    q a/d, b c d/(a q^n), q^(1+n) a of the terminating 8phi7 as reduced int pairs,
+    which `jackson_8phi7_sides` sums and the catalog's `_jackson_check` guards."""
+    a, q, *bcd = (x.as_integer_ratio() for x in (a, q, b, c, d))
+    qn = q[0] ** n, q[1] ** n
+    qa, low_c = _over(quot([q, a])), _over(quot([qn, q, a]))
+    ups = [a, *bcd, _over(quot([low_c, a]), bcd), _over((1, 1), [qn])]
+    return ups, [*(_over(qa, [x]) for x in bcd), _over(quot(bcd, [a, qn])), low_c]
 
 
 def jackson_8phi7_sides(a, b, c, d, q, n: int):

@@ -11,6 +11,7 @@ negative tail is re-expressed through
 whose sign and q-binomial factors cancel identically against the series'
 own, leaving a plain geometric-type sum in w = prod(lowers)/(prod(uppers) z).
 Both tails must converge: |z| < 1 and |w| < 1, or the tail terminates.
+A series is the one record `series.SeriesSpec` (or QSeriesSpec), kind phi or psi.
 
 Terms come from the running term ratio (`q_ratio_terms`), on the classical
 engine's fixed-point ints: the powers x q^k are running fixed-point
@@ -56,8 +57,8 @@ from mpmath.libmp import from_man_exp, mpf_div, round_nearest, to_float
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError, LowerPoleError
 from .precision import INF, PrecisionContext, fixed_prec, to_mp
 from .series import (
-    Gauss, SeriesResult, _bits, _norm, _parts, _rdiv, _rshift, dyadic, fixed_terms, join_halves,
-    mp_parameters, reflected_factors, sum_direct, to_fixed,
+    Gauss, SeriesResult, SeriesSpec, _bits, _norm, _parts, _rdiv, _rshift, dyadic, fixed_terms,
+    join_halves, mp_parameters, reflected_factors, sum_direct, to_fixed,
 )
 
 
@@ -74,23 +75,7 @@ class QContext:
                 raise DomainError("QContext requires |q| < 1")
 
 
-@dataclass(frozen=True)
-class QSeriesSpec:
-    """Parameter lists, argument and kind of a basic hypergeometric series;
-    whether it terminates follows from the parameters and q."""
-
-    uppers: tuple
-    lowers: tuple
-    argument: object
-    kind: str  # "phi" | "psi"
-
-    def __post_init__(self):
-        if self.kind not in ("phi", "psi"):
-            raise ValueError(f"unknown q-series kind {self.kind!r}")
-        if self.kind == "psi" and len(self.uppers) != len(self.lowers):
-            raise ValueError("psi series requires equal parameter counts")
-        object.__setattr__(self, "uppers", tuple(self.uppers))
-        object.__setattr__(self, "lowers", tuple(self.lowers))
+QSeriesSpec = SeriesSpec  # a second name for the one record
 
 
 def principal_sqrt(a):
@@ -247,7 +232,7 @@ def q_bracket(numers, denoms, qc: QContext):
         return mp.make_mpc((re, im)) if type(pn) is Gauss else mp.make_mpf(re)
 
 
-def split_psi(spec: QSeriesSpec, qc: QContext):
+def split_psi(spec: SeriesSpec, qc: QContext):
     """Split a psi-type series at k = 0.
 
     Returns (plus_spec, prefactor, minus_spec): the k >= 0 tail as a
@@ -266,7 +251,7 @@ def split_psi(spec: QSeriesSpec, qc: QContext):
             raise DomainError("bilateral q-series undefined at z = 0")
         if any(a == 0 for a in ups) or any(b == 0 for b in lows):
             raise DomainError("zero parameters are not supported in psi-type series")
-        plus = QSeriesSpec((q, *ups), tuple(lows), z, "phi")
+        plus = SeriesSpec((q, *ups), tuple(lows), z, "phi")
         w = mpmath.fprod(lows)
         for a in ups:
             w = w / a
@@ -276,7 +261,7 @@ def split_psi(spec: QSeriesSpec, qc: QContext):
             return plus, mpf(0), None
         pnum, pden = reflected
         pref = w * pnum / pden
-        minus = QSeriesSpec(
+        minus = SeriesSpec(
             (q, *(q * q / b for b in lows)),
             tuple(q * q / a for a in ups),
             w,
@@ -438,8 +423,10 @@ def _terminating_index(uppers, q, eps) -> Optional[int]:
     return min(hits, default=None)
 
 
-def sum_q_series(spec: QSeriesSpec, qc: QContext) -> SeriesResult:
+def sum_q_series(spec: SeriesSpec, qc: QContext) -> SeriesResult:
     """Sum a phi- or psi-type basic hypergeometric series."""
+    if spec.kind not in ("phi", "psi"):
+        raise ValueError("sum_q_series expects a phi or psi spec")
     ctx = qc.ctx
     with ctx.working():
         q = to_mp(qc.q)

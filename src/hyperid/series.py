@@ -82,20 +82,21 @@ from .precision import PrecisionContext, fixed_prec, nonpositive_int, pow10, to_
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Parameter lists and argument of a (bi)lateral hypergeometric series."""
+    """Parameter lists, argument and kind of a series: unilateral or bilateral
+    here, basic phi or psi in `qseries`, where `QSeriesSpec` names it too."""
 
     uppers: tuple
     lowers: tuple
     argument: object
-    kind: str = "unilateral"  # or "bilateral"
+    kind: str = "unilateral"  # | "bilateral" | "phi" | "psi"
 
     def __post_init__(self):
-        if self.kind not in ("unilateral", "bilateral"):
+        if self.kind not in ("unilateral", "bilateral", "phi", "psi"):
             raise ValueError(f"unknown series kind {self.kind!r}")
         if self.kind == "unilateral" and len(self.uppers) < 1:
             raise ValueError("unilateral series needs at least one upper parameter")
-        if self.kind == "bilateral" and len(self.uppers) != len(self.lowers):
-            raise ValueError("bilateral series requires equal parameter counts")
+        if self.kind in ("bilateral", "psi") and len(self.uppers) != len(self.lowers):
+            raise ValueError(f"{self.kind} series requires equal parameter counts")
         object.__setattr__(self, "uppers", tuple(self.uppers))
         object.__setattr__(self, "lowers", tuple(self.lowers))
 

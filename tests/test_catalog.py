@@ -98,6 +98,7 @@ _HALF = Fraction(1, 2)
                              Fraction(43681, 82560), _HALF, 2))))  # A = q^-1
 @example(dict(zip("abcdqn", (Fraction(209, 64), Fraction(5, 4), Fraction(129, 64),
                              Fraction(209, 645), _HALF, 2))))  # b c d/(a q^n) = q^-1
+@example(dict(zip("abcdqn", (Fraction(3), Fraction(9, 8), _HALF, _HALF, _HALF, 2))))  # e = q^-n
 def test_jackson_check_on_ints_matches_the_fraction_form(p):
     assert catalog._jackson_check(p) == jackson_check(p)
 

@@ -221,6 +221,14 @@ def test_eval_psi_unequal_counts_is_usage_error(capsys):
                              "--z", "0.5", "--q", "0.5")
     assert code == 2
     assert "usage error: psi series requires equal parameter counts" in err
+    # every subcommand builds the one record, and gets its message
+    for argv, message in ((("hseries", "--upper", "2,2", "--lower", "0.6"),
+                           "bilateral series requires equal parameter counts"),
+                          (("pfq", "--lower", "0.6"),
+                           "unilateral series needs at least one upper parameter")):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
 
 
 def test_eval_requires_q_for_psi(capsys):
@@ -464,7 +472,7 @@ def test_readme_examples_run(capsys):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: a nonterminating phi series whose sum is exactly 0 "
+                   reason="ROADMAP item 5: a nonterminating phi series whose sum is exactly 0 "
                           "ends in CancellationError")
 def test_eval_phi_whose_sum_is_exactly_zero(capsys):
     # 1phi0(8;;q = -1/2, z = 1/2) = (4;q)_inf / (1/2;q)_inf holds the factor

@@ -904,7 +904,7 @@ def test_principal_sqrt(ctx30):
 
 
 def test_psi_requires_balanced_counts():
-    with pytest.raises(ValueError, match="equal parameter counts"):
+    with pytest.raises(ValueError, match="^psi series requires equal parameter counts$"):
         QSeriesSpec((mpf(2),), (mpf("0.5"), mpf("0.5")), mpf("0.5"), "psi")
     # a phi series takes any counts
     QSeriesSpec((mpf(2),), (mpf("0.5"), mpf("0.5")), mpf("0.5"), "phi")

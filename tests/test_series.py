@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import floor
 
@@ -145,6 +146,33 @@ def test_sum_direct_tail_route(ctx30):
         assert abs(res.value - rhs) / abs(rhs) < mpf(10) ** -28
     assert res.method == "direct+tail"
     assert res.terms_used <= 10_000
+
+
+@pytest.mark.parametrize("uppers, lowers, kind, message", [
+    ((1,), (), "hyper", "unknown series kind 'hyper'"),
+    ((), (2,), "unilateral", "unilateral series needs at least one upper parameter"),
+    ((1,), (), "bilateral", "bilateral series requires equal parameter counts"),
+])
+def test_series_spec_validates_each_kind(uppers, lowers, kind, message):
+    # psi's count check is in test_qseries.test_psi_requires_balanced_counts
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SeriesSpec(uppers, lowers, mpf("0.5"), kind)
+
+
+def test_each_engine_takes_only_its_own_kinds(ctx30):
+    # one record for the four kinds; QSeriesSpec is a second name for it
+    assert QSeriesSpec is SeriesSpec
+    qc = QContext(mpf("0.5"), ctx30)
+    for spec in (SeriesSpec((1,), (2,), mpf("0.5"), "bilateral"),
+                 QSeriesSpec((1,), (2,), mpf("0.5"))):  # no kind: a unilateral spec
+        with pytest.raises(ValueError, match="^sum_q_series expects a phi or psi spec$"):
+            sum_q_series(spec, qc)
+    for kind in ("phi", "psi"):
+        spec = SeriesSpec((mpf("0.5"),), (mpf("0.25"),), mpf("0.5"), kind)
+        with pytest.raises(ValueError, match="^sum_unilateral expects a unilateral spec$"):
+            sum_unilateral(spec, ctx30)
+        with pytest.raises(ValueError, match="^sum_bilateral expects a bilateral spec$"):
+            sum_bilateral(spec, ctx30)
 
 
 def test_lower_pole_error(ctx30):
@@ -837,7 +865,7 @@ def test_dyadic_and_fixed_round_trip(x, wp):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: the geometric route's three-small-terms stop ends a "
+                   reason="ROADMAP item 2: the geometric route's three-small-terms stop ends a "
                           "sum whose terms dip and regrow near a lower pole")
 def test_geometric_route_past_terms_that_regrow_near_a_lower_pole(ctx30):
     # 2F1(1, 1; -59 + 2^-60; 1/4) = 0.995798765791465235450616449575...: the
@@ -848,3 +876,38 @@ def test_geometric_route_past_terms_that_regrow_near_a_lower_pole(ctx30):
     with mp.workdps(200):
         exact = mpmath.hyp2f1(1, 1, mpf(c.numerator) / c.denominator, mpf(1) / 4)
     assert abs(res.value - exact) <= mpf(10) ** -30 * abs(exact)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the geometric route's three-small-terms stop ends a "
+                          "sum of plain decimal parameters whose terms regrow near a lower pole")
+def test_geometric_route_on_decimal_input_past_terms_that_regrow(ctx30):
+    # 2F1(1.046875, 2.671875; -192.9375; 1/2) = -120737834.10899522901...: the
+    # terms fall below eps by k = 32 and regrow past 1e8 near k = 193, where
+    # c + 193 = 1/16; the direct route stops after 32 terms at 0.99282...
+    ups, lows, z = (1.046875, 2.671875), (-192.9375,), 0.5
+    res = sum_unilateral(SeriesSpec(ups, lows, z), ctx30)
+    with mp.workdps(120):  # the terms summed past the regrowth, not a low-precision hyp2f1
+        exact = mpf(0)
+        for k, t in enumerate(oracles.term_stream([mpf(a) for a in ups], [mpf(lows[0])], mpf(z))):
+            exact += t
+            if k > 193 and abs(t) < mpf(10) ** -60 * abs(exact):
+                break
+    assert abs(res.value - exact) <= mpf(10) ** -30 * abs(exact)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: near a pole of the Gauss sum the Levin route returns "
+                          "a value 57 times too large under a heuristic err_estimate of 5e-70")
+def test_levin_route_near_a_pole_of_the_gauss_sum(ctx30):
+    # 2F1(-1227/16, -2277/64; -3571/32; 1) = G(c) G(c-a-b) / (G(c-a) G(c-b))
+    # = 3.2778623327894251673e-33; the Levin route returns 1.89e-31, 57 times
+    # too large, with err_estimate 5.4e-70
+    params = Fraction(-1227, 16), Fraction(-2277, 64), Fraction(-3571, 32)
+    res = sum_unilateral(SeriesSpec(params[:2], params[2:], 1), ctx30)
+    with mp.workdps(80):
+        a, b, c = (mpf(x.numerator) / x.denominator for x in params)
+        exact = mpmath.gammaprod([c, c - a - b], [c - a, c - b])
+        err = abs(res.value - exact)
+    assert err <= mpf(10) ** -30 * abs(exact)
+    assert res.err_estimate >= err
