@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, fzero, round_nearest, to_str
+from mpmath.libmp import dps_to_prec, from_rational, fzero, round_nearest, to_str
 
 INF = mpmath.inf
 _HELD = nullcontext()  # shared: entering and leaving it changes nothing
@@ -46,12 +46,12 @@ class PrecisionContext:
 
     def working(self):
         """Context manager installing the working precision, restored on
-        exit. When mp.prec and mp.dps already hold it, a shared no-op one,
-        so that a nested entry costs nothing: nothing in the package assigns
-        mp.prec or mp.dps outside such a context, and dps -> prec -> dps
-        round-trips, so the enclosing context restores the same state."""
+        exit. When mp.prec already holds it, a shared no-op one, so that a
+        nested entry costs nothing: dps -> prec -> dps round-trips, so mp.dps
+        holds it too, and as nothing in the package assigns mp.prec or mp.dps
+        outside such a context, the enclosing one restores the same state."""
         dps = self.dps
-        if mp.dps == dps and mp.prec == dps_to_prec(dps):
+        if mp.prec == dps_to_prec(dps):
             return _HELD
         return mp.workdps(dps)
 
@@ -84,16 +84,13 @@ def fixed_prec() -> int:
 def to_mp(value):
     """Convert int/float/Fraction/complex/str/mpf/mpc to mpf or mpc.
 
-    Conversion happens at the ambient mpmath precision; dyadic rationals and
-    small integers are exact.
+    Conversion happens at the ambient mpmath precision, a Fraction's exact
+    quotient rounded once; dyadic rationals and small integers are exact.
     """
     if isinstance(value, (mpf, mpc)):
         return value
     if isinstance(value, Fraction):
-        # the exact quotient rounded once; den = 2^k needs no division
-        num, den, prec = value.numerator, value.denominator, mp.prec
-        return mp.make_mpf(from_rational(num, den, prec, round_nearest) if den & (den - 1) else
-                           from_man_exp(num, 1 - den.bit_length(), prec, round_nearest))
+        return mp.make_mpf(from_rational(*value.as_integer_ratio(), mp.prec, round_nearest))
     if isinstance(value, complex):
         return mpc(value.real, value.imag)
     if isinstance(value, (int, float, str)):
@@ -102,23 +99,20 @@ def to_mp(value):
 
 
 def exact_int(value):
-    """Return value as a Python int when it is exactly an integer, else None."""
+    """Return value as a Python int when it is exactly an integer, else None:
+    a complex value's imaginary part must be 0, and int() of the real value,
+    an exact truncation for every real type, must equal it (inf, nan, a str
+    or None never do)."""
     v = value
     if isinstance(v, (mpc, complex)):
         if v.imag != 0:
             return None
         v = v.real
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else None
-    if isinstance(v, bool):
-        return int(v)
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return int(v) if v.is_integer() else None
-    if isinstance(v, mpf):
-        return int(v) if mpmath.isint(v) else None
-    return None
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == v else None
 
 
 def nonpositive_int(value):

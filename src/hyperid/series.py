@@ -77,7 +77,7 @@ from .errors import (
     NotConvergent,
     PoleError,
 )
-from .precision import PrecisionContext, fixed_prec, nonpositive_int, pow10, to_mp
+from .precision import PrecisionContext, exact_int, fixed_prec, nonpositive_int, pow10, to_mp
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ def _unit_argument(uppers, lowers, offset) -> ConvergenceClass:
 
 
 def classify(spec: SeriesSpec) -> ConvergenceClass:
-    """Convergence class of a series spec.
+    """Convergence class of a classical (unilateral or bilateral) series
+    spec; ValueError for a phi or psi spec, before any parameter is read.
 
     Terminating when an upper parameter is a nonpositive integer (bilateral
     series additionally need a positive-integer lower parameter to cut the
@@ -146,6 +147,8 @@ def classify(spec: SeriesSpec) -> ConvergenceClass:
     <= 1 diverge. Runs at the ambient precision; the engines call it at
     working precision, and raises DomainError on a non-finite parameter.
     """
+    if spec.kind not in ("unilateral", "bilateral"):
+        raise ValueError("classify expects a unilateral or bilateral spec")
     return _classify(spec, *mp_parameters(spec))
 
 
@@ -165,13 +168,8 @@ def _classify(spec, ups, lows, z) -> ConvergenceClass:
         if excess == 0 and az == 1:
             return _unit_argument(ups, lows, 1)
         return ConvergenceClass("divergent")
-    # bilateral
-    low_cut = None
-    for b in lows:
-        m = nonpositive_int(-b)  # positive integer lower
-        if m is not None and m > 0:
-            low_cut = m if low_cut is None else min(low_cut, m)
-    if term_n is not None and low_cut is not None:
+    # bilateral: a positive-integer lower cuts the negative tail
+    if term_n is not None and any((exact_int(b) or 0) > 0 for b in lows):
         return ConvergenceClass("terminating", n=term_n)
     if az == 1:
         return _unit_argument(ups, lows, 0)
@@ -189,7 +187,7 @@ def mp_parameters(spec):
     return ups, lows, z
 
 
-def _lower_pole_check(uppers, lowers, term_n):
+def _lower_pole_check(lowers, term_n):
     """Reject lower parameters that hit zero before the terminating index."""
     for b in lowers:
         m = nonpositive_int(b)
@@ -409,9 +407,12 @@ def partial_sum(terms, stop_eps, limit: int, s=None, h=0):
 
     Terms, s and h are ints or `Gauss` values at scale 2^W (W = fixed_prec()),
     as `fixed_terms` yields them, and add and compare exactly in ints. With B
-    the bit length of a value's larger part, |h + s total| is below
-    2^(max(B(h), B(s) + B(total)) + 2) at scale 2^(2W): a term whose side has
-    two bits more is not small, and only others form the products.
+    the bit length of a value's larger part, 2^(2B - 2) <= |x|^2 < 2^(2B + 1).
+    The largest term is kept on B, exact norms deciding only between two B
+    within 1 of each other, and squared once at the end. |h + s total| is
+    below 2^(max(B(h), B(s) + B(total)) + 2) at scale 2^(2W): a term whose
+    side, read with the bit length 2B - 1 of its |e|^2, has two bits more is
+    not small, and only others form the products.
 
     Returns ints (total, peak |term|^2, terms used, last term, the one before
     or None, the largest |term|^2 of the last small run, settled), |term|^2
@@ -419,7 +420,7 @@ def partial_sum(terms, stop_eps, limit: int, s=None, h=0):
     wins a tie with the stream's end and loses one with a third small term).
     """
     wp = fixed_prec()
-    sre = sim = peak = small = used = run = 0
+    sre = sim = big = top = small = used = run = 0
     last = prev = None
     settled = True
     if stop_eps:
@@ -432,21 +433,21 @@ def partial_sum(terms, stop_eps, limit: int, s=None, h=0):
     for t in terms:
         if type(t) is int:
             sre += t
-            mag = t * t
+            bits = t.bit_length()
         else:
             re, im = t
             sre += re
             sim += im
-            mag = re * re + im * im
-        if mag > peak:
-            peak = mag
+            bits = max(re.bit_length(), im.bit_length())
+        if bits > top + 1 or bits >= top - 1 and _norm(t) > _norm(big):
+            big, top = t, bits
         used += 1
         prev, last = last, t
         if stop_eps:
-            if mag and mag.bit_length() >= max(lo, up + 2 * (abs(sre) | abs(sim)).bit_length()):
+            if bits and 2 * bits - 1 >= max(lo, up + 2 * (abs(sre) | abs(sim)).bit_length()):
                 run = small = 0
-            elif mag * lhs < b * ((hr + sr * sre - si * sim) ** 2 + (hi + sr * sim + si * sre) ** 2
-                                  or 1 << 4 * wp):
+            elif (mag := _norm(t)) * lhs < b * ((hr + sr * sre - si * sim) ** 2
+                                                + (hi + sr * sim + si * sre) ** 2 or 1 << 4 * wp):
                 run, small = run + 1, max(small, mag)
                 if run == 3:
                     break
@@ -455,7 +456,7 @@ def partial_sum(terms, stop_eps, limit: int, s=None, h=0):
         if used >= limit:
             settled = False
             break
-    return Gauss((sre, sim)) if sim else sre, peak, used, last, prev, small, settled
+    return Gauss((sre, sim)) if sim else sre, _norm(big), used, last, prev, small, settled
 
 
 def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None,
@@ -497,8 +498,8 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None,
     pass beyond _CANCELLATION_CEILING times the working precision raises
     CancellationError instead. The value is rounded to the working
     precision, and that rounding, |value| 2^-prec, joins err_estimate.
-    A pass keeps total and peak as ints; t_K T_K / t_K and the total meet the peak
-    (>= |t_0| = 1) and the rounding on bit lengths first, as mp numbers where those cannot tell.
+    A pass keeps total and peak as ints and ends on one test of their mp
+    numbers, where |t_K T_K / t_K| joins the peak (>= |t_0| = 1).
     """
     dps, k = ctx.dps, tail and tail[0]
     while True:
@@ -537,23 +538,18 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None,
                     total, used, k = total + t_k, used + 1, 2 * k
                 tk = abs(from_fixed(t_k, wp)) if type(t_k) is int else _root(_norm(t_k), wp)
                 err = tk * (3 * _root(small, wp) + mpmath.ldexp(n, -wp))
-                v, peak = t_k * tail_sum, _root(peak, wp)  # v at scale 2^(2 wp)
-                if _bits(v) + 3 - 2 * wp > sum(peak._mpf_[2:]):
-                    peak = max(peak, abs(from_fixed(v, 2 * wp)))
+                v = t_k * tail_sum  # at scale 2^(2 wp)
+                peak = max(_root(peak, wp), abs(from_fixed(v, 2 * wp)))
                 total, scale = (total << wp) + v, 2 * wp
-            low = _bits(total) - 1 - scale if total else -inf
             total = from_fixed(total, scale)
             rounding = peak * eps * used
             err += rounding
             lost = None
-            if low >= sum(rounding._mpf_[2:]) and sum(peak._mpf_[2:]) < low + sum(
-                    pow10(dps - ctx.digits)._mpf_[2:]):
-                break
-            if abs(total) > rounding:
+            if (size := abs(total)) > rounding:
                 # lost = ceil(log10(peak / |total|)) digits; the log only sizes a raised pass
-                if peak <= abs(total) * pow10(dps - ctx.digits):
+                if peak <= size * pow10(dps - ctx.digits):
                     break
-                lost = int(mpmath.ceil(mpmath.log10(peak / abs(total))))
+                lost = int(mpmath.ceil(mpmath.log10(peak / size)))
             elif floor is None and dps > ctx.dps:
                 break
         raised = 3 * dps if lost is None else dps + lost
@@ -701,11 +697,11 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
     if spec.kind != "unilateral":
         raise ValueError("sum_unilateral expects a unilateral spec")
     with ctx.working():
-        ups, lows, _ = params = mp_parameters(spec)
+        _, lows, _ = params = mp_parameters(spec)
         cls = _classify(spec, *params)
         if cls.tag == "divergent":
             raise DivergentError("series diverges at the given argument")
-        _lower_pole_check(ups, lows, cls.n)
+        _lower_pole_check(lows, cls.n)
         if cls.tag != "algebraic":  # terminating (n, no floor) or geometric
             return sum_direct(partial(ratio_terms, max_k=cls.n), params,
                               lambda: mp_parameters(spec), ctx, cls.ratio)
@@ -780,7 +776,6 @@ def sum_bilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
                 raise NotConvergent(f"bilateral decay exponent Re = {cls.exponent} is not > 1")
             raise DivergentError("bilateral series diverges at the given argument")
         plus, pref, minus = _split(*params)
-    res_plus = sum_unilateral(plus, ctx)
-    res_minus = sum_unilateral(minus, ctx) if minus is not None else None
-    with ctx.working():
+        res_plus = sum_unilateral(plus, ctx)
+        res_minus = sum_unilateral(minus, ctx) if minus is not None else None
         return join_halves(res_plus, pref, res_minus)

@@ -29,7 +29,9 @@ series, on pairs of Fractions.
 `ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
 the fixed-point streams state. `gamma` is mpmath's gamma function at a
 context's working precision, with a PoleError at its poles: the reference
-of the gamma-ratio and Pochhammer tests.
+of the gamma-ratio and Pochhammer tests. `exact_int_ladder` is
+`precision.exact_int` as one branch per type, the reference of its one
+int() rule.
 """
 
 from fractions import Fraction
@@ -38,7 +40,7 @@ from itertools import combinations
 from math import prod
 
 import mpmath
-from mpmath import mpf, sqrt
+from mpmath import mpc, mpf, sqrt
 
 from hyperid.errors import DivisionByZero, LowerPoleError, PoleError
 from hyperid.precision import exact_int, fixed_prec, nonpositive_int, to_mp
@@ -53,6 +55,29 @@ def gamma(z, ctx):
         if nonpositive_int(zz) is not None:
             raise PoleError(f"gamma pole at z = {zz}")
         return mpmath.gamma(zz)
+
+
+def exact_int_ladder(value):
+    """value as a Python int when it is exactly an integer, else None, by
+    type: the imaginary part of a complex value must be 0; then a Fraction
+    with denominator 1, a bool, an int, an integral float or an integral
+    mpf, and nothing of any other type."""
+    v = value
+    if isinstance(v, (mpc, complex)):
+        if v.imag != 0:
+            return None
+        v = v.real
+    if isinstance(v, Fraction):
+        return int(v) if v.denominator == 1 else None
+    if isinstance(v, bool):
+        return int(v)
+    if isinstance(v, int):
+        return v
+    if isinstance(v, float):
+        return int(v) if v.is_integer() else None
+    if isinstance(v, mpf):
+        return int(v) if mpmath.isint(v) else None
+    return None
 
 
 def term_stream(uppers, lowers, z, max_k=None):

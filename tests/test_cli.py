@@ -95,6 +95,16 @@ def test_eval_pfq_geometric_term_regrowing_after_a_zero(capsys):
     assert err.startswith("BudgetExceeded: ") and "Traceback" not in err
 
 
+def test_eval_pfq_terms_growing_without_bound_reach_the_budget(capsys):
+    # 1F0(10^400; ; 1/2): each term about 1330 bits longer than the one
+    # before, so the sum reaches its budget of 1000 terms in a typed error,
+    # and reaches it quickly: the peak term is squared once, not each term
+    code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "1e400", "--z", "0.5",
+                             "--max-terms", "1000")
+    assert code == 1 and out == ""
+    assert err.startswith("BudgetExceeded: ") and "Traceback" not in err
+
+
 def test_eval_pfq_cancellation(capsys):
     # 1F1(1;2;-200) = (1 - e^-200)/200: terms up to 1e83 cancel down to
     # 0.005, so the direct route must sum again at raised precision

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import dps_to_prec
 
 from hyperid import precision
 from hyperid.errors import CancellationError
@@ -17,6 +18,8 @@ from hyperid.precision import (
     to_mp,
 )
 from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
+
+import oracles
 
 
 def test_context_validation():
@@ -33,6 +36,12 @@ def test_working_precision_scoping():
     with ctx.working():
         assert mp.dps == 40
     assert mp.dps == outer
+    # mp.prec set directly to the held precision holds mp.dps too, since
+    # dps -> prec -> dps round-trips: the entry installs nothing
+    for digits in range(10, 1000):
+        with mp.workprec(dps_to_prec(digits + 10)):
+            assert mp.dps == digits + 10
+            assert PrecisionContext(digits=digits).working() is precision._HELD
 
 
 def test_nested_working_precision_holds_and_raised_passes_restore(monkeypatch):
@@ -114,6 +123,28 @@ def test_pow10_is_the_power_bit_for_bit(reads):
         with mp.workprec(prec):
             assert pow10(n)._mpf_ == (mpf(10) ** n)._mpf_
             assert PrecisionContext(digits=n % 50 + 10).eps() is pow10(-(n % 50 + 20))
+
+
+_MPF = st.one_of(
+    st.builds(lambda m, e: mpmath.ldexp(mpf(m), e), st.integers(-2**53, 2**53),
+              st.integers(-1200, 1200)),
+    st.sampled_from([mpf(0), mp.inf, -mp.inf, mp.nan, mpf(10) ** 400, mpf(2) ** -1100]),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.integers(-2**300, 2**300), st.booleans(), st.fractions(),
+    st.floats(allow_nan=True, allow_infinity=True), _MPF,
+    st.builds(complex, st.floats(), st.one_of(st.just(0.0), st.floats())),
+    st.builds(mpc, _MPF, st.one_of(st.just(0), _MPF)),
+    st.text(max_size=6), st.sampled_from(["3", "-2", "1e3", "inf", "nan"]), st.none(),
+))
+def test_exact_int_is_the_type_ladder(value):
+    # one int() rule for every real type gives each type's own answer
+    with mp.workprec(113):
+        assert exact_int(value) == oracles.exact_int_ladder(value)
+        assert type(exact_int(value)) is type(oracles.exact_int_ladder(value))
 
 
 def test_integer_detection():

@@ -53,6 +53,12 @@ def test_classify_terminating():
     # minimal index wins
     cls = classify(SeriesSpec((-7, -2), (mpf("3.5"),), 1))
     assert cls.n == 2
+    # a bilateral series needs a positive-integer lower as well, to cut its
+    # negative tail; a zero or a complex lower does not
+    cls = classify(SeriesSpec((-3, mpf("0.5")), (mpf("2.5"), 4), mpf("0.5"), "bilateral"))
+    assert cls.tag == "terminating" and cls.n == 3
+    cls = classify(SeriesSpec((-3, mpf("0.5")), (mpc(4, 1), 0), mpf("0.5"), "bilateral"))
+    assert cls.tag == "divergent"
 
 
 def test_classify_algebraic():
@@ -173,6 +179,9 @@ def test_each_engine_takes_only_its_own_kinds(ctx30):
             sum_unilateral(spec, ctx30)
         with pytest.raises(ValueError, match="^sum_bilateral expects a bilateral spec$"):
             sum_bilateral(spec, ctx30)
+        # nor is a phi or psi spec a classical series to classify
+        with pytest.raises(ValueError, match="^classify expects a unilateral or bilateral spec$"):
+            classify(spec)
 
 
 def test_lower_pole_error(ctx30):
@@ -218,6 +227,10 @@ def test_partial_sum_contract(ctx30):
         # the stream's end settles the sum; stop_eps = 0 adds every small term
         terms = raw(mpf(1), tiny, tiny, tiny, mpf(2))
         assert oracles.mp_sum(partial_sum(terms, 0, 100)) == (3 + 3 * tiny, 2, 5, 2, tiny, True)
+        # the peak is the largest |term|, which a complex term with one bit
+        # fewer in its larger part can be
+        terms = raw(mpf(1), mpc(0.75, 0.75), mpf(-1))
+        assert partial_sum(terms, 0, 10)[1] == _norm(to_fixed(mpc(0.75, 0.75), fixed_prec()))
 
 
 def _cancelling_stream(loss):
@@ -787,6 +800,20 @@ def test_tail_sum_under_a_head_far_above_its_terms():
         got = partial_sum(iter(terms), ctx.eps(), 10, t_k, head)
         assert got == _exact_partial_sum(iter(terms), ctx.eps(), 10, t_k, head)
     assert got[2] == 3 and got[5] == one * one and got[6]
+
+
+def test_tail_sum_reads_a_term_at_its_least_bit_length():
+    # a term of bit length B may be as small as |e|^2 = 2^(2B - 2), all the
+    # pre-decision may assume: here e = 2^18 is small on the exact products
+    # against an aligned head and s total, by less than reading |e|^2 at its
+    # largest, 2^(2B + 1), would take away
+    ctx = PrecisionContext(digits=15)
+    with ctx.working():
+        s, h = Gauss((-2**162, 2**163 - 1)), Gauss((2**147 - 1, 2**147 - 1))
+        terms = [Gauss((2**99 - 2**18, 1 - 2**100)), 2**18]
+        got = partial_sum(iter(terms), ctx.eps(), 5, s, h)
+        assert got == _exact_partial_sum(iter(terms), ctx.eps(), 5, s, h)
+    assert got[5] == 2**36  # e was small
 
 
 def _plain_rule_sum(terms, stop_eps, limit):
