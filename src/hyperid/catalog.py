@@ -166,18 +166,17 @@ def _exact(name):
 
 
 def _rounded(x):
-    """A value of `exact` rounded once at the ambient precision: the mpf of
-    an int pair (P, Q), or the mpc of a pair of them."""
-    if type(x[0]) is tuple:
-        return mp.make_mpc(tuple(from_rational(*part, mp.prec, round_nearest) for part in x))
-    return mp.make_mpf(from_rational(*x, mp.prec, round_nearest))
+    """A value (n, d) of `exact` rounded once at the ambient precision: the
+    mpf of n / d for an int n, the mpc of its parts over d for a `Gauss` n."""
+    n, d = x
+    if type(n) is int:
+        return mp.make_mpf(from_rational(n, d, mp.prec, round_nearest))
+    return mp.make_mpc(tuple(from_rational(v, d, mp.prec, round_nearest) for v in n))
 
 
 def _equal(x, y) -> bool:
-    """Whether two values of `exact` are equal, their int pairs cross-multiplied."""
-    if type(x[0]) is not type(y[0]):
-        return False
-    return all(map(_equal, x, y)) if type(x[0]) is tuple else x[0] * y[1] == y[0] * x[1]
+    """Whether two values (n, d) of `exact` are equal, cross-multiplied."""
+    return x[0] * y[1] == y[0] * x[1]
 
 
 def _pfq(uppers, lowers, ctx) -> SeriesResult:

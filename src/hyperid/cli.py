@@ -24,15 +24,19 @@ from .qseries import QContext, sum_q_series
 from .series import SeriesSpec, sum_bilateral, sum_unilateral
 
 
+class _UsageError(Exception):
+    """Bad command-line input, which `main` reports as a usage error."""
+
+
 def default_digits() -> int:
-    """HYPERID_DIGITS when set, else 30; ValueError when it is no integer."""
+    """HYPERID_DIGITS when set, else 30; a usage error when it is no integer."""
     env = os.environ.get("HYPERID_DIGITS")
     if not env:
         return 30
     try:
         return int(env)
     except ValueError:
-        raise ValueError(f"HYPERID_DIGITS must be an integer, not {env!r}") from None
+        raise _UsageError(f"HYPERID_DIGITS must be an integer, not {env!r}") from None
 
 
 def parse_scalar(text: str):
@@ -59,51 +63,35 @@ def parse_list(text: str):
     return [parse_scalar(part) for part in text.split(",")]
 
 
-def _print_result(res, digits):
-    print(f"value: {format_value(res.value, digits)}")
-    print(f"err_estimate: {mpmath.nstr(res.err_estimate, 3)}")
-    print(f"terms_used: {res.terms_used}")
-    print(f"method: {res.method}")
-
-
 def _cmd_eval(args) -> int:
     try:
         ctx = PrecisionContext(digits=args.digits, max_terms=args.max_terms)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
         with mp.workdps(ctx.dps):
-            uppers = parse_list(args.upper)
-            lowers = parse_list(args.lower)
-            z = parse_scalar(args.z)
-            q = parse_scalar(args.q) if "q" in args else None
-    except ValueError as exc:
-        print(f"usage error: bad numeric literal ({exc})", file=sys.stderr)
-        return 2
-    try:
+            try:
+                uppers, lowers = parse_list(args.upper), parse_list(args.lower)
+                z = parse_scalar(args.z)
+                q = parse_scalar(args.q) if "q" in args else None
+            except ValueError as exc:
+                raise _UsageError(f"bad numeric literal ({exc})") from None
         spec = SeriesSpec(tuple(uppers), tuple(lowers), z, args.kind)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if spec.kind == "unilateral":
-            res = sum_unilateral(spec, ctx)
-        elif spec.kind == "bilateral":
-            res = sum_bilateral(spec, ctx)
-        else:
-            res = sum_q_series(spec, QContext(q, ctx))
-    except HyperidError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    _print_result(res, args.digits)
+        raise _UsageError(exc) from None
+    if spec.kind == "unilateral":
+        res = sum_unilateral(spec, ctx)
+    elif spec.kind == "bilateral":
+        res = sum_bilateral(spec, ctx)
+    else:
+        res = sum_q_series(spec, QContext(q, ctx))
+    print(f"value: {format_value(res.value, args.digits)}")
+    print(f"err_estimate: {mpmath.nstr(res.err_estimate, 3)}")
+    print(f"terms_used: {res.terms_used}")
+    print(f"method: {res.method}")
     return 0
 
 
 def _cmd_verify(args) -> int:
     if args.samples < 1:
-        print("usage error: --samples must be >= 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--samples must be >= 1")
     ids = tuple(part.strip() for part in args.identity.split(",") if part.strip())
     config = SuiteConfig(
         identities=ids or ("all",),
@@ -112,20 +100,14 @@ def _cmd_verify(args) -> int:
         digits=args.digits,
         max_terms=args.max_terms,
     )
+    config.resolve_ids()
     try:
-        config.resolve_ids()
         config.context()
-    except UnknownIdentityError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
         sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
     except OSError as exc:  # before the suite runs, not after
-        print(f"usage error: cannot write {args.out} ({exc.strerror})", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot write {args.out} ({exc.strerror})") from None
     with sink as fh:
         report = run_suite(config)
         if args.json:
@@ -213,21 +195,32 @@ def _join_values(argv):
 
 
 def main(argv=None) -> int:
-    """Run the command line argv and return its exit code."""
+    """Run the command line argv and return its exit code, the one place where
+    an error becomes a code and a line on stderr."""
     try:
-        parser = build_parser()
-    except ValueError as exc:  # a bad HYPERID_DIGITS
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(_join_values(argv))
+        args = build_parser().parse_args(_join_values(argv))
+        return args.func(args)
     except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
         return exc.code
-    return args.func(args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except UnknownIdentityError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except HyperidError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # the reader left: no traceback, the rest of stdout to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ pairwise products, which stay rational: (sqrt(a);q)_k (-sqrt(a);q)_k =
 A complex classical parameter with dyadic parts, as sampled, has a Gaussian
 int `series.Gauss` for its numerator over D, and the same loops run on it; real
 ones stay on plain ints, as everywhere in the package. A Gaussian P/Q is
-returned as ((re, N), (im, N)): re + im i = P conj(Q), N = |Q|^2.
+returned as the one pair (P conj(Q), |Q|^2), a `Gauss` over a positive int.
 """
 
 from __future__ import annotations
@@ -62,12 +62,9 @@ def whole(w, d):
 
 
 def _value(p, q):
-    """p / q as the unreduced int pair (p, q) for ints, else as the pair of
-    the parts' int pairs of p conj(q) / |q|^2 for Gaussian ints."""
-    if Gauss not in (type(p), type(q)):
-        return p, q
-    (nr, ni), norm = p * q.conjugate(), _norm(q)
-    return (nr, norm), (ni, norm)
+    """p / q as one unreduced pair: (p, q) for ints, (p conj(q), |q|^2) when
+    either is a Gaussian int."""
+    return (p, q) if Gauss not in (type(p), type(q)) else (p * q.conjugate(), _norm(q))
 
 
 def _check_n(n: int):

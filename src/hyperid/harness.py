@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from hashlib import blake2b
+from math import inf
 from typing import Optional
 
 from .catalog import CATALOG, IdentityCase, tolerance_rule
@@ -51,17 +52,19 @@ class SuiteConfig:
 
 @dataclass
 class IdentityReport:
+    """One sample's record, whose defaults are those of a failed sample."""
+
     identity: str
     index: int
     params: dict
-    lhs: str
-    rhs: str
-    abs_err: float
-    rel_err: float
-    passed: bool
-    terms_used: dict
-    method: dict
-    wall_time: float
+    lhs: str = ""
+    rhs: str = ""
+    abs_err: float = inf
+    rel_err: float = inf
+    passed: bool = False
+    terms_used: dict = field(default_factory=lambda: {"lhs": 0, "rhs": 0})
+    method: dict = field(default_factory=lambda: {"lhs": "", "rhs": ""})
+    wall_time: float = 0.0
     error: Optional[str] = None
 
     def to_dict(self):
@@ -240,25 +243,8 @@ def verify_one(case: IdentityCase, params, ctx: PrecisionContext, index: int = 0
             wall_time=time.perf_counter() - start,
         )
     except Exception as exc:
-        return _failed(case.id, index, shown, time.perf_counter() - start, exc)
-
-
-def _failed(identity: str, index: int, shown: dict, wall_time: float, exc) -> IdentityReport:
-    """A failed report carrying the error's type and message as diagnostics."""
-    return IdentityReport(
-        identity=identity,
-        index=index,
-        params=shown,
-        lhs="",
-        rhs="",
-        abs_err=float("inf"),
-        rel_err=float("inf"),
-        passed=False,
-        terms_used={"lhs": 0, "rhs": 0},
-        method={"lhs": "", "rhs": ""},
-        wall_time=wall_time,
-        error=f"{type(exc).__name__}: {exc}",
-    )
+        return IdentityReport(case.id, index, shown, wall_time=time.perf_counter() - start,
+                              error=f"{type(exc).__name__}: {exc}")
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
@@ -283,7 +269,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 params = sample_parameters(case, config.seed, index)
             except SamplingExhausted as exc:
                 # a sample without parameters fails alone; the suite goes on
-                report.results.append(_failed(case.id, index, {}, 0.0, exc))
+                report.results.append(IdentityReport(case.id, index, {},
+                                                     error=f"{type(exc).__name__}: {exc}"))
                 continue
             report.results.append(verify_one(case, params, ctx, index=index))
     report.results.sort(key=lambda r: (r.identity, r.index))

@@ -118,8 +118,9 @@ class SeriesResult:
 
 
 # the probe's estimate k_needed from which the Levin route takes a series at
-# |z| = 1; direct+tail sums at most k_needed + 1 terms below it, and a
-# different cap would move report methods
+# |z| = 1; below it direct+tail starts at K = max(48, min(dps + 20, k_needed + 1))
+# head terms and doubles K while the tail does not settle, and a different cap
+# would move report methods
 _DIRECT_CAP = 20_000
 _CANCELLATION_CEILING = 10  # no direct pass runs above this many times the working precision
 

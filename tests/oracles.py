@@ -22,8 +22,8 @@ int or Gauss value as such a pair.
 `split_check` the Fraction forms of the q samplers' checks, which the
 catalog runs on int pairs, as it runs `saalschuetz_check` and
 `b_neg_n_check` of the classical terminating samplers.
-`fraction_value` reads an exact side of `hyperid.exact`, an unreduced int
-pair or a pair of them, as a Fraction or an (re, im) pair of Fractions.
+`fraction_value` reads an exact side of `hyperid.exact`, one unreduced pair
+(n, d) of an int or Gaussian n, as a Fraction or an (re, im) pair of Fractions.
 `tail_ratio_terms` is the exact recurrence of the q tail ratio's power
 series, on pairs of Fractions.
 `ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
@@ -351,9 +351,10 @@ def b_neg_n_check(p):
 
 
 def fraction_value(v):
-    """An exact side of `hyperid.exact` as a Fraction, for an int pair
-    (P, Q), or as the (re, im) pair of Fractions of a pair of them."""
-    return (Fraction(*v[0]), Fraction(*v[1])) if isinstance(v[0], tuple) else Fraction(*v)
+    """An exact side (n, d) of `hyperid.exact` as the Fraction n / d for an
+    int n, or as the (re, im) pair of Fractions of a Gaussian n's parts over d."""
+    n, d = v
+    return (Fraction(n[0], d), Fraction(n[1], d)) if isinstance(n, tuple) else Fraction(n, d)
 
 
 def _clear(q, values, squared=()):

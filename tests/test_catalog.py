@@ -165,12 +165,12 @@ _BIG = st.one_of(st.integers(-2**40, 2**40), st.integers(-2**900, 2**900))
 @given(_BIG, _BIG.filter(bool), _BIG, _BIG.filter(bool), _BIG.filter(bool), st.integers(53, 400))
 def test_exact_values_round_once_as_their_fractions(p, q, i, j, g, prec):
     # an unreduced pair (g p, g q), denominators of either sign, and a
-    # Gaussian quotient as its parts' pairs over its norm, round bit for bit
-    # as to_mp rounds their reduced Fractions
+    # Gaussian quotient as its numerator's parts over its norm, round bit for
+    # bit as to_mp rounds their reduced Fractions
     z = exact._value(Gauss((p, i)), Gauss((q, j)))
     with mp.workprec(prec):
         assert catalog._rounded((g * p, g * q))._mpf_ == to_mp(Fraction(p, q))._mpf_
-        assert catalog._rounded(z)._mpc_ == tuple(to_mp(Fraction(*part))._mpf_ for part in z)
+        assert catalog._rounded(z)._mpc_ == tuple(to_mp(Fraction(v, z[1]))._mpf_ for v in z[0])
 
 
 def test_equal_exact_values_are_found_unreduced():
@@ -300,6 +300,35 @@ def test_dougall_constraint_excludes_pole(ctx30):
     # a = c: Gamma(c-a) pole on the product side
     p = {"a": Fraction(5, 8), "b": Fraction(5, 8), "c": Fraction(5, 8), "d": Fraction(5, 8) + 20}
     assert not CATALOG["dougall-2h2"].check(p)
+
+
+_F = Fraction
+
+
+@pytest.mark.parametrize("ident, good, key, bad", [
+    # Re(d - a - b) < 14
+    ("saalschuetz-nt", {"a": _F(1, 4), "b": _F(1, 8), "c": _F(3, 2), "d": _F(163, 8)}, "d", _F(107, 8)),
+    # |a + b - c| < 1/1000, c - a - b no integer
+    ("saalschuetz-nt", {"a": _F(1, 4), "b": _F(1, 8), "c": _F(3, 2), "d": _F(163, 8)},
+     "c", _F(3, 8) + _F(1, 2048)),
+    # Re(c + d - a - b) below 15 and above 30
+    ("dougall-2h2", {"a": _F(5, 8), "b": _F(19, 16), "c": _F(93, 8), "d": _F(163, 16)}, "c", _F(29, 8)),
+    ("dougall-2h2", {"a": _F(5, 8), "b": _F(19, 16), "c": _F(93, 8), "d": _F(163, 16)}, "d", _F(419, 16)),
+    # b or c an integer
+    ("dixon", {"a": _F(2), "b": _F(-3, 2), "c": _F(-5, 2)}, "b", _F(-2)),
+    ("dixon", {"a": _F(2), "b": _F(-3, 2), "c": _F(-5, 2)}, "c", _F(-2)),
+    # a part with real part <= 0
+    ("theorem-1", {"a": _F(1, 2), "b": _F(1, 2), "c": _F(1, 2), "d": _F(1, 2)}, "a", _F(-1, 2)),
+    ("theorem-1-ca-db", {"a": _F(1, 2), "b": _F(1, 2)}, "a", _F(-1, 4)),
+    ("phi-as-3f2", {"a": _F(1, 2), "b": _F(1, 2), "c": _F(6), "d": _F(1, 2)}, "d", _F(-1, 2)),
+    # a part that is an integer, or has real part <= 0
+    ("h22-split", {"a": _F(1, 2), "b": _F(3, 4), "c": _F(15, 2), "d": _F(17, 2)}, "a", _F(1)),
+    ("h22-split", {"a": _F(1, 2), "b": _F(3, 4), "c": _F(15, 2), "d": _F(17, 2)}, "a", _F(-1, 2)),
+])
+def test_classical_checks_reject_what_no_sampler_draws(ident, good, key, bad):
+    # one parameter moved out of a passing sample fails the one test it breaks
+    assert CATALOG[ident].check(good)
+    assert not CATALOG[ident].check({**good, key: bad})
 
 
 def test_gauss_2f1_examples(ctx30):
@@ -614,9 +643,15 @@ def test_omega_theta_and_split(ctx30):
         assert abs(engine.value - ls.value) < abs(ls.value) * mpf(10) ** -30
 
 
-def test_theta_prefactor_zero_excluded():
+def test_theta_prefactor_zero_excluded(ctx30):
     p = {"a": Fraction(3, 2), "c": Fraction(1), "d": Fraction(3, 2), "e": Fraction(7, 4), "f": Fraction(9, 8), "q": Fraction(1, 2)}
     assert not CATALOG["theta"].check(p)
+    # a = cdef zeroes the prefactor's denominator: both sides raise a typed error
+    p = {"a": Fraction(16), "c": Fraction(2), "d": Fraction(2), "e": Fraction(2), "f": Fraction(2),
+         "q": Fraction(1, 2)}
+    for side in (CATALOG["theta"].lhs, CATALOG["theta"].rhs):
+        with pytest.raises(DomainError, match="^reflected-sum prefactor denominator vanishes$"):
+            side(p, ctx30)
 
 
 def test_exact_sides_called_through_the_module(monkeypatch, ctx30):

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -267,6 +270,18 @@ def test_eval_value_opening_with_minus(capsys, argv):
         assert out.startswith("value: 0.86192881254230165039943709193\n")
 
 
+def test_eval_engine_fault_is_no_usage_error(capsys, monkeypatch):
+    # a ValueError raised while a series is summed is a fault of the engine,
+    # not of the input: it propagates out of main, as any non-HyperidError does
+    def fault(spec, ctx):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr("hyperid.cli.sum_unilateral", fault)
+    with pytest.raises(ValueError, match="^engine fault$"):
+        main(["eval", "pfq", "--upper", "1,1", "--lower", "3", "--z", "0.5"])
+    assert capsys.readouterr().err == ""
+
+
 def test_eval_rejects_malformed_literal(capsys):
     code, out, err = run_cli(capsys, "eval", "pfq", "--upper", "1,abc", "--lower", "3",
                              "--z", "1")
@@ -465,6 +480,30 @@ def test_bad_digits_env_is_a_usage_error(monkeypatch, capsys):
                              "--z", "0.5")
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and "HYPERID_DIGITS" in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity", "saalschuetz", "--samples", "1"),
+    ("eval", "pfq", "--upper", "1,1", "--lower", "3"),
+])
+def test_closed_output_pipe_exits_quietly(argv, unbuffered):
+    # stdout is a pipe whose reader left before the command started: exit
+    # code 1 and nothing on stderr, whether the output is flushed at exit or
+    # written through at once
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hyperid.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def _readme_commands():

@@ -267,6 +267,7 @@ def test_format_param_prints_a_dyadic_fraction_exactly(monkeypatch):
     }
     for value, shown in cases.items():
         assert harness._format_param(value) == shown, value
+    assert harness._format_param(mpf("0.5")) == "0.5"  # no sampled type: its str
     wild = replace(CATALOG["gauss-2f1"], id="zz-huge", check=lambda p: True,
                    sampler=lambda rng, index: {"a": huge, "b": Fraction(2**60 + 1, 4)})
     monkeypatch.setitem(CATALOG, "zz-huge", wild)
@@ -327,6 +328,26 @@ def test_monotone_precision():
         high = verify_one(case, params, PrecisionContext(digits=40))
         assert low.passed and high.passed, ident
         assert high.rel_err <= 10 * max(low.rel_err, float(low_ctx.eps())), ident
+
+
+def test_text_report_names_each_failed_sample():
+    # a failed record is the defaults but for its error or its rel_err
+    report = SuiteReport(seed=1, digits=30, started_at="")
+    report.results += [IdentityReport("gauss-2f1", 0, {}, error="DomainError: bad"),
+                       IdentityReport("gauss-2f1", 1, {}, rel_err=0.001),
+                       IdentityReport("gauss-2f1", 2, {}, rel_err=0.0, passed=True)]
+    assert report.to_text().splitlines() == [
+        "suite seed=1 digits=30",
+        "  FAIL gauss-2f1          1/3 passed  max rel_err inf",
+        "         sample 0: DomainError: bad",
+        "         sample 1: rel_err 1.000e-03",
+        "total 1/3 passed",
+    ]
+    assert report.results[0].to_dict() == {
+        "id": "gauss-2f1", "index": 0, "params": {}, "lhs": "", "rhs": "",
+        "abs_err": float("inf"), "rel_err": float("inf"), "pass": False,
+        "terms_used": {"lhs": 0, "rhs": 0}, "method": {"lhs": "", "rhs": ""},
+        "wall_time": 0.0, "error": "DomainError: bad"}
 
 
 def test_sampling_exhausted_fails_one_sample(monkeypatch):

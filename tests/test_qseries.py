@@ -174,6 +174,22 @@ def test_qpoch_infinite_head_past_the_budget_fails_at_once(qc_half, ctx30):
     assert q_pochhammer(mpf(2) ** n, qc_half, INF) == 0
     with pytest.raises(BudgetExceeded):
         q_pochhammer(mpf(2) ** (n + 1), qc_half, INF)
+    # 1.5 2^N passes the float bound, which counts only the factors with
+    # |x q^i| > 1; the head loop steps on while |x q^i| >= 1/2, and its own
+    # guard stops it at factor N + 1
+    with pytest.raises(BudgetExceeded):
+        q_pochhammer(3 * mpf(2) ** (n - 1), qc_half, INF)
+
+
+def test_euler_row_longer_than_its_budget():
+    # q = 1/2's guard bits settle in 60 steps, within a budget of 100; the
+    # row runs to 65 entries at 2000 bits, but to 201 at 20000 bits, where
+    # the row's own guard stops it. Through q_pochhammer, whose budget is
+    # 100 dps + 10000, a row never gets that long: the guard bits' loop
+    # fails first
+    assert len(qseries._euler_row(_raw(mpf(0.5)), 2000, 100)[2]) == 65
+    with pytest.raises(BudgetExceeded, match="^infinite q-product failed to truncate$"):
+        qseries._euler_row(_raw(mpf(0.5)), 20000, 100)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

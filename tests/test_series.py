@@ -22,7 +22,7 @@ from hyperid.errors import (
 )
 from hyperid.gammafn import gamma_ratio
 from hyperid.precision import PrecisionContext, fixed_prec, to_mp
-from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
+from hyperid.qseries import QContext, QSeriesSpec, split_psi, sum_q_series
 from hyperid import series
 from hyperid.series import (
     Gauss,
@@ -173,12 +173,16 @@ def test_each_engine_takes_only_its_own_kinds(ctx30):
                  QSeriesSpec((1,), (2,), mpf("0.5"))):  # no kind: a unilateral spec
         with pytest.raises(ValueError, match="^sum_q_series expects a phi or psi spec$"):
             sum_q_series(spec, qc)
+        with pytest.raises(ValueError, match="^split_psi expects a psi-kind spec$"):
+            split_psi(spec, qc)
     for kind in ("phi", "psi"):
         spec = SeriesSpec((mpf("0.5"),), (mpf("0.25"),), mpf("0.5"), kind)
         with pytest.raises(ValueError, match="^sum_unilateral expects a unilateral spec$"):
             sum_unilateral(spec, ctx30)
         with pytest.raises(ValueError, match="^sum_bilateral expects a bilateral spec$"):
             sum_bilateral(spec, ctx30)
+        with pytest.raises(ValueError, match="^split_bilateral expects a bilateral spec$"):
+            split_bilateral(spec, ctx30)
         # nor is a phi or psi spec a classical series to classify
         with pytest.raises(ValueError, match="^classify expects a unilateral or bilateral spec$"):
             classify(spec)
