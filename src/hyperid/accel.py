@@ -91,7 +91,8 @@ def levin_core(terms, ctx):
     reaches min(4 digits + 40, 400) terms instead, or its estimates degrade
     far past the best one seen, that best estimate is accepted within
     10^-(digits + 1) relative; otherwise AccelerationFailed says which stop
-    it met and whether |t_m| was still growing there.
+    it met and whether |t_m| was still growing there. A term that rounds to
+    0 at 2^-W, which no entry can divide by, raises AccelerationFailed too.
 
     Term m enters as x = partial / omega and y = 1 / omega,
     omega = (m + 1) t_m, each rounded once from the exact partial sum and
@@ -125,6 +126,8 @@ def levin_core(terms, ctx):
             if used >= cap:
                 stop = "reached its cap"
                 break
+            if not t:  # omega = (m + 1) t_m would be 0
+                raise AccelerationFailed(f"Levin term {used} rounds to 0 at 2^-{w}")
             used += 1
             pre, pim = pre + tre, pim + tim
             m = len(diags[0])

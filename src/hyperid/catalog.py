@@ -6,6 +6,21 @@ evaluators returning SeriesResult. Left sides run through the series
 engines; right sides are gamma ratios, q-brackets, or independent series
 routes, so an indexing bug on either side breaks the comparison.
 
+Each entry's constraints, one tuple of strings, are its check: `IdentityCase`
+reads them once, when the table is built (`_checker`), and `hyperid list`
+prints them. A string is one predicate on comma-separated items:
+    Re(F) > x   Re(F) >= x   |Re(F)| >= x   Re(F) in [x, y]
+    F not integers (or an integer)   F not in {0, -1, ...}   F not in {0, ..., 1-n}
+    M in [x, y]   M off q-poles   M off q^2-poles
+F is a linear form in the parameters, such as c+d-a-b-1 or 1+a/2-b-c, M a
+monomial of a q entry, such as q a^2/(b c d e), x and y rationals, n the
+sample's int n; M is off q-poles when M != q^-i for every i >= 0. The
+schema's `int lo..hi` bounds an int parameter. A `sampler:` string notes a
+draw range of the sampler, which the check never reads. The check decides
+on ints: classical parameters over one denominator (`exact.common`), q ones
+as int pairs (`exact.quot`). `jackson-8phi7`'s pole rule reads the
+parameters of its exact side at q^n, so it keeps `_jackson_check` and free text.
+
 `CATALOG` is one table of `IdentityCase` entries built from the module-level
 functions below. A side is written as a function of the sample's parameters
 by name plus `ctx`, and `_mp` turns it into the `(params, ctx)` callable an
@@ -23,9 +38,12 @@ its sides agree to every reported digit, rel_err < 10^-digits (relative to
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import count
+from math import lcm
+from operator import mul, pos
 from typing import Callable, Optional
 
 from mpmath import mp, mpf
@@ -35,25 +53,32 @@ from . import exact
 from .errors import DomainError
 from .exact import jackson_parameters, quot
 from .gammafn import gamma_ratio
-from .precision import PrecisionContext, exact_int, nonpositive_int, pow10, to_mp
+from .precision import PrecisionContext, pow10, to_mp
 from .qseries import QContext, principal_sqrt, q_bracket, sum_q_series
-from .series import SeriesResult, SeriesSpec, combined_method, sum_bilateral, sum_unilateral
+from .series import (Gauss, SeriesResult, SeriesSpec, _parts, combined_method, sum_bilateral,
+                     sum_unilateral)
 
 GRAIN = 64  # dyadic sampling grid 1/64
 
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """One identity: schema, constraints, sampler and both-side evaluators."""
+    """One identity: schema, constraints, sampler, both-side evaluators and
+    the check, built here from the schema and the constraints (`_checker`)
+    unless one is given."""
 
     id: str
     description: str
     schema: dict
     constraints: tuple
     sampler: Callable
-    check: Callable
     lhs: Callable
     rhs: Callable
+    check: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.check is None:
+            object.__setattr__(self, "check", _checker(self.schema, self.constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -86,16 +111,6 @@ def _complexify(params, rng, index, fields):
     return params
 
 
-def _re(v):
-    if isinstance(v, complex):
-        return Fraction(v.real)
-    return Fraction(v)
-
-
-def _is_integer(v) -> bool:
-    return exact_int(v) is not None
-
-
 def _clear_of_q_poles(x, q, upto: Optional[int] = None) -> bool:
     """False when x == q**-i for some admissible i >= 0 (i < upto if given),
     for 0 < q < 1: x = a/b (b > 0) and q = m/n are int pairs, a m^i and b n^i compared."""
@@ -107,25 +122,92 @@ def _clear_of_q_poles(x, q, upto: Optional[int] = None) -> bool:
     return True
 
 
-def _clear(q, values, squared=()) -> bool:
-    """No value on a q-power pole and none of `squared` on a q^2-power pole,
-    q and the values int pairs as `_clear_of_q_poles` reads them."""
-    q2 = (q[0] * q[0], q[1] * q[1])
-    return (all(_clear_of_q_poles(x, q) for x in values)
-            and all(_clear_of_q_poles(x, q2) for x in squared))
+# ---------------------------------------------------------------------------
+# constraints: each string read once into a test, the tests of an entry its check
+
+_CONSTRAINT = re.compile(
+    r"(?P<items>.+?) (?:(?P<op>>=?) (?P<x>\S+)|in \[(?P<lo>\S+), (?P<hi>\S+)\]|not (?P<set>"
+    r"integers|an integer|in \{0, -1, \.\.\.\}|in \{0, \.\.\., 1-n\})|off (?P<poles>q|q\^2)-poles)")
+_EXCLUDED = {  # whether the integer k is in the named set, for the sample p
+    "integers": lambda k, p: True, "an integer": lambda k, p: True,
+    "in {0, -1, ...}": lambda k, p: k <= 0, "in {0, ..., 1-n}": lambda k, p: -p["n"] < k <= 0}
 
 
-def _vwp_clear(q, a, xs) -> bool:
-    """The pole rule of a very-well-poised sum in a with extras xs (int pairs)."""
-    qa = quot([q, a])
-    return _clear(q, [a, *(quot([qa], [x]) for x in xs),
-                      *(quot([qa], pair) for pair in combinations(xs, 2))], [a])
+def _linear(text, names, bar=""):
+    """The form `text` in `names`, of terms such as 1, -b, 2a and a/2, as the
+    function of (d, re, im, p) that gives ints (v, w, m), the form being
+    (v + w i) / m, m > 0; v is |v| when `bar`."""
+    terms = [re.fullmatch(r"([+-]?\d*)([a-z]?)(?:/(\d+))?", t).groups()
+             for t in re.findall(r"[+-]?[^+-]+", text)]
+    m = lcm(*(int(den or 1) for _, _, den in terms))
+    coefs = dict.fromkeys(["", *names], 0)
+    for k, name, den in terms:
+        coefs[name] += int(k if k.strip("+-") else k + "1") * (m // int(den or 1))
+    c, *cs = coefs.values()
+    sign = abs if bar else pos
+    return lambda s: (sign(c * s[0] + sum(map(mul, cs, s[1]))),
+                      s[2] and sum(map(mul, cs, s[2])), m * s[0])
 
 
-def _z_in_range(z) -> bool:
-    """1/20 <= z <= 4/5 for an int pair z."""
-    n, d = z
-    return d <= 20 * n and 5 * n <= 4 * d
+def _monomial(text):
+    """The monomial `text`, such as q a^2/(b c d e), as (ups, downs), the
+    names of its factors above and below the line, each as often as its power."""
+    return [[name for name, k in re.findall(r"(\w)(?:\^(\d+))?", side) for _ in range(int(k or 1))]
+            for side in text.partition("/")[::2]]
+
+
+def _test(text, names, q):
+    """The test of one constraint on what the check reads: the parameters'
+    int pairs by name for a q entry, else (d, re, im, p) (`_checker`)."""
+    g = _CONSTRAINT.fullmatch(text)
+    if g is None:
+        raise ValueError(f"constraint outside the grammar: {text!r}")
+    items = g["items"].split(", ")
+    if q:
+        monomials = [_monomial(i) for i in items]
+        values = lambda v: (quot(map(v.__getitem__, ups), map(v.__getitem__, downs))
+                            for ups, downs in monomials)
+    else:
+        parts = ([("", i) for i in items] if g["set"] else
+                 [re.fullmatch(r"(\|?)Re\((.+)\)\1", i).groups() for i in items])
+        forms = [_linear(form, names, bar) for bar, form in parts]
+        values = lambda s: (f(s) for f in forms)
+    if g["poles"]:
+        key = g["poles"]
+        holds = lambda x, v: _clear_of_q_poles(x, v[key])
+    elif g["set"]:
+        excluded = _EXCLUDED[g["set"]]
+        holds = lambda x, s: x[1] or x[0] % x[2] or not excluded(x[0] // x[2], s[3])
+    elif g["op"]:  # on ints, v / m > x reads v xd - xn m >= 1
+        (xn, xd), least = Fraction(g["x"]).as_integer_ratio(), g["op"] == ">"
+        holds = lambda x, s: x[0] * xd - xn * x[-1] >= least
+    else:
+        (ln, ld), (hn, hd) = (Fraction(g[k]).as_integer_ratio() for k in ("lo", "hi"))
+        holds = lambda x, s: ln * x[-1] <= x[0] * ld and x[0] * hd <= hn * x[-1]
+    return lambda s: all(holds(x, s) for x in values(s))
+
+
+def _checker(schema, constraints):
+    """The check of an entry: its schema's int ranges and its constraints
+    but the `sampler:` notes, on q parameters as int pairs, on others as the
+    parts re and im (empty when all are 0) of their numerators over d."""
+    ranges = [(k, *map(int, v[4:].split(".."))) for k, v in schema.items() if v[:4] == "int "]
+    names = [k for k, v in schema.items() if v[:4] != "int "]
+    q = "q" in schema
+    tests = [_test(c, names, q) for c in constraints if not c.startswith("sampler:")]
+
+    def check(p):
+        if not all(isinstance(p[k], int) and lo <= p[k] <= hi for k, lo, hi in ranges):
+            return False
+        if q:
+            s = {k: p[k].as_integer_ratio() for k in names}
+            s["q^2"] = quot([s["q"], s["q"]])
+        else:
+            nums, d = exact.common([p[k] for k in names])
+            s = d, *(zip(*map(_parts, nums)) if Gauss in map(type, nums) else (nums, ())), p
+        return all(t(s) for t in tests)
+
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -259,36 +341,12 @@ def _saalschuetz_sampler(rng, index):
     return _complexify(p, rng, index, ("a", "b"))
 
 
-def _saalschuetz_check(p):
-    n = p["n"]
-    if not (isinstance(n, int) and 0 <= n <= 30) or not p["c"].real > 0:
-        return False
-    (a, b, c), d = exact.common([p["a"], p["b"], p["c"]])
-    ks = (exact.whole(w, d) for w in (c - a - b, c - a, c - b))
-    return not any(k is not None and -n < k <= 0 for k in ks)
-
-
 def _saalschuetz_nt_sampler(rng, index):
     a = _dyadic(rng, 0, 2)
     b = _dyadic(rng, 0, 2)
     c = _dyadic(rng, 0, 4)
     d = a + b + _dyadic(rng, 15, 25)
     return _complexify({"a": a, "b": b, "c": c, "d": d}, rng, index, ("a", "b"))
-
-
-def _saalschuetz_nt_check(p):
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    if _re(d) - _re(a) - _re(b) < 14:
-        return False
-    if _is_integer(c - a - b):
-        return False
-    if abs(_re(a) + _re(b) - _re(c)) < Fraction(1, 1000):
-        return False
-    # c+d-a-b-1 at a nonpositive integer degenerates the two-term right
-    # side (vanishing gamma prefactor against a divergent series)
-    if nonpositive_int(c + d - a - b - 1) is not None:
-        return False
-    return not any(nonpositive_int(w) is not None for w in (c - a, c - b, d - a, d - b))
 
 
 def _saalschuetz_nt_lhs(a, b, c, d, ctx):
@@ -313,15 +371,6 @@ def _dougall_sampler(rng, index):
     return _complexify({"a": a, "b": b, "c": a + d1, "d": b + d2}, rng, index, ("a", "b"))
 
 
-def _dougall_check(p):
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    if _is_integer(a) or _is_integer(b):
-        return False
-    if not 15 <= _re(c) + _re(d) - _re(a) - _re(b) <= 30:
-        return False
-    return not any(nonpositive_int(w) is not None for w in (c - a, c - b, d - a, d - b))
-
-
 def _dougall_lhs(a, b, c, d, ctx):
     return _hh([a, b], [c, d], ctx)
 
@@ -336,11 +385,6 @@ def _gauss_sampler(rng, index):
     b = _dyadic(rng, 0, 2)
     c = a + b + _dyadic(rng, 5, 25)
     return _complexify({"a": a, "b": b, "c": c}, rng, index, ("a", "b"))
-
-
-def _gauss_check(p):
-    s = _re(p["c"]) - _re(p["a"]) - _re(p["b"])
-    return 4 <= s <= 26 and _re(p["c"]) > 0
 
 
 def _gauss_lhs(a, b, c, ctx):
@@ -361,13 +405,6 @@ def _dixon_sampler(rng, index):
     return _complexify({"a": a, "b": b, "c": c}, rng, index, ("a", "b"))
 
 
-def _dixon_check(p):
-    a, b, c = p["a"], p["b"], p["c"]
-    if _is_integer(b) or _is_integer(c):
-        return False
-    return 5 <= 1 + _re(a) / 2 - _re(b) - _re(c) <= 9
-
-
 def _dixon_lhs(a, b, c, ctx):
     return _pfq([a, b, c], [1 + a - b, 1 + a - c], ctx)
 
@@ -386,12 +423,6 @@ def _theorem1_sampler(rng, index):
     return _complexify(p, rng, index, ("a", "b"))
 
 
-def _theorem1_check(p):
-    if any(_re(p[k]) <= 0 for k in "abcd"):
-        return False
-    return sum(_re(p[k]) for k in "abcd") > 1 + Fraction(1, 32)
-
-
 def _theorem1_lhs(a, b, c, d, ctx):
     return _added(phi_sum(a, b, c, d, ctx), phi_sum(c, d, a, b, ctx), ctx)
 
@@ -406,12 +437,6 @@ def _ca_db_sampler(rng, index):
         if 2 * p["a"] + 2 * p["b"] - 1 > Fraction(1, 16):
             break
     return _complexify(p, rng, index, ("a", "b"))
-
-
-def _ca_db_check(p):
-    if any(_re(p[k]) <= 0 for k in "ab"):
-        return False
-    return 2 * _re(p["a"]) + 2 * _re(p["b"]) - 1 > Fraction(1, 32)
 
 
 def _ca_db_lhs(a, b, ctx):
@@ -433,13 +458,6 @@ def _b_neg_n_sampler(rng, index):
     return _complexify(p, rng, index, ("a",))
 
 
-def _b_neg_n_check(p):
-    if not (isinstance(p["n"], int) and 0 <= p["n"] <= 20):
-        return False
-    (a, c, d), e = exact.common([p["a"], p["c"], p["d"]])  # a + c, a + d not integers
-    return all(exact.whole(w, e) is None for w in (a + c, a + d))
-
-
 def _phi_as_3f2_sampler(rng, index):
     p = {
         "a": _dyadic(rng, 1, 12, 4),
@@ -448,12 +466,6 @@ def _phi_as_3f2_sampler(rng, index):
         "d": _dyadic(rng, 1, 12, 4),
     }
     return _complexify(p, rng, index, ("a", "b"))
-
-
-def _phi_as_3f2_check(p):
-    if any(_re(p[k]) <= 0 for k in "abcd"):
-        return False
-    return _re(p["c"]) >= 5
 
 
 def _phi_as_3f2_lhs(a, b, c, d, ctx):
@@ -475,12 +487,6 @@ def _h22_sampler(rng, index):
         if 15 <= sum(p.values()) <= 30:
             break
     return _complexify(p, rng, index, ("a", "b"))
-
-
-def _h22_check(p):
-    if any(_is_integer(p[k]) or _re(p[k]) <= 0 for k in "abcd"):
-        return False
-    return 15 <= sum(_re(p[k]) for k in "abcd") <= 30
 
 
 def _h22_lhs(a, b, c, d, ctx):
@@ -510,11 +516,6 @@ def _bailey_sampler(rng, index):
     }
 
 
-def _bailey_check(p):
-    a, b, c, d, e, q = (p[k].as_integer_ratio() for k in "abcdeq")
-    return _z_in_range(quot([q, a, a], [b, c, d, e])) and _vwp_clear(q, a, (b, c, d, e))
-
-
 def _bailey_lhs(a, b, c, d, e, q, ctx):
     return _vwp(a, (b, c, d, e), q * a * a / (b * c * d * e), QContext(q, ctx), "psi")
 
@@ -533,11 +534,6 @@ def _phi65_sampler(rng, index):
         "a": _dyadic(rng, 1, 6), "b": _dyadic(rng, 1, 4),
         "c": _dyadic(rng, 1, 4), "d": _dyadic(rng, 1, 4), "q": q,
     }
-
-
-def _phi65_check(p):
-    a, b, c, d, q = (p[k].as_integer_ratio() for k in "abcdq")
-    return _z_in_range(quot([q, a], [b, c, d])) and _vwp_clear(q, a, (b, c, d))
 
 
 def _phi65_lhs(a, b, c, d, q, ctx):
@@ -567,7 +563,7 @@ def _jackson_check(p):
     ups, lows = jackson_parameters(*(p[k] for k in "abcdq"), n)
     a, e, q = ups[0], ups[4], p["q"].as_integer_ratio()
     return (
-        _clear(q, [a, *lows[:3]], [a])
+        all(_clear_of_q_poles(x, q) for x in [a, *lows[:3]]) and _clear_of_q_poles(a, quot([q, q]))
         and _clear_of_q_poles(e, q, upto=n + 1)
         and all(_clear_of_q_poles(x, q, upto=n) for x in lows[3:])
     )
@@ -580,20 +576,6 @@ def _jackson_nt_sampler(rng, index):
         "e": _dyadic(rng, 1, 3),
         "q": _dyadic(rng, 1, 7, 10),
     }
-
-
-def _jackson_nt_check(p):
-    a, b, c, d, e, q = (p[k].as_integer_ratio() for k in "abcdeq")
-    f = quot([q, a, a], [b, c, d, e])
-    if not (f[1] <= 32 * f[0] and f[0] <= 32 * f[1]):  # 1/32 <= f <= 32
-        return False
-    qa, qb = quot([q, a]), quot([q, b])
-    values = [a, b, c, d, e, f,
-              *(quot([qa], [x]) for x in (b, c, d, e)), quot([b, c, d, e], [a]),
-              *(quot([b, x], [a]) for x in (c, d, e, f)),
-              *(quot([qb], [x]) for x in (a, c, d, e)), quot([b, b, c, d, e], [a, a]),
-              quot([b, b, q], [a]), quot([qa], [c, d, e])]
-    return _clear(q, values, [a, quot([b, b], [a])])
 
 
 def _jackson_nt_lhs(a, b, c, d, e, q, ctx):
@@ -629,23 +611,6 @@ def _split_sampler(rng, index):
         "e": _dyadic(rng, 1, 3), "f": _dyadic(rng, 1, 3),
         "q": _sample_q(rng),
     }
-
-
-def _split_check(p):
-    a, c, d, e, f, q = (p[k].as_integer_ratio() for k in "acdefq")
-    cdef = quot([c, d, e, f])
-    if not _z_in_range(quot([q, a, a], [cdef])):
-        return False
-    qa, big_a = quot([q, a]), quot([cdef], [a])
-    qqa = quot([q, qa])
-    values = [c, d, e, f, a,
-              *(quot([qa], [x]) for x in (c, d, e, f)),
-              big_a,
-              *(quot([qa], xs) for xs in combinations((c, d, e, f), 3)),
-              quot([qqa], [cdef]),
-              *(quot([qqa, a], [cdef, x]) for x in (f, e, d, c)),
-              *(quot([qa], xs) for xs in combinations((c, d, e, f), 2))]
-    return _clear(q, values, [a, big_a, quot([qqa, a, a], [cdef, cdef]), quot([a], [cdef])])
 
 
 def _omega_lhs(a, c, d, e, f, q, ctx):
@@ -732,132 +697,135 @@ def _split_rhs(a, c, d, e, f, q, ctx):
 # the table
 
 _COMPLEX4 = dict.fromkeys("abcd", "complex")
-_SPLIT_SCHEMA = {**dict.fromkeys("acdef", "positive"), "q": "in (0.1,0.8)"}
-_SPLIT_RANGE = "|q a^2/(c d e f)| <= 0.8"
-_NO_Q_POLE = "no parameter on a q-power pole"
+_RE4 = "Re(a), Re(b), Re(c), Re(d) > 0"
+_Q = "in (0.1,0.8)"
+_SPLIT_SCHEMA = {**dict.fromkeys("acdef", "positive"), "q": _Q}
+_SPLIT = (
+    "q a^2/(c d e f) in [1/20, 4/5]",
+    "c, d, e, f, a, q a/c, q a/d, q a/e, q a/f, c d e f/a, q a/(c d e), q a/(c d f), q a/(c e f), "
+    "q a/(d e f), q^2 a/(c d e f), q^2 a^2/(c d e f^2), q^2 a^2/(c d e^2 f), q^2 a^2/(c d^2 e f), "
+    "q^2 a^2/(c^2 d e f), q a/(c d), q a/(c e), q a/(c f), q a/(d e), q a/(d f), q a/(e f) "
+    "off q-poles",
+    "q^2 a^3/(c^2 d^2 e^2 f^2) off q^2-poles",
+)
 
 CATALOG = {c.id: c for c in (
     IdentityCase(
         "saalschuetz",
         "terminating balanced 3F2(a,b,-n; c,1+a+b-c-n; 1) as a Pochhammer ratio",
         {"a": "complex", "b": "complex", "c": "complex", "n": "int 0..30"},
-        ("c > 0", "c-a-b, c-a, c-b not in {0,-1,...,-(n-1)}"),
-        _saalschuetz_sampler, _saalschuetz_check,
-        *_exact("saalschuetz"),
+        ("Re(c) > 0", "c-a-b, c-a, c-b not in {0, ..., 1-n}"),
+        _saalschuetz_sampler, *_exact("saalschuetz"),
     ),
     IdentityCase(
         "saalschuetz-nt",
         "nonterminating balanced 3F2(a,b,c+d-a-b-1; c,d; 1) two-term evaluation",
         _COMPLEX4,
-        ("Re(d-a-b)>0", "sampler margin Re(d-a-b) in [15,25]",
-         "|a+b-c| >= 1/1000", "c-a-b not an integer"),
-        _saalschuetz_nt_sampler, _saalschuetz_nt_check,
-        _mp(_saalschuetz_nt_lhs), _mp(_saalschuetz_nt_rhs),
+        ("Re(d-a-b) >= 14", "|Re(a+b-c)| >= 1/1000", "c-a-b not an integer",
+         "c+d-a-b-1, c-a, c-b, d-a, d-b not in {0, -1, ...}", "sampler: Re(d-a-b) in (15, 25)"),
+        _saalschuetz_nt_sampler, _mp(_saalschuetz_nt_lhs), _mp(_saalschuetz_nt_rhs),
     ),
     IdentityCase(
         "dougall-2h2",
         "Dougall bilateral 2H2(a,b;c,d;1) as a gamma ratio",
         _COMPLEX4,
-        ("Re(c+d-a-b)>1", "sampler: Re(c+d-a-b) in [15,30]", "a, b not integers"),
-        _dougall_sampler, _dougall_check, _mp(_dougall_lhs), _mp(_dougall_rhs),
+        ("a, b not integers", "Re(c+d-a-b) in [15, 30]", "c-a, c-b, d-a, d-b not in {0, -1, ...}"),
+        _dougall_sampler, _mp(_dougall_lhs), _mp(_dougall_rhs),
     ),
     IdentityCase(
         "gauss-2f1",
         "Gauss 2F1(a,b;c;1) as a gamma ratio",
         dict.fromkeys("abc", "complex"),
-        ("Re(c-a-b)>0", "sampler: Re(c-a-b) in [5,25]"),
-        _gauss_sampler, _gauss_check, _mp(_gauss_lhs), _mp(_gauss_rhs),
+        ("Re(c-a-b) in [4, 26]", "Re(c) > 0", "sampler: Re(c-a-b) in (5, 25)"),
+        _gauss_sampler, _mp(_gauss_lhs), _mp(_gauss_rhs),
     ),
     IdentityCase(
         "dixon",
         "Dixon 3F2(a,b,c; 1+a-b,1+a-c; 1) as a gamma ratio with half-argument factors",
         dict.fromkeys("abc", "complex"),
-        ("Re(1+a/2-b-c)>0", "sampler margin Re(1+a/2-b-c) in [5,9]", "b, c not integers"),
-        _dixon_sampler, _dixon_check, _mp(_dixon_lhs), _mp(_dixon_rhs),
+        ("b, c not integers", "Re(1+a/2-b-c) in [5, 9]"),
+        _dixon_sampler, _mp(_dixon_lhs), _mp(_dixon_rhs),
     ),
     IdentityCase(
         "theorem-1",
         "symmetric identity Phi(a,b;c,d) + Phi(c,d;a,b) = gamma-product ratio",
-        _COMPLEX4,
-        ("Re(a+b+c+d)>1 margin 1/32", "Re(a),Re(b),Re(c),Re(d)>0"),
-        _theorem1_sampler, _theorem1_check, _mp(_theorem1_lhs), _mp(_theorem1_rhs),
+        _COMPLEX4, (_RE4, "Re(a+b+c+d) > 33/32"),
+        _theorem1_sampler, _mp(_theorem1_lhs), _mp(_theorem1_rhs),
     ),
     IdentityCase(
         "theorem-1-ca-db",
         "3F2(a,b,2a+2b-1; a+2b,2a+b; 1) = (1/2) gamma-product ratio",
         {"a": "complex", "b": "complex"},
-        ("Re(a)>0, Re(b)>0", "2a+2b-1 > 0 margin 1/32"),
-        _ca_db_sampler, _ca_db_check, _mp(_ca_db_lhs), _mp(_ca_db_rhs),
+        ("Re(a), Re(b) > 0", "Re(2a+2b-1) > 1/32"),
+        _ca_db_sampler, _mp(_ca_db_lhs), _mp(_ca_db_rhs),
     ),
     IdentityCase(
         "theorem-1-b-neg-n",
         "terminating reduction 3F2(a,a+c+d-1-n,-n; a+c-n,a+d-n; 1) as a Pochhammer ratio",
         {"a": "complex", "c": "complex", "d": "complex", "n": "int 0..20"},
         ("a+c, a+d not integers",),
-        _b_neg_n_sampler, _b_neg_n_check,
-        *_exact("phi_symmetric_terminating"),
+        _b_neg_n_sampler, *_exact("phi_symmetric_terminating"),
     ),
     IdentityCase(
         "phi-as-3f2",
         "Phi(c,d;a,b) route equivalence: direct sum vs 3F2(1,a+d,b+d;1+d,a+b+c+d;1)/(d(a+b+c+d-1))",
-        _COMPLEX4,
-        ("Re(c) >= 5 (3F2 route decay exponent 1+c)", "d != 0"),
-        _phi_as_3f2_sampler, _phi_as_3f2_check, _mp(_phi_as_3f2_lhs), _mp(_phi_as_3f2_rhs),
+        _COMPLEX4, ("Re(a), Re(b), Re(d) > 0", "Re(c) >= 5"),
+        _phi_as_3f2_sampler, _mp(_phi_as_3f2_lhs), _mp(_phi_as_3f2_rhs),
     ),
     IdentityCase(
         "h22-split",
         "cd (Phi(c,d;a,b) + Phi(a,b;c,d)) = 2H2(1-a,1-b;1+c,1+d;1), the bilateral split",
-        _COMPLEX4,
-        ("Re(a+b+c+d)>1", "sampler: Re(a+b+c+d) in [15,30]",
-         "a,b,c,d not integers", "c,d != 0"),
-        _h22_sampler, _h22_check, _mp(_h22_lhs), _mp(_h22_rhs),
+        _COMPLEX4, ("a, b, c, d not integers", _RE4, "Re(a+b+c+d) in [15, 30]"),
+        _h22_sampler, _mp(_h22_lhs), _mp(_h22_rhs),
     ),
     IdentityCase(
         "bailey-6psi6",
         "Bailey very-well-poised 6psi6 sum as an infinite q-bracket",
-        {**dict.fromkeys("abcde", "positive"), "q": "in (0.1,0.8)"},
-        ("|q a^2/(b c d e)| < 1", "sampler: |q a^2/(b c d e)| <= 0.8", _NO_Q_POLE),
-        _bailey_sampler, _bailey_check, _mp(_bailey_lhs), _mp(_bailey_rhs),
+        {**dict.fromkeys("abcde", "positive"), "q": _Q},
+        ("q a^2/(b c d e) in [1/20, 4/5]",
+         "a, q a/b, q a/c, q a/d, q a/e, q a/(b c), q a/(b d), q a/(b e), q a/(c d), q a/(c e), "
+         "q a/(d e) off q-poles"),
+        _bailey_sampler, _mp(_bailey_lhs), _mp(_bailey_rhs),
     ),
     IdentityCase(
         "phi65",
         "very-well-poised 6phi5(a,...;qa/bcd) sum as an infinite q-bracket",
-        {**dict.fromkeys("abcd", "positive"), "q": "in (0.1,0.8)"},
-        ("|q a/(b c d)| < 1", _NO_Q_POLE),
-        _phi65_sampler, _phi65_check, _mp(_phi65_lhs), _mp(_phi65_rhs),
+        {**dict.fromkeys("abcd", "positive"), "q": _Q},
+        ("q a/(b c d) in [1/20, 4/5]",
+         "a, q a/b, q a/c, q a/d, q a/(b c), q a/(b d), q a/(c d) off q-poles"),
+        _phi65_sampler, _mp(_phi65_lhs), _mp(_phi65_rhs),
     ),
     IdentityCase(
         "jackson-8phi7",
         "terminating very-well-poised 8phi7 sum as a finite q-bracket (exact rational)",
-        {**dict.fromkeys("abcd", "positive"), "q": "in (0.1,0.8)", "n": "int 0..15"},
+        {**dict.fromkeys("abcd", "positive"), "q": _Q, "n": "int 0..15"},
         ("no lower parameter truncates before index n",),
-        _jackson_sampler, _jackson_check,
-        *_exact("jackson_8phi7"),
+        _jackson_sampler, *_exact("jackson_8phi7"), _jackson_check,
     ),
     IdentityCase(
         "jackson-nt",
         "nonterminating very-well-poised 8phi7 with q a^2 = b c d e f, two-term evaluation",
         {**dict.fromkeys("abcde", "positive"), "q": "in (0.1,0.7)"},
-        ("f = q a^2/(b c d e) derived", "f in [1/32, 32]", _NO_Q_POLE),
-        _jackson_nt_sampler, _jackson_nt_check, _mp(_jackson_nt_lhs), _mp(_jackson_nt_rhs),
+        ("q a^2/(b c d e) in [1/32, 32]",
+         "a, b, c, d, e, q a^2/(b c d e), q a/b, q a/c, q a/d, q a/e, b c d e/a, b c/a, b d/a, "
+         "b e/a, q a/(c d e), q b/a, q b/c, q b/d, q b/e, b^2 c d e/a^2, q b^2/a off q-poles",
+         "b^2/a off q^2-poles"),
+        _jackson_nt_sampler, _mp(_jackson_nt_lhs), _mp(_jackson_nt_rhs),
     ),
     IdentityCase(
         "omega",
         "k>=0 half of the split Bailey sum vs its well-poised 8phi7 closed form",
-        _SPLIT_SCHEMA, (_SPLIT_RANGE, _NO_Q_POLE),
-        _split_sampler, _split_check, _mp(_omega_lhs), _mp(_omega_rhs),
+        _SPLIT_SCHEMA, _SPLIT, _split_sampler, _mp(_omega_lhs), _mp(_omega_rhs),
     ),
     IdentityCase(
         "theta",
         "reflected half of the split Bailey sum vs its well-poised 8phi7 closed form",
-        _SPLIT_SCHEMA, (_SPLIT_RANGE, "prefactor numerator and denominator nonzero", _NO_Q_POLE),
-        _split_sampler, _split_check, _mp(_theta_lhs), _mp(_theta_rhs),
+        _SPLIT_SCHEMA, _SPLIT, _split_sampler, _mp(_theta_lhs), _mp(_theta_rhs),
     ),
     IdentityCase(
         "bailey-split",
         "two k>=0 halves of the split Bailey sum recombine to the full bracket",
-        _SPLIT_SCHEMA, (_SPLIT_RANGE, _NO_Q_POLE),
-        _split_sampler, _split_check, _mp(_split_lhs), _mp(_split_rhs),
+        _SPLIT_SCHEMA, _SPLIT, _split_sampler, _mp(_split_lhs), _mp(_split_rhs),
     ),
 )}
 

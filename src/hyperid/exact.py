@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import gcd, lcm, prod
 
 from .errors import DivisionByZero, LowerPoleError
-from .series import Gauss, _norm, _parts
+from .series import Gauss, _norm
 
 
 def quot(ups, downs=()):
@@ -52,13 +52,6 @@ def common(xs):
     den = lcm(*(d for _, d in pairs))
     nums = iter([p * (den // d) for p, d in pairs])
     return [Gauss((next(nums), next(nums))) if len(xp) == 2 else next(nums) for xp in parts], den
-
-
-def whole(w, d):
-    """w / d as an int when w, a numerator of `common` over d, is a multiple
-    of d, else None."""
-    re, im = _parts(w)
-    return None if im or re % d else re // d
 
 
 def _value(p, q):

@@ -19,7 +19,8 @@ Routes, chosen by convergence class:
                f(K) = T_K / t_K is an inverse factorial series on a
                banded int recurrence, `_factorial_tail` (direct+tail);
                otherwise the Levin u-transform, and direct+tail with
-               K = max(48, dps + 20) where the transform fails
+               K = max(48, dps + 20) where the transform fails, as it
+               does when one of its terms rounds to 0
 Bilateral sums are split at k = 0; the negative tail becomes a unilateral
 series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k. Both
 engines' direct+tail sums run in `sum_direct`, with the geometric route's

@@ -21,7 +21,10 @@ int or Gauss value as such a pair.
 `jackson_check`, `bailey_check`, `phi65_check`, `jackson_nt_check` and
 `split_check` the Fraction forms of the q samplers' checks, which the
 catalog runs on int pairs, as it runs `saalschuetz_check` and
-`b_neg_n_check` of the classical terminating samplers.
+`b_neg_n_check` of the classical terminating samplers. The other classical
+checks (`saalschuetz_nt_check` to `h22_check`) are written out by hand, one
+branch per constraint; `REFERENCE_CHECKS` maps every id whose check the
+catalog builds from its constraint strings to its reference.
 `fraction_value` reads an exact side of `hyperid.exact`, one unreduced pair
 (n, d) of an int or Gaussian n, as a Fraction or an (re, im) pair of Fractions.
 `tail_ratio_terms` is the exact recurrence of the q tail ratio's power
@@ -334,7 +337,7 @@ def _re(v):
 
 
 def saalschuetz_check(p):
-    """`catalog._saalschuetz_check` in Fraction arithmetic: c - a - b, c - a
+    """The `saalschuetz` check in Fraction arithmetic: c - a - b, c - a
     and c - b are tested by `nonpositive_int`."""
     a, b, c, n = (p[k] for k in "abcn")
     if not (isinstance(n, int) and 0 <= n <= 30) or not _re(c) > 0:
@@ -344,10 +347,80 @@ def saalschuetz_check(p):
 
 
 def b_neg_n_check(p):
-    """`catalog._b_neg_n_check` in Fraction arithmetic."""
+    """The `theorem-1-b-neg-n` check in Fraction arithmetic."""
     if not (isinstance(p["n"], int) and 0 <= p["n"] <= 20):
         return False
     return exact_int(p["a"] + p["c"]) is None and exact_int(p["a"] + p["d"]) is None
+
+
+def _is_integer(v):
+    return exact_int(v) is not None
+
+
+def saalschuetz_nt_check(p):
+    """The `saalschuetz-nt` check written out by hand."""
+    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+    if _re(d) - _re(a) - _re(b) < 14:
+        return False
+    if _is_integer(c - a - b):
+        return False
+    if abs(_re(a) + _re(b) - _re(c)) < Fraction(1, 1000):
+        return False
+    if nonpositive_int(c + d - a - b - 1) is not None:
+        return False
+    return not any(nonpositive_int(w) is not None for w in (c - a, c - b, d - a, d - b))
+
+
+def dougall_check(p):
+    """The `dougall-2h2` check written out by hand."""
+    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+    if _is_integer(a) or _is_integer(b):
+        return False
+    if not 15 <= _re(c) + _re(d) - _re(a) - _re(b) <= 30:
+        return False
+    return not any(nonpositive_int(w) is not None for w in (c - a, c - b, d - a, d - b))
+
+
+def gauss_check(p):
+    """The `gauss-2f1` check written out by hand."""
+    s = _re(p["c"]) - _re(p["a"]) - _re(p["b"])
+    return 4 <= s <= 26 and _re(p["c"]) > 0
+
+
+def dixon_check(p):
+    """The `dixon` check written out by hand."""
+    a, b, c = p["a"], p["b"], p["c"]
+    if _is_integer(b) or _is_integer(c):
+        return False
+    return 5 <= 1 + _re(a) / 2 - _re(b) - _re(c) <= 9
+
+
+def theorem1_check(p):
+    """The `theorem-1` check written out by hand."""
+    if any(_re(p[k]) <= 0 for k in "abcd"):
+        return False
+    return sum(_re(p[k]) for k in "abcd") > 1 + Fraction(1, 32)
+
+
+def ca_db_check(p):
+    """The `theorem-1-ca-db` check written out by hand."""
+    if any(_re(p[k]) <= 0 for k in "ab"):
+        return False
+    return 2 * _re(p["a"]) + 2 * _re(p["b"]) - 1 > Fraction(1, 32)
+
+
+def phi_as_3f2_check(p):
+    """The `phi-as-3f2` check written out by hand."""
+    if any(_re(p[k]) <= 0 for k in "abcd"):
+        return False
+    return _re(p["c"]) >= 5
+
+
+def h22_check(p):
+    """The `h22-split` check written out by hand."""
+    if any(_is_integer(p[k]) or _re(p[k]) <= 0 for k in "abcd"):
+        return False
+    return 15 <= sum(_re(p[k]) for k in "abcd") <= 30
 
 
 def fraction_value(v):
@@ -372,19 +445,19 @@ def _z_in_range(z):
 
 
 def bailey_check(p):
-    """`catalog._bailey_check` in Fraction arithmetic."""
+    """The `bailey-6psi6` check in Fraction arithmetic."""
     a, b, c, d, e, q = (p[k] for k in "abcdeq")
     return _z_in_range(q * a * a / (b * c * d * e)) and _vwp_clear(q, a, (b, c, d, e))
 
 
 def phi65_check(p):
-    """`catalog._phi65_check` in Fraction arithmetic."""
+    """The `phi65` check in Fraction arithmetic."""
     a, b, c, d, q = (p[k] for k in "abcdq")
     return _z_in_range(q * a / (b * c * d)) and _vwp_clear(q, a, (b, c, d))
 
 
 def jackson_nt_check(p):
-    """`catalog._jackson_nt_check` in Fraction arithmetic."""
+    """The `jackson-nt` check in Fraction arithmetic."""
     a, b, c, d, e, q = (p[k] for k in "abcdeq")
     f = q * a * a / (b * c * d * e)
     if not Fraction(1, 32) <= f <= 32:
@@ -398,7 +471,7 @@ def jackson_nt_check(p):
 
 
 def split_check(p):
-    """`catalog._split_check` (omega, theta, bailey-split) in Fraction arithmetic."""
+    """The check of omega, theta and bailey-split in Fraction arithmetic."""
     a, c, d, e, f, q = (p[k] for k in "acdefq")
     cdef = c * d * e * f
     if not _z_in_range(q * a * a / cdef):
@@ -414,6 +487,17 @@ def split_check(p):
               q * a / (c * d), q * a / (c * e), q * a / (c * f),
               q * a / (d * e), q * a / (d * f), q * a / (e * f)]
     return _clear(q, values, [a, big_a, q * q * a**3 / cdef**2, a / cdef])
+
+
+# the reference of each catalog check that is built from its constraint strings
+REFERENCE_CHECKS = {
+    "saalschuetz": saalschuetz_check, "saalschuetz-nt": saalschuetz_nt_check,
+    "dougall-2h2": dougall_check, "gauss-2f1": gauss_check, "dixon": dixon_check,
+    "theorem-1": theorem1_check, "theorem-1-ca-db": ca_db_check,
+    "theorem-1-b-neg-n": b_neg_n_check, "phi-as-3f2": phi_as_3f2_check, "h22-split": h22_check,
+    "bailey-6psi6": bailey_check, "phi65": phi65_check, "jackson-nt": jackson_nt_check,
+    "omega": split_check, "theta": split_check, "bailey-split": split_check,
+}
 
 
 def partial_sum(terms, stop_eps, limit):

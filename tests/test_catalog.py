@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from hashlib import sha256
+from math import prod
 
 import mpmath
 import pytest
@@ -12,22 +13,19 @@ from hyperid import catalog, exact
 from hyperid.catalog import CATALOG, phi_sum, phi_via_3f2, tolerance_rule
 from hyperid.errors import DomainError
 from hyperid.gammafn import gamma_ratio
-from hyperid.harness import sample_parameters, verify_one
+from hyperid.harness import REJECTION_CAP, rng_for, sample_parameters, verify_one
 from hyperid.precision import PrecisionContext, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, principal_sqrt, q_bracket, sum_q_series
 from hyperid.series import Gauss, SeriesResult, SeriesSpec, sum_unilateral
 
 from oracles import (
+    REFERENCE_CHECKS,
     b_neg_n_check,
-    bailey_check,
     chu_vandermonde,
     clear_of_q_poles,
     fraction_value,
     jackson_check,
-    jackson_nt_check,
-    phi65_check,
     saalschuetz_check,
-    split_check,
     term_stream,
 )
 
@@ -100,7 +98,7 @@ _HALF = Fraction(1, 2)
                              Fraction(209, 645), _HALF, 2))))  # b c d/(a q^n) = q^-1
 @example(dict(zip("abcdqn", (Fraction(3), Fraction(9, 8), _HALF, _HALF, _HALF, 2))))  # e = q^-n
 def test_jackson_check_on_ints_matches_the_fraction_form(p):
-    assert catalog._jackson_check(p) == jackson_check(p)
+    assert CATALOG["jackson-8phi7"].check(p) == jackson_check(p)
 
 
 @st.composite
@@ -117,11 +115,8 @@ def _q_params(draw):
 @given(_q_params())
 def test_q_checks_on_int_pairs_match_the_fraction_forms(p):
     # each check reads its own parameters of the one dict
-    for check, oracle in ((catalog._bailey_check, bailey_check),
-                          (catalog._phi65_check, phi65_check),
-                          (catalog._jackson_nt_check, jackson_nt_check),
-                          (catalog._split_check, split_check)):
-        assert check(p) == oracle(p)
+    for ident in ("bailey-6psi6", "phi65", "jackson-nt", "omega", "theta", "bailey-split"):
+        assert CATALOG[ident].check(p) == REFERENCE_CHECKS[ident](p)
 
 
 @st.composite
@@ -141,8 +136,30 @@ def _terminating_params(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_terminating_params())
 def test_terminating_checks_on_ints_match_the_fraction_forms(p):
-    assert catalog._saalschuetz_check(p) == saalschuetz_check(p)
-    assert catalog._b_neg_n_check(p) == b_neg_n_check(p)
+    assert CATALOG["saalschuetz"].check(p) == saalschuetz_check(p)
+    assert CATALOG["theorem-1-b-neg-n"].check(p) == b_neg_n_check(p)
+
+
+@st.composite
+def _classical_params(draw):
+    # a quarter grid out to 32 and integer shifts of a, b and a + b put each
+    # form of the classical constraints on its bounds and on integers;
+    # complex parameters have dyadic parts, as sampled
+    grid = st.integers(-128, 128).map(lambda i: Fraction(i, 4))
+    parts = st.integers(-128, 128).map(lambda i: i / 4)
+    a, b = (draw(st.one_of(grid, st.builds(complex, parts, parts))) for _ in "ab")
+    shift = st.integers(-40, 40)
+    near = [grid, shift.map(lambda j: a + j), shift.map(lambda j: b + j), shift.map(lambda j: a + b + j)]
+    c = draw(st.one_of(near))
+    return {"a": a, "b": b, "c": c, "d": draw(st.one_of(*near, shift.map(lambda j: a + b - c + j)))}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_classical_params())
+def test_built_classical_checks_match_the_references(p):
+    for ident in ("saalschuetz-nt", "dougall-2h2", "gauss-2f1", "dixon", "theorem-1",
+                  "theorem-1-ca-db", "phi-as-3f2", "h22-split"):
+        assert CATALOG[ident].check(p) == REFERENCE_CHECKS[ident](p), ident
 
 
 def test_terminating_samples_are_pinned():
@@ -304,8 +321,9 @@ def test_dougall_constraint_excludes_pole(ctx30):
 
 _F = Fraction
 
-
-@pytest.mark.parametrize("ident, good, key, bad", [
+# one parameter moved out of an input that passes; the cases after the first
+# eleven each break exactly one printed constraint of their entry
+_CLASSICAL_REJECTS = [
     # Re(d - a - b) < 14
     ("saalschuetz-nt", {"a": _F(1, 4), "b": _F(1, 8), "c": _F(3, 2), "d": _F(163, 8)}, "d", _F(107, 8)),
     # |a + b - c| < 1/1000, c - a - b no integer
@@ -324,11 +342,145 @@ _F = Fraction
     # a part that is an integer, or has real part <= 0
     ("h22-split", {"a": _F(1, 2), "b": _F(3, 4), "c": _F(15, 2), "d": _F(17, 2)}, "a", _F(1)),
     ("h22-split", {"a": _F(1, 2), "b": _F(3, 4), "c": _F(15, 2), "d": _F(17, 2)}, "a", _F(-1, 2)),
-])
+    # Re(c) = 0; c - a = 0 with n = 5
+    ("saalschuetz", {"a": _F(1, 4), "b": _F(1, 8), "c": _F(3, 2), "n": 5}, "c", _F(-1, 2)),
+    ("saalschuetz", {"a": _F(1, 4), "b": _F(1, 8), "c": _F(3, 2), "n": 5}, "a", _F(3, 2)),
+    # c - a - b = 2; c - a = 0
+    ("saalschuetz-nt", {"a": _F(1, 4), "b": _F(1, 8), "c": _F(3, 2), "d": _F(163, 8)}, "c", _F(19, 8)),
+    ("saalschuetz-nt", {"a": _F(1, 4), "b": _F(1, 8), "c": _F(3, 2), "d": _F(163, 8)}, "c", _F(1, 4)),
+    # a = 1; c - a = 0 with Re(c + d - a - b) = 15
+    ("dougall-2h2", {"a": _F(5, 8), "b": _F(19, 16), "c": _F(93, 8), "d": _F(163, 16)}, "a", _F(1)),
+    ("dougall-2h2", {"a": _F(5, 8), "b": _F(19, 16), "c": _F(13, 8), "d": _F(259, 16)}, "a", _F(13, 8)),
+    # Re(c - a - b) = 27; Re(c) = 0
+    ("gauss-2f1", {"a": _F(1, 4), "b": _F(1, 8), "c": _F(83, 8)}, "c", _F(219, 8)),
+    ("gauss-2f1", {"a": _F(-6), "b": _F(1, 8), "c": _F(1)}, "c", _F(0)),
+    # Re(1 + a/2 - b - c) = 10
+    ("dixon", {"a": _F(2), "b": _F(-3, 2), "c": _F(-5, 2)}, "a", _F(10)),
+    # Re(a) = 0; Re(a + b + c + d) = 33/32
+    ("theorem-1", {"a": _F(1, 2), "b": _F(1, 2), "c": _F(1, 2), "d": _F(1, 2)}, "a", _F(0)),
+    ("theorem-1", {"a": _F(1, 4), "b": _F(1, 4), "c": _F(1, 4), "d": _F(1, 2)}, "d", _F(9, 32)),
+    # Re(a) = 0; Re(2a + 2b - 1) = 1/32
+    ("theorem-1-ca-db", {"a": _F(1, 2), "b": _F(2)}, "a", _F(0)),
+    ("theorem-1-ca-db", {"a": _F(1, 2), "b": _F(1, 2)}, "a", _F(1, 64)),
+    # a + c = 1
+    ("theorem-1-b-neg-n", {"a": _F(1, 4), "c": _F(1, 2), "d": _F(1, 8), "n": 3}, "c", _F(3, 4)),
+    # Re(c) = 4
+    ("phi-as-3f2", {"a": _F(1, 2), "b": _F(1, 2), "c": _F(6), "d": _F(1, 2)}, "c", _F(4)),
+    # Re(a + b + c + d) = 33.25
+    ("h22-split", {"a": _F(1, 2), "b": _F(3, 4), "c": _F(15, 2), "d": _F(17, 2)}, "d", _F(49, 2)),
+    # one form of each multi-item constraint that no case above breaks:
+    # c + d - a - b - 1 = 0; d - b = 0; c - b = 0; b, c, d integers; Re(b) < 0
+    ("saalschuetz-nt", {"a": _F(1, 4), "b": _F(1, 8), "c": _F(3, 2), "d": _F(163, 8)}, "c", _F(-19)),
+    ("saalschuetz-nt", {"a": _F(-14), "b": _F(1, 8), "c": _F(3, 2), "d": _F(163, 8)}, "d", _F(1, 8)),
+    ("dougall-2h2", {"a": _F(5, 8), "b": _F(19, 16), "c": _F(5), "d": _F(165, 8)}, "c", _F(19, 16)),
+    *(("h22-split", {"a": _F(1, 2), "b": _F(3, 4), "c": _F(15, 2), "d": _F(17, 2)}, key, bad)
+      for key, bad in (("b", _F(1)), ("c", _F(8)), ("d", _F(9)), ("b", _F(-1, 4)))),
+]
+
+_SPLIT_GOOD = {"a": _F(97, 32), "c": _F(9, 4), "d": _F(81, 32), "e": _F(53, 32), "f": _F(89, 32),
+               "q": _F(11, 16)}
+_Q_REJECTS = [
+    # q a^2/(b c d e) = 0.004; q a = e
+    *(("bailey-6psi6", {"a": _F(93, 32), "b": _F(15, 4), "c": _F(53, 16), "d": _F(49, 16),
+                        "e": _F(7, 4), "q": _F(17, 32)}, "a", bad) for bad in (_F(1, 2), _F(56, 17))),
+    # q a/(b c d) = 0.022; q a = 1
+    *(("phi65", {"a": _F(7, 4), "b": _F(71, 32), "c": _F(75, 64), "d": _F(13, 4), "q": _F(3, 8)},
+       "a", bad) for bad in (_F(1, 2), _F(8, 3))),
+    # q a^2/(b c d e) below 1/32; a = 1; b^2/a = 1
+    *(("jackson-nt", {"a": _F(7, 4), "b": _F(37, 32), "c": _F(31, 16), "d": _F(85, 64),
+                      "e": _F(19, 16), "q": _F(5, 8)}, "a", bad)
+      for bad in (_F(1, 3), _F(1), _F(1369, 1024))),
+    # q a^2/(c d e f) = 0.006; q a = 1; q^2 a^3/(c d e f)^2 = 1
+    *((ident, good, "a", bad) for ident in ("omega", "theta", "bailey-split")
+      for good, bad in ((_SPLIT_GOOD, _F(1, 2)), (_SPLIT_GOOD, _F(16, 11)),
+                        ({"a": _F(1, 5), "c": _F(3, 4), "d": _F(3, 4), "e": _F(3, 4), "f": _F(1, 9),
+                          "q": _F(3, 8)}, _F(1, 4)))),
+    # one of q a/(c d e), q a/(c d f), q a/(c e f), q a/(d e f), q^2 a/(c d e f) and the four
+    # q^2 a^2/(...) on a q-pole with q a^2/(c d e f) in range, which no move of a sample
+    # reaches (the split ids share one tuple)
+    *(("omega", dict(zip("acdefq", good)), key, bad) for good, key, bad in (
+        ((_F(9, 8), _F(5, 2), _F(19, 8), _F(3, 4), _F(13, 8), _F(3, 4)), "c", _F(9, 19)),
+        ((_F(9, 8), _F(11, 4), _F(3, 4), _F(9, 4), _F(7, 4), _F(1, 2)), "c", _F(3, 7)),
+        ((_F(7, 4), _F(3), _F(5, 2), _F(3, 2), _F(19, 8), _F(5, 8)), "c", _F(35, 114)),
+        ((_F(11, 8), _F(21, 8), _F(5, 4), _F(3, 4), _F(3), _F(1, 2)), "d", _F(11, 36)),
+        ((_F(1, 2), _F(9, 8), _F(7, 8), _F(19, 8), _F(3, 2), _F(3, 4)), "c", _F(12, 133)),
+        ((_F(7, 4), _F(19, 8), _F(7, 4), _F(11, 8), _F(1, 2), _F(5, 8)), "c", _F(175, 88)),
+        ((_F(1, 2), _F(5, 8), _F(9, 8), _F(1, 4), _F(9, 8), _F(5, 8)), "c", _F(100, 81)),
+        ((_F(3, 4), _F(9, 4), _F(1, 4), _F(17, 8), _F(2), _F(5, 8)), "c", _F(225, 272)),
+        ((_F(9, 8), _F(1, 4), _F(7, 4), _F(9, 4), _F(19, 8), _F(5, 8)), "d", _F(225, 152)))),
+]
+
+
+@pytest.mark.parametrize("ident, good, key, bad", _CLASSICAL_REJECTS)
 def test_classical_checks_reject_what_no_sampler_draws(ident, good, key, bad):
     # one parameter moved out of a passing sample fails the one test it breaks
     assert CATALOG[ident].check(good)
     assert not CATALOG[ident].check({**good, key: bad})
+
+
+@pytest.mark.parametrize("ident, good, key, bad", _Q_REJECTS)
+def test_q_checks_reject_what_no_sampler_draws(ident, good, key, bad):
+    assert CATALOG[ident].check(good)
+    assert not CATALOG[ident].check({**good, key: bad})
+
+
+def test_every_printed_constraint_is_enforced():
+    # for each constraint an entry prints, some reject case breaks it and no
+    # other; every check but jackson-8phi7's, whose string is free text, is
+    # built from its constraints
+    assert set(REFERENCE_CHECKS) == set(CATALOG) - {"jackson-8phi7"}
+    with pytest.raises(ValueError, match="^constraint outside the grammar: 'no lower"):
+        catalog._checker(CATALOG["jackson-8phi7"].schema, CATALOG["jackson-8phi7"].constraints)
+    rejects = _CLASSICAL_REJECTS + _Q_REJECTS
+    for case in map(CATALOG.get, REFERENCE_CHECKS):
+        single = {c: catalog._checker(case.schema, (c,))
+                  for c in case.constraints if not c.startswith("sampler:")}
+        alone = set()
+        for ident, good, key, bad in rejects:
+            if ident == case.id:
+                broken = [c for c, check in single.items() if not check({**good, key: bad})]
+                alone.update(broken if len(broken) == 1 else ())
+        assert alone == set(single), case.id
+
+
+def _pole_moves(case, p):
+    """p with one parameter of power +-1 in one monomial of a pole constraint
+    moved so that the monomial is q^-i (q^-2i for q^2-poles), i = 0, 1, 2."""
+    for text in case.constraints:
+        if text.endswith("-poles"):
+            e = 2 if text.endswith("q^2-poles") else 1
+            for item in catalog._CONSTRAINT.fullmatch(text)["items"].split(", "):
+                ups, downs = catalog._monomial(item)
+                value = prod(map(p.get, ups)) / prod(map(p.get, downs))
+                for x in {*ups, *downs} - {"q"}:
+                    power = ups.count(x) - downs.count(x)
+                    if abs(power) == 1:
+                        yield from ({**p, x: p[x] * (p["q"] ** (-e * i) / value) ** power}
+                                    for i in range(3))
+
+
+def test_built_checks_decide_as_the_reference_checks():
+    # every candidate the rejection loop draws at seeds 1-3, indices 0-199,
+    # every reject case and, for q entries, the first ten samples with each
+    # monomial of each pole constraint moved onto a pole: the check built
+    # from the constraint strings decides as the check written out by hand
+    rejects = _CLASSICAL_REJECTS + _Q_REJECTS
+    for ident, reference in REFERENCE_CHECKS.items():
+        case = CATALOG[ident]
+        inputs = [p for i, good, key, bad in rejects if i == ident
+                  for p in (good, {**good, key: bad})]
+        for seed in (1, 2, 3):
+            for index in range(200):
+                rng = rng_for(seed, ident, index)
+                for _ in range(REJECTION_CAP):
+                    inputs.append(case.sampler(rng, index))
+                    if reference(inputs[-1]):
+                        break
+        if "q" in case.schema:
+            inputs += [m for index in range(10)
+                       for m in _pole_moves(case, sample_parameters(case, 1, index))]
+        assert [case.check(p) for p in inputs] == [reference(p) for p in inputs], ident
+        assert not all(map(case.check, inputs))
 
 
 def test_gauss_2f1_examples(ctx30):

@@ -401,7 +401,7 @@ def test_list_catalog(capsys):
     ids = [line for line in out.splitlines() if line and not line.startswith(" ")]
     assert len(ids) == 17
     assert "dougall-2h2" in ids
-    assert "Re(c+d-a-b)>1" in out
+    assert "    constraint: Re(c+d-a-b) in [15, 30]\n" in out
 
 
 def test_list_json(capsys):
@@ -410,7 +410,7 @@ def test_list_json(capsys):
     doc = json.loads(out)
     assert len(doc["identities"]) == 17
     entry = {e["id"]: e for e in doc["identities"]}["dougall-2h2"]
-    assert "Re(c+d-a-b)>1" in entry["constraints"]
+    assert "Re(c+d-a-b) in [15, 30]" in entry["constraints"]
 
 
 def test_digits_env_override(monkeypatch, capsys):

@@ -942,3 +942,32 @@ def test_levin_route_near_a_pole_of_the_gauss_sum(ctx30):
         err = abs(res.value - exact)
     assert err <= mpf(10) ** -30 * abs(exact)
     assert res.err_estimate >= err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: on large parameters the Levin route returns a value "
+                          "off by a factor 44 under a heuristic err_estimate of 4e-52")
+def test_levin_route_on_large_parameters_of_the_gauss_sum(ctx30):
+    # 2F1(-5.640625, -92.515625; -95.140625; 1) = -4.25582581219351283197e-11;
+    # the Levin route returns -9.66398076799913e-13 with err_estimate 3.98e-52
+    params = Fraction(-361, 64), Fraction(-5921, 64), Fraction(-6089, 64)
+    res = sum_unilateral(SeriesSpec(params[:2], params[2:], 1), ctx30)
+    with mp.workdps(80):
+        a, b, c = (mpf(x.numerator) / x.denominator for x in params)
+        exact = mpmath.gammaprod([c, c - a - b], [c - a, c - b])
+        err = abs(res.value - exact)
+    assert err <= mpf(10) ** -30 * abs(exact)
+    assert res.err_estimate >= err
+
+
+def test_levin_term_that_rounds_to_zero_hands_the_sum_to_the_factorial_tail(ctx30):
+    # 2F1(-156.65625, -131.90625; -283.125; 1) = -1.93836981447928065e-94: a
+    # Levin term rounds to 0 at the table's precision, the table raises
+    # AccelerationFailed, and direct+tail gives Gauss's closed form
+    params = Fraction(-5013, 32), Fraction(-4221, 32), Fraction(-2265, 8)
+    res = sum_unilateral(SeriesSpec(params[:2], params[2:], 1), ctx30)
+    assert res.method == "direct+tail"
+    with mp.workdps(80):
+        a, b, c = (mpf(x.numerator) / x.denominator for x in params)
+        exact = mpmath.gammaprod([c, c - a - b], [c - a, c - b])
+        assert abs(res.value - exact) <= mpf(10) ** -30 * abs(exact)
