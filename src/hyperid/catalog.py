@@ -6,20 +6,21 @@ evaluators returning SeriesResult. Left sides run through the series
 engines; right sides are gamma ratios, q-brackets, or independent series
 routes, so an indexing bug on either side breaks the comparison.
 
-Each entry's constraints, one tuple of strings, are its check: `IdentityCase`
-reads them once, when the table is built (`_checker`), and `hyperid list`
-prints them. A string is one predicate on comma-separated items:
+Each entry's schema and its tuple of constraint strings are its check:
+`IdentityCase` reads them once, when the table is built (`_checker`), and
+`hyperid list` prints them. The schema bounds each parameter (`int lo..hi`,
+`positive`, `in (lo,hi)`) before any constraint is read, so that every pole
+loop sees 0 < q < 1. A constraint is one predicate on comma-separated items:
     Re(F) > x   Re(F) >= x   |Re(F)| >= x   Re(F) in [x, y]
     F not integers (or an integer)   F not in {0, -1, ...}   F not in {0, ..., 1-n}
-    M in [x, y]   M off q-poles   M off q^2-poles
+    M in [x, y]   M off q-poles   M off q^2-poles   M off q-poles up to q^-n (or q^(1-n))
 F is a linear form in the parameters, such as c+d-a-b-1 or 1+a/2-b-c, M a
-monomial of a q entry, such as q a^2/(b c d e), x and y rationals, n the
-sample's int n; M is off q-poles when M != q^-i for every i >= 0. The
-schema's `int lo..hi` bounds an int parameter. A `sampler:` string notes a
-draw range of the sampler, which the check never reads. The check decides
+monomial of a q entry, such as q a^2/(b c d e) or q^(1+n) a, x and y
+rationals, n the sample's int n; M is off q-poles when M != q^-i for every
+i >= 0 (i <= n up to q^-n, i < n up to q^(1-n)). A `sampler:` string notes
+a draw range of the sampler, which the check never reads. The check decides
 on ints: classical parameters over one denominator (`exact.common`), q ones
-as int pairs (`exact.quot`). `jackson-8phi7`'s pole rule reads the
-parameters of its exact side at q^n, so it keeps `_jackson_check` and free text.
+as int pairs (`exact.quot`).
 
 `CATALOG` is one table of `IdentityCase` entries built from the module-level
 functions below. A side is written as a function of the sample's parameters
@@ -51,7 +52,7 @@ from mpmath.libmp import from_rational, round_nearest
 
 from . import exact
 from .errors import DomainError
-from .exact import jackson_parameters, quot
+from .exact import quot
 from .gammafn import gamma_ratio
 from .precision import PrecisionContext, pow10, to_mp
 from .qseries import QContext, principal_sqrt, q_bracket, sum_q_series
@@ -127,7 +128,8 @@ def _clear_of_q_poles(x, q, upto: Optional[int] = None) -> bool:
 
 _CONSTRAINT = re.compile(
     r"(?P<items>.+?) (?:(?P<op>>=?) (?P<x>\S+)|in \[(?P<lo>\S+), (?P<hi>\S+)\]|not (?P<set>"
-    r"integers|an integer|in \{0, -1, \.\.\.\}|in \{0, \.\.\., 1-n\})|off (?P<poles>q|q\^2)-poles)")
+    r"integers|an integer|in \{0, -1, \.\.\.\}|in \{0, \.\.\., 1-n\})|off (?P<poles>q|q\^2)-poles"
+    r"(?: up to q\^(?P<upto>-n|\(1-n\)))?)")
 _EXCLUDED = {  # whether the integer k is in the named set, for the sample p
     "integers": lambda k, p: True, "an integer": lambda k, p: True,
     "in {0, -1, ...}": lambda k, p: k <= 0, "in {0, ..., 1-n}": lambda k, p: -p["n"] < k <= 0}
@@ -150,10 +152,11 @@ def _linear(text, names, bar=""):
 
 
 def _monomial(text):
-    """The monomial `text`, such as q a^2/(b c d e), as (ups, downs), the
-    names of its factors above and below the line, each as often as its power."""
-    return [[name for name, k in re.findall(r"(\w)(?:\^(\d+))?", side) for _ in range(int(k or 1))]
-            for side in text.partition("/")[::2]]
+    """The monomial `text`, such as q a^2/(b c d e), as (ups, downs), the names
+    of its factors above and below the line, each as often as its power; q^n
+    is one name, q^(1+n) is q q^n."""
+    return [[f for f, k in re.findall(r"(q\^n|\w)(?:\^(\d+))?", side) for _ in range(int(k or 1))]
+            for side in text.replace("q^(1+n)", "q q^n").partition("/")[::2]]
 
 
 def _test(text, names, q):
@@ -172,9 +175,9 @@ def _test(text, names, q):
                  [re.fullmatch(r"(\|?)Re\((.+)\)\1", i).groups() for i in items])
         forms = [_linear(form, names, bar) for bar, form in parts]
         values = lambda s: (f(s) for f in forms)
-    if g["poles"]:
-        key = g["poles"]
-        holds = lambda x, v: _clear_of_q_poles(x, v[key])
+    if g["poles"]:  # up to q^-n: i < n + 1; up to q^(1-n): i < n
+        key, extra = g["poles"], {"-n": 1, "(1-n)": 0}.get(g["upto"])
+        holds = lambda x, v: _clear_of_q_poles(x, v[key], None if extra is None else v["n"] + extra)
     elif g["set"]:
         excluded = _EXCLUDED[g["set"]]
         holds = lambda x, s: x[1] or x[0] % x[2] or not excluded(x[0] // x[2], s[3])
@@ -188,20 +191,25 @@ def _test(text, names, q):
 
 
 def _checker(schema, constraints):
-    """The check of an entry: its schema's int ranges and its constraints
-    but the `sampler:` notes, on q parameters as int pairs, on others as the
+    """The check of an entry: its schema's bounds, then its constraints but the
+    `sampler:` notes, on q parameters as int pairs (and q^n), on others as the
     parts re and im (empty when all are 0) of their numerators over d."""
     ranges = [(k, *map(int, v[4:].split(".."))) for k, v in schema.items() if v[:4] == "int "]
+    bounds = [(k, *(((0, 1), (1, 0)) if v == "positive" else  # (1, 0) stands for +inf
+                    (Fraction(x).as_integer_ratio() for x in v[4:-1].split(","))))
+              for k, v in schema.items() if v != "complex" and v[:4] != "int "]
     names = [k for k, v in schema.items() if v[:4] != "int "]
-    q = "q" in schema
-    tests = [_test(c, names, q) for c in constraints if not c.startswith("sampler:")]
+    tests = [_test(c, names, "q" in schema) for c in constraints if not c.startswith("sampler:")]
 
     def check(p):
-        if not all(isinstance(p[k], int) and lo <= p[k] <= hi for k, lo, hi in ranges):
+        if not (all(isinstance(p[k], int) and lo <= p[k] <= hi for k, lo, hi in ranges)
+                and all(ln * d < v * ld and v * hd < hn * d for k, (ln, ld), (hn, hd) in bounds
+                        for v, d in [p[k].as_integer_ratio()])):
             return False
-        if q:
+        if "q" in schema:
             s = {k: p[k].as_integer_ratio() for k in names}
-            s["q^2"] = quot([s["q"], s["q"]])
+            s["n"] = n = p.get("n", 0)
+            s["q^2"], s["q^n"] = quot([s["q"]] * 2), quot([s["q"]] * n)
         else:
             nums, d = exact.common([p[k] for k in names])
             s = d, *(zip(*map(_parts, nums)) if Gauss in map(type, nums) else (nums, ())), p
@@ -554,21 +562,6 @@ def _jackson_sampler(rng, index):
     }
 
 
-def _jackson_check(p):
-    """The terminating 8phi7's pole rule, read on `exact.jackson_parameters`:
-    the parameters that its exact side sums, e = q^(1+n) a^2/(b c d) among them."""
-    n = p["n"]
-    if not (isinstance(n, int) and 0 <= n <= 15):
-        return False
-    ups, lows = jackson_parameters(*(p[k] for k in "abcdq"), n)
-    a, e, q = ups[0], ups[4], p["q"].as_integer_ratio()
-    return (
-        all(_clear_of_q_poles(x, q) for x in [a, *lows[:3]]) and _clear_of_q_poles(a, quot([q, q]))
-        and _clear_of_q_poles(e, q, upto=n + 1)
-        and all(_clear_of_q_poles(x, q, upto=n) for x in lows[3:])
-    )
-
-
 def _jackson_nt_sampler(rng, index):
     return {
         "a": _dyadic(rng, 1, 3), "b": _dyadic(rng, 1, 3),
@@ -698,7 +691,7 @@ def _split_rhs(a, c, d, e, f, q, ctx):
 
 _COMPLEX4 = dict.fromkeys("abcd", "complex")
 _RE4 = "Re(a), Re(b), Re(c), Re(d) > 0"
-_Q = "in (0.1,0.8)"
+_Q, _DRAWN_Q = "in (0,1)", "sampler: q in (1/10, 4/5)"
 _SPLIT_SCHEMA = {**dict.fromkeys("acdef", "positive"), "q": _Q}
 _SPLIT = (
     "q a^2/(c d e f) in [1/20, 4/5]",
@@ -706,7 +699,7 @@ _SPLIT = (
     "q a/(d e f), q^2 a/(c d e f), q^2 a^2/(c d e f^2), q^2 a^2/(c d e^2 f), q^2 a^2/(c d^2 e f), "
     "q^2 a^2/(c^2 d e f), q a/(c d), q a/(c e), q a/(c f), q a/(d e), q a/(d f), q a/(e f) "
     "off q-poles",
-    "q^2 a^3/(c^2 d^2 e^2 f^2) off q^2-poles",
+    "q^2 a^3/(c^2 d^2 e^2 f^2) off q^2-poles", _DRAWN_Q,
 )
 
 CATALOG = {c.id: c for c in (
@@ -784,7 +777,7 @@ CATALOG = {c.id: c for c in (
         {**dict.fromkeys("abcde", "positive"), "q": _Q},
         ("q a^2/(b c d e) in [1/20, 4/5]",
          "a, q a/b, q a/c, q a/d, q a/e, q a/(b c), q a/(b d), q a/(b e), q a/(c d), q a/(c e), "
-         "q a/(d e) off q-poles"),
+         "q a/(d e) off q-poles", _DRAWN_Q),
         _bailey_sampler, _mp(_bailey_lhs), _mp(_bailey_rhs),
     ),
     IdentityCase(
@@ -792,24 +785,25 @@ CATALOG = {c.id: c for c in (
         "very-well-poised 6phi5(a,...;qa/bcd) sum as an infinite q-bracket",
         {**dict.fromkeys("abcd", "positive"), "q": _Q},
         ("q a/(b c d) in [1/20, 4/5]",
-         "a, q a/b, q a/c, q a/d, q a/(b c), q a/(b d), q a/(c d) off q-poles"),
+         "a, q a/b, q a/c, q a/d, q a/(b c), q a/(b d), q a/(c d) off q-poles", _DRAWN_Q),
         _phi65_sampler, _mp(_phi65_lhs), _mp(_phi65_rhs),
     ),
     IdentityCase(
         "jackson-8phi7",
         "terminating very-well-poised 8phi7 sum as a finite q-bracket (exact rational)",
         {**dict.fromkeys("abcd", "positive"), "q": _Q, "n": "int 0..15"},
-        ("no lower parameter truncates before index n",),
-        _jackson_sampler, *_exact("jackson_8phi7"), _jackson_check,
+        ("a, q a/b, q a/c, q a/d off q-poles", "q^(1+n) a^2/(b c d) off q-poles up to q^-n",
+         "b c d/(a q^n), q^(1+n) a off q-poles up to q^(1-n)", _DRAWN_Q),
+        _jackson_sampler, *_exact("jackson_8phi7"),
     ),
     IdentityCase(
         "jackson-nt",
         "nonterminating very-well-poised 8phi7 with q a^2 = b c d e f, two-term evaluation",
-        {**dict.fromkeys("abcde", "positive"), "q": "in (0.1,0.7)"},
+        {**dict.fromkeys("abcde", "positive"), "q": _Q},
         ("q a^2/(b c d e) in [1/32, 32]",
          "a, b, c, d, e, q a^2/(b c d e), q a/b, q a/c, q a/d, q a/e, b c d e/a, b c/a, b d/a, "
          "b e/a, q a/(c d e), q b/a, q b/c, q b/d, q b/e, b^2 c d e/a^2, q b^2/a off q-poles",
-         "b^2/a off q^2-poles"),
+         "b^2/a off q^2-poles", "sampler: q in (1/10, 7/10)"),
         _jackson_nt_sampler, _mp(_jackson_nt_lhs), _mp(_jackson_nt_rhs),
     ),
     IdentityCase(

@@ -137,24 +137,15 @@ def phi_symmetric_terminating_sides(a, c, d, n: int):
     return lhs, _rising_bracket([e - c, e - d], [e - a - c, e - a - d], e, n)
 
 
-def jackson_parameters(a, b, c, d, q, n: int):
-    """The uppers a, b, c, d, q^(1+n) a^2/(b c d), q^-n and lowers q a/b, q a/c,
-    q a/d, b c d/(a q^n), q^(1+n) a of the terminating 8phi7 as reduced int pairs,
-    which `jackson_8phi7_sides` sums and the catalog's `_jackson_check` guards."""
-    a, q, *bcd = (x.as_integer_ratio() for x in (a, q, b, c, d))
-    qn = q[0] ** n, q[1] ** n
-    qa, low_c = _over(quot([q, a])), _over(quot([qn, q, a]))
-    ups = [a, *bcd, _over(quot([low_c, a]), bcd), _over((1, 1), [qn])]
-    return ups, [*(_over(qa, [x]) for x in bcd), _over(quot(bcd, [a, qn])), low_c]
-
-
 def jackson_8phi7_sides(a, b, c, d, q, n: int):
     """Both sides of the terminating very-well-poised 8phi7 summation, exactly.
 
     The +-sqrt(a) pairs are folded: uppers contribute (q^2 a; q^2)_k, lowers
     (a; q^2)_k, which telescope to the weight (1 - a q^2k)/(1 - a) of term k
-    without leaving the rationals. The other six uppers and five lowers give
-    the int term ratio: with 1 - x q^k = (xd qd^k - xn qn^k) / (xd qd^k) the
+    without leaving the rationals. The other six uppers, a, b, c, d,
+    q^(1+n) a^2/(b c d) and q^-n, and the five lowers, q a/b, q a/c, q a/d,
+    b c d/(a q^n) and q^(1+n) a, formed once as reduced int pairs, give the
+    int term ratio: with 1 - x q^k = (xd qd^k - xn qn^k) / (xd qd^k) the
     powers of qd cancel, and the terms absorb 1/qd^2k so that the weights
     are the ints ad qd^2k - an qn^2k, over ad - an once at the end. A weight
     that vanishes (a = q^-2k) stays a weight, never a ratio's denominator.
@@ -164,10 +155,14 @@ def jackson_8phi7_sides(a, b, c, d, q, n: int):
         raise DivisionByZero("exact 8phi7 needs nonzero a, b, c and d")
     if n and not q:
         raise DivisionByZero("exact 8phi7 needs q != 0 for n >= 1")
-    ups, lows = jackson_parameters(a, b, c, d, q, n)
-    (an, ad), (qn, qd) = ups[0], q.as_integer_ratio()
+    a, q, b, c, d = (x.as_integer_ratio() for x in (a, q, b, c, d))
+    (an, ad), (qn, qd) = a, q
     if an == ad and n:
         raise DivisionByZero("exact 8phi7 very-well-poised factor needs a != 1")
+    qa, qpow = _over((qn * an, qd * ad)), (qn**n, qd**n)
+    low_c = _over(quot([qpow, qa]))
+    ups = [a, b, c, d, _over(quot([low_c, a]), [b, c, d]), _over((1, 1), [qpow])]
+    lows = [*(_over(qa, [x]) for x in (b, c, d)), _over(quot([b, c, d], [a, qpow])), low_c]
     fn, fd = _over((qn * prod(y for _, y in lows), qd * qd * prod(y for _, y in ups)))
     ratios, weights = [], [ad - an]
     qnk, qdk = 1, 1  # qn^k, qd^k
@@ -184,6 +179,5 @@ def jackson_8phi7_sides(a, b, c, d, q, n: int):
         weights.append(ad * qdk * qdk - an * qnk * qnk)
     p, s = _horner(ratios, weights)
     lhs = (p, s * (ad - an)) if n else (1, 1)  # a = 1 is allowed at n = 0
-    qa, (b, c, d) = _over((qn * an, qd * ad)), ups[1:4]
     numers = [qa, _over(qa, [b, c]), _over(qa, [b, d]), _over(qa, [c, d])]
-    return lhs, _qbracket(numers, [*lows[:3], _over(qa, [b, c, d])], (qn, qd), n)
+    return lhs, _qbracket(numers, [*lows[:3], _over(qa, [b, c, d])], q, n)

@@ -57,8 +57,8 @@ from mpmath.libmp import from_man_exp, mpf_div, round_nearest, to_float
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError, LowerPoleError
 from .precision import INF, PrecisionContext, fixed_prec, to_mp
 from .series import (
-    Gauss, SeriesResult, SeriesSpec, _bits, _norm, _parts, _rdiv, _rshift, dyadic, fixed_terms,
-    join_halves, mp_parameters, reflected_factors, sum_direct, to_fixed,
+    Gauss, SeriesResult, SeriesSpec, _bits, _norm, _parts, _rdiv, _rshift, _term_budget_check,
+    dyadic, fixed_terms, join_halves, mp_parameters, reflected_factors, sum_direct, to_fixed,
 )
 
 
@@ -450,6 +450,7 @@ def sum_q_series(spec: SeriesSpec, qc: QContext) -> SeriesResult:
             m = _terminating_index(lows, q, ctx.eps())
             if m is not None and (n is None or m < n):
                 raise LowerPoleError(f"lower parameter q^-{m}: a pole reached before termination")
+            _term_budget_check(n, ctx)
             return sum_direct(partial(q_ratio_terms, extra=extra, max_k=n), (ups, lows, z, q),
                               lambda: (*mp_parameters(spec), to_mp(qc.q)), ctx, floor, tail)
         # psi

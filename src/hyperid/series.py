@@ -146,8 +146,9 @@ def classify(spec: SeriesSpec) -> ConvergenceClass:
     p = q + 1 for |z| < 1 (geometric, floor |z|). At |z| = 1 the decay
     exponent is Re(sum lowers + 1 - sum uppers) for balanced unilateral
     series and Re(sum lowers - sum uppers) for bilateral ones; exponents
-    <= 1 diverge. Runs at the ambient precision; the engines call it at
-    working precision, and raises DomainError on a non-finite parameter.
+    <= 1 diverge. Reads the parameters as mp numbers at the ambient
+    precision: the engines call it at working precision, on the values their
+    term streams step on. Raises DomainError on a non-finite parameter.
     """
     if spec.kind not in ("unilateral", "bilateral"):
         raise ValueError("classify expects a unilateral or bilateral spec")
@@ -156,7 +157,7 @@ def classify(spec: SeriesSpec) -> ConvergenceClass:
 
 def _classify(spec, ups, lows, z) -> ConvergenceClass:
     """`classify` of a spec whose `mp_parameters` are ups, lows and z."""
-    ns = [nonpositive_int(u) for u in spec.uppers]
+    ns = [nonpositive_int(u) for u in ups]
     term_n = min((n for n in ns if n is not None), default=None)
     az = abs(z)
     if spec.kind == "unilateral":
@@ -187,6 +188,14 @@ def mp_parameters(spec):
     if not all(map(mpmath.isfinite, (*ups, *lows, z))):
         raise DomainError("series parameters and argument must be finite")
     return ups, lows, z
+
+
+def _term_budget_check(n, ctx: PrecisionContext):
+    """Raise sum_direct's BudgetExceeded before the first term when a series
+    that ends at term n has too many terms: its n + 1 terms reach
+    ctx.max_terms from n = max_terms - 1 on, and the limit wins that tie."""
+    if n is not None and n >= ctx.max_terms - 1:
+        raise BudgetExceeded(f"direct summation needs more than {ctx.max_terms} terms")
 
 
 def _lower_pole_check(lowers, term_n):
@@ -704,6 +713,7 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
         if cls.tag == "divergent":
             raise DivergentError("series diverges at the given argument")
         _lower_pole_check(lows, cls.n)
+        _term_budget_check(cls.n, ctx)
         if cls.tag != "algebraic":  # terminating (n, no floor) or geometric
             return sum_direct(partial(ratio_terms, max_k=cls.n), params,
                               lambda: mp_parameters(spec), ctx, cls.ratio)

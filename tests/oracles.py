@@ -314,7 +314,7 @@ def clear_of_q_poles(x, q, upto=None):
 
 
 def jackson_check(p):
-    """`catalog._jackson_check` with its parameters formed in Fraction
+    """The `jackson-8phi7` check with its parameters formed in Fraction
     arithmetic and tested by `clear_of_q_poles`."""
     a, b, c, d, q, n = (p[k] for k in "abcdqn")
     if not (isinstance(n, int) and 0 <= n <= 15):
@@ -495,7 +495,8 @@ REFERENCE_CHECKS = {
     "dougall-2h2": dougall_check, "gauss-2f1": gauss_check, "dixon": dixon_check,
     "theorem-1": theorem1_check, "theorem-1-ca-db": ca_db_check,
     "theorem-1-b-neg-n": b_neg_n_check, "phi-as-3f2": phi_as_3f2_check, "h22-split": h22_check,
-    "bailey-6psi6": bailey_check, "phi65": phi65_check, "jackson-nt": jackson_nt_check,
+    "bailey-6psi6": bailey_check, "phi65": phi65_check, "jackson-8phi7": jackson_check,
+    "jackson-nt": jackson_nt_check,
     "omega": split_check, "theta": split_check, "bailey-split": split_check,
 }
 

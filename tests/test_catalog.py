@@ -1,7 +1,12 @@
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from hashlib import sha256
 from math import prod
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -408,7 +413,16 @@ _Q_REJECTS = [
         ((_F(1, 2), _F(5, 8), _F(9, 8), _F(1, 4), _F(9, 8), _F(5, 8)), "c", _F(100, 81)),
         ((_F(3, 4), _F(9, 4), _F(1, 4), _F(17, 8), _F(2), _F(5, 8)), "c", _F(225, 272)),
         ((_F(9, 8), _F(1, 4), _F(7, 4), _F(9, 4), _F(19, 8), _F(5, 8)), "d", _F(225, 152)))),
+    # q a/b = 1; q^(1+n) a^2/(b c d) = q^-1; b c d/(a q^n) = q^-1
+    *(("jackson-8phi7", {"a": _F(9, 4), "b": _F(3, 2), "c": _F(5, 4), "d": _F(7, 4), "q": _F(1, 2), "n": 3},
+       key, bad) for key, bad in (("b", _F(9, 8)), ("d", _F(27, 320)), ("d", _F(3, 10)))),
 ]
+# each bound of a q entry's schema broken on the entry's first sample, on its
+# edge: a parameter 0, q = 1
+_EDGES = {"positive": _F(0), "in (0,1)": _F(1)}
+_DOMAIN_REJECTS = [(case.id, sample_parameters(case, 1, 0), key, _EDGES[word])
+                   for case in CATALOG.values() for key, word in case.schema.items()
+                   if word != "complex" and not word.startswith("int ")]
 
 
 @pytest.mark.parametrize("ident, good, key, bad", _CLASSICAL_REJECTS)
@@ -418,41 +432,90 @@ def test_classical_checks_reject_what_no_sampler_draws(ident, good, key, bad):
     assert not CATALOG[ident].check({**good, key: bad})
 
 
-@pytest.mark.parametrize("ident, good, key, bad", _Q_REJECTS)
+@pytest.mark.parametrize("ident, good, key, bad", _Q_REJECTS + _DOMAIN_REJECTS)
 def test_q_checks_reject_what_no_sampler_draws(ident, good, key, bad):
     assert CATALOG[ident].check(good)
     assert not CATALOG[ident].check({**good, key: bad})
 
 
 def test_every_printed_constraint_is_enforced():
-    # for each constraint an entry prints, some reject case breaks it and no
-    # other; every check but jackson-8phi7's, whose string is free text, is
-    # built from its constraints
-    assert set(REFERENCE_CHECKS) == set(CATALOG) - {"jackson-8phi7"}
-    with pytest.raises(ValueError, match="^constraint outside the grammar: 'no lower"):
-        catalog._checker(CATALOG["jackson-8phi7"].schema, CATALOG["jackson-8phi7"].constraints)
-    rejects = _CLASSICAL_REJECTS + _Q_REJECTS
-    for case in map(CATALOG.get, REFERENCE_CHECKS):
-        single = {c: catalog._checker(case.schema, (c,))
+    # for each schema bound and constraint an entry prints, some reject case
+    # breaks it and no other; every check is built from its schema and
+    # constraints, and reads a constraint only inside the bounds, where its
+    # pole loops end
+    assert set(REFERENCE_CHECKS) == set(CATALOG)
+    rejects = _CLASSICAL_REJECTS + _Q_REJECTS + _DOMAIN_REJECTS
+    for case in CATALOG.values():
+        bounds = {f"{k}: {v}": catalog._checker({k: v}, ()) for k, v in case.schema.items()
+                  if v != "complex" and not v.startswith("int ")}
+        plain = {k: v if v.startswith("int ") else "complex" for k, v in case.schema.items()}
+        single = {c: catalog._checker(plain, (c,))
                   for c in case.constraints if not c.startswith("sampler:")}
         alone = set()
         for ident, good, key, bad in rejects:
             if ident == case.id:
-                broken = [c for c, check in single.items() if not check({**good, key: bad})]
+                p = {**good, key: bad}
+                broken = ([b for b, check in bounds.items() if not check(p)]
+                          or [c for c, check in single.items() if not check(p)])
                 alone.update(broken if len(broken) == 1 else ())
-        assert alone == set(single), case.id
+        assert alone == {*bounds, *single}, case.id
+
+
+_OUT_OF_BOUNDS = """
+from fractions import Fraction
+from hyperid.catalog import CATALOG
+from hyperid.harness import sample_parameters
+for case in CATALOG.values():
+    if "q" in case.schema:
+        p = sample_parameters(case, 1, 0)
+        bad = [{**p, "q": Fraction(q)} for q in ("1", "3/2", "0", "-1/2")]
+        bad += [{**p, k: Fraction(v)} for k, word in case.schema.items() if word == "positive"
+                for v in ("0", "-1/2")]
+        assert not any(map(case.check, bad)), case.id
+"""
+
+
+def test_q_checks_end_outside_their_bounds():
+    # q in {1, 3/2, 0, -1/2} or a parameter <= 0 fails a schema bound before
+    # any pole loop, which need not end for q >= 1 or a parameter 0; in a
+    # child process, so that a loop that does not end fails by the timeout
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _OUT_OF_BOUNDS], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+_NOTE = re.compile(r"sampler: (?:Re\((.+)\)|(q)) in \((\S+), (\S+)\)")
+
+
+def test_sampler_notes_hold_on_every_sample():
+    # each `sampler:` note, a draw range that no check reads, holds on the
+    # samples at seeds 1-3, indices 0-199
+    notes = [(case, *_NOTE.fullmatch(c).groups()) for case in CATALOG.values()
+             for c in case.constraints if c.startswith("sampler:")]
+    assert len(notes) == 9
+    for case, form, q, lo, hi in notes:
+        terms = re.findall(r"([+-]?)(\w)", form or q)
+        for seed in (1, 2, 3):
+            for index in range(200):
+                p = sample_parameters(case, seed, index)
+                value = sum(Fraction(p[k].real) * (-1 if sign == "-" else 1) for sign, k in terms)
+                assert Fraction(lo) < value < Fraction(hi), (case.id, seed, index)
 
 
 def _pole_moves(case, p):
     """p with one parameter of power +-1 in one monomial of a pole constraint
     moved so that the monomial is q^-i (q^-2i for q^2-poles), i = 0, 1, 2."""
+    factors = {**p, "q^n": p["q"] ** p.get("n", 0)}
     for text in case.constraints:
-        if text.endswith("-poles"):
-            e = 2 if text.endswith("q^2-poles") else 1
-            for item in catalog._CONSTRAINT.fullmatch(text)["items"].split(", "):
+        g = catalog._CONSTRAINT.fullmatch(text)
+        if g and g["poles"]:
+            e = 2 if g["poles"] == "q^2" else 1
+            for item in g["items"].split(", "):
                 ups, downs = catalog._monomial(item)
-                value = prod(map(p.get, ups)) / prod(map(p.get, downs))
-                for x in {*ups, *downs} - {"q"}:
+                value = prod(map(factors.get, ups)) / prod(map(factors.get, downs))
+                for x in {*ups, *downs} - {"q", "q^n"}:
                     power = ups.count(x) - downs.count(x)
                     if abs(power) == 1:
                         yield from ({**p, x: p[x] * (p["q"] ** (-e * i) / value) ** power}

@@ -520,6 +520,17 @@ def test_sum_phi_domain_error(qc_half):
         sum_q_series(QSeriesSpec((mpf("0.5"), mpf("0.25")), (mpf("0.75"),), mpf("1.5"), "phi"), qc_half)
 
 
+def test_a_terminating_phi_index_past_the_budget_fails_before_the_first_term(monkeypatch):
+    # the upper 2^n = q^-n ends the sum at term n: n = 998 sums in 999 terms
+    # under a budget of 1000, n = 999 and past fail before a term stream is built
+    qc = QContext(Fraction(1, 2), PrecisionContext(max_terms=1000))
+    assert sum_q_series(QSeriesSpec((2**998,), (), 1, "phi"), qc).terms_used == 999
+    monkeypatch.setattr(qseries, "q_ratio_terms", lambda *a, **k: pytest.fail("a stream was built"))
+    for n in (999, 4000):
+        with pytest.raises(BudgetExceeded, match="^direct summation needs more than 1000 terms$"):
+            sum_q_series(QSeriesSpec((2**n,), (), 1, "phi"), qc)
+
+
 def test_sum_phi_budget_exceeded():
     # at q = 0.999 the head alone is K = 2771 terms (0.999^K 0.999 <= 1/16),
     # past a budget of 1000, and its first 1000 terms do not settle

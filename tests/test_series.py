@@ -204,6 +204,32 @@ def test_budget_exceeded():
         sum_unilateral(SeriesSpec((1,), (), mpf("0.999")), ctx)
 
 
+def test_a_terminating_index_past_the_budget_fails_before_the_first_term(monkeypatch):
+    # n + 1 terms tie a budget of max_terms at n = max_terms - 1, and the limit
+    # wins the tie: n = 998 sums in 999 terms, n = 999 and past fail before a
+    # term stream is built, after a lower pole reached first
+    ctx = PrecisionContext(max_terms=1000)
+    assert sum_unilateral(SeriesSpec((-998, 1), (), 1), ctx).terms_used == 999
+    monkeypatch.setattr(series, "ratio_terms", lambda *a, **k: pytest.fail("a stream was built"))
+    for n in (999, 2 * 10**33):
+        with pytest.raises(BudgetExceeded, match="^direct summation needs more than 1000 terms$"):
+            sum_unilateral(SeriesSpec((-n, 1), (), 1), ctx)
+    with pytest.raises(LowerPoleError):
+        sum_unilateral(SeriesSpec((-(10**40), 1), (-2,), 1), ctx)
+
+
+def test_str_parameters_terminate_as_their_ints(ctx30):
+    # termination is read off the working-precision values that the lower
+    # pole check and the term streams read: "-3" ends a sum as -3 does,
+    # before the lower "-5" is reached, and cuts a bilateral sum's tail
+    for ups, lows, z in (("-3",), ("-5",), 0.5), (("-2", "1"), ("3", "-4"), 1):
+        res = sum_unilateral(SeriesSpec(ups, lows, z), ctx30)
+        assert res == sum_unilateral(SeriesSpec(tuple(map(int, ups)), tuple(map(int, lows)), z), ctx30)
+        assert res.method == "terminating"
+    cls = classify(SeriesSpec(("-3", "0.5"), ("2.5", "4"), "0.5", "bilateral"))
+    assert cls.tag == "terminating" and cls.n == 3
+
+
 def test_partial_sum_contract(ctx30):
     def raw(*values):
         return iter([to_fixed(v, fixed_prec()) for v in values])
