@@ -26,7 +26,7 @@ class DivergentError(HyperidError):
 
 
 class NotConvergent(DivergentError):
-    """Bilateral series outside its convergence condition."""
+    """A series at |z| = 1 whose decay exponent is not above 1."""
 
 
 class BudgetExceeded(HyperidError):

@@ -10,7 +10,8 @@ negative tail is re-expressed through
 (x;q)_{-m} = (-1/x)^m q^(m(m+1)/2) / (q/x;q)_m,
 whose sign and q-binomial factors cancel identically against the series'
 own, leaving a plain geometric-type sum in w = prod(lowers)/(prod(uppers) z).
-Both tails must converge: |z| < 1 and |w| < 1, or the tail terminates.
+Both tails must converge: |z| < 1 and |w| < 1, or the tail terminates. Each
+half's own phi rule decides that; the psi branch makes no test of its own.
 A series is the one record `series.SeriesSpec` (or QSeriesSpec), kind phi or psi.
 
 Terms come from the running term ratio (`q_ratio_terms`), on the classical
@@ -424,46 +425,37 @@ def _terminating_index(uppers, q, eps) -> Optional[int]:
 
 
 def sum_q_series(spec: SeriesSpec, qc: QContext) -> SeriesResult:
-    """Sum a phi- or psi-type basic hypergeometric series."""
+    """Sum a phi- or psi-type basic hypergeometric series; a psi series
+    converges exactly where both halves of `split_psi` converge or terminate
+    (Gasper-Rahman, 5.1), so each half's own rule decides, k >= 0 first."""
     if spec.kind not in ("phi", "psi"):
         raise ValueError("sum_q_series expects a phi or psi spec")
     ctx = qc.ctx
     with ctx.working():
+        if spec.kind == "psi":
+            plus, pref, minus = split_psi(spec, qc)
+            return join_halves(sum_q_series(plus, qc), pref, minus and sum_q_series(minus, qc))
         q = to_mp(qc.q)
-        if spec.kind == "phi":
-            ups, lows, z = mp_parameters(spec)
-            extra = len(lows) - (len(ups) - 1)
-            n = _terminating_index(ups, q, ctx.eps())
-            floor = tail = None  # a finite stream has no tail
-            if n is None:
-                if extra < 0:
-                    raise DomainError(
-                        "phi series with more uppers than lowers diverges unless terminating"
-                    )
-                if extra == 0 and not abs(z) < 1:
-                    raise DomainError("phi series requires |z| < 1 or termination")
-                # a balanced series' term ratio tends to z, any other's to 0
-                floor = abs(z) if extra == 0 else mpf(0)
-                if extra == 0:
-                    k = _head_length(ups, lows, q)
-                    tail = k, _tail_ratio_terms
-            m = _terminating_index(lows, q, ctx.eps())
-            if m is not None and (n is None or m < n):
-                raise LowerPoleError(f"lower parameter q^-{m}: a pole reached before termination")
-            _term_budget_check(n, ctx)
-            return sum_direct(partial(q_ratio_terms, extra=extra, max_k=n), (ups, lows, z, q),
-                              lambda: (*mp_parameters(spec), to_mp(qc.q)), ctx, floor, tail)
-        # psi
-        z = to_mp(spec.argument)
-        plus, pref, minus = split_psi(spec, qc)
-        w = to_mp(minus.argument) if minus is not None else None
-        if not abs(z) < 1 and _terminating_index(plus.uppers, q, ctx.eps()) is None:
-            raise DomainError("psi series requires |z| < 1 (or a terminating upper)")
-        if (minus is not None and not abs(w) < 1
-                and _terminating_index(minus.uppers, q, ctx.eps()) is None):
-            raise DomainError(
-                "psi series outside its convergence annulus: |prod(b)/(prod(a) z)| >= 1"
-            )
-        res_plus = sum_q_series(plus, qc)
-        res_minus = sum_q_series(minus, qc) if minus is not None else None
-        return join_halves(res_plus, pref, res_minus)
+        ups, lows, z = mp_parameters(spec)
+        extra = len(lows) - (len(ups) - 1)
+        n = _terminating_index(ups, q, ctx.eps())
+        floor = tail = None  # a finite stream has no tail
+        if n is None:
+            if extra < 0:
+                raise DomainError(
+                    "phi series with more uppers than lowers diverges unless terminating"
+                )
+            if extra == 0 and not abs(z) < 1:
+                raise DomainError("phi series requires |z| < 1 or termination, not "
+                                  f"|z| = {mpmath.nstr(abs(z), 5)}")
+            # a balanced series' term ratio tends to z, any other's to 0
+            floor = abs(z) if extra == 0 else mpf(0)
+            if extra == 0:
+                k = _head_length(ups, lows, q)
+                tail = k, _tail_ratio_terms
+        m = _terminating_index(lows, q, ctx.eps())
+        if m is not None and (n is None or m < n):
+            raise LowerPoleError(f"lower parameter q^-{m}: a pole reached before termination")
+        _term_budget_check(n, ctx)
+        return sum_direct(partial(q_ratio_terms, extra=extra, max_k=n), (ups, lows, z, q),
+                          lambda: (*mp_parameters(spec), to_mp(qc.q)), ctx, floor, tail)

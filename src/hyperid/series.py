@@ -22,7 +22,8 @@ Routes, chosen by convergence class:
                K = max(48, dps + 20) where the transform fails, as it
                does when one of its terms rounds to 0
 Bilateral sums are split at k = 0; the negative tail becomes a unilateral
-series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k. Both
+series with reflected parameters via (x)_{-k} = (-1)^k / (1-x)_k, and the
+series converges where both halves do, so each half's class decides. Both
 engines' direct+tail sums run in `sum_direct`, with the geometric route's
 passes: here the factorial tail after the probe's terms, in `qseries` a
 nonterminating balanced phi series' tail ratio, a power series in q^K.
@@ -78,7 +79,7 @@ from .errors import (
     NotConvergent,
     PoleError,
 )
-from .precision import PrecisionContext, exact_int, fixed_prec, nonpositive_int, pow10, to_mp
+from .precision import PrecisionContext, fixed_prec, nonpositive_int, pow10, to_mp
 
 
 @dataclass(frozen=True)
@@ -126,56 +127,47 @@ _DIRECT_CAP = 20_000
 _CANCELLATION_CEILING = 10  # no direct pass runs above this many times the working precision
 
 
-def _unit_argument(uppers, lowers, offset) -> ConvergenceClass:
+def _unit_argument(uppers, lowers) -> ConvergenceClass:
     """The class at |z| = 1, carrying the decay exponent
-    s = Re(sum lowers + offset - sum uppers): algebraic when s > 1, else
+    s = Re(sum lowers + 1 - sum uppers): algebraic when s > 1, else
     divergent."""
-    s = (sum(lowers) + offset - sum(uppers)).real
+    s = (sum(lowers) + 1 - sum(uppers)).real
     return ConvergenceClass("algebraic" if s > 1 else "divergent", exponent=s)
 
 
 def classify(spec: SeriesSpec) -> ConvergenceClass:
-    """Convergence class of a classical (unilateral or bilateral) series
-    spec; ValueError for a phi or psi spec, before any parameter is read.
+    """Convergence class of a unilateral series spec; ValueError for any
+    other kind, before any parameter is read. A bilateral series has no one
+    class (one half may be geometric while the other terminates): it
+    converges where both halves of `split_bilateral` do.
 
-    Terminating when an upper parameter is a nonpositive integer (bilateral
-    series additionally need a positive-integer lower parameter to cut the
-    negative tail). A unilateral series with p uppers and q lowers is
-    otherwise balanced by its parameter counts: p <= q converges for every
-    z (geometric, tail-ratio floor 0), p > q + 1 only at z = 0, and
-    p = q + 1 for |z| < 1 (geometric, floor |z|). At |z| = 1 the decay
-    exponent is Re(sum lowers + 1 - sum uppers) for balanced unilateral
-    series and Re(sum lowers - sum uppers) for bilateral ones; exponents
-    <= 1 diverge. Reads the parameters as mp numbers at the ambient
-    precision: the engines call it at working precision, on the values their
-    term streams step on. Raises DomainError on a non-finite parameter.
+    Terminating when an upper parameter is a nonpositive integer. Otherwise
+    a series with p uppers and q lowers is balanced by its parameter counts:
+    p <= q converges for every z (geometric, tail-ratio floor 0), p > q + 1
+    only at z = 0, and p = q + 1 for |z| < 1 (geometric, floor |z|). At
+    |z| = 1 the decay exponent is Re(sum lowers + 1 - sum uppers);
+    exponents <= 1 diverge. Reads the parameters as mp numbers at the
+    ambient precision: the engines call it at working precision, on the
+    values their term streams step on. Raises DomainError on a non-finite
+    parameter.
     """
-    if spec.kind not in ("unilateral", "bilateral"):
-        raise ValueError("classify expects a unilateral or bilateral spec")
-    return _classify(spec, *mp_parameters(spec))
+    if spec.kind != "unilateral":
+        raise ValueError("classify expects a unilateral spec")
+    return _classify(*mp_parameters(spec))
 
 
-def _classify(spec, ups, lows, z) -> ConvergenceClass:
-    """`classify` of a spec whose `mp_parameters` are ups, lows and z."""
-    ns = [nonpositive_int(u) for u in ups]
-    term_n = min((n for n in ns if n is not None), default=None)
-    az = abs(z)
-    if spec.kind == "unilateral":
-        if term_n is not None:
-            return ConvergenceClass("terminating", n=term_n)
-        excess = len(spec.uppers) - len(spec.lowers) - 1
-        if excess < 0 or az == 0:
-            return ConvergenceClass("geometric", ratio=mpf(0))
-        if excess == 0 and az < 1:
-            return ConvergenceClass("geometric", ratio=az)
-        if excess == 0 and az == 1:
-            return _unit_argument(ups, lows, 1)
-        return ConvergenceClass("divergent")
-    # bilateral: a positive-integer lower cuts the negative tail
-    if term_n is not None and any((exact_int(b) or 0) > 0 for b in lows):
+def _classify(ups, lows, z) -> ConvergenceClass:
+    """`classify` of a unilateral spec whose `mp_parameters` are ups, lows and z."""
+    term_n = min((n for n in map(nonpositive_int, ups) if n is not None), default=None)
+    if term_n is not None:
         return ConvergenceClass("terminating", n=term_n)
-    if az == 1:
-        return _unit_argument(ups, lows, 0)
+    excess, az = len(ups) - len(lows) - 1, abs(z)
+    if excess < 0 or az == 0:
+        return ConvergenceClass("geometric", ratio=mpf(0))
+    if excess == 0 and az < 1:
+        return ConvergenceClass("geometric", ratio=az)
+    if excess == 0 and az == 1:
+        return _unit_argument(ups, lows)
     return ConvergenceClass("divergent")
 
 
@@ -709,8 +701,10 @@ def sum_unilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
         raise ValueError("sum_unilateral expects a unilateral spec")
     with ctx.working():
         _, lows, _ = params = mp_parameters(spec)
-        cls = _classify(spec, *params)
+        cls = _classify(*params)
         if cls.tag == "divergent":
+            if cls.exponent is not None:
+                raise NotConvergent(f"decay exponent Re = {cls.exponent} is not > 1")
             raise DivergentError("series diverges at the given argument")
         _lower_pole_check(lows, cls.n)
         _term_budget_check(cls.n, ctx)
@@ -753,41 +747,32 @@ def split_bilateral(spec: SeriesSpec, ctx: PrecisionContext):
     if spec.kind != "bilateral":
         raise ValueError("split_bilateral expects a bilateral spec")
     with ctx.working():
-        return _split(*mp_parameters(spec))
-
-
-def _split(ups, lows, z):
-    """`split_bilateral` of a spec whose `mp_parameters` are ups, lows and z,
-    at working precision."""
-    if z == 0:
-        raise DivergentError("bilateral series undefined at z = 0")
-    plus = SeriesSpec((mpf(1), *ups), tuple(lows), z, "unilateral")
-    reflected = reflected_factors(ups, lows, lambda x: 1 - x, "1")
-    if reflected is None:
-        return plus, mpf(0), None
-    pnum, pden = reflected
-    pref = pnum / pden / z
-    minus = SeriesSpec(
-        (mpf(1), *(2 - b for b in lows)),
-        tuple(2 - a for a in ups),
-        1 / z,
-        "unilateral",
-    )
-    return plus, pref, minus
+        ups, lows, z = mp_parameters(spec)
+        if z == 0:
+            raise DivergentError("bilateral series undefined at z = 0")
+        plus = SeriesSpec((mpf(1), *ups), tuple(lows), z, "unilateral")
+        reflected = reflected_factors(ups, lows, lambda x: 1 - x, "1")
+        if reflected is None:
+            return plus, mpf(0), None
+        pnum, pden = reflected
+        pref = pnum / pden / z
+        minus = SeriesSpec(
+            (mpf(1), *(2 - b for b in lows)),
+            tuple(2 - a for a in ups),
+            1 / z,
+            "unilateral",
+        )
+        return plus, pref, minus
 
 
 def sum_bilateral(spec: SeriesSpec, ctx: PrecisionContext) -> SeriesResult:
-    """Sum a bilateral series by splitting at k = 0."""
+    """Sum a bilateral series by splitting at k = 0. It converges exactly
+    where both halves converge or terminate (Slater, 6.1), so each half's own
+    class decides: `sum_unilateral` raises for a half that diverges, the
+    positive half first, with NotConvergent naming the decay exponent
+    s = Re(sum lowers - sum uppers) that both halves share at |z| = 1."""
     if spec.kind != "bilateral":
         raise ValueError("sum_bilateral expects a bilateral spec")
     with ctx.working():
-        params = mp_parameters(spec)
-        cls = _classify(spec, *params)
-        if cls.tag == "divergent":
-            if cls.exponent is not None:
-                raise NotConvergent(f"bilateral decay exponent Re = {cls.exponent} is not > 1")
-            raise DivergentError("bilateral series diverges at the given argument")
-        plus, pref, minus = _split(*params)
-        res_plus = sum_unilateral(plus, ctx)
-        res_minus = sum_unilateral(minus, ctx) if minus is not None else None
-        return join_halves(res_plus, pref, res_minus)
+        plus, pref, minus = split_bilateral(spec, ctx)
+        return join_halves(sum_unilateral(plus, ctx), pref, minus and sum_unilateral(minus, ctx))

@@ -172,10 +172,25 @@ def test_eval_hseries(capsys):
 
 
 def test_eval_hseries_off_the_unit_circle(capsys):
-    code, out, err = run_cli(capsys, "eval", "hseries", "--upper", "0.5,0.5",
-                             "--lower", "1.5,1.5", "--z", "0.5")
-    assert code == 1 and out == ""
-    assert err.startswith("DivergentError: ") and "Traceback" not in err
+    # a two-sided series converges where both halves do: here one half ends
+    # or vanishes and the other converges, at 30 digits
+    for upper, lower, z, value in (
+        ("0.5,0.25", "1,1.5", "0.5", "1.05260350991335252922692523787"),  # 2F1(1/2, 1/4; 3/2; 1/2)
+        ("0.5,0.25", "3,1.5", "0.5", "4.31704696612160174996068948582"),
+        ("-3,0.25", "0.7,1.5", "2", "0.425735840796179428449058371283"),
+    ):
+        code, out, _ = run_cli(capsys, "eval", "hseries", "--upper", upper, "--lower", lower, "--z", z)
+        assert code == 0 and out.startswith(f"value: {value}\n"), (upper, lower, z)
+    # where a half diverges or hits a pole: exit code 1 and a typed error
+    for upper, lower, z, error in (
+        ("0.5,0.5", "1.5,1.5", "0.5", "DivergentError: series diverges at the given argument"),
+        ("-3,0.25", "0.7,1.5", "0.5", "DivergentError: series diverges at the given argument"),
+        ("0.5,0.5", "0.75,1.25", "1", "NotConvergent: decay exponent Re = 1.0 is not > 1"),
+        ("2,0.25", "3,1.5", "0.5", "LowerPoleError: "),
+    ):
+        code, out, err = run_cli(capsys, "eval", "hseries", "--upper", upper, "--lower", lower, "--z", z)
+        assert code == 1 and out == "", (upper, lower, z)
+        assert err.startswith(error) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

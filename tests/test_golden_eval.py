@@ -5,7 +5,8 @@ raw mpmath tuples of value and err_estimate, with terms_used and method, of
 `sum_unilateral`, `sum_bilateral` and `sum_q_series` on routes the reports
 do not reach or do not show in full: geometric sums with real and complex
 arguments, a sum that needs a raised pass, terminating sums, direct+tail
-sums at z = 1, -1 and i and one with raised passes, a bilateral sum, phi
+sums at z = 1, -1 and i and one with raised passes, two bilateral sums
+(both halves at z = 1, and one at z = 1/2 whose negative half ends), phi
 sums with an extra lower, terminating and balanced, and a psi sum, each at
 30 and 60 digits. Inputs are parsed as `hyperid eval` parses them, at the
 working precision.
@@ -41,6 +42,7 @@ INPUTS = (
     ("pfq", "0.5,0.25", "20.75", "1i", None),  # direct+tail at z = i
     ("pfq", "-60.5,60.25", "45.5", "1", None),  # direct+tail whose terms cancel: raised passes
     ("hseries", "0.5,0.25", "20.5,21.25", "1", None),  # bilateral, both halves at z = 1
+    ("hseries", "0.5,0.25", "3,1.5", "0.5", None),  # bilateral, the k < 0 half ends at k = -2
     ("phi", "0.5", "0.25,0.75", "0.9", "0.5"),  # an extra lower: geometric
     ("phi", "8,0.3", "0.6", "3", "0.5"),  # terminating: 8 = q^-3
     ("phi", "0.3,0.7,0.45", "0.6,0.35", "0.5", "0.3"),  # balanced: direct+tail

@@ -713,13 +713,19 @@ def test_split_psi_reflected_prefactor(qc_half):
 
 
 def test_sum_psi_domain_errors(qc_half, ctx30):
-    # |z| >= 1 rejected when no upper is a power q^-n (3 is none at q = 1/2)
-    with pytest.raises(DomainError):
+    # each half's own rule decides, the k >= 0 half first: |z| >= 1 rejected
+    # when no upper is a power q^-n (3 is none at q = 1/2)
+    with pytest.raises(DomainError, match=r"^phi series requires \|z\| < 1 or termination, not \|z\| = 1\.5$"):
         sum_q_series(
             QSeriesSpec((mpf(3), mpf(3)), (mpf("0.5"), mpf("0.5")), mpf("1.5"), "psi"), qc_half
         )
-    # annulus violation: |prod(lowers)/(prod(uppers) z)| >= 1
-    with pytest.raises(DomainError):
+    # annulus violation: |w| = |prod(lowers)/(prod(uppers) z)| = 9 / 0.18 = 50 >= 1
+    with pytest.raises(DomainError, match=r", not \|z\| = 50\.0$"):
+        sum_q_series(
+            QSeriesSpec((mpf("0.6"), mpf("0.6")), (mpf(3), mpf(3)), mpf("0.5"), "psi"), qc_half
+        )
+    # lowers 2 = q^-1 are a pole of the k >= 0 half, which comes first
+    with pytest.raises(LowerPoleError, match=r"^lower parameter q\^-1: a pole reached before termination"):
         sum_q_series(
             QSeriesSpec((mpf("0.6"), mpf("0.6")), (mpf(2), mpf(2)), mpf("0.5"), "psi"), qc_half
         )

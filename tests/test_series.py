@@ -2,7 +2,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import floor
+from math import floor, prod
 
 import mpmath
 import pytest
@@ -15,6 +15,7 @@ from hyperid.errors import (
     BudgetExceeded,
     CancellationError,
     DivergentError,
+    HyperidError,
     IndeterminateError,
     LowerPoleError,
     NotConvergent,
@@ -53,12 +54,23 @@ def test_classify_terminating():
     # minimal index wins
     cls = classify(SeriesSpec((-7, -2), (mpf("3.5"),), 1))
     assert cls.n == 2
-    # a bilateral series needs a positive-integer lower as well, to cut its
-    # negative tail; a zero or a complex lower does not
-    cls = classify(SeriesSpec((-3, mpf("0.5")), (mpf("2.5"), 4), mpf("0.5"), "bilateral"))
-    assert cls.tag == "terminating" and cls.n == 3
-    cls = classify(SeriesSpec((-3, mpf("0.5")), (mpc(4, 1), 0), mpf("0.5"), "bilateral"))
-    assert cls.tag == "divergent"
+
+
+def test_classify_takes_the_halves_of_a_bilateral_spec(ctx30):
+    # a bilateral series has no one class: each half of split_bilateral has
+    # its own. An upper -3 ends the k >= 0 half at k = 3; a positive-integer
+    # lower 4 ends the k < 0 half (uppers 1, 2 - 4 = -2, ...) at k = -3, and a
+    # zero or a complex lower does not, so that half at 1/z = 2 diverges
+    spec = SeriesSpec((-3, mpf("0.5")), (mpf("2.5"), 4), mpf("0.5"), "bilateral")
+    with pytest.raises(ValueError, match="^classify expects a unilateral spec$"):
+        classify(spec)
+    plus, _, minus = split_bilateral(spec, ctx30)
+    assert (classify(plus).tag, classify(plus).n) == ("terminating", 3)
+    assert (classify(minus).tag, classify(minus).n) == ("terminating", 2)
+    plus, _, minus = split_bilateral(
+        SeriesSpec((-3, mpf("0.5")), (mpc(4, 1), 0), mpf("0.5"), "bilateral"), ctx30)
+    assert (classify(plus).tag, classify(plus).n) == ("terminating", 3)
+    assert classify(minus).tag == "divergent"
 
 
 def test_classify_algebraic():
@@ -67,16 +79,15 @@ def test_classify_algebraic():
     assert abs(cls.exponent - 2) < 1e-12
 
 
-def test_classify_bilateral_exponent():
-    # 2H2 at z=1 decays like k^-(c+d-a-b); condition Re(c+d-a-b) > 1
+def test_classify_bilateral_exponent(ctx30):
+    # 2H2 at z=1 decays like k^-(c+d-a-b) both ways: both halves carry the
+    # exponent c+d-a-b, and converge when it is above 1
     a, b = mpf("0.5"), mpf("0.25")
-    c, d = a + 12, b + 8
-    cls = classify(SeriesSpec((a, b), (c, d), 1, "bilateral"))
-    assert cls.tag == "algebraic"
-    assert abs(cls.exponent - 20) < 1e-12
-    # below the threshold: divergent
-    cls2 = classify(SeriesSpec((a, b), (a + mpf("0.5"), b + mpf("0.25")), 1, "bilateral"))
-    assert cls2.tag == "divergent"
+    for (c, d), tag, s in (((a + 12, b + 8), "algebraic", 20),
+                           ((a + mpf("0.75"), b + mpf("0.25")), "divergent", 1)):
+        for half in split_bilateral(SeriesSpec((a, b), (c, d), 1, "bilateral"), ctx30)[::2]:
+            cls = classify(half)
+            assert cls.tag == tag and abs(cls.exponent - s) < 1e-12
 
 
 def test_classify_geometric_and_divergent():
@@ -183,8 +194,8 @@ def test_each_engine_takes_only_its_own_kinds(ctx30):
             sum_bilateral(spec, ctx30)
         with pytest.raises(ValueError, match="^split_bilateral expects a bilateral spec$"):
             split_bilateral(spec, ctx30)
-        # nor is a phi or psi spec a classical series to classify
-        with pytest.raises(ValueError, match="^classify expects a unilateral or bilateral spec$"):
+        # nor is a phi or psi spec a unilateral series to classify
+        with pytest.raises(ValueError, match="^classify expects a unilateral spec$"):
             classify(spec)
 
 
@@ -221,13 +232,16 @@ def test_a_terminating_index_past_the_budget_fails_before_the_first_term(monkeyp
 def test_str_parameters_terminate_as_their_ints(ctx30):
     # termination is read off the working-precision values that the lower
     # pole check and the term streams read: "-3" ends a sum as -3 does,
-    # before the lower "-5" is reached, and cuts a bilateral sum's tail
+    # before the lower "-5" is reached, and "-3" and "4" end both halves of a
+    # bilateral sum
     for ups, lows, z in (("-3",), ("-5",), 0.5), (("-2", "1"), ("3", "-4"), 1):
         res = sum_unilateral(SeriesSpec(ups, lows, z), ctx30)
         assert res == sum_unilateral(SeriesSpec(tuple(map(int, ups)), tuple(map(int, lows)), z), ctx30)
         assert res.method == "terminating"
-    cls = classify(SeriesSpec(("-3", "0.5"), ("2.5", "4"), "0.5", "bilateral"))
-    assert cls.tag == "terminating" and cls.n == 3
+    spec = SeriesSpec((-3, mpf("0.5")), (mpf("2.5"), 4), mpf("0.5"), "bilateral")
+    res = sum_bilateral(SeriesSpec(("-3", "0.5"), ("2.5", "4"), "0.5", "bilateral"), ctx30)
+    assert res == sum_bilateral(spec, ctx30)
+    assert res.method == "terminating" and res.terms_used == 4 + 3
 
 
 def test_partial_sum_contract(ctx30):
@@ -412,25 +426,33 @@ def test_bilateral_dougall_sample(ctx30):
 
 
 def test_bilateral_off_the_unit_circle_diverges(ctx30):
-    # one half of a bilateral series has ratio z, the other 1/z: only |z| = 1
-    # can converge, and z = 0 has no negative half at all
-    spec = SeriesSpec((mpf("0.5"), mpf("0.5")), (mpf("1.5"), mpf("1.5")), mpf("0.5"), "bilateral")
-    assert classify(spec).tag == "divergent"
-    with pytest.raises(DivergentError, match="^bilateral series diverges at the given argument$") as exc:
-        sum_bilateral(spec, ctx30)
-    assert exc.type is DivergentError  # not NotConvergent, which names a decay exponent
+    # one half of a bilateral series has ratio z, the other 1/z: off |z| = 1,
+    # one of them diverges unless it ends; here the k < 0 half at 1/z = 2, also
+    # where the k >= 0 half ends (at k = 3). z = 0 has no negative half at all
+    for ups, lows in (((mpf("0.5"), mpf("0.5")), (mpf("1.5"), mpf("1.5"))),
+                      ((-3, mpf("0.25")), (mpf("0.7"), mpf("1.5")))):
+        spec = SeriesSpec(ups, lows, mpf("0.5"), "bilateral")
+        _, _, minus = split_bilateral(spec, ctx30)
+        assert classify(minus).tag == "divergent"
+        with pytest.raises(DivergentError, match="^series diverges at the given argument$") as exc:
+            sum_bilateral(spec, ctx30)
+        assert exc.type is DivergentError  # not NotConvergent, which names a decay exponent
     with pytest.raises(DivergentError, match="^bilateral series undefined at z = 0$"):
         split_bilateral(SeriesSpec(spec.uppers, spec.lowers, 0, "bilateral"), ctx30)
 
 
 def test_bilateral_error_cases(ctx30):
-    # decay exponent (0.75 + 1.25) - (0.5 + 0.5) = 1 is not > 1
-    with pytest.raises(NotConvergent):
+    # decay exponent (0.75 + 1.25) - (0.5 + 0.5) = 1 is not > 1, in both halves
+    with pytest.raises(NotConvergent, match=r"^decay exponent Re = 1\.0 is not > 1$"):
         sum_bilateral(SeriesSpec((mpf("0.5"), mpf("0.5")), (mpf("0.75"), mpf("1.25")), 1, "bilateral"), ctx30)
     with pytest.raises(IndeterminateError):
         split_bilateral(SeriesSpec((1, mpf("0.5")), (1, mpf("7.5")), 1, "bilateral"), ctx30)
     with pytest.raises(PoleError):
         split_bilateral(SeriesSpec((1, mpf("0.5")), (mpf("3.5"), mpf("7.5")), 1, "bilateral"), ctx30)
+    # a lower 3 would end the k < 0 half at k = -2, but the upper 2 puts a pole
+    # there: (2)_{-2} = 1 / ((2 - 1)(2 - 2))
+    with pytest.raises(LowerPoleError):
+        sum_bilateral(SeriesSpec((2, mpf("0.25")), (3, mpf("1.5")), mpf("0.5"), "bilateral"), ctx30)
 
 
 def test_bilateral_split_vs_brute_force(ctx30):
@@ -469,11 +491,123 @@ def test_every_verification_bilateral_sample_vs_brute_force(ctx30):
 def test_bilateral_terminating_both_tails(ctx30):
     # upper -2 cuts k > 2, lower 3 cuts k < -2: only k in [-2, 2] survive
     spec = SeriesSpec((-2, mpf("0.5")), (3, mpf("7.5")), 1, "bilateral")
-    cls = classify(spec)
-    assert cls.tag == "terminating"
+    plus, _, minus = split_bilateral(spec, ctx30)
+    assert (classify(plus).n, classify(minus).n) == (2, 1)  # minus's k = 0, 1 are k = -1, -2
     res = sum_bilateral(spec, ctx30)
     brute, _, _ = brute_bilateral_h([-2, 0.5], [3, 7.5], 10)
     assert abs(float(res.value) - brute) < 1e-13 * max(1.0, abs(brute))
+
+
+def _bilateral_k_sum(ups, lows, z, dps):
+    """sum over all integers k of prod (a)_k / prod (b)_k z^k at dps digits,
+    with (x)_{-m} = (-1)^m / (1-x)_m: k from -N to N, N = 4 dps + 80, past
+    which every half here (ratio 1/2 or ended) is below 10^-dps of the sum."""
+    with mp.workdps(dps):
+        ups, lows, z = [mpf(a) for a in ups], [mpf(b) for b in lows], mpf(z)
+        n = 4 * dps + 80
+        plus = sum(mpmath.fprod(mpmath.rf(a, k) for a in ups)
+                   / mpmath.fprod(mpmath.rf(b, k) for b in lows) * z**k for k in range(n))
+        # (-1)^m of each upper's and each lower's reflection cancel: equal counts
+        minus = sum(mpmath.fprod(mpmath.rf(1 - b, m) for b in lows)
+                    / mpmath.fprod(mpmath.rf(1 - a, m) for a in ups) / z**m for m in range(1, n))
+        return plus + minus
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("ups, lows, z", [
+    (("0.5", "0.25"), (1, "1.5"), "0.5"),  # the lower 1 zeroes the k < 0 half
+    (("0.5", "0.25"), (3, "1.5"), "0.5"),  # the k < 0 half ends at k = -2
+    ((-3, "0.25"), ("0.7", "1.5"), 2),  # k >= 0 ends at k = 3, k < 0 converges at 1/z
+], ids=["lower-one", "negative-half-ends", "positive-half-ends"])
+def test_bilateral_where_one_half_ends_or_vanishes(ups, lows, z, digits):
+    # a two-sided series converges where both halves converge or end, off
+    # |z| = 1 too; with a lower 1 it is the unilateral 2F1(a, b; c; z)
+    ctx = PrecisionContext(digits=digits)
+    with ctx.working():
+        spec = SeriesSpec(tuple(map(mpf, ups)), tuple(map(mpf, lows)), mpf(z), "bilateral")
+    res = sum_bilateral(spec, ctx)
+    if lows[0] == 1:
+        with mp.workdps(digits + 20):
+            exact = mpmath.hyp2f1(mpf(ups[0]), mpf(ups[1]), mpf(lows[1]), mpf(z))
+    else:
+        exact = _bilateral_k_sum(ups, lows, z, digits + 20)
+    with mp.workdps(digits + 20):
+        assert abs(res.value - exact) < abs(exact) * mpf(10) ** -digits
+
+
+_GRID = st.integers(-48, 48).map(lambda n: Fraction(n, 8))
+_CUT_Z = (Fraction(1, 4), Fraction(1, 2), 2, 4, 1, -1)
+_TWO_SIDED = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def _typed_or_finite(call):
+    """call()'s SeriesResult, whose value must be finite, or None when it
+    raised a HyperidError."""
+    try:
+        res = call()
+    except HyperidError:
+        return None
+    assert mpmath.isfinite(res.value), res
+    return res
+
+
+def _two_sided_exact(ups, lows, z):
+    """The exact sum over its finite k range of a bilateral series whose
+    k >= 0 half ends at an upper -n and whose k < 0 half at a lower m > 0,
+    k in [1 - m, n] with (x)_{-j} = 1 / ((x - 1) ... (x - j)); None when a
+    term there has a zero denominator, a pole that the engine must refuse."""
+    n = int(min(-a for a in ups if a <= 0 and a.denominator == 1))
+    m = int(min(b for b in lows if b > 0 and b.denominator == 1))
+    total = Fraction(0)
+    for k in range(1 - m, n + 1):
+        num = prod(x + i for x in ups for i in range(k))
+        num *= prod(x - i for x in lows for i in range(1, 1 - k))
+        den = prod(x + i for x in lows for i in range(k))
+        den *= prod(x - i for x in ups for i in range(1, 1 - k))
+        if not den:
+            return None
+        total += Fraction(num, den) * Fraction(z) ** k
+    return total
+
+
+@_TWO_SIDED
+@given(st.data(), st.integers(1, 3), st.sampled_from(("upper", "lower", "both")),
+       st.sampled_from(_CUT_Z))
+def test_cut_bilateral_sums_are_typed_or_finite(data, r, cut, z):
+    # a nonpositive-integer upper ends the k >= 0 half and a positive-integer
+    # lower the k < 0 one; the other half converges, diverges or hits a pole,
+    # and each ends in a finite value or a typed error. Where both halves end,
+    # the value is the exact sum over the finite k range, within its estimate
+    ups, lows = (data.draw(st.lists(_GRID, min_size=r, max_size=r)) for _ in range(2))
+    if cut != "lower":
+        ups[data.draw(st.integers(0, r - 1))] = Fraction(-data.draw(st.integers(0, 6)))
+    if cut != "upper":
+        lows[data.draw(st.integers(0, r - 1))] = Fraction(data.draw(st.integers(1, 6)))
+    res = _typed_or_finite(lambda: sum_bilateral(
+        SeriesSpec(tuple(ups), tuple(lows), z, "bilateral"), PrecisionContext(max_terms=1000)))
+    if (any(a <= 0 and a.denominator == 1 for a in ups)
+            and any(b > 0 and b.denominator == 1 for b in lows)):
+        exact = _two_sided_exact(ups, lows, z)
+        assert res is None or exact is not None, (ups, lows, z)
+        if res is not None:
+            with mp.workdps(60):
+                assert abs(res.value - to_mp(exact)) <= res.err_estimate, (ups, lows, z, exact)
+
+
+@_TWO_SIDED
+@given(st.data(), st.integers(1, 3), st.sampled_from(("upper", "lower", "both")),
+       st.sampled_from(_CUT_Z), st.sampled_from((Fraction(1, 2), Fraction(1, 4))),
+       st.integers(0, 6))
+def test_cut_psi_sums_are_typed_or_finite(data, r, cut, z, q, n):
+    # an upper q^-n ends the k >= 0 half, a lower q^(n+2) the k < 0 one
+    grid = _GRID.filter(bool)
+    ups, lows = (data.draw(st.lists(grid, min_size=r, max_size=r)) for _ in range(2))
+    if cut != "lower":
+        ups[data.draw(st.integers(0, r - 1))] = q ** -n
+    if cut != "upper":
+        lows[data.draw(st.integers(0, r - 1))] = q ** (n + 2)
+    _typed_or_finite(lambda: sum_q_series(QSeriesSpec(tuple(ups), tuple(lows), z, "psi"),
+                                          QContext(q, PrecisionContext(max_terms=1000))))
 
 
 def test_redundant_pair_invariance(ctx30):
