@@ -2,9 +2,9 @@
 
 mpmath supplies the precision-scalable gamma kernel (Stirling series with
 argument shifting, reflection on the left half plane). This module adds the
-bookkeeping the identity evaluators rely on: exact-integer pole detection,
-Pochhammer symbols for negative index, and gamma ratios that return an
-exact zero when a denominator pole wins.
+bookkeeping the identity evaluators rely on: exact-integer pole detection
+(`series.nonpositive_int`), Pochhammer symbols for negative index, and gamma
+ratios that return an exact zero when a denominator pole wins.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import DivisionByZero, DomainError, IndeterminateError, PoleError
-from .precision import PrecisionContext, nonpositive_int, to_mp
+from .precision import PrecisionContext, to_mp
+from .series import nonpositive_int
 
 
 def pochhammer(x, n: int, ctx: PrecisionContext):

@@ -4,8 +4,7 @@ All arithmetic in this package is mpmath-backed. Evaluations run at
 ``digits + 10`` decimal places and results are meaningful to roughly
 ``digits`` places. Small integers and dyadic rationals convert
 exactly at any precision, which keeps pole detection and terminating-index
-detection decidable: a value counts as an integer only when its imaginary
-part is exactly zero and its real part equals an integer exactly.
+detection decidable (`series.nonpositive_int` reads them exactly).
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from mpmath.libmp import dps_to_prec, from_rational, fzero, round_nearest, to_st
 
 INF = mpmath.inf
 _HELD = nullcontext()  # shared: entering and leaving it changes nothing
+_prec = lru_cache(maxsize=64)(dps_to_prec)  # the bits of a dps, computed once per dps
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class PrecisionContext:
         holds it too, and as nothing in the package assigns mp.prec or mp.dps
         outside such a context, the enclosing one restores the same state."""
         dps = self.dps
-        if mp.prec == dps_to_prec(dps):
+        if mp.prec == _prec(dps):
             return _HELD
         return mp.workdps(dps)
 
@@ -96,31 +96,6 @@ def to_mp(value):
     if isinstance(value, (int, float, str)):
         return mpmath.mpmathify(value)
     raise TypeError(f"cannot convert {type(value).__name__} to an mp number")
-
-
-def exact_int(value):
-    """Return value as a Python int when it is exactly an integer, else None:
-    a complex value's imaginary part must be 0, and int() of the real value,
-    an exact truncation for every real type, must equal it (inf, nan, a str
-    or None never do)."""
-    v = value
-    if isinstance(v, (mpc, complex)):
-        if v.imag != 0:
-            return None
-        v = v.real
-    try:
-        n = int(v)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return n if n == v else None
-
-
-def nonpositive_int(value):
-    """Return n >= 0 such that value == -n exactly, or None."""
-    m = exact_int(value)
-    if m is not None and m <= 0:
-        return -m
-    return None
 
 
 def format_value(value, digits: int) -> str:

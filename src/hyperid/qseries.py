@@ -307,25 +307,26 @@ def q_ratio_terms(uppers, lowers, z, q, extra, max_k=None):
     yield from fixed_terms(ratio, max_k, wp, "q-series denominator vanishes at k = {}")
 
 
-def _fabs(v):
-    """float(abs(v)), for an mpf read off its raw tuple."""
-    return abs(to_float(v._mpf_, rnd=round_nearest)) if type(v) is mpf else float(abs(v))
+def _log_abs(v):
+    """log |v| as a float, from the float of |v| (an mpf's read off its raw
+    tuple); mpmath's log where that float is 0, 1 or inf, so that a |v|
+    past the float range, or within 2^-53 of 1, keeps its own log (-inf at
+    v = 0)."""
+    f = abs(to_float(v._mpf_, rnd=round_nearest)) if type(v) is mpf else float(abs(v))
+    return math.log(f) if 0 < f < math.inf and f != 1 else float(mpmath.log(abs(v)))
 
 
 def _head_length(uppers, lowers, q) -> int:
     """K of the direct+tail route: the least k >= 1 with
     |q|^k max(|q|, |a|, |b|) <= 1/16 over the uppers a and lowers b, so
-    that x = q^K lies within a sixteenth of the tail ratio's radius. It is
-    decided on float logs of the float magnitudes (mpmath's past the float
-    range, as in `_terminating_index`), to within 10^-9 of a step; that
-    margin also keeps K at a magnitude that rounds onto 1/16 from above."""
-    fq = _fabs(q)
-    big = max(map(_fabs, (q, *uppers, *lowers)))
-    if fq == 0 or 16 * big <= 1:
+    that x = q^K lies within a sixteenth of the tail ratio's radius, or 1
+    when |q| is 0 as a float (|q| <= 2^-1075), as at q = 0. It is decided
+    on the float logs of `_log_abs`, to within 10^-9 of a step; that margin
+    also keeps K at a magnitude that rounds onto 1/16 from above."""
+    lq = -_log_abs(q)
+    if lq > 745:  # 1075 log 2 = 745.13 or more; a float |q| > 0 has lq <= 744.44
         return 1
-    lb = math.log(big) if big < math.inf else float(
-        mpmath.log(max(abs(v) for v in (*uppers, *lowers))))
-    lq = -math.log(fq) if fq < 1 else -float(mpmath.log(abs(q)))
+    lb = max(map(_log_abs, (q, *uppers, *lowers)))
     return max(1, math.ceil((math.log(16) + lb) / lq - 1e-9))
 
 
@@ -405,19 +406,15 @@ def _terminating_index(uppers, q, eps) -> Optional[int]:
     """The least n >= 0 with |a q^n - 1| <= (n + 2) eps for some upper a
     (eps = `PrecisionContext.eps`), after which a phi series with these
     uppers ends, or None. Only |a| >= 1/2 can pass, at
-    n = round(log|a| / log(1/|q|)) (0 at q = 0): that n is tried on float
-    logs first, with a margin 10^6 times their rounding, and on mp numbers
-    only when it passes there. mpmath takes the logs of |a| past the float
-    range and of |q| that underflows to 0 or rounds to 1.
+    n = round(log|a| / log(1/|q|)) (0 at q = 0): that n is tried on the
+    float logs of `_log_abs` first, with a margin 10^6 times their
+    rounding, and on mp numbers only when it passes there.
     """
-    fq = _fabs(q)
-    lq = -math.log(fq) if 0 < fq < 1 else -float(mpmath.log(abs(q)))  # inf at q = 0
+    lq = -_log_abs(q)  # inf at q = 0
     hits = []
     for a in uppers:
-        fa = _fabs(a)
-        if fa >= 0.5:
-            t = (math.log(fa) if fa < math.inf else float(mpmath.log(abs(a)))) / lq
-            n = round(t)
+        if (la := _log_abs(a)) >= -math.log(2):  # |a| >= 1/2
+            n = round(t := la / lq)
             if (n >= 0 and abs(t - n) <= 1e-9 * (1 + n) * (1 + 1 / lq)
                     and abs(a * q**n - 1) <= (n + 2) * eps):
                 hits.append(n)

@@ -33,11 +33,13 @@ run on Python ints scaled by 2^W, W = `precision.fixed_prec()`, the ambient
 precision plus GUARD_BITS. Every exact dyadic and fixed-point value of both
 engines is an int when real and a Gaussian int `Gauss` when complex, so one
 path of + - * // << >> serves both; `dyadic` alone reads an mp number's
-exact value. `fixed_terms`, their one stepping loop, takes each step's ratio
-as ready products, num and den, of exact values, and rounds each term once;
-a real stream steps one int, a complex one its two parts. `partial_sum` adds
-the terms exactly, so the rounding of a sum is the bound that `fixed_terms`
-states. The Levin transform reads the same terms, generated at its raised
+exact value, and `nonpositive_int` through it decides every integer and
+pole test of both engines and of `gammafn.gamma_ratio`. `fixed_terms`,
+their one stepping loop, takes each step's ratio as ready products, num
+and den, of exact values, and rounds each term once; a real stream steps
+one int, a complex one its two parts. `partial_sum` adds the terms
+exactly, so the rounding of a sum is the bound that `fixed_terms` states.
+The Levin transform reads the same terms, generated at its raised
 precision, and sums them exactly too.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
@@ -79,7 +81,7 @@ from .errors import (
     NotConvergent,
     PoleError,
 )
-from .precision import PrecisionContext, fixed_prec, nonpositive_int, pow10, to_mp
+from .precision import PrecisionContext, fixed_prec, pow10, to_mp
 
 
 @dataclass(frozen=True)
@@ -270,6 +272,17 @@ def dyadic(x):
     ns = [((-man if sign else man), exp) for sign, man, exp, _ in x._mpc_]
     s = max([0, *(-exp for n, exp in ns if n)])
     return Gauss(n << exp + s for n, exp in ns), s
+
+
+def nonpositive_int(x):
+    """n >= 0 with x = -n exactly for an mp number x, else None: read off
+    `dyadic(x)`, an integer when s == 0 and its imaginary part is 0. A
+    non-finite x, which `dyadic` reads as 0, is none."""
+    if not mpmath.isfinite(x):
+        return None
+    n, s = dyadic(x)
+    re, im = _parts(n)
+    return -re if re <= 0 and not (s or im) else None
 
 
 def to_fixed(x, wp):

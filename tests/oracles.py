@@ -32,9 +32,9 @@ series, on pairs of Fractions.
 `ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
 the fixed-point streams state. `gamma` is mpmath's gamma function at a
 context's working precision, with a PoleError at its poles: the reference
-of the gamma-ratio and Pochhammer tests. `exact_int_ladder` is
-`precision.exact_int` as one branch per type, the reference of its one
-int() rule.
+of the gamma-ratio and Pochhammer tests. `exact_int_ladder` reads an
+exact integer one branch per type, and `nonpositive_int`, built on it, is
+the Fraction checks' pole test and the reference of `series.nonpositive_int`.
 """
 
 from fractions import Fraction
@@ -46,7 +46,7 @@ import mpmath
 from mpmath import mpc, mpf, sqrt
 
 from hyperid.errors import DivisionByZero, LowerPoleError, PoleError
-from hyperid.precision import exact_int, fixed_prec, nonpositive_int, to_mp
+from hyperid.precision import fixed_prec, to_mp
 from hyperid.series import _root, dyadic, from_fixed, to_fixed
 
 
@@ -81,6 +81,12 @@ def exact_int_ladder(value):
     if isinstance(v, mpf):
         return int(v) if mpmath.isint(v) else None
     return None
+
+
+def nonpositive_int(value):
+    """n >= 0 with value == -n exactly (`exact_int_ladder`), else None."""
+    m = exact_int_ladder(value)
+    return -m if m is not None and m <= 0 else None
 
 
 def term_stream(uppers, lowers, z, max_k=None):
@@ -350,11 +356,11 @@ def b_neg_n_check(p):
     """The `theorem-1-b-neg-n` check in Fraction arithmetic."""
     if not (isinstance(p["n"], int) and 0 <= p["n"] <= 20):
         return False
-    return exact_int(p["a"] + p["c"]) is None and exact_int(p["a"] + p["d"]) is None
+    return exact_int_ladder(p["a"] + p["c"]) is None and exact_int_ladder(p["a"] + p["d"]) is None
 
 
 def _is_integer(v):
-    return exact_int(v) is not None
+    return exact_int_ladder(v) is not None
 
 
 def saalschuetz_nt_check(p):

@@ -9,17 +9,8 @@ from mpmath.libmp import dps_to_prec
 
 from hyperid import precision
 from hyperid.errors import CancellationError
-from hyperid.precision import (
-    PrecisionContext,
-    exact_int,
-    format_value,
-    nonpositive_int,
-    pow10,
-    to_mp,
-)
+from hyperid.precision import PrecisionContext, format_value, pow10, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
-
-import oracles
 
 
 def test_context_validation():
@@ -123,41 +114,6 @@ def test_pow10_is_the_power_bit_for_bit(reads):
         with mp.workprec(prec):
             assert pow10(n)._mpf_ == (mpf(10) ** n)._mpf_
             assert PrecisionContext(digits=n % 50 + 10).eps() is pow10(-(n % 50 + 20))
-
-
-_MPF = st.one_of(
-    st.builds(lambda m, e: mpmath.ldexp(mpf(m), e), st.integers(-2**53, 2**53),
-              st.integers(-1200, 1200)),
-    st.sampled_from([mpf(0), mp.inf, -mp.inf, mp.nan, mpf(10) ** 400, mpf(2) ** -1100]),
-)
-
-
-@settings(max_examples=600, deadline=None, derandomize=True)
-@given(st.one_of(
-    st.integers(-2**300, 2**300), st.booleans(), st.fractions(),
-    st.floats(allow_nan=True, allow_infinity=True), _MPF,
-    st.builds(complex, st.floats(), st.one_of(st.just(0.0), st.floats())),
-    st.builds(mpc, _MPF, st.one_of(st.just(0), _MPF)),
-    st.text(max_size=6), st.sampled_from(["3", "-2", "1e3", "inf", "nan"]), st.none(),
-))
-def test_exact_int_is_the_type_ladder(value):
-    # one int() rule for every real type gives each type's own answer
-    with mp.workprec(113):
-        assert exact_int(value) == oracles.exact_int_ladder(value)
-        assert type(exact_int(value)) is type(oracles.exact_int_ladder(value))
-
-
-def test_integer_detection():
-    with mp.workdps(30):
-        assert exact_int(mpf(4)) == 4
-        assert exact_int(mpf("4.5")) is None
-        assert exact_int(mpc(3, 0)) == 3
-        assert exact_int(mpc(3, 1)) is None
-        assert exact_int(Fraction(8, 2)) == 4
-        assert nonpositive_int(mpf(-7)) == 7
-        assert nonpositive_int(mpf(0)) == 0
-        assert nonpositive_int(mpf(2)) is None
-        assert nonpositive_int(mpf("-6.5")) is None
 
 
 def _nstr_form(v, digits):

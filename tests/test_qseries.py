@@ -466,11 +466,62 @@ _MAGNITUDE = st.builds(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(_MAGNITUDE, st.builds(lambda re, im: mp.make_mpc((re._mpf_, im._mpf_)),
                                        _MAGNITUDE, _MAGNITUDE)))
-def test_raw_magnitudes_are_the_float_of_abs(v):
-    # 0, mantissas past 53 bits (rounded to nearest), and values beyond the
-    # float range either way (inf and 0.0): the floats that K and n are read from
+def test_log_abs_is_the_log_of_the_float_of_abs(v):
+    # 0, mantissas past 53 bits (rounded to nearest), values beyond the float
+    # range either way (inf and 0.0) and within 2^-53 of 1: the float logs
+    # that K and n are read from, mpmath's where the float is 0, 1 or inf
     with PrecisionContext(digits=30).working():
-        assert qseries._fabs(v) == float(abs(v))
+        f = float(abs(v))
+        want = math.log(f) if 0 < f < math.inf and f != 1 else float(mpmath.log(abs(v)))
+        assert qseries._log_abs(v) == want
+
+
+def _magnitudes():
+    two = mpf(2)
+    return [mpf(0), two**-1100, 1 - two**-60, mpf(1), 1 + two**-60, two**1100, mpf(10) ** 400,
+            mpc(-3, 4)]
+
+
+def test_log_abs_edges():
+    with mp.workdps(50):
+        for v in _magnitudes():
+            got, want = qseries._log_abs(v), float(mpmath.log(abs(v)))
+            assert got == want if v != mpc(-3, 4) else math.isclose(got, want, rel_tol=2**-52), v
+
+
+# n = _terminating_index([a], q, eps) and K = _head_length at 30 digits for q
+# in the rows (0, 2^-1100, 1 - 2^-60, 1/2, -1/4, 0.375 - 0.5i) and a in the
+# columns (`_magnitudes`), as both float readers decided them before they
+# became one, `_log_abs`: 2^1100 is q^-1, q^-1100 and q^-550 of rows 2, 4 and 5
+_TERMINATING_TABLE = [
+    [None, None, None, 0, None, None, None, None],
+    [None, None, None, 0, None, 1, None, None],
+    [None, None, None, 0, None, None, None, None],
+    [None, None, None, 0, None, 1100, None, None],
+    [None, None, None, 0, None, 550, None, None],
+    [None, None, None, 0, None, None, None, None],
+]
+_HEAD_TABLE = [
+    [1] * 8,
+    [1] * 8,  # |q| is 0 as a float
+    [3196577161300663808] * 5 + [882255296518983254016, 1065076525121297448960,
+                                 5052132740875489280],
+    [3, 3, 4, 4, 4, 1104, 1333, 7],
+    [1, 1, 2, 2, 2, 552, 667, 4],
+    [5, 5, 6, 6, 6, 1629, 1966, 10],
+]
+
+
+def test_float_log_readers_keep_their_table():
+    ctx = PrecisionContext(digits=30)
+    with ctx.working():
+        quarter = mpf(1) / 4
+        qs = _magnitudes()[:3] + [mpf(1) / 2, -quarter, mpc("0.375", "-0.5")]
+        for q, ns, ks in zip(qs, _TERMINATING_TABLE, _HEAD_TABLE):
+            for a, n, k in zip(_magnitudes(), ns, ks):
+                assert qseries._terminating_index([a], q, ctx.eps()) == n, (q, a)
+                assert qseries._head_length([a], [quarter], q) == k, (q, a)
+                assert qseries._head_length([quarter], [a], q) == k, (q, a)
 
 
 def _omega_bracket(a, c, d, e, f, q):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import random
 import re
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
+from hyperid.cli import main
 from hyperid.errors import (
     BudgetExceeded,
     CancellationError,
@@ -207,6 +210,32 @@ def test_lower_pole_error(ctx30):
     # pole before termination is not
     with pytest.raises(LowerPoleError):
         sum_unilateral(SeriesSpec((-5, mpf("0.5")), (-2,), 1), ctx30)
+
+
+_MPF = st.one_of(
+    st.builds(lambda m, e: mpmath.ldexp(mpf(m), e), st.integers(-2**53, 2**53),
+              st.integers(-1200, 1200)),
+    st.sampled_from([mpf(0), mp.inf, -mp.inf, mp.nan, mpf(10) ** 400, mpf(2) ** -1100]),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(_MPF, st.builds(mpc, _MPF, st.one_of(st.just(0), _MPF))))
+def test_nonpositive_int_is_the_type_ladder(value):
+    # the one reader of exact values decides integers as the per-type ladder
+    # does, on mp values of every size, complex ones and inf and nan
+    with mp.workprec(113):
+        assert series.nonpositive_int(value) == oracles.nonpositive_int(value)
+
+
+def test_nonpositive_int_edges():
+    with mp.workdps(30):
+        big, tiny = mpf(2) ** 1100, mpf(2) ** -1100
+        for v, want in ((mpf(0), 0), (mpf(1), None), (mpf(-1), 1), (mpf(-7), 7),
+                        (mpf("-7.5"), None), (big, None), (-big, 2**1100), (tiny, None),
+                        (-tiny, None), (mpc(-3, 0), 3), (mpc(-3, mpf(2) ** -200), None),
+                        (mp.inf, None), (-mp.inf, None), (mp.nan, None)):
+            assert series.nonpositive_int(v) == want == oracles.nonpositive_int(v), v
 
 
 def test_budget_exceeded():
@@ -608,6 +637,89 @@ def test_cut_psi_sums_are_typed_or_finite(data, r, cut, z, q, n):
         lows[data.draw(st.integers(0, r - 1))] = q ** (n + 2)
     _typed_or_finite(lambda: sum_q_series(QSeriesSpec(tuple(ups), tuple(lows), z, "psi"),
                                           QContext(q, PrecisionContext(max_terms=1000))))
+
+
+# parameters at -n +- 2^-m or on the 1/64 grid up to 64 in magnitude, one in
+# five complex; phi lowers also at q^-n (1 + 2^-m) and phi uppers at q^-n
+_NEAR_POLE = st.builds(lambda n, m, sign: Fraction(-n) + sign * Fraction(1, 2**m),
+                       st.integers(0, 20), st.integers(1, 60), st.sampled_from((1, -1)))
+_GRID64 = st.integers(-64 * 64, 64 * 64).map(lambda n: Fraction(n, 64))
+_ONE_SIDED_Z = (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2), 1, -1)
+
+
+@st.composite
+def _one_sided_specs(draw):
+    """(kind, uppers, lowers, z, q): Fractions and (re, im) pairs of them; z
+    is +-1 only for a unilateral series whose decay exponent s is > 1."""
+    kind = draw(st.sampled_from(("unilateral", "phi")))
+    q = draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(15, 16))))
+    at_q = st.builds(lambda n, m: q ** -n * (1 + Fraction(1, 2**m)), st.integers(0, 12),
+                     st.integers(1, 60))
+    real = st.one_of(_NEAR_POLE, _GRID64)
+    upper, lower = (real, real) if kind == "unilateral" else (
+        st.one_of(real, st.integers(0, 12).map(lambda n: q ** -n)), st.one_of(real, at_q))
+
+    def params(part, count):
+        return [p if draw(st.integers(0, 4)) else (p, draw(_GRID64))
+                for p in draw(st.lists(part, min_size=count, max_size=count))]
+
+    r = draw(st.integers(1, 3))
+    ups, lows = params(upper, r), params(lower, draw(st.integers(max(r - 2, 0), r)))
+    z = draw(st.sampled_from(_ONE_SIDED_Z))
+    re = lambda p: p[0] if isinstance(p, tuple) else p
+    s = sum(map(re, lows)) + 1 - sum(map(re, ups))
+    if abs(z) == 1 and (kind == "phi" or len(lows) != r - 1 or s <= 1):
+        z /= 4
+    return kind, ups, lows, z, q
+
+
+def _one_sided_sum(kind, ups, lows, z, q):
+    """(spec, q, call) of a `_one_sided_specs` draw: every parameter, z and q
+    as mp numbers at the working precision, and call() the engine's sum at
+    max_terms = 1000."""
+    ctx = PrecisionContext(max_terms=1000)
+    with ctx.working():
+        mp_of = lambda p: mpc(to_mp(p[0]), to_mp(p[1])) if isinstance(p, tuple) else to_mp(p)
+        spec = SeriesSpec(tuple(map(mp_of, ups)), tuple(map(mp_of, lows)), to_mp(z), kind)
+        q = to_mp(q)
+    if kind == "unilateral":
+        return spec, q, lambda: sum_unilateral(spec, ctx)
+    return spec, q, lambda: sum_q_series(spec, QContext(q, ctx))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_one_sided_specs())
+def test_one_sided_sums_are_typed_or_finite(draw):
+    # near poles, on a wide grid, complex, at |z| = 1 and near q-poles: each
+    # call returns a finite value or raises a HyperidError
+    _typed_or_finite(_one_sided_sum(*draw)[2])
+
+
+def _literal(x):
+    """The exact decimal literal of an mp number, as `cli.parse_scalar` reads it."""
+    n, s = dyadic(x)
+    re, im = n if type(n) is Gauss else (n, None)
+    text = f"{re * 5**s}e-{s}"
+    return text if im is None else f"{text}{'-' if im < 0 else '+'}{abs(im) * 5**s}e-{s}i"
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(_one_sided_specs())
+def test_one_sided_sums_through_the_cli(draw):
+    # the same specs through cli.main: exit code 0 where the engine returns a
+    # value, 1 where it raises a HyperidError, and no traceback
+    spec, q, call = _one_sided_sum(*draw)
+    want = 0 if _typed_or_finite(call) else 1
+    argv = ["eval", "pfq" if spec.kind == "unilateral" else "phi",
+            "--upper", ",".join(map(_literal, spec.uppers)),
+            "--lower", ",".join(map(_literal, spec.lowers)),
+            "--z", _literal(spec.argument), "--max-terms", "1000"]
+    if spec.kind == "phi":
+        argv += ["--q", _literal(q)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == want and "Traceback" not in err.getvalue(), (argv, err.getvalue())
 
 
 def test_redundant_pair_invariance(ctx30):
