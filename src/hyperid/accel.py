@@ -21,15 +21,16 @@ scheme of Fessler, Ford and Smith and of Weniger in integer form. A call
 stores one anti-diagonal per column (x, y and, from the first complex term
 on, their imaginary parts) and nothing between calls. Each stop test
 compares two products a b < c d exactly, on the factors' bit lengths unless
-their sums are within one; only the returned value and error are mp numbers.
+their sums are within one; only the returned value (`precision.rounded`)
+and error are mp numbers.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .errors import AccelerationFailed
-from .precision import fixed_prec
+from .precision import fixed_prec, rounded
 
 EXTRA_BITS = 64  # bits of the entries and of the compared sums beyond the precision
 
@@ -55,11 +56,9 @@ def _antidiagonal(diag, v):
 
 def _value(sums):
     """num / den of (num re, num im, den re, den im, complex table) as an mp
-    number, each part the exact quotient rounded once."""
+    number, each part the exact quotient rounded once (`precision.rounded`)."""
     nre, nim, dre, dim, cplx = sums
-    d2 = dre * dre + dim * dim
-    re = mp.fdiv(nre * dre + nim * dim, d2)
-    return mpc(re, mp.fdiv(nim * dre - nre * dim, d2)) if cplx else re
+    return rounded((nre, nim), (dre, dim)) if cplx else rounded(nre, dre)
 
 
 def _less(a, b, c, d):

@@ -30,9 +30,9 @@ under `ctx.working()` and runs the side at working precision; q sides build
 their `QContext` from the converted q. Terminating entries are evaluated
 exactly (zero error) on every sample, real or complex, through `_exact`,
 which looks `exact.<name>_sides` up on the `exact` module at each call, so a
-rebinding of that attribute is seen. Its values, unreduced int pairs, are
-rounded once a sample: the lhs and rhs share a one-entry memo, and the rhs
-reuses the rounded lhs when the two pairs are equal. A sample passes when
+rebinding of that attribute is seen. Its values, unreduced pairs, are
+rounded once a sample (`precision.rounded`): the lhs and rhs share a one-entry
+memo, and the rhs reuses the rounded lhs when the two pairs are equal. A sample passes when
 its sides agree to every reported digit, rel_err < 10^-digits (relative to
 |rhs|, absolute when rhs = 0).
 """
@@ -48,13 +48,12 @@ from operator import mul, pos
 from typing import Callable, Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
 
 from . import exact
 from .errors import DomainError
 from .exact import quot
 from .gammafn import gamma_ratio
-from .precision import PrecisionContext, pow10, to_mp
+from .precision import PrecisionContext, pow10, rounded, to_mp
 from .qseries import QContext, principal_sqrt, q_bracket, sum_q_series
 from .series import (Gauss, SeriesResult, SeriesSpec, _parts, combined_method, sum_bilateral,
                      sum_unilateral)
@@ -234,7 +233,7 @@ def _mp(side):
 
 def _exact(name):
     """The (lhs, rhs) of a terminating entry: the values of
-    `exact.<name>_sides` with zero error, each `_rounded` once, or the rhs
+    `exact.<name>_sides` with zero error, each `rounded` once, or the rhs
     the rounded lhs when the two are `_equal`. A one-entry memo keyed by
     that function, ctx.dps and the parameters serves both sides of a sample."""
     memo = [None, None]  # key and the rounded (lhs, rhs) of the last evaluation
@@ -246,22 +245,13 @@ def _exact(name):
             if memo[0] != key:
                 left, right = sides(**p)
                 with ctx.working():
-                    lhs = _rounded(left)
-                    memo[:] = key, (lhs, lhs if _equal(left, right) else _rounded(right))
+                    lhs = rounded(*left)
+                    memo[:] = key, (lhs, lhs if _equal(left, right) else rounded(*right))
             return SeriesResult(memo[1][which], mpf(0), 0 if which else p["n"] + 1, "terminating")
 
         return run
 
     return side(0), side(1)
-
-
-def _rounded(x):
-    """A value (n, d) of `exact` rounded once at the ambient precision: the
-    mpf of n / d for an int n, the mpc of its parts over d for a `Gauss` n."""
-    n, d = x
-    if type(n) is int:
-        return mp.make_mpf(from_rational(n, d, mp.prec, round_nearest))
-    return mp.make_mpc(tuple(from_rational(v, d, mp.prec, round_nearest) for v in n))
 
 
 def _equal(x, y) -> bool:

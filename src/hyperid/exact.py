@@ -2,8 +2,8 @@
 
 Equality is literal, so a tolerance window cannot hide an off-by-one in a
 termination index. Each value runs on ints and is returned unreduced, the
-int pair (P, Q) of P/Q (no gcd of the big ints is taken; the catalog rounds
-the pair once): the classical sides put their parameters over one common
+int pair (P, Q) of P/Q (no gcd of the big ints is taken; `precision.rounded`
+rounds it once): the classical sides put their parameters over one common
 denominator D, so 1 + a + b - c - n is (D + A + B - C - nD)/D, the q side
 forms products such as q a / (b c) as gcd-reduced int pairs, each step's
 term ratio is an int pair (A_k, B_k), the sum is taken by backward Horner,
@@ -15,7 +15,7 @@ pairwise products, which stay rational: (sqrt(a);q)_k (-sqrt(a);q)_k =
 A complex classical parameter with dyadic parts, as sampled, has a Gaussian
 int `series.Gauss` for its numerator over D, and the same loops run on it; real
 ones stay on plain ints, as everywhere in the package. A Gaussian P/Q is
-returned as the one pair (P conj(Q), |Q|^2), a `Gauss` over a positive int.
+returned as the loops form it, P and Q each an int or a `Gauss`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import gcd, lcm, prod
 
 from .errors import DivisionByZero, LowerPoleError
-from .series import Gauss, _norm
+from .series import Gauss
 
 
 def quot(ups, downs=()):
@@ -52,12 +52,6 @@ def common(xs):
     den = lcm(*(d for _, d in pairs))
     nums = iter([p * (den // d) for p, d in pairs])
     return [Gauss((next(nums), next(nums))) if len(xp) == 2 else next(nums) for xp in parts], den
-
-
-def _value(p, q):
-    """p / q as one unreduced pair: (p, q) for ints, (p conj(q), |q|^2) when
-    either is a Gaussian int."""
-    return (p, q) if Gauss not in (type(p), type(q)) else (p * q.conjugate(), _norm(q))
 
 
 def _check_n(n: int):
@@ -89,7 +83,7 @@ def _sum(ups, lows, z, n: int):
         if den == 0:
             raise LowerPoleError(f"denominator parameter reaches a pole at k = {k}")
         ratios.append((num, den))
-    return _value(*_horner(ratios, [1] * (n + 1)))
+    return _horner(ratios, [1] * (n + 1))
 
 
 def _bracket(numers, denoms, s, message):
@@ -101,7 +95,7 @@ def _bracket(numers, denoms, s, message):
     num, den = (num * s**k, den) if k >= 0 else (num, den * s**-k)
     if den == 0:
         raise DivisionByZero(message)
-    return _value(num, den)
+    return num, den
 
 
 def _rising_bracket(numers, denoms, d, n: int):

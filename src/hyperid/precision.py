@@ -4,7 +4,8 @@ All arithmetic in this package is mpmath-backed. Evaluations run at
 ``digits + 10`` decimal places and results are meaningful to roughly
 ``digits`` places. Small integers and dyadic rationals convert
 exactly at any precision, which keeps pole detection and terminating-index
-detection decidable (`series.nonpositive_int` reads them exactly).
+detection decidable (`series.nonpositive_int` reads them exactly). `rounded`
+is the one writer of every exact quotient as an mp number: half an ulp a part.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import dps_to_prec, from_rational, fzero, round_nearest, to_str
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, fzero, mpf_div, round_nearest, to_str
 
 INF = mpmath.inf
 _HELD = nullcontext()  # shared: entering and leaving it changes nothing
@@ -81,16 +82,37 @@ def fixed_prec() -> int:
     return mp.prec + GUARD_BITS
 
 
+def rounded(n, d=1, e=0):
+    """The mp number nearest n 2^e / d in each part at the ambient precision,
+    halves to even: n an int or an (re, im) pair of ints (a `series.Gauss`
+    is one), d a nonzero int or such a pair, dividing as n conj(d) / |d|^2.
+    An mpc when n or d is a pair, else an mpf; d == 1 takes one
+    `from_man_exp` a part."""
+    prec = mp.prec
+    if isinstance(d, tuple):
+        (a, b), (c, f) = n if isinstance(n, tuple) else (n, 0), d
+        n, d = (a * c + b * f, b * c - a * f), c * c + f * f
+    if d == 1:
+        if isinstance(n, tuple):
+            return mp.make_mpc((from_man_exp(n[0], e, prec, round_nearest),
+                                from_man_exp(n[1], e, prec, round_nearest)))
+        return mp.make_mpf(from_man_exp(n, e, prec, round_nearest))
+    d = from_int(d)
+    if isinstance(n, tuple):
+        return mp.make_mpc(tuple(mpf_div(from_man_exp(v, e), d, prec, round_nearest) for v in n))
+    return mp.make_mpf(mpf_div(from_man_exp(n, e), d, prec, round_nearest))
+
+
 def to_mp(value):
     """Convert int/float/Fraction/complex/str/mpf/mpc to mpf or mpc.
 
     Conversion happens at the ambient mpmath precision, a Fraction's exact
-    quotient rounded once; dyadic rationals and small integers are exact.
+    quotient rounded once (`rounded`); dyadics and small integers are exact.
     """
     if isinstance(value, (mpf, mpc)):
         return value
     if isinstance(value, Fraction):
-        return mp.make_mpf(from_rational(*value.as_integer_ratio(), mp.prec, round_nearest))
+        return rounded(*value.as_integer_ratio())
     if isinstance(value, complex):
         return mpc(value.real, value.imag)
     if isinstance(value, (int, float, str)):

@@ -17,8 +17,8 @@ A series is the one record `series.SeriesSpec` (or QSeriesSpec), kind phi or psi
 Terms come from the running term ratio (`q_ratio_terms`), on the classical
 engine's fixed-point ints: the powers x q^k are running fixed-point
 products, and `series.fixed_terms` rounds each term once; (x;q)_inf runs
-on ints from exact dyadic x and q, rounded once (`q_pochhammer`), and a
-q-bracket multiplies their exact values and rounds its quotient once.
+on ints from exact dyadic x and q (`q_pochhammer`), and a q-bracket
+multiplies their exact values; `precision.rounded` rounds each once.
 A complex value is a `series.Gauss` wherever a real one is an int, and the
 same code runs on both.
 Every phi series runs through the classical engine's `series.sum_direct`,
@@ -53,12 +53,12 @@ from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_div, round_nearest, to_float
+from mpmath.libmp import round_nearest, to_float
 
 from .errors import BudgetExceeded, DivisionByZero, DomainError, IndeterminateError, LowerPoleError
-from .precision import INF, PrecisionContext, fixed_prec, to_mp
+from .precision import INF, PrecisionContext, fixed_prec, rounded, to_mp
 from .series import (
-    Gauss, SeriesResult, SeriesSpec, _bits, _norm, _parts, _rdiv, _rshift, _term_budget_check,
+    SeriesResult, SeriesSpec, _bits, _norm, _rdiv, _rshift, _term_budget_check,
     dyadic, fixed_terms, join_halves, mp_parameters, reflected_factors, sum_direct, to_fixed,
 )
 
@@ -97,7 +97,7 @@ def q_pochhammer(x, qc: QContext, n):
     (`series.Gauss` values when complex) from the exact dyadics x and q: the
     factors exactly, their product kept to wp + 2 bits, the Horner sum at
     scale 2^wp on the exact y, rounded to the nearest unit a step; the two
-    multiply with one rounding to working precision.
+    multiply with one rounding to working precision (`precision.rounded`).
 
     guard = log2((-1/2;|q|)_inf / (1/2;|q|)_inf) bounds the bits lost to
     cancellation: |(y;q)_inf| >= (|y|;|q|)_inf >= 2^-guard for |y| < 1/2.
@@ -195,10 +195,7 @@ def _infinite_product(x, q, ctx: PrecisionContext):
         n += 1
     for c, _ in reversed(row[:n]):
         acc = (t := acc * p2 >> e) - (t >> 1) + c
-    acc *= h
-    if type(acc) is int:
-        return mp.make_mpf(from_man_exp(acc, -hs - wp, mp.prec, round_nearest))
-    return mp.make_mpc(tuple(from_man_exp(v, -hs - wp, mp.prec, round_nearest) for v in acc))
+    return rounded(acc * h, e=-hs - wp)
 
 
 def q_bracket(numers, denoms, qc: QContext):
@@ -207,9 +204,9 @@ def q_bracket(numers, denoms, qc: QContext):
     Returns exact 0 when a numerator entry vanishes and no denominator entry
     does; IndeterminateError when both vanish. The entries' exact values
     n / 2^s (`series.dyadic`: n an int, a `series.Gauss` when complex) multiply
-    exactly, a zero entry zeroing its side, and the quotient is rounded once to
-    the working precision, so the bracket is within the sum of its entries'
-    relative errors (see q_pochhammer) plus 2^-prec of its value in each part.
+    exactly, a zero entry zeroing its side, and `precision.rounded` rounds the
+    quotient once, so the bracket is within the sum of its entries' relative
+    errors (see q_pochhammer) plus 2^-prec of its value in each part.
     """
     with qc.ctx.working():
         sides = []
@@ -226,11 +223,7 @@ def q_bracket(numers, denoms, qc: QContext):
             raise DivisionByZero("q-bracket denominator entry vanishes")
         if not pn:
             return mpf(0)
-        if type(dn) is Gauss:  # pn conj(dn) / |dn|^2, each part rounded once
-            pn, dn = pn * dn.conjugate(), _norm(dn)
-        den = from_man_exp(dn, de)
-        re, im = (mpf_div(from_man_exp(v, pe), den, mp.prec, round_nearest) for v in _parts(pn))
-        return mp.make_mpc((re, im)) if type(pn) is Gauss else mp.make_mpf(re)
+        return rounded(pn, dn, pe - de)
 
 
 def split_psi(spec: SeriesSpec, qc: QContext):

@@ -33,14 +33,14 @@ run on Python ints scaled by 2^W, W = `precision.fixed_prec()`, the ambient
 precision plus GUARD_BITS. Every exact dyadic and fixed-point value of both
 engines is an int when real and a Gaussian int `Gauss` when complex, so one
 path of + - * // << >> serves both; `dyadic` alone reads an mp number's
-exact value, and `nonpositive_int` through it decides every integer and
-pole test of both engines and of `gammafn.gamma_ratio`. `fixed_terms`,
-their one stepping loop, takes each step's ratio as ready products, num
-and den, of exact values, and rounds each term once; a real stream steps
-one int, a complex one its two parts. `partial_sum` adds the terms
-exactly, so the rounding of a sum is the bound that `fixed_terms` states.
-The Levin transform reads the same terms, generated at its raised
-precision, and sums them exactly too.
+exact value (`precision.rounded` alone writes one), and `nonpositive_int`
+through it decides every integer and pole test of both engines and of
+`gammafn.gamma_ratio`. `fixed_terms`, their one stepping loop, takes each
+step's ratio as ready products, num and den, of exact values, and rounds
+each term once; a real stream steps one int, a complex one its two parts.
+`partial_sum` adds the terms exactly, so the rounding of a sum is the bound
+that `fixed_terms` states. The Levin transform reads the same terms,
+generated at its raised precision, and sums them exactly too.
 
 The routes here and in `qseries` share their summation steps: `partial_sum`
 (the one loop that adds terms, of heads and of summed tails, on ints: to a
@@ -296,7 +296,7 @@ def to_fixed(x, wp):
 def from_fixed(t, wp=None):
     """The exact mp number of a fixed-point int or `Gauss` t at scale 2^wp
     (default fixed_prec()): an mpf when its imaginary part is 0, else an
-    mpc."""
+    mpc. It rounds nothing, so it is no writer of a quotient (`rounded`)."""
     wp = fixed_prec() if wp is None else wp
     re, im = _parts(t)
     re = from_man_exp(re, -wp)
@@ -512,8 +512,9 @@ def sum_direct(stream, params, convert, ctx: PrecisionContext, floor, tail=None,
     still within its rounding at raised precision may be exactly 0, so it
     returns that total with the rounding as its absolute error. Any other
     pass beyond _CANCELLATION_CEILING times the working precision raises
-    CancellationError instead. The value is rounded to the working
-    precision, and that rounding, |value| 2^-prec, joins err_estimate.
+    CancellationError instead. `+total` rounds the value, a dyadic and no
+    quotient (so no `precision.rounded` call), to the working precision, and
+    that rounding, |value| 2^-prec, joins err_estimate.
     A pass keeps total and peak as ints and ends on one test of their mp
     numbers, where |t_K T_K / t_K| joins the peak (>= |t_0| = 1).
     """

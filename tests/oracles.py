@@ -26,7 +26,8 @@ checks (`saalschuetz_nt_check` to `h22_check`) are written out by hand, one
 branch per constraint; `REFERENCE_CHECKS` maps every id whose check the
 catalog builds from its constraint strings to its reference.
 `fraction_value` reads an exact side of `hyperid.exact`, one unreduced pair
-(n, d) of an int or Gaussian n, as a Fraction or an (re, im) pair of Fractions.
+(n, d) of ints or Gaussian ints, as a Fraction or an (re, im) pair of
+Fractions.
 `tail_ratio_terms` is the exact recurrence of the q tail ratio's power
 series, on pairs of Fractions.
 `ratio_stream_bounds` and `q_stream_bounds` are the rounding bounds that
@@ -430,10 +431,14 @@ def h22_check(p):
 
 
 def fraction_value(v):
-    """An exact side (n, d) of `hyperid.exact` as the Fraction n / d for an
-    int n, or as the (re, im) pair of Fractions of a Gaussian n's parts over d."""
+    """An exact side (n, d) of `hyperid.exact` as the Fraction n / d for ints
+    n and d, or as the (re, im) pair of Fractions of n / d, n conj(d) / |d|^2,
+    when n or d is a Gaussian int."""
     n, d = v
-    return (Fraction(n[0], d), Fraction(n[1], d)) if isinstance(n, tuple) else Fraction(n, d)
+    if not isinstance(d, tuple):
+        return (Fraction(n[0], d), Fraction(n[1], d)) if isinstance(n, tuple) else Fraction(n, d)
+    (a, b), (c, f) = n if isinstance(n, tuple) else (n, 0), d
+    return Fraction(a * c + b * f, c * c + f * f), Fraction(b * c - a * f, c * c + f * f)
 
 
 def _clear(q, values, squared=()):

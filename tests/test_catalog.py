@@ -180,26 +180,22 @@ def test_terminating_samples_are_pinned():
                      for i, form in zip(ids, forms) for seed in (1, 2, 3) for index in range(100)]
 
 
-_BIG = st.one_of(st.integers(-2**40, 2**40), st.integers(-2**900, 2**900))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_BIG, _BIG.filter(bool), _BIG, _BIG.filter(bool), _BIG.filter(bool), st.integers(53, 400))
-def test_exact_values_round_once_as_their_fractions(p, q, i, j, g, prec):
-    # an unreduced pair (g p, g q), denominators of either sign, and a
-    # Gaussian quotient as its numerator's parts over its norm, round bit for
-    # bit as to_mp rounds their reduced Fractions
-    z = exact._value(Gauss((p, i)), Gauss((q, j)))
-    with mp.workprec(prec):
-        assert catalog._rounded((g * p, g * q))._mpf_ == to_mp(Fraction(p, q))._mpf_
-        assert catalog._rounded(z)._mpc_ == tuple(to_mp(Fraction(v, z[1]))._mpf_ for v in z[0])
-
-
 def test_equal_exact_values_are_found_unreduced():
+    # raw pairs as `exact` forms them: denominators of either sign, Gaussian
+    # numerators and denominators, (1 + 2i) / (1 - i) = (-1 + 3i) / 2 = (-3 - i) / 2i
     assert catalog._equal((6, -4), (-3, 2)) and not catalog._equal((6, 4), (3, -2))
-    z = exact._value(Gauss((1, 2)), 3)
-    assert catalog._equal(z, exact._value(Gauss((2, 4)), 6)) and not catalog._equal(z, (1, 3))
+    z = Gauss((1, 2)), 3
+    assert catalog._equal(z, (Gauss((2, 4)), 6)) and not catalog._equal(z, (1, 3))
     assert not catalog._equal((1, 3), z)
+    w = Gauss((1, 2)), Gauss((1, -1))
+    assert catalog._equal(w, (Gauss((-1, 3)), 2)) and catalog._equal(w, (Gauss((-3, -1)), Gauss((0, 2))))
+    assert not catalog._equal(w, (Gauss((1, 3)), 2))
+    assert catalog._equal((2, Gauss((1, 1))), (Gauss((1, -1)), 1))
+
+
+def test_a_constraint_outside_the_grammar_is_refused_by_name():
+    with pytest.raises(ValueError, match=re.escape("constraint outside the grammar: 'Re(a) ~ 1'")):
+        catalog._checker({"a": "complex"}, ("Re(a) ~ 1",))
 
 
 def test_q_samples_are_pinned():

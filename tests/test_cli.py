@@ -544,3 +544,13 @@ def test_eval_phi_whose_sum_is_exactly_zero(capsys):
     code, out, err = run_cli(capsys, "eval", "phi", "--upper", "8", "--z", "0.5", "--q", "-0.5")
     assert code == 0, err
     assert out.startswith("value: 0.0\n")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: a nonterminating pFq series whose sum is exactly 0 "
+                          "ends in CancellationError")
+def test_eval_pfq_whose_sum_is_exactly_zero(capsys):
+    # 1F0(a;;1) = (1 - 1)^-a = 0 for Re a < 0, here a = -91/32 (decay exponent 3.84375)
+    code, out, err = run_cli(capsys, "eval", "pfq", "--upper=-2.84375", "--z", "1")
+    assert code == 0, err
+    assert out.startswith("value: 0.0\n")

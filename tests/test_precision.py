@@ -9,8 +9,9 @@ from mpmath.libmp import dps_to_prec
 
 from hyperid import precision
 from hyperid.errors import CancellationError
-from hyperid.precision import PrecisionContext, format_value, pow10, to_mp
+from hyperid.precision import PrecisionContext, format_value, pow10, rounded, to_mp
 from hyperid.qseries import QContext, QSeriesSpec, sum_q_series
+from hyperid.series import Gauss
 
 
 def test_context_validation():
@@ -101,6 +102,34 @@ def test_to_mp_fraction_rounds_as_the_division(num, k, den, prec):
         for v in (Fraction(num, 2**k), Fraction(num, den << k)):
             sign, man, exp, _ = to_mp(v)._mpf_
             assert (-1) ** sign * man * Fraction(2) ** exp == _rounded(v, prec)
+
+
+_BIG = st.one_of(st.integers(-2**40, 2**40), st.integers(-2**900, 2**900))
+_GAUSS = st.builds(lambda re, im: Gauss((re, im)), _BIG, _BIG)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_BIG, _GAUSS),
+       st.one_of(st.just(1), st.just(Gauss((1, 0))), _BIG, _GAUSS).filter(bool),
+       st.one_of(st.just(0), st.integers(-1100, 1100)), st.integers(53, 400))
+# a Gaussian d of norm 1 takes the d == 1 path once divided out
+@example(n=3, d=Gauss((0, -1)), e=-2, prec=53)
+def test_rounded_is_each_exact_part_rounded_once(n, d, e, prec):
+    # each part of n 2^e / d, denominators of either sign, real or Gaussian,
+    # rounds bit for bit as to_mp rounds its reduced Fraction, and as the
+    # Fraction reference does; an mpc exactly when n or d is a pair
+    (a, b), (c, f) = (x if isinstance(x, tuple) else (x, 0) for x in (n, d))
+    scale = Fraction(2) ** e / (c * c + f * f)
+    parts = (a * c + b * f) * scale, (b * c - a * f) * scale
+    with mp.workprec(prec):
+        v = rounded(n, d, e)
+        pair = isinstance(n, tuple) or isinstance(d, tuple)
+        assert type(v) is (mpc if pair else mpf)
+        got = v._mpc_ if pair else (v._mpf_,)
+        for raw, part in zip(got, parts):
+            assert raw == to_mp(part)._mpf_
+            sign, man, exp, _ = raw
+            assert (-1) ** sign * man * Fraction(2) ** exp == _rounded(part, prec)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -647,15 +647,24 @@ _GRID64 = st.integers(-64 * 64, 64 * 64).map(lambda n: Fraction(n, 64))
 _ONE_SIDED_Z = (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2), 1, -1)
 
 
+# the float range: m 2^e with |m| < 2^53 and |e| <= 200, and nomes q = 1 - 2^-m
+_FLOAT_RANGE = st.builds(lambda m, e: m * Fraction(2) ** e, st.integers(1 - 2**53, 2**53 - 1),
+                         st.integers(-200, 200))
+_NEAR_ONE_Q = st.integers(4, 12).map(lambda m: 1 - Fraction(1, 2**m))
+
+
 @st.composite
-def _one_sided_specs(draw):
+def _one_sided_specs(draw, wide=False):
     """(kind, uppers, lowers, z, q): Fractions and (re, im) pairs of them; z
-    is +-1 only for a unilateral series whose decay exponent s is > 1."""
+    is +-1 only for a unilateral series whose decay exponent s is > 1. Wide
+    draws add parameters over the float range and nomes up to 1 - 2^-12."""
     kind = draw(st.sampled_from(("unilateral", "phi")))
     q = draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(15, 16))))
+    if wide and draw(st.booleans()):
+        q = draw(_NEAR_ONE_Q)
     at_q = st.builds(lambda n, m: q ** -n * (1 + Fraction(1, 2**m)), st.integers(0, 12),
                      st.integers(1, 60))
-    real = st.one_of(_NEAR_POLE, _GRID64)
+    real = st.one_of(_NEAR_POLE, _GRID64, _FLOAT_RANGE) if wide else st.one_of(_NEAR_POLE, _GRID64)
     upper, lower = (real, real) if kind == "unilateral" else (
         st.one_of(real, st.integers(0, 12).map(lambda n: q ** -n)), st.one_of(real, at_q))
 
@@ -670,6 +679,11 @@ def _one_sided_specs(draw):
     s = sum(map(re, lows)) + 1 - sum(map(re, ups))
     if abs(z) == 1 and (kind == "phi" or len(lows) != r - 1 or s <= 1):
         z /= 4
+    # sums with as many lowers as uppers and an upper past 2^60, phi ones at
+    # q >= 15/16, take up to seconds to reach their budget (ROADMAP item 10's
+    # time bound)
+    assume(not (wide and len(lows) == r and (kind == "unilateral" or q >= Fraction(15, 16))
+                and any(abs(re(p)) > 2**60 for p in ups)))
     return kind, ups, lows, z, q
 
 
@@ -692,6 +706,14 @@ def _one_sided_sum(kind, ups, lows, z, q):
 def test_one_sided_sums_are_typed_or_finite(draw):
     # near poles, on a wide grid, complex, at |z| = 1 and near q-poles: each
     # call returns a finite value or raises a HyperidError
+    _typed_or_finite(_one_sided_sum(*draw)[2])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_one_sided_specs(wide=True))
+def test_one_sided_sums_over_the_float_range_are_typed_or_finite(draw):
+    # the same, with parameters m 2^e over the float range and nomes up to
+    # 1 - 2^-12, at max_terms = 1000
     _typed_or_finite(_one_sided_sum(*draw)[2])
 
 
